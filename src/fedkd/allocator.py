@@ -6,10 +6,18 @@ separates into a CPU part and a bandwidth part:
     sum_i c_i / f_i                     subject to  sum f_i <= f_ser
     sum_i (d_i / b_i + delta_b * b_i)   subject to  sum b_i <= b_max
 
-Both are convex.  The CPU part always exhausts its budget (it is strictly
-decreasing in every f_i) and has the closed form f_i ~ sqrt(c_i).  The
-bandwidth part has per-user interior optima sqrt(d_i / delta_b); when those
-overshoot the budget, the common multiplier lambda is found by bisection.
+Both are convex and both have closed forms.  The CPU part always exhausts
+its budget (it is strictly decreasing in every f_i), so f_i ~ sqrt(c_i).
+The bandwidth part has per-user interior optima sqrt(d_i / delta_b); when
+those overshoot the budget, it binds and b_i ~ sqrt(d_i) as well.
+
+Substituting the optima back gives the optimal cost of a decision as a
+function of three per-user sums (cost_from_sums):
+
+    sum_i const_i + (sum_i sqrt c_i)^2 / f_ser + bw(sum_i sqrt d_i)
+
+decision_cost evaluates it for one decision; the decision layer scores
+actions with it and never computes a split.
 
 grid_oracle is the independent check: an exact search over the discretized
 budget simplex, organized as a dynamic program so it stays tractable.
@@ -25,6 +33,7 @@ import numpy as np
 from .model import (
     Allocation,
     Decision,
+    InfeasibleError,
     Scenario,
     channel_gain,
     delays,
@@ -37,9 +46,10 @@ from .model import (
 #: for any sane instance.
 RESOURCE_FLOOR = 1e-6
 
-#: Bisection stops when |sum(b) - b_max| <= BISECT_RTOL * b_max.
-BISECT_RTOL = 1e-9
-BISECT_MAX_ITER = 200
+#: kkt_residual treats the bandwidth multiplier lambda as active (so the
+#: budget must bind) when it exceeds this fraction of delta_b + lambda;
+#: below it, rounding in the shares cannot tell lambda from zero.
+ACTIVE_MULTIPLIER_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -70,29 +80,67 @@ class AllocResult:
     kkt_residual: float     # max relative stationarity/complementarity violation
 
 
-def build_problem(sc: Scenario, dec: Decision) -> AllocProblem:
-    """Reduce a scenario plus decision to the two separable subproblems."""
-    dec.validate(sc)
+def user_terms(sc: Scenario, i: int, x: int, m: int) -> tuple[float, float, float]:
+    """User i's coefficients (const_i, c_i, d_i) when it picks (x, m).
+
+    c_i and d_i are the AllocProblem weights; const_i is the user's share
+    of AllocProblem.constant.  A user whose spectral efficiency rounds to
+    zero cannot transmit at any bandwidth: InfeasibleError.
+    """
     w = sc.weights
     if w.alpha_d <= 0:
         raise ValueError(
             "alpha_d must be > 0 to allocate resources: with no delay "
             "weight every c_i and d_i vanishes and the split is arbitrary")
-    c, d = [], []
-    constant = 0.0
-    for i, u in enumerate(sc.users):
-        xi, mi = dec.x[i], sc.catalog[dec.m[i]]
-        h = channel_gain(u.d, sc.channel)
-        eff = math.log2(1.0 + u.p * h / sc.channel.n0)  # Mbit/s per MHz
-        if eff <= 0:
-            raise ValueError(f"user {u.id} has zero spectral efficiency")
-        c.append(w.alpha_d * (sc.teacher.mu_t + (1 - xi) * mi.mu))
-        d.append(w.alpha_d * (xi * sc.teacher.theta_l + mi.theta_s) / eff)
-        constant += w.alpha_d * xi * mi.mu / u.f_loc
-        constant += w.beta_c * (sc.teacher.mu_t + (1 - xi) * mi.mu)
-    return AllocProblem(c=tuple(c), d=tuple(d), delta_b=w.delta_b,
-                        f_ser=sc.server.f_ser, b_max=sc.server.b_max,
-                        constant=constant)
+    u, model = sc.users[i], sc.catalog[m]
+    eff = math.log2(1.0 + u.p * channel_gain(u.d, sc.channel) / sc.channel.n0)  # Mbit/s per MHz
+    if eff <= 0:
+        raise InfeasibleError(f"user {u.id} has zero spectral efficiency")
+    server_mu = sc.teacher.mu_t + (1 - x) * model.mu
+    const = w.alpha_d * x * model.mu / u.f_loc + w.beta_c * server_mu
+    return (const, w.alpha_d * server_mu,
+            w.alpha_d * (x * sc.teacher.theta_l + model.theta_s) / eff)
+
+
+def build_problem(sc: Scenario, dec: Decision) -> AllocProblem:
+    """Reduce a scenario plus decision to the two separable subproblems."""
+    dec.validate(sc)
+    terms = [user_terms(sc, i, x, m) for i, (x, m) in enumerate(zip(dec.x, dec.m))]
+    return AllocProblem(c=tuple(t[1] for t in terms), d=tuple(t[2] for t in terms),
+                        delta_b=sc.weights.delta_b, f_ser=sc.server.f_ser,
+                        b_max=sc.server.b_max, constant=sum(t[0] for t in terms))
+
+
+def cost_from_sums(sc: Scenario, s_const, s_root_c, s_root_d):
+    """Optimal fixed-decision cost from the sums over users of const_i,
+    sqrt(c_i) and sqrt(d_i); elementwise when the sums are numpy arrays.
+
+    Substituting the closed-form splits, the CPU part costs
+    S_c^2 / f_ser.  The bandwidth part costs S_d^2 / b_max + delta_b * b_max
+    when its budget binds (S_d >= b_max * sqrt(delta_b), always when
+    delta_b = 0) and 2 * sqrt(delta_b) * S_d at the interior optimum.
+    """
+    f_ser, b_max, delta_b = sc.server.f_ser, sc.server.b_max, sc.weights.delta_b
+    root_price = math.sqrt(delta_b)
+    binds = s_root_d >= b_max * root_price
+    # Multiplying by the 0/1 mask picks one branch exactly, for a Python
+    # bool and a numpy bool array alike.
+    bandwidth = (binds * (s_root_d * s_root_d / b_max + delta_b * b_max)
+                 + (1 - binds) * (2.0 * root_price * s_root_d))
+    return s_const + s_root_c * s_root_c / f_ser + bandwidth
+
+
+def decision_cost(sc: Scenario, dec: Decision) -> float:
+    """constant + fb_objective at the optimal split, without computing the
+    split: the closed-form value of the fixed-decision objective."""
+    dec.validate(sc)
+    s_const = s_root_c = s_root_d = 0.0
+    for i, (x, m) in enumerate(zip(dec.x, dec.m)):
+        const, c, d = user_terms(sc, i, x, m)
+        s_const += const
+        s_root_c += math.sqrt(c)
+        s_root_d += math.sqrt(d)
+    return cost_from_sums(sc, s_const, s_root_c, s_root_d)
 
 
 def allocate_compute(c, f_ser: float) -> list[float]:
@@ -116,11 +164,12 @@ def allocate_compute(c, f_ser: float) -> list[float]:
 def allocate_bandwidth(d, delta_b: float, b_max: float) -> list[float]:
     """Minimize sum (d_i / b_i + delta_b * b_i) over sum b_i <= b_max.
 
-    Stationarity gives b_i(lambda) = sqrt(d_i / (delta_b + lambda)).  If the
-    unconstrained point (lambda = 0) fits the budget it is optimal;
-    otherwise lambda > 0 is raised by bisection until the budget is met.
-    delta_b = 0 is allowed only when the budget binds, which it then always
-    does because the unconstrained optimum is infinite.
+    Stationarity gives b_i(lambda) = sqrt(d_i / (delta_b + lambda)), so
+    every share is proportional to sqrt(d_i).  With S = sum_j sqrt(d_j),
+    the unconstrained point b_i = sqrt(d_i / delta_b) fits the budget when
+    S < b_max * sqrt(delta_b); otherwise the budget binds and
+    b_i = b_max * sqrt(d_i) / S.  delta_b = 0 always binds, because the
+    unconstrained optimum is infinite.
     """
     d = list(d)
     if not d:
@@ -132,30 +181,14 @@ def allocate_bandwidth(d, delta_b: float, b_max: float) -> list[float]:
     if b_max <= 0:
         raise ValueError(f"b_max must be > 0, got {b_max}")
 
-    roots = np.sqrt(np.asarray(d, dtype=float))
-
-    def shares(lam: float) -> np.ndarray:
-        return roots / math.sqrt(delta_b + lam)
-
-    if delta_b > 0 and float(shares(0.0).sum()) <= b_max:
-        b = shares(0.0)
+    roots = [math.sqrt(di) for di in d]
+    total = sum(roots)
+    root_price = math.sqrt(delta_b)
+    if total >= b_max * root_price:  # the branch test of cost_from_sums
+        b = [b_max * r / total for r in roots]
     else:
-        lo, hi = 0.0, 1.0
-        while float(shares(hi).sum()) >= b_max:
-            hi *= 2.0
-        b = shares(hi)
-        for _ in range(BISECT_MAX_ITER):
-            mid = 0.5 * (lo + hi)
-            total = float(shares(mid).sum())
-            if abs(total - b_max) <= BISECT_RTOL * b_max:
-                hi = mid
-                break
-            if total > b_max:
-                lo = mid
-            else:
-                hi = mid
-        b = shares(hi)  # hi side keeps the budget satisfied
-    return [max(RESOURCE_FLOOR, float(v)) for v in b]
+        b = [r / root_price for r in roots]
+    return [max(RESOURCE_FLOOR, v) for v in b]
 
 
 def fb_objective(prob: AllocProblem, f, b) -> float:
@@ -183,7 +216,7 @@ def kkt_residual(prob: AllocProblem, f, b) -> float:
     mult = float(mult_per_user.mean())       # delta_b + lambda
     res = max(res, float(np.abs(mult_per_user - mult).max() / mult))
     lam = mult - prob.delta_b
-    if lam > BISECT_RTOL * max(1.0, mult):   # budget constraint active
+    if lam > ACTIVE_MULTIPLIER_RTOL * max(1.0, mult):   # budget constraint active
         res = max(res, abs(float(b.sum()) - prob.b_max) / prob.b_max)
     else:                                    # interior: only feasibility
         res = max(res, max(0.0, float(b.sum()) - prob.b_max) / prob.b_max)

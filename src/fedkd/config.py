@@ -20,13 +20,16 @@ omitted section or field falls back to the stock defaults (the 4-user,
     }
 
 The optional "decision" block is consumed by the one-shot allocation
-entry point.  Schema violations raise ValueError naming the offending
-key; invariant violations surface the underlying message.
+entry point.  Schema violations, non-finite numbers included (JSON
+parsing turns NaN, Infinity and 1e400 into floats), raise ValueError
+naming the offending key; invariant violations surface the underlying
+message.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 from .model import (
     DEFAULT_CATALOG,
@@ -52,6 +55,8 @@ def _build(cls, data: dict, where: str, required=(), renames=None):
         name = (renames or {}).get(key, key)
         if name not in fields:
             raise ValueError(f"{where}.{key}: unknown key")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{where}.{key}: {value!r} is not finite")
         kwargs[name] = value
     for key in required:
         if key not in kwargs:

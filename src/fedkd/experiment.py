@@ -34,6 +34,7 @@ from .qlearn import (
     QConfig,
     QTable,
     action_count,
+    decision_reward,
     decode_action,
     encode_state,
     train,
@@ -161,11 +162,15 @@ def qonly_action_count(sc: Scenario, levels: int) -> int:
     return _qonly_radix(len(sc.catalog), levels) ** sc.n_users
 
 
-def decode_qonly(a: int, sc: Scenario, levels: int):
-    """-> (Decision, f list, b list); resources may violate the budgets."""
+def _decode_qonly(a: int, sc: Scenario, levels: int):
+    """-> (Decision, f list, b list, within_budget).
+
+    Feasibility is decided on the integer level counts: summing the float
+    shares can overshoot a budget they exactly meet by one ulp.
+    """
     n_models = len(sc.catalog)
     radix = _qonly_radix(n_models, levels)
-    x, m, f, b = [], [], [], []
+    x, m, f_units, b_units = [], [], [], []
     for _ in range(sc.n_users):
         digit = a % radix
         a //= radix
@@ -173,15 +178,22 @@ def decode_qonly(a: int, sc: Scenario, levels: int):
         digit //= 2
         m.append(digit % n_models)
         digit //= n_models
-        f.append((digit % levels + 1) * sc.server.f_ser / levels)
-        digit //= levels
-        b.append((digit + 1) * sc.server.b_max / levels)
-    return Decision(x=tuple(x), m=tuple(m)), f, b
+        f_units.append(digit % levels + 1)
+        b_units.append(digit // levels + 1)
+    f = [k * sc.server.f_ser / levels for k in f_units]
+    b = [k * sc.server.b_max / levels for k in b_units]
+    within_budget = sum(f_units) <= levels and sum(b_units) <= levels
+    return Decision(x=tuple(x), m=tuple(m)), f, b, within_budget
+
+
+def decode_qonly(a: int, sc: Scenario, levels: int):
+    """-> (Decision, f list, b list); resources may violate the budgets."""
+    return _decode_qonly(a, sc, levels)[:3]
 
 
 def _qonly_reward(sc: Scenario, a: int, levels: int, accs, penalty: float) -> float:
-    dec, f, b = decode_qonly(a, sc, levels)
-    if sum(f) > sc.server.f_ser or sum(b) > sc.server.b_max:
+    dec, f, b, within_budget = _decode_qonly(a, sc, levels)
+    if not within_budget:
         return penalty
     acc_own = [accs[mi][0] for mi in dec.m]
     acc_avg = [accs[mi][1] for mi in dec.m]
@@ -194,14 +206,7 @@ def _qonly_reward(sc: Scenario, a: int, levels: int, accs, penalty: float) -> fl
 
 def _xonly_reward(sc: Scenario, a: int, m_fixed: int, accs, penalty: float) -> float:
     x = tuple((a >> i) & 1 for i in range(sc.n_users))
-    dec = Decision(x=x, m=tuple(m_fixed for _ in range(sc.n_users)))
-    try:
-        res = allocate(sc, dec)
-    except ValueError:
-        return penalty
-    acc_own = [accs[mi][0] for mi in dec.m]
-    acc_avg = [accs[mi][1] for mi in dec.m]
-    return -objective(sc, dec, res.allocation, acc_own, acc_avg)
+    return decision_reward(sc, Decision(x=x, m=(m_fixed,) * sc.n_users), accs, penalty)
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
@@ -260,10 +265,10 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
                        lambda sc, a: _qonly_reward(sc, a, levels, accs, cfg.penalty))
         for t, draw in enumerate(draws):
             a = q.greedy_action(encode_state(draw, cfg.q), n_actions)
-            dec, f, b = decode_qonly(a, draw, levels)
-            penalized = sum(f) > draw.server.f_ser or sum(b) > draw.server.b_max
+            dec, f, b, within_budget = _decode_qonly(a, draw, levels)
             al = Allocation(f=tuple(f), b=tuple(b))
-            report.trials.append(_evaluate(draw, dec, al, accs, t, penalized, cfg.penalty))
+            report.trials.append(_evaluate(draw, dec, al, accs, t, not within_budget,
+                                           cfg.penalty))
         return report
 
     # fl-min / fl-max: fixed model, offload decision learned

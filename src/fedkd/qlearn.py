@@ -1,8 +1,9 @@
 """Tabular Q-learning over the joint discrete action (x, m) for all users.
 
 Each episode is one-shot: a scenario is drawn, the agent picks a joint
-offload/model action for every user, the continuous resources are filled
-in by the convex allocator, and the negated total cost is the reward.
+offload/model action for every user, and the reward is the negated total
+cost with the continuous resources split optimally, which the allocator's
+closed form gives without computing the split.
 The successor state is terminal, so the update's bootstrap term is zero;
 the discount knob is kept for the general update rule.
 
@@ -22,8 +23,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .allocator import allocate
-from .model import Decision, Scenario, channel_gain, objective
+from .allocator import cost_from_sums, decision_cost, user_terms
+from .model import Decision, InfeasibleError, Scenario, channel_gain
 
 logger = logging.getLogger(__name__)
 
@@ -204,23 +205,35 @@ def select_action(q: QTable, s: StateKey, epsilon: float,
     return q.greedy_action(s, n_actions)
 
 
-def reward(sc: Scenario, a: int, acc_by_model: Sequence[tuple[float, float]],
-           penalty: float = INFEASIBLE_REWARD) -> float:
-    """Negated total cost of action a under the optimal resource split.
+def _model_gains(sc: Scenario, acc_by_model: Sequence[tuple[float, float]]) -> list[float]:
+    """Accuracy reward eta_o * acc_own + eta_a * acc_avg of each catalog entry."""
+    w = sc.weights
+    return [w.eta_o * own + w.eta_a * avg for own, avg in acc_by_model]
+
+
+def decision_reward(sc: Scenario, dec: Decision,
+                    acc_by_model: Sequence[tuple[float, float]],
+                    penalty: float = INFEASIBLE_REWARD) -> float:
+    """Negated total cost of a decision under the optimal resource split.
 
     acc_by_model[m] = (acc_own, acc_avg) fractions for catalog entry m,
-    typically from the published-accuracy table.  Infeasible allocations
-    earn `penalty` so the agent learns to avoid them.
+    typically from the published-accuracy table.  Infeasible decisions
+    earn `penalty` so the agent learns to avoid them; any other error
+    propagates.
     """
-    dec = decode_action(a, sc.n_users, len(sc.catalog))
-    dec.validate(sc)
     try:
-        res = allocate(sc, dec)
-        acc_own = [acc_by_model[mi][0] for mi in dec.m]
-        acc_avg = [acc_by_model[mi][1] for mi in dec.m]
-        return -objective(sc, dec, res.allocation, acc_own, acc_avg)
-    except ValueError:
+        cost = decision_cost(sc, dec)
+    except InfeasibleError:
         return penalty
+    gains = _model_gains(sc, acc_by_model)
+    return -(cost - sum(gains[mi] for mi in dec.m))
+
+
+def reward(sc: Scenario, a: int, acc_by_model: Sequence[tuple[float, float]],
+           penalty: float = INFEASIBLE_REWARD) -> float:
+    """decision_reward of joint action a."""
+    return decision_reward(sc, decode_action(a, sc.n_users, len(sc.catalog)),
+                           acc_by_model, penalty)
 
 
 def update(q: QTable, s: StateKey, a: int, r: float, s_next: StateKey | None,
@@ -244,12 +257,9 @@ def train_loop(sampler: Callable[[np.random.Generator], Scenario],
                reward_fn: Callable[[Scenario, int], float]) -> QTable:
     """Generic one-shot-episode loop shared by all the table-based agents.
 
-    Rewards are memoized per (scenario, action); scenarios hash by value,
-    so static-scenario training pays for each action's allocation once.
     The action-space size must not change between episodes.
     """
     q = QTable()
-    cache: dict[tuple[Scenario, int], float] = {}
     n_actions = None
     for ep in range(cfg.episodes):
         sc = sampler(rng)
@@ -259,12 +269,7 @@ def train_loop(sampler: Callable[[np.random.Generator], Scenario],
             raise ValueError("sampler changed the action-space size mid-training")
         s = encode_state(sc, cfg)
         a = select_action(q, s, cfg.epsilon_at(ep), rng, n_actions)
-        key = (sc, a)
-        r = cache.get(key)
-        if r is None:
-            r = reward_fn(sc, a)
-            cache[key] = r
-        update(q, s, a, r, None, cfg)
+        update(q, s, a, reward_fn(sc, a), None, cfg)
     return q
 
 
@@ -283,23 +288,32 @@ def train(sampler: Callable[[np.random.Generator], Scenario], cfg: QConfig,
 
 def exhaustive_optimum(sc: Scenario, acc_by_model: Sequence[tuple[float, float]],
                        cap: int = EXHAUSTIVE_CAP) -> tuple[Decision, float]:
-    """Enumerate every decision, allocate optimally, return the minimizer.
+    """Score every decision in closed form and return the minimizer.
 
     This is the reference the trained agent is compared against; it is
-    exact whenever the action space fits under `cap`.
+    exact whenever the action space fits under `cap`.  User i's digit
+    k = x * |M| + m indexes per-user tables of const_i, sqrt(c_i), sqrt(d_i)
+    and the accuracy reward, so the sums over users for every action come
+    from one broadcast add per user, and each action's value equals
+    -decision_reward.  Ties go to the lowest action index.
     """
     n = action_count(sc)
     if n > cap:
         raise ValueError(
             f"action space {n} exceeds the enumeration cap {cap}; "
             "reduce users or catalog size")
-    best_dec, best_val = None, math.inf
-    for a in range(n):
-        dec = decode_action(a, sc.n_users, len(sc.catalog))
-        res = allocate(sc, dec)
-        acc_own = [acc_by_model[mi][0] for mi in dec.m]
-        acc_avg = [acc_by_model[mi][1] for mi in dec.m]
-        val = objective(sc, dec, res.allocation, acc_own, acc_avg)
-        if val < best_val:
-            best_dec, best_val = dec, val
-    return best_dec, best_val
+    n_models = len(sc.catalog)
+    gains = _model_gains(sc, acc_by_model)
+    tables = np.empty((4, sc.n_users, 2 * n_models))  # const, sqrt c, sqrt d, gain
+    for i in range(sc.n_users):
+        for k in range(2 * n_models):
+            x, m = divmod(k, n_models)
+            const, c, d = user_terms(sc, i, x, m)
+            tables[:, i, k] = const, math.sqrt(c), math.sqrt(d), gains[m]
+    # Action a = sum_i k_i * (2|M|)^i: user i enters as the leading digit.
+    sums = tables[:, 0, :]
+    for i in range(1, sc.n_users):
+        sums = (tables[:, i, :, None] + sums[:, None, :]).reshape(4, -1)
+    values = cost_from_sums(sc, sums[0], sums[1], sums[2]) - sums[3]
+    best = int(np.argmin(values))
+    return decode_action(best, sc.n_users, n_models), float(values[best])

@@ -36,6 +36,19 @@ def test_negative_local_frequency_names_the_key():
         scenario_from_dict(doc)
 
 
+@pytest.mark.parametrize("text, field", [
+    ('{"users": [{"f_loc": 1e400, "d": 50.0}]}', r"users\[0\]\.f_loc"),
+    ('{"weights": {"eta_o": 1e400}}', r"weights\.eta_o"),
+    ('{"users": [{"f_loc": 1.0, "d": 50.0, "dataset_size": NaN}]}',
+     r"users\[0\]\.dataset_size"),
+    ('{"users": [{"f_loc": NaN, "d": 50.0}]}', r"users\[0\]\.f_loc"),
+    ('{"server": {"b_max": -Infinity}}', r"server\.b_max"),
+])
+def test_non_finite_numbers_name_the_field(text, field):
+    with pytest.raises(ValueError, match=field + ".*not finite"):
+        load_scenario(text)
+
+
 def test_unknown_keys_are_named():
     with pytest.raises(ValueError, match="bogus"):
         load_scenario('{"bogus": 1}')

@@ -1,0 +1,186 @@
+"""The closed-form decision evaluator against its scalar oracles.
+
+decision_cost and exhaustive_optimum score decisions from per-user sums
+without computing a split; allocate + objective is the independent route
+they must agree with, on random instances that reach both bandwidth
+branches and a zero bandwidth price.
+"""
+
+import dataclasses
+import math
+
+import pytest
+from hypothesis import given, seed, settings, strategies as st
+
+from fedkd.accuracy import DEFAULT_TABLE, acc_pair
+from fedkd.allocator import allocate, build_problem, decision_cost
+from fedkd.experiment import _xonly_reward
+from fedkd.model import (
+    Decision,
+    InfeasibleError,
+    ModelSpec,
+    ObjectiveWeights,
+    Scenario,
+    ServerSpec,
+    TeacherSpec,
+    UserSpec,
+    default_scenario,
+    objective,
+)
+from fedkd.qlearn import (
+    INFEASIBLE_REWARD,
+    action_count,
+    decision_reward,
+    decode_action,
+    encode_decision,
+    exhaustive_optimum,
+    reward,
+)
+
+from conftest import make_scenario
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, database=None)
+
+
+def _score(sc, dec, accs):
+    """The scalar route: optimal split from allocate, then objective."""
+    al = allocate(sc, dec).allocation
+    return objective(sc, dec, al, [accs[m][0] for m in dec.m], [accs[m][1] for m in dec.m])
+
+
+def brute_force_optimum(sc, accs):
+    """Allocate and score every action in turn; strict < keeps the lowest
+    action index among ties, as exhaustive_optimum does."""
+    best_dec, best_val = None, math.inf
+    for a in range(action_count(sc)):
+        dec = decode_action(a, sc.n_users, len(sc.catalog))
+        val = _score(sc, dec, accs)
+        if val < best_val:
+            best_dec, best_val = dec, val
+    return best_dec, best_val
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def instances(draw, n_users=st.integers(1, 4), n_models=st.integers(1, 4)):
+    """(scenario, decision, accuracies) with the bandwidth price set so the
+    decision lands on a chosen branch: zero price, binding budget, or
+    interior optimum.  Other decisions of the same scenario fall on either
+    side of the threshold."""
+    n, n_m = draw(n_users), draw(n_models)
+    users = tuple(UserSpec(id=i, f_loc=draw(_floats(0.5, 2.0)), d=draw(_floats(10.0, 100.0)),
+                           p=draw(_floats(0.01, 1.0)))
+                  for i in range(n))
+    catalog = tuple(ModelSpec(name=f"m{j}", mu=draw(_floats(1.0, 20.0)),
+                              theta_s=draw(_floats(10.0, 200.0)))
+                    for j in range(n_m))
+    weights = ObjectiveWeights(alpha_d=draw(_floats(1e-3, 1.0)), beta_c=draw(_floats(0.0, 0.01)),
+                               delta_b=0.0, eta_o=draw(_floats(0.0, 1.0)),
+                               eta_a=draw(_floats(0.0, 1.0)))
+    sc = Scenario(users=users,
+                  server=ServerSpec(f_ser=draw(_floats(1.0, 50.0)), b_max=draw(_floats(1.0, 50.0))),
+                  channel=default_scenario().channel, catalog=catalog,
+                  teacher=TeacherSpec(mu_t=draw(_floats(1.0, 20.0)),
+                                      theta_l=draw(_floats(1.0, 50.0))),
+                  weights=weights)
+    dec = Decision(x=draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+                   m=draw(st.lists(st.integers(0, n_m - 1), min_size=n, max_size=n)))
+    accs = [(draw(_floats(0.0, 1.0)), draw(_floats(0.0, 1.0))) for _ in range(n_m)]
+
+    branch = draw(st.sampled_from(["zero-price", "binding", "interior"]))
+    if branch != "zero-price":
+        # The budget binds iff S_d >= b_max * sqrt(delta_b), S_d = sum sqrt(d_i).
+        s_d = sum(math.sqrt(d) for d in build_problem(sc, dec).d)
+        ratio = draw(_floats(0.2, 0.95) if branch == "binding" else _floats(1.05, 5.0))
+        delta_b = (ratio * s_d / sc.server.b_max) ** 2
+        sc = dataclasses.replace(sc, weights=dataclasses.replace(weights, delta_b=delta_b))
+    return sc, dec, accs, branch
+
+
+@seed(20231103)
+@PROPERTY_SETTINGS
+@given(instances())
+def test_evaluator_equals_objective_at_allocate(inst):
+    sc, dec, accs, branch = inst
+    res = allocate(sc, dec)
+    budget_used = sum(res.allocation.b) / sc.server.b_max
+    if branch == "interior":
+        assert budget_used < 1.0
+    else:
+        assert budget_used == pytest.approx(1.0, rel=1e-12)
+    assert res.kkt_residual < 1e-8
+    zeros = [0.0] * sc.n_users
+    assert decision_cost(sc, dec) == pytest.approx(
+        objective(sc, dec, res.allocation, zeros, zeros), rel=1e-9)
+    assert decision_reward(sc, dec, accs) == pytest.approx(-_score(sc, dec, accs),
+                                                           rel=1e-9, abs=1e-12)
+
+
+@seed(20231104)
+@PROPERTY_SETTINGS
+@given(instances(n_users=st.integers(1, 3), n_models=st.integers(1, 3)))
+def test_enumeration_matches_brute_force(inst):
+    sc, _, accs, _ = inst
+    dec, val = exhaustive_optimum(sc, accs)
+    ref_dec, ref_val = brute_force_optimum(sc, accs)
+    assert val == pytest.approx(ref_val, rel=1e-9, abs=1e-12)
+    assert val == -reward(sc, encode_decision(dec, len(sc.catalog)), accs)
+    if dec != ref_dec:
+        # Only a tie (identical users, say) may split the two routes.
+        assert _score(sc, dec, accs) == pytest.approx(ref_val, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("draw", [None, 7])
+def test_stock_sized_enumeration_matches_brute_force(draw):
+    sc = default_scenario() if draw is None else make_scenario(seed=draw)
+    accs = [acc_pair(DEFAULT_TABLE, m.name, "KD", "noniid") for m in sc.catalog]
+    dec, val = exhaustive_optimum(sc, accs)
+    ref_dec, ref_val = brute_force_optimum(sc, accs)
+    assert dec == ref_dec
+    assert val == pytest.approx(ref_val, rel=1e-9)
+
+
+def test_ties_go_to_the_lowest_action_index():
+    # Two copies of one model tie exactly; m = 0 has the lower indices.
+    sc = make_scenario(n_users=2, n_models=1)
+    sc = dataclasses.replace(sc, catalog=sc.catalog * 2)
+    accs = [acc_pair(DEFAULT_TABLE, sc.catalog[0].name, "KD", "noniid")] * 2
+    dec, _ = exhaustive_optimum(sc, accs)
+    assert dec.m == (0, 0)
+    assert dec == brute_force_optimum(sc, accs)[0]
+
+
+def _stranded_user_scenario():
+    """User 1 is so far away that its spectral efficiency rounds to zero."""
+    sc = make_scenario(n_users=2)
+    far = dataclasses.replace(sc.users[1], d=1e10)
+    return dataclasses.replace(sc, users=(sc.users[0], far))
+
+
+def _rewards(sc, accs):
+    """reward and the fixed-model baseline's reward of action 0."""
+    return {"reward": lambda: reward(sc, 0, accs),
+            "xonly": lambda: _xonly_reward(sc, 0, 0, accs, INFEASIBLE_REWARD)}
+
+
+@pytest.mark.parametrize("route", ["reward", "xonly"])
+def test_infeasible_decision_earns_the_penalty(route):
+    sc = _stranded_user_scenario()
+    accs = [acc_pair(DEFAULT_TABLE, m.name, "KD", "noniid") for m in sc.catalog]
+    assert _rewards(sc, accs)[route]() == INFEASIBLE_REWARD
+    with pytest.raises(InfeasibleError):
+        exhaustive_optimum(sc, accs)
+
+
+@pytest.mark.parametrize("route", ["reward", "xonly"])
+def test_other_value_errors_propagate(route):
+    # alpha_d = 0 is a configuration error, not an infeasible decision
+    weights = ObjectiveWeights(alpha_d=0.0, beta_c=0.001, delta_b=0.001, eta_o=1.0, eta_a=0.25)
+    sc = make_scenario(n_users=2, weights=weights)
+    accs = [acc_pair(DEFAULT_TABLE, m.name, "KD", "noniid") for m in sc.catalog]
+    with pytest.raises(ValueError, match="alpha_d") as info:
+        _rewards(sc, accs)[route]()
+    assert not isinstance(info.value, InfeasibleError)

@@ -7,6 +7,8 @@ from fedkd.experiment import (
     ExperimentConfig,
     Report,
     TrialResult,
+    _decode_qonly,
+    _qonly_reward,
     decode_qonly,
     emit_report,
     qonly_action_count,
@@ -15,7 +17,8 @@ from fedkd.experiment import (
     sample_scenario,
     summary_dict,
 )
-from fedkd.model import default_scenario
+from fedkd.model import ServerSpec, default_scenario
+from fedkd.qlearn import INFEASIBLE_REWARD
 from conftest import make_scenario
 
 
@@ -53,6 +56,34 @@ class TestQOnlyCoding:
             seen_f.update(f)
         expected = {(k + 1) * sc.server.f_ser / levels for k in range(levels)}
         assert seen_f == expected
+
+    @staticmethod
+    def _action(units, levels, n_models):
+        """q-only action giving user i (x=0, m=0) and units[i] levels of both
+        resources."""
+        radix = 2 * n_models * levels * levels
+        a = 0
+        for k in reversed(units):
+            a = a * radix + 2 * n_models * ((k - 1) + levels * (k - 1))
+        return a
+
+    @pytest.mark.parametrize("budget, levels, units", [
+        (7.0, 6, (1, 1, 3, 1)),     # float shares sum to 7.000000000000001
+        (3.3, 7, (1, 4, 1, 1)),     # and to 3.3000000000000003
+    ])
+    def test_split_meeting_the_budget_exactly_is_feasible(self, budget, levels, units):
+        sc = make_scenario()
+        sc = dataclasses.replace(sc, server=ServerSpec(f_ser=budget, b_max=budget))
+        a = self._action(units, levels, len(sc.catalog))
+        dec, f, b, within_budget = _decode_qonly(a, sc, levels)
+        assert sum(f) > budget and sum(b) > budget   # the float sums overshoot
+        assert within_budget
+        assert _qonly_reward(sc, a, levels, [(0.5, 0.5)] * 4, INFEASIBLE_REWARD) \
+            != INFEASIBLE_REWARD
+        over = self._action(units[:-1] + (units[-1] + 1,), levels, len(sc.catalog))
+        assert not _decode_qonly(over, sc, levels)[3]
+        assert _qonly_reward(sc, over, levels, [(0.5, 0.5)] * 4, INFEASIBLE_REWARD) \
+            == INFEASIBLE_REWARD
 
     def test_action_zero_is_minimal_and_feasible(self):
         sc = default_scenario()
