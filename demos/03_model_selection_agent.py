@@ -18,7 +18,7 @@ from fedkd.qlearn import (
     encode_state,
     exhaustive_optimum,
     reward,
-    train,
+    train_loop,
 )
 
 base = default_scenario()
@@ -44,7 +44,7 @@ print(f"\nenumeration says: x={best_dec.x}, "
 
 cfg = QConfig(episodes=5000)
 rng = np.random.Generator(np.random.PCG64(0))
-q = train(lambda _r: sc, cfg, rng, accs)
+q = train_loop(lambda _r: sc, cfg, rng, n_actions, lambda draw, a: reward(draw, a, accs))
 state = encode_state(sc, cfg)
 greedy = q.greedy_action(state, n_actions)
 print(f"\nafter {cfg.episodes} one-shot episodes (epsilon {cfg.epsilon0} -> "

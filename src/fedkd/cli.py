@@ -79,9 +79,10 @@ def cmd_train_q(args) -> int:
     accs = [accuracy.acc_pair(accuracy.DEFAULT_TABLE, m.name, "KD", args.distribution)
             for m in sc.catalog]
     rng = np.random.Generator(np.random.PCG64(args.seed))
-    table = qlearn.train(lambda _rng: sc, cfg, rng, accs)
-    state = qlearn.encode_state(sc, cfg)
-    greedy = table.greedy_action(state, qlearn.action_count(sc))
+    n_actions = qlearn.action_count(sc)
+    table = qlearn.train_loop(lambda _rng: sc, cfg, rng, n_actions,
+                              lambda draw, a: qlearn.reward(draw, a, accs))
+    greedy = table.greedy_action(qlearn.encode_state(sc, cfg), n_actions)
     dec = qlearn.decode_action(greedy, sc.n_users, len(sc.catalog))
     summary = {
         "episodes": cfg.episodes,

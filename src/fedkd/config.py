@@ -6,7 +6,7 @@ omitted section or field falls back to the stock defaults (the 4-user,
 
     {
       "users": [
-        {"f_loc": 1.0, "d": 50.0, "p": 0.1, "dataset_size": 12500}
+        {"f_loc": 1.0, "d": 50.0, "p": 0.1}
       ],
       "server":  {"f_ser": 10.0, "b_max": 10.0},
       "channel": {"g0": 1e-4, "gamma": 2.8, "n0": 1e-13},
@@ -133,8 +133,7 @@ def decision_from_dict(doc: dict, sc: Scenario) -> Decision:
 
 def scenario_to_dict(sc: Scenario) -> dict:
     return {
-        "users": [{"f_loc": u.f_loc, "d": u.d, "p": u.p,
-                   "dataset_size": u.dataset_size} for u in sc.users],
+        "users": [{"f_loc": u.f_loc, "d": u.d, "p": u.p} for u in sc.users],
         "server": {"f_ser": sc.server.f_ser, "b_max": sc.server.b_max},
         "channel": {"g0": sc.channel.g0, "gamma": sc.channel.gamma, "n0": sc.channel.n0},
         "teacher": {"mu_t": sc.teacher.mu_t, "theta_l": sc.teacher.theta_l},

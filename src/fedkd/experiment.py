@@ -12,6 +12,12 @@ on identical draws when given the same seed and template:
     fl-max      as fl-min with the largest model
     exhaustive  full enumeration reference (no learning)
 
+Each method is an entry of one table (`method_spec`): its action count,
+what an action means, and which published accuracies score it.  One
+pipeline runs them all: train the agent (exhaustive enumerates instead),
+decode the chosen action on each draw, let the convex allocator fill in
+the split where the action leaves it open, and evaluate.
+
 Per trial the report records the realized objective, the mean per-epoch
 delay across users, accuracy means, model-selection frequencies, and the
 raw per-user decision and resources.
@@ -23,23 +29,32 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .accuracy import DEFAULT_TABLE, AccuracyTable, acc_pair
 from .allocator import allocate
-from .model import Allocation, Decision, Scenario, channel_gain, delays, objective, tx_rate
+from .model import (
+    Allocation,
+    Decision,
+    InfeasibleError,
+    Scenario,
+    channel_gain,
+    delays,
+    objective,
+    tx_rate,
+)
 from .qlearn import (
     INFEASIBLE_REWARD,
     QConfig,
-    QTable,
     action_count,
     decision_reward,
     decode_action,
+    encode_decision,
     encode_state,
-    train,
-    train_loop,
     exhaustive_optimum,
+    train_loop,
 )
 
 METHODS = ("proposed", "q-only", "fl-min", "fl-max", "exhaustive")
@@ -150,8 +165,18 @@ def _evaluate(sc: Scenario, dec: Decision, al: Allocation, accs,
 
 
 # ---------------------------------------------------------------------------
-# q-only action coding: per-user digit packs x, m, and one grid level for
-# each resource; level k means (k + 1) / levels of the full budget.
+# the method table
+
+
+@dataclass(frozen=True)
+class MethodSpec:
+    """What an action means to one method: decode(sc, a) gives (decision,
+    split, feasible), where a None split stands for the optimal one."""
+
+    n_actions: int
+    decode: Callable[[Scenario, int], tuple[Decision, Allocation | None, bool]]
+    accuracy: str           # "KD" or "FL": the published accuracies that score it
+    learned: bool = True    # False: enumerate every action instead of training
 
 
 def _qonly_radix(n_models: int, levels: int) -> int:
@@ -162,11 +187,14 @@ def qonly_action_count(sc: Scenario, levels: int) -> int:
     return _qonly_radix(len(sc.catalog), levels) ** sc.n_users
 
 
-def _decode_qonly(a: int, sc: Scenario, levels: int):
-    """-> (Decision, f list, b list, within_budget).
+def decode_qonly(a: int, sc: Scenario, levels: int) -> tuple[Decision, Allocation, bool]:
+    """-> (Decision, Allocation, within_budget) of q-only action a.
 
-    Feasibility is decided on the integer level counts: summing the float
-    shares can overshoot a budget they exactly meet by one ulp.
+    Per user the action holds digits x, m, and one grid level for each
+    resource; level k means (k + 1) / levels of the full budget, so the
+    split may exceed a budget.  Feasibility is decided on the integer
+    level counts: summing the float shares can overshoot a budget they
+    exactly meet by one ulp.
     """
     n_models = len(sc.catalog)
     radix = _qonly_radix(n_models, levels)
@@ -180,76 +208,24 @@ def _decode_qonly(a: int, sc: Scenario, levels: int):
         digit //= n_models
         f_units.append(digit % levels + 1)
         b_units.append(digit // levels + 1)
-    f = [k * sc.server.f_ser / levels for k in f_units]
-    b = [k * sc.server.b_max / levels for k in b_units]
+    al = Allocation(f=tuple(k * sc.server.f_ser / levels for k in f_units),
+                    b=tuple(k * sc.server.b_max / levels for k in b_units))
     within_budget = sum(f_units) <= levels and sum(b_units) <= levels
-    return Decision(x=tuple(x), m=tuple(m)), f, b, within_budget
+    return Decision(x=tuple(x), m=tuple(m)), al, within_budget
 
 
-def decode_qonly(a: int, sc: Scenario, levels: int):
-    """-> (Decision, f list, b list); resources may violate the budgets."""
-    return _decode_qonly(a, sc, levels)[:3]
-
-
-def _qonly_reward(sc: Scenario, a: int, levels: int, accs, penalty: float) -> float:
-    dec, f, b, within_budget = _decode_qonly(a, sc, levels)
-    if not within_budget:
-        return penalty
-    acc_own = [accs[mi][0] for mi in dec.m]
-    acc_avg = [accs[mi][1] for mi in dec.m]
-    return -objective(sc, dec, Allocation(f=tuple(f), b=tuple(b)), acc_own, acc_avg)
-
-
-# ---------------------------------------------------------------------------
-# offload-only coding for the fixed-model baselines
-
-
-def _xonly_reward(sc: Scenario, a: int, m_fixed: int, accs, penalty: float) -> float:
-    x = tuple((a >> i) & 1 for i in range(sc.n_users))
-    return decision_reward(sc, Decision(x=x, m=(m_fixed,) * sc.n_users), accs, penalty)
-
-
-def run_experiment(cfg: ExperimentConfig) -> Report:
-    """Train the configured method and evaluate it on seeded draws.
-
-    The evaluation draws depend only on (scenario template, seed, trials),
-    never on the method, so reports from different methods compare like
-    for like.  Identical configs produce identical reports.
-    """
+def method_spec(cfg: ExperimentConfig) -> MethodSpec:
+    """The table entry of cfg.method.  proposed and exhaustive share the
+    joint offload/model action; q-only adds a resource grid level per user;
+    fl-min/fl-max pin the smallest or largest model, leaving offload bits."""
     template = cfg.scenario
-    n, n_models = template.n_users, len(template.catalog)
-    eval_ss, train_ss = np.random.SeedSequence(cfg.seed).spawn(2)
-    eval_rng = np.random.Generator(np.random.PCG64(eval_ss))
-    draws = [sample_scenario(template, eval_rng, cfg.f_loc_range, cfg.d_range)
-             for _ in range(cfg.trials)]
-    train_rng = np.random.Generator(np.random.PCG64(train_ss))
-
-    def sampler(rng: np.random.Generator) -> Scenario:
-        return sample_scenario(template, rng, cfg.f_loc_range, cfg.d_range)
-
-    report = Report(method=cfg.method, seed=cfg.seed, n_users=n,
-                    model_names=tuple(m.name for m in template.catalog))
-
-    if cfg.method == "exhaustive":
-        accs = _acc_by_model(cfg, "KD")
-        for t, draw in enumerate(draws):
-            dec, _ = exhaustive_optimum(draw, accs)
-            al = allocate(draw, dec).allocation
-            report.trials.append(_evaluate(draw, dec, al, accs, t, False, cfg.penalty))
-        return report
-
-    if cfg.method == "proposed":
-        accs = _acc_by_model(cfg, "KD")
-        q = train(sampler, cfg.q, train_rng, accs)
-        for t, draw in enumerate(draws):
-            a = q.greedy_action(encode_state(draw, cfg.q), action_count(draw))
-            dec = decode_action(a, n, n_models)
-            al = allocate(draw, dec).allocation
-            report.trials.append(_evaluate(draw, dec, al, accs, t, False, cfg.penalty))
-        return report
-
+    n = template.n_users
+    if cfg.method in ("proposed", "exhaustive"):
+        return MethodSpec(
+            action_count(template),
+            lambda sc, a: (decode_action(a, sc.n_users, len(sc.catalog)), None, True),
+            "KD", learned=cfg.method == "proposed")
     if cfg.method == "q-only":
-        accs = _acc_by_model(cfg, "KD")
         levels = cfg.resource_levels
         if n > levels:
             raise ValueError(
@@ -260,30 +236,73 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
             raise ValueError(
                 f"q-only action space {n_actions} exceeds {ACTION_SPACE_CAP}; "
                 "reduce resource_levels, users, or catalog size")
-        q = train_loop(sampler, cfg.q, train_rng,
-                       lambda sc: qonly_action_count(sc, levels),
-                       lambda sc, a: _qonly_reward(sc, a, levels, accs, cfg.penalty))
-        for t, draw in enumerate(draws):
-            a = q.greedy_action(encode_state(draw, cfg.q), n_actions)
-            dec, f, b, within_budget = _decode_qonly(a, draw, levels)
-            al = Allocation(f=tuple(f), b=tuple(b))
-            report.trials.append(_evaluate(draw, dec, al, accs, t, not within_budget,
-                                           cfg.penalty))
-        return report
-
-    # fl-min / fl-max: fixed model, offload decision learned
-    accs = _acc_by_model(cfg, "FL")
+        return MethodSpec(n_actions, lambda sc, a: decode_qonly(a, sc, levels), "KD")
     mus = [m.mu for m in template.catalog]
-    m_fixed = mus.index(min(mus)) if cfg.method == "fl-min" else mus.index(max(mus))
-    q = train_loop(sampler, cfg.q, train_rng,
-                   lambda sc: 2 ** sc.n_users,
-                   lambda sc, a: _xonly_reward(sc, a, m_fixed, accs, cfg.penalty))
+    m_fixed = mus.index(min(mus) if cfg.method == "fl-min" else max(mus))
+
+    def decode_offload(sc: Scenario, a: int):
+        x = tuple((a >> i) & 1 for i in range(sc.n_users))
+        return Decision(x=x, m=(m_fixed,) * sc.n_users), None, True
+
+    return MethodSpec(2 ** n, decode_offload, "FL")
+
+
+def action_reward(sc: Scenario, spec: MethodSpec, a: int, accs, penalty: float) -> float:
+    """Training reward of action a under a method's decoder.
+
+    Minus the cost at the decoded split, or at the optimal split (from
+    its closed form) when the decoder leaves it open.  An action over a
+    budget, or one whose decision is infeasible, earns `penalty`; any
+    other error propagates.
+    """
+    dec, al, feasible = spec.decode(sc, a)
+    if not feasible:
+        return penalty
+    if al is None:
+        return decision_reward(sc, dec, accs, penalty)
+    try:
+        return -objective(sc, dec, al, [accs[mi][0] for mi in dec.m],
+                          [accs[mi][1] for mi in dec.m])
+    except InfeasibleError:
+        return penalty
+
+
+def run_experiment(cfg: ExperimentConfig) -> Report:
+    """Train the configured method and evaluate it on seeded draws.
+
+    The evaluation draws depend only on (scenario template, seed, trials),
+    never on the method, so reports from different methods compare like
+    for like.  Identical configs produce identical reports.
+    """
+    template = cfg.scenario
+    spec = method_spec(cfg)
+    accs = _acc_by_model(cfg, spec.accuracy)
+
+    def sample(rng: np.random.Generator) -> Scenario:
+        return sample_scenario(template, rng, cfg.f_loc_range, cfg.d_range)
+
+    eval_ss, train_ss = np.random.SeedSequence(cfg.seed).spawn(2)
+    eval_rng = np.random.Generator(np.random.PCG64(eval_ss))
+    draws = [sample(eval_rng) for _ in range(cfg.trials)]
+
+    if spec.learned:
+        q = train_loop(sample, cfg.q, np.random.Generator(np.random.PCG64(train_ss)),
+                       spec.n_actions,
+                       lambda sc, a: action_reward(sc, spec, a, accs, cfg.penalty))
+
+        def policy(draw: Scenario) -> int:
+            return q.greedy_action(encode_state(draw, cfg.q), spec.n_actions)
+    else:
+        def policy(draw: Scenario) -> int:
+            return encode_decision(exhaustive_optimum(draw, accs)[0], len(draw.catalog))
+
+    report = Report(method=cfg.method, seed=cfg.seed, n_users=template.n_users,
+                    model_names=tuple(m.name for m in template.catalog))
     for t, draw in enumerate(draws):
-        a = q.greedy_action(encode_state(draw, cfg.q), 2 ** n)
-        x = tuple((a >> i) & 1 for i in range(n))
-        dec = Decision(x=x, m=tuple(m_fixed for _ in range(n)))
-        al = allocate(draw, dec).allocation
-        report.trials.append(_evaluate(draw, dec, al, accs, t, False, cfg.penalty))
+        dec, al, feasible = spec.decode(draw, policy(draw))
+        if al is None:
+            al = allocate(draw, dec).allocation
+        report.trials.append(_evaluate(draw, dec, al, accs, t, not feasible, cfg.penalty))
     return report
 
 

@@ -47,7 +47,6 @@ class UserSpec:
     f_loc: float            # local CPU frequency, GHz
     d: float                # distance to server, meters
     p: float = 0.1          # transmit power, watts
-    dataset_size: int = 12500
 
     def __post_init__(self) -> None:
         _require(self.f_loc > 0, f"UserSpec.f_loc must be > 0 (user {self.id})")

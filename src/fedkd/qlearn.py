@@ -4,8 +4,8 @@ Each episode is one-shot: a scenario is drawn, the agent picks a joint
 offload/model action for every user, and the reward is the negated total
 cost with the continuous resources split optimally, which the allocator's
 closed form gives without computing the split.
-The successor state is terminal, so the update's bootstrap term is zero;
-the discount knob is kept for the general update rule.
+The successor state is terminal, so the update moves Q(s, a) toward the
+reward alone: there is no bootstrap term and no discount.
 
 The table is a hash map and missing entries read as 0, which doubles as
 optimistic initialization when rewards are negative.  The greedy argmax
@@ -40,7 +40,6 @@ StateKey = tuple[tuple[int, int], ...]
 @dataclass(frozen=True)
 class QConfig:
     lr: float = 0.2                 # update step size in (0, 1]
-    discount: float = 0.9          # bootstrap weight in [0, 1); unused one-shot
     epsilon0: float = 1.0
     epsilon_decay: float = 0.999
     epsilon_floor: float = 0.05
@@ -53,8 +52,6 @@ class QConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.lr <= 1.0:
             raise ValueError(f"lr must be in (0, 1], got {self.lr}")
-        if not 0.0 <= self.discount < 1.0:
-            raise ValueError(f"discount must be in [0, 1), got {self.discount}")
         for name in ("epsilon0", "epsilon_decay", "epsilon_floor"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -94,14 +91,6 @@ class QTable:
         for s, row in self._rows.items():
             for a, (v, n) in row.items():
                 yield s, a, v, n
-
-    def max_value(self, s: StateKey, action_count: int | None = None) -> float:
-        """max over all actions, with unstored entries counting as 0."""
-        row = self._rows.get(s)
-        best = max((e[0] for e in row.values()), default=0.0) if row else 0.0
-        if action_count is not None and row is not None and len(row) >= action_count:
-            return best
-        return max(best, 0.0)
 
     def greedy_action(self, s: StateKey, action_count: int) -> int:
         """Argmax over the full action set with lowest-index tie-breaking.
@@ -236,54 +225,37 @@ def reward(sc: Scenario, a: int, acc_by_model: Sequence[tuple[float, float]],
                            acc_by_model, penalty)
 
 
-def update(q: QTable, s: StateKey, a: int, r: float, s_next: StateKey | None,
-           cfg: QConfig, n_actions: int | None = None) -> float:
-    """One tabular update; s_next=None marks a terminal transition.
+def update(q: QTable, s: StateKey, a: int, r: float, cfg: QConfig) -> float:
+    """One tabular update toward the reward of a one-shot episode.
 
-        Q(s, a) <- Q(s, a) + lr * (r + discount * max_a' Q(s', a') - Q(s, a))
+        Q(s, a) <- Q(s, a) + lr * (r - Q(s, a))
     """
     if not math.isfinite(r):
         raise ValueError(f"reward must be finite, got {r}")
-    bootstrap = 0.0 if s_next is None else q.max_value(s_next, n_actions)
     old = q.value(s, a)
-    new = old + cfg.lr * (r + cfg.discount * bootstrap - old)
+    new = old + cfg.lr * (r - old)
     q.set(s, a, new, q.visits(s, a) + 1)
     return new
 
 
 def train_loop(sampler: Callable[[np.random.Generator], Scenario],
-               cfg: QConfig, rng: np.random.Generator,
-               n_actions_of: Callable[[Scenario], int],
+               cfg: QConfig, rng: np.random.Generator, n_actions: int,
                reward_fn: Callable[[Scenario, int], float]) -> QTable:
-    """Generic one-shot-episode loop shared by all the table-based agents.
+    """Train a table agent over actions 0..n_actions-1 on a scenario
+    distribution; every agent in the package trains here.
 
-    The action-space size must not change between episodes.
+    Each episode draws a scenario, picks an action epsilon-greedily and
+    moves its entry toward reward_fn(scenario, action).  The sampler must
+    keep the user count and catalog fixed; only the per-user parameters
+    may vary between episodes.  Fully deterministic for a fixed rng seed.
     """
     q = QTable()
-    n_actions = None
     for ep in range(cfg.episodes):
         sc = sampler(rng)
-        if n_actions is None:
-            n_actions = n_actions_of(sc)
-        elif n_actions != n_actions_of(sc):
-            raise ValueError("sampler changed the action-space size mid-training")
         s = encode_state(sc, cfg)
         a = select_action(q, s, cfg.epsilon_at(ep), rng, n_actions)
-        update(q, s, a, reward_fn(sc, a), None, cfg)
+        update(q, s, a, reward_fn(sc, a), cfg)
     return q
-
-
-def train(sampler: Callable[[np.random.Generator], Scenario], cfg: QConfig,
-          rng: np.random.Generator,
-          acc_by_model: Sequence[tuple[float, float]]) -> QTable:
-    """Train the joint offload/model agent on a scenario distribution.
-
-    The sampler must keep the user count and catalog fixed; only the
-    per-user parameters may vary between episodes.  Fully deterministic
-    for a fixed rng seed.
-    """
-    return train_loop(sampler, cfg, rng, action_count,
-                      lambda sc, a: reward(sc, a, acc_by_model))
 
 
 def exhaustive_optimum(sc: Scenario, acc_by_model: Sequence[tuple[float, float]],

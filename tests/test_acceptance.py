@@ -38,7 +38,15 @@ from fedkd.kd import (
     distill_student,
 )
 from fedkd.model import Decision, default_scenario
-from fedkd.qlearn import QConfig, action_count, decode_action, encode_state, exhaustive_optimum, train
+from fedkd.qlearn import (
+    QConfig,
+    action_count,
+    decode_action,
+    encode_state,
+    exhaustive_optimum,
+    reward,
+    train_loop,
+)
 
 from conftest import finite_difference, make_scenario, rel_err
 from test_accuracy import FULL_SET, PRIVATE_SET
@@ -92,7 +100,8 @@ def test_criterion_3_agent_reaches_enumerated_optimum():
         accs = [acc_pair(DEFAULT_TABLE, m.name, "KD", "noniid") for m in sc.catalog]
         best_dec, _ = exhaustive_optimum(sc, accs)
         rng = np.random.Generator(np.random.PCG64(seed))
-        q = train(lambda _r: sc, cfg, rng, accs)
+        q = train_loop(lambda _r: sc, cfg, rng, action_count(sc),
+                       lambda draw, a: reward(draw, a, accs))
         a = q.greedy_action(encode_state(sc, cfg), action_count(sc))
         matches += decode_action(a, 2, 2) == best_dec
     elapsed = time.perf_counter() - start

@@ -39,8 +39,7 @@ def test_negative_local_frequency_names_the_key():
 @pytest.mark.parametrize("text, field", [
     ('{"users": [{"f_loc": 1e400, "d": 50.0}]}', r"users\[0\]\.f_loc"),
     ('{"weights": {"eta_o": 1e400}}', r"weights\.eta_o"),
-    ('{"users": [{"f_loc": 1.0, "d": 50.0, "dataset_size": NaN}]}',
-     r"users\[0\]\.dataset_size"),
+    ('{"users": [{"f_loc": 1.0, "p": NaN, "d": 50.0}]}', r"users\[0\]\.p"),
     ('{"users": [{"f_loc": NaN, "d": 50.0}]}', r"users\[0\]\.f_loc"),
     ('{"server": {"b_max": -Infinity}}', r"server\.b_max"),
 ])

@@ -14,7 +14,8 @@ from hypothesis import given, seed, settings, strategies as st
 
 from fedkd.accuracy import DEFAULT_TABLE, acc_pair
 from fedkd.allocator import allocate, build_problem, decision_cost
-from fedkd.experiment import _xonly_reward
+from fedkd import experiment
+from fedkd.experiment import ExperimentConfig, action_reward, method_spec, run_experiment
 from fedkd.model import (
     Decision,
     InfeasibleError,
@@ -29,6 +30,7 @@ from fedkd.model import (
 )
 from fedkd.qlearn import (
     INFEASIBLE_REWARD,
+    QTable,
     action_count,
     decision_reward,
     decode_action,
@@ -162,8 +164,9 @@ def _stranded_user_scenario():
 
 def _rewards(sc, accs):
     """reward and the fixed-model baseline's reward of action 0."""
+    fl_min = method_spec(ExperimentConfig(scenario=sc, method="fl-min"))
     return {"reward": lambda: reward(sc, 0, accs),
-            "xonly": lambda: _xonly_reward(sc, 0, 0, accs, INFEASIBLE_REWARD)}
+            "xonly": lambda: action_reward(sc, fl_min, 0, accs, INFEASIBLE_REWARD)}
 
 
 @pytest.mark.parametrize("route", ["reward", "xonly"])
@@ -175,6 +178,25 @@ def test_infeasible_decision_earns_the_penalty(route):
         exhaustive_optimum(sc, accs)
 
 
+@pytest.mark.parametrize("method", ["proposed", "q-only", "fl-min", "fl-max"])
+def test_training_reward_of_an_infeasible_action_is_the_configured_penalty(method,
+                                                                         monkeypatch):
+    """The reward each learning method trains on, taken from the train_loop
+    call of run_experiment; action 0 leaves the stranded user a share of
+    every budget, so only its zero spectral efficiency makes it infeasible."""
+    sc = _stranded_user_scenario()
+    calls = []
+
+    def record(sampler, cfg, rng, n_actions, reward_fn):
+        calls.append(reward_fn)
+        return QTable()
+
+    monkeypatch.setattr(experiment, "train_loop", record)
+    run_experiment(ExperimentConfig(scenario=sc, method=method, trials=0, penalty=-7.0))
+    assert len(calls) == 1
+    assert calls[0](sc, 0) == -7.0
+
+
 @pytest.mark.parametrize("route", ["reward", "xonly"])
 def test_other_value_errors_propagate(route):
     # alpha_d = 0 is a configuration error, not an infeasible decision
@@ -183,4 +205,13 @@ def test_other_value_errors_propagate(route):
     accs = [acc_pair(DEFAULT_TABLE, m.name, "KD", "noniid") for m in sc.catalog]
     with pytest.raises(ValueError, match="alpha_d") as info:
         _rewards(sc, accs)[route]()
+    assert not isinstance(info.value, InfeasibleError)
+
+
+def test_qonly_scoring_errors_other_than_infeasibility_propagate():
+    # An accuracy outside [0, 1] is a caller's bug, not an infeasible action.
+    sc = make_scenario(n_users=2)
+    spec = method_spec(ExperimentConfig(scenario=sc, method="q-only"))
+    with pytest.raises(ValueError, match="acc_own") as info:
+        action_reward(sc, spec, 0, [(1.5, 0.5)] * len(sc.catalog), -7.0)
     assert not isinstance(info.value, InfeasibleError)

@@ -7,10 +7,10 @@ from fedkd.experiment import (
     ExperimentConfig,
     Report,
     TrialResult,
-    _decode_qonly,
-    _qonly_reward,
+    action_reward,
     decode_qonly,
     emit_report,
+    method_spec,
     qonly_action_count,
     report_rows,
     run_experiment,
@@ -51,9 +51,9 @@ class TestQOnlyCoding:
         levels = 4
         seen_f = set()
         for a in range(qonly_action_count(sc, levels)):
-            dec, f, b = decode_qonly(a, sc, levels)
-            assert len(f) == len(b) == 2
-            seen_f.update(f)
+            dec, al, _ = decode_qonly(a, sc, levels)
+            assert len(al.f) == len(al.b) == 2
+            seen_f.update(al.f)
         expected = {(k + 1) * sc.server.f_ser / levels for k in range(levels)}
         assert seen_f == expected
 
@@ -74,22 +74,24 @@ class TestQOnlyCoding:
     def test_split_meeting_the_budget_exactly_is_feasible(self, budget, levels, units):
         sc = make_scenario()
         sc = dataclasses.replace(sc, server=ServerSpec(f_ser=budget, b_max=budget))
+        spec = method_spec(ExperimentConfig(scenario=sc, method="q-only",
+                                            resource_levels=levels))
         a = self._action(units, levels, len(sc.catalog))
-        dec, f, b, within_budget = _decode_qonly(a, sc, levels)
-        assert sum(f) > budget and sum(b) > budget   # the float sums overshoot
+        dec, al, within_budget = decode_qonly(a, sc, levels)
+        assert sum(al.f) > budget and sum(al.b) > budget   # the float sums overshoot
         assert within_budget
-        assert _qonly_reward(sc, a, levels, [(0.5, 0.5)] * 4, INFEASIBLE_REWARD) \
+        assert action_reward(sc, spec, a, [(0.5, 0.5)] * 4, INFEASIBLE_REWARD) \
             != INFEASIBLE_REWARD
         over = self._action(units[:-1] + (units[-1] + 1,), levels, len(sc.catalog))
-        assert not _decode_qonly(over, sc, levels)[3]
-        assert _qonly_reward(sc, over, levels, [(0.5, 0.5)] * 4, INFEASIBLE_REWARD) \
+        assert not decode_qonly(over, sc, levels)[2]
+        assert action_reward(sc, spec, over, [(0.5, 0.5)] * 4, INFEASIBLE_REWARD) \
             == INFEASIBLE_REWARD
 
     def test_action_zero_is_minimal_and_feasible(self):
         sc = default_scenario()
-        dec, f, b = decode_qonly(0, sc, 8)
+        dec, al, _ = decode_qonly(0, sc, 8)
         assert dec.x == (0,) * 4 and dec.m == (0,) * 4
-        assert sum(f) <= sc.server.f_ser and sum(b) <= sc.server.b_max
+        assert sum(al.f) <= sc.server.f_ser and sum(al.b) <= sc.server.b_max
 
 
 class TestRunExperiment:
@@ -157,6 +159,15 @@ class TestRunExperiment:
         got = run_experiment(cfg)
         gap = got.mean("objective") - ref.mean("objective")
         assert gap <= 1e-6
+
+    def test_exhaustive_is_no_worse_than_a_learned_method_on_every_draw(self):
+        # All three score with the KD accuracies, so objectives compare.
+        ref = run_experiment(quick_cfg("exhaustive", trials=25))
+        for method in ("proposed", "q-only"):
+            rep = run_experiment(quick_cfg(method, trials=25, episodes=500))
+            for opt, got in zip(ref.trials, rep.trials, strict=True):
+                assert opt.objective <= got.objective + 1e-9 * abs(got.objective), \
+                    (method, got.trial)
 
     def test_qonly_level_guards(self):
         with pytest.raises(ValueError, match="grid level"):

@@ -16,7 +16,7 @@ from fedkd.qlearn import (
     exhaustive_optimum,
     reward,
     select_action,
-    train,
+    train_loop,
     update,
 )
 
@@ -25,6 +25,12 @@ from conftest import make_scenario
 
 def kd_accs(sc):
     return [acc_pair(DEFAULT_TABLE, m.name, "KD", "noniid") for m in sc.catalog]
+
+
+def train_static(sc, cfg, rng, accs):
+    """The joint offload/model agent trained on one fixed scenario."""
+    return train_loop(lambda _r: sc, cfg, rng, action_count(sc),
+                      lambda draw, a: reward(draw, a, accs))
 
 
 class TestEncodeState:
@@ -170,27 +176,20 @@ class TestReward:
 class TestUpdate:
     def test_full_overwrite(self):
         q = QTable()
-        cfg = QConfig(lr=1.0, discount=0.0)
+        cfg = QConfig(lr=1.0)
         q.set(((0, 0),), 0, 123.0, 1)
-        assert update(q, ((0, 0),), 0, 7.0, None, cfg) == 7.0
+        assert update(q, ((0, 0),), 0, 7.0, cfg) == 7.0
 
     def test_half_step_toward_terminal_reward(self):
         q = QTable()
         cfg = QConfig(lr=0.5)
-        assert update(q, ((0, 0),), 0, 1.0, None, cfg) == 0.5
-
-    def test_bootstrap_with_next_state(self):
-        q = QTable()
-        cfg = QConfig(lr=0.1, discount=0.9)
-        s, s_next = ((0, 0),), ((1, 1),)
-        q.set(s_next, 5, 2.0, 1)
-        assert update(q, s, 0, 1.0, s_next, cfg) == pytest.approx(0.28, rel=1e-12)
+        assert update(q, ((0, 0),), 0, 1.0, cfg) == 0.5
 
     def test_visits_increment(self):
         q = QTable()
         cfg = QConfig()
-        update(q, ((0, 0),), 4, 1.0, None, cfg)
-        update(q, ((0, 0),), 4, 1.0, None, cfg)
+        update(q, ((0, 0),), 4, 1.0, cfg)
+        update(q, ((0, 0),), 4, 1.0, cfg)
         assert q.visits(((0, 0),), 4) == 2
 
     def test_geometric_contraction_to_reward(self):
@@ -198,18 +197,18 @@ class TestUpdate:
         cfg = QConfig(lr=0.2)
         s, r = ((0, 0),), 0.7
         for _ in range(1000):
-            update(q, s, 0, r, None, cfg)
+            update(q, s, 0, r, cfg)
         assert abs(q.value(s, 0) - r) < 1e-9
 
     def test_nonfinite_reward_rejected(self):
         with pytest.raises(ValueError):
-            update(QTable(), ((0, 0),), 0, float("nan"), None, QConfig())
+            update(QTable(), ((0, 0),), 0, float("nan"), QConfig())
 
 
 class TestTrain:
     def test_zero_episodes_gives_empty_table(self, rng):
         sc = make_scenario(n_users=2, n_models=2)
-        q = train(lambda _r: sc, QConfig(episodes=0), rng, kd_accs(sc))
+        q = train_static(sc, QConfig(episodes=0), rng, kd_accs(sc))
         assert len(q) == 0
 
     def test_same_seed_is_bitwise_identical(self):
@@ -218,7 +217,7 @@ class TestTrain:
         runs = []
         for _ in range(2):
             rng = np.random.Generator(np.random.PCG64(31))
-            runs.append(sorted(train(lambda _r: sc, cfg, rng, kd_accs(sc)).entries()))
+            runs.append(sorted(train_static(sc, cfg, rng, kd_accs(sc)).entries()))
         assert runs[0] == runs[1]
 
     def test_static_scenario_greedy_matches_exhaustive(self):
@@ -227,7 +226,7 @@ class TestTrain:
         best_dec, _ = exhaustive_optimum(sc, accs)
         cfg = QConfig(episodes=5000)
         rng = np.random.Generator(np.random.PCG64(5))
-        q = train(lambda _r: sc, cfg, rng, accs)
+        q = train_static(sc, cfg, rng, accs)
         a = q.greedy_action(encode_state(sc, cfg), action_count(sc))
         assert decode_action(a, 2, 2) == best_dec
 
@@ -235,7 +234,7 @@ class TestTrain:
         sc = make_scenario(n_users=2, n_models=2)
         cfg = QConfig(episodes=1000)
         rng = np.random.Generator(np.random.PCG64(8))
-        q = train(lambda _r: sc, cfg, rng, kd_accs(sc))
+        q = train_static(sc, cfg, rng, kd_accs(sc))
         assert len(q) <= q.states * action_count(sc)
 
     def test_epsilon_schedule(self):
