@@ -26,6 +26,7 @@ from .config import dump_scenario, load_scenario
 from .experiment import ExperimentConfig, Report, emit_report, run_experiment
 from .kd import (
     BlobSpec,
+    DivergenceError,
     LossSpec,
     NetArch,
     NetParams,

@@ -233,7 +233,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, kd.DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -30,6 +30,11 @@ logger = logging.getLogger(__name__)
 VARIANTS = ("hard", "kd", "simkd")
 
 
+class DivergenceError(RuntimeError):
+    """A training loss became non-finite: the step size is too large for
+    the data, or the data holds non-finite inputs."""
+
+
 # ---------------------------------------------------------------------------
 # datasets
 
@@ -467,8 +472,8 @@ def train_teacher(parts, epochs: int, lr: float, arch: NetArch = NetArch((32,), 
     for epoch in range(epochs):
         loss, agg = _aggregate_hard(p, used)
         if not np.isfinite(loss):
-            raise RuntimeError(f"teacher training diverged at epoch {epoch}: loss={loss}"
-                               f" (lr={lr}, arch={arch})")
+            raise DivergenceError(f"teacher training diverged at epoch {epoch}: loss={loss}"
+                                  f" (lr={lr}, arch={arch})")
         p = _step(p, agg, lr)
     return p
 
@@ -500,7 +505,7 @@ def distill_student(teacher: NetParams, student_arch: NetArch, data: ToyDataset,
         for epoch in range(epochs):
             val, g = kd_grads(student, t_logits, data, loss.temperature)
             if not np.isfinite(val):
-                raise RuntimeError(f"kd distillation diverged at epoch {epoch}: loss={val}")
+                raise DivergenceError(f"kd distillation diverged at epoch {epoch}: loss={val}")
             student = _step(student, g, lr)
         return student, None
 
@@ -509,7 +514,7 @@ def distill_student(teacher: NetParams, student_arch: NetArch, data: ToyDataset,
     for epoch in range(epochs):
         val, g, d_proj = simkd_grads(student, proj, t_features, data)
         if not np.isfinite(val):
-            raise RuntimeError(f"simkd distillation diverged at epoch {epoch}: loss={val}")
+            raise DivergenceError(f"simkd distillation diverged at epoch {epoch}: loss={val}")
         student = _step(student, g, lr)
         proj = Projector(proj.w - lr * d_proj)
     return student, proj

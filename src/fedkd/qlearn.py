@@ -11,7 +11,10 @@ The table is a hash map and missing entries read as 0, which doubles as
 optimistic initialization when rewards are negative.  The greedy argmax
 honors that convention without enumerating the action space, so very
 large action encodings (the resource-grid variant in the experiment
-runner) remain usable.
+runner) remain usable.  Each row caches its best stored entry and its
+first unstored action, both kept up to date on write, so a greedy step
+costs O(1) amortized; only a write that lowers the cached best makes the
+next greedy step rescan that row's stored entries once.
 """
 
 from __future__ import annotations
@@ -63,11 +66,20 @@ class QConfig:
         return max(self.epsilon_floor, self.epsilon0 * self.epsilon_decay ** episode)
 
 
+class _Row(dict):
+    """One state's stored entries, action -> [value, visits], plus the
+    cached argmax: the best stored action and its value (best_a is None
+    when a write lowered the best, until the next greedy step rescans),
+    and the first unstored action index, which only moves forward."""
+
+    __slots__ = ("best_a", "best_v", "first_free")
+
+
 class QTable:
     """Hash-table from (state, action) to (value, visits); missing reads 0."""
 
     def __init__(self) -> None:
-        self._rows: dict[StateKey, dict[int, list]] = {}
+        self._rows: dict[StateKey, _Row] = {}
 
     def __len__(self) -> int:
         return sum(len(row) for row in self._rows.values())
@@ -85,7 +97,23 @@ class QTable:
         return entry[1] if entry is not None else 0
 
     def set(self, s: StateKey, a: int, value: float, visits: int) -> None:
-        self._rows.setdefault(s, {})[a] = [value, visits]
+        """Store an entry; a non-finite value is refused, since it would
+        break the ordering the cached argmax relies on."""
+        if not math.isfinite(value):
+            raise ValueError(f"Q-value must be finite, got {value!r} "
+                             f"(state {s}, action {a})")
+        row = self._rows.get(s)
+        if row is None:
+            row = self._rows[s] = _Row()
+            row.best_a, row.best_v, row.first_free = a, value, 0
+        row[a] = [value, visits]
+        if row.best_a is not None:
+            if value > row.best_v or (value == row.best_v and a <= row.best_a):
+                row.best_a, row.best_v = a, value
+            elif a == row.best_a:
+                row.best_a = None
+        while row.first_free in row:
+            row.first_free += 1
 
     def entries(self) -> Iterator[tuple[StateKey, int, float, int]]:
         for s, row in self._rows.items():
@@ -95,23 +123,24 @@ class QTable:
     def greedy_action(self, s: StateKey, action_count: int) -> int:
         """Argmax over the full action set with lowest-index tie-breaking.
 
-        Only stored entries are scanned; the first unstored index stands in
-        for every zero-valued unexplored action.
+        The row's cached best stored entry competes with its cached first
+        unstored index, which stands in for every zero-valued unexplored
+        action.  O(1) amortized: a row whose best was lowered since the
+        last call is rescanned once, in O(stored entries), and cached.
         """
         row = self._rows.get(s)
         if not row:
             return 0
-        best_a, best_v = None, -math.inf
-        for a, (v, _) in row.items():
-            if v > best_v or (v == best_v and a < best_a):
-                best_a, best_v = a, v
-        if len(row) < action_count:
-            first_free = 0
-            while first_free in row:
-                first_free += 1
-            if best_v < 0.0 or (best_v == 0.0 and first_free < best_a):
-                return first_free
-        return best_a
+        if row.best_a is None:
+            best_a, best_v = None, -math.inf
+            for a, (v, _) in row.items():
+                if v > best_v or (v == best_v and a < best_a):
+                    best_a, best_v = a, v
+            row.best_a, row.best_v = best_a, best_v
+        if len(row) < action_count and (
+                row.best_v < 0.0 or (row.best_v == 0.0 and row.first_free < row.best_a)):
+            return row.first_free
+        return row.best_a
 
     def save(self, path) -> None:
         """Flat record file: one tab-separated row per stored entry."""
@@ -127,11 +156,14 @@ class QTable:
         table = cls()
         with open(path, encoding="utf-8") as fh:
             next(fh)  # header
-            for line in fh:
-                flat, a, v, n = line.rstrip("\n").split("\t")
-                ints = [int(tok) for tok in flat.split(",")]
-                s = tuple(zip(ints[0::2], ints[1::2]))
-                table.set(s, int(a), float(v), int(n))
+            for lineno, line in enumerate(fh, start=2):
+                try:
+                    flat, a, v, n = line.rstrip("\n").split("\t")
+                    ints = [int(tok) for tok in flat.split(",")]
+                    s = tuple(zip(ints[0::2], ints[1::2]))
+                    table.set(s, int(a), float(v), int(n))
+                except ValueError as exc:
+                    raise ValueError(f"{path}, line {lineno}: {exc}") from None
         return table
 
 

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from fedkd import cli
 from fedkd.cli import build_parser, kd_demo, main
+from fedkd.kd import DivergenceError
 
 
 def write_config(tmp_path, doc):
@@ -70,6 +72,23 @@ class TestKdDemo:
         for name in ("teacher_params", "student_simkd_params"):
             payload = json.loads((out / f"{name}.json").read_text())
             assert {"weights", "biases", "w_out", "b_out"} <= set(payload)
+
+    def test_divergence_is_an_error_line_and_exit_1(self, tmp_path, capsys, monkeypatch):
+        def diverging(seed, epochs):
+            raise DivergenceError("kd distillation diverged at epoch 3: loss=nan")
+
+        monkeypatch.setattr(cli, "kd_demo", diverging)
+        assert main(["kd-demo", "--out", str(tmp_path / "kd")]) == 1
+        assert capsys.readouterr().err == (
+            "error: kd distillation diverged at epoch 3: loss=nan\n")
+
+    def test_other_runtime_errors_propagate(self, tmp_path, monkeypatch):
+        def broken(seed, epochs):
+            raise RuntimeError("not a divergence")
+
+        monkeypatch.setattr(cli, "kd_demo", broken)
+        with pytest.raises(RuntimeError, match="not a divergence"):
+            main(["kd-demo", "--out", str(tmp_path / "kd")])
 
     def test_demo_orderings_at_full_settings(self):
         res = kd_demo(seed=0, epochs=600)

@@ -6,6 +6,7 @@ import pytest
 from fedkd import kd
 from fedkd.kd import (
     BlobSpec,
+    DivergenceError,
     LossSpec,
     NetArch,
     NetParams,
@@ -307,7 +308,7 @@ class TestTrainTeacher:
         bad = ToyDataset(np.array([[np.inf, -np.inf], [-np.inf, np.inf]]),
                          np.array([0, 1]), 2)
         with np.errstate(invalid="ignore"):
-            with pytest.raises(RuntimeError, match="diverged"):
+            with pytest.raises(DivergenceError, match="teacher training diverged"):
                 train_teacher([bad], epochs=3, lr=0.5, arch=NetArch((4,), 3), seed=0)
 
     def test_loss_decreases_on_solvable_data(self):
@@ -350,6 +351,16 @@ class TestDistillStudent:
         s_features, _ = net_eval(student, train_set.inputs)
         loss, _, _ = simkd_loss(t_features, s_features, proj)
         assert loss < 1e-3
+
+    @pytest.mark.parametrize("variant", ["kd", "simkd"])
+    def test_divergence_raises_divergence_error(self, rng, variant):
+        teacher = train_teacher([random_dataset(rng)], epochs=2, lr=0.2,
+                                arch=NetArch((4,), 3), seed=0)
+        bad = ToyDataset(np.array([[np.inf, -np.inf, 0.0], [-np.inf, np.inf, 0.0]]),
+                         np.array([0, 1]), 4)
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(DivergenceError, match=f"^{variant} distillation diverged"):
+                distill_student(teacher, NetArch((4,), 3), bad, LossSpec(variant), 3, 0.1)
 
     def test_simkd_keeps_classifier_at_init(self, rng):
         ds = random_dataset(rng, n=10)

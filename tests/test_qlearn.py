@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from fedkd import qlearn
 from fedkd.accuracy import DEFAULT_TABLE, acc_pair
-from fedkd.model import Decision, ObjectiveWeights, TeacherSpec
+from fedkd.experiment import ExperimentConfig, action_reward, method_spec, sample_scenario
+from fedkd.model import Decision, ObjectiveWeights, TeacherSpec, default_scenario
 from fedkd.qlearn import (
     QConfig,
     QTable,
@@ -31,6 +33,65 @@ def train_static(sc, cfg, rng, accs):
     """The joint offload/model agent trained on one fixed scenario."""
     return train_loop(lambda _r: sc, cfg, rng, action_count(sc),
                       lambda draw, a: reward(draw, a, accs))
+
+
+def stored_row(q, s):
+    return {a: v for key, a, v, _ in q.entries() if key == s}
+
+
+def scan_best(row):
+    """Best stored (action, value) by a full scan, lowest index on ties."""
+    best_a, best_v = None, -math.inf
+    for a, v in row.items():
+        if v > best_v or (v == best_v and a < best_a):
+            best_a, best_v = a, v
+    return best_a, best_v
+
+
+def scan_greedy(q, s, n):
+    """Reference greedy argmax: scan every stored entry of the row, and let
+    the first unstored index stand for every unexplored action, which
+    reads 0.  Lowest index wins ties."""
+    row = stored_row(q, s)
+    if not row:
+        return 0
+    best_a, best_v = scan_best(row)
+    if len(row) < n:
+        first_free = 0
+        while first_free in row:
+            first_free += 1
+        if best_v < 0.0 or (best_v == 0.0 and first_free < best_a):
+            return first_free
+    return best_a
+
+
+class ScanTable(QTable):
+    """QTable whose greedy step is the reference scan; counts the writes
+    that lower the best stored entry of their row."""
+
+    def __init__(self):
+        super().__init__()
+        self.lowered_best = 0
+
+    def greedy_action(self, s, action_count):
+        return scan_greedy(self, s, action_count)
+
+    def set(self, s, a, value, visits):
+        row = stored_row(self, s)
+        if row and scan_best(row)[0] == a and value < row[a]:
+            self.lowered_best += 1
+        super().set(s, a, value, visits)
+
+
+def train_both(monkeypatch, run):
+    """Entries of run() with the production table and with ScanTable."""
+    tables = []
+    for cls in (QTable, ScanTable):
+        monkeypatch.setattr(qlearn, "QTable", cls)
+        tables.append(run())
+    monkeypatch.undo()
+    assert type(tables[0]) is QTable and type(tables[1]) is ScanTable
+    return tables
 
 
 class TestEncodeState:
@@ -281,3 +342,118 @@ class TestQTableIO:
         q.save(tmp_path / "a.tsv")
         q.save(tmp_path / "b.tsv")
         assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
+
+
+FUZZ_STATES = (((0, 0),), ((0, 1),), ((1, 1),))
+
+
+def fuzz_write(rng, q, n):
+    """A random (state, action, value) write biased toward the cases the
+    cached argmax must get right: signed zeros, ties, a lowered best."""
+    s = FUZZ_STATES[int(rng.integers(len(FUZZ_STATES)))]
+    row = stored_row(q, s)
+    kind = int(rng.integers(6))
+    if kind == 0 and row:  # lower the current best
+        a, v = scan_best(row)
+        return s, a, v - float(rng.choice([0.0, 0.5, 3.0]))
+    a = int(rng.integers(n))
+    if kind == 1:
+        return s, a, float(rng.choice([0.0, -0.0]))
+    if kind == 2 and row:  # tie with a stored value
+        return s, a, row[int(rng.choice(list(row)))]
+    if kind == 3:
+        return s, a, float(rng.integers(-2, 3))
+    return s, a, float(rng.normal(scale=2.0))
+
+
+class TestCachedArgmax:
+    @pytest.mark.parametrize("n", [1, 2, 4, 16])
+    def test_random_writes_agree_with_the_scan(self, n):
+        def write_and_check(s, a, v):
+            q.set(s, a, v, 1)
+            for state in FUZZ_STATES:
+                assert q.greedy_action(state, n) == scan_greedy(q, state, n)
+
+        for seed in range(40):
+            rng = np.random.Generator(np.random.PCG64(seed))
+            q = QTable()
+            for _ in range(4 * n + 20):
+                write_and_check(*fuzz_write(rng, q, n))
+            for a in rng.permutation(n):  # fill the first row completely
+                write_and_check(FUZZ_STATES[0], int(a), float(rng.normal()))
+            assert len(stored_row(q, FUZZ_STATES[0])) == n
+            for _ in range(2 * n):
+                write_and_check(*fuzz_write(rng, q, n))
+
+    def test_static_stock_scenario_trains_identically(self, monkeypatch):
+        sc = default_scenario()
+        accs = kd_accs(sc)
+        cfg = QConfig(episodes=1500)
+        fast, slow = train_both(monkeypatch, lambda: train_static(
+            sc, cfg, np.random.Generator(np.random.PCG64(3)), accs))
+        assert list(fast.entries()) == list(slow.entries())
+
+    def test_filled_row_with_lowered_best_trains_identically(self, monkeypatch):
+        # every reward is negative, so greedy steps fill the row, then keep
+        # lowering the best entry and the row is rescanned
+        weights = ObjectiveWeights(eta_o=0.0, eta_a=0.0)
+        sc = make_scenario(n_users=2, n_models=2, weights=weights, seed=4)
+        accs = kd_accs(sc)
+        cfg = QConfig(episodes=3000)
+        fast, slow = train_both(monkeypatch, lambda: train_static(
+            sc, cfg, np.random.Generator(np.random.PCG64(5)), accs))
+        assert list(fast.entries()) == list(slow.entries())
+        assert len(fast) == action_count(sc)
+        assert slow.lowered_best > 100
+
+    def test_redrawn_scenarios_train_identically(self, monkeypatch):
+        cfg = ExperimentConfig(scenario=default_scenario(), seed=7)
+        spec = method_spec(cfg)
+        accs = [acc_pair(DEFAULT_TABLE, m.name, "KD", cfg.distribution)
+                for m in cfg.scenario.catalog]
+        qcfg = QConfig(f_bins=2, h_bins=2, episodes=1500)
+
+        def run():
+            return train_loop(
+                lambda r: sample_scenario(cfg.scenario, r, cfg.f_loc_range, cfg.d_range),
+                qcfg, np.random.Generator(np.random.PCG64(7)), spec.n_actions,
+                lambda sc, a: action_reward(sc, spec, a, accs, cfg.penalty))
+
+        fast, slow = train_both(monkeypatch, run)
+        assert list(fast.entries()) == list(slow.entries())
+        assert fast.states > 1
+
+    def test_loaded_table_has_the_same_greedy_actions(self, tmp_path):
+        sc = make_scenario(n_users=2, n_models=2)
+        accs = kd_accs(sc)
+        n = action_count(sc)
+        q = train_loop(lambda r: sample_scenario(sc, r), QConfig(episodes=600),
+                       np.random.Generator(np.random.PCG64(2)), n,
+                       lambda draw, a: reward(draw, a, accs))
+        q.save(tmp_path / "table.tsv")
+        loaded = QTable.load(tmp_path / "table.tsv")
+        states = {s for s, _, _, _ in q.entries()}
+        assert len(states) > 1
+        for s in states:
+            assert loaded.greedy_action(s, n) == q.greedy_action(s, n) == scan_greedy(q, s, n)
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_set_refuses_and_names_the_entry(self, bad):
+        q = QTable()
+        s = ((1, 2),)
+        q.set(s, 0, -1.0, 1)
+        with pytest.raises(ValueError, match=r"\(\(1, 2\),\).*action 3") as err:
+            q.set(s, 3, bad, 1)
+        assert repr(bad) in str(err.value)
+        assert list(q.entries()) == [(s, 0, -1.0, 1)]
+        assert q.greedy_action(s, 4) == 1
+
+    def test_load_names_the_file_line(self, tmp_path):
+        path = tmp_path / "table.tsv"
+        path.write_text("state\taction\tvalue\tvisits\n"
+                        "0,0\t1\t-0.5\t2\n"
+                        "0,0\t2\tnan\t1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"line 3: .*nan"):
+            QTable.load(path)
