@@ -17,7 +17,7 @@ from fedkd.qlearn import (
     decode_action,
     encode_state,
     exhaustive_optimum,
-    reward,
+    fixed_scenario_reward,
     train_loop,
 )
 
@@ -28,11 +28,13 @@ accs = [acc_pair(DEFAULT_TABLE, m.name, "KD", "noniid") for m in sc.catalog]
 n_actions = action_count(sc)
 print(f"instance: {sc.n_users} users x {len(sc.catalog)} models -> {n_actions} joint actions")
 
+# The same per-scenario scorer that `fedkd train-q` trains with.
+reward = fixed_scenario_reward(sc, accs)
 print("\nreward of every action (negated total cost, optimal resources):")
 scored = []
 for a in range(n_actions):
     dec = decode_action(a, sc.n_users, len(sc.catalog))
-    r = reward(sc, a, accs)
+    r = reward(sc, a)
     scored.append((r, a, dec))
 for r, a, dec in sorted(scored, reverse=True)[:5]:
     models = [sc.catalog[m].name for m in dec.m]
@@ -44,7 +46,7 @@ print(f"\nenumeration says: x={best_dec.x}, "
 
 cfg = QConfig(episodes=5000)
 rng = np.random.Generator(np.random.PCG64(0))
-q = train_loop(lambda _r: sc, cfg, rng, n_actions, lambda draw, a: reward(draw, a, accs))
+q = train_loop(lambda _r: sc, cfg, rng, n_actions, reward)
 state = encode_state(sc, cfg)
 greedy = q.greedy_action(state, n_actions)
 print(f"\nafter {cfg.episodes} one-shot episodes (epsilon {cfg.epsilon0} -> "

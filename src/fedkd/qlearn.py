@@ -7,6 +7,12 @@ closed form gives without computing the split.
 The successor state is terminal, so the update moves Q(s, a) toward the
 reward alone: there is no bootstrap term and no discount.
 
+On one fixed scenario, the per-user terms of every (x, m) digit are built
+once, and `fixed_scenario_reward` and `exhaustive_optimum` both score
+actions from those tables.  The training loop encodes a scenario's state
+only when the sampler hands it a different scenario object than the
+previous episode; scenarios are frozen, so reusing the key is exact.
+
 The table is a hash map and missing entries read as 0, which doubles as
 optimistic initialization when rewards are negative.  The greedy argmax
 honors that convention without enumerating the action space, so very
@@ -61,6 +67,8 @@ class QConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
         if self.f_bins < 1 or self.h_bins < 1:
             raise ValueError("state bins must be >= 1")
+        if self.episodes < 0:
+            raise ValueError(f"episodes must be >= 0, got {self.episodes}")
 
     def epsilon_at(self, episode: int) -> float:
         return max(self.epsilon_floor, self.epsilon0 * self.epsilon_decay ** episode)
@@ -257,6 +265,59 @@ def reward(sc: Scenario, a: int, acc_by_model: Sequence[tuple[float, float]],
                            acc_by_model, penalty)
 
 
+def _digit_terms(sc: Scenario, acc_by_model: Sequence[tuple[float, float]]
+                 ) -> list[list[tuple[float, float, float, float]]]:
+    """terms[i][k] = (const_i, sqrt(c_i), sqrt(d_i), accuracy reward) of
+    user i picking digit k = x * |M| + m.  Raises InfeasibleError for a
+    user with zero spectral efficiency, whatever it picks."""
+    n_models = len(sc.catalog)
+    gains = _model_gains(sc, acc_by_model)
+    terms = []
+    for i in range(sc.n_users):
+        row = []
+        for k in range(2 * n_models):
+            x, m = divmod(k, n_models)
+            const, c, d = user_terms(sc, i, x, m)
+            row.append((const, math.sqrt(c), math.sqrt(d), gains[m]))
+        terms.append(row)
+    return terms
+
+
+def fixed_scenario_reward(sc: Scenario, acc_by_model: Sequence[tuple[float, float]],
+                          penalty: float = INFEASIBLE_REWARD
+                          ) -> Callable[[Scenario, int], float]:
+    """reward(sc, a, acc_by_model, penalty) as a reward_fn(draw, a) for
+    train_loop on the one scenario sc, with the per-user terms built once.
+
+    Action a's digits pick one row of each user's table; the rows are
+    summed user by user, in decision_cost's order, so every reward equals
+    reward() bit for bit.  A user with zero spectral efficiency makes
+    every action earn `penalty`; any other error propagates from here.
+    """
+    try:
+        terms = _digit_terms(sc, acc_by_model)
+    except InfeasibleError:
+        terms = None
+    radix = 2 * len(sc.catalog)
+
+    def reward_fn(draw: Scenario, a: int) -> float:
+        if draw is not sc:
+            raise ValueError("fixed_scenario_reward scores only the scenario it was built for")
+        if terms is None:
+            return penalty
+        s_const = s_root_c = s_root_d = gain = 0.0
+        for row in terms:
+            const, root_c, root_d, g = row[a % radix]
+            a //= radix
+            s_const += const
+            s_root_c += root_c
+            s_root_d += root_d
+            gain += g
+        return -(cost_from_sums(sc, s_const, s_root_c, s_root_d) - gain)
+
+    return reward_fn
+
+
 def update(q: QTable, s: StateKey, a: int, r: float, cfg: QConfig) -> float:
     """One tabular update toward the reward of a one-shot episode.
 
@@ -279,12 +340,17 @@ def train_loop(sampler: Callable[[np.random.Generator], Scenario],
     Each episode draws a scenario, picks an action epsilon-greedily and
     moves its entry toward reward_fn(scenario, action).  The sampler must
     keep the user count and catalog fixed; only the per-user parameters
-    may vary between episodes.  Fully deterministic for a fixed rng seed.
+    may vary between episodes.  The state key is reused while the sampler
+    returns the same scenario object as the previous episode (scenarios
+    are frozen) and computed afresh for any other.  Fully deterministic
+    for a fixed rng seed.
     """
     q = QTable()
+    last = s = None
     for ep in range(cfg.episodes):
         sc = sampler(rng)
-        s = encode_state(sc, cfg)
+        if sc is not last:
+            s, last = encode_state(sc, cfg), sc
         a = select_action(q, s, cfg.epsilon_at(ep), rng, n_actions)
         update(q, s, a, reward_fn(sc, a), cfg)
     return q
@@ -296,28 +362,22 @@ def exhaustive_optimum(sc: Scenario, acc_by_model: Sequence[tuple[float, float]]
 
     This is the reference the trained agent is compared against; it is
     exact whenever the action space fits under `cap`.  User i's digit
-    k = x * |M| + m indexes per-user tables of const_i, sqrt(c_i), sqrt(d_i)
-    and the accuracy reward, so the sums over users for every action come
-    from one broadcast add per user, and each action's value equals
-    -decision_reward.  Ties go to the lowest action index.
+    k = x * |M| + m indexes the per-user tables of _digit_terms, so the
+    sums over users for every action come from one broadcast add per user,
+    and each action's value equals -decision_reward.  Ties go to the
+    lowest action index.
     """
     n = action_count(sc)
     if n > cap:
         raise ValueError(
             f"action space {n} exceeds the enumeration cap {cap}; "
             "reduce users or catalog size")
-    n_models = len(sc.catalog)
-    gains = _model_gains(sc, acc_by_model)
-    tables = np.empty((4, sc.n_users, 2 * n_models))  # const, sqrt c, sqrt d, gain
-    for i in range(sc.n_users):
-        for k in range(2 * n_models):
-            x, m = divmod(k, n_models)
-            const, c, d = user_terms(sc, i, x, m)
-            tables[:, i, k] = const, math.sqrt(c), math.sqrt(d), gains[m]
+    # (4, N, 2|M|): const, sqrt c, sqrt d, gain
+    tables = np.array(_digit_terms(sc, acc_by_model)).transpose(2, 0, 1)
     # Action a = sum_i k_i * (2|M|)^i: user i enters as the leading digit.
     sums = tables[:, 0, :]
     for i in range(1, sc.n_users):
         sums = (tables[:, i, :, None] + sums[:, None, :]).reshape(4, -1)
     values = cost_from_sums(sc, sums[0], sums[1], sums[2]) - sums[3]
     best = int(np.argmin(values))
-    return decode_action(best, sc.n_users, n_models), float(values[best])
+    return decode_action(best, sc.n_users, len(sc.catalog)), float(values[best])

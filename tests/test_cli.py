@@ -47,6 +47,19 @@ class TestTrainQ:
         assert summary["episodes"] == 200
         assert len(summary["greedy_m"]) == 4
 
+    def test_negative_episodes_is_an_error_line_and_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "q"
+        assert main(["train-q", "--episodes", "-5", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: episodes must be >= 0, got -5\n"
+        assert not out.exists()
+
+    def test_zero_delay_weight_fails_even_without_episodes(self, tmp_path, capsys):
+        # the per-user terms are built before training starts
+        cfg = write_config(tmp_path, {"weights": {"alpha_d": 0.0}})
+        assert main(["train-q", "--config", cfg, "--episodes", "0",
+                     "--out", str(tmp_path / "q")]) == 1
+        assert "alpha_d must be > 0" in capsys.readouterr().err
+
 
 class TestExperiment:
     def test_runs_and_emits(self, tmp_path):
@@ -56,6 +69,13 @@ class TestExperiment:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["trials"] == 4
         assert summary["model_frequencies"]["ResNet-26x4"] == 1.0
+
+    def test_negative_episodes_is_an_error_line_and_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "exp"
+        assert main(["experiment", "--trials", "2", "--episodes", "-3",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: episodes must be >= 0, got -3\n"
+        assert not out.exists()
 
     def test_unknown_method_is_a_usage_error(self, tmp_path):
         with pytest.raises(SystemExit):

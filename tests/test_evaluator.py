@@ -3,7 +3,8 @@
 decision_cost and exhaustive_optimum score decisions from per-user sums
 without computing a split; allocate + objective is the independent route
 they must agree with, on random instances that reach both bandwidth
-branches and a zero bandwidth price.
+branches and a zero bandwidth price.  fixed_scenario_reward, the scorer
+train-q trains with, must equal reward() bit for bit on every action.
 """
 
 import dataclasses
@@ -36,6 +37,7 @@ from fedkd.qlearn import (
     decode_action,
     encode_decision,
     exhaustive_optimum,
+    fixed_scenario_reward,
     reward,
 )
 
@@ -135,6 +137,38 @@ def test_enumeration_matches_brute_force(inst):
         assert _score(sc, dec, accs) == pytest.approx(ref_val, rel=1e-12, abs=1e-12)
 
 
+def _bits(score, sc):
+    """Every action's reward, as exact float bits (signed zeros differ)."""
+    return [score(a).hex() for a in range(action_count(sc))]
+
+
+def _assert_scorer_equals_reward(sc, accs):
+    scorer = fixed_scenario_reward(sc, accs)
+    assert _bits(lambda a: scorer(sc, a), sc) == _bits(lambda a: reward(sc, a, accs), sc)
+
+
+@seed(20231105)
+@settings(max_examples=80, deadline=None, database=None)
+@given(instances(n_users=st.integers(1, 3), n_models=st.integers(1, 3)))
+def test_fixed_scenario_reward_equals_reward_bit_for_bit(inst):
+    sc, _, accs, _ = inst
+    _assert_scorer_equals_reward(sc, accs)
+
+
+def test_fixed_scenario_reward_equals_reward_bit_for_bit_on_the_stock_scenario():
+    sc = default_scenario()
+    _assert_scorer_equals_reward(
+        sc, [acc_pair(DEFAULT_TABLE, m.name, "KD", "noniid") for m in sc.catalog])
+
+
+def test_fixed_scenario_reward_refuses_another_scenario():
+    sc = make_scenario(n_users=2)
+    accs = [acc_pair(DEFAULT_TABLE, m.name, "KD", "noniid") for m in sc.catalog]
+    scorer = fixed_scenario_reward(sc, accs)
+    with pytest.raises(ValueError, match="only the scenario it was built for"):
+        scorer(dataclasses.replace(sc), 0)
+
+
 @pytest.mark.parametrize("draw", [None, 7])
 def test_stock_sized_enumeration_matches_brute_force(draw):
     sc = default_scenario() if draw is None else make_scenario(seed=draw)
@@ -163,19 +197,31 @@ def _stranded_user_scenario():
 
 
 def _rewards(sc, accs):
-    """reward and the fixed-model baseline's reward of action 0."""
+    """reward, the fixed-scenario scorer and the fixed-model baseline's
+    reward of action 0."""
     fl_min = method_spec(ExperimentConfig(scenario=sc, method="fl-min"))
     return {"reward": lambda: reward(sc, 0, accs),
+            "scorer": lambda: fixed_scenario_reward(sc, accs)(sc, 0),
             "xonly": lambda: action_reward(sc, fl_min, 0, accs, INFEASIBLE_REWARD)}
 
 
-@pytest.mark.parametrize("route", ["reward", "xonly"])
+@pytest.mark.parametrize("route", ["reward", "scorer", "xonly"])
 def test_infeasible_decision_earns_the_penalty(route):
     sc = _stranded_user_scenario()
     accs = [acc_pair(DEFAULT_TABLE, m.name, "KD", "noniid") for m in sc.catalog]
     assert _rewards(sc, accs)[route]() == INFEASIBLE_REWARD
     with pytest.raises(InfeasibleError):
         exhaustive_optimum(sc, accs)
+
+
+@pytest.mark.parametrize("penalty", [INFEASIBLE_REWARD, -7.0])
+def test_fixed_scenario_reward_of_a_stranded_user_is_the_penalty_for_every_action(penalty):
+    sc = _stranded_user_scenario()
+    accs = [acc_pair(DEFAULT_TABLE, m.name, "KD", "noniid") for m in sc.catalog]
+    scorer = fixed_scenario_reward(sc, accs, penalty)
+    rewards = [scorer(sc, a) for a in range(action_count(sc))]
+    assert rewards == [reward(sc, a, accs, penalty) for a in range(action_count(sc))]
+    assert set(rewards) == {penalty}
 
 
 @pytest.mark.parametrize("method", ["proposed", "q-only", "fl-min", "fl-max"])
@@ -197,7 +243,7 @@ def test_training_reward_of_an_infeasible_action_is_the_configured_penalty(metho
     assert calls[0](sc, 0) == -7.0
 
 
-@pytest.mark.parametrize("route", ["reward", "xonly"])
+@pytest.mark.parametrize("route", ["reward", "scorer", "xonly"])
 def test_other_value_errors_propagate(route):
     # alpha_d = 0 is a configuration error, not an infeasible decision
     weights = ObjectiveWeights(alpha_d=0.0, beta_c=0.001, delta_b=0.001, eta_o=1.0, eta_a=0.25)

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import logging
 import math
 
@@ -6,9 +8,12 @@ import pytest
 
 from fedkd import qlearn
 from fedkd.accuracy import DEFAULT_TABLE, acc_pair
+from fedkd.cli import main
+from fedkd.config import scenario_from_dict
 from fedkd.experiment import ExperimentConfig, action_reward, method_spec, sample_scenario
 from fedkd.model import Decision, ObjectiveWeights, TeacherSpec, default_scenario
 from fedkd.qlearn import (
+    EXHAUSTIVE_CAP,
     QConfig,
     QTable,
     action_count,
@@ -16,6 +21,7 @@ from fedkd.qlearn import (
     encode_decision,
     encode_state,
     exhaustive_optimum,
+    fixed_scenario_reward,
     reward,
     select_action,
     train_loop,
@@ -298,6 +304,13 @@ class TestTrain:
         q = train_static(sc, cfg, rng, kd_accs(sc))
         assert len(q) <= q.states * action_count(sc)
 
+    @pytest.mark.parametrize("episodes", [-1, -5])
+    def test_negative_episodes_rejected(self, episodes):
+        with pytest.raises(ValueError, match=f"episodes must be >= 0, got {episodes}"):
+            QConfig(episodes=episodes)
+        with pytest.raises(ValueError, match="episodes"):
+            dataclasses.replace(QConfig(), episodes=episodes)
+
     def test_epsilon_schedule(self):
         cfg = QConfig(epsilon0=1.0, epsilon_decay=0.9, epsilon_floor=0.05)
         assert cfg.epsilon_at(0) == 1.0
@@ -342,6 +355,90 @@ class TestQTableIO:
         q.save(tmp_path / "a.tsv")
         q.save(tmp_path / "b.tsv")
         assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
+
+
+def train_encoding_every_episode(sampler, cfg, rng, n_actions, reward_fn):
+    """Reference training loop that computes the state key afresh every
+    episode; also returns the scenarios the sampler drew."""
+    q, draws = QTable(), []
+    for ep in range(cfg.episodes):
+        sc = sampler(rng)
+        draws.append(sc)
+        s = encode_state(sc, cfg)
+        a = select_action(q, s, cfg.epsilon_at(ep), rng, n_actions)
+        update(q, s, a, reward_fn(sc, a), cfg)
+    return q, draws
+
+
+def count_encodes(monkeypatch):
+    """Record every scenario train_loop encodes."""
+    encoded = []
+
+    def counting(sc, cfg):
+        encoded.append(sc)
+        return encode_state(sc, cfg)
+
+    monkeypatch.setattr(qlearn, "encode_state", counting)
+    return encoded
+
+
+class TestFixedScenarioTraining:
+    def test_scorer_trains_like_reward(self):
+        sc = make_scenario(seed=12)
+        accs = kd_accs(sc)
+        cfg = QConfig(episodes=3000)
+        tables = [train_loop(lambda _r: sc, cfg, np.random.Generator(np.random.PCG64(4)),
+                             action_count(sc), reward_fn)
+                  for reward_fn in (fixed_scenario_reward(sc, accs),
+                                    lambda draw, a: reward(draw, a, accs))]
+        assert list(tables[0].entries()) == list(tables[1].entries())
+        assert len(tables[0]) > 100
+
+    @pytest.mark.parametrize("sampling", ["static", "alternating", "redrawn"])
+    def test_state_is_encoded_only_when_the_scenario_object_changes(self, sampling,
+                                                                     monkeypatch):
+        base = make_scenario(n_users=2, n_models=2)
+        pair = (make_scenario(n_users=2, n_models=2, seed=1),
+                make_scenario(n_users=2, n_models=2, seed=2))
+        sampler = {"static": lambda r: base,
+                   "alternating": lambda r: pair[int(r.integers(2))],
+                   "redrawn": lambda r: sample_scenario(base, r)}[sampling]
+        accs = kd_accs(base)
+        n = action_count(base)
+
+        def reward_fn(sc, a):
+            return reward(sc, a, accs)
+
+        cfg = QConfig(f_bins=2, h_bins=2, episodes=400)
+        ref, draws = train_encoding_every_episode(
+            sampler, cfg, np.random.Generator(np.random.PCG64(6)), n, reward_fn)
+        encoded = count_encodes(monkeypatch)
+        q = train_loop(sampler, cfg, np.random.Generator(np.random.PCG64(6)), n, reward_fn)
+        assert list(q.entries()) == list(ref.entries())
+        changes = [sc for prev, sc in zip([None] + draws, draws) if sc is not prev]
+        assert encoded == changes
+        if sampling == "static":
+            assert len(encoded) == 1
+        elif sampling == "redrawn":
+            assert len(encoded) == cfg.episodes
+        else:
+            assert 1 < len(encoded) < cfg.episodes
+
+    def test_train_q_runs_above_the_enumeration_cap(self, tmp_path):
+        users = [{"f_loc": 0.5 + 0.2 * i, "d": 10.0 + 12.0 * i} for i in range(7)]
+        doc = {"users": users}
+        assert action_count(scenario_from_dict(doc)) == 8 ** 7 > EXHAUSTIVE_CAP
+        path = tmp_path / "seven.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "q"
+        assert main(["train-q", "--config", str(path), "--seed", "1", "--episodes", "25",
+                     "--out", str(out)]) == 0
+        table = QTable.load(out / "qtable.tsv")
+        (state,) = {s for s, _, _, _ in table.entries()}
+        assert len(state) == 7
+        assert sum(n for *_, n in table.entries()) == 25
+        summary = json.loads((out / "train_summary.json").read_text(encoding="utf-8"))
+        assert len(summary["greedy_x"]) == 7
 
 
 FUZZ_STATES = (((0, 0),), ((0, 1),), ((1, 1),))
