@@ -283,16 +283,18 @@ def _digit_terms(sc: Scenario, acc_by_model: Sequence[tuple[float, float]]
     return terms
 
 
-def fixed_scenario_reward(sc: Scenario, acc_by_model: Sequence[tuple[float, float]],
-                          penalty: float = INFEASIBLE_REWARD
+def fixed_scenario_reward(sc: Scenario, acc_by_model: Sequence[tuple[float, float]]
                           ) -> Callable[[Scenario, int], float]:
-    """reward(sc, a, acc_by_model, penalty) as a reward_fn(draw, a) for
-    train_loop on the one scenario sc, with the per-user terms built once.
+    """reward(sc, a, acc_by_model) as a reward_fn(draw, a) for train_loop
+    on the one scenario sc, with the per-user terms built once.
 
-    Action a's digits pick one row of each user's table; the rows are
-    summed user by user, in decision_cost's order, so every reward equals
-    reward() bit for bit.  A user with zero spectral efficiency makes
-    every action earn `penalty`; any other error propagates from here.
+    Action a's digits pick one row of each user's table.  The cost terms
+    are added user by user, in decision_cost's order, and the picked
+    gains go through the builtin sum, as in decision_reward, so every
+    reward equals reward() bit for bit on any interpreter (from Python
+    3.12 on, sum() of floats is compensated).  A user with zero spectral
+    efficiency makes every action earn INFEASIBLE_REWARD; any other error
+    propagates from here.
     """
     try:
         terms = _digit_terms(sc, acc_by_model)
@@ -304,16 +306,17 @@ def fixed_scenario_reward(sc: Scenario, acc_by_model: Sequence[tuple[float, floa
         if draw is not sc:
             raise ValueError("fixed_scenario_reward scores only the scenario it was built for")
         if terms is None:
-            return penalty
-        s_const = s_root_c = s_root_d = gain = 0.0
+            return INFEASIBLE_REWARD
+        s_const = s_root_c = s_root_d = 0.0
+        gains = []
         for row in terms:
             const, root_c, root_d, g = row[a % radix]
             a //= radix
             s_const += const
             s_root_c += root_c
             s_root_d += root_d
-            gain += g
-        return -(cost_from_sums(sc, s_const, s_root_c, s_root_d) - gain)
+            gains.append(g)
+        return -(cost_from_sums(sc, s_const, s_root_c, s_root_d) - sum(gains))
 
     return reward_fn
 
