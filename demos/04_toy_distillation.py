@@ -58,9 +58,9 @@ print(" projected features recovers most of them)")
 print("\nsanity: one federated round equals the centralized gradient step")
 p0 = kd.init_net(kd.NetArch((8,), 4), spec.num_features, spec.num_classes,
                  np.random.Generator(np.random.PCG64(7)))
-merged = kd.fedsgd_round(p0.copy(), parts, kd.LossSpec("hard"), lr=0.3)
+merged = kd.fedsgd_round(p0.copy(), parts, lr=0.3)
 union = kd.ToyDataset(np.concatenate([p.inputs for p in parts]),
                       np.concatenate([p.labels for p in parts]), spec.num_classes)
-central = kd.fedsgd_round(p0.copy(), [union], kd.LossSpec("hard"), lr=0.3)
+central = kd.fedsgd_round(p0.copy(), [union], lr=0.3)
 gap = max(np.abs(a - b).max() for a, b in zip(merged.arrays(), central.arrays()))
 print(f"  max parameter difference after one round: {gap:.2e}")

@@ -15,6 +15,11 @@ training path can be checked against central finite differences:
 Data is synthetic Gaussian class blobs; Non-IID clients get disjoint
 label subsets.  Networks are a 1-2 layer tanh encoder plus one linear
 classifier layer.
+
+Gradients are NetParams in the same layout, so a step or an aggregate
+is one elementwise pass over arrays().  Parameters are checked where
+they enter (the constructor, from_json) and once where a training run
+returns them; the steps in between build them unchecked.
 """
 
 from __future__ import annotations
@@ -27,12 +32,13 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
-VARIANTS = ("hard", "kd", "simkd")
+VARIANTS = ("kd", "simkd")
 
 
 class DivergenceError(RuntimeError):
-    """A training loss became non-finite: the step size is too large for
-    the data, or the data holds non-finite inputs."""
+    """A training loss or the trained parameters became non-finite: the
+    step size is too large for the data, or the data holds non-finite
+    inputs."""
 
 
 # ---------------------------------------------------------------------------
@@ -82,11 +88,6 @@ class ToyDataset:
         if not mask.any():
             raise ValueError(f"no samples with labels {sorted(labels)}")
         return ToyDataset(self.inputs[mask], self.labels[mask], self.num_classes)
-
-
-def blob_centers(spec: BlobSpec) -> np.ndarray:
-    rng = np.random.Generator(np.random.PCG64(spec.seed))
-    return spec.center_scale * rng.normal(size=(spec.num_classes, spec.num_features))
 
 
 def make_train_test(spec: BlobSpec, train_per_class: int,
@@ -171,10 +172,17 @@ class NetParams:
     def arrays(self) -> list[np.ndarray]:
         return [*self.weights, *self.biases, self.w_out, self.b_out]
 
+    @classmethod
+    def _from_arrays(cls, arrays: list[np.ndarray]) -> "NetParams":
+        """Unchecked, from arrays() order: for gradients and training steps."""
+        k = (len(arrays) - 2) // 2
+        p = object.__new__(cls)
+        p.weights, p.biases = tuple(arrays[:k]), tuple(arrays[k:2 * k])
+        p.w_out, p.b_out = arrays[-2], arrays[-1]
+        return p
+
     def copy(self) -> "NetParams":
-        return NetParams(tuple(w.copy() for w in self.weights),
-                         tuple(b.copy() for b in self.biases),
-                         self.w_out.copy(), self.b_out.copy())
+        return NetParams._from_arrays([a.copy() for a in self.arrays()])
 
     def to_json(self) -> str:
         payload = {
@@ -192,19 +200,6 @@ class NetParams:
                    tuple(np.asarray(b, dtype=float) for b in payload["biases"]),
                    np.asarray(payload["w_out"], dtype=float),
                    np.asarray(payload["b_out"], dtype=float))
-
-
-@dataclass
-class NetGrads:
-    """Same layout as NetParams, holding gradients (no invariants)."""
-
-    weights: tuple
-    biases: tuple
-    w_out: np.ndarray
-    b_out: np.ndarray
-
-    def arrays(self) -> list[np.ndarray]:
-        return [*self.weights, *self.biases, self.w_out, self.b_out]
 
 
 @dataclass
@@ -228,7 +223,9 @@ class Projector:
 
 @dataclass(frozen=True)
 class LossSpec:
-    variant: str = "hard"
+    """Distillation loss of distill_student, one of VARIANTS."""
+
+    variant: str
     temperature: float = 1.0
 
     def __post_init__(self) -> None:
@@ -268,7 +265,7 @@ def net_eval(p: NetParams, x) -> tuple[np.ndarray, np.ndarray]:
     return hs[-1], logits
 
 
-def _backprop(p: NetParams, hs, dlogits=None, dfeatures=None) -> NetGrads:
+def _backprop(p: NetParams, hs, dlogits=None, dfeatures=None) -> NetParams:
     """Gradients for a batch given the upstream gradient at the logits
     (classifier path) or directly at the features (encoder-only path)."""
     if dlogits is not None:
@@ -285,7 +282,7 @@ def _backprop(p: NetParams, hs, dlogits=None, dfeatures=None) -> NetGrads:
         gws.append(hs[layer].T @ dz)
         gbs.append(dz.sum(axis=0))
         dh = dz @ p.weights[layer].T
-    return NetGrads(tuple(reversed(gws)), tuple(reversed(gbs)), gw_out, gb_out)
+    return NetParams._from_arrays([*reversed(gws), *reversed(gbs), gw_out, gb_out])
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +303,16 @@ def softened_probs(logits, temperature: float) -> np.ndarray:
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=1, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Batch-mean cross-entropy of (n, classes) logits and its gradient."""
+    n = len(logits)
+    log_p = _log_softmax(logits)
+    loss = -log_p[np.arange(n), labels].mean()
+    onehot = np.zeros_like(logits)
+    onehot[np.arange(n), labels] = 1.0
+    return float(loss), (np.exp(log_p) - onehot) / n
 
 
 def kl_divergence(p, q) -> np.ndarray | float:
@@ -337,18 +344,14 @@ def kd_loss(student_logits, teacher_logits, labels,
     n = z_s.shape[0]
     t = temperature
 
-    log_p_s = _log_softmax(z_s)
-    hard = -log_p_s[np.arange(n), y].mean()
-
+    hard, d_hard = _cross_entropy(z_s, y)
     log_p_st = _log_softmax(z_s / t)
     log_p_tt = _log_softmax(z_t / t)
     p_tt = np.exp(log_p_tt)
     soft = (p_tt * (log_p_tt - log_p_st)).sum(axis=1).mean()
 
     loss = hard + t * t * soft
-    onehot = np.zeros_like(z_s)
-    onehot[np.arange(n), y] = 1.0
-    grad = (np.exp(log_p_s) - onehot) / n + t * (np.exp(log_p_st) - p_tt) / n
+    grad = d_hard + t * (np.exp(log_p_st) - p_tt) / n
     return float(loss), (grad if np.ndim(student_logits) == 2 else grad[0])
 
 
@@ -370,47 +373,49 @@ def simkd_loss(f_t, f_s, proj: Projector) -> tuple[float, np.ndarray, np.ndarray
     return loss, dpred @ proj.w.T, f_s.T @ dpred
 
 
-def hard_grads(p: NetParams, ds: ToyDataset) -> tuple[float, NetGrads]:
+def hard_grads(p: NetParams, ds: ToyDataset) -> tuple[float, NetParams]:
     """Full-batch cross-entropy loss and parameter gradients."""
     hs, logits = _forward(p, ds.inputs)
-    n = len(ds)
-    log_p = _log_softmax(logits)
-    loss = -log_p[np.arange(n), ds.labels].mean()
-    onehot = np.zeros_like(logits)
-    onehot[np.arange(n), ds.labels] = 1.0
-    dlogits = (np.exp(log_p) - onehot) / n
-    return float(loss), _backprop(p, hs, dlogits=dlogits)
+    loss, dlogits = _cross_entropy(logits, ds.labels)
+    return loss, _backprop(p, hs, dlogits=dlogits)
 
 
 def kd_grads(p: NetParams, teacher_logits: np.ndarray, ds: ToyDataset,
-             temperature: float) -> tuple[float, NetGrads]:
+             temperature: float) -> tuple[float, NetParams]:
     hs, logits = _forward(p, ds.inputs)
     loss, dlogits = kd_loss(logits, teacher_logits, ds.labels, temperature)
     return loss, _backprop(p, hs, dlogits=dlogits)
 
 
 def simkd_grads(p: NetParams, proj: Projector, teacher_features: np.ndarray,
-                ds: ToyDataset) -> tuple[float, NetGrads, np.ndarray]:
+                ds: ToyDataset) -> tuple[float, NetParams, np.ndarray]:
     """Loss plus encoder gradients (classifier untouched) and projector grad."""
     hs, _ = _forward(p, ds.inputs)
     loss, d_fs, d_proj = simkd_loss(teacher_features, hs[-1], proj)
     return loss, _backprop(p, hs, dfeatures=d_fs), d_proj
 
 
-def _step(p: NetParams, g: NetGrads, lr: float) -> NetParams:
-    return NetParams(
-        tuple(w - lr * gw for w, gw in zip(p.weights, g.weights)),
-        tuple(b - lr * gb for b, gb in zip(p.biases, g.biases)),
-        p.w_out - lr * g.w_out,
-        p.b_out - lr * g.b_out,
-    )
+def _step(p: NetParams, g: NetParams, lr: float) -> NetParams:
+    return NetParams._from_arrays([a - lr * ga for a, ga in zip(p.arrays(), g.arrays())])
+
+
+def _check_lr(lr: float) -> None:
+    if not 0.0 <= lr < np.inf:
+        raise ValueError(f"lr must be finite and >= 0, got {lr}")
+
+
+def _check_trained(arrays, what: str, lr: float) -> None:
+    # the per-epoch loss check misses an infinite weight that tanh saturates
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise DivergenceError(f"{what} diverged: the trained parameters are not finite"
+                              f" (lr={lr})")
 
 
 # ---------------------------------------------------------------------------
 # federated teacher training
 
 
-def _aggregate_hard(p: NetParams, parts) -> tuple[float, NetGrads]:
+def _aggregate_hard(p: NetParams, parts) -> tuple[float, NetParams]:
     """Size-weighted mean of per-client full-batch gradients.
 
     Weighting by partition size makes the aggregate exactly equal the
@@ -429,32 +434,22 @@ def _aggregate_hard(p: NetParams, parts) -> tuple[float, NetGrads]:
         w = len(part) / total
         loss, g = hard_grads(p, part)
         loss_sum += w * loss
-        if agg is None:
-            agg = NetGrads(tuple(w * a for a in g.weights),
-                           tuple(w * a for a in g.biases),
-                           w * g.w_out, w * g.b_out)
-        else:
-            agg = NetGrads(tuple(x + w * a for x, a in zip(agg.weights, g.weights)),
-                           tuple(x + w * a for x, a in zip(agg.biases, g.biases)),
-                           agg.w_out + w * g.w_out, agg.b_out + w * g.b_out)
-    return loss_sum, agg
+        terms = [w * a for a in g.arrays()]
+        agg = terms if agg is None else [x + t for x, t in zip(agg, terms)]
+    return loss_sum, NetParams._from_arrays(agg)
 
 
-def fedsgd_round(global_params: NetParams, parts, loss: LossSpec,
-                 lr: float) -> NetParams:
-    """One synchronous round: every client computes a full-batch gradient
-    on its entire partition, gradients are averaged weighted by partition
-    size, and a single step is applied to the global parameters.
-
-    Only the plain cross-entropy variant is supported here: the
-    distillation variants need a teacher, and this round is what produces
-    the teacher in the first place.
+def fedsgd_round(global_params: NetParams, parts, lr: float) -> NetParams:
+    """One synchronous round: every client computes a full-batch
+    cross-entropy gradient on its entire partition, gradients are averaged
+    weighted by partition size, and one step is applied to the global
+    parameters.  (Distillation needs the teacher that this round trains.)
     """
-    if loss.variant != "hard":
-        raise ValueError("fedsgd_round trains with the hard loss only; "
-                         f"got variant {loss.variant!r}")
+    _check_lr(lr)
     _, agg = _aggregate_hard(global_params, parts)
-    return _step(global_params, agg, lr)
+    p = _step(global_params, agg, lr)
+    _check_trained(p.arrays(), "fedsgd_round", lr)
+    return p
 
 
 def train_teacher(parts, epochs: int, lr: float, arch: NetArch = NetArch((32,), 16),
@@ -462,6 +457,7 @@ def train_teacher(parts, epochs: int, lr: float, arch: NetArch = NetArch((32,), 
     """Federated full-batch training of the shared teacher network."""
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
+    _check_lr(lr)
     used = [part for part in parts if len(part) > 0]
     if not used:
         raise ValueError("train_teacher needs at least one non-empty partition")
@@ -475,6 +471,7 @@ def train_teacher(parts, epochs: int, lr: float, arch: NetArch = NetArch((32,), 
             raise DivergenceError(f"teacher training diverged at epoch {epoch}: loss={loss}"
                                   f" (lr={lr}, arch={arch})")
         p = _step(p, agg, lr)
+    _check_trained(p.arrays(), "teacher training", lr)
     return p
 
 
@@ -493,10 +490,9 @@ def distill_student(teacher: NetParams, student_arch: NetArch, data: ToyDataset,
     the teacher's features; the student's own classifier is left at its
     initialization and inference reuses the teacher's classifier.
     """
-    if loss.variant not in ("kd", "simkd"):
-        raise ValueError(f"distillation variant must be 'kd' or 'simkd', got {loss.variant!r}")
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
+    _check_lr(lr)
     rng = np.random.Generator(np.random.PCG64(seed))
     student = init_net(student_arch, data.inputs.shape[1], data.num_classes, rng)
     t_features, t_logits = net_eval(teacher, data.inputs)
@@ -507,6 +503,7 @@ def distill_student(teacher: NetParams, student_arch: NetArch, data: ToyDataset,
             if not np.isfinite(val):
                 raise DivergenceError(f"kd distillation diverged at epoch {epoch}: loss={val}")
             student = _step(student, g, lr)
+        _check_trained(student.arrays(), "kd distillation", lr)
         return student, None
 
     proj = Projector(rng.normal(size=(student_arch.feature_dim, teacher.feature_dim))
@@ -517,6 +514,7 @@ def distill_student(teacher: NetParams, student_arch: NetArch, data: ToyDataset,
             raise DivergenceError(f"simkd distillation diverged at epoch {epoch}: loss={val}")
         student = _step(student, g, lr)
         proj = Projector(proj.w - lr * d_proj)
+    _check_trained([*student.arrays(), proj.w], "simkd distillation", lr)
     return student, proj
 
 

@@ -258,11 +258,9 @@ def decision_reward(sc: Scenario, dec: Decision,
     return -(cost - sum(gains[mi] for mi in dec.m))
 
 
-def reward(sc: Scenario, a: int, acc_by_model: Sequence[tuple[float, float]],
-           penalty: float = INFEASIBLE_REWARD) -> float:
-    """decision_reward of joint action a."""
-    return decision_reward(sc, decode_action(a, sc.n_users, len(sc.catalog)),
-                           acc_by_model, penalty)
+def reward(sc: Scenario, a: int, acc_by_model: Sequence[tuple[float, float]]) -> float:
+    """decision_reward of joint action a (infeasible: INFEASIBLE_REWARD)."""
+    return decision_reward(sc, decode_action(a, sc.n_users, len(sc.catalog)), acc_by_model)
 
 
 def _digit_terms(sc: Scenario, acc_by_model: Sequence[tuple[float, float]]

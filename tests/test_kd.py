@@ -1,9 +1,11 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fedkd import kd
+from fedkd import cli, kd
 from fedkd.kd import (
     BlobSpec,
     DivergenceError,
@@ -237,9 +239,8 @@ class TestFedSGD:
     def test_identical_partitions_equal_single_client_step(self, rng):
         ds = random_dataset(rng, n=12)
         p = init_net(NetArch((5,), 4), 3, 4, rng)
-        spec = LossSpec("hard")
-        merged = fedsgd_round(p.copy(), [ds, ds, ds], spec, lr=0.3)
-        single = fedsgd_round(p.copy(), [ds], spec, lr=0.3)
+        merged = fedsgd_round(p.copy(), [ds, ds, ds], lr=0.3)
+        single = fedsgd_round(p.copy(), [ds], lr=0.3)
         for a, b in zip(merged.arrays(), single.arrays()):
             assert rel_err(a, b) < 1e-12
 
@@ -249,7 +250,7 @@ class TestFedSGD:
         p = init_net(NetArch((5,), 4), 3, 4, rng)
         _, g1 = hard_grads(p, d1)
         _, g2 = hard_grads(p, d2)
-        stepped = fedsgd_round(p.copy(), [d1, d2], LossSpec("hard"), lr=1.0)
+        stepped = fedsgd_round(p.copy(), [d1, d2], lr=1.0)
         for before, after, ga, gb in zip(p.arrays(), stepped.arrays(),
                                          g1.arrays(), g2.arrays()):
             assert rel_err(before - after, (ga + gb) / 2) < 1e-12
@@ -277,13 +278,17 @@ class TestFedSGD:
                 return 0
 
         with caplog.at_level(logging.WARNING, logger="fedkd.kd"):
-            fedsgd_round(p, [d1, Hollow()], LossSpec("hard"), lr=0.1)
+            fedsgd_round(p, [d1, Hollow()], lr=0.1)
         assert any("empty" in rec.message for rec in caplog.records)
 
-    def test_distillation_variants_rejected(self, rng):
+    def test_step_to_non_finite_parameters_raises_divergence_error(self, rng):
+        # a large classifier makes the encoder gradient overflow at lr=1e308
+        ds = random_dataset(rng, n=10)
         p = init_net(NetArch((5,), 4), 3, 4, rng)
-        with pytest.raises(ValueError):
-            fedsgd_round(p, [random_dataset(rng)], LossSpec("kd", temperature=2.0), 0.1)
+        p = NetParams(p.weights, p.biases, 1e3 * p.w_out, p.b_out)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match="^fedsgd_round diverged"):
+                fedsgd_round(p, [ds], lr=1e308)
 
 
 class TestTrainTeacher:
@@ -319,6 +324,32 @@ class TestTrainTeacher:
         loss_init, _ = hard_grads(init, train_set)
         loss_final, _ = hard_grads(final, train_set)
         assert loss_final < loss_init
+
+    def test_parameters_are_validated_once_per_run(self, rng, monkeypatch):
+        calls = []
+        check = NetParams.__post_init__
+
+        def counted(self):
+            calls.append(1)
+            check(self)
+
+        monkeypatch.setattr(NetParams, "__post_init__", counted)
+        ds = random_dataset(rng, n=20)
+        counts = []
+        for epochs in (5, 50):
+            calls.clear()
+            train_teacher([ds, ds], epochs=epochs, lr=0.3, arch=NetArch((6,), 4), seed=1)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] >= 1
+
+    def test_last_step_to_non_finite_parameters_raises_divergence_error(self):
+        # inputs scaled so that one first-layer gradient exceeds 1: the
+        # first step overflows, and the loss was finite before it
+        train_set, _ = make_train_test(BlobSpec(seed=0), 60, 60)
+        big = ToyDataset(1e3 * train_set.inputs, train_set.labels, train_set.num_classes)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match="^teacher training diverged"):
+                train_teacher([big], epochs=1, lr=np.finfo(float).max, seed=0)
 
 
 class TestDistillStudent:
@@ -362,6 +393,24 @@ class TestDistillStudent:
             with pytest.raises(DivergenceError, match=f"^{variant} distillation diverged"):
                 distill_student(teacher, NetArch((4,), 3), bad, LossSpec(variant), 3, 0.1)
 
+    # The loss is finite at the only epoch; the step after it overflows.  In
+    # the last case a one-layer encoder saturated by large inputs gets
+    # exactly zero gradients, so only the projector overflows.
+    @pytest.mark.parametrize("variant, hidden, scale, lr", [
+        ("simkd", (8,), 1.0, 1e308),
+        ("kd", (8,), 1e3, np.finfo(float).max),
+        ("simkd", (), 1e3, 1e308),
+    ], ids=["simkd", "kd", "simkd-projector-only"])
+    def test_last_step_to_non_finite_parameters_raises_divergence_error(self, variant,
+                                                                        hidden, scale, lr):
+        train_set, _ = make_train_test(BlobSpec(seed=0), 60, 60)
+        teacher = train_teacher([train_set], epochs=5, lr=0.5, seed=0)
+        data = ToyDataset(scale * train_set.inputs, train_set.labels, train_set.num_classes)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match=f"^{variant} distillation diverged"):
+                distill_student(teacher, NetArch(hidden, 4), data, LossSpec(variant),
+                                epochs=1, lr=lr)
+
     def test_simkd_keeps_classifier_at_init(self, rng):
         ds = random_dataset(rng, n=10)
         teacher = train_teacher([ds], epochs=5, lr=0.2, seed=2)
@@ -369,6 +418,34 @@ class TestDistillStudent:
         student, _ = distill_student(teacher, arch, ds, LossSpec("simkd"), 50, 0.05, seed=9)
         fresh = init_net(arch, 3, 4, np.random.Generator(np.random.PCG64(9)))
         assert np.array_equal(student.w_out, fresh.w_out)
+
+
+class TestLearningRate:
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, -0.1])
+    @pytest.mark.parametrize("entry", ["train_teacher", "distill_student", "fedsgd_round"])
+    def test_non_finite_or_negative_lr_rejected(self, rng, entry, lr):
+        ds = random_dataset(rng, n=10)
+        p = init_net(NetArch((5,), 4), 3, 4, rng)
+        run = {
+            "train_teacher": lambda: train_teacher([ds], epochs=3, lr=lr),
+            "distill_student": lambda: distill_student(p, NetArch((5,), 4), ds,
+                                                       LossSpec("kd"), epochs=3, lr=lr),
+            "fedsgd_round": lambda: fedsgd_round(p, [ds], lr=lr),
+        }[entry]
+        with pytest.raises(ValueError, match="^lr must be finite and >= 0"):
+            run()
+
+
+class TestKdDemo:
+    GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden_kd.json"
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_metrics_equal_the_recorded_golden_values(self, seed):
+        golden = json.loads(self.GOLDEN.read_text(encoding="utf-8"))
+        assert golden["epochs"] == 600
+        metrics = cli.kd_demo(seed=seed, epochs=600)["metrics"]
+        for role, accs in golden["accuracies"][str(seed)].items():
+            assert metrics[role] == accs, role
 
 
 class TestNonIIDGap:
