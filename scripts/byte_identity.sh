@@ -8,6 +8,12 @@
 # whole byte-identity check: empty output means every qtable.tsv,
 # train_summary.json, trials.csv, summary.json, kd-demo metric and
 # parameter file is the same byte for byte.
+#
+# Besides the stock template, the script writes OUT_DIR/custom.json: three
+# users with unequal transmit powers, a two-model subset of the stock
+# catalog, and a zero bandwidth price (delta_b = 0), so the bandwidth
+# budget binds on every decision.  train-q, the four learning methods and
+# exhaustive run on it too, and one experiment uses the iid accuracies.
 set -euo pipefail
 
 if [ "$#" -ne 2 ]; then
@@ -34,6 +40,31 @@ for s in 11 23; do
     done
     fedkd experiment --method exhaustive --seed "$s" --trials 5 --out "$out/exhaustive-$s"
 done
+cat > "$out/custom.json" <<'JSON'
+{
+  "users": [
+    {"f_loc": 0.7, "d": 25.0, "p": 0.05},
+    {"f_loc": 1.3, "d": 60.0, "p": 0.1},
+    {"f_loc": 1.9, "d": 90.0, "p": 0.4}
+  ],
+  "catalog": [
+    {"name": "VGG-8", "mu": 6.83, "theta_s": 150.0},
+    {"name": "ResNet-26x4", "mu": 18.96, "theta_s": 186.0}
+  ],
+  "weights": {"alpha_d": 0.01, "beta_c": 0.001, "delta_b": 0.0,
+              "eta_o": 1.0, "eta_a": 0.25}
+}
+JSON
+custom=(--config "$out/custom.json")
+fedkd train-q "${custom[@]}" --seed 5 --episodes 4000 --out "$out/custom-trainq"
+for m in proposed q-only fl-min fl-max; do
+    fedkd experiment "${custom[@]}" --method "$m" --seed 17 --trials 40 --episodes 1500 \
+        --out "$out/custom-$m"
+done
+fedkd experiment "${custom[@]}" --method exhaustive --seed 17 --trials 10 \
+    --out "$out/custom-exhaustive"
+fedkd experiment --method proposed --distribution iid --seed 29 --trials 40 \
+    --episodes 1500 --out "$out/iid-proposed"
 for s in 0 7; do
     fedkd kd-demo --seed "$s" --epochs 600 --out "$out/kd-$s"
 done

@@ -80,6 +80,25 @@ class AllocResult:
     kkt_residual: float     # max relative stationarity/complementarity violation
 
 
+def digit_factors(sc: Scenario, x: int, m: int) -> tuple[float, float, float, float]:
+    """The user-independent factors (alpha_d x mu, beta_c server_mu,
+    alpha_d server_mu, alpha_d (x theta_l + theta_s)) of picking (x, m).
+
+    user_terms divides the first by the user's f_loc and the last by its
+    spectral efficiency; they depend on the template alone, so the
+    decision layer builds them once per template.
+    """
+    w = sc.weights
+    if w.alpha_d <= 0:
+        raise ValueError(
+            "alpha_d must be > 0 to allocate resources: with no delay "
+            "weight every c_i and d_i vanishes and the split is arbitrary")
+    model = sc.catalog[m]
+    server_mu = sc.teacher.mu_t + (1 - x) * model.mu
+    return (w.alpha_d * x * model.mu, w.beta_c * server_mu, w.alpha_d * server_mu,
+            w.alpha_d * (x * sc.teacher.theta_l + model.theta_s))
+
+
 def user_terms(sc: Scenario, i: int, x: int, m: int) -> tuple[float, float, float]:
     """User i's coefficients (const_i, c_i, d_i) when it picks (x, m).
 
@@ -87,19 +106,12 @@ def user_terms(sc: Scenario, i: int, x: int, m: int) -> tuple[float, float, floa
     of AllocProblem.constant.  A user whose spectral efficiency rounds to
     zero cannot transmit at any bandwidth: InfeasibleError.
     """
-    w = sc.weights
-    if w.alpha_d <= 0:
-        raise ValueError(
-            "alpha_d must be > 0 to allocate resources: with no delay "
-            "weight every c_i and d_i vanishes and the split is arbitrary")
-    u, model = sc.users[i], sc.catalog[m]
+    a, b, c, num = digit_factors(sc, x, m)
+    u = sc.users[i]
     eff = math.log2(1.0 + u.p * channel_gain(u.d, sc.channel) / sc.channel.n0)  # Mbit/s per MHz
     if eff <= 0:
         raise InfeasibleError(f"user {u.id} has zero spectral efficiency")
-    server_mu = sc.teacher.mu_t + (1 - x) * model.mu
-    const = w.alpha_d * x * model.mu / u.f_loc + w.beta_c * server_mu
-    return (const, w.alpha_d * server_mu,
-            w.alpha_d * (x * sc.teacher.theta_l + model.theta_s) / eff)
+    return a / u.f_loc + b, c, num / eff
 
 
 def build_problem(sc: Scenario, dec: Decision) -> AllocProblem:

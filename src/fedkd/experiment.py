@@ -18,6 +18,14 @@ pipeline runs them all: train the agent (exhaustive enumerates instead),
 decode the chosen action on each draw, let the convex allocator fill in
 the split where the action leaves it open, and evaluate.
 
+Training redraws every user's CPU frequency and distance each episode,
+as one uniform call, and never builds a Scenario for it: the agent sees
+a qlearn.Draw with its state key (`training_sampler`).  proposed, fl-min
+and fl-max score it with qlearn.digit_reward over their action digits;
+q-only decodes against the template and builds the redrawn Scenario only
+for an action within budget, which the scalar objective then scores.
+The evaluation draws are full Scenarios from `sample_scenario`.
+
 Per trial the report records the realized objective, the mean per-epoch
 delay across users, accuracy means, model-selection frequencies, and the
 raw per-user decision and resources.
@@ -27,6 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -47,13 +56,16 @@ from .model import (
 )
 from .qlearn import (
     INFEASIBLE_REWARD,
+    Draw,
     QConfig,
-    action_count,
+    StateKey,
     decision_reward,
-    decode_action,
+    digit_reward,
     encode_decision,
     encode_state,
     exhaustive_optimum,
+    joint_digits,
+    make_draw,
     train_loop,
 )
 
@@ -89,6 +101,11 @@ class ExperimentConfig:
             raise ValueError(f"trials must be >= 0, got {self.trials}")
         if self.resource_levels < 1:
             raise ValueError("resource_levels must be >= 1")
+        # Training draws skip UserSpec's checks, so the ranges are checked here.
+        for name in ("f_loc_range", "d_range"):
+            lo, hi = getattr(self, name)
+            if not 0 < lo <= hi < math.inf:
+                raise ValueError(f"{name} must satisfy 0 < lo <= hi < inf, got {(lo, hi)}")
 
 
 @dataclass(frozen=True)
@@ -136,6 +153,30 @@ def sample_scenario(template: Scenario, rng: np.random.Generator,
     return dataclasses.replace(template, users=users)
 
 
+def training_sampler(cfg: ExperimentConfig
+                     ) -> Callable[[np.random.Generator], tuple[StateKey, Draw]]:
+    """train_loop's sampler for cfg: one rng.uniform call redraws every
+    user's (f_loc, d) pair, the same stream and values as sample_scenario's
+    per-user calls, and qlearn.make_draw gives the state key and Draw."""
+    template, q = cfg.scenario, cfg.q
+    lo = np.array([cfg.f_loc_range[0], cfg.d_range[0]])
+    hi = np.array([cfg.f_loc_range[1], cfg.d_range[1]])
+    size = (template.n_users, 2)
+
+    def sample(rng: np.random.Generator) -> tuple[StateKey, Draw]:
+        f_loc, d = rng.uniform(lo, hi, size).T.tolist()
+        return make_draw(template, f_loc, d, q)
+
+    return sample
+
+
+def _redrawn(template: Scenario, draw: Draw) -> Scenario:
+    """The template with the draw's per-user CPU frequencies and distances."""
+    users = tuple(dataclasses.replace(u, f_loc=f, d=dist)
+                  for u, f, dist in zip(template.users, draw.f_loc, draw.d))
+    return dataclasses.replace(template, users=users)
+
+
 def _acc_by_model(cfg: ExperimentConfig, acc_method: str) -> list[tuple[float, float]]:
     return [acc_pair(cfg.table, m.name, acc_method, cfg.distribution)
             for m in cfg.scenario.catalog]
@@ -171,12 +212,15 @@ def _evaluate(sc: Scenario, dec: Decision, al: Allocation, accs,
 @dataclass(frozen=True)
 class MethodSpec:
     """What an action means to one method: decode(sc, a) gives (decision,
-    split, feasible), where a None split stands for the optimal one."""
+    split, feasible), where a None split stands for the optimal one.
+    digits, for the methods that leave the split open, lists the (x, m)
+    each base-len(digits) digit of an action gives its user."""
 
     n_actions: int
     decode: Callable[[Scenario, int], tuple[Decision, Allocation | None, bool]]
     accuracy: str           # "KD" or "FL": the published accuracies that score it
     learned: bool = True    # False: enumerate every action instead of training
+    digits: tuple[tuple[int, int], ...] | None = None
 
 
 def _qonly_radix(n_models: int, levels: int) -> int:
@@ -214,6 +258,23 @@ def decode_qonly(a: int, sc: Scenario, levels: int) -> tuple[Decision, Allocatio
     return Decision(x=tuple(x), m=tuple(m)), al, within_budget
 
 
+def _digit_spec(digits: tuple[tuple[int, int], ...], n_users: int, accuracy: str,
+                learned: bool = True) -> MethodSpec:
+    """A method whose action is one digit per user, lowest first, and
+    whose split is the optimal one."""
+    radix = len(digits)
+
+    def decode(sc: Scenario, a: int):
+        picks = []
+        for _ in range(sc.n_users):
+            picks.append(digits[a % radix])
+            a //= radix
+        x, m = zip(*picks)
+        return Decision(x=x, m=m), None, True
+
+    return MethodSpec(radix ** n_users, decode, accuracy, learned, digits)
+
+
 def method_spec(cfg: ExperimentConfig) -> MethodSpec:
     """The table entry of cfg.method.  proposed and exhaustive share the
     joint offload/model action; q-only adds a resource grid level per user;
@@ -221,10 +282,8 @@ def method_spec(cfg: ExperimentConfig) -> MethodSpec:
     template = cfg.scenario
     n = template.n_users
     if cfg.method in ("proposed", "exhaustive"):
-        return MethodSpec(
-            action_count(template),
-            lambda sc, a: (decode_action(a, sc.n_users, len(sc.catalog)), None, True),
-            "KD", learned=cfg.method == "proposed")
+        return _digit_spec(joint_digits(len(template.catalog)), n, "KD",
+                           learned=cfg.method == "proposed")
     if cfg.method == "q-only":
         levels = cfg.resource_levels
         if n > levels:
@@ -239,16 +298,21 @@ def method_spec(cfg: ExperimentConfig) -> MethodSpec:
         return MethodSpec(n_actions, lambda sc, a: decode_qonly(a, sc, levels), "KD")
     mus = [m.mu for m in template.catalog]
     m_fixed = mus.index(min(mus) if cfg.method == "fl-min" else max(mus))
+    return _digit_spec(((0, m_fixed), (1, m_fixed)), n, "FL")
 
-    def decode_offload(sc: Scenario, a: int):
-        x = tuple((a >> i) & 1 for i in range(sc.n_users))
-        return Decision(x=x, m=(m_fixed,) * sc.n_users), None, True
 
-    return MethodSpec(2 ** n, decode_offload, "FL")
+def _split_reward(sc: Scenario, dec: Decision, al: Allocation, accs, penalty: float) -> float:
+    """Minus the scalar objective at a given split; infeasible: penalty."""
+    try:
+        return -objective(sc, dec, al, [accs[mi][0] for mi in dec.m],
+                          [accs[mi][1] for mi in dec.m])
+    except InfeasibleError:
+        return penalty
 
 
 def action_reward(sc: Scenario, spec: MethodSpec, a: int, accs, penalty: float) -> float:
-    """Training reward of action a under a method's decoder.
+    """Reward of action a on a full scenario under a method's decoder: the
+    reference that the training rewards (training_reward) equal bit for bit.
 
     Minus the cost at the decoded split, or at the optimal split (from
     its closed form) when the decoder leaves it open.  An action over a
@@ -260,17 +324,36 @@ def action_reward(sc: Scenario, spec: MethodSpec, a: int, accs, penalty: float) 
         return penalty
     if al is None:
         return decision_reward(sc, dec, accs, penalty)
-    try:
-        return -objective(sc, dec, al, [accs[mi][0] for mi in dec.m],
-                          [accs[mi][1] for mi in dec.m])
-    except InfeasibleError:
-        return penalty
+    return _split_reward(sc, dec, al, accs, penalty)
+
+
+def training_reward(cfg: ExperimentConfig, spec: MethodSpec, accs
+                    ) -> Callable[[Draw, int], float]:
+    """reward_fn(draw, a) of a training Draw, equal to action_reward on
+    the draw's Scenario.  Methods with digits score it with
+    qlearn.digit_reward.  q-only decodes against the template, whose
+    budgets and sizes every draw shares, and builds the redrawn Scenario
+    only for an action within budget."""
+    if spec.digits is not None:
+        return digit_reward(cfg.scenario, accs, spec.digits, cfg.penalty)
+    template, penalty = cfg.scenario, cfg.penalty
+
+    def reward_fn(draw: Draw, a: int) -> float:
+        dec, al, feasible = spec.decode(template, a)
+        if not feasible:
+            return penalty
+        return _split_reward(_redrawn(template, draw), dec, al, accs, penalty)
+
+    return reward_fn
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
     """Train the configured method and evaluate it on seeded draws.
 
-    The evaluation draws depend only on (scenario template, seed, trials),
+    Training takes its draws from training_sampler and its rewards from
+    training_reward: no Scenario per episode, except q-only's actions
+    within budget.  The evaluation draws are Scenarios from
+    sample_scenario and depend only on (scenario template, seed, trials),
     never on the method, so reports from different methods compare like
     for like.  Identical configs produce identical reports.
     """
@@ -278,17 +361,15 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     spec = method_spec(cfg)
     accs = _acc_by_model(cfg, spec.accuracy)
 
-    def sample(rng: np.random.Generator) -> Scenario:
-        return sample_scenario(template, rng, cfg.f_loc_range, cfg.d_range)
-
     eval_ss, train_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     eval_rng = np.random.Generator(np.random.PCG64(eval_ss))
-    draws = [sample(eval_rng) for _ in range(cfg.trials)]
+    draws = [sample_scenario(template, eval_rng, cfg.f_loc_range, cfg.d_range)
+             for _ in range(cfg.trials)]
 
     if spec.learned:
-        q = train_loop(sample, cfg.q, np.random.Generator(np.random.PCG64(train_ss)),
-                       spec.n_actions,
-                       lambda sc, a: action_reward(sc, spec, a, accs, cfg.penalty))
+        q = train_loop(training_sampler(cfg), cfg.q,
+                       np.random.Generator(np.random.PCG64(train_ss)),
+                       spec.n_actions, training_reward(cfg, spec, accs))
 
         def policy(draw: Scenario) -> int:
             return q.greedy_action(encode_state(draw, cfg.q), spec.n_actions)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,8 +232,8 @@ class LossSpec:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be > 0, got {self.temperature}")
+        if not 0 < self.temperature < math.inf:
+            raise ValueError(f"temperature must be finite and > 0, got {self.temperature}")
 
 
 def init_net(arch: NetArch, in_dim: int, num_classes: int,
@@ -291,8 +292,8 @@ def _backprop(p: NetParams, hs, dlogits=None, dfeatures=None) -> NetParams:
 
 def softened_probs(logits, temperature: float) -> np.ndarray:
     """Softmax of logits / T, log-sum-exp stabilized."""
-    if temperature <= 0:
-        raise ValueError(f"temperature must be > 0, got {temperature}")
+    if not 0 < temperature < math.inf:
+        raise ValueError(f"temperature must be finite and > 0, got {temperature}")
     z = np.atleast_2d(np.asarray(logits, dtype=float)) / temperature
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)

@@ -1,17 +1,23 @@
 """Tabular Q-learning over the joint discrete action (x, m) for all users.
 
-Each episode is one-shot: a scenario is drawn, the agent picks a joint
-offload/model action for every user, and the reward is the negated total
-cost with the continuous resources split optimally, which the allocator's
-closed form gives without computing the split.
-The successor state is terminal, so the update moves Q(s, a) toward the
-reward alone: there is no bootstrap term and no discount.
+Each episode is one-shot: a draw of the users' parameters arrives with
+its state key, the agent picks a joint offload/model action for every
+user, and the reward is the negated total cost with the continuous
+resources split optimally, which the allocator's closed form gives
+without computing the split.  The successor state is terminal, so the
+update moves Q(s, a) toward the reward alone: there is no bootstrap term
+and no discount.
 
-On one fixed scenario, the per-user terms of every (x, m) digit are built
-once, and `fixed_scenario_reward` and `exhaustive_optimum` both score
-actions from those tables.  The training loop encodes a scenario's state
-only when the sampler hands it a different scenario object than the
-previous episode; scenarios are frozen, so reusing the key is exact.
+A training draw (`Draw`) holds only what varies between episodes: each
+user's CPU frequency and distance, and the spectral efficiency of the
+one channel gain per user that `make_draw` computes and that also gives
+the state key.  `digit_reward` is the one scorer: it builds the
+user-independent factors of every (x, m) digit once per template, and
+an action's reward adds, for each user's picked digit, the terms those
+factors give at the user's f_loc and efficiency.  `fixed_scenario_reward`
+is its case where the draw never changes: the terms of every digit are
+then tabulated once, and `exhaustive_optimum` scores every action from
+the same tables.
 
 The table is a hash map and missing entries read as 0, which doubles as
 optimistic initialization when rewards are negative.  The greedy argmax
@@ -28,11 +34,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .allocator import cost_from_sums, decision_cost, user_terms
+from .allocator import cost_from_sums, decision_cost, digit_factors
 from .model import Decision, InfeasibleError, Scenario, channel_gain
 
 logger = logging.getLogger(__name__)
@@ -190,15 +196,57 @@ def _quantize(value: float, lo: float, hi: float, bins: int) -> int:
     return min(max(idx, 0), bins - 1)
 
 
+def _user_state(f_loc: float, h: float, cfg: QConfig) -> tuple[int, int]:
+    return (_quantize(f_loc, cfg.f_range[0], cfg.f_range[1], cfg.f_bins),
+            _quantize(math.log10(h), cfg.h_log_range[0], cfg.h_log_range[1], cfg.h_bins))
+
+
 def encode_state(sc: Scenario, cfg: QConfig) -> StateKey:
     """Quantized (f_loc bin, gain bin) per user; gain binned in log10."""
-    key = []
-    for u in sc.users:
-        fb = _quantize(u.f_loc, cfg.f_range[0], cfg.f_range[1], cfg.f_bins)
-        h = channel_gain(u.d, sc.channel)
-        hb = _quantize(math.log10(h), cfg.h_log_range[0], cfg.h_log_range[1], cfg.h_bins)
-        key.append((fb, hb))
-    return tuple(key)
+    return tuple(_user_state(u.f_loc, channel_gain(u.d, sc.channel), cfg) for u in sc.users)
+
+
+class Draw(NamedTuple):
+    """One training episode's users: CPU frequency, distance and spectral
+    efficiency log2(1 + p h / n0) per user; everything else is the
+    template's."""
+
+    f_loc: tuple[float, ...]
+    d: tuple[float, ...]
+    eff: tuple[float, ...]
+
+
+def make_draw(template: Scenario, f_loc: Sequence[float], d: Sequence[float],
+              cfg: QConfig) -> tuple[StateKey, Draw]:
+    """(state key, Draw) of template's users at CPU frequencies f_loc and
+    distances d.  Each user's channel gain is computed once and gives both
+    its state-key component, as in encode_state, and its efficiency, as in
+    user_terms."""
+    ch = template.channel
+    key, eff = [], []
+    for u, f, dist in zip(template.users, f_loc, d):
+        h = channel_gain(dist, ch)
+        key.append(_user_state(f, h, cfg))
+        eff.append(math.log2(1.0 + u.p * h / ch.n0))
+    return tuple(key), Draw(tuple(f_loc), tuple(d), tuple(eff))
+
+
+def scenario_sampler(sample: Callable[[np.random.Generator], Scenario], cfg: QConfig
+                     ) -> Callable[[np.random.Generator], tuple[StateKey, Scenario]]:
+    """A train_loop sampler over the scenarios sample(rng) returns: each
+    comes with its state key, encoded only when sample returns another
+    object than the previous call (scenarios are frozen, so reusing the
+    key is exact)."""
+    last = key = None
+
+    def sampler(rng: np.random.Generator) -> tuple[StateKey, Scenario]:
+        nonlocal last, key
+        sc = sample(rng)
+        if sc is not last:
+            key, last = encode_state(sc, cfg), sc
+        return key, sc
+
+    return sampler
 
 
 def action_count(sc: Scenario) -> int:
@@ -263,60 +311,115 @@ def reward(sc: Scenario, a: int, acc_by_model: Sequence[tuple[float, float]]) ->
     return decision_reward(sc, decode_action(a, sc.n_users, len(sc.catalog)), acc_by_model)
 
 
-def _digit_terms(sc: Scenario, acc_by_model: Sequence[tuple[float, float]]
+def joint_digits(n_models: int) -> tuple[tuple[int, int], ...]:
+    """(x, m) of each digit k = x * |M| + m of the joint action."""
+    return tuple(divmod(k, n_models) for k in range(2 * n_models))
+
+
+def _digit_factors(sc: Scenario, acc_by_model: Sequence[tuple[float, float]],
+                   digits: Sequence[tuple[int, int]]
+                   ) -> list[tuple[float, float, float, float, float]]:
+    """Per digit (x, m): (alpha_d x mu, beta_c server_mu,
+    sqrt(alpha_d server_mu), alpha_d (x theta_l + theta_s), accuracy reward)."""
+    gains = _model_gains(sc, acc_by_model)
+    factors = []
+    for x, m in digits:
+        a, b, c, num = digit_factors(sc, x, m)
+        factors.append((a, b, math.sqrt(c), num, gains[m]))
+    return factors
+
+
+def _digit_terms(sc: Scenario, acc_by_model: Sequence[tuple[float, float]],
+                 digits: Sequence[tuple[int, int]]
                  ) -> list[list[tuple[float, float, float, float]]]:
     """terms[i][k] = (const_i, sqrt(c_i), sqrt(d_i), accuracy reward) of
-    user i picking digit k = x * |M| + m.  Raises InfeasibleError for a
-    user with zero spectral efficiency, whatever it picks."""
-    n_models = len(sc.catalog)
-    gains = _model_gains(sc, acc_by_model)
+    user i picking digits[k], equal to user_terms bit for bit.  Raises
+    InfeasibleError for a user with zero spectral efficiency, whatever it
+    picks."""
+    factors = _digit_factors(sc, acc_by_model, digits)
+    ch = sc.channel
     terms = []
-    for i in range(sc.n_users):
-        row = []
-        for k in range(2 * n_models):
-            x, m = divmod(k, n_models)
-            const, c, d = user_terms(sc, i, x, m)
-            row.append((const, math.sqrt(c), math.sqrt(d), gains[m]))
-        terms.append(row)
+    for u in sc.users:
+        eff = math.log2(1.0 + u.p * channel_gain(u.d, ch) / ch.n0)
+        if eff <= 0:
+            raise InfeasibleError(f"user {u.id} has zero spectral efficiency")
+        terms.append([(a / u.f_loc + b, root_c, math.sqrt(num / eff), g)
+                      for a, b, root_c, num, g in factors])
     return terms
+
+
+def digit_reward(template: Scenario, acc_by_model: Sequence[tuple[float, float]],
+                 digits: Sequence[tuple[int, int]], penalty: float = INFEASIBLE_REWARD,
+                 fixed: bool = False) -> Callable[[Draw, int], float]:
+    """decision_reward as a reward_fn(draw, a) for train_loop: the base
+    len(digits) digits of action a, lowest first, pick each user's (x, m)
+    from digits.
+
+    The user-independent factors of every digit are built once.  For a
+    Draw of template's users, the reward adds each user's terms of its
+    picked digit: alpha_d x mu / f_loc + beta_c server_mu,
+    sqrt(alpha_d server_mu) and sqrt(alpha_d (x theta_l + theta_s) / eff).
+    With fixed=True the draw never changes: reward_fn scores only the
+    template itself, whose terms of every digit are tabulated once.
+
+    The terms are added user by user, in decision_cost's order and with
+    user_terms' operations, and the picked gains go through the builtin
+    sum, as in decision_reward, so every reward equals decision_reward bit
+    for bit on any interpreter (from Python 3.12 on, sum() of floats is
+    compensated).  A user with zero spectral efficiency makes every action
+    earn `penalty`; any other error (alpha_d = 0 included) propagates,
+    here at construction.
+    """
+    radix = len(digits)
+    if fixed:
+        try:
+            terms = _digit_terms(template, acc_by_model, digits)
+        except InfeasibleError:
+            terms = None
+
+        def fixed_reward(draw: Scenario, a: int) -> float:
+            if draw is not template:
+                raise ValueError("a fixed digit_reward scores only the scenario it was built for")
+            if terms is None:
+                return penalty
+            s_const = s_root_c = s_root_d = 0.0
+            gains = []
+            for row in terms:
+                const, root_c, root_d, g = row[a % radix]
+                a //= radix
+                s_const += const
+                s_root_c += root_c
+                s_root_d += root_d
+                gains.append(g)
+            return -(cost_from_sums(template, s_const, s_root_c, s_root_d) - sum(gains))
+
+        return fixed_reward
+
+    factors = _digit_factors(template, acc_by_model, digits)
+
+    def reward_fn(draw: Draw, a: int) -> float:
+        s_const = s_root_c = s_root_d = 0.0
+        gains = []
+        for f_loc, eff in zip(draw.f_loc, draw.eff):
+            if eff <= 0:
+                return penalty
+            fa, fb, root_c, num, g = factors[a % radix]
+            a //= radix
+            s_const += fa / f_loc + fb
+            s_root_c += root_c
+            s_root_d += math.sqrt(num / eff)
+            gains.append(g)
+        return -(cost_from_sums(template, s_const, s_root_c, s_root_d) - sum(gains))
+
+    return reward_fn
 
 
 def fixed_scenario_reward(sc: Scenario, acc_by_model: Sequence[tuple[float, float]]
                           ) -> Callable[[Scenario, int], float]:
-    """reward(sc, a, acc_by_model) as a reward_fn(draw, a) for train_loop
-    on the one scenario sc, with the per-user terms built once.
-
-    Action a's digits pick one row of each user's table.  The cost terms
-    are added user by user, in decision_cost's order, and the picked
-    gains go through the builtin sum, as in decision_reward, so every
-    reward equals reward() bit for bit on any interpreter (from Python
-    3.12 on, sum() of floats is compensated).  A user with zero spectral
-    efficiency makes every action earn INFEASIBLE_REWARD; any other error
-    propagates from here.
-    """
-    try:
-        terms = _digit_terms(sc, acc_by_model)
-    except InfeasibleError:
-        terms = None
-    radix = 2 * len(sc.catalog)
-
-    def reward_fn(draw: Scenario, a: int) -> float:
-        if draw is not sc:
-            raise ValueError("fixed_scenario_reward scores only the scenario it was built for")
-        if terms is None:
-            return INFEASIBLE_REWARD
-        s_const = s_root_c = s_root_d = 0.0
-        gains = []
-        for row in terms:
-            const, root_c, root_d, g = row[a % radix]
-            a //= radix
-            s_const += const
-            s_root_c += root_c
-            s_root_d += root_d
-            gains.append(g)
-        return -(cost_from_sums(sc, s_const, s_root_c, s_root_d) - sum(gains))
-
-    return reward_fn
+    """reward(sc, a, acc_by_model) as a reward_fn(sc, a) for train_loop on
+    the one scenario sc: digit_reward's fixed-draw case over the joint
+    action."""
+    return digit_reward(sc, acc_by_model, joint_digits(len(sc.catalog)), fixed=True)
 
 
 def update(q: QTable, s: StateKey, a: int, r: float, cfg: QConfig) -> float:
@@ -332,28 +435,26 @@ def update(q: QTable, s: StateKey, a: int, r: float, cfg: QConfig) -> float:
     return new
 
 
-def train_loop(sampler: Callable[[np.random.Generator], Scenario],
+def train_loop(sampler: Callable[[np.random.Generator], tuple[StateKey, object]],
                cfg: QConfig, rng: np.random.Generator, n_actions: int,
-               reward_fn: Callable[[Scenario, int], float]) -> QTable:
-    """Train a table agent over actions 0..n_actions-1 on a scenario
-    distribution; every agent in the package trains here.
+               reward_fn: Callable[[object, int], float]) -> QTable:
+    """Train a table agent over actions 0..n_actions-1 on a distribution
+    of draws; every agent in the package trains here.
 
-    Each episode draws a scenario, picks an action epsilon-greedily and
-    moves its entry toward reward_fn(scenario, action).  The sampler must
-    keep the user count and catalog fixed; only the per-user parameters
-    may vary between episodes.  The state key is reused while the sampler
-    returns the same scenario object as the previous episode (scenarios
-    are frozen) and computed afresh for any other.  Fully deterministic
-    for a fixed rng seed.
+    Each episode takes a (state key, draw) pair from sampler(rng), picks
+    an action epsilon-greedily for that key and moves its entry toward
+    reward_fn(draw, action).  The sampler owns the key: make_draw computes
+    it from the same channel gains that the draw's efficiencies come from,
+    and scenario_sampler encodes a scenario only when it changes.  A draw
+    is whatever the reward_fn scores: a Draw for the experiment methods,
+    the one Scenario for fixed_scenario_reward.  Fully deterministic for a
+    fixed rng seed.
     """
     q = QTable()
-    last = s = None
     for ep in range(cfg.episodes):
-        sc = sampler(rng)
-        if sc is not last:
-            s, last = encode_state(sc, cfg), sc
+        s, draw = sampler(rng)
         a = select_action(q, s, cfg.epsilon_at(ep), rng, n_actions)
-        update(q, s, a, reward_fn(sc, a), cfg)
+        update(q, s, a, reward_fn(draw, a), cfg)
     return q
 
 
@@ -374,7 +475,8 @@ def exhaustive_optimum(sc: Scenario, acc_by_model: Sequence[tuple[float, float]]
             f"action space {n} exceeds the enumeration cap {cap}; "
             "reduce users or catalog size")
     # (4, N, 2|M|): const, sqrt c, sqrt d, gain
-    tables = np.array(_digit_terms(sc, acc_by_model)).transpose(2, 0, 1)
+    tables = np.array(_digit_terms(sc, acc_by_model, joint_digits(len(sc.catalog))))
+    tables = tables.transpose(2, 0, 1)
     # Action a = sum_i k_i * (2|M|)^i: user i enters as the leading digit.
     sums = tables[:, 0, :]
     for i in range(1, sc.n_users):

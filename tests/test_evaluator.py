@@ -4,19 +4,32 @@ decision_cost and exhaustive_optimum score decisions from per-user sums
 without computing a split; allocate + objective is the independent route
 they must agree with, on random instances that reach both bandwidth
 branches and a zero bandwidth price.  fixed_scenario_reward, the scorer
-train-q trains with, must equal reward() bit for bit on every action.
+train-q trains with, must equal reward() bit for bit on every action, and
+the rewards the experiment methods train on must equal action_reward on
+the same seeded draws.  The allocator's symmetries and monotonicities and
+the config round-trip are checked on the same random instances.
 """
 
 import dataclasses
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 
 from fedkd.accuracy import DEFAULT_TABLE, acc_pair
 from fedkd.allocator import allocate, build_problem, decision_cost
 from fedkd import experiment
-from fedkd.experiment import ExperimentConfig, action_reward, method_spec, run_experiment
+from fedkd.config import dump_scenario, load_scenario
+from fedkd.experiment import (
+    ExperimentConfig,
+    action_reward,
+    method_spec,
+    run_experiment,
+    sample_scenario,
+    training_reward,
+    training_sampler,
+)
 from fedkd.model import (
     Decision,
     InfeasibleError,
@@ -38,6 +51,7 @@ from fedkd.qlearn import (
     encode_decision,
     exhaustive_optimum,
     fixed_scenario_reward,
+    make_draw,
     reward,
 )
 
@@ -235,9 +249,11 @@ def test_training_reward_of_an_infeasible_action_is_the_configured_penalty(metho
         return QTable()
 
     monkeypatch.setattr(experiment, "train_loop", record)
-    run_experiment(ExperimentConfig(scenario=sc, method=method, trials=0, penalty=-7.0))
+    cfg = ExperimentConfig(scenario=sc, method=method, trials=0, penalty=-7.0)
+    run_experiment(cfg)
     assert len(calls) == 1
-    assert calls[0](sc, 0) == -7.0
+    _, draw = make_draw(sc, [u.f_loc for u in sc.users], [u.d for u in sc.users], cfg.q)
+    assert calls[0](draw, 0) == -7.0
 
 
 @pytest.mark.parametrize("route", ["reward", "scorer", "xonly"])
@@ -258,3 +274,113 @@ def test_qonly_scoring_errors_other_than_infeasibility_propagate():
     with pytest.raises(ValueError, match="acc_own") as info:
         action_reward(sc, spec, 0, [(1.5, 0.5)] * len(sc.catalog), -7.0)
     assert not isinstance(info.value, InfeasibleError)
+
+
+# ---------------------------------------------------------------------------
+# the training rewards of the experiment methods
+
+
+@seed(20231106)
+@settings(max_examples=60, deadline=None, database=None)
+@given(instances(n_users=st.integers(1, 3), n_models=st.integers(1, 3)),
+       st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_training_rewards_equal_action_reward_bit_for_bit_on_seeded_draws(inst, draw_seed,
+                                                                          stranded):
+    """Each learning method's training reward of a Draw equals action_reward
+    on the Scenario that sample_scenario draws from the same seed, for
+    random templates: unequal p, zero and positive bandwidth prices, a
+    one-model catalog, and (stranded) a user whose spectral efficiency
+    rounds to zero, which makes every action earn the penalty."""
+    sc, _, accs, _ = inst
+    if stranded:
+        weak = dataclasses.replace(sc.users[0], p=1e-300)
+        sc = dataclasses.replace(sc, users=(weak,) + sc.users[1:])
+    for method in ("proposed", "fl-min", "fl-max", "q-only"):
+        cfg = ExperimentConfig(scenario=sc, method=method, penalty=-7.0)
+        spec = method_spec(cfg)
+        reward_fn, sampler = training_reward(cfg, spec, accs), training_sampler(cfg)
+        rng, ref_rng, pick = (np.random.Generator(np.random.PCG64(draw_seed)) for _ in range(3))
+        for _ in range(2):
+            _, draw = sampler(rng)
+            ref = sample_scenario(sc, ref_rng, cfg.f_loc_range, cfg.d_range)
+            actions = (range(spec.n_actions) if spec.n_actions <= 64
+                       else pick.integers(spec.n_actions, size=64).tolist())
+            got = [reward_fn(draw, a) for a in actions]
+            assert [r.hex() for r in got] == [
+                action_reward(ref, spec, a, accs, cfg.penalty).hex() for a in actions]
+            if stranded and method != "q-only":
+                assert set(got) == {-7.0}
+
+
+# ---------------------------------------------------------------------------
+# allocator symmetries and monotonicities, config round-trip
+
+
+def _shares(sc, dec):
+    al = allocate(sc, dec).allocation
+    return al.f, al.b
+
+
+@seed(20231107)
+@PROPERTY_SETTINGS
+@given(instances(), st.randoms(use_true_random=False))
+def test_permuting_users_permutes_the_split(inst, rnd):
+    sc, dec, _, _ = inst
+    perm = list(range(sc.n_users))
+    rnd.shuffle(perm)
+    moved = dataclasses.replace(sc, users=tuple(sc.users[i] for i in perm))
+    f, b = _shares(sc, dec)
+    pf, pb = _shares(moved, Decision(x=[dec.x[i] for i in perm], m=[dec.m[i] for i in perm]))
+    assert pf == pytest.approx([f[i] for i in perm], rel=1e-12)
+    assert pb == pytest.approx([b[i] for i in perm], rel=1e-12)
+
+
+@seed(20231108)
+@PROPERTY_SETTINGS
+@given(instances(), _floats(0.1, 10.0))
+def test_scaling_f_ser_scales_f(inst, k):
+    sc, dec, _, _ = inst
+    scaled = dataclasses.replace(sc, server=dataclasses.replace(sc.server,
+                                                                f_ser=k * sc.server.f_ser))
+    f, b = _shares(sc, dec)
+    kf, kb = _shares(scaled, dec)
+    assert kf == pytest.approx([k * v for v in f], rel=1e-12)
+    assert kb == b
+
+
+@seed(20231109)
+@PROPERTY_SETTINGS
+@given(instances(), _floats(0.1, 1.0))
+def test_scaling_a_binding_b_max_scales_b(inst, k):
+    """A budget that binds still binds when it shrinks (S_d >= b_max sqrt(delta_b))."""
+    sc, dec, _, branch = inst
+    assume(branch != "interior")
+    scaled = dataclasses.replace(sc, server=dataclasses.replace(sc.server,
+                                                                b_max=k * sc.server.b_max))
+    f, b = _shares(sc, dec)
+    kf, kb = _shares(scaled, dec)
+    assert kb == pytest.approx([k * v for v in b], rel=1e-12)
+    assert sum(kb) == pytest.approx(scaled.server.b_max, rel=1e-12)
+    assert kf == f
+
+
+@seed(20231110)
+@PROPERTY_SETTINGS
+@given(instances(n_users=st.integers(1, 3), n_models=st.integers(1, 3)),
+       _floats(1.0, 10.0), _floats(1.0, 10.0))
+def test_optimum_never_rises_with_more_server_resources(inst, kf, kb):
+    sc, _, accs, _ = inst
+    _, base = exhaustive_optimum(sc, accs)
+    for server in (ServerSpec(f_ser=kf * sc.server.f_ser, b_max=sc.server.b_max),
+                   ServerSpec(f_ser=sc.server.f_ser, b_max=kb * sc.server.b_max),
+                   ServerSpec(f_ser=kf * sc.server.f_ser, b_max=kb * sc.server.b_max)):
+        _, richer = exhaustive_optimum(dataclasses.replace(sc, server=server), accs)
+        assert richer <= base + 1e-12 * abs(base)
+
+
+@seed(20231111)
+@PROPERTY_SETTINGS
+@given(instances())
+def test_config_dump_load_round_trips_random_scenarios(inst):
+    sc = inst[0]
+    assert load_scenario(dump_scenario(sc)) == sc

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -43,6 +44,19 @@ class TestSampling:
         a = sample_scenario(template, rng, (1.0, 1.0), (50.0, 50.0))
         b = sample_scenario(template, rng, (1.0, 1.0), (50.0, 50.0))
         assert a == b
+
+
+class TestRanges:
+    @pytest.mark.parametrize("field", ["f_loc_range", "d_range"])
+    @pytest.mark.parametrize("bad", [(-1.0, 2.0), (math.nan, 2.0), (2.0, 1.0), (0.5, math.inf)])
+    def test_bad_range_rejected_naming_the_field(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(scenario=default_scenario(), **{field: bad})
+
+    @pytest.mark.parametrize("field", ["f_loc_range", "d_range"])
+    def test_degenerate_range_accepted(self, field):
+        cfg = ExperimentConfig(scenario=default_scenario(), **{field: (1.5, 1.5)})
+        assert getattr(cfg, field) == (1.5, 1.5)
 
 
 class TestQOnlyCoding:

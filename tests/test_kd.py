@@ -97,6 +97,18 @@ class TestSoftenedProbs:
         with pytest.raises(ValueError):
             softened_probs(np.zeros(3), 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_temperature_rejected(self, bad):
+        with pytest.raises(ValueError, match="temperature") as err:
+            softened_probs(np.zeros(3), bad)
+        assert repr(bad) in str(err.value)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_loss_spec_temperature_rejected(self, bad):
+        with pytest.raises(ValueError, match="temperature") as err:
+            LossSpec("kd", temperature=bad)
+        assert repr(bad) in str(err.value)
+
 
 class TestKLDivergence:
     def test_point_mass_against_uniform(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import math
@@ -9,8 +10,25 @@ from fedkd import qlearn
 from fedkd.accuracy import DEFAULT_TABLE, acc_pair
 from fedkd.cli import main
 from fedkd.config import scenario_from_dict
-from fedkd.experiment import ExperimentConfig, action_reward, method_spec, sample_scenario
-from fedkd.model import Decision, ObjectiveWeights, TeacherSpec, default_scenario
+from fedkd.experiment import (
+    ExperimentConfig,
+    action_reward,
+    method_spec,
+    run_experiment,
+    sample_scenario,
+    training_reward,
+    training_sampler,
+)
+from fedkd.model import (
+    DEFAULT_CATALOG,
+    Decision,
+    ObjectiveWeights,
+    Scenario,
+    TeacherSpec,
+    UserSpec,
+    channel_gain,
+    default_scenario,
+)
 from fedkd.qlearn import (
     EXHAUSTIVE_CAP,
     QConfig,
@@ -22,6 +40,7 @@ from fedkd.qlearn import (
     exhaustive_optimum,
     fixed_scenario_reward,
     reward,
+    scenario_sampler,
     select_action,
     train_loop,
     update,
@@ -36,7 +55,7 @@ def kd_accs(sc):
 
 def train_static(sc, cfg, rng, accs):
     """The joint offload/model agent trained on one fixed scenario."""
-    return train_loop(lambda _r: sc, cfg, rng, action_count(sc),
+    return train_loop(scenario_sampler(lambda _r: sc, cfg), cfg, rng, action_count(sc),
                       lambda draw, a: reward(draw, a, accs))
 
 
@@ -355,8 +374,9 @@ class TestQTableIO:
 
 
 def train_encoding_every_episode(sampler, cfg, rng, n_actions, reward_fn):
-    """Reference training loop that computes the state key afresh every
-    episode; also returns the scenarios the sampler drew."""
+    """Reference training loop over a Scenario sampler that computes the
+    state key afresh every episode; also returns the scenarios the sampler
+    drew."""
     q, draws = QTable(), []
     for ep in range(cfg.episodes):
         sc = sampler(rng)
@@ -368,7 +388,7 @@ def train_encoding_every_episode(sampler, cfg, rng, n_actions, reward_fn):
 
 
 def count_encodes(monkeypatch):
-    """Record every scenario train_loop encodes."""
+    """Record every scenario that qlearn encodes."""
     encoded = []
 
     def counting(sc, cfg):
@@ -384,7 +404,8 @@ class TestFixedScenarioTraining:
         sc = make_scenario(seed=12)
         accs = kd_accs(sc)
         cfg = QConfig(episodes=3000)
-        tables = [train_loop(lambda _r: sc, cfg, np.random.Generator(np.random.PCG64(4)),
+        tables = [train_loop(scenario_sampler(lambda _r: sc, cfg),
+                             cfg, np.random.Generator(np.random.PCG64(4)),
                              action_count(sc), reward_fn)
                   for reward_fn in (fixed_scenario_reward(sc, accs),
                                     lambda draw, a: reward(draw, a, accs))]
@@ -410,7 +431,8 @@ class TestFixedScenarioTraining:
         ref, draws = train_encoding_every_episode(
             sampler, cfg, np.random.Generator(np.random.PCG64(6)), n, reward_fn)
         encoded = count_encodes(monkeypatch)
-        q = train_loop(sampler, cfg, np.random.Generator(np.random.PCG64(6)), n, reward_fn)
+        q = train_loop(scenario_sampler(sampler, cfg), cfg,
+                       np.random.Generator(np.random.PCG64(6)), n, reward_fn)
         assert list(q.entries()) == list(ref.entries())
         changes = [sc for prev, sc in zip([None] + draws, draws) if sc is not prev]
         assert encoded == changes
@@ -436,6 +458,81 @@ class TestFixedScenarioTraining:
         assert sum(n for *_, n in table.entries()) == 25
         summary = json.loads((out / "train_summary.json").read_text(encoding="utf-8"))
         assert len(summary["greedy_x"]) == 7
+
+
+def custom_template():
+    """Three users with unequal p, a two-model subset of the stock catalog
+    and a zero bandwidth price, so the bandwidth budget always binds."""
+    users = tuple(UserSpec(id=i, f_loc=1.0, d=50.0, p=p) for i, p in enumerate((0.05, 0.1, 0.4)))
+    base = default_scenario()
+    return Scenario(users=users, server=base.server, channel=base.channel,
+                    catalog=(DEFAULT_CATALOG[0], DEFAULT_CATALOG[3]), teacher=base.teacher,
+                    weights=ObjectiveWeights(delta_b=0.0))
+
+
+class TestTrainingDraws:
+    @pytest.mark.parametrize("template", ["stock", "custom"])
+    @pytest.mark.parametrize("method", ["proposed", "q-only", "fl-min", "fl-max"])
+    def test_training_equals_redrawn_scenarios_encoded_every_episode(self, method, template):
+        sc = default_scenario() if template == "stock" else custom_template()
+        cfg = ExperimentConfig(scenario=sc, method=method, seed=3,
+                               q=QConfig(f_bins=2, h_bins=2, episodes=500))
+        spec = method_spec(cfg)
+        accs = [acc_pair(DEFAULT_TABLE, m.name, spec.accuracy, cfg.distribution)
+                for m in sc.catalog]
+        ref, _ = train_encoding_every_episode(
+            lambda r: sample_scenario(sc, r, cfg.f_loc_range, cfg.d_range), cfg.q,
+            np.random.Generator(np.random.PCG64(9)), spec.n_actions,
+            lambda draw, a: action_reward(draw, spec, a, accs, cfg.penalty))
+        q = train_loop(training_sampler(cfg), cfg.q, np.random.Generator(np.random.PCG64(9)),
+                       spec.n_actions, training_reward(cfg, spec, accs))
+        assert list(q.entries()) == list(ref.entries())
+        assert q.states > 1
+
+    def test_every_draw_gets_its_own_key_from_one_gain_per_user(self, monkeypatch):
+        sc = custom_template()
+        cfg = ExperimentConfig(scenario=sc, q=QConfig(f_bins=3, h_bins=3))
+        ref_rng = np.random.Generator(np.random.PCG64(11))
+        refs = [sample_scenario(sc, ref_rng, cfg.f_loc_range, cfg.d_range) for _ in range(300)]
+        ref_keys = [encode_state(ref, cfg.q) for ref in refs]
+        gains = []
+
+        def counting_gain(d, ch):
+            gains.append(d)
+            return channel_gain(d, ch)
+
+        monkeypatch.setattr(qlearn, "channel_gain", counting_gain)
+        sampler = training_sampler(cfg)
+        rng = np.random.Generator(np.random.PCG64(11))
+        for k, (ref, ref_key) in enumerate(zip(refs, ref_keys)):
+            key, draw = sampler(rng)
+            assert key == ref_key
+            assert draw.f_loc == tuple(u.f_loc for u in ref.users)
+            assert draw.d == tuple(u.d for u in ref.users)
+            assert gains[k * sc.n_users:] == list(draw.d)
+        assert len(set(ref_keys)) > 1
+
+    def test_draw_outside_the_state_range_logs_the_clamp(self, caplog):
+        cfg = ExperimentConfig(scenario=default_scenario(), f_loc_range=(2.5, 3.0),
+                               q=QConfig(f_range=(0.5, 2.0)))
+        with caplog.at_level(logging.WARNING, logger="fedkd.qlearn"):
+            key, _ = training_sampler(cfg)(np.random.Generator(np.random.PCG64(0)))
+        assert [f_bin for f_bin, _ in key] == [cfg.q.f_bins - 1] * 4
+        assert any("clamped" in rec.message for rec in caplog.records)
+
+    @pytest.mark.parametrize("method", ["proposed", "fl-min", "fl-max"])
+    def test_zero_delay_weight_still_raises_for_the_convex_methods(self, method):
+        weights = ObjectiveWeights(alpha_d=0.0)
+        cfg = ExperimentConfig(scenario=make_scenario(n_users=2, weights=weights),
+                               method=method, trials=2, q=QConfig(episodes=10))
+        with pytest.raises(ValueError, match="alpha_d must be > 0"):
+            run_experiment(cfg)
+
+    def test_zero_delay_weight_still_runs_q_only(self):
+        weights = ObjectiveWeights(alpha_d=0.0)
+        cfg = ExperimentConfig(scenario=make_scenario(n_users=2, weights=weights),
+                               method="q-only", trials=2, q=QConfig(episodes=50))
+        assert len(run_experiment(cfg).trials) == 2
 
 
 FUZZ_STATES = (((0, 0),), ((0, 1),), ((1, 1),))
@@ -507,11 +604,12 @@ class TestCachedArgmax:
                 for m in cfg.scenario.catalog]
         qcfg = QConfig(f_bins=2, h_bins=2, episodes=1500)
 
+        cfg = dataclasses.replace(cfg, q=qcfg)
+
         def run():
-            return train_loop(
-                lambda r: sample_scenario(cfg.scenario, r, cfg.f_loc_range, cfg.d_range),
-                qcfg, np.random.Generator(np.random.PCG64(7)), spec.n_actions,
-                lambda sc, a: action_reward(sc, spec, a, accs, cfg.penalty))
+            return train_loop(training_sampler(cfg), qcfg,
+                              np.random.Generator(np.random.PCG64(7)), spec.n_actions,
+                              training_reward(cfg, spec, accs))
 
         fast, slow = train_both(monkeypatch, run)
         assert list(fast.entries()) == list(slow.entries())
@@ -521,7 +619,8 @@ class TestCachedArgmax:
         sc = make_scenario(n_users=2, n_models=2)
         accs = kd_accs(sc)
         n = action_count(sc)
-        q = train_loop(lambda r: sample_scenario(sc, r), QConfig(episodes=600),
+        cfg = QConfig(episodes=600)
+        q = train_loop(scenario_sampler(lambda r: sample_scenario(sc, r), cfg), cfg,
                        np.random.Generator(np.random.PCG64(2)), n,
                        lambda draw, a: reward(draw, a, accs))
         q.save(tmp_path / "table.tsv")
