@@ -14,6 +14,11 @@
 # catalog, and a zero bandwidth price (delta_b = 0), so the bandwidth
 # budget binds on every decision.  train-q, the four learning methods and
 # exhaustive run on it too, and one experiment uses the iid accuracies.
+#
+# kd runs twice at the stock 600 epochs and once at 50, where the teacher
+# still trains for 400 epochs and the students for 50.  The stdout of
+# demos/04_toy_distillation.py (beside SRC_DIR) covers fedsgd_round and is
+# written to OUT_DIR/demo-04-toy-distillation.txt.
 set -euo pipefail
 
 if [ "$#" -ne 2 ]; then
@@ -68,3 +73,6 @@ fedkd experiment --method proposed --distribution iid --seed 29 --trials 40 \
 for s in 0 7; do
     fedkd kd-demo --seed "$s" --epochs 600 --out "$out/kd-$s"
 done
+fedkd kd-demo --seed 3 --epochs 50 --out "$out/kd-3-epochs50"
+PYTHONPATH="$src" OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 \
+    python3 "$src/../demos/04_toy_distillation.py" > "$out/demo-04-toy-distillation.txt"

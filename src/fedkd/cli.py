@@ -116,9 +116,8 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_kd_demo(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     result = kd_demo(seed=args.seed, epochs=args.epochs)
+    out = Path(args.out)
     _write(out / "blob_spec.json", result["spec"].to_json() + "\n")
     _write(out / "teacher_params.json", result["teacher"].to_json() + "\n")
     _write(out / "student_hard_params.json", result["student_hard"].to_json() + "\n")
@@ -138,6 +137,8 @@ def kd_demo(seed: int = 0, epochs: int = 600) -> dict:
     trained on that private shard: plain hard-label training, softened
     distillation, and feature-matching distillation with classifier reuse.
     """
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
     spec = kd.BlobSpec(seed=seed)
     train_set, test_set = kd.make_train_test(spec, train_per_class=60, test_per_class=60)
     half = spec.num_classes // 2

@@ -16,10 +16,19 @@ Data is synthetic Gaussian class blobs; Non-IID clients get disjoint
 label subsets.  Networks are a 1-2 layer tanh encoder plus one linear
 classifier layer.
 
-Gradients are NetParams in the same layout, so a step or an aggregate
-is one elementwise pass over arrays().  Parameters are checked where
-they enter (the constructor, from_json) and once where a training run
-returns them; the steps in between build them unchecked.
+The parameters of a network are named views into one contiguous float64
+buffer, NetParams.flat, in arrays() order; a gradient is a NetParams of
+the same layout.  A training run owns the parameters it initializes and
+one gradient buffer: backprop writes into that buffer, a step is one
+in-place vector update of the parameter buffer, and the FedSGD
+aggregate is one weighted vector sum per client.  What stays fixed for
+the run is built once before its epoch loop: each dataset's label
+indices and one-hot matrix, the teacher's softened log-probabilities
+and probabilities, and the input validation of kd_loss.  Element
+for element these are the same floating-point operations, in the same
+order, as a per-array step that allocates new arrays.  Parameters are
+checked where they enter (the constructor, from_json) and once where a
+training run returns them; the steps in between are unchecked.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,7 +81,11 @@ class ToyDataset:
 
     def __post_init__(self) -> None:
         self.inputs = np.asarray(self.inputs, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=int)
+        labels = np.asarray(self.labels)
+        if labels.dtype.kind == "f" and not (
+                np.isfinite(labels).all() and (labels == np.trunc(labels)).all()):
+            raise ValueError("ToyDataset.labels must be integral class indices")
+        self.labels = np.asarray(labels, dtype=int)
         if self.inputs.ndim != 2 or len(self.inputs) == 0:
             raise ValueError("ToyDataset.inputs must be a non-empty (n, features) array")
         if self.labels.shape != (len(self.inputs),):
@@ -133,12 +146,17 @@ class NetArch:
 
 @dataclass
 class NetParams:
-    """tanh encoder (1-2 hidden layers) plus one linear classifier layer."""
+    """tanh encoder (1-2 hidden layers) plus one linear classifier layer.
+
+    The constructor copies the given arrays into one flat buffer; the four
+    fields are views into it, so writing to a field writes to `flat`.
+    """
 
     weights: tuple     # encoder weight matrices, shapes chaining input -> feature
     biases: tuple
     w_out: np.ndarray  # (feature_dim, num_classes)
     b_out: np.ndarray
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.weights) != len(self.biases) or not self.weights:
@@ -154,9 +172,11 @@ class NetParams:
             raise ValueError("classifier input must equal encoder output width")
         if self.b_out.shape != (self.w_out.shape[1],):
             raise ValueError("classifier bias shape mismatch")
-        for arr in self.arrays():
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("network parameters must be finite")
+        arrays = self.arrays()
+        self._bind(np.concatenate([np.ravel(a) for a in arrays], dtype=float),
+                   [a.shape for a in arrays])
+        if not np.isfinite(self.flat).all():
+            raise ValueError("network parameters must be finite")
 
     @property
     def in_dim(self) -> int:
@@ -173,17 +193,34 @@ class NetParams:
     def arrays(self) -> list[np.ndarray]:
         return [*self.weights, *self.biases, self.w_out, self.b_out]
 
-    @classmethod
-    def _from_arrays(cls, arrays: list[np.ndarray]) -> "NetParams":
-        """Unchecked, from arrays() order: for gradients and training steps."""
-        k = (len(arrays) - 2) // 2
-        p = object.__new__(cls)
-        p.weights, p.biases = tuple(arrays[:k]), tuple(arrays[k:2 * k])
-        p.w_out, p.b_out = arrays[-2], arrays[-1]
-        return p
+    def _bind(self, flat: np.ndarray, shapes) -> None:
+        """Point the fields at consecutive slices of flat, in arrays() order."""
+        views, start = [], 0
+        for shape in shapes:
+            size = math.prod(shape)
+            views.append(flat[start:start + size].reshape(shape))
+            start += size
+        k = (len(views) - 2) // 2
+        self.weights, self.biases = tuple(views[:k]), tuple(views[k:2 * k])
+        self.w_out, self.b_out = views[-2], views[-1]
+        self.flat = flat
+
+    def _with_flat(self, flat: np.ndarray) -> "NetParams":
+        """Unchecked, over the given buffer in this layout: for gradients
+        and copies."""
+        return _unchecked(flat, [a.shape for a in self.arrays()])
+
+    def _zeros_like(self) -> "NetParams":
+        """A zero gradient buffer in this layout."""
+        return self._with_flat(np.zeros_like(self.flat))
 
     def copy(self) -> "NetParams":
-        return NetParams._from_arrays([a.copy() for a in self.arrays()])
+        return self._with_flat(self.flat.copy())
+
+    def __reduce__(self):
+        # pickle and copy would store each view as its own array; a clone
+        # is unchecked, like the gradient it may be
+        return _unchecked, (self.flat.copy(), [a.shape for a in self.arrays()])
 
     def to_json(self) -> str:
         payload = {
@@ -203,6 +240,14 @@ class NetParams:
                    np.asarray(payload["b_out"], dtype=float))
 
 
+def _unchecked(flat: np.ndarray, shapes) -> NetParams:
+    """A NetParams whose fields are views of flat, without the checks of
+    the constructor."""
+    p = object.__new__(NetParams)
+    p._bind(flat, shapes)
+    return p
+
+
 @dataclass
 class Projector:
     """Bias-free linear map from student to teacher feature space."""
@@ -213,6 +258,8 @@ class Projector:
         self.w = np.asarray(self.w, dtype=float)
         if self.w.ndim != 2:
             raise ValueError("Projector.w must be a 2-d matrix")
+        if not np.isfinite(self.w).all():
+            raise ValueError("Projector.w must be finite")
 
     @classmethod
     def identity(cls, dim: int) -> "Projector":
@@ -266,24 +313,29 @@ def net_eval(p: NetParams, x) -> tuple[np.ndarray, np.ndarray]:
     return hs[-1], logits
 
 
-def _backprop(p: NetParams, hs, dlogits=None, dfeatures=None) -> NetParams:
+def _backprop(p: NetParams, hs, g: NetParams | None, dlogits=None,
+              dfeatures=None) -> NetParams:
     """Gradients for a batch given the upstream gradient at the logits
-    (classifier path) or directly at the features (encoder-only path)."""
+    (classifier path) or directly at the features (encoder-only path),
+    written into g (a new zero buffer when g is None).  The encoder-only
+    path gives a zero classifier gradient."""
+    if g is None:
+        g = p._zeros_like()
     if dlogits is not None:
-        gw_out = hs[-1].T @ dlogits
-        gb_out = dlogits.sum(axis=0)
+        np.matmul(hs[-1].T, dlogits, out=g.w_out)
+        np.add.reduce(dlogits, axis=0, out=g.b_out)
         dh = dlogits @ p.w_out.T
     else:
-        gw_out = np.zeros_like(p.w_out)
-        gb_out = np.zeros_like(p.b_out)
+        g.w_out.fill(0.0)
+        g.b_out.fill(0.0)
         dh = dfeatures
-    gws, gbs = [], []
     for layer in reversed(range(len(p.weights))):
         dz = dh * (1.0 - hs[layer + 1] ** 2)   # tanh'
-        gws.append(hs[layer].T @ dz)
-        gbs.append(dz.sum(axis=0))
-        dh = dz @ p.weights[layer].T
-    return NetParams._from_arrays([*reversed(gws), *reversed(gbs), gw_out, gb_out])
+        np.matmul(hs[layer].T, dz, out=g.weights[layer])
+        np.add.reduce(dz, axis=0, out=g.biases[layer])
+        if layer:   # the input layer needs no gradient below it
+            dh = dz @ p.weights[layer].T
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -306,14 +358,29 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
-def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Batch-mean cross-entropy of (n, classes) logits and its gradient."""
-    n = len(logits)
-    log_p = _log_softmax(logits)
-    loss = -log_p[np.arange(n), labels].mean()
-    onehot = np.zeros_like(logits)
+@dataclass(frozen=True)
+class _Labels:
+    """Class labels as positions in the flattened (n, classes) logits and
+    as a one-hot matrix: the constants of the cross-entropy."""
+
+    idx: np.ndarray
+    onehot: np.ndarray
+
+
+def _labels(labels: np.ndarray, num_classes: int) -> _Labels:
+    n = len(labels)
+    if n and (labels.min() < 0 or labels.max() >= num_classes):
+        raise ValueError(f"labels must lie in [0, {num_classes})")
+    onehot = np.zeros((n, num_classes))
     onehot[np.arange(n), labels] = 1.0
-    return float(loss), (np.exp(log_p) - onehot) / n
+    return _Labels(np.arange(n) * num_classes + labels, onehot)
+
+
+def _cross_entropy(logits: np.ndarray, labels: _Labels) -> tuple[float, np.ndarray]:
+    """Batch-mean cross-entropy of (n, classes) logits and its gradient."""
+    log_p = _log_softmax(logits)
+    loss = -log_p.take(labels.idx).mean()
+    return float(loss), (np.exp(log_p) - labels.onehot) / len(logits)
 
 
 def kl_divergence(p, q) -> np.ndarray | float:
@@ -323,6 +390,43 @@ def kl_divergence(p, q) -> np.ndarray | float:
     terms = np.where(p > 0, p * (np.log(np.where(p > 0, p, 1.0))
                                  - np.log(np.where(p > 0, q, 1.0))), 0.0)
     return terms.sum(axis=-1)
+
+
+@dataclass(frozen=True)
+class _KDTargets:
+    """The constants of kd_loss for one teacher and one temperature: the
+    labels and the teacher's softened log-probabilities and probabilities."""
+
+    labels: _Labels
+    log_p_tt: np.ndarray
+    p_tt: np.ndarray
+    temperature: float
+
+
+def _kd_targets(shape: tuple, teacher_logits, labels, temperature: float) -> _KDTargets:
+    """Validated against student logits of the given (n, classes) shape."""
+    z_t = np.atleast_2d(np.asarray(teacher_logits, dtype=float))
+    y = np.atleast_1d(np.asarray(labels, dtype=int))
+    if shape != z_t.shape:
+        raise ValueError(f"student/teacher logit shapes differ: {shape} vs {z_t.shape}")
+    if y.shape != (shape[0],):
+        raise ValueError("labels must have one entry per logit row")
+    log_p_tt = _log_softmax(z_t / temperature)
+    return _KDTargets(_labels(y, shape[1]), log_p_tt, np.exp(log_p_tt), temperature)
+
+
+def _kd_loss(z_s: np.ndarray, targets: _KDTargets) -> tuple[float, np.ndarray]:
+    n = z_s.shape[0]
+    t = targets.temperature
+    p_tt = targets.p_tt
+
+    hard, d_hard = _cross_entropy(z_s, targets.labels)
+    log_p_st = _log_softmax(z_s / t)
+    soft = (p_tt * (targets.log_p_tt - log_p_st)).sum(axis=1).mean()
+
+    loss = hard + t * t * soft
+    grad = d_hard + t * (np.exp(log_p_st) - p_tt) / n
+    return float(loss), grad
 
 
 def kd_loss(student_logits, teacher_logits, labels,
@@ -336,24 +440,8 @@ def kd_loss(student_logits, teacher_logits, labels,
     pointing from teacher to student.  Batch-mean reduction throughout.
     """
     z_s = np.atleast_2d(np.asarray(student_logits, dtype=float))
-    z_t = np.atleast_2d(np.asarray(teacher_logits, dtype=float))
-    y = np.atleast_1d(np.asarray(labels, dtype=int))
-    if z_s.shape != z_t.shape:
-        raise ValueError(f"student/teacher logit shapes differ: {z_s.shape} vs {z_t.shape}")
-    if y.shape != (z_s.shape[0],):
-        raise ValueError("labels must have one entry per logit row")
-    n = z_s.shape[0]
-    t = temperature
-
-    hard, d_hard = _cross_entropy(z_s, y)
-    log_p_st = _log_softmax(z_s / t)
-    log_p_tt = _log_softmax(z_t / t)
-    p_tt = np.exp(log_p_tt)
-    soft = (p_tt * (log_p_tt - log_p_st)).sum(axis=1).mean()
-
-    loss = hard + t * t * soft
-    grad = d_hard + t * (np.exp(log_p_st) - p_tt) / n
-    return float(loss), (grad if np.ndim(student_logits) == 2 else grad[0])
+    loss, grad = _kd_loss(z_s, _kd_targets(z_s.shape, teacher_logits, labels, temperature))
+    return loss, (grad if np.ndim(student_logits) == 2 else grad[0])
 
 
 def simkd_loss(f_t, f_s, proj: Projector) -> tuple[float, np.ndarray, np.ndarray]:
@@ -374,30 +462,40 @@ def simkd_loss(f_t, f_s, proj: Projector) -> tuple[float, np.ndarray, np.ndarray
     return loss, dpred @ proj.w.T, f_s.T @ dpred
 
 
-def hard_grads(p: NetParams, ds: ToyDataset) -> tuple[float, NetParams]:
+# The kernels take an optional gradient buffer `out` to write into, and
+# hard_grads and kd_grads the constants of their loss, built once per
+# training run from the arguments before them; without these they build
+# both themselves on every call.
+
+
+def hard_grads(p: NetParams, ds: ToyDataset, out: NetParams | None = None,
+               labels: _Labels | None = None) -> tuple[float, NetParams]:
     """Full-batch cross-entropy loss and parameter gradients."""
     hs, logits = _forward(p, ds.inputs)
-    loss, dlogits = _cross_entropy(logits, ds.labels)
-    return loss, _backprop(p, hs, dlogits=dlogits)
+    if labels is None:
+        labels = _labels(ds.labels, p.num_classes)
+    loss, dlogits = _cross_entropy(logits, labels)
+    return loss, _backprop(p, hs, out, dlogits=dlogits)
 
 
 def kd_grads(p: NetParams, teacher_logits: np.ndarray, ds: ToyDataset,
-             temperature: float) -> tuple[float, NetParams]:
+             temperature: float, out: NetParams | None = None,
+             targets: _KDTargets | None = None) -> tuple[float, NetParams]:
     hs, logits = _forward(p, ds.inputs)
-    loss, dlogits = kd_loss(logits, teacher_logits, ds.labels, temperature)
-    return loss, _backprop(p, hs, dlogits=dlogits)
+    if targets is None:
+        targets = _kd_targets(logits.shape, teacher_logits, ds.labels, temperature)
+    loss, dlogits = _kd_loss(logits, targets)
+    return loss, _backprop(p, hs, out, dlogits=dlogits)
 
 
 def simkd_grads(p: NetParams, proj: Projector, teacher_features: np.ndarray,
-                ds: ToyDataset) -> tuple[float, NetParams, np.ndarray]:
-    """Loss plus encoder gradients (classifier untouched) and projector grad."""
+                ds: ToyDataset, out: NetParams | None = None
+                ) -> tuple[float, NetParams, np.ndarray]:
+    """Loss plus encoder gradients (classifier gradient zero) and projector
+    grad."""
     hs, _ = _forward(p, ds.inputs)
     loss, d_fs, d_proj = simkd_loss(teacher_features, hs[-1], proj)
-    return loss, _backprop(p, hs, dfeatures=d_fs), d_proj
-
-
-def _step(p: NetParams, g: NetParams, lr: float) -> NetParams:
-    return NetParams._from_arrays([a - lr * ga for a, ga in zip(p.arrays(), g.arrays())])
+    return loss, _backprop(p, hs, out, dfeatures=d_fs), d_proj
 
 
 def _check_lr(lr: float) -> None:
@@ -416,40 +514,62 @@ def _check_trained(arrays, what: str, lr: float) -> None:
 # federated teacher training
 
 
-def _aggregate_hard(p: NetParams, parts) -> tuple[float, NetParams]:
-    """Size-weighted mean of per-client full-batch gradients.
-
-    Weighting by partition size makes the aggregate exactly equal the
-    gradient of the mean loss on the concatenated dataset.
-    """
+def _nonempty(parts) -> list:
+    """The partitions that hold samples; warns about the others."""
     used = [part for part in parts if len(part) > 0]
     if len(used) < len(parts):
         logger.warning("excluding %d empty partitions from the round",
                        len(parts) - len(used))
     if not used:
         raise ValueError("all partitions are empty")
-    total = sum(len(part) for part in used)
-    agg = None
-    loss_sum = 0.0
-    for part in used:
-        w = len(part) / total
-        loss, g = hard_grads(p, part)
-        loss_sum += w * loss
-        terms = [w * a for a in g.arrays()]
-        agg = terms if agg is None else [x + t for x, t in zip(agg, terms)]
-    return loss_sum, NetParams._from_arrays(agg)
+    return used
+
+
+class _Federation:
+    """The non-empty partitions of a FedSGD run with their constants (size
+    weights and labels) and one gradient buffer that every client's
+    backprop writes into in turn.
+
+    Weighting by partition size makes the aggregate exactly equal the
+    gradient of the mean loss on the concatenated dataset.
+    """
+
+    def __init__(self, p: NetParams, used) -> None:
+        total = sum(len(part) for part in used)
+        self.parts = [(part, len(part) / total, _labels(part.labels, p.num_classes))
+                      for part in used]
+        self.g = p._zeros_like()
+
+    def aggregate(self, p: NetParams) -> tuple[float, np.ndarray]:
+        """Size-weighted mean loss and flat gradient of the clients at p."""
+        agg = None
+        loss_sum = 0.0
+        for part, w, labels in self.parts:
+            loss, g = hard_grads(p, part, self.g, labels)
+            loss_sum += w * loss
+            agg = w * g.flat if agg is None else agg + w * g.flat
+        return loss_sum, agg
+
+
+def _aggregate_hard(p: NetParams, parts) -> tuple[float, NetParams]:
+    """Size-weighted mean of per-client full-batch gradients, as a NetParams
+    (for tests)."""
+    loss, agg = _Federation(p, _nonempty(parts)).aggregate(p)
+    return loss, p._with_flat(agg)
 
 
 def fedsgd_round(global_params: NetParams, parts, lr: float) -> NetParams:
     """One synchronous round: every client computes a full-batch
     cross-entropy gradient on its entire partition, gradients are averaged
-    weighted by partition size, and one step is applied to the global
-    parameters.  (Distillation needs the teacher that this round trains.)
+    weighted by partition size, and one step is applied to a copy of the
+    global parameters.  (Distillation needs the teacher that this round
+    trains.)
     """
     _check_lr(lr)
-    _, agg = _aggregate_hard(global_params, parts)
-    p = _step(global_params, agg, lr)
-    _check_trained(p.arrays(), "fedsgd_round", lr)
+    _, agg = _Federation(global_params, _nonempty(parts)).aggregate(global_params)
+    p = global_params.copy()
+    p.flat -= lr * agg
+    _check_trained([p.flat], "fedsgd_round", lr)
     return p
 
 
@@ -459,20 +579,19 @@ def train_teacher(parts, epochs: int, lr: float, arch: NetArch = NetArch((32,), 
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     _check_lr(lr)
-    used = [part for part in parts if len(part) > 0]
-    if not used:
-        raise ValueError("train_teacher needs at least one non-empty partition")
+    used = _nonempty(parts)
     in_dim = used[0].inputs.shape[1]
     num_classes = used[0].num_classes
     rng = np.random.Generator(np.random.PCG64(seed))
     p = init_net(arch, in_dim, num_classes, rng)
+    fed = _Federation(p, used)
     for epoch in range(epochs):
-        loss, agg = _aggregate_hard(p, used)
+        loss, agg = fed.aggregate(p)
         if not np.isfinite(loss):
             raise DivergenceError(f"teacher training diverged at epoch {epoch}: loss={loss}"
                                   f" (lr={lr}, arch={arch})")
-        p = _step(p, agg, lr)
-    _check_trained(p.arrays(), "teacher training", lr)
+        p.flat -= lr * agg
+    _check_trained([p.flat], "teacher training", lr)
     return p
 
 
@@ -497,25 +616,28 @@ def distill_student(teacher: NetParams, student_arch: NetArch, data: ToyDataset,
     rng = np.random.Generator(np.random.PCG64(seed))
     student = init_net(student_arch, data.inputs.shape[1], data.num_classes, rng)
     t_features, t_logits = net_eval(teacher, data.inputs)
+    g = student._zeros_like()
 
     if loss.variant == "kd":
+        targets = _kd_targets((len(data), student.num_classes), t_logits, data.labels,
+                              loss.temperature)
         for epoch in range(epochs):
-            val, g = kd_grads(student, t_logits, data, loss.temperature)
+            val, _ = kd_grads(student, t_logits, data, loss.temperature, g, targets)
             if not np.isfinite(val):
                 raise DivergenceError(f"kd distillation diverged at epoch {epoch}: loss={val}")
-            student = _step(student, g, lr)
-        _check_trained(student.arrays(), "kd distillation", lr)
+            student.flat -= lr * g.flat
+        _check_trained([student.flat], "kd distillation", lr)
         return student, None
 
     proj = Projector(rng.normal(size=(student_arch.feature_dim, teacher.feature_dim))
                      / np.sqrt(student_arch.feature_dim))
     for epoch in range(epochs):
-        val, g, d_proj = simkd_grads(student, proj, t_features, data)
+        val, _, d_proj = simkd_grads(student, proj, t_features, data, g)
         if not np.isfinite(val):
             raise DivergenceError(f"simkd distillation diverged at epoch {epoch}: loss={val}")
-        student = _step(student, g, lr)
-        proj = Projector(proj.w - lr * d_proj)
-    _check_trained([*student.arrays(), proj.w], "simkd distillation", lr)
+        student.flat -= lr * g.flat
+        proj.w -= lr * d_proj
+    _check_trained([student.flat, proj.w], "simkd distillation", lr)
     return student, proj
 
 

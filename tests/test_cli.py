@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from fedkd import cli
+from fedkd import cli, kd
 from fedkd.cli import build_parser, kd_demo, main
 from fedkd.kd import DivergenceError
 
@@ -101,6 +101,26 @@ class TestKdDemo:
         assert main(["kd-demo", "--out", str(tmp_path / "kd")]) == 1
         assert capsys.readouterr().err == (
             "error: kd distillation diverged at epoch 3: loss=nan\n")
+
+    @pytest.mark.parametrize("epochs", ["0", "-3"])
+    def test_non_positive_epochs_fail_before_training_and_leave_no_directory(
+            self, tmp_path, capsys, monkeypatch, epochs):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(kd, "train_teacher", no_training)
+        out = tmp_path / "kd"
+        assert main(["kd-demo", "--epochs", epochs, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: epochs must be >= 1, got {epochs}\n"
+        assert not out.exists()
+
+    def test_diverging_run_leaves_no_directory(self, tmp_path, monkeypatch):
+        def diverging(seed, epochs):
+            raise DivergenceError("teacher training diverged at epoch 0: loss=nan")
+
+        monkeypatch.setattr(cli, "kd_demo", diverging)
+        assert main(["kd-demo", "--out", str(tmp_path / "kd")]) == 1
+        assert not (tmp_path / "kd").exists()
 
     def test_other_runtime_errors_propagate(self, tmp_path, monkeypatch):
         def broken(seed, epochs):

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 from fedkd import cli, kd
 from fedkd.kd import (
+    VARIANTS,
     BlobSpec,
     DivergenceError,
     LossSpec,
@@ -547,3 +550,296 @@ class TestDatasets:
         q = NetParams.from_json(p.to_json())
         for a, b in zip(p.arrays(), q.arrays()):
             assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# a per-array reference for the flat-buffer training runs
+#
+# Every gradient and step below allocates new arrays, the FedSGD aggregate
+# sums per client and per array, and kd recomputes the teacher's softened
+# targets every epoch.  Parameters are lists in NetParams.arrays() order
+# with k encoder layers.
+
+
+def _ref_forward(arrays, k, x):
+    hs = [x]
+    for w, b in zip(arrays[:k], arrays[k:2 * k]):
+        hs.append(np.tanh(hs[-1] @ w + b))
+    return hs, hs[-1] @ arrays[-2] + arrays[-1]
+
+
+def _ref_log_softmax(logits):
+    z = logits - logits.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+
+def _ref_cross_entropy(logits, labels):
+    n = len(logits)
+    log_p = _ref_log_softmax(logits)
+    loss = -log_p[np.arange(n), labels].mean()
+    onehot = np.zeros_like(logits)
+    onehot[np.arange(n), labels] = 1.0
+    return float(loss), (np.exp(log_p) - onehot) / n
+
+
+def _ref_backprop(arrays, k, hs, dlogits=None, dfeatures=None):
+    if dlogits is not None:
+        gw_out = hs[-1].T @ dlogits
+        gb_out = dlogits.sum(axis=0)
+        dh = dlogits @ arrays[-2].T
+    else:
+        gw_out = np.zeros_like(arrays[-2])
+        gb_out = np.zeros_like(arrays[-1])
+        dh = dfeatures
+    gws, gbs = [], []
+    for layer in reversed(range(k)):
+        dz = dh * (1.0 - hs[layer + 1] ** 2)
+        gws.append(hs[layer].T @ dz)
+        gbs.append(dz.sum(axis=0))
+        dh = dz @ arrays[layer].T
+    return [*reversed(gws), *reversed(gbs), gw_out, gb_out]
+
+
+def _ref_step(arrays, grads, lr):
+    return [a - lr * ga for a, ga in zip(arrays, grads)]
+
+
+def _ref_aggregate(arrays, k, parts):
+    used = [part for part in parts if len(part) > 0]
+    total = sum(len(part) for part in used)
+    agg = None
+    for part in used:
+        w = len(part) / total
+        hs, logits = _ref_forward(arrays, k, part.inputs)
+        _, dlogits = _ref_cross_entropy(logits, part.labels)
+        terms = [w * a for a in _ref_backprop(arrays, k, hs, dlogits=dlogits)]
+        agg = terms if agg is None else [x + t for x, t in zip(agg, terms)]
+    return agg
+
+
+def _ref_init(arch, data, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    p = init_net(arch, data.inputs.shape[1], data.num_classes, rng)
+    return [a.copy() for a in p.arrays()], len(p.weights), rng
+
+
+def _ref_train_teacher(parts, epochs, lr, arch, seed):
+    used = [part for part in parts if len(part) > 0]
+    arrays, k, _ = _ref_init(arch, used[0], seed)
+    for _ in range(epochs):
+        arrays = _ref_step(arrays, _ref_aggregate(arrays, k, used), lr)
+    return arrays
+
+
+def _ref_distill(teacher, arch, data, variant, temperature, epochs, lr, seed):
+    student, k, rng = _ref_init(arch, data, seed)
+    t_hs, t_logits = _ref_forward(teacher.arrays(), len(teacher.weights), data.inputs)
+    if variant == "kd":
+        t = temperature
+        for _ in range(epochs):
+            hs, z_s = _ref_forward(student, k, data.inputs)
+            _, d_hard = _ref_cross_entropy(z_s, data.labels)
+            log_p_st = _ref_log_softmax(z_s / t)
+            p_tt = np.exp(_ref_log_softmax(t_logits / t))
+            dlogits = d_hard + t * (np.exp(log_p_st) - p_tt) / len(z_s)
+            student = _ref_step(student, _ref_backprop(student, k, hs, dlogits=dlogits), lr)
+        return student, None
+    w = rng.normal(size=(arch.feature_dim, teacher.feature_dim)) / np.sqrt(arch.feature_dim)
+    for _ in range(epochs):
+        hs, _ = _ref_forward(student, k, data.inputs)
+        f_s = hs[-1]
+        dpred = 2.0 * (f_s @ w - t_hs[-1]) / len(f_s)
+        grads = _ref_backprop(student, k, hs, dfeatures=dpred @ w.T)
+        student = _ref_step(student, grads, lr)
+        w = w - lr * (f_s.T @ dpred)
+    return student, w
+
+
+class _Empty:
+    """A partition that holds no samples."""
+
+    def __len__(self):
+        return 0
+
+
+def _assert_bytes_equal(params, ref_arrays):
+    arrays = params.arrays()
+    assert len(arrays) == len(ref_arrays)
+    for a, b in zip(arrays, ref_arrays):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def _oracle_parts(seed):
+    rng = np.random.default_rng(seed)
+    return [random_dataset(rng, n=7), random_dataset(rng, n=13), _Empty(),
+            random_dataset(rng, n=4)]
+
+
+ORACLE_ARCHS = [NetArch((6,), 4), NetArch((6, 5), 4)]
+
+
+class TestPerArrayOracle:
+    """The flat-buffer runs equal the per-array reference bit for bit."""
+
+    @pytest.mark.parametrize("arch", ORACLE_ARCHS, ids=["1-hidden", "2-hidden"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_train_teacher(self, arch, seed):
+        parts = _oracle_parts(seed)
+        p = train_teacher(parts, epochs=25, lr=0.3, arch=arch, seed=seed)
+        _assert_bytes_equal(p, _ref_train_teacher(parts, 25, 0.3, arch, seed))
+
+    @pytest.mark.parametrize("arch", ORACLE_ARCHS, ids=["1-hidden", "2-hidden"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fedsgd_round(self, arch, seed):
+        parts = _oracle_parts(seed)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        p = init_net(arch, 3, 4, rng)
+        arrays = [a.copy() for a in p.arrays()]
+        stepped = fedsgd_round(p, parts, lr=0.4)
+        _assert_bytes_equal(stepped, _ref_step(
+            arrays, _ref_aggregate(arrays, len(p.weights), parts), 0.4))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("arch", ORACLE_ARCHS, ids=["1-hidden", "2-hidden"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_distill_student(self, variant, arch, seed):
+        parts = _oracle_parts(seed)
+        teacher = train_teacher(parts, epochs=10, lr=0.3, arch=NetArch((7,), 5), seed=seed)
+        data = parts[1]
+        lr = 0.5 if variant == "kd" else 0.1
+        student, proj = distill_student(teacher, arch, data, LossSpec(variant, 3.0),
+                                        epochs=25, lr=lr, seed=seed + 1)
+        ref, ref_w = _ref_distill(teacher, arch, data, variant, 3.0, 25, lr, seed + 1)
+        _assert_bytes_equal(student, ref)
+        if variant == "kd":
+            assert proj is None
+        else:
+            assert proj.w.tobytes() == ref_w.tobytes()
+
+
+class TestBufferOwnership:
+    def test_fields_are_views_of_one_buffer_in_arrays_order(self, rng):
+        p = init_net(NetArch((4, 3), 2), 5, 3, rng)
+        assert np.array_equal(p.flat, np.concatenate([a.ravel() for a in p.arrays()]))
+        for a in p.arrays():
+            assert np.shares_memory(a, p.flat)
+        p.w_out[0, 0] = 7.0
+        assert 7.0 in p.flat
+
+    def test_constructor_copies_its_arrays(self, rng):
+        w = rng.normal(size=(3, 2))
+        p = NetParams((w,), (np.zeros(2),), np.ones((2, 2)), np.zeros(2))
+        assert not np.shares_memory(w, p.flat)
+        before = w.copy()
+        p.weights[0][...] = 0.0
+        assert np.array_equal(w, before)
+
+    def test_fedsgd_round_leaves_global_params_unchanged(self, rng):
+        p = init_net(NetArch((5, 3), 4), 3, 4, rng)
+        before = [a.tobytes() for a in p.arrays()]
+        stepped = fedsgd_round(p, [random_dataset(rng, n=9), random_dataset(rng, n=5)], lr=0.5)
+        assert [a.tobytes() for a in p.arrays()] == before
+        assert not np.shares_memory(stepped.flat, p.flat)
+
+    def test_successive_gradients_are_independent(self, rng):
+        p = init_net(NetArch((5,), 4), 3, 4, rng)
+        ds = random_dataset(rng, n=10)
+        _, g1 = hard_grads(p, ds)
+        kept = g1.flat.copy()
+        _, g2 = hard_grads(p, random_dataset(rng, n=6))
+        assert not np.shares_memory(g1.flat, g2.flat)
+        g2.flat[:] = 123.0
+        for a in g2.arrays():
+            a[...] = -1.0
+        assert np.array_equal(g1.flat, kept)
+
+    def test_run_outputs_share_no_memory(self, rng):
+        ds = random_dataset(rng, n=12)
+        a = train_teacher([ds], epochs=5, lr=0.3, arch=NetArch((5,), 4), seed=1)
+        b = train_teacher([ds], epochs=5, lr=0.3, arch=NetArch((5,), 4), seed=1)
+        assert not np.shares_memory(a.flat, b.flat)
+        outputs = [a.flat, b.flat]
+        for variant in VARIANTS:
+            for _ in range(2):
+                student, proj = distill_student(a, NetArch((5,), 4), ds, LossSpec(variant),
+                                                epochs=5, lr=0.1, seed=2)
+                for earlier in outputs:
+                    assert not np.shares_memory(student.flat, earlier)
+                    if proj is not None:
+                        assert not np.shares_memory(proj.w, earlier)
+                outputs.append(student.flat)
+                if proj is not None:
+                    outputs.append(proj.w)
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda p: pickle.loads(pickle.dumps(p))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_clones_keep_the_fields_views_of_their_own_buffer(self, rng, clone):
+        p = init_net(NetArch((4,), 3), 2, 2, rng)
+        _, g = hard_grads(p, random_dataset(rng, n=5, features=2, classes=2))
+        g.w_out[0, 0] = math.inf    # an overflowed gradient clones too
+        for original in (p, g):
+            q = clone(original)
+            assert q.flat.tobytes() == original.flat.tobytes()
+            assert not np.shares_memory(original.flat, q.flat)
+            q.flat[:] = 0.0
+            assert all(np.all(a == 0.0) for a in q.arrays())
+
+    def test_simkd_gradient_of_the_classifier_is_zero_in_a_reused_buffer(self, rng):
+        p = init_net(NetArch((5,), 3), 3, 4, rng)
+        ds = random_dataset(rng, n=8)
+        _, out = hard_grads(p, ds)
+        assert np.any(out.w_out != 0.0) and np.any(out.b_out != 0.0)
+        proj = Projector(rng.normal(size=(3, 2)))
+        _, g, _ = simkd_grads(p, proj, rng.normal(size=(8, 2)), ds, out)
+        assert g is out
+        assert np.all(g.w_out == 0.0) and np.all(g.b_out == 0.0)
+        _, fresh, _ = simkd_grads(p, proj, rng.normal(size=(8, 2)), ds)
+        assert np.all(fresh.w_out == 0.0) and np.all(fresh.b_out == 0.0)
+
+    def test_train_teacher_warns_about_empty_partitions_and_refuses_only_empty(
+            self, rng, caplog):
+        import logging
+        ds = random_dataset(rng, n=6)
+        with caplog.at_level(logging.WARNING, logger="fedkd.kd"):
+            train_teacher([ds, _Empty()], epochs=2, lr=0.1, arch=NetArch((4,), 3))
+        assert any("empty" in rec.message for rec in caplog.records)
+        with pytest.raises(ValueError, match="empty"):
+            train_teacher([_Empty(), _Empty()], epochs=2, lr=0.1)
+
+    def test_copy_is_independent(self, rng):
+        p = init_net(NetArch((4,), 3), 2, 2, rng)
+        before = p.flat.copy()
+        q = p.copy()
+        assert np.array_equal(q.flat, before)
+        q.flat += 1.0
+        assert not np.shares_memory(p.flat, q.flat)
+        assert np.array_equal(p.flat, before)
+
+
+class TestBoundaryChecks:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1.5])
+    def test_non_integral_labels_rejected(self, bad):
+        with pytest.raises(ValueError, match="labels"):
+            ToyDataset(np.zeros((2, 3)), np.array([0.0, bad]), 2)
+
+    def test_integral_float_labels_accepted(self):
+        ds = ToyDataset(np.zeros((2, 3)), np.array([0.0, 1.0]), 2)
+        assert ds.labels.dtype.kind == "i"
+        assert ds.labels.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_projector_rejected(self, bad):
+        w = np.ones((3, 2))
+        w[1, 0] = bad
+        with pytest.raises(ValueError, match="Projector.w"):
+            Projector(w)
+
+    def test_finite_projector_accepted(self):
+        assert Projector(np.full((3, 2), 1.5)).w[2, 1] == 1.5
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_kd_loss_labels_out_of_range_rejected(self, bad):
+        with pytest.raises(ValueError, match="labels"):
+            kd_loss(np.zeros((2, 3)), np.zeros((2, 3)), [0, bad], 2.0)
