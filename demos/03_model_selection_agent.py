@@ -18,7 +18,6 @@ from fedkd.qlearn import (
     encode_state,
     exhaustive_optimum,
     fixed_scenario_reward,
-    scenario_sampler,
     train_loop,
 )
 
@@ -47,8 +46,8 @@ print(f"\nenumeration says: x={best_dec.x}, "
 
 cfg = QConfig(episodes=5000)
 rng = np.random.Generator(np.random.PCG64(0))
-q = train_loop(scenario_sampler(lambda _r: sc, cfg), cfg, rng, n_actions, reward)
 state = encode_state(sc, cfg)
+q = train_loop(lambda _r: (state, sc), cfg, rng, n_actions, reward)
 greedy = q.greedy_action(state, n_actions)
 print(f"\nafter {cfg.episodes} one-shot episodes (epsilon {cfg.epsilon0} -> "
       f"{cfg.epsilon_floor}):")

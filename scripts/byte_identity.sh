@@ -16,9 +16,11 @@
 # exhaustive run on it too, and one experiment uses the iid accuracies.
 #
 # kd runs twice at the stock 600 epochs and once at 50, where the teacher
-# still trains for 400 epochs and the students for 50.  The stdout of
-# demos/04_toy_distillation.py (beside SRC_DIR) covers fedsgd_round and is
-# written to OUT_DIR/demo-04-toy-distillation.txt.
+# still trains for 400 epochs and the students for 50.  Two demos beside
+# SRC_DIR write their stdout into OUT_DIR: demos/03_model_selection_agent.py
+# (train_loop and exhaustive_optimum on a 2x2 instance) to
+# demo-03-model-selection-agent.txt, and demos/04_toy_distillation.py
+# (fedsgd_round) to demo-04-toy-distillation.txt.
 set -euo pipefail
 
 if [ "$#" -ne 2 ]; then
@@ -74,5 +76,9 @@ for s in 0 7; do
     fedkd kd-demo --seed "$s" --epochs 600 --out "$out/kd-$s"
 done
 fedkd kd-demo --seed 3 --epochs 50 --out "$out/kd-3-epochs50"
-PYTHONPATH="$src" OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 \
-    python3 "$src/../demos/04_toy_distillation.py" > "$out/demo-04-toy-distillation.txt"
+demo() {
+    PYTHONPATH="$src" OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 python3 "$src/../demos/$1.py"
+}
+
+demo 03_model_selection_agent > "$out/demo-03-model-selection-agent.txt"
+demo 04_toy_distillation > "$out/demo-04-toy-distillation.txt"

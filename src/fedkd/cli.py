@@ -80,9 +80,10 @@ def cmd_train_q(args) -> int:
             for m in sc.catalog]
     rng = np.random.Generator(np.random.PCG64(args.seed))
     n_actions = qlearn.action_count(sc)
-    table = qlearn.train_loop(qlearn.scenario_sampler(lambda _rng: sc, cfg), cfg, rng,
-                              n_actions, qlearn.fixed_scenario_reward(sc, accs))
-    greedy = table.greedy_action(qlearn.encode_state(sc, cfg), n_actions)
+    key = qlearn.encode_state(sc, cfg)
+    table = qlearn.train_loop(lambda _rng: (key, sc), cfg, rng, n_actions,
+                              qlearn.fixed_scenario_reward(sc, accs))
+    greedy = table.greedy_action(key, n_actions)
     dec = qlearn.decode_action(greedy, sc.n_users, len(sc.catalog))
     summary = {
         "episodes": cfg.episodes,

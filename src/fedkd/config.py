@@ -20,10 +20,10 @@ omitted section or field falls back to the stock defaults (the 4-user,
     }
 
 The optional "decision" block is consumed by the one-shot allocation
-entry point.  Schema violations, non-finite numbers included (JSON
-parsing turns NaN, Infinity and 1e400 into floats), raise ValueError
-naming the offending key; invariant violations surface the underlying
-message.
+entry point.  Schema violations, wrong JSON types (true for a number,
+say) and non-finite numbers included (JSON parsing turns NaN, Infinity
+and 1e400 into floats), raise ValueError naming the offending key;
+invariant violations surface the underlying message.
 """
 
 from __future__ import annotations
@@ -45,19 +45,30 @@ from .model import (
 )
 
 
-def _build(cls, data: dict, where: str, required=(), renames=None):
+#: The JSON types each expected type accepts, and its name; bool never counts as an
+#: int.  Keys are annotations as model.py writes them (its annotations stay strings).
+_ACCEPTS = {"float": ((int, float), "a number"), "int": (int, "an integer"),
+            "str": (str, "a string"), "list": (list, "an array"), "dict": (dict, "an object")}
+
+
+def _check_type(value, kind: str, where: str) -> None:
+    accepted, expected = _ACCEPTS[kind]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValueError(f"{where}: expected {expected}, got {type(value).__name__}")
+
+
+def _build(cls, data: dict, where: str, required=()):
     """Construct a parameter dataclass from a JSON object with field checks."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{where}: expected an object, got {type(data).__name__}")
-    fields = {f.name for f in cls.__dataclass_fields__.values()}
+    _check_type(data, "dict", where)
+    kinds = {f.name: f.type for f in cls.__dataclass_fields__.values()}
     kwargs = {}
     for key, value in data.items():
-        name = (renames or {}).get(key, key)
-        if name not in fields:
+        if key not in kinds:
             raise ValueError(f"{where}.{key}: unknown key")
+        _check_type(value, kinds[key], f"{where}.{key}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{where}.{key}: {value!r} is not finite")
-        kwargs[name] = value
+        kwargs[key] = value
     for key in required:
         if key not in kwargs:
             raise ValueError(f"{where}.{key}: required key missing")
@@ -118,11 +129,16 @@ def decision_from_dict(doc: dict, sc: Scenario) -> Decision:
     if block is None:
         raise ValueError("decision: required block missing "
                          '(expected {"x": [...], "m": [...]})')
+    _check_type(block, "dict", "decision")
     for key in block:
         if key not in ("x", "m"):
             raise ValueError(f"decision.{key}: unknown key")
     if "x" not in block or "m" not in block:
         raise ValueError("decision: both x and m arrays are required")
+    for key in ("x", "m"):
+        _check_type(block[key], "list", f"decision.{key}")
+        for i, v in enumerate(block[key]):
+            _check_type(v, "int", f"decision.{key}[{i}]")
     try:
         dec = Decision(x=tuple(block["x"]), m=tuple(block["m"]))
         dec.validate(sc)

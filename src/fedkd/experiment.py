@@ -92,7 +92,6 @@ class ExperimentConfig:
     f_loc_range: tuple[float, float] = (0.5, 2.0)
     d_range: tuple[float, float] = (10.0, 100.0)
     table: AccuracyTable = DEFAULT_TABLE
-    penalty: float = INFEASIBLE_REWARD
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
@@ -183,11 +182,11 @@ def _acc_by_model(cfg: ExperimentConfig, acc_method: str) -> list[tuple[float, f
 
 
 def _evaluate(sc: Scenario, dec: Decision, al: Allocation, accs,
-              trial: int, penalized: bool, penalty: float) -> TrialResult:
+              trial: int, penalized: bool) -> TrialResult:
     n, n_models = sc.n_users, len(sc.catalog)
     acc_own = [accs[mi][0] for mi in dec.m]
     acc_avg = [accs[mi][1] for mi in dec.m]
-    obj = -penalty if penalized else objective(sc, dec, al, acc_own, acc_avg)
+    obj = -INFEASIBLE_REWARD if penalized else objective(sc, dec, al, acc_own, acc_avg)
     totals = []
     for i, u in enumerate(sc.users):
         rate = tx_rate(al.b[i], u.p, channel_gain(u.d, sc.channel), sc.channel)
@@ -301,30 +300,30 @@ def method_spec(cfg: ExperimentConfig) -> MethodSpec:
     return _digit_spec(((0, m_fixed), (1, m_fixed)), n, "FL")
 
 
-def _split_reward(sc: Scenario, dec: Decision, al: Allocation, accs, penalty: float) -> float:
-    """Minus the scalar objective at a given split; infeasible: penalty."""
+def _split_reward(sc: Scenario, dec: Decision, al: Allocation, accs) -> float:
+    """Minus the scalar objective at a given split; infeasible: INFEASIBLE_REWARD."""
     try:
         return -objective(sc, dec, al, [accs[mi][0] for mi in dec.m],
                           [accs[mi][1] for mi in dec.m])
     except InfeasibleError:
-        return penalty
+        return INFEASIBLE_REWARD
 
 
-def action_reward(sc: Scenario, spec: MethodSpec, a: int, accs, penalty: float) -> float:
+def action_reward(sc: Scenario, spec: MethodSpec, a: int, accs) -> float:
     """Reward of action a on a full scenario under a method's decoder: the
     reference that the training rewards (training_reward) equal bit for bit.
 
     Minus the cost at the decoded split, or at the optimal split (from
     its closed form) when the decoder leaves it open.  An action over a
-    budget, or one whose decision is infeasible, earns `penalty`; any
-    other error propagates.
+    budget, or one whose decision is infeasible, earns INFEASIBLE_REWARD;
+    any other error propagates.
     """
     dec, al, feasible = spec.decode(sc, a)
     if not feasible:
-        return penalty
+        return INFEASIBLE_REWARD
     if al is None:
-        return decision_reward(sc, dec, accs, penalty)
-    return _split_reward(sc, dec, al, accs, penalty)
+        return decision_reward(sc, dec, accs)
+    return _split_reward(sc, dec, al, accs)
 
 
 def training_reward(cfg: ExperimentConfig, spec: MethodSpec, accs
@@ -335,14 +334,14 @@ def training_reward(cfg: ExperimentConfig, spec: MethodSpec, accs
     budgets and sizes every draw shares, and builds the redrawn Scenario
     only for an action within budget."""
     if spec.digits is not None:
-        return digit_reward(cfg.scenario, accs, spec.digits, cfg.penalty)
-    template, penalty = cfg.scenario, cfg.penalty
+        return digit_reward(cfg.scenario, accs, spec.digits)
+    template = cfg.scenario
 
     def reward_fn(draw: Draw, a: int) -> float:
         dec, al, feasible = spec.decode(template, a)
         if not feasible:
-            return penalty
-        return _split_reward(_redrawn(template, draw), dec, al, accs, penalty)
+            return INFEASIBLE_REWARD
+        return _split_reward(_redrawn(template, draw), dec, al, accs)
 
     return reward_fn
 
@@ -383,7 +382,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
         dec, al, feasible = spec.decode(draw, policy(draw))
         if al is None:
             al = allocate(draw, dec).allocation
-        report.trials.append(_evaluate(draw, dec, al, accs, t, not feasible, cfg.penalty))
+        report.trials.append(_evaluate(draw, dec, al, accs, t, not feasible))
     return report
 
 

@@ -154,6 +154,10 @@ class Decision:
                  "Decision.m entries must index the catalog")
 
 
+#: Relative slack Allocation.validate grants each budget for rounding in sums.
+BUDGET_RTOL = 1e-9
+
+
 @dataclass(frozen=True)
 class Allocation:
     """Per-user continuous resources: server CPU shares f (GHz) and
@@ -169,10 +173,10 @@ class Allocation:
         _require(all(v > 0 for v in self.f), "Allocation.f entries must be > 0")
         _require(all(v > 0 for v in self.b), "Allocation.b entries must be > 0")
 
-    def validate(self, server: ServerSpec, tol: float = 1e-9) -> None:
-        _require(sum(self.f) <= server.f_ser * (1 + tol),
+    def validate(self, server: ServerSpec) -> None:
+        _require(sum(self.f) <= server.f_ser * (1 + BUDGET_RTOL),
                  f"sum(f)={sum(self.f)} exceeds server budget {server.f_ser}")
-        _require(sum(self.b) <= server.b_max * (1 + tol),
+        _require(sum(self.b) <= server.b_max * (1 + BUDGET_RTOL),
                  f"sum(b)={sum(self.b)} exceeds bandwidth budget {server.b_max}")
 
 

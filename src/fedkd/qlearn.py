@@ -11,13 +11,13 @@ and no discount.
 A training draw (`Draw`) holds only what varies between episodes: each
 user's CPU frequency and distance, and the spectral efficiency of the
 one channel gain per user that `make_draw` computes and that also gives
-the state key.  `digit_reward` is the one scorer: it builds the
+the state key.  `digit_reward` scores a Draw: it builds the
 user-independent factors of every (x, m) digit once per template, and
 an action's reward adds, for each user's picked digit, the terms those
 factors give at the user's f_loc and efficiency.  `fixed_scenario_reward`
-is its case where the draw never changes: the terms of every digit are
-then tabulated once, and `exhaustive_optimum` scores every action from
-the same tables.
+scores train-q's one scenario from its terms of every digit, tabulated
+once, and `exhaustive_optimum` scores every action from the same tables.
+An infeasible action earns INFEASIBLE_REWARD on every route.
 
 The table is a hash map and missing entries read as 0, which doubles as
 optimistic initialization when rewards are negative.  The greedy argmax
@@ -231,24 +231,6 @@ def make_draw(template: Scenario, f_loc: Sequence[float], d: Sequence[float],
     return tuple(key), Draw(tuple(f_loc), tuple(d), tuple(eff))
 
 
-def scenario_sampler(sample: Callable[[np.random.Generator], Scenario], cfg: QConfig
-                     ) -> Callable[[np.random.Generator], tuple[StateKey, Scenario]]:
-    """A train_loop sampler over the scenarios sample(rng) returns: each
-    comes with its state key, encoded only when sample returns another
-    object than the previous call (scenarios are frozen, so reusing the
-    key is exact)."""
-    last = key = None
-
-    def sampler(rng: np.random.Generator) -> tuple[StateKey, Scenario]:
-        nonlocal last, key
-        sc = sample(rng)
-        if sc is not last:
-            key, last = encode_state(sc, cfg), sc
-        return key, sc
-
-    return sampler
-
-
 def action_count(sc: Scenario) -> int:
     """Size of the joint offload/model action space, (2 |M|)^N."""
     return (2 * len(sc.catalog)) ** sc.n_users
@@ -289,19 +271,18 @@ def _model_gains(sc: Scenario, acc_by_model: Sequence[tuple[float, float]]) -> l
 
 
 def decision_reward(sc: Scenario, dec: Decision,
-                    acc_by_model: Sequence[tuple[float, float]],
-                    penalty: float = INFEASIBLE_REWARD) -> float:
+                    acc_by_model: Sequence[tuple[float, float]]) -> float:
     """Negated total cost of a decision under the optimal resource split.
 
     acc_by_model[m] = (acc_own, acc_avg) fractions for catalog entry m,
     typically from the published-accuracy table.  Infeasible decisions
-    earn `penalty` so the agent learns to avoid them; any other error
-    propagates.
+    earn INFEASIBLE_REWARD so the agent learns to avoid them; any other
+    error propagates.
     """
     try:
         cost = decision_cost(sc, dec)
     except InfeasibleError:
-        return penalty
+        return INFEASIBLE_REWARD
     gains = _model_gains(sc, acc_by_model)
     return -(cost - sum(gains[mi] for mi in dec.m))
 
@@ -329,14 +310,13 @@ def _digit_factors(sc: Scenario, acc_by_model: Sequence[tuple[float, float]],
     return factors
 
 
-def _digit_terms(sc: Scenario, acc_by_model: Sequence[tuple[float, float]],
-                 digits: Sequence[tuple[int, int]]
+def _digit_terms(sc: Scenario, acc_by_model: Sequence[tuple[float, float]]
                  ) -> list[list[tuple[float, float, float, float]]]:
     """terms[i][k] = (const_i, sqrt(c_i), sqrt(d_i), accuracy reward) of
-    user i picking digits[k], equal to user_terms bit for bit.  Raises
+    user i picking joint digit k, equal to user_terms bit for bit.  Raises
     InfeasibleError for a user with zero spectral efficiency, whatever it
     picks."""
-    factors = _digit_factors(sc, acc_by_model, digits)
+    factors = _digit_factors(sc, acc_by_model, joint_digits(len(sc.catalog)))
     ch = sc.channel
     terms = []
     for u in sc.users:
@@ -349,8 +329,7 @@ def _digit_terms(sc: Scenario, acc_by_model: Sequence[tuple[float, float]],
 
 
 def digit_reward(template: Scenario, acc_by_model: Sequence[tuple[float, float]],
-                 digits: Sequence[tuple[int, int]], penalty: float = INFEASIBLE_REWARD,
-                 fixed: bool = False) -> Callable[[Draw, int], float]:
+                 digits: Sequence[tuple[int, int]]) -> Callable[[Draw, int], float]:
     """decision_reward as a reward_fn(draw, a) for train_loop: the base
     len(digits) digits of action a, lowest first, pick each user's (x, m)
     from digits.
@@ -359,42 +338,16 @@ def digit_reward(template: Scenario, acc_by_model: Sequence[tuple[float, float]]
     Draw of template's users, the reward adds each user's terms of its
     picked digit: alpha_d x mu / f_loc + beta_c server_mu,
     sqrt(alpha_d server_mu) and sqrt(alpha_d (x theta_l + theta_s) / eff).
-    With fixed=True the draw never changes: reward_fn scores only the
-    template itself, whose terms of every digit are tabulated once.
 
     The terms are added user by user, in decision_cost's order and with
     user_terms' operations, and the picked gains go through the builtin
     sum, as in decision_reward, so every reward equals decision_reward bit
     for bit on any interpreter (from Python 3.12 on, sum() of floats is
     compensated).  A user with zero spectral efficiency makes every action
-    earn `penalty`; any other error (alpha_d = 0 included) propagates,
-    here at construction.
+    earn INFEASIBLE_REWARD; any other error (alpha_d = 0 included)
+    propagates, here at construction.
     """
     radix = len(digits)
-    if fixed:
-        try:
-            terms = _digit_terms(template, acc_by_model, digits)
-        except InfeasibleError:
-            terms = None
-
-        def fixed_reward(draw: Scenario, a: int) -> float:
-            if draw is not template:
-                raise ValueError("a fixed digit_reward scores only the scenario it was built for")
-            if terms is None:
-                return penalty
-            s_const = s_root_c = s_root_d = 0.0
-            gains = []
-            for row in terms:
-                const, root_c, root_d, g = row[a % radix]
-                a //= radix
-                s_const += const
-                s_root_c += root_c
-                s_root_d += root_d
-                gains.append(g)
-            return -(cost_from_sums(template, s_const, s_root_c, s_root_d) - sum(gains))
-
-        return fixed_reward
-
     factors = _digit_factors(template, acc_by_model, digits)
 
     def reward_fn(draw: Draw, a: int) -> float:
@@ -402,7 +355,7 @@ def digit_reward(template: Scenario, acc_by_model: Sequence[tuple[float, float]]
         gains = []
         for f_loc, eff in zip(draw.f_loc, draw.eff):
             if eff <= 0:
-                return penalty
+                return INFEASIBLE_REWARD
             fa, fb, root_c, num, g = factors[a % radix]
             a //= radix
             s_const += fa / f_loc + fb
@@ -417,9 +370,34 @@ def digit_reward(template: Scenario, acc_by_model: Sequence[tuple[float, float]]
 def fixed_scenario_reward(sc: Scenario, acc_by_model: Sequence[tuple[float, float]]
                           ) -> Callable[[Scenario, int], float]:
     """reward(sc, a, acc_by_model) as a reward_fn(sc, a) for train_loop on
-    the one scenario sc: digit_reward's fixed-draw case over the joint
-    action."""
-    return digit_reward(sc, acc_by_model, joint_digits(len(sc.catalog)), fixed=True)
+    the one scenario sc, the only draw it accepts.  Each user's terms of
+    every joint digit are tabulated once, as exhaustive_optimum's are, and
+    the picked rows are added as digit_reward adds its terms, so it equals
+    reward bit for bit.  A user with zero spectral efficiency makes every
+    action earn INFEASIBLE_REWARD."""
+    radix = 2 * len(sc.catalog)
+    try:
+        terms = _digit_terms(sc, acc_by_model)
+    except InfeasibleError:
+        terms = None
+
+    def reward_fn(draw: Scenario, a: int) -> float:
+        if draw is not sc:
+            raise ValueError("fixed_scenario_reward scores only the scenario it was built for")
+        if terms is None:
+            return INFEASIBLE_REWARD
+        s_const = s_root_c = s_root_d = 0.0
+        gains = []
+        for row in terms:
+            const, root_c, root_d, g = row[a % radix]
+            a //= radix
+            s_const += const
+            s_root_c += root_c
+            s_root_d += root_d
+            gains.append(g)
+        return -(cost_from_sums(sc, s_const, s_root_c, s_root_d) - sum(gains))
+
+    return reward_fn
 
 
 def update(q: QTable, s: StateKey, a: int, r: float, cfg: QConfig) -> float:
@@ -444,11 +422,11 @@ def train_loop(sampler: Callable[[np.random.Generator], tuple[StateKey, object]]
     Each episode takes a (state key, draw) pair from sampler(rng), picks
     an action epsilon-greedily for that key and moves its entry toward
     reward_fn(draw, action).  The sampler owns the key: make_draw computes
-    it from the same channel gains that the draw's efficiencies come from,
-    and scenario_sampler encodes a scenario only when it changes.  A draw
-    is whatever the reward_fn scores: a Draw for the experiment methods,
-    the one Scenario for fixed_scenario_reward.  Fully deterministic for a
-    fixed rng seed.
+    it from the same channel gains as the draw's efficiencies, and train-q
+    encodes its one Scenario once and returns the same pair every episode.
+    A draw is whatever reward_fn scores: a Draw for digit_reward, the one
+    Scenario for fixed_scenario_reward.  Fully deterministic for a fixed
+    rng seed.
     """
     q = QTable()
     for ep in range(cfg.episodes):
@@ -458,24 +436,24 @@ def train_loop(sampler: Callable[[np.random.Generator], tuple[StateKey, object]]
     return q
 
 
-def exhaustive_optimum(sc: Scenario, acc_by_model: Sequence[tuple[float, float]],
-                       cap: int = EXHAUSTIVE_CAP) -> tuple[Decision, float]:
+def exhaustive_optimum(sc: Scenario, acc_by_model: Sequence[tuple[float, float]]
+                       ) -> tuple[Decision, float]:
     """Score every decision in closed form and return the minimizer.
 
-    This is the reference the trained agent is compared against; it is
-    exact whenever the action space fits under `cap`.  User i's digit
+    This is the reference the trained agent is compared against; it
+    refuses action spaces larger than EXHAUSTIVE_CAP.  User i's digit
     k = x * |M| + m indexes the per-user tables of _digit_terms, so the
     sums over users for every action come from one broadcast add per user,
     and each action's value equals -decision_reward.  Ties go to the
     lowest action index.
     """
     n = action_count(sc)
-    if n > cap:
+    if n > EXHAUSTIVE_CAP:
         raise ValueError(
-            f"action space {n} exceeds the enumeration cap {cap}; "
+            f"action space {n} exceeds the enumeration cap {EXHAUSTIVE_CAP}; "
             "reduce users or catalog size")
     # (4, N, 2|M|): const, sqrt c, sqrt d, gain
-    tables = np.array(_digit_terms(sc, acc_by_model, joint_digits(len(sc.catalog))))
+    tables = np.array(_digit_terms(sc, acc_by_model))
     tables = tables.transpose(2, 0, 1)
     # Action a = sum_i k_i * (2|M|)^i: user i enters as the leading digit.
     sums = tables[:, 0, :]

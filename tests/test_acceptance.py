@@ -45,7 +45,6 @@ from fedkd.qlearn import (
     encode_state,
     exhaustive_optimum,
     reward,
-    scenario_sampler,
     train_loop,
 )
 
@@ -101,9 +100,10 @@ def test_criterion_3_agent_reaches_enumerated_optimum():
         accs = [acc_pair(DEFAULT_TABLE, m.name, "KD", "noniid") for m in sc.catalog]
         best_dec, _ = exhaustive_optimum(sc, accs)
         rng = np.random.Generator(np.random.PCG64(seed))
-        q = train_loop(scenario_sampler(lambda _r: sc, cfg), cfg, rng, action_count(sc),
+        key = encode_state(sc, cfg)
+        q = train_loop(lambda _r: (key, sc), cfg, rng, action_count(sc),
                        lambda draw, a: reward(draw, a, accs))
-        a = q.greedy_action(encode_state(sc, cfg), action_count(sc))
+        a = q.greedy_action(key, action_count(sc))
         matches += decode_action(a, 2, 2) == best_dec
     elapsed = time.perf_counter() - start
     ok = matches >= 19 and elapsed < 30.0

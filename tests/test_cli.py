@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from fedkd import cli, kd
+from fedkd import cli, kd, qlearn
 from fedkd.cli import build_parser, kd_demo, main
 from fedkd.kd import DivergenceError
 
@@ -36,6 +36,13 @@ class TestAllocate:
         assert main(["allocate", "--config", cfg]) == 1
         assert "users[0]" in capsys.readouterr().err
 
+    def test_fractional_model_index_is_an_error_line_and_exit_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"decision": {"x": [0, 1, 0, 1], "m": [0.5, 1, 2, 3]}})
+        assert main(["allocate", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: decision.m[0]: expected an integer, got float\n"
+        assert captured.out == ""
+
 
 class TestTrainQ:
     def test_writes_table_and_summary(self, tmp_path):
@@ -52,6 +59,18 @@ class TestTrainQ:
         assert main(["train-q", "--episodes", "-5", "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: episodes must be >= 0, got -5\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("episodes", ["0", "3000"])
+    def test_state_is_encoded_once(self, tmp_path, monkeypatch, episodes):
+        encode_state, encoded = qlearn.encode_state, []
+
+        def counting(sc, cfg):
+            encoded.append(sc)
+            return encode_state(sc, cfg)
+
+        monkeypatch.setattr(qlearn, "encode_state", counting)
+        assert main(["train-q", "--episodes", episodes, "--out", str(tmp_path / "q")]) == 0
+        assert len(encoded) == 1
 
     def test_zero_delay_weight_fails_even_without_episodes(self, tmp_path, capsys):
         # the per-user terms are built before training starts

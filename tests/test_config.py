@@ -36,15 +36,23 @@ def test_negative_local_frequency_names_the_key():
         scenario_from_dict(doc)
 
 
-@pytest.mark.parametrize("text, field", [
-    ('{"users": [{"f_loc": 1e400, "d": 50.0}]}', r"users\[0\]\.f_loc"),
-    ('{"weights": {"eta_o": 1e400}}', r"weights\.eta_o"),
-    ('{"users": [{"f_loc": 1.0, "p": NaN, "d": 50.0}]}', r"users\[0\]\.p"),
-    ('{"users": [{"f_loc": NaN, "d": 50.0}]}', r"users\[0\]\.f_loc"),
-    ('{"server": {"b_max": -Infinity}}', r"server\.b_max"),
+@pytest.mark.parametrize("text, message", [
+    ('{"users": [{"f_loc": 1e400, "d": 50.0}]}', r"users\[0\]\.f_loc: .*not finite"),
+    ('{"weights": {"eta_o": 1e400}}', r"weights\.eta_o: .*not finite"),
+    ('{"users": [{"f_loc": 1.0, "p": NaN, "d": 50.0}]}', r"users\[0\]\.p: .*not finite"),
+    ('{"users": [{"f_loc": NaN, "d": 50.0}]}', r"users\[0\]\.f_loc: .*not finite"),
+    ('{"server": {"b_max": -Infinity}}', r"server\.b_max: .*not finite"),
+    ('{"users": [{"f_loc": true, "d": 50}]}', r"users\[0\]\.f_loc: expected a number, got bool"),
+    ('{"server": {"f_ser": true}}', r"server\.f_ser: expected a number, got bool"),
+    ('{"users": [{"f_loc": "1.0", "d": 50}]}', r"users\[0\]\.f_loc: expected a number, got str"),
+    ('{"users": [{"f_loc": 1.0, "d": 50, "id": false}]}',
+     r"users\[0\]\.id: expected an integer, got bool"),
+    ('{"catalog": [{"name": 3, "mu": 1.0, "theta_s": 2.0}]}',
+     r"catalog\[0\]\.name: expected a string, got int"),
+    ('{"weights": {"eta_a": null}}', r"weights\.eta_a: expected a number, got NoneType"),
 ])
-def test_non_finite_numbers_name_the_field(text, field):
-    with pytest.raises(ValueError, match=field + ".*not finite"):
+def test_bad_values_name_the_field(text, message):
+    with pytest.raises(ValueError, match=message):
         load_scenario(text)
 
 
@@ -92,3 +100,21 @@ def test_scenario_dict_covers_all_sections():
     doc = scenario_to_dict(default_scenario())
     assert set(doc) == {"users", "server", "channel", "teacher", "catalog", "weights"}
     assert json.loads(dump_scenario(default_scenario())) == doc
+
+
+def test_json_integers_are_numbers():
+    sc = load_scenario('{"users": [{"f_loc": 1, "d": 50}], "server": {"f_ser": 10}}')
+    assert (sc.users[0].f_loc, sc.users[0].d, sc.server.f_ser) == (1, 50, 10)
+
+
+@pytest.mark.parametrize("block, message", [
+    ({"x": [0, 0, 0, 0], "m": [0.5, 0, 0, 0]}, r"decision\.m\[0\]: expected an integer, got float"),
+    ({"x": [0, 0, 0, 0], "m": [0, "1", 0, 0]}, r"decision\.m\[1\]: expected an integer, got str"),
+    ({"x": [0, 0, True, 0], "m": [0, 0, 0, 0]}, r"decision\.x\[2\]: expected an integer, got bool"),
+    ({"x": "0100", "m": [0, 0, 0, 0]}, r"decision\.x: expected an array, got str"),
+    ({"x": [0, 0, 0, 0], "m": 0}, r"decision\.m: expected an array, got int"),
+    ([0, 1], r"decision: expected an object, got list"),
+])
+def test_bad_decision_entries_name_the_key(block, message):
+    with pytest.raises(ValueError, match=message):
+        decision_from_dict({"decision": block}, default_scenario())

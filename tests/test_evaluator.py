@@ -216,7 +216,7 @@ def _rewards(sc, accs):
     fl_min = method_spec(ExperimentConfig(scenario=sc, method="fl-min"))
     return {"reward": lambda: reward(sc, 0, accs),
             "scorer": lambda: fixed_scenario_reward(sc, accs)(sc, 0),
-            "xonly": lambda: action_reward(sc, fl_min, 0, accs, INFEASIBLE_REWARD)}
+            "xonly": lambda: action_reward(sc, fl_min, 0, accs)}
 
 
 @pytest.mark.parametrize("route", ["reward", "scorer", "xonly"])
@@ -236,8 +236,7 @@ def test_fixed_scenario_reward_of_a_stranded_user_is_the_penalty_for_every_actio
 
 
 @pytest.mark.parametrize("method", ["proposed", "q-only", "fl-min", "fl-max"])
-def test_training_reward_of_an_infeasible_action_is_the_configured_penalty(method,
-                                                                         monkeypatch):
+def test_training_reward_of_an_infeasible_action_is_the_penalty(method, monkeypatch):
     """The reward each learning method trains on, taken from the train_loop
     call of run_experiment; action 0 leaves the stranded user a share of
     every budget, so only its zero spectral efficiency makes it infeasible."""
@@ -249,11 +248,11 @@ def test_training_reward_of_an_infeasible_action_is_the_configured_penalty(metho
         return QTable()
 
     monkeypatch.setattr(experiment, "train_loop", record)
-    cfg = ExperimentConfig(scenario=sc, method=method, trials=0, penalty=-7.0)
+    cfg = ExperimentConfig(scenario=sc, method=method, trials=0)
     run_experiment(cfg)
     assert len(calls) == 1
     _, draw = make_draw(sc, [u.f_loc for u in sc.users], [u.d for u in sc.users], cfg.q)
-    assert calls[0](draw, 0) == -7.0
+    assert calls[0](draw, 0) == INFEASIBLE_REWARD
 
 
 @pytest.mark.parametrize("route", ["reward", "scorer", "xonly"])
@@ -272,7 +271,7 @@ def test_qonly_scoring_errors_other_than_infeasibility_propagate():
     sc = make_scenario(n_users=2)
     spec = method_spec(ExperimentConfig(scenario=sc, method="q-only"))
     with pytest.raises(ValueError, match="acc_own") as info:
-        action_reward(sc, spec, 0, [(1.5, 0.5)] * len(sc.catalog), -7.0)
+        action_reward(sc, spec, 0, [(1.5, 0.5)] * len(sc.catalog))
     assert not isinstance(info.value, InfeasibleError)
 
 
@@ -296,7 +295,7 @@ def test_training_rewards_equal_action_reward_bit_for_bit_on_seeded_draws(inst, 
         weak = dataclasses.replace(sc.users[0], p=1e-300)
         sc = dataclasses.replace(sc, users=(weak,) + sc.users[1:])
     for method in ("proposed", "fl-min", "fl-max", "q-only"):
-        cfg = ExperimentConfig(scenario=sc, method=method, penalty=-7.0)
+        cfg = ExperimentConfig(scenario=sc, method=method)
         spec = method_spec(cfg)
         reward_fn, sampler = training_reward(cfg, spec, accs), training_sampler(cfg)
         rng, ref_rng, pick = (np.random.Generator(np.random.PCG64(draw_seed)) for _ in range(3))
@@ -307,9 +306,9 @@ def test_training_rewards_equal_action_reward_bit_for_bit_on_seeded_draws(inst, 
                        else pick.integers(spec.n_actions, size=64).tolist())
             got = [reward_fn(draw, a) for a in actions]
             assert [r.hex() for r in got] == [
-                action_reward(ref, spec, a, accs, cfg.penalty).hex() for a in actions]
+                action_reward(ref, spec, a, accs).hex() for a in actions]
             if stranded and method != "q-only":
-                assert set(got) == {-7.0}
+                assert set(got) == {INFEASIBLE_REWARD}
 
 
 # ---------------------------------------------------------------------------

@@ -94,12 +94,10 @@ class TestQOnlyCoding:
         dec, al, within_budget = decode_qonly(a, sc, levels)
         assert sum(al.f) > budget and sum(al.b) > budget   # the float sums overshoot
         assert within_budget
-        assert action_reward(sc, spec, a, [(0.5, 0.5)] * 4, INFEASIBLE_REWARD) \
-            != INFEASIBLE_REWARD
+        assert action_reward(sc, spec, a, [(0.5, 0.5)] * 4) != INFEASIBLE_REWARD
         over = self._action(units[:-1] + (units[-1] + 1,), levels, len(sc.catalog))
         assert not decode_qonly(over, sc, levels)[2]
-        assert action_reward(sc, spec, over, [(0.5, 0.5)] * 4, INFEASIBLE_REWARD) \
-            == INFEASIBLE_REWARD
+        assert action_reward(sc, spec, over, [(0.5, 0.5)] * 4) == INFEASIBLE_REWARD
 
     def test_action_zero_is_minimal_and_feasible(self):
         sc = default_scenario()

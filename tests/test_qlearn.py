@@ -40,7 +40,6 @@ from fedkd.qlearn import (
     exhaustive_optimum,
     fixed_scenario_reward,
     reward,
-    scenario_sampler,
     select_action,
     train_loop,
     update,
@@ -55,7 +54,8 @@ def kd_accs(sc):
 
 def train_static(sc, cfg, rng, accs):
     """The joint offload/model agent trained on one fixed scenario."""
-    return train_loop(scenario_sampler(lambda _r: sc, cfg), cfg, rng, action_count(sc),
+    key = encode_state(sc, cfg)
+    return train_loop(lambda _r: (key, sc), cfg, rng, action_count(sc),
                       lambda draw, a: reward(draw, a, accs))
 
 
@@ -349,9 +349,10 @@ class TestExhaustive:
         assert dec.m == (best_own, best_own)
 
     def test_cap_refusal(self):
-        sc = make_scenario()
+        sc = make_scenario(n_users=7, seed=0)
+        assert action_count(sc) == 8 ** 7 > EXHAUSTIVE_CAP
         with pytest.raises(ValueError, match="cap"):
-            exhaustive_optimum(sc, kd_accs(sc), cap=100)
+            exhaustive_optimum(sc, kd_accs(sc))
 
 
 class TestQTableIO:
@@ -387,61 +388,19 @@ def train_encoding_every_episode(sampler, cfg, rng, n_actions, reward_fn):
     return q, draws
 
 
-def count_encodes(monkeypatch):
-    """Record every scenario that qlearn encodes."""
-    encoded = []
-
-    def counting(sc, cfg):
-        encoded.append(sc)
-        return encode_state(sc, cfg)
-
-    monkeypatch.setattr(qlearn, "encode_state", counting)
-    return encoded
-
-
 class TestFixedScenarioTraining:
     def test_scorer_trains_like_reward(self):
         sc = make_scenario(seed=12)
         accs = kd_accs(sc)
         cfg = QConfig(episodes=3000)
-        tables = [train_loop(scenario_sampler(lambda _r: sc, cfg),
+        key = encode_state(sc, cfg)
+        tables = [train_loop(lambda _r: (key, sc),
                              cfg, np.random.Generator(np.random.PCG64(4)),
                              action_count(sc), reward_fn)
                   for reward_fn in (fixed_scenario_reward(sc, accs),
                                     lambda draw, a: reward(draw, a, accs))]
         assert list(tables[0].entries()) == list(tables[1].entries())
         assert len(tables[0]) > 100
-
-    @pytest.mark.parametrize("sampling", ["static", "alternating", "redrawn"])
-    def test_state_is_encoded_only_when_the_scenario_object_changes(self, sampling,
-                                                                     monkeypatch):
-        base = make_scenario(n_users=2, n_models=2)
-        pair = (make_scenario(n_users=2, n_models=2, seed=1),
-                make_scenario(n_users=2, n_models=2, seed=2))
-        sampler = {"static": lambda r: base,
-                   "alternating": lambda r: pair[int(r.integers(2))],
-                   "redrawn": lambda r: sample_scenario(base, r)}[sampling]
-        accs = kd_accs(base)
-        n = action_count(base)
-
-        def reward_fn(sc, a):
-            return reward(sc, a, accs)
-
-        cfg = QConfig(f_bins=2, h_bins=2, episodes=400)
-        ref, draws = train_encoding_every_episode(
-            sampler, cfg, np.random.Generator(np.random.PCG64(6)), n, reward_fn)
-        encoded = count_encodes(monkeypatch)
-        q = train_loop(scenario_sampler(sampler, cfg), cfg,
-                       np.random.Generator(np.random.PCG64(6)), n, reward_fn)
-        assert list(q.entries()) == list(ref.entries())
-        changes = [sc for prev, sc in zip([None] + draws, draws) if sc is not prev]
-        assert encoded == changes
-        if sampling == "static":
-            assert len(encoded) == 1
-        elif sampling == "redrawn":
-            assert len(encoded) == cfg.episodes
-        else:
-            assert 1 < len(encoded) < cfg.episodes
 
     def test_train_q_runs_above_the_enumeration_cap(self, tmp_path):
         users = [{"f_loc": 0.5 + 0.2 * i, "d": 10.0 + 12.0 * i} for i in range(7)]
@@ -483,7 +442,7 @@ class TestTrainingDraws:
         ref, _ = train_encoding_every_episode(
             lambda r: sample_scenario(sc, r, cfg.f_loc_range, cfg.d_range), cfg.q,
             np.random.Generator(np.random.PCG64(9)), spec.n_actions,
-            lambda draw, a: action_reward(draw, spec, a, accs, cfg.penalty))
+            lambda draw, a: action_reward(draw, spec, a, accs))
         q = train_loop(training_sampler(cfg), cfg.q, np.random.Generator(np.random.PCG64(9)),
                        spec.n_actions, training_reward(cfg, spec, accs))
         assert list(q.entries()) == list(ref.entries())
@@ -620,8 +579,12 @@ class TestCachedArgmax:
         accs = kd_accs(sc)
         n = action_count(sc)
         cfg = QConfig(episodes=600)
-        q = train_loop(scenario_sampler(lambda r: sample_scenario(sc, r), cfg), cfg,
-                       np.random.Generator(np.random.PCG64(2)), n,
+
+        def sampler(rng):
+            draw = sample_scenario(sc, rng)
+            return encode_state(draw, cfg), draw
+
+        q = train_loop(sampler, cfg, np.random.Generator(np.random.PCG64(2)), n,
                        lambda draw, a: reward(draw, a, accs))
         q.save(tmp_path / "table.tsv")
         loaded = QTable.load(tmp_path / "table.tsv")
