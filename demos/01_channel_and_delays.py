@@ -32,7 +32,7 @@ model = sc.catalog[2]
 h = channel_gain(user.d, ch)
 rate = tx_rate(2.5, user.p, h, ch)
 for xi, label in ((0, "train student on the server"), (1, "train student locally")):
-    dl = delays(user, model, sc.teacher, xi, fi=2.5, rate_i=rate)
+    dl = delays(user.f_loc, model, sc.teacher, xi, fi=2.5, rate_i=rate)
     print(f"  {label}:")
     print(f"    teacher forward  {dl.t_tea:6.2f} s   student update {dl.t_stu:6.2f} s")
     print(f"    label download   {dl.t_label:6.2f} s   parameter sync {dl.t_model:6.2f} s")

@@ -14,6 +14,9 @@
 # catalog, and a zero bandwidth price (delta_b = 0), so the bandwidth
 # budget binds on every decision.  train-q, the four learning methods and
 # exhaustive run on it too, and one experiment uses the iid accuracies.
+# One q-only run on it trains for 8000 episodes: its greedy phase then
+# mostly picks actions within both budgets, which the other runs, at 1500
+# episodes, seldom reach.
 #
 # kd runs twice at the stock 600 epochs and once at 50, where the teacher
 # still trains for 400 epochs and the students for 50.  Two demos beside
@@ -68,6 +71,8 @@ for m in proposed q-only fl-min fl-max; do
     fedkd experiment "${custom[@]}" --method "$m" --seed 17 --trials 40 --episodes 1500 \
         --out "$out/custom-$m"
 done
+fedkd experiment "${custom[@]}" --method q-only --seed 17 --trials 40 --episodes 8000 \
+    --out "$out/custom-q-only-8000"
 fedkd experiment "${custom[@]}" --method exhaustive --seed 17 --trials 10 \
     --out "$out/custom-exhaustive"
 fedkd experiment --method proposed --distribution iid --seed 29 --trials 40 \

@@ -37,6 +37,7 @@ from .model import (
     Scenario,
     channel_gain,
     delays,
+    spectral_efficiency,
     tx_rate,
 )
 
@@ -108,7 +109,7 @@ def user_terms(sc: Scenario, i: int, x: int, m: int) -> tuple[float, float, floa
     """
     a, b, c, num = digit_factors(sc, x, m)
     u = sc.users[i]
-    eff = math.log2(1.0 + u.p * channel_gain(u.d, sc.channel) / sc.channel.n0)  # Mbit/s per MHz
+    eff = spectral_efficiency(u.p, channel_gain(u.d, sc.channel), sc.channel)
     if eff <= 0:
         raise InfeasibleError(f"user {u.id} has zero spectral efficiency")
     return a / u.f_loc + b, c, num / eff
@@ -255,7 +256,7 @@ def fb_objective_via_delays(sc: Scenario, dec: Decision, al: Allocation) -> floa
     for i, u in enumerate(sc.users):
         xi, mi = dec.x[i], sc.catalog[dec.m[i]]
         rate = tx_rate(al.b[i], u.p, channel_gain(u.d, sc.channel), sc.channel)
-        dl = delays(u, mi, sc.teacher, xi, al.f[i], rate)
+        dl = delays(u.f_loc, mi, sc.teacher, xi, al.f[i], rate)
         fb_delay = dl.t_tea + dl.t_model + xi * dl.t_label + (1 - xi) * dl.t_stu
         total += w.alpha_d * fb_delay + w.delta_b * al.b[i]
     return total

@@ -37,8 +37,7 @@ from .model import default_scenario
 def _load_scenario(path: str | None):
     if path is None:
         return default_scenario(), {}
-    text = Path(path).read_text(encoding="utf-8")
-    doc = json.loads(text)
+    doc = config.parse_document(Path(path).read_text(encoding="utf-8"), f"scenario config {path}")
     return config.scenario_from_dict(doc), doc
 
 

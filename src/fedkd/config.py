@@ -114,13 +114,17 @@ def scenario_from_dict(doc: dict) -> Scenario:
     )
 
 
+def parse_document(text: str, source: str):
+    """The JSON document in text; a ValueError naming source if it is not JSON."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{source} is not valid JSON: {exc}") from exc
+
+
 def load_scenario(text: str) -> Scenario:
     """Parse and fully validate a scenario config document."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"scenario config is not valid JSON: {exc}") from exc
-    return scenario_from_dict(doc)
+    return scenario_from_dict(parse_document(text, "scenario config"))
 
 
 def decision_from_dict(doc: dict, sc: Scenario) -> Decision:

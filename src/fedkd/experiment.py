@@ -12,19 +12,18 @@ on identical draws when given the same seed and template:
     fl-max      as fl-min with the largest model
     exhaustive  full enumeration reference (no learning)
 
-Each method is an entry of one table (`method_spec`): its action count,
-what an action means, and which published accuracies score it.  One
-pipeline runs them all: train the agent (exhaustive enumerates instead),
-decode the chosen action on each draw, let the convex allocator fill in
-the split where the action leaves it open, and evaluate.
+Each method is an entry of one table (`method_spec`): the per-user
+digits an action is made of, and which published accuracies score it.
+One pipeline runs them all: train the agent (exhaustive enumerates
+instead), decode the chosen action on each draw, let the convex allocator
+fill in the split where the action leaves it open, and evaluate.
 
 Training redraws every user's CPU frequency and distance each episode,
-as one uniform call, and never builds a Scenario for it: the agent sees
-a qlearn.Draw with its state key (`training_sampler`).  proposed, fl-min
-and fl-max score it with qlearn.digit_reward over their action digits;
-q-only decodes against the template and builds the redrawn Scenario only
-for an action within budget, which the scalar objective then scores.
-The evaluation draws are full Scenarios from `sample_scenario`.
+as one uniform call, and builds no Scenario, Decision or Allocation for
+it: the agent sees a qlearn.Draw with its state key (`training_sampler`).
+qlearn.digit_reward scores the (x, m) digits of proposed, fl-min and
+fl-max; q-only's scorer adds user_cost at its digits' grid levels.  The
+evaluation draws are full Scenarios from `sample_scenario`.
 
 Per trial the report records the realized objective, the mean per-epoch
 delay across users, accuracy means, model-selection frequencies, and the
@@ -34,6 +33,7 @@ raw per-user decision and resources.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -53,6 +53,7 @@ from .model import (
     delays,
     objective,
     tx_rate,
+    user_cost,
 )
 from .qlearn import (
     INFEASIBLE_REWARD,
@@ -169,29 +170,15 @@ def training_sampler(cfg: ExperimentConfig
     return sample
 
 
-def _redrawn(template: Scenario, draw: Draw) -> Scenario:
-    """The template with the draw's per-user CPU frequencies and distances."""
-    users = tuple(dataclasses.replace(u, f_loc=f, d=dist)
-                  for u, f, dist in zip(template.users, draw.f_loc, draw.d))
-    return dataclasses.replace(template, users=users)
-
-
-def _acc_by_model(cfg: ExperimentConfig, acc_method: str) -> list[tuple[float, float]]:
-    return [acc_pair(cfg.table, m.name, acc_method, cfg.distribution)
-            for m in cfg.scenario.catalog]
-
-
 def _evaluate(sc: Scenario, dec: Decision, al: Allocation, accs,
               trial: int, penalized: bool) -> TrialResult:
     n, n_models = sc.n_users, len(sc.catalog)
     acc_own = [accs[mi][0] for mi in dec.m]
     acc_avg = [accs[mi][1] for mi in dec.m]
     obj = -INFEASIBLE_REWARD if penalized else objective(sc, dec, al, acc_own, acc_avg)
-    totals = []
-    for i, u in enumerate(sc.users):
-        rate = tx_rate(al.b[i], u.p, channel_gain(u.d, sc.channel), sc.channel)
-        totals.append(delays(u, sc.catalog[dec.m[i]], sc.teacher, dec.x[i],
-                             al.f[i], rate).total())
+    totals = [delays(u.f_loc, sc.catalog[mi], sc.teacher, xi, fi,
+                     tx_rate(bi, u.p, channel_gain(u.d, sc.channel), sc.channel)).total()
+              for u, xi, mi, fi, bi in zip(sc.users, dec.x, dec.m, al.f, al.b)]
     counts = np.bincount(dec.m, minlength=n_models)
     return TrialResult(
         trial=trial,
@@ -210,98 +197,82 @@ def _evaluate(sc: Scenario, dec: Decision, al: Allocation, accs,
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """What an action means to one method: decode(sc, a) gives (decision,
-    split, feasible), where a None split stands for the optimal one.
-    digits, for the methods that leave the split open, lists the (x, m)
-    each base-len(digits) digit of an action gives its user."""
+    """What an action means to one method.  Digit i of an action in base
+    len(digits), lowest first, gives user i its entry of digits: (x, m),
+    whose split is the optimal one, or, for q-only, (x, m, f_units,
+    b_units): that many 1/levels of the server CPU and of the bandwidth."""
 
-    n_actions: int
-    decode: Callable[[Scenario, int], tuple[Decision, Allocation | None, bool]]
+    digits: tuple[tuple[int, ...], ...]
+    n_actions: int          # len(digits) ** users
     accuracy: str           # "KD" or "FL": the published accuracies that score it
     learned: bool = True    # False: enumerate every action instead of training
-    digits: tuple[tuple[int, int], ...] | None = None
 
+    @functools.cached_property
+    def levels(self) -> int:    # q-only's grid levels: its largest unit count
+        return max(d[2] for d in self.digits)
 
-def _qonly_radix(n_models: int, levels: int) -> int:
-    return 2 * n_models * levels * levels
-
-
-def qonly_action_count(sc: Scenario, levels: int) -> int:
-    return _qonly_radix(len(sc.catalog), levels) ** sc.n_users
-
-
-def decode_qonly(a: int, sc: Scenario, levels: int) -> tuple[Decision, Allocation, bool]:
-    """-> (Decision, Allocation, within_budget) of q-only action a.
-
-    Per user the action holds digits x, m, and one grid level for each
-    resource; level k means (k + 1) / levels of the full budget, so the
-    split may exceed a budget.  Feasibility is decided on the integer
-    level counts: summing the float shares can overshoot a budget they
-    exactly meet by one ulp.
-    """
-    n_models = len(sc.catalog)
-    radix = _qonly_radix(n_models, levels)
-    x, m, f_units, b_units = [], [], [], []
-    for _ in range(sc.n_users):
-        digit = a % radix
-        a //= radix
-        x.append(digit % 2)
-        digit //= 2
-        m.append(digit % n_models)
-        digit //= n_models
-        f_units.append(digit % levels + 1)
-        b_units.append(digit // levels + 1)
-    al = Allocation(f=tuple(k * sc.server.f_ser / levels for k in f_units),
-                    b=tuple(k * sc.server.b_max / levels for k in b_units))
-    within_budget = sum(f_units) <= levels and sum(b_units) <= levels
-    return Decision(x=tuple(x), m=tuple(m)), al, within_budget
-
-
-def _digit_spec(digits: tuple[tuple[int, int], ...], n_users: int, accuracy: str,
-                learned: bool = True) -> MethodSpec:
-    """A method whose action is one digit per user, lowest first, and
-    whose split is the optimal one."""
-    radix = len(digits)
-
-    def decode(sc: Scenario, a: int):
-        picks = []
+    def decode(self, sc: Scenario, a: int) -> tuple[Decision, Allocation | None, bool]:
+        """(decision, split, within budget) of action a on sc; a None split
+        stands for the optimal one.  The budgets are checked on the integer
+        level counts: summing the float shares can overshoot a budget they
+        exactly meet by one ulp."""
+        radix, picks = len(self.digits), []
         for _ in range(sc.n_users):
-            picks.append(digits[a % radix])
+            picks.append(self.digits[a % radix])
             a //= radix
-        x, m = zip(*picks)
-        return Decision(x=x, m=m), None, True
-
-    return MethodSpec(radix ** n_users, decode, accuracy, learned, digits)
+        x, m, *units = zip(*picks)
+        if not units:
+            return Decision(x=x, m=m), None, True
+        levels, server = self.levels, sc.server
+        al = Allocation(f=tuple(k * server.f_ser / levels for k in units[0]),
+                        b=tuple(k * server.b_max / levels for k in units[1]))
+        return Decision(x=x, m=m), al, sum(units[0]) <= levels and sum(units[1]) <= levels
 
 
 def method_spec(cfg: ExperimentConfig) -> MethodSpec:
     """The table entry of cfg.method.  proposed and exhaustive share the
-    joint offload/model action; q-only adds a resource grid level per user;
-    fl-min/fl-max pin the smallest or largest model, leaving offload bits."""
+    joint offload/model digits; q-only adds a resource grid level per user,
+    in its encoding order (x fastest, then m, f_units, b_units); fl-min and
+    fl-max pin the smallest or largest model, leaving offload bits."""
     template = cfg.scenario
-    n = template.n_users
+    n, n_models = template.n_users, len(template.catalog)
     if cfg.method in ("proposed", "exhaustive"):
-        return _digit_spec(joint_digits(len(template.catalog)), n, "KD",
-                           learned=cfg.method == "proposed")
+        digits = joint_digits(n_models)
+        return MethodSpec(digits, len(digits) ** n, "KD", learned=cfg.method == "proposed")
     if cfg.method == "q-only":
         levels = cfg.resource_levels
         if n > levels:
             raise ValueError(
                 f"q-only needs at least one grid level per user: "
                 f"{n} users but {levels} levels; raise resource_levels")
-        n_actions = qonly_action_count(template, levels)
+        grid = range(1, levels + 1)
+        digits = tuple((x, m, kf, kb) for kb in grid for kf in grid
+                       for m in range(n_models) for x in (0, 1))
+        n_actions = len(digits) ** n
         if n_actions > ACTION_SPACE_CAP:
             raise ValueError(
                 f"q-only action space {n_actions} exceeds {ACTION_SPACE_CAP}; "
                 "reduce resource_levels, users, or catalog size")
-        return MethodSpec(n_actions, lambda sc, a: decode_qonly(a, sc, levels), "KD")
+        return MethodSpec(digits, n_actions, "KD")
     mus = [m.mu for m in template.catalog]
     m_fixed = mus.index(min(mus) if cfg.method == "fl-min" else max(mus))
-    return _digit_spec(((0, m_fixed), (1, m_fixed)), n, "FL")
+    return MethodSpec(((0, m_fixed), (1, m_fixed)), 2 ** n, "FL")
 
 
-def _split_reward(sc: Scenario, dec: Decision, al: Allocation, accs) -> float:
-    """Minus the scalar objective at a given split; infeasible: INFEASIBLE_REWARD."""
+def action_reward(sc: Scenario, spec: MethodSpec, a: int, accs) -> float:
+    """Reward of action a on a full scenario under a method's decoder: the
+    reference that the training rewards (training_reward) equal bit for bit.
+
+    Minus the cost at the optimal split (from its closed form) when the
+    decoder leaves it open, else minus the scalar objective at the decoded
+    split.  An action over a budget, or one whose decision is infeasible,
+    earns INFEASIBLE_REWARD; any other error propagates.
+    """
+    dec, al, feasible = spec.decode(sc, a)
+    if not feasible:
+        return INFEASIBLE_REWARD
+    if al is None:
+        return decision_reward(sc, dec, accs)
     try:
         return -objective(sc, dec, al, [accs[mi][0] for mi in dec.m],
                           [accs[mi][1] for mi in dec.m])
@@ -309,56 +280,65 @@ def _split_reward(sc: Scenario, dec: Decision, al: Allocation, accs) -> float:
         return INFEASIBLE_REWARD
 
 
-def action_reward(sc: Scenario, spec: MethodSpec, a: int, accs) -> float:
-    """Reward of action a on a full scenario under a method's decoder: the
-    reference that the training rewards (training_reward) equal bit for bit.
+def _grid_reward(template: Scenario, spec: MethodSpec, accs
+                 ) -> Callable[[Draw, int], float]:
+    """q-only's reward_fn(draw, a), equal to action_reward on the draw's
+    Scenario bit for bit.  Each digit's model, shares and accuracies are
+    looked up once.  An action earns INFEASIBLE_REWARD as soon as its level
+    counts exceed a budget; within budget, it is minus the sum of user_cost
+    at each user's shares and rate b * eff, as in objective.  Accuracies
+    outside [0, 1] are refused here, at construction."""
+    for col, name in enumerate(("acc_own", "acc_avg")):    # objective's check, per model
+        if not all(0.0 <= acc[col] <= 1.0 for acc in accs):
+            raise ValueError(f"{name} entries must be in [0, 1]")
+    levels, radix, server = spec.levels, len(spec.digits), template.server
+    rows = [(kf, kb, (x, template.catalog[m], kf * server.f_ser / levels,
+                      kb * server.b_max / levels, *accs[m])) for x, m, kf, kb in spec.digits]
 
-    Minus the cost at the decoded split, or at the optimal split (from
-    its closed form) when the decoder leaves it open.  An action over a
-    budget, or one whose decision is infeasible, earns INFEASIBLE_REWARD;
-    any other error propagates.
-    """
-    dec, al, feasible = spec.decode(sc, a)
-    if not feasible:
-        return INFEASIBLE_REWARD
-    if al is None:
-        return decision_reward(sc, dec, accs)
-    return _split_reward(sc, dec, al, accs)
+    def reward_fn(draw: Draw, a: int) -> float:
+        picks, f_used, b_used = [], 0, 0
+        for _ in draw.eff:
+            kf, kb, pick = rows[a % radix]
+            a //= radix
+            f_used += kf
+            b_used += kb
+            if f_used > levels or b_used > levels:
+                return INFEASIBLE_REWARD
+            picks.append(pick)
+        total = 0.0
+        try:
+            for (x, model, f, b, own, avg), f_loc, eff in zip(picks, draw.f_loc, draw.eff):
+                total += user_cost(template, x, model, f_loc, f, b, b * eff, own, avg)
+        except InfeasibleError:
+            return INFEASIBLE_REWARD
+        return -total
+
+    return reward_fn
 
 
 def training_reward(cfg: ExperimentConfig, spec: MethodSpec, accs
                     ) -> Callable[[Draw, int], float]:
     """reward_fn(draw, a) of a training Draw, equal to action_reward on
-    the draw's Scenario.  Methods with digits score it with
-    qlearn.digit_reward.  q-only decodes against the template, whose
-    budgets and sizes every draw shares, and builds the redrawn Scenario
-    only for an action within budget."""
-    if spec.digits is not None:
+    the draw's Scenario, built once per template: qlearn.digit_reward for
+    (x, m) digits, _grid_reward for q-only's."""
+    if len(spec.digits[0]) == 2:
         return digit_reward(cfg.scenario, accs, spec.digits)
-    template = cfg.scenario
-
-    def reward_fn(draw: Draw, a: int) -> float:
-        dec, al, feasible = spec.decode(template, a)
-        if not feasible:
-            return INFEASIBLE_REWARD
-        return _split_reward(_redrawn(template, draw), dec, al, accs)
-
-    return reward_fn
+    return _grid_reward(cfg.scenario, spec, accs)
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
     """Train the configured method and evaluate it on seeded draws.
 
     Training takes its draws from training_sampler and its rewards from
-    training_reward: no Scenario per episode, except q-only's actions
-    within budget.  The evaluation draws are Scenarios from
-    sample_scenario and depend only on (scenario template, seed, trials),
+    training_reward, with no Scenario per episode.  The evaluation draws
+    are Scenarios from sample_scenario and depend only on (template, seed, trials),
     never on the method, so reports from different methods compare like
     for like.  Identical configs produce identical reports.
     """
     template = cfg.scenario
     spec = method_spec(cfg)
-    accs = _acc_by_model(cfg, spec.accuracy)
+    accs = [acc_pair(cfg.table, m.name, spec.accuracy, cfg.distribution)
+            for m in template.catalog]
 
     eval_ss, train_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     eval_rng = np.random.Generator(np.random.PCG64(eval_ss))

@@ -15,6 +15,7 @@ Unit conventions (chosen so magnitudes stay near 1):
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -142,8 +143,12 @@ class Decision:
     m: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x", tuple(int(v) for v in self.x))
-        object.__setattr__(self, "m", tuple(int(v) for v in self.m))
+        for name in ("x", "m"):    # ints, numpy's included; a bool, float or str is refused
+            values = tuple(getattr(self, name))
+            if not all(type(v) is int or isinstance(v, numbers.Integral) and type(v) is not bool
+                       for v in values):
+                raise ValueError(f"Decision.{name} entries must be integers, got {values}")
+            object.__setattr__(self, name, tuple(int(v) for v in values))
         _require(len(self.x) == len(self.m), "Decision.x and Decision.m lengths differ")
         _require(all(v in (0, 1) for v in self.x), "Decision.x entries must be 0 or 1")
 
@@ -201,8 +206,14 @@ def channel_gain(d: float, ch: ChannelSpec) -> float:
     return ch.g0 / d ** ch.gamma
 
 
+def spectral_efficiency(p: float, h: float, ch: ChannelSpec) -> float:
+    """Rate per MHz of bandwidth, log2(1 + p*h/n0), in Mbit/s."""
+    return math.log2(1.0 + p * h / ch.n0)
+
+
 def tx_rate(b: float, p: float, h: float, ch: ChannelSpec) -> float:
-    """Transmission rate b * log2(1 + p*h/n0) in Mbit/s for bandwidth b MHz.
+    """Transmission rate b * spectral_efficiency(p, h, ch) in Mbit/s for
+    bandwidth b MHz.
 
     n0 is a fixed total noise power, so the rate is exactly linear in b.
     b = 0 or p = 0 legitimately yields rate 0; callers that divide by the
@@ -211,12 +222,12 @@ def tx_rate(b: float, p: float, h: float, ch: ChannelSpec) -> float:
     _require(b >= 0, f"bandwidth must be >= 0, got {b}")
     _require(p >= 0, f"power must be >= 0, got {p}")
     _require(h > 0, f"channel gain must be > 0, got {h}")
-    return b * math.log2(1.0 + p * h / ch.n0)
+    return b * spectral_efficiency(p, h, ch)
 
 
-def delays(u: UserSpec, mi: ModelSpec, teacher: TeacherSpec, xi: int,
+def delays(f_loc: float, mi: ModelSpec, teacher: TeacherSpec, xi: int,
            fi: float, rate_i: float) -> DelayBreakdown:
-    """Per-epoch delay components for one user.
+    """Per-epoch delay components for one user with local CPU frequency f_loc.
 
     The teacher always runs on the purchased server share fi.  The student
     update runs on fi when xi = 0 (server training) and on the user's own
@@ -226,21 +237,19 @@ def delays(u: UserSpec, mi: ModelSpec, teacher: TeacherSpec, xi: int,
     """
     _require(fi > 0, f"server CPU share must be > 0, got {fi}")
     if rate_i <= 0:
-        raise InfeasibleError(
-            f"transmit rate {rate_i} yields infinite delay (user {u.id})")
+        raise InfeasibleError(f"transmit rate {rate_i} yields infinite delay")
     t_tea = teacher.mu_t / fi
-    t_stu = mi.mu / u.f_loc if xi else mi.mu / fi
+    t_stu = mi.mu / f_loc if xi else mi.mu / fi
     t_label = teacher.theta_l / rate_i if xi else 0.0
     t_model = mi.theta_s / rate_i
     return DelayBreakdown(t_tea=t_tea, t_stu=t_stu, t_label=t_label, t_model=t_model)
 
 
-def objective(sc: Scenario, dec: Decision, al: Allocation,
-              acc_own: list[float] | tuple[float, ...],
-              acc_avg: list[float] | tuple[float, ...]) -> float:
-    """Total per-round cost for the given decision and allocation.
-
-    Per user i:
+def user_cost(sc: Scenario, xi: int, mi: ModelSpec, f_loc: float, fi: float, bi: float,
+              rate_i: float, acc_own: float, acc_avg: float) -> float:
+    """One user's term of the objective under sc's teacher and prices, for
+    training mi (xi = 1: locally at f_loc) with server share fi, bandwidth
+    bi at transmit rate rate_i, and accuracies (fractions) acc_own, acc_avg:
 
         alpha_d * (t_tea + t_stu + t_model + x_i * t_label)
       + beta_c  * (t_tea * f_i + (1 - x_i) * t_stu * f_i)
@@ -249,8 +258,21 @@ def objective(sc: Scenario, dec: Decision, al: Allocation,
 
     The beta term is allocation-independent by the identity
     t_tea * f_i = mu_t and (1 - x_i) * t_stu * f_i = (1 - x_i) * mu_{m_i}.
-    Accuracies are fractions in [0, 1].
+    A zero rate raises InfeasibleError, as in delays.
     """
+    w = sc.weights
+    dl = delays(f_loc, mi, sc.teacher, xi, fi, rate_i)
+    delay = dl.t_tea + dl.t_stu + dl.t_model + xi * dl.t_label
+    compute_cost = dl.t_tea * fi + (1 - xi) * dl.t_stu * fi
+    return (w.alpha_d * delay + w.beta_c * compute_cost + w.delta_b * bi
+            - w.eta_o * acc_own - w.eta_a * acc_avg)
+
+
+def objective(sc: Scenario, dec: Decision, al: Allocation,
+              acc_own: list[float] | tuple[float, ...],
+              acc_avg: list[float] | tuple[float, ...]) -> float:
+    """Total per-round cost for the given decision and allocation: the sum
+    of user_cost over users.  Accuracies are fractions in [0, 1]."""
     dec.validate(sc)
     n = sc.n_users
     _require(len(al.f) == n, f"Allocation covers {len(al.f)} users, expected {n}")
@@ -258,17 +280,11 @@ def objective(sc: Scenario, dec: Decision, al: Allocation,
              f"accuracy lists must have one entry per user ({n})")
     _require(all(0.0 <= a <= 1.0 for a in acc_own), "acc_own entries must be in [0, 1]")
     _require(all(0.0 <= a <= 1.0 for a in acc_avg), "acc_avg entries must be in [0, 1]")
-    w = sc.weights
     total = 0.0
     for i, u in enumerate(sc.users):
-        xi, mi = dec.x[i], sc.catalog[dec.m[i]]
-        h = channel_gain(u.d, sc.channel)
-        rate = tx_rate(al.b[i], u.p, h, sc.channel)
-        dl = delays(u, mi, sc.teacher, xi, al.f[i], rate)
-        delay = dl.t_tea + dl.t_stu + dl.t_model + xi * dl.t_label
-        compute_cost = dl.t_tea * al.f[i] + (1 - xi) * dl.t_stu * al.f[i]
-        total += (w.alpha_d * delay + w.beta_c * compute_cost + w.delta_b * al.b[i]
-                  - w.eta_o * acc_own[i] - w.eta_a * acc_avg[i])
+        rate = tx_rate(al.b[i], u.p, channel_gain(u.d, sc.channel), sc.channel)
+        total += user_cost(sc, dec.x[i], sc.catalog[dec.m[i]], u.f_loc, al.f[i], al.b[i],
+                           rate, acc_own[i], acc_avg[i])
     return total
 
 

@@ -8,25 +8,26 @@ without computing the split.  The successor state is terminal, so the
 update moves Q(s, a) toward the reward alone: there is no bootstrap term
 and no discount.
 
-A training draw (`Draw`) holds only what varies between episodes: each
-user's CPU frequency and distance, and the spectral efficiency of the
-one channel gain per user that `make_draw` computes and that also gives
-the state key.  `digit_reward` scores a Draw: it builds the
+A training draw (`Draw`) holds what the rewards read of an episode's
+users: each user's CPU frequency and the spectral efficiency of the one
+channel gain per user that `make_draw` computes and that also gives the
+state key.  `digit_reward` scores a Draw: it builds the
 user-independent factors of every (x, m) digit once per template, and
 an action's reward adds, for each user's picked digit, the terms those
-factors give at the user's f_loc and efficiency.  `fixed_scenario_reward`
-scores train-q's one scenario from its terms of every digit, tabulated
-once, and `exhaustive_optimum` scores every action from the same tables.
-An infeasible action earns INFEASIBLE_REWARD on every route.
+factors give at the user's f_loc and efficiency; the experiment's q-only
+scorer reads the same Draw.  `fixed_scenario_reward` scores train-q's one
+scenario from its terms of every digit, tabulated once, and
+`exhaustive_optimum` scores every action from the same tables.  An
+infeasible action earns INFEASIBLE_REWARD on every route.
 
 The table is a hash map and missing entries read as 0, which doubles as
 optimistic initialization when rewards are negative.  The greedy argmax
 honors that convention without enumerating the action space, so very
-large action encodings (the resource-grid variant in the experiment
-runner) remain usable.  Each row caches its best stored entry and its
-first unstored action, both kept up to date on write, so a greedy step
-costs O(1) amortized; only a write that lowers the cached best makes the
-next greedy step rescan that row's stored entries once.
+large action encodings (q-only's resource grid) remain usable.  Each row
+caches its best stored entry and its first unstored action, both kept up
+to date on write, so a greedy step costs O(1) amortized; only a write
+that lowers the cached best makes the next greedy step rescan that row's
+stored entries once.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .allocator import cost_from_sums, decision_cost, digit_factors
-from .model import Decision, InfeasibleError, Scenario, channel_gain
+from .model import Decision, InfeasibleError, Scenario, channel_gain, spectral_efficiency
 
 logger = logging.getLogger(__name__)
 
@@ -207,12 +208,10 @@ def encode_state(sc: Scenario, cfg: QConfig) -> StateKey:
 
 
 class Draw(NamedTuple):
-    """One training episode's users: CPU frequency, distance and spectral
-    efficiency log2(1 + p h / n0) per user; everything else is the
-    template's."""
+    """One training episode's users: CPU frequency and spectral_efficiency
+    per user; everything else the rewards read is the template's."""
 
     f_loc: tuple[float, ...]
-    d: tuple[float, ...]
     eff: tuple[float, ...]
 
 
@@ -227,8 +226,8 @@ def make_draw(template: Scenario, f_loc: Sequence[float], d: Sequence[float],
     for u, f, dist in zip(template.users, f_loc, d):
         h = channel_gain(dist, ch)
         key.append(_user_state(f, h, cfg))
-        eff.append(math.log2(1.0 + u.p * h / ch.n0))
-    return tuple(key), Draw(tuple(f_loc), tuple(d), tuple(eff))
+        eff.append(spectral_efficiency(u.p, h, ch))
+    return tuple(key), Draw(tuple(f_loc), tuple(eff))
 
 
 def action_count(sc: Scenario) -> int:
@@ -320,7 +319,7 @@ def _digit_terms(sc: Scenario, acc_by_model: Sequence[tuple[float, float]]
     ch = sc.channel
     terms = []
     for u in sc.users:
-        eff = math.log2(1.0 + u.p * channel_gain(u.d, ch) / ch.n0)
+        eff = spectral_efficiency(u.p, channel_gain(u.d, ch), ch)
         if eff <= 0:
             raise InfeasibleError(f"user {u.id} has zero spectral efficiency")
         terms.append([(a / u.f_loc + b, root_c, math.sqrt(num / eff), g)

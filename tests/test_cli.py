@@ -54,6 +54,14 @@ class TestTrainQ:
         assert summary["episodes"] == 200
         assert len(summary["greedy_m"]) == 4
 
+    def test_truncated_config_names_the_file_and_says_it_is_not_json(self, tmp_path, capsys):
+        cfg = tmp_path / "truncated.json"
+        cfg.write_text('{"users": [\n', encoding="utf-8")
+        assert main(["train-q", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: scenario config {cfg} is not valid JSON: ")
+        assert err.count("\n") == 1
+
     def test_negative_episodes_is_an_error_line_and_exit_1(self, tmp_path, capsys):
         out = tmp_path / "q"
         assert main(["train-q", "--episodes", "-5", "--out", str(out)]) == 1

@@ -10,6 +10,7 @@ the same seeded draws.  The allocator's symmetries and monotonicities and
 the config round-trip are checked on the same random instances.
 """
 
+import collections
 import dataclasses
 import math
 
@@ -31,6 +32,7 @@ from fedkd.experiment import (
     training_sampler,
 )
 from fedkd.model import (
+    Allocation,
     Decision,
     InfeasibleError,
     ModelSpec,
@@ -53,6 +55,7 @@ from fedkd.qlearn import (
     fixed_scenario_reward,
     make_draw,
     reward,
+    train_loop,
 )
 
 from conftest import make_scenario
@@ -275,8 +278,33 @@ def test_qonly_scoring_errors_other_than_infeasibility_propagate():
     assert not isinstance(info.value, InfeasibleError)
 
 
+@pytest.mark.parametrize("accs, name", [((1.5, 0.5), "acc_own"), ((0.5, -0.1), "acc_avg")])
+def test_qonly_scorer_refuses_accuracies_outside_the_unit_interval_when_built(accs, name):
+    sc = make_scenario(n_users=2)
+    cfg = ExperimentConfig(scenario=sc, method="q-only")
+    with pytest.raises(ValueError, match=name) as info:
+        training_reward(cfg, method_spec(cfg), [accs] * len(sc.catalog))
+    assert not isinstance(info.value, InfeasibleError)
+
+
 # ---------------------------------------------------------------------------
 # the training rewards of the experiment methods
+
+
+def _qonly_within_budget(spec, n_users, n_models, pick):
+    """A q-only action within both budgets: each resource's level counts
+    are drawn until they fit, and x and m uniformly."""
+    units = []
+    for _ in range(2):
+        k = pick.integers(1, spec.levels + 1, size=n_users)
+        while k.sum() > spec.levels:
+            k = pick.integers(1, spec.levels + 1, size=n_users)
+        units.append(k.tolist())
+    a = 0
+    for kf, kb in reversed(list(zip(*units))):
+        digit = (int(pick.integers(2)), int(pick.integers(n_models)), kf, kb)
+        a = a * len(spec.digits) + spec.digits.index(digit)
+    return a
 
 
 @seed(20231106)
@@ -289,7 +317,9 @@ def test_training_rewards_equal_action_reward_bit_for_bit_on_seeded_draws(inst, 
     on the Scenario that sample_scenario draws from the same seed, for
     random templates: unequal p, zero and positive bandwidth prices, a
     one-model catalog, and (stranded) a user whose spectral efficiency
-    rounds to zero, which makes every action earn the penalty."""
+    rounds to zero, which makes every action earn the penalty.  q-only
+    also scores 64 actions within both budgets, which uniform actions
+    seldom are."""
     sc, _, accs, _ = inst
     if stranded:
         weak = dataclasses.replace(sc.users[0], p=1e-300)
@@ -302,13 +332,48 @@ def test_training_rewards_equal_action_reward_bit_for_bit_on_seeded_draws(inst, 
         for _ in range(2):
             _, draw = sampler(rng)
             ref = sample_scenario(sc, ref_rng, cfg.f_loc_range, cfg.d_range)
-            actions = (range(spec.n_actions) if spec.n_actions <= 64
+            actions = (list(range(spec.n_actions)) if spec.n_actions <= 64
                        else pick.integers(spec.n_actions, size=64).tolist())
+            if method == "q-only":
+                within = [_qonly_within_budget(spec, sc.n_users, len(sc.catalog), pick)
+                          for _ in range(64)]
+                assert all(spec.decode(ref, a)[2] for a in within)
+                actions += within
             got = [reward_fn(draw, a) for a in actions]
             assert [r.hex() for r in got] == [
                 action_reward(ref, spec, a, accs).hex() for a in actions]
             if stranded and method != "q-only":
                 assert set(got) == {INFEASIBLE_REWARD}
+            if method == "q-only":
+                assert (INFEASIBLE_REWARD in got[-64:]) == stranded
+
+
+def test_qonly_training_builds_no_scenario_decision_or_allocation(monkeypatch):
+    """Counts the constructor calls while train_loop runs with q-only's
+    reward on the stock template, long enough that the greedy phase scores
+    many actions within both budgets."""
+    cfg = ExperimentConfig(scenario=default_scenario(), method="q-only")
+    q = dataclasses.replace(cfg.q, episodes=4000)
+    spec = method_spec(cfg)
+    accs = [acc_pair(DEFAULT_TABLE, m.name, "KD", "noniid") for m in cfg.scenario.catalog]
+    reward_fn, sampler = training_reward(cfg, spec, accs), training_sampler(cfg)
+    built = collections.Counter()
+    for cls in (Scenario, Decision, Allocation):
+        def counting(self, *args, _init=cls.__init__, **kwargs):
+            built[type(self).__name__] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    scored = []
+
+    def scoring(draw, a):
+        scored.append(reward_fn(draw, a))
+        return scored[-1]
+
+    train_loop(sampler, q, np.random.Generator(np.random.PCG64(3)), spec.n_actions, scoring)
+    assert not built
+    assert sum(r != INFEASIBLE_REWARD for r in scored) > 1000
+    spec.decode(cfg.scenario, 0)    # the counters do see the evaluation decoder
+    assert built == {"Decision": 1, "Allocation": 1}
 
 
 # ---------------------------------------------------------------------------

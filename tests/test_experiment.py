@@ -9,17 +9,16 @@ from fedkd.experiment import (
     Report,
     TrialResult,
     action_reward,
-    decode_qonly,
     emit_report,
     method_spec,
-    qonly_action_count,
     report_rows,
     run_experiment,
     sample_scenario,
     summary_dict,
+    training_reward,
 )
 from fedkd.model import ServerSpec, default_scenario
-from fedkd.qlearn import INFEASIBLE_REWARD
+from fedkd.qlearn import INFEASIBLE_REWARD, make_draw
 from conftest import make_scenario
 
 
@@ -59,13 +58,19 @@ class TestRanges:
         assert getattr(cfg, field) == (1.5, 1.5)
 
 
+def qonly_spec(sc, levels=8):
+    return method_spec(ExperimentConfig(scenario=sc, method="q-only", resource_levels=levels))
+
+
 class TestQOnlyCoding:
     def test_decode_covers_levels(self):
         sc = make_scenario(n_users=2, n_models=2)
         levels = 4
+        spec = qonly_spec(sc, levels)
+        assert spec.n_actions == (2 * 2 * levels * levels) ** 2
         seen_f = set()
-        for a in range(qonly_action_count(sc, levels)):
-            dec, al, _ = decode_qonly(a, sc, levels)
+        for a in range(spec.n_actions):
+            dec, al, _ = spec.decode(sc, a)
             assert len(al.f) == len(al.b) == 2
             seen_f.update(al.f)
         expected = {(k + 1) * sc.server.f_ser / levels for k in range(levels)}
@@ -81,6 +86,18 @@ class TestQOnlyCoding:
             a = a * radix + 2 * n_models * ((k - 1) + levels * (k - 1))
         return a
 
+    def test_digits_keep_the_action_encoding(self):
+        """Digit x + 2 (m + |M| (f_units - 1 + levels (b_units - 1))) of a
+        user picks (x, m, f_units, b_units)."""
+        sc = make_scenario(n_users=1, n_models=3)
+        levels = 4
+        spec = qonly_spec(sc, levels)
+        for k, digit in enumerate(spec.digits):
+            x, rest = k % 2, k // 2
+            m, rest = rest % 3, rest // 3
+            assert digit == (x, m, rest % levels + 1, rest // levels + 1)
+        assert spec.decode(sc, self._action((3,), levels, 3))[1].f == (3 * sc.server.f_ser / 4,)
+
     @pytest.mark.parametrize("budget, levels, units", [
         (7.0, 6, (1, 1, 3, 1)),     # float shares sum to 7.000000000000001
         (3.3, 7, (1, 4, 1, 1)),     # and to 3.3000000000000003
@@ -88,20 +105,24 @@ class TestQOnlyCoding:
     def test_split_meeting_the_budget_exactly_is_feasible(self, budget, levels, units):
         sc = make_scenario()
         sc = dataclasses.replace(sc, server=ServerSpec(f_ser=budget, b_max=budget))
-        spec = method_spec(ExperimentConfig(scenario=sc, method="q-only",
-                                            resource_levels=levels))
+        spec = qonly_spec(sc, levels)
         a = self._action(units, levels, len(sc.catalog))
-        dec, al, within_budget = decode_qonly(a, sc, levels)
+        dec, al, within_budget = spec.decode(sc, a)
         assert sum(al.f) > budget and sum(al.b) > budget   # the float sums overshoot
         assert within_budget
         assert action_reward(sc, spec, a, [(0.5, 0.5)] * 4) != INFEASIBLE_REWARD
         over = self._action(units[:-1] + (units[-1] + 1,), levels, len(sc.catalog))
-        assert not decode_qonly(over, sc, levels)[2]
+        assert not spec.decode(sc, over)[2]
         assert action_reward(sc, spec, over, [(0.5, 0.5)] * 4) == INFEASIBLE_REWARD
+        cfg = ExperimentConfig(scenario=sc, method="q-only", resource_levels=levels)
+        reward_fn = training_reward(cfg, spec, [(0.5, 0.5)] * 4)
+        _, draw = make_draw(sc, [u.f_loc for u in sc.users], [u.d for u in sc.users], cfg.q)
+        assert reward_fn(draw, a) == action_reward(sc, spec, a, [(0.5, 0.5)] * 4)
+        assert reward_fn(draw, over) == INFEASIBLE_REWARD
 
     def test_action_zero_is_minimal_and_feasible(self):
         sc = default_scenario()
-        dec, al, _ = decode_qonly(0, sc, 8)
+        dec, al, _ = qonly_spec(sc).decode(sc, 0)
         assert dec.x == (0,) * 4 and dec.m == (0,) * 4
         assert sum(al.f) <= sc.server.f_ser and sum(al.b) <= sc.server.b_max
 

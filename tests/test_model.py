@@ -80,50 +80,48 @@ class TestTxRate:
 
 
 class TestDelays:
-    U = UserSpec(id=0, f_loc=1.0, d=50.0)
+    F_LOC = 1.0
     M = ModelSpec(name="m", mu=6.83, theta_s=150.0)
     T = TeacherSpec(mu_t=30.0, theta_l=20.0)
 
     def test_teacher_delay(self):
-        dl = delays(self.U, self.M, self.T, xi=0, fi=5.0, rate_i=10.0)
+        dl = delays(self.F_LOC, self.M, self.T, xi=0, fi=5.0, rate_i=10.0)
         assert dl.t_tea == 6.0
 
     def test_local_student_delay_at_unit_frequency(self):
-        dl = delays(self.U, self.M, self.T, xi=1, fi=5.0, rate_i=10.0)
+        dl = delays(self.F_LOC, self.M, self.T, xi=1, fi=5.0, rate_i=10.0)
         assert dl.t_stu == pytest.approx(6.83, rel=1e-15)
 
     def test_server_training_sends_no_labels(self):
-        dl = delays(self.U, self.M, self.T, xi=0, fi=5.0, rate_i=10.0)
+        dl = delays(self.F_LOC, self.M, self.T, xi=0, fi=5.0, rate_i=10.0)
         assert dl.t_label == 0.0
 
     def test_local_training_sends_labels(self):
-        dl = delays(self.U, self.M, self.T, xi=1, fi=5.0, rate_i=10.0)
+        dl = delays(self.F_LOC, self.M, self.T, xi=1, fi=5.0, rate_i=10.0)
         assert dl.t_label == pytest.approx(2.0)
         assert dl.t_model == pytest.approx(15.0)
 
     def test_server_branch_ignores_local_frequency(self):
-        slow = UserSpec(id=0, f_loc=0.123, d=50.0)
-        fast = UserSpec(id=0, f_loc=1.9, d=50.0)
-        a = delays(slow, self.M, self.T, xi=0, fi=5.0, rate_i=10.0)
-        b = delays(fast, self.M, self.T, xi=0, fi=5.0, rate_i=10.0)
+        a = delays(0.123, self.M, self.T, xi=0, fi=5.0, rate_i=10.0)
+        b = delays(1.9, self.M, self.T, xi=0, fi=5.0, rate_i=10.0)
         assert a == b
 
     def test_local_branch_ignores_server_share_for_student(self):
-        a = delays(self.U, self.M, self.T, xi=1, fi=2.0, rate_i=10.0)
-        b = delays(self.U, self.M, self.T, xi=1, fi=8.0, rate_i=10.0)
+        a = delays(self.F_LOC, self.M, self.T, xi=1, fi=2.0, rate_i=10.0)
+        b = delays(self.F_LOC, self.M, self.T, xi=1, fi=8.0, rate_i=10.0)
         assert a.t_stu == b.t_stu
         assert a.t_tea != b.t_tea  # the teacher always runs on the share
 
     def test_zero_rate_is_infeasible(self):
         with pytest.raises(InfeasibleError):
-            delays(self.U, self.M, self.T, xi=0, fi=5.0, rate_i=0.0)
+            delays(self.F_LOC, self.M, self.T, xi=0, fi=5.0, rate_i=0.0)
 
     def test_nonpositive_share_rejected(self):
         with pytest.raises(ValueError):
-            delays(self.U, self.M, self.T, xi=0, fi=0.0, rate_i=10.0)
+            delays(self.F_LOC, self.M, self.T, xi=0, fi=0.0, rate_i=10.0)
 
     def test_total_sums_components(self):
-        dl = delays(self.U, self.M, self.T, xi=1, fi=5.0, rate_i=10.0)
+        dl = delays(self.F_LOC, self.M, self.T, xi=1, fi=5.0, rate_i=10.0)
         assert dl.total() == pytest.approx(dl.t_tea + dl.t_stu + dl.t_label + dl.t_model)
 
 
@@ -216,6 +214,17 @@ class TestTypeInvariants:
             TeacherSpec(mu_t=0.0)
         with pytest.raises(ValueError):
             ServerSpec(f_ser=-5.0)
+
+    @pytest.mark.parametrize("x, m", [((0,), (0.5,)), ((0,), ("1",)), ((True,), (0,)),
+                                      ((0,), (False,)), ((0.0,), (0,)), ("0", (0,))])
+    def test_decision_refuses_non_integer_entries(self, x, m):
+        with pytest.raises(ValueError, match="entries must be integers"):
+            Decision(x=x, m=m)
+
+    def test_decision_accepts_python_and_numpy_integers(self):
+        dec = Decision(x=[np.int64(1), 0], m=np.array([3, 2]))
+        assert dec == Decision(x=(1, 0), m=(3, 2))
+        assert all(type(v) is int for v in dec.x + dec.m)
 
     def test_decision_validation(self):
         sc = make_scenario()
