@@ -14,11 +14,10 @@ from fedkd import DEFAULT_TABLE, QConfig, acc_pair, default_scenario
 from fedkd.model import Scenario
 from fedkd.qlearn import (
     action_count,
+    action_values,
     decode_action,
-    encode_state,
     exhaustive_optimum,
-    fixed_scenario_reward,
-    train_loop,
+    train_fixed_scenario,
 )
 
 base = default_scenario()
@@ -28,14 +27,12 @@ accs = [acc_pair(DEFAULT_TABLE, m.name, "KD", "noniid") for m in sc.catalog]
 n_actions = action_count(sc)
 print(f"instance: {sc.n_users} users x {len(sc.catalog)} models -> {n_actions} joint actions")
 
-# The same per-scenario scorer that `fedkd train-q` trains with.
-reward = fixed_scenario_reward(sc, accs)
+# Every action scored at once, as `fedkd train-q` scores them before training.
+values = action_values(sc, accs).tolist()
 print("\nreward of every action (negated total cost, optimal resources):")
 scored = []
-for a in range(n_actions):
-    dec = decode_action(a, sc.n_users, len(sc.catalog))
-    r = reward(sc, a)
-    scored.append((r, a, dec))
+for a, r in enumerate(values):
+    scored.append((r, a, decode_action(a, sc.n_users, len(sc.catalog))))
 for r, a, dec in sorted(scored, reverse=True)[:5]:
     models = [sc.catalog[m].name for m in dec.m]
     print(f"  action {a:>2}  x={dec.x}  m={models}  reward {r:+.4f}")
@@ -46,8 +43,7 @@ print(f"\nenumeration says: x={best_dec.x}, "
 
 cfg = QConfig(episodes=5000)
 rng = np.random.Generator(np.random.PCG64(0))
-state = encode_state(sc, cfg)
-q = train_loop(lambda _r: (state, sc), cfg, rng, n_actions, reward)
+q, state = train_fixed_scenario(sc, accs, cfg, rng)
 greedy = q.greedy_action(state, n_actions)
 print(f"\nafter {cfg.episodes} one-shot episodes (epsilon {cfg.epsilon0} -> "
       f"{cfg.epsilon_floor}):")

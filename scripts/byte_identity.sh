@@ -18,6 +18,10 @@
 # mostly picks actions within both budgets, which the other runs, at 1500
 # episodes, seldom reach.
 #
+# OUT_DIR/seven.json is the stock template with seven users: 8^7 joint
+# actions, above qlearn.EXHAUSTIVE_CAP, so its train-q run scores actions
+# one episode at a time instead of from the enumerated reward vector.
+#
 # kd runs twice at the stock 600 epochs and once at 50, where the teacher
 # still trains for 400 epochs and the students for 50.  Two demos beside
 # SRC_DIR write their stdout into OUT_DIR: demos/03_model_selection_agent.py
@@ -75,6 +79,16 @@ fedkd experiment "${custom[@]}" --method q-only --seed 17 --trials 40 --episodes
     --out "$out/custom-q-only-8000"
 fedkd experiment "${custom[@]}" --method exhaustive --seed 17 --trials 10 \
     --out "$out/custom-exhaustive"
+cat > "$out/seven.json" <<'JSON'
+{
+  "users": [
+    {"f_loc": 0.5, "d": 10.0}, {"f_loc": 0.75, "d": 25.0}, {"f_loc": 1.0, "d": 40.0},
+    {"f_loc": 1.25, "d": 55.0}, {"f_loc": 1.5, "d": 70.0}, {"f_loc": 1.75, "d": 85.0},
+    {"f_loc": 2.0, "d": 100.0}
+  ]
+}
+JSON
+fedkd train-q --config "$out/seven.json" --seed 13 --episodes 400 --out "$out/seven-trainq"
 fedkd experiment --method proposed --distribution iid --seed 29 --trials 40 \
     --episodes 1500 --out "$out/iid-proposed"
 for s in 0 7; do

@@ -78,11 +78,8 @@ def cmd_train_q(args) -> int:
     accs = [accuracy.acc_pair(accuracy.DEFAULT_TABLE, m.name, "KD", args.distribution)
             for m in sc.catalog]
     rng = np.random.Generator(np.random.PCG64(args.seed))
-    n_actions = qlearn.action_count(sc)
-    key = qlearn.encode_state(sc, cfg)
-    table = qlearn.train_loop(lambda _rng: (key, sc), cfg, rng, n_actions,
-                              qlearn.fixed_scenario_reward(sc, accs))
-    greedy = table.greedy_action(key, n_actions)
+    table, key = qlearn.train_fixed_scenario(sc, accs, cfg, rng)
+    greedy = table.greedy_action(key, qlearn.action_count(sc))
     dec = qlearn.decode_action(greedy, sc.n_users, len(sc.catalog))
     summary = {
         "episodes": cfg.episodes,

@@ -60,11 +60,10 @@ from .qlearn import (
     Draw,
     QConfig,
     StateKey,
+    action_values,
     decision_reward,
     digit_reward,
-    encode_decision,
     encode_state,
-    exhaustive_optimum,
     joint_digits,
     make_draw,
     train_loop,
@@ -354,7 +353,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
             return q.greedy_action(encode_state(draw, cfg.q), spec.n_actions)
     else:
         def policy(draw: Scenario) -> int:
-            return encode_decision(exhaustive_optimum(draw, accs)[0], len(draw.catalog))
+            return int(np.argmax(action_values(draw, accs)))
 
     report = Report(method=cfg.method, seed=cfg.seed, n_users=template.n_users,
                     model_names=tuple(m.name for m in template.catalog))

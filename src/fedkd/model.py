@@ -24,6 +24,9 @@ class InfeasibleError(ValueError):
 
 
 def _require(cond: bool, msg: str) -> None:
+    """Raise ValueError(msg) unless cond.  msg is built before the call, so
+    a check whose message formats values tests its condition inline
+    instead and formats the message only when the check fails."""
     if not cond:
         raise ValueError(msg)
 
@@ -50,9 +53,9 @@ class UserSpec:
     p: float = 0.1          # transmit power, watts
 
     def __post_init__(self) -> None:
-        _require(self.f_loc > 0, f"UserSpec.f_loc must be > 0 (user {self.id})")
-        _require(self.d > 0, f"UserSpec.d must be > 0 (user {self.id})")
-        _require(self.p > 0, f"UserSpec.p must be > 0 (user {self.id})")
+        for name in ("f_loc", "d", "p"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"UserSpec.{name} must be > 0 (user {self.id})")
 
 
 @dataclass(frozen=True)
@@ -69,8 +72,9 @@ class ModelSpec:
     theta_s: float          # megabits
 
     def __post_init__(self) -> None:
-        _require(self.mu > 0, f"ModelSpec.mu must be > 0 ({self.name})")
-        _require(self.theta_s > 0, f"ModelSpec.theta_s must be > 0 ({self.name})")
+        for name in ("mu", "theta_s"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"ModelSpec.{name} must be > 0 ({self.name})")
 
 
 @dataclass(frozen=True)
@@ -153,8 +157,8 @@ class Decision:
         _require(all(v in (0, 1) for v in self.x), "Decision.x entries must be 0 or 1")
 
     def validate(self, sc: Scenario) -> None:
-        _require(len(self.x) == sc.n_users,
-                 f"Decision covers {len(self.x)} users, scenario has {sc.n_users}")
+        if len(self.x) != sc.n_users:
+            raise ValueError(f"Decision covers {len(self.x)} users, scenario has {sc.n_users}")
         _require(all(0 <= mi < len(sc.catalog) for mi in self.m),
                  "Decision.m entries must index the catalog")
 
@@ -179,10 +183,11 @@ class Allocation:
         _require(all(v > 0 for v in self.b), "Allocation.b entries must be > 0")
 
     def validate(self, server: ServerSpec) -> None:
-        _require(sum(self.f) <= server.f_ser * (1 + BUDGET_RTOL),
-                 f"sum(f)={sum(self.f)} exceeds server budget {server.f_ser}")
-        _require(sum(self.b) <= server.b_max * (1 + BUDGET_RTOL),
-                 f"sum(b)={sum(self.b)} exceeds bandwidth budget {server.b_max}")
+        f_sum, b_sum = sum(self.f), sum(self.b)
+        if not f_sum <= server.f_ser * (1 + BUDGET_RTOL):
+            raise ValueError(f"sum(f)={f_sum} exceeds server budget {server.f_ser}")
+        if not b_sum <= server.b_max * (1 + BUDGET_RTOL):
+            raise ValueError(f"sum(b)={b_sum} exceeds bandwidth budget {server.b_max}")
 
 
 @dataclass(frozen=True)
@@ -219,9 +224,12 @@ def tx_rate(b: float, p: float, h: float, ch: ChannelSpec) -> float:
     b = 0 or p = 0 legitimately yields rate 0; callers that divide by the
     rate must handle that case.
     """
-    _require(b >= 0, f"bandwidth must be >= 0, got {b}")
-    _require(p >= 0, f"power must be >= 0, got {p}")
-    _require(h > 0, f"channel gain must be > 0, got {h}")
+    if not b >= 0:
+        raise ValueError(f"bandwidth must be >= 0, got {b}")
+    if not p >= 0:
+        raise ValueError(f"power must be >= 0, got {p}")
+    if not h > 0:
+        raise ValueError(f"channel gain must be > 0, got {h}")
     return b * spectral_efficiency(p, h, ch)
 
 
@@ -235,7 +243,8 @@ def delays(f_loc: float, mi: ModelSpec, teacher: TeacherSpec, xi: int,
     teacher outputs transmitted.  Model parameters are synchronized between
     physical and digital space either way.
     """
-    _require(fi > 0, f"server CPU share must be > 0, got {fi}")
+    if not fi > 0:
+        raise ValueError(f"server CPU share must be > 0, got {fi}")
     if rate_i <= 0:
         raise InfeasibleError(f"transmit rate {rate_i} yields infinite delay")
     t_tea = teacher.mu_t / fi
@@ -275,9 +284,10 @@ def objective(sc: Scenario, dec: Decision, al: Allocation,
     of user_cost over users.  Accuracies are fractions in [0, 1]."""
     dec.validate(sc)
     n = sc.n_users
-    _require(len(al.f) == n, f"Allocation covers {len(al.f)} users, expected {n}")
-    _require(len(acc_own) == n and len(acc_avg) == n,
-             f"accuracy lists must have one entry per user ({n})")
+    if len(al.f) != n:
+        raise ValueError(f"Allocation covers {len(al.f)} users, expected {n}")
+    if not len(acc_own) == len(acc_avg) == n:
+        raise ValueError(f"accuracy lists must have one entry per user ({n})")
     _require(all(0.0 <= a <= 1.0 for a in acc_own), "acc_own entries must be in [0, 1]")
     _require(all(0.0 <= a <= 1.0 for a in acc_avg), "acc_avg entries must be in [0, 1]")
     total = 0.0

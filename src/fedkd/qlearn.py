@@ -15,9 +15,12 @@ state key.  `digit_reward` scores a Draw: it builds the
 user-independent factors of every (x, m) digit once per template, and
 an action's reward adds, for each user's picked digit, the terms those
 factors give at the user's f_loc and efficiency; the experiment's q-only
-scorer reads the same Draw.  `fixed_scenario_reward` scores train-q's one
-scenario from its terms of every digit, tabulated once, and
-`exhaustive_optimum` scores every action from the same tables.  An
+scorer reads the same Draw.  On one fixed scenario, `action_values`
+tabulates every user's terms of every digit once and scores every action
+in one broadcast; `exhaustive_optimum` is its argmax, and
+`train_fixed_scenario` (train-q's agent) trains on lookups into it, or
+on digit_reward above EXHAUSTIVE_CAP actions.  Every route adds the
+users' terms left to right, so all of them agree bit for bit, and an
 infeasible action earns INFEASIBLE_REWARD on every route.
 
 The table is a hash map and missing entries read as 0, which doubles as
@@ -27,7 +30,7 @@ large action encodings (q-only's resource grid) remain usable.  Each row
 caches its best stored entry and its first unstored action, both kept up
 to date on write, so a greedy step costs O(1) amortized; only a write
 that lowers the cached best makes the next greedy step rescan that row's
-stored entries once.
+stored entries once.  A Q-update looks its row up once (`QTable.step`).
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ logger = logging.getLogger(__name__)
 #: Reward assigned to actions whose induced subproblem is infeasible.
 INFEASIBLE_REWARD = -1e6
 
-#: exhaustive_optimum refuses action spaces larger than this.
+#: action_values and exhaustive_optimum refuse action spaces larger than this.
 EXHAUSTIVE_CAP = 10 ** 6
 
 StateKey = tuple[tuple[int, int], ...]
@@ -114,10 +117,26 @@ class QTable:
     def set(self, s: StateKey, a: int, value: float, visits: int) -> None:
         """Store an entry; a non-finite value is refused, since it would
         break the ordering the cached argmax relies on."""
+        self._store(self._rows.get(s), s, a, value, visits)
+
+    def step(self, s: StateKey, a: int, target: float, lr: float) -> float:
+        """Move entry (s, a) a step lr toward target and count the visit:
+        value <- value + lr * (target - value), visits <- visits + 1, with
+        a missing entry read as (0, 0).  Returns the new value.  The row is
+        looked up once; a non-finite result is refused as in set."""
+        row = self._rows.get(s)
+        entry = row.get(a) if row is not None else None
+        old, visits = entry if entry is not None else (0.0, 0)
+        value = old + lr * (target - old)
+        self._store(row, s, a, value, visits + 1)
+        return value
+
+    def _store(self, row: _Row | None, s: StateKey, a: int, value: float, visits: int) -> None:
+        """Write entry (s, a) into row, state s's row or None when s has
+        none yet, and keep the row's cached argmax up to date."""
         if not math.isfinite(value):
             raise ValueError(f"Q-value must be finite, got {value!r} "
                              f"(state {s}, action {a})")
-        row = self._rows.get(s)
         if row is None:
             row = self._rows[s] = _Row()
             row.best_a, row.best_v, row.first_free = a, value, 0
@@ -283,7 +302,10 @@ def decision_reward(sc: Scenario, dec: Decision,
     except InfeasibleError:
         return INFEASIBLE_REWARD
     gains = _model_gains(sc, acc_by_model)
-    return -(cost - sum(gains[mi] for mi in dec.m))
+    s_gain = 0.0
+    for mi in dec.m:
+        s_gain += gains[mi]
+    return -(cost - s_gain)
 
 
 def reward(sc: Scenario, a: int, acc_by_model: Sequence[tuple[float, float]]) -> float:
@@ -338,20 +360,17 @@ def digit_reward(template: Scenario, acc_by_model: Sequence[tuple[float, float]]
     picked digit: alpha_d x mu / f_loc + beta_c server_mu,
     sqrt(alpha_d server_mu) and sqrt(alpha_d (x theta_l + theta_s) / eff).
 
-    The terms are added user by user, in decision_cost's order and with
-    user_terms' operations, and the picked gains go through the builtin
-    sum, as in decision_reward, so every reward equals decision_reward bit
-    for bit on any interpreter (from Python 3.12 on, sum() of floats is
-    compensated).  A user with zero spectral efficiency makes every action
-    earn INFEASIBLE_REWARD; any other error (alpha_d = 0 included)
-    propagates, here at construction.
+    The terms and the picked gains are added user by user, left to right,
+    in decision_cost's order and with user_terms' operations, so every
+    reward equals decision_reward bit for bit.  A user with zero spectral
+    efficiency makes every action earn INFEASIBLE_REWARD; any other error
+    (alpha_d = 0 included) propagates, here at construction.
     """
     radix = len(digits)
     factors = _digit_factors(template, acc_by_model, digits)
 
     def reward_fn(draw: Draw, a: int) -> float:
-        s_const = s_root_c = s_root_d = 0.0
-        gains = []
+        s_const = s_root_c = s_root_d = s_gain = 0.0
         for f_loc, eff in zip(draw.f_loc, draw.eff):
             if eff <= 0:
                 return INFEASIBLE_REWARD
@@ -360,41 +379,8 @@ def digit_reward(template: Scenario, acc_by_model: Sequence[tuple[float, float]]
             s_const += fa / f_loc + fb
             s_root_c += root_c
             s_root_d += math.sqrt(num / eff)
-            gains.append(g)
-        return -(cost_from_sums(template, s_const, s_root_c, s_root_d) - sum(gains))
-
-    return reward_fn
-
-
-def fixed_scenario_reward(sc: Scenario, acc_by_model: Sequence[tuple[float, float]]
-                          ) -> Callable[[Scenario, int], float]:
-    """reward(sc, a, acc_by_model) as a reward_fn(sc, a) for train_loop on
-    the one scenario sc, the only draw it accepts.  Each user's terms of
-    every joint digit are tabulated once, as exhaustive_optimum's are, and
-    the picked rows are added as digit_reward adds its terms, so it equals
-    reward bit for bit.  A user with zero spectral efficiency makes every
-    action earn INFEASIBLE_REWARD."""
-    radix = 2 * len(sc.catalog)
-    try:
-        terms = _digit_terms(sc, acc_by_model)
-    except InfeasibleError:
-        terms = None
-
-    def reward_fn(draw: Scenario, a: int) -> float:
-        if draw is not sc:
-            raise ValueError("fixed_scenario_reward scores only the scenario it was built for")
-        if terms is None:
-            return INFEASIBLE_REWARD
-        s_const = s_root_c = s_root_d = 0.0
-        gains = []
-        for row in terms:
-            const, root_c, root_d, g = row[a % radix]
-            a //= radix
-            s_const += const
-            s_root_c += root_c
-            s_root_d += root_d
-            gains.append(g)
-        return -(cost_from_sums(sc, s_const, s_root_c, s_root_d) - sum(gains))
+            s_gain += g
+        return -(cost_from_sums(template, s_const, s_root_c, s_root_d) - s_gain)
 
     return reward_fn
 
@@ -406,10 +392,7 @@ def update(q: QTable, s: StateKey, a: int, r: float, cfg: QConfig) -> float:
     """
     if not math.isfinite(r):
         raise ValueError(f"reward must be finite, got {r}")
-    old = q.value(s, a)
-    new = old + cfg.lr * (r - old)
-    q.set(s, a, new, q.visits(s, a) + 1)
-    return new
+    return q.step(s, a, r, cfg.lr)
 
 
 def train_loop(sampler: Callable[[np.random.Generator], tuple[StateKey, object]],
@@ -421,11 +404,10 @@ def train_loop(sampler: Callable[[np.random.Generator], tuple[StateKey, object]]
     Each episode takes a (state key, draw) pair from sampler(rng), picks
     an action epsilon-greedily for that key and moves its entry toward
     reward_fn(draw, action).  The sampler owns the key: make_draw computes
-    it from the same channel gains as the draw's efficiencies, and train-q
-    encodes its one Scenario once and returns the same pair every episode.
-    A draw is whatever reward_fn scores: a Draw for digit_reward, the one
-    Scenario for fixed_scenario_reward.  Fully deterministic for a fixed
-    rng seed.
+    it from the same channel gains as the draw's efficiencies, and
+    train_fixed_scenario's sampler returns one pair every episode.  A draw
+    is whatever reward_fn scores, a Draw for digit_reward and the
+    experiment's scorers.  Fully deterministic for a fixed rng seed.
     """
     q = QTable()
     for ep in range(cfg.episodes):
@@ -435,17 +417,35 @@ def train_loop(sampler: Callable[[np.random.Generator], tuple[StateKey, object]]
     return q
 
 
-def exhaustive_optimum(sc: Scenario, acc_by_model: Sequence[tuple[float, float]]
-                       ) -> tuple[Decision, float]:
-    """Score every decision in closed form and return the minimizer.
+def train_fixed_scenario(sc: Scenario, acc_by_model: Sequence[tuple[float, float]],
+                         cfg: QConfig, rng: np.random.Generator
+                         ) -> tuple[QTable, StateKey]:
+    """train_loop on the one scenario sc, the agent of `fedkd train-q`;
+    returns the table and sc's state key.
 
-    This is the reference the trained agent is compared against; it
-    refuses action spaces larger than EXHAUSTIVE_CAP.  User i's digit
-    k = x * |M| + m indexes the per-user tables of _digit_terms, so the
-    sums over users for every action come from one broadcast add per user,
-    and each action's value equals -decision_reward.  Ties go to the
-    lowest action index.
+    Every episode sees sc's key and scores the action on sc.  Up to
+    EXHAUSTIVE_CAP actions, every action is scored once, by action_values,
+    and an episode's reward is one list lookup.  Above it, digit_reward
+    scores the Draw of sc's users.  Both equal reward(sc, a, acc_by_model)
+    bit for bit.  A configuration error (alpha_d = 0, say) raises before
+    the first episode.
     """
+    key, draw = make_draw(sc, [u.f_loc for u in sc.users], [u.d for u in sc.users], cfg)
+    n_actions = action_count(sc)
+    if n_actions <= EXHAUSTIVE_CAP:
+        values = action_values(sc, acc_by_model).tolist()
+
+        def reward_fn(_draw: Draw, a: int) -> float:
+            return values[a]
+    else:
+        reward_fn = digit_reward(sc, acc_by_model, joint_digits(len(sc.catalog)))
+    return train_loop(lambda _rng: (key, draw), cfg, rng, n_actions, reward_fn), key
+
+
+def _enumerated(sc: Scenario, acc_by_model: Sequence[tuple[float, float]]) -> np.ndarray:
+    """Every joint action's reward, indexed by action, from _digit_terms'
+    tables; raises InfeasibleError for a user with zero spectral
+    efficiency and ValueError above EXHAUSTIVE_CAP actions."""
     n = action_count(sc)
     if n > EXHAUSTIVE_CAP:
         raise ValueError(
@@ -454,10 +454,36 @@ def exhaustive_optimum(sc: Scenario, acc_by_model: Sequence[tuple[float, float]]
     # (4, N, 2|M|): const, sqrt c, sqrt d, gain
     tables = np.array(_digit_terms(sc, acc_by_model))
     tables = tables.transpose(2, 0, 1)
-    # Action a = sum_i k_i * (2|M|)^i: user i enters as the leading digit.
+    # Action a = sum_i k_i * (2|M|)^i: user i enters as the leading digit,
+    # so every sum adds the users' terms left to right, as the scalar
+    # routes do.
     sums = tables[:, 0, :]
     for i in range(1, sc.n_users):
         sums = (tables[:, i, :, None] + sums[:, None, :]).reshape(4, -1)
-    values = cost_from_sums(sc, sums[0], sums[1], sums[2]) - sums[3]
-    best = int(np.argmin(values))
-    return decode_action(best, sc.n_users, len(sc.catalog)), float(values[best])
+    return -(cost_from_sums(sc, sums[0], sums[1], sums[2]) - sums[3])
+
+
+def action_values(sc: Scenario, acc_by_model: Sequence[tuple[float, float]]) -> np.ndarray:
+    """reward(sc, a, acc_by_model) of every joint action a, as one array
+    indexed by a and equal to reward bit for bit.
+
+    User i's digit k = x * |M| + m indexes the per-user tables of
+    _digit_terms, so the sums over users for every action come from one
+    broadcast add per user.  A user with zero spectral efficiency makes
+    every action INFEASIBLE_REWARD.  Refuses action spaces larger than
+    EXHAUSTIVE_CAP.
+    """
+    try:
+        return _enumerated(sc, acc_by_model)
+    except InfeasibleError:
+        return np.full(action_count(sc), INFEASIBLE_REWARD)
+
+
+def exhaustive_optimum(sc: Scenario, acc_by_model: Sequence[tuple[float, float]]
+                       ) -> tuple[Decision, float]:
+    """The minimizer of the cost and its value: the lowest-index argmax of
+    action_values, the reference the trained agent is compared against.
+    A user with zero spectral efficiency raises InfeasibleError."""
+    values = _enumerated(sc, acc_by_model)
+    best = int(np.argmax(values))
+    return decode_action(best, sc.n_users, len(sc.catalog)), -float(values[best])

@@ -7,6 +7,7 @@ import pytest
 from fedkd import cli, kd, qlearn
 from fedkd.cli import build_parser, kd_demo, main
 from fedkd.kd import DivergenceError
+from fedkd.model import default_scenario
 
 
 def write_config(tmp_path, doc):
@@ -70,15 +71,16 @@ class TestTrainQ:
 
     @pytest.mark.parametrize("episodes", ["0", "3000"])
     def test_state_is_encoded_once(self, tmp_path, monkeypatch, episodes):
-        encode_state, encoded = qlearn.encode_state, []
+        """Each of the four stock users' state components is computed once."""
+        user_state, encoded = qlearn._user_state, []
 
-        def counting(sc, cfg):
-            encoded.append(sc)
-            return encode_state(sc, cfg)
+        def counting(f_loc, h, cfg):
+            encoded.append(f_loc)
+            return user_state(f_loc, h, cfg)
 
-        monkeypatch.setattr(qlearn, "encode_state", counting)
+        monkeypatch.setattr(qlearn, "_user_state", counting)
         assert main(["train-q", "--episodes", episodes, "--out", str(tmp_path / "q")]) == 0
-        assert len(encoded) == 1
+        assert encoded == [u.f_loc for u in default_scenario().users]
 
     def test_zero_delay_weight_fails_even_without_episodes(self, tmp_path, capsys):
         # the per-user terms are built before training starts

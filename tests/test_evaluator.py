@@ -3,10 +3,10 @@
 decision_cost and exhaustive_optimum score decisions from per-user sums
 without computing a split; allocate + objective is the independent route
 they must agree with, on random instances that reach both bandwidth
-branches and a zero bandwidth price.  fixed_scenario_reward, the scorer
-train-q trains with, must equal reward() bit for bit on every action, and
-the rewards the experiment methods train on must equal action_reward on
-the same seeded draws.  The allocator's symmetries and monotonicities and
+branches and a zero bandwidth price.  action_values, which train-q trains
+on, must equal reward() bit for bit on every action, and the rewards the
+experiment methods train on must equal action_reward on the same seeded
+draws.  The allocator's symmetries and monotonicities and
 the config round-trip are checked on the same random instances.
 """
 
@@ -46,13 +46,16 @@ from fedkd.model import (
 )
 from fedkd.qlearn import (
     INFEASIBLE_REWARD,
+    QConfig,
     QTable,
     action_count,
+    action_values,
     decision_reward,
     decode_action,
+    digit_reward,
     encode_decision,
     exhaustive_optimum,
-    fixed_scenario_reward,
+    joint_digits,
     make_draw,
     reward,
     train_loop,
@@ -154,36 +157,46 @@ def test_enumeration_matches_brute_force(inst):
         assert _score(sc, dec, accs) == pytest.approx(ref_val, rel=1e-12, abs=1e-12)
 
 
-def _bits(score, sc):
-    """Every action's reward, as exact float bits (signed zeros differ)."""
-    return [score(a).hex() for a in range(action_count(sc))]
-
-
-def _assert_scorer_equals_reward(sc, accs):
-    scorer = fixed_scenario_reward(sc, accs)
-    assert _bits(lambda a: scorer(sc, a), sc) == _bits(lambda a: reward(sc, a, accs), sc)
+def _assert_action_values_equal_reward(sc, accs):
+    """Every action's value, as exact float bits (signed zeros differ)."""
+    values = action_values(sc, accs)
+    assert values.shape == (action_count(sc),)
+    assert [v.hex() for v in values.tolist()] == [
+        reward(sc, a, accs).hex() for a in range(action_count(sc))]
 
 
 @seed(20231105)
 @settings(max_examples=80, deadline=None, database=None)
 @given(instances(n_users=st.integers(1, 3), n_models=st.integers(1, 3)))
-def test_fixed_scenario_reward_equals_reward_bit_for_bit(inst):
+def test_action_values_equal_reward_bit_for_bit(inst):
     sc, _, accs, _ = inst
-    _assert_scorer_equals_reward(sc, accs)
+    _assert_action_values_equal_reward(sc, accs)
 
 
-def test_fixed_scenario_reward_equals_reward_bit_for_bit_on_the_stock_scenario():
+def test_action_values_equal_reward_bit_for_bit_on_the_stock_scenario():
     sc = default_scenario()
-    _assert_scorer_equals_reward(
+    _assert_action_values_equal_reward(
         sc, [acc_pair(DEFAULT_TABLE, m.name, "KD", "noniid") for m in sc.catalog])
 
 
-def test_fixed_scenario_reward_refuses_another_scenario():
-    sc = make_scenario(n_users=2)
-    accs = [acc_pair(DEFAULT_TABLE, m.name, "KD", "noniid") for m in sc.catalog]
-    scorer = fixed_scenario_reward(sc, accs)
-    with pytest.raises(ValueError, match="only the scenario it was built for"):
-        scorer(dataclasses.replace(sc), 0)
+def test_gains_add_left_to_right_on_every_route():
+    """Gains 1.0, 1e-16, 1e-16 sum to 1.0 left to right but to 1 + 2^-52
+    when compensated, as the builtin sum is from Python 3.12 on; every
+    route must give the left-to-right reward.  The delay price is tiny, so
+    the two sums still differ after the cost is subtracted."""
+    weights = ObjectiveWeights(alpha_d=1e-9, beta_c=0.0, delta_b=0.0, eta_o=1.0, eta_a=0.0)
+    sc = make_scenario(n_users=3, n_models=3, weights=weights)
+    accs = [(1.0, 0.0), (1e-16, 0.0), (1e-16, 0.0)]
+    dec = Decision(x=(0, 0, 0), m=(0, 1, 2))
+    a = encode_decision(dec, 3)
+    cost = decision_cost(sc, dec)
+    left_to_right = -(cost - ((1.0 + 1e-16) + 1e-16))
+    assert left_to_right != -(cost - math.fsum(g for g, _ in accs))
+    _, draw = make_draw(sc, [u.f_loc for u in sc.users], [u.d for u in sc.users], QConfig())
+    assert decision_reward(sc, dec, accs) == left_to_right
+    assert reward(sc, a, accs) == left_to_right
+    assert digit_reward(sc, accs, joint_digits(3))(draw, a) == left_to_right
+    assert action_values(sc, accs)[a] == left_to_right
 
 
 @pytest.mark.parametrize("draw", [None, 7])
@@ -214,15 +227,15 @@ def _stranded_user_scenario():
 
 
 def _rewards(sc, accs):
-    """reward, the fixed-scenario scorer and the fixed-model baseline's
-    reward of action 0."""
+    """reward, action_values and the fixed-model baseline's reward of
+    action 0."""
     fl_min = method_spec(ExperimentConfig(scenario=sc, method="fl-min"))
     return {"reward": lambda: reward(sc, 0, accs),
-            "scorer": lambda: fixed_scenario_reward(sc, accs)(sc, 0),
+            "vector": lambda: action_values(sc, accs)[0],
             "xonly": lambda: action_reward(sc, fl_min, 0, accs)}
 
 
-@pytest.mark.parametrize("route", ["reward", "scorer", "xonly"])
+@pytest.mark.parametrize("route", ["reward", "vector", "xonly"])
 def test_infeasible_decision_earns_the_penalty(route):
     sc = _stranded_user_scenario()
     accs = [acc_pair(DEFAULT_TABLE, m.name, "KD", "noniid") for m in sc.catalog]
@@ -231,11 +244,21 @@ def test_infeasible_decision_earns_the_penalty(route):
         exhaustive_optimum(sc, accs)
 
 
-def test_fixed_scenario_reward_of_a_stranded_user_is_the_penalty_for_every_action():
+def test_exhaustive_method_refuses_a_stranded_evaluation_draw():
+    """Every action of the draw is the penalty, so the argmax picks action 0
+    and its split is refused, as exhaustive_optimum refuses the draw."""
+    cfg = ExperimentConfig(scenario=make_scenario(n_users=2), method="exhaustive", trials=1,
+                           d_range=(1e10, 1e10))
+    with pytest.raises(InfeasibleError, match="user 0 has zero spectral efficiency"):
+        run_experiment(cfg)
+
+
+def test_action_values_of_a_stranded_user_are_the_penalty_for_every_action():
     sc = _stranded_user_scenario()
     accs = [acc_pair(DEFAULT_TABLE, m.name, "KD", "noniid") for m in sc.catalog]
-    scorer = fixed_scenario_reward(sc, accs)
-    assert {scorer(sc, a) for a in range(action_count(sc))} == {INFEASIBLE_REWARD}
+    values = action_values(sc, accs)
+    assert values.shape == (action_count(sc),)
+    assert set(values.tolist()) == {INFEASIBLE_REWARD}
 
 
 @pytest.mark.parametrize("method", ["proposed", "q-only", "fl-min", "fl-max"])
@@ -258,7 +281,7 @@ def test_training_reward_of_an_infeasible_action_is_the_penalty(method, monkeypa
     assert calls[0](draw, 0) == INFEASIBLE_REWARD
 
 
-@pytest.mark.parametrize("route", ["reward", "scorer", "xonly"])
+@pytest.mark.parametrize("route", ["reward", "vector", "xonly"])
 def test_other_value_errors_propagate(route):
     # alpha_d = 0 is a configuration error, not an infeasible decision
     weights = ObjectiveWeights(alpha_d=0.0, beta_c=0.001, delta_b=0.001, eta_o=1.0, eta_a=0.25)

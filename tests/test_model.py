@@ -79,6 +79,19 @@ class TestTxRate:
         assert tx_rate(5.0, 0.1, 2e-8, CH) > base
 
 
+    @pytest.mark.parametrize("b, p, h, message", [
+        (-1.5, 0.1, 1e-8, "bandwidth must be >= 0, got -1.5"),
+        (float("nan"), 0.1, 1e-8, "bandwidth must be >= 0, got nan"),
+        (5.0, -0.25, 1e-8, "power must be >= 0, got -0.25"),
+        (5.0, 0.1, 0.0, "channel gain must be > 0, got 0.0"),
+        (5.0, 0.1, -2e-09, "channel gain must be > 0, got -2e-09"),
+    ])
+    def test_error_messages_name_the_value(self, b, p, h, message):
+        with pytest.raises(ValueError) as err:
+            tx_rate(b, p, h, CH)
+        assert str(err.value) == message
+
+
 class TestDelays:
     F_LOC = 1.0
     M = ModelSpec(name="m", mu=6.83, theta_s=150.0)
@@ -119,6 +132,18 @@ class TestDelays:
     def test_nonpositive_share_rejected(self):
         with pytest.raises(ValueError):
             delays(self.F_LOC, self.M, self.T, xi=0, fi=0.0, rate_i=10.0)
+
+    @pytest.mark.parametrize("fi, rate_i, error, message", [
+        (0.0, 10.0, ValueError, "server CPU share must be > 0, got 0.0"),
+        (-0.5, 10.0, ValueError, "server CPU share must be > 0, got -0.5"),
+        (float("nan"), 10.0, ValueError, "server CPU share must be > 0, got nan"),
+        (5.0, 0.0, InfeasibleError, "transmit rate 0.0 yields infinite delay"),
+        (5.0, -3.25, InfeasibleError, "transmit rate -3.25 yields infinite delay"),
+    ])
+    def test_error_messages_name_the_value(self, fi, rate_i, error, message):
+        with pytest.raises(error) as err:
+            delays(self.F_LOC, self.M, self.T, xi=1, fi=fi, rate_i=rate_i)
+        assert str(err.value) == message
 
     def test_total_sums_components(self):
         dl = delays(self.F_LOC, self.M, self.T, xi=1, fi=5.0, rate_i=10.0)
@@ -242,6 +267,33 @@ class TestTypeInvariants:
         al = Allocation(f=(9.0, 9.0), b=(1.0, 1.0))
         with pytest.raises(ValueError):
             al.validate(ServerSpec(f_ser=10.0, b_max=10.0))
+
+    def test_validation_messages_name_the_values(self):
+        sc = make_scenario()
+        cases = [
+            (lambda: UserSpec(id=3, f_loc=0.0, d=10.0), "UserSpec.f_loc must be > 0 (user 3)"),
+            (lambda: UserSpec(id=3, f_loc=1.0, d=-1.0), "UserSpec.d must be > 0 (user 3)"),
+            (lambda: UserSpec(id=3, f_loc=1.0, d=1.0, p=0.0), "UserSpec.p must be > 0 (user 3)"),
+            (lambda: ModelSpec(name="m7", mu=0.0, theta_s=1.0), "ModelSpec.mu must be > 0 (m7)"),
+            (lambda: ModelSpec(name="m7", mu=1.0, theta_s=0.0),
+             "ModelSpec.theta_s must be > 0 (m7)"),
+            (lambda: Decision(x=(0,), m=(0,)).validate(sc),
+             "Decision covers 1 users, scenario has 4"),
+            (lambda: Allocation(f=(9.0, 2.5), b=(1.0, 1.0)).validate(ServerSpec(f_ser=10.0)),
+             "sum(f)=11.5 exceeds server budget 10.0"),
+            (lambda: Allocation(f=(1.0, 1.0), b=(8.0, 2.5)).validate(ServerSpec(b_max=10.0)),
+             "sum(b)=10.5 exceeds bandwidth budget 10.0"),
+            (lambda: objective(sc, Decision(x=(0,) * 4, m=(0,) * 4),
+                               Allocation(f=(1.0,) * 3, b=(1.0,) * 3), [0.5] * 4, [0.5] * 4),
+             "Allocation covers 3 users, expected 4"),
+            (lambda: objective(sc, Decision(x=(0,) * 4, m=(0,) * 4),
+                               Allocation(f=(1.0,) * 4, b=(1.0,) * 4), [0.5] * 3, [0.5] * 4),
+             "accuracy lists must have one entry per user (4)"),
+        ]
+        for build, message in cases:
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == message
 
     def test_scenario_requires_users_and_catalog(self):
         sc = default_scenario()

@@ -38,9 +38,9 @@ from fedkd.qlearn import (
     encode_decision,
     encode_state,
     exhaustive_optimum,
-    fixed_scenario_reward,
     reward,
     select_action,
+    train_fixed_scenario,
     train_loop,
     update,
 )
@@ -89,9 +89,18 @@ def scan_greedy(q, s, n):
     return best_a
 
 
+def step_by_lookups(q, s, a, target, lr):
+    """The Q-update through value, visits and set, three row lookups."""
+    old = q.value(s, a)
+    new = old + lr * (target - old)
+    q.set(s, a, new, q.visits(s, a) + 1)
+    return new
+
+
 class ScanTable(QTable):
-    """QTable whose greedy step is the reference scan; counts the writes
-    that lower the best stored entry of their row."""
+    """QTable whose greedy step is the reference scan and whose update goes
+    through value, visits and set; counts the writes that lower the best
+    stored entry of their row."""
 
     def __init__(self):
         super().__init__()
@@ -99,6 +108,9 @@ class ScanTable(QTable):
 
     def greedy_action(self, s, action_count):
         return scan_greedy(self, s, action_count)
+
+    def step(self, s, a, target, lr):
+        return step_by_lookups(self, s, a, target, lr)
 
     def set(self, s, a, value, visits):
         row = stored_row(self, s)
@@ -285,6 +297,26 @@ class TestUpdate:
             update(q, s, 0, r, cfg)
         assert abs(q.value(s, 0) - r) < 1e-9
 
+    def test_step_equals_value_visits_set_over_random_updates(self):
+        """step reads its row once; the table it leaves, the values it
+        returns and every greedy action equal the three-lookup route's."""
+        n = 6
+        for seed in range(20):
+            rng = np.random.Generator(np.random.PCG64(seed))
+            fast, slow = QTable(), QTable()
+            for _ in range(300):
+                s = FUZZ_STATES[int(rng.integers(len(FUZZ_STATES)))]
+                a = int(rng.integers(n))
+                target = float(rng.choice([0.0, -0.0, -1.0, rng.normal(scale=2.0)]))
+                lr = float(rng.choice([1.0, 0.5, 0.2]))
+                got, want = fast.step(s, a, target, lr), step_by_lookups(slow, s, a, target, lr)
+                assert got.hex() == want.hex()
+                assert ([(key, b, v.hex(), k) for key, b, v, k in fast.entries()]
+                        == [(key, b, v.hex(), k) for key, b, v, k in slow.entries()])
+                for state in FUZZ_STATES:
+                    assert (fast.greedy_action(state, n) == slow.greedy_action(state, n)
+                            == scan_greedy(slow, state, n))
+
     def test_nonfinite_reward_rejected(self):
         with pytest.raises(ValueError):
             update(QTable(), ((0, 0),), 0, float("nan"), QConfig())
@@ -388,19 +420,31 @@ def train_encoding_every_episode(sampler, cfg, rng, n_actions, reward_fn):
     return q, draws
 
 
+def wide_scenario():
+    """20 users and one model: 2^20 joint actions, above the enumeration cap."""
+    users = tuple(UserSpec(id=i, f_loc=0.5 + 0.07 * i, d=10.0 + 4.5 * i) for i in range(20))
+    return dataclasses.replace(default_scenario(), users=users, catalog=DEFAULT_CATALOG[:1])
+
+
 class TestFixedScenarioTraining:
-    def test_scorer_trains_like_reward(self):
-        sc = make_scenario(seed=12)
+    @pytest.mark.parametrize("sc, episodes", [(make_scenario(seed=12), 3000),
+                                              (wide_scenario(), 200)],
+                             ids=["enumerated", "above-cap"])
+    def test_trains_like_reward(self, sc, episodes):
+        """Up to the cap the rewards are lookups into action_values, above
+        it digit_reward's; either way the table equals reward's."""
         accs = kd_accs(sc)
-        cfg = QConfig(episodes=3000)
+        cfg = QConfig(episodes=episodes)
         key = encode_state(sc, cfg)
-        tables = [train_loop(lambda _r: (key, sc),
-                             cfg, np.random.Generator(np.random.PCG64(4)),
-                             action_count(sc), reward_fn)
-                  for reward_fn in (fixed_scenario_reward(sc, accs),
-                                    lambda draw, a: reward(draw, a, accs))]
-        assert list(tables[0].entries()) == list(tables[1].entries())
-        assert len(tables[0]) > 100
+        q, got_key = train_fixed_scenario(sc, accs, cfg, np.random.Generator(np.random.PCG64(4)))
+        ref = train_loop(lambda _r: (key, sc), cfg, np.random.Generator(np.random.PCG64(4)),
+                         action_count(sc), lambda draw, a: reward(draw, a, accs))
+        assert got_key == key
+        assert list(q.entries()) == list(ref.entries())
+        assert len(q) > 100
+
+    def test_the_wide_scenario_is_above_the_cap(self):
+        assert action_count(wide_scenario()) == 2 ** 20 > EXHAUSTIVE_CAP
 
     def test_train_q_runs_above_the_enumeration_cap(self, tmp_path):
         users = [{"f_loc": 0.5 + 0.2 * i, "d": 10.0 + 12.0 * i} for i in range(7)]
@@ -604,6 +648,14 @@ class TestNonFiniteValues:
         assert repr(bad) in str(err.value)
         assert list(q.entries()) == [(s, 0, -1.0, 1)]
         assert q.greedy_action(s, 4) == 1
+
+    def test_step_refuses_a_non_finite_result_and_keeps_the_entry(self):
+        q = QTable()
+        s = ((1, 2),)
+        q.set(s, 0, -1e308, 1)
+        with pytest.raises(ValueError, match=r"finite, got inf .*action 0"):
+            q.step(s, 0, 1e308, 1.0)
+        assert list(q.entries()) == [(s, 0, -1e308, 1)]
 
     def test_load_names_the_file_line(self, tmp_path):
         path = tmp_path / "table.tsv"
