@@ -27,7 +27,8 @@ accs = [acc_pair(DEFAULT_TABLE, m.name, "KD", "noniid") for m in sc.catalog]
 n_actions = action_count(sc)
 print(f"instance: {sc.n_users} users x {len(sc.catalog)} models -> {n_actions} joint actions")
 
-# Every action scored at once, as `fedkd train-q` scores them before training.
+# Every action scored at once, as `fedkd train-q` scores them before training
+# when they number no more than its episodes.
 values = action_values(sc, accs).tolist()
 print("\nreward of every action (negated total cost, optimal resources):")
 scored = []

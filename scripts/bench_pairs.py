@@ -3,7 +3,7 @@
 
 Usage:
     python3 scripts/bench_pairs.py --parent TREE --change TREE \
-        --workloads cell,fleet,distill --pairs 10 --seconds 30 \
+        --workloads cell,fleet,distill --seconds 30 \
         --seeds 101,102,... --out BENCH_<label>.json
 
 TREE is the root of a checkout (it holds perfbench/ and src/).  Pair k
@@ -87,19 +87,16 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--workloads", required=True, help="comma-separated workload names")
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--seeds", required=True, help="comma-separated, one per pair")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
-    if len(seeds) != args.pairs:
-        ap.error(f"--seeds gives {len(seeds)} seeds for {args.pairs} pairs")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
     record = {"protocol": {"command": "python3 perfbench/run.py --workload W --seed SEED "
                                       f"--seconds {args.seconds:g} --trace 0",
-                           "pairs": args.pairs, "seeds": seeds,
+                           "pairs": len(seeds), "seeds": seeds,
                            "order": "parent first on even pairs, change first on odd"},
               "source_sha256": {side: source_digest(t) for side, t in trees.items()},
               "workloads": {}}

@@ -21,6 +21,8 @@
 # OUT_DIR/seven.json is the stock template with seven users: 8^7 joint
 # actions, above qlearn.EXHAUSTIVE_CAP, so its train-q run scores actions
 # one episode at a time instead of from the enumerated reward vector.
+# The stock template has 4096 actions: its 20000-episode train-q runs
+# train on the vector, its 3000-episode runs one episode at a time.
 #
 # kd runs twice at the stock 600 epochs and once at 50, where the teacher
 # still trains for 400 epochs and the students for 50.  Two demos beside

@@ -60,7 +60,7 @@ from .qlearn import (
     Draw,
     QConfig,
     StateKey,
-    action_values,
+    _enumerated,
     decision_reward,
     digit_reward,
     encode_state,
@@ -353,7 +353,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
             return q.greedy_action(encode_state(draw, cfg.q), spec.n_actions)
     else:
         def policy(draw: Scenario) -> int:
-            return int(np.argmax(action_values(draw, accs)))
+            return int(np.argmax(_enumerated(draw, accs)))
 
     report = Report(method=cfg.method, seed=cfg.seed, n_users=template.n_users,
                     model_names=tuple(m.name for m in template.catalog))

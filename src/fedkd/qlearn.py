@@ -19,9 +19,9 @@ scorer reads the same Draw.  On one fixed scenario, `action_values`
 tabulates every user's terms of every digit once and scores every action
 in one broadcast; `exhaustive_optimum` is its argmax, and
 `train_fixed_scenario` (train-q's agent) trains on lookups into it, or
-on digit_reward above EXHAUSTIVE_CAP actions.  Every route adds the
-users' terms left to right, so all of them agree bit for bit, and an
-infeasible action earns INFEASIBLE_REWARD on every route.
+on digit_reward when there are more actions than episodes.  Every route
+adds the users' terms left to right, so all of them agree bit for bit,
+and an infeasible action earns INFEASIBLE_REWARD on every route.
 
 The table is a hash map and missing entries read as 0, which doubles as
 optimistic initialization when rewards are negative.  The greedy argmax
@@ -423,16 +423,23 @@ def train_fixed_scenario(sc: Scenario, acc_by_model: Sequence[tuple[float, float
     """train_loop on the one scenario sc, the agent of `fedkd train-q`;
     returns the table and sc's state key.
 
-    Every episode sees sc's key and scores the action on sc.  Up to
-    EXHAUSTIVE_CAP actions, every action is scored once, by action_values,
-    and an episode's reward is one list lookup.  Above it, digit_reward
-    scores the Draw of sc's users.  Both equal reward(sc, a, acc_by_model)
-    bit for bit.  A configuration error (alpha_d = 0, say) raises before
-    the first episode.
+    Every episode sees sc's key and scores the action on sc.  With no more
+    actions than episodes (and at most EXHAUSTIVE_CAP), every action is
+    scored once, by action_values, and an episode's reward is one list
+    lookup.  Otherwise digit_reward scores the Draw of sc's users each
+    episode.  Both equal reward(sc, a, acc_by_model) bit for bit.
+
+    Scoring one action in the vector costs about 0.1 us and one
+    digit_reward call about 5 us at 6 users, so the vector pays off up to
+    some 40 actions per episode.  Capping it at one action per episode
+    keeps its one-time cost a small fraction of the loop it shortens and
+    its memory (a float per action) in proportion to the run.  A
+    configuration error (alpha_d = 0, say) raises before the first
+    episode.
     """
     key, draw = make_draw(sc, [u.f_loc for u in sc.users], [u.d for u in sc.users], cfg)
     n_actions = action_count(sc)
-    if n_actions <= EXHAUSTIVE_CAP:
+    if n_actions <= min(cfg.episodes, EXHAUSTIVE_CAP):
         values = action_values(sc, acc_by_model).tolist()
 
         def reward_fn(_draw: Draw, a: int) -> float:
@@ -445,7 +452,8 @@ def train_fixed_scenario(sc: Scenario, acc_by_model: Sequence[tuple[float, float
 def _enumerated(sc: Scenario, acc_by_model: Sequence[tuple[float, float]]) -> np.ndarray:
     """Every joint action's reward, indexed by action, from _digit_terms'
     tables; raises InfeasibleError for a user with zero spectral
-    efficiency and ValueError above EXHAUSTIVE_CAP actions."""
+    efficiency and ValueError above EXHAUSTIVE_CAP actions.  The exhaustive
+    method's policy is its argmax."""
     n = action_count(sc)
     if n > EXHAUSTIVE_CAP:
         raise ValueError(

@@ -244,9 +244,11 @@ def test_infeasible_decision_earns_the_penalty(route):
         exhaustive_optimum(sc, accs)
 
 
-def test_exhaustive_method_refuses_a_stranded_evaluation_draw():
-    """Every action of the draw is the penalty, so the argmax picks action 0
-    and its split is refused, as exhaustive_optimum refuses the draw."""
+def test_exhaustive_method_refuses_a_stranded_evaluation_draw(monkeypatch):
+    """The policy's enumeration refuses the draw, as exhaustive_optimum
+    does, before any split is computed."""
+    monkeypatch.setattr(experiment, "allocate",
+                        lambda *a: pytest.fail("the policy picked an action"))
     cfg = ExperimentConfig(scenario=make_scenario(n_users=2), method="exhaustive", trials=1,
                            d_range=(1e10, 1e10))
     with pytest.raises(InfeasibleError, match="user 0 has zero spectral efficiency"):

@@ -34,6 +34,7 @@ from fedkd.qlearn import (
     QConfig,
     QTable,
     action_count,
+    action_values,
     decode_action,
     encode_decision,
     encode_state,
@@ -427,16 +428,23 @@ def wide_scenario():
 
 
 class TestFixedScenarioTraining:
-    @pytest.mark.parametrize("sc, episodes", [(make_scenario(seed=12), 3000),
+    # 4096 actions: enumerated at 5000 episodes, scored per episode at 3000.
+    @pytest.mark.parametrize("sc, episodes", [(make_scenario(seed=12), 5000),
+                                              (make_scenario(seed=12), 3000),
                                               (wide_scenario(), 200)],
-                             ids=["enumerated", "above-cap"])
-    def test_trains_like_reward(self, sc, episodes):
-        """Up to the cap the rewards are lookups into action_values, above
-        it digit_reward's; either way the table equals reward's."""
+                             ids=["enumerated", "more-actions-than-episodes", "above-cap"])
+    def test_trains_like_reward(self, sc, episodes, monkeypatch):
+        """With no more actions than episodes the rewards are lookups into
+        action_values, otherwise digit_reward's; either way the table
+        equals reward's."""
         accs = kd_accs(sc)
         cfg = QConfig(episodes=episodes)
         key = encode_state(sc, cfg)
+        enumerated = []
+        monkeypatch.setattr(qlearn, "action_values",
+                            lambda *a: enumerated.append(1) or action_values(*a))
         q, got_key = train_fixed_scenario(sc, accs, cfg, np.random.Generator(np.random.PCG64(4)))
+        assert enumerated == ([1] if action_count(sc) <= episodes else [])
         ref = train_loop(lambda _r: (key, sc), cfg, np.random.Generator(np.random.PCG64(4)),
                          action_count(sc), lambda draw, a: reward(draw, a, accs))
         assert got_key == key
