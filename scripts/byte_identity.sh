@@ -24,6 +24,11 @@
 # The stock template has 4096 actions: its 20000-episode train-q runs
 # train on the vector, its 3000-episode runs one episode at a time.
 #
+# OUT_DIR/clamped.json is the stock template with its last user at
+# f_loc = 2.5 GHz and d = 150 m, outside the stock state ranges (f_loc in
+# [0.5, 2.0], d in [10, 100] m): its train-q run takes the quantizer's
+# clamping route, which logs a warning to stderr.
+#
 # kd runs twice at the stock 600 epochs and once at 50, where the teacher
 # still trains for 400 epochs and the students for 50.  Two demos beside
 # SRC_DIR write their stdout into OUT_DIR: demos/03_model_selection_agent.py
@@ -91,6 +96,15 @@ cat > "$out/seven.json" <<'JSON'
 }
 JSON
 fedkd train-q --config "$out/seven.json" --seed 13 --episodes 400 --out "$out/seven-trainq"
+cat > "$out/clamped.json" <<'JSON'
+{
+  "users": [
+    {"f_loc": 0.5, "d": 10.0}, {"f_loc": 1.0, "d": 40.0}, {"f_loc": 1.5, "d": 70.0},
+    {"f_loc": 2.5, "d": 150.0}
+  ]
+}
+JSON
+fedkd train-q --config "$out/clamped.json" --seed 19 --episodes 3000 --out "$out/clamped-trainq"
 fedkd experiment --method proposed --distribution iid --seed 29 --trials 40 \
     --episodes 1500 --out "$out/iid-proposed"
 for s in 0 7; do

@@ -115,13 +115,23 @@ def user_terms(sc: Scenario, i: int, x: int, m: int) -> tuple[float, float, floa
     return a / u.f_loc + b, c, num / eff
 
 
+def _left_to_right(values) -> float:
+    """values added one by one from 0.0, decision_cost's order.  The
+    builtin sum of floats is compensated from Python 3.12 on, so it can
+    differ from decision_cost and cost_from_sums in the last bits."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def build_problem(sc: Scenario, dec: Decision) -> AllocProblem:
     """Reduce a scenario plus decision to the two separable subproblems."""
     dec.validate(sc)
     terms = [user_terms(sc, i, x, m) for i, (x, m) in enumerate(zip(dec.x, dec.m))]
     return AllocProblem(c=tuple(t[1] for t in terms), d=tuple(t[2] for t in terms),
                         delta_b=sc.weights.delta_b, f_ser=sc.server.f_ser,
-                        b_max=sc.server.b_max, constant=sum(t[0] for t in terms))
+                        b_max=sc.server.b_max, constant=_left_to_right(t[0] for t in terms))
 
 
 def cost_from_sums(sc: Scenario, s_const, s_root_c, s_root_d):
@@ -170,7 +180,7 @@ def allocate_compute(c, f_ser: float) -> list[float]:
     if f_ser <= 0:
         raise ValueError(f"f_ser must be > 0, got {f_ser}")
     roots = [math.sqrt(ci) for ci in c]
-    total = sum(roots)
+    total = _left_to_right(roots)
     return [max(RESOURCE_FLOOR, f_ser * r / total) for r in roots]
 
 
@@ -195,7 +205,7 @@ def allocate_bandwidth(d, delta_b: float, b_max: float) -> list[float]:
         raise ValueError(f"b_max must be > 0, got {b_max}")
 
     roots = [math.sqrt(di) for di in d]
-    total = sum(roots)
+    total = _left_to_right(roots)
     root_price = math.sqrt(delta_b)
     if total >= b_max * root_price:  # the branch test of cost_from_sums
         b = [b_max * r / total for r in roots]

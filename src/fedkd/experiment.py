@@ -18,9 +18,10 @@ One pipeline runs them all: train the agent (exhaustive enumerates
 instead), decode the chosen action on each draw, let the convex allocator
 fill in the split where the action leaves it open, and evaluate.
 
-Training redraws every user's CPU frequency and distance each episode,
-as one uniform call, and builds no Scenario, Decision or Allocation for
-it: the agent sees a qlearn.Draw with its state key (`training_sampler`).
+Training redraws every user's CPU frequency and distance each episode
+from one rng.random call, the values sample_scenario's uniform calls
+give, and builds no Scenario, Decision or Allocation for it: the agent
+sees a qlearn.Draw with its state key (`training_sampler`).
 qlearn.digit_reward scores the (x, m) digits of proposed, fl-min and
 fl-max; q-only's scorer adds user_cost at its digits' grid levels.  The
 evaluation draws are full Scenarios from `sample_scenario`.
@@ -63,9 +64,9 @@ from .qlearn import (
     _enumerated,
     decision_reward,
     digit_reward,
+    draw_builder,
     encode_state,
     joint_digits,
-    make_draw,
     train_loop,
 )
 
@@ -154,17 +155,24 @@ def sample_scenario(template: Scenario, rng: np.random.Generator,
 
 def training_sampler(cfg: ExperimentConfig
                      ) -> Callable[[np.random.Generator], tuple[StateKey, Draw]]:
-    """train_loop's sampler for cfg: one rng.uniform call redraws every
+    """train_loop's sampler for cfg: one rng.random call redraws every
     user's (f_loc, d) pair, the same stream and values as sample_scenario's
-    per-user calls, and qlearn.make_draw gives the state key and Draw."""
-    template, q = cfg.scenario, cfg.q
-    lo = np.array([cfg.f_loc_range[0], cfg.d_range[0]])
-    hi = np.array([cfg.f_loc_range[1], cfg.d_range[1]])
-    size = (template.n_users, 2)
+    per-user rng.uniform calls, and qlearn.draw_builder gives the state
+    key and Draw.
+
+    A value is lo + (hi - lo) * u for the stream's next double u, numpy's
+    own uniform; the two agree bit for bit as long as numpy's C code does
+    not fuse that multiply-add (it does not on x86-64), which the tests
+    check over many seeded draws."""
+    build = draw_builder(cfg.scenario, cfg.q)
+    (f_lo, f_hi), (d_lo, d_hi) = cfg.f_loc_range, cfg.d_range
+    f_span, d_span = f_hi - f_lo, d_hi - d_lo
+    size = 2 * cfg.scenario.n_users
 
     def sample(rng: np.random.Generator) -> tuple[StateKey, Draw]:
-        f_loc, d = rng.uniform(lo, hi, size).T.tolist()
-        return make_draw(template, f_loc, d, q)
+        u = rng.random(size).tolist()
+        return build([f_lo + f_span * v for v in u[0::2]],
+                     [d_lo + d_span * v for v in u[1::2]])
 
     return sample
 

@@ -10,12 +10,14 @@ and no discount.
 
 A training draw (`Draw`) holds what the rewards read of an episode's
 users: each user's CPU frequency and the spectral efficiency of the one
-channel gain per user that `make_draw` computes and that also gives the
-state key.  `digit_reward` scores a Draw: it builds the
-user-independent factors of every (x, m) digit once per template, and
-an action's reward adds, for each user's picked digit, the terms those
-factors give at the user's f_loc and efficiency; the experiment's q-only
-scorer reads the same Draw.  On one fixed scenario, `action_values`
+channel gain per user that also gives the state key.  `draw_builder`,
+made once per template and QConfig, turns the users' drawn f_loc and d
+into (state key, Draw); it is the one state quantizer, and
+`encode_state` keys a Scenario through it.  `digit_reward` scores a
+Draw: it builds the user-independent factors of every (x, m) digit once
+per template, and an action's reward adds, for each user's picked digit,
+the terms those factors give at the user's f_loc and efficiency; the
+experiment's q-only scorer reads the same Draw.  On one fixed scenario, `action_values`
 tabulates every user's terms of every digit once and scores every action
 in one broadcast; `exhaustive_optimum` is its argmax, and
 `train_fixed_scenario` (train-q's agent) trains on lookups into it, or
@@ -35,8 +37,11 @@ stored entries once.  A Q-update looks its row up once (`QTable.step`).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -46,6 +51,8 @@ from .allocator import cost_from_sums, decision_cost, digit_factors
 from .model import Decision, InfeasibleError, Scenario, channel_gain, spectral_efficiency
 
 logger = logging.getLogger(__name__)
+
+_CLAMPED = "state component %g outside configured range [%g, %g]; clamped"
 
 #: Reward assigned to actions whose induced subproblem is infeasible.
 INFEASIBLE_REWARD = -1e6
@@ -82,6 +89,18 @@ class QConfig:
 
     def epsilon_at(self, episode: int) -> float:
         return max(self.epsilon_floor, self.epsilon0 * self.epsilon_decay ** episode)
+
+    def epsilons(self) -> Iterator[float]:
+        """epsilon_at(ep) of every episode, ep = 0 .. episodes - 1, bit for
+        bit and without a call per episode: the decaying values while they
+        exceed the floor, then the floor.  decay ** ep does not grow with
+        ep for a decay in [0, 1], so once a value is at or below the floor
+        every later one is too."""
+        floor, eps0, decay = self.epsilon_floor, self.epsilon0, self.epsilon_decay
+        above = itertools.takewhile(functools.partial(operator.lt, floor),
+                                    (eps0 * decay ** ep for ep in itertools.count()))
+        return itertools.islice(itertools.chain(above, itertools.repeat(floor)),
+                                self.episodes)
 
 
 class _Row(dict):
@@ -201,31 +220,6 @@ class QTable:
         return table
 
 
-def _quantize(value: float, lo: float, hi: float, bins: int) -> int:
-    """Uniform bin index over [lo, hi); hi itself maps to the top bin.
-
-    Values strictly outside the range clamp to the boundary bin and are
-    logged, since they indicate a sampler/config mismatch.
-    """
-    if bins == 1:
-        return 0
-    if value < lo or value > hi:
-        logger.warning("state component %g outside configured range [%g, %g]; clamped",
-                       value, lo, hi)
-    idx = int(math.floor((value - lo) / (hi - lo) * bins))
-    return min(max(idx, 0), bins - 1)
-
-
-def _user_state(f_loc: float, h: float, cfg: QConfig) -> tuple[int, int]:
-    return (_quantize(f_loc, cfg.f_range[0], cfg.f_range[1], cfg.f_bins),
-            _quantize(math.log10(h), cfg.h_log_range[0], cfg.h_log_range[1], cfg.h_bins))
-
-
-def encode_state(sc: Scenario, cfg: QConfig) -> StateKey:
-    """Quantized (f_loc bin, gain bin) per user; gain binned in log10."""
-    return tuple(_user_state(u.f_loc, channel_gain(u.d, sc.channel), cfg) for u in sc.users)
-
-
 class Draw(NamedTuple):
     """One training episode's users: CPU frequency and spectral_efficiency
     per user; everything else the rewards read is the template's."""
@@ -234,19 +228,60 @@ class Draw(NamedTuple):
     eff: tuple[float, ...]
 
 
-def make_draw(template: Scenario, f_loc: Sequence[float], d: Sequence[float],
-              cfg: QConfig) -> tuple[StateKey, Draw]:
-    """(state key, Draw) of template's users at CPU frequencies f_loc and
-    distances d.  Each user's channel gain is computed once and gives both
-    its state-key component, as in encode_state, and its efficiency, as in
-    user_terms."""
+def draw_builder(template: Scenario, cfg: QConfig
+                 ) -> Callable[[Sequence[float], Sequence[float]], tuple[StateKey, Draw]]:
+    """build(f_loc, d) -> (state key, Draw) of template's users at CPU
+    frequencies f_loc and distances d: the one state quantizer.
+
+    Each user's channel gain is computed once and gives both its
+    spectral efficiency and its key component, the (f_loc bin, gain bin)
+    of f_loc over cfg.f_range and of log10 of the gain over
+    cfg.h_log_range.  The bin of value in [lo, hi] is
+    floor((value - lo) / (hi - lo) * bins), clamped to [0, bins - 1], so
+    hi itself maps to the top bin; with one bin it is 0.  A value strictly
+    outside its range is clamped and logged, since it points to a
+    sampler/config mismatch.  The ranges, their widths (hi - lo, the same
+    double on every call) and the users' powers are read once, here.
+    """
     ch = template.channel
-    key, eff = [], []
-    for u, f, dist in zip(template.users, f_loc, d):
-        h = channel_gain(dist, ch)
-        key.append(_user_state(f, h, cfg))
-        eff.append(spectral_efficiency(u.p, h, ch))
-    return tuple(key), Draw(tuple(f_loc), tuple(eff))
+    powers = [u.p for u in template.users]
+    f_lo, f_hi = cfg.f_range
+    h_lo, h_hi = cfg.h_log_range
+    f_span, h_span = f_hi - f_lo, h_hi - h_lo
+    f_bins, h_bins = cfg.f_bins, cfg.h_bins
+    f_top, h_top = f_bins - 1, h_bins - 1
+
+    def build(f_loc: Sequence[float], d: Sequence[float]) -> tuple[StateKey, Draw]:
+        key, eff = [], []
+        for p, f, dist in zip(powers, f_loc, d):
+            h = channel_gain(dist, ch)
+            g = math.log10(h)
+            f_bin = h_bin = 0
+            if f_top:
+                if f < f_lo or f > f_hi:
+                    logger.warning(_CLAMPED, f, f_lo, f_hi)
+                f_bin = math.floor((f - f_lo) / f_span * f_bins)
+                f_bin = 0 if f_bin < 0 else f_top if f_bin > f_top else f_bin
+            if h_top:
+                if g < h_lo or g > h_hi:
+                    logger.warning(_CLAMPED, g, h_lo, h_hi)
+                h_bin = math.floor((g - h_lo) / h_span * h_bins)
+                h_bin = 0 if h_bin < 0 else h_top if h_bin > h_top else h_bin
+            key.append((f_bin, h_bin))
+            eff.append(spectral_efficiency(p, h, ch))
+        return tuple(key), Draw(tuple(f_loc), tuple(eff))
+
+    return build
+
+
+def scenario_draw(sc: Scenario, cfg: QConfig) -> tuple[StateKey, Draw]:
+    """draw_builder's (state key, Draw) of sc's own users."""
+    return draw_builder(sc, cfg)([u.f_loc for u in sc.users], [u.d for u in sc.users])
+
+
+def encode_state(sc: Scenario, cfg: QConfig) -> StateKey:
+    """Quantized (f_loc bin, gain bin) per user, as draw_builder keys them."""
+    return scenario_draw(sc, cfg)[0]
 
 
 def action_count(sc: Scenario) -> int:
@@ -403,16 +438,17 @@ def train_loop(sampler: Callable[[np.random.Generator], tuple[StateKey, object]]
 
     Each episode takes a (state key, draw) pair from sampler(rng), picks
     an action epsilon-greedily for that key and moves its entry toward
-    reward_fn(draw, action).  The sampler owns the key: make_draw computes
-    it from the same channel gains as the draw's efficiencies, and
+    reward_fn(draw, action), with epsilon from cfg.epsilons().  The
+    sampler owns the key: draw_builder computes it from the same channel
+    gains as the draw's efficiencies, and
     train_fixed_scenario's sampler returns one pair every episode.  A draw
     is whatever reward_fn scores, a Draw for digit_reward and the
     experiment's scorers.  Fully deterministic for a fixed rng seed.
     """
     q = QTable()
-    for ep in range(cfg.episodes):
+    for epsilon in cfg.epsilons():
         s, draw = sampler(rng)
-        a = select_action(q, s, cfg.epsilon_at(ep), rng, n_actions)
+        a = select_action(q, s, epsilon, rng, n_actions)
         update(q, s, a, reward_fn(draw, a), cfg)
     return q
 
@@ -437,7 +473,7 @@ def train_fixed_scenario(sc: Scenario, acc_by_model: Sequence[tuple[float, float
     configuration error (alpha_d = 0, say) raises before the first
     episode.
     """
-    key, draw = make_draw(sc, [u.f_loc for u in sc.users], [u.d for u in sc.users], cfg)
+    key, draw = scenario_draw(sc, cfg)
     n_actions = action_count(sc)
     if n_actions <= min(cfg.episodes, EXHAUSTIVE_CAP):
         values = action_values(sc, acc_by_model).tolist()

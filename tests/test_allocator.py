@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
+from fedkd import allocator
 from fedkd.allocator import (
+    RESOURCE_FLOOR,
     allocate,
     allocate_bandwidth,
     allocate_compute,
     build_problem,
+    cost_from_sums,
     fb_objective,
     fb_objective_via_delays,
     grid_oracle,
@@ -55,6 +60,63 @@ class TestBuildProblem:
         from fedkd.model import objective
         full = objective(sc, dec, res.allocation, [0.0] * 4, [0.0] * 4)
         assert full == pytest.approx(prob.constant + res.objective_fb, rel=1e-9)
+
+
+# Each 1e-16 is below half an ulp of 1.0, so added left to right these
+# terms sum to 1.0; the correctly rounded sum, which a compensated sum such
+# as the builtin sum of Python 3.12+ gives, is 1.0000000000000002.
+TERMS = (1.0, 1e-16, 1e-16)
+
+
+def left_to_right(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+class TestLeftToRightSums:
+    """The allocator adds per-user terms left to right, in decision_cost's
+    order, so it agrees with decision_cost and cost_from_sums on every
+    Python version.  A compensated sum stands in for the builtin here, as
+    on Python 3.12+."""
+
+    @pytest.fixture(autouse=True)
+    def compensated_builtin_sum(self, monkeypatch):
+        monkeypatch.setattr(allocator, "sum", math.fsum, raising=False)
+
+    def test_the_terms_tell_the_two_sums_apart(self):
+        assert left_to_right(TERMS) == 1.0 != math.fsum(TERMS)
+        roots = [math.sqrt(t * t) for t in TERMS]
+        assert left_to_right(roots) != math.fsum(roots)
+
+    def test_build_problem_constant(self, monkeypatch):
+        sc = make_scenario(n_users=3)
+        monkeypatch.setattr(allocator, "user_terms", lambda sc, i, x, m: (TERMS[i], 1.0, 1.0))
+        prob = build_problem(sc, Decision(x=(0, 0, 0), m=(0, 0, 0)))
+        assert prob.constant == left_to_right(TERMS)
+        assert allocator.decision_cost(sc, Decision(x=(0, 0, 0), m=(0, 0, 0))) == (
+            cost_from_sums(sc, prob.constant, 3.0, 3.0))
+
+    def test_allocate_compute(self):
+        c = [t * t for t in TERMS]
+        roots = [math.sqrt(ci) for ci in c]
+        total = left_to_right(roots)
+        assert allocate_compute(c, 5.0) == [max(RESOURCE_FLOOR, 5.0 * r / total) for r in roots]
+
+    def test_allocate_bandwidth_takes_the_branch_of_cost_from_sums(self):
+        """The left-to-right sum of the roots is below the budget threshold
+        b_max * sqrt(delta_b), the correctly rounded one is at or above it:
+        the split stays interior, as cost_from_sums' test decides.  At this
+        price the binding split differs in the last bit."""
+        d = [t * t for t in TERMS]
+        roots = [math.sqrt(di) for di in d]
+        delta_b, b_max = float.fromhex("0x1.c71c71c71c721p-4"), 3.0
+        root_price = math.sqrt(delta_b)
+        assert left_to_right(roots) < b_max * root_price <= math.fsum(roots)
+        interior = [max(RESOURCE_FLOOR, r / root_price) for r in roots]
+        assert interior != [max(RESOURCE_FLOOR, b_max * r / math.fsum(roots)) for r in roots]
+        assert allocate_bandwidth(d, delta_b, b_max) == interior
 
 
 class TestAllocateCompute:

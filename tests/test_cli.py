@@ -71,14 +71,19 @@ class TestTrainQ:
 
     @pytest.mark.parametrize("episodes", ["0", "3000"])
     def test_state_is_encoded_once(self, tmp_path, monkeypatch, episodes):
-        """Each of the four stock users' state components is computed once."""
-        user_state, encoded = qlearn._user_state, []
+        """Each of the four stock users' state components is computed once:
+        one draw_builder call quantizes the stock users' f_loc values."""
+        draw_builder, encoded = qlearn.draw_builder, []
 
-        def counting(f_loc, h, cfg):
-            encoded.append(f_loc)
-            return user_state(f_loc, h, cfg)
+        def counting(template, cfg):
+            build = draw_builder(template, cfg)
 
-        monkeypatch.setattr(qlearn, "_user_state", counting)
+            def counted(f_loc, d):
+                encoded.extend(f_loc)
+                return build(f_loc, d)
+            return counted
+
+        monkeypatch.setattr(qlearn, "draw_builder", counting)
         assert main(["train-q", "--episodes", episodes, "--out", str(tmp_path / "q")]) == 0
         assert encoded == [u.f_loc for u in default_scenario().users]
 

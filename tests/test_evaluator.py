@@ -56,8 +56,8 @@ from fedkd.qlearn import (
     encode_decision,
     exhaustive_optimum,
     joint_digits,
-    make_draw,
     reward,
+    scenario_draw,
     train_loop,
 )
 
@@ -192,7 +192,7 @@ def test_gains_add_left_to_right_on_every_route():
     cost = decision_cost(sc, dec)
     left_to_right = -(cost - ((1.0 + 1e-16) + 1e-16))
     assert left_to_right != -(cost - math.fsum(g for g, _ in accs))
-    _, draw = make_draw(sc, [u.f_loc for u in sc.users], [u.d for u in sc.users], QConfig())
+    _, draw = scenario_draw(sc, QConfig())
     assert decision_reward(sc, dec, accs) == left_to_right
     assert reward(sc, a, accs) == left_to_right
     assert digit_reward(sc, accs, joint_digits(3))(draw, a) == left_to_right
@@ -279,7 +279,7 @@ def test_training_reward_of_an_infeasible_action_is_the_penalty(method, monkeypa
     cfg = ExperimentConfig(scenario=sc, method=method, trials=0)
     run_experiment(cfg)
     assert len(calls) == 1
-    _, draw = make_draw(sc, [u.f_loc for u in sc.users], [u.d for u in sc.users], cfg.q)
+    _, draw = scenario_draw(sc, cfg.q)
     assert calls[0](draw, 0) == INFEASIBLE_REWARD
 
 

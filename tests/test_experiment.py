@@ -18,7 +18,7 @@ from fedkd.experiment import (
     training_reward,
 )
 from fedkd.model import ServerSpec, default_scenario
-from fedkd.qlearn import INFEASIBLE_REWARD, make_draw
+from fedkd.qlearn import INFEASIBLE_REWARD, scenario_draw
 from conftest import make_scenario
 
 
@@ -116,7 +116,7 @@ class TestQOnlyCoding:
         assert action_reward(sc, spec, over, [(0.5, 0.5)] * 4) == INFEASIBLE_REWARD
         cfg = ExperimentConfig(scenario=sc, method="q-only", resource_levels=levels)
         reward_fn = training_reward(cfg, spec, [(0.5, 0.5)] * 4)
-        _, draw = make_draw(sc, [u.f_loc for u in sc.users], [u.d for u in sc.users], cfg.q)
+        _, draw = scenario_draw(sc, cfg.q)
         assert reward_fn(draw, a) == action_reward(sc, spec, a, [(0.5, 0.5)] * 4)
         assert reward_fn(draw, over) == INFEASIBLE_REWARD
 

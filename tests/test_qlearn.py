@@ -28,6 +28,7 @@ from fedkd.model import (
     UserSpec,
     channel_gain,
     default_scenario,
+    spectral_efficiency,
 )
 from fedkd.qlearn import (
     EXHAUSTIVE_CAP,
@@ -36,6 +37,7 @@ from fedkd.qlearn import (
     action_count,
     action_values,
     decode_action,
+    draw_builder,
     encode_decision,
     encode_state,
     exhaustive_optimum,
@@ -131,6 +133,50 @@ def train_both(monkeypatch, run):
     return tables
 
 
+ORACLE_LOG = logging.getLogger("test_qlearn.oracle")
+
+
+def _quantize(value, lo, hi, bins):
+    """Reference bin of value over [lo, hi): one call per component that
+    reads its range afresh; hi maps to the top bin, and a value strictly
+    outside the range is clamped to the boundary bin and logged."""
+    if bins == 1:
+        return 0
+    if value < lo or value > hi:
+        ORACLE_LOG.warning("state component %g outside configured range [%g, %g]; clamped",
+                           value, lo, hi)
+    idx = int(math.floor((value - lo) / (hi - lo) * bins))
+    return min(max(idx, 0), bins - 1)
+
+
+def _user_state(f_loc, h, cfg):
+    return (_quantize(f_loc, cfg.f_range[0], cfg.f_range[1], cfg.f_bins),
+            _quantize(math.log10(h), cfg.h_log_range[0], cfg.h_log_range[1], cfg.h_bins))
+
+
+def oracle_key(f_loc, d, ch, cfg):
+    """The reference state key of users at f_loc and d on channel ch."""
+    return tuple(_user_state(f, channel_gain(dist, ch), cfg) for f, dist in zip(f_loc, d))
+
+
+def scenario_key(sc, cfg):
+    return oracle_key([u.f_loc for u in sc.users], [u.d for u in sc.users], sc.channel, cfg)
+
+
+def builder_and_oracle(caplog, sc, cfg, f_loc, d):
+    """(key, clamp messages) of draw_builder and of the oracle for sc's
+    users at f_loc and d."""
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        key, _ = draw_builder(sc, cfg)(f_loc, d)
+        ref = oracle_key(f_loc, d, sc.channel, cfg)
+
+    def messages(name):
+        return [rec.getMessage() for rec in caplog.records if rec.name == name]
+
+    return (key, messages("fedkd.qlearn")), (ref, messages(ORACLE_LOG.name))
+
+
 class TestEncodeState:
     def test_single_bin_collapses_everything(self):
         cfg = QConfig(f_bins=1, h_bins=1)
@@ -171,6 +217,49 @@ class TestEncodeState:
     def test_default_user_spread_hits_distinct_bins(self):
         key = encode_state(make_scenario(), QConfig())
         assert len(set(key)) > 1
+
+
+class TestDrawBuilder:
+    """draw_builder's keys equal the per-component oracle's bit for bit,
+    and it logs a clamp exactly when the oracle does."""
+
+    @pytest.mark.parametrize("f_bins, h_bins", [(4, 4), (2, 2), (3, 5), (1, 1), (1, 4), (4, 1)])
+    def test_random_values(self, caplog, f_bins, h_bins):
+        sc = default_scenario()
+        cfg = QConfig(f_bins=f_bins, h_bins=h_bins)
+        rng = np.random.Generator(np.random.PCG64(f_bins * 10 + h_bins))
+        clamped = 0
+        for _ in range(500):
+            # wider than the state ranges, so some components clamp
+            f_loc = rng.uniform(0.2, 2.4, sc.n_users).tolist()
+            d = rng.uniform(5.0, 160.0, sc.n_users).tolist()
+            got, ref = builder_and_oracle(caplog, sc, cfg, f_loc, d)
+            assert got == ref
+            clamped += bool(ref[1])
+        assert clamped > 0 or (f_bins == 1 and h_bins == 1)
+
+    @pytest.mark.parametrize("bins", [1, 4])
+    @pytest.mark.parametrize("end", ["lo", "hi", "below lo", "above hi"])
+    @pytest.mark.parametrize("component", ["f_loc", "gain"])
+    def test_range_ends(self, caplog, component, end, bins):
+        """value == lo, value == hi and one ulp outside each end, with the
+        range placed around the value; one bin never logs."""
+        sc = make_scenario(n_users=1)
+        f, dist = 1.3, 37.0
+        value = f if component == "f_loc" else math.log10(channel_gain(dist, sc.channel))
+        lo, hi = {"lo": (value, value + 1.0), "hi": (value - 1.0, value),
+                  "below lo": (math.nextafter(value, math.inf), value + 1.0),
+                  "above hi": (value - 1.0, math.nextafter(value, -math.inf))}[end]
+        if component == "f_loc":
+            cfg = QConfig(f_bins=bins, h_bins=bins, f_range=(lo, hi), h_log_range=(-12.0, -5.0))
+        else:
+            cfg = QConfig(f_bins=bins, h_bins=bins, f_range=(0.5, 2.0), h_log_range=(lo, hi))
+        got, ref = builder_and_oracle(caplog, sc, cfg, [f], [dist])
+        assert got == ref
+        pair = ref[0][0]
+        bin_ = pair[0] if component == "f_loc" else pair[1]
+        assert bin_ == (0 if end in ("lo", "below lo") else bins - 1)
+        assert len(ref[1]) == (bins > 1 and end in ("below lo", "above hi"))
 
 
 class TestActionCoding:
@@ -366,6 +455,20 @@ class TestTrain:
         assert cfg.epsilon_at(1) == pytest.approx(0.9)
         assert cfg.epsilon_at(1000) == 0.05
 
+    @pytest.mark.parametrize("fields", [
+        {}, {"episodes": 0}, {"episodes": 1}, {"epsilon_decay": 0.0}, {"epsilon_decay": 1.0},
+        {"epsilon_floor": 0.0}, {"epsilon_floor": 1.0}, {"epsilon0": 0.0},
+        {"epsilon_decay": 0.5, "epsilon_floor": 0.0, "episodes": 1200},
+        {"epsilon_decay": 0.0, "epsilon_floor": 0.0}, {"epsilon_decay": 1.0, "epsilon_floor": 1.0},
+    ])
+    def test_epsilons_equal_epsilon_at_every_episode(self, fields):
+        """Stock and edge schedules; at decay 0.5 and floor 0 the decaying
+        values underflow to 0.0 before the last episode."""
+        cfg = QConfig(**{"episodes": 8000, **fields})
+        got = list(cfg.epsilons())
+        assert [(type(e), e.hex()) for e in got] == [
+            (type(e), e.hex()) for e in map(cfg.epsilon_at, range(cfg.episodes))]
+
 
 class TestExhaustive:
     def test_single_decision_space(self):
@@ -415,7 +518,7 @@ def train_encoding_every_episode(sampler, cfg, rng, n_actions, reward_fn):
     for ep in range(cfg.episodes):
         sc = sampler(rng)
         draws.append(sc)
-        s = encode_state(sc, cfg)
+        s = scenario_key(sc, cfg)
         a = select_action(q, s, cfg.epsilon_at(ep), rng, n_actions)
         update(q, s, a, reward_fn(sc, a), cfg)
     return q, draws
@@ -501,11 +604,11 @@ class TestTrainingDraws:
         assert q.states > 1
 
     def test_every_draw_gets_its_own_key_from_one_gain_per_user(self, monkeypatch):
-        sc = custom_template()
-        cfg = ExperimentConfig(scenario=sc, q=QConfig(f_bins=3, h_bins=3))
-        ref_rng = np.random.Generator(np.random.PCG64(11))
-        refs = [sample_scenario(sc, ref_rng, cfg.f_loc_range, cfg.d_range) for _ in range(300)]
-        ref_keys = [encode_state(ref, cfg.q) for ref in refs]
+        """20000 sampler draws equal sample_scenario's from the same seed bit
+        for bit, with the oracle's key, at the stock ranges and at wider
+        ones, which clamp."""
+        monkeypatch.setattr(ORACLE_LOG, "disabled", True)
+        monkeypatch.setattr(qlearn.logger, "disabled", True)
         gains = []
 
         def counting_gain(d, ch):
@@ -513,14 +616,26 @@ class TestTrainingDraws:
             return channel_gain(d, ch)
 
         monkeypatch.setattr(qlearn, "channel_gain", counting_gain)
-        sampler = training_sampler(cfg)
-        rng = np.random.Generator(np.random.PCG64(11))
-        for k, (ref, ref_key) in enumerate(zip(refs, ref_keys)):
-            key, draw = sampler(rng)
-            assert key == ref_key
-            assert draw.f_loc == tuple(u.f_loc for u in ref.users)
-            assert gains[k * sc.n_users:] == [u.d for u in ref.users]
-        assert len(set(ref_keys)) > 1
+        sc = custom_template()
+        for f_loc_range, d_range in [((0.5, 2.0), (10.0, 100.0)), ((0.3, 2.6), (6.0, 140.0))]:
+            cfg = ExperimentConfig(scenario=sc, q=QConfig(f_bins=3, h_bins=3),
+                                   f_loc_range=f_loc_range, d_range=d_range)
+            ref_rng = np.random.Generator(np.random.PCG64(11))
+            refs = [sample_scenario(sc, ref_rng, cfg.f_loc_range, cfg.d_range)
+                    for _ in range(20000)]
+            ref_keys = [scenario_key(ref, cfg.q) for ref in refs]
+            gains.clear()
+            sampler = training_sampler(cfg)
+            rng = np.random.Generator(np.random.PCG64(11))
+            for k, (ref, ref_key) in enumerate(zip(refs, ref_keys)):
+                key, draw = sampler(rng)
+                assert key == ref_key
+                assert draw.f_loc == tuple(u.f_loc for u in ref.users)
+                assert draw.eff == tuple(
+                    spectral_efficiency(u.p, channel_gain(u.d, sc.channel), sc.channel)
+                    for u in ref.users)
+                assert gains[k * sc.n_users:] == [u.d for u in ref.users]
+            assert len(set(ref_keys)) > 1
 
     def test_draw_outside_the_state_range_logs_the_clamp(self, caplog):
         cfg = ExperimentConfig(scenario=default_scenario(), f_loc_range=(2.5, 3.0),
