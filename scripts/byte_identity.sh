@@ -29,6 +29,15 @@
 # [0.5, 2.0], d in [10, 100] m): its train-q run takes the quantizer's
 # clamping route, which logs a warning to stderr.
 #
+# OUT_DIR/channel.json is the stock template with g0 = 1e-3, ten times the
+# stock reference gain, with one train-q run (channel-trainq) and one
+# proposed experiment (channel-proposed) on it.  The state quantizer bins
+# the log10 gain over the gains at the two ends of QConfig.d_range on the
+# template's channel.  A tree that still bins it over the fixed range
+# (-9.6, -6.8) of the stock channel puts every gain above -6.8 in the top
+# bin and logs a clamp warning, so these two directories are expected to
+# differ from its output; every other directory matches it.
+#
 # kd runs twice at the stock 600 epochs and once at 50, where the teacher
 # still trains for 400 epochs and the students for 50.  Two demos beside
 # SRC_DIR write their stdout into OUT_DIR: demos/03_model_selection_agent.py
@@ -105,6 +114,12 @@ cat > "$out/clamped.json" <<'JSON'
 }
 JSON
 fedkd train-q --config "$out/clamped.json" --seed 19 --episodes 3000 --out "$out/clamped-trainq"
+cat > "$out/channel.json" <<'JSON'
+{"channel": {"g0": 1e-3}}
+JSON
+fedkd train-q --config "$out/channel.json" --seed 31 --episodes 3000 --out "$out/channel-trainq"
+fedkd experiment --config "$out/channel.json" --method proposed --seed 31 --trials 40 \
+    --episodes 1500 --out "$out/channel-proposed"
 fedkd experiment --method proposed --distribution iid --seed 29 --trials 40 \
     --episodes 1500 --out "$out/iid-proposed"
 for s in 0 7; do

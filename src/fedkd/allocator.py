@@ -215,9 +215,10 @@ def allocate_bandwidth(d, delta_b: float, b_max: float) -> list[float]:
 
 
 def fb_objective(prob: AllocProblem, f, b) -> float:
-    """The f/b-dependent objective sum c/f + sum (d/b + delta_b * b)."""
-    return (sum(ci / fi for ci, fi in zip(prob.c, f))
-            + sum(di / bi + prob.delta_b * bi for di, bi in zip(prob.d, b)))
+    """The f/b-dependent objective sum c/f + sum (d/b + delta_b * b), each
+    sum added left to right."""
+    return (_left_to_right(ci / fi for ci, fi in zip(prob.c, f))
+            + _left_to_right(di / bi + prob.delta_b * bi for di, bi in zip(prob.d, b)))
 
 
 def kkt_residual(prob: AllocProblem, f, b) -> float:

@@ -21,7 +21,9 @@ fill in the split where the action leaves it open, and evaluate.
 Training redraws every user's CPU frequency and distance each episode
 from one rng.random call, the values sample_scenario's uniform calls
 give, and builds no Scenario, Decision or Allocation for it: the agent
-sees a qlearn.Draw with its state key (`training_sampler`).
+sees a qlearn.Draw with its state key (`training_sampler`).  Training
+and evaluation draw over the agent's QConfig.f_loc_range and d_range,
+the ranges its state quantizer bins, so no draw leaves the state ranges.
 qlearn.digit_reward scores the (x, m) digits of proposed, fl-min and
 fl-max; q-only's scorer adds user_cost at its digits' grid levels.  The
 evaluation draws are full Scenarios from `sample_scenario`.
@@ -36,7 +38,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -90,8 +91,6 @@ class ExperimentConfig:
     distribution: str = "noniid"
     q: QConfig = EXPERIMENT_QCONFIG
     resource_levels: int = 8            # q-only grid levels per resource
-    f_loc_range: tuple[float, float] = (0.5, 2.0)
-    d_range: tuple[float, float] = (10.0, 100.0)
     table: AccuracyTable = DEFAULT_TABLE
 
     def __post_init__(self) -> None:
@@ -101,11 +100,6 @@ class ExperimentConfig:
             raise ValueError(f"trials must be >= 0, got {self.trials}")
         if self.resource_levels < 1:
             raise ValueError("resource_levels must be >= 1")
-        # Training draws skip UserSpec's checks, so the ranges are checked here.
-        for name in ("f_loc_range", "d_range"):
-            lo, hi = getattr(self, name)
-            if not 0 < lo <= hi < math.inf:
-                raise ValueError(f"{name} must satisfy 0 < lo <= hi < inf, got {(lo, hi)}")
 
 
 @dataclass(frozen=True)
@@ -143,8 +137,9 @@ class Report:
 
 
 def sample_scenario(template: Scenario, rng: np.random.Generator,
-                    f_loc_range=(0.5, 2.0), d_range=(10.0, 100.0)) -> Scenario:
-    """Redraw each user's CPU frequency and distance; all else fixed."""
+                    f_loc_range=QConfig.f_loc_range, d_range=QConfig.d_range) -> Scenario:
+    """Redraw each user's CPU frequency and distance uniformly over the
+    ranges, by default QConfig's; all else fixed."""
     users = tuple(
         dataclasses.replace(u,
                             f_loc=float(rng.uniform(*f_loc_range)),
@@ -156,16 +151,17 @@ def sample_scenario(template: Scenario, rng: np.random.Generator,
 def training_sampler(cfg: ExperimentConfig
                      ) -> Callable[[np.random.Generator], tuple[StateKey, Draw]]:
     """train_loop's sampler for cfg: one rng.random call redraws every
-    user's (f_loc, d) pair, the same stream and values as sample_scenario's
-    per-user rng.uniform calls, and qlearn.draw_builder gives the state
-    key and Draw.
+    user's (f_loc, d) pair over cfg.q.f_loc_range and cfg.q.d_range, the
+    same stream and values as sample_scenario's per-user rng.uniform calls
+    over those ranges, and qlearn.draw_builder gives the state key and
+    Draw.  The quantizer bins over the same ranges, so no draw clamps.
 
     A value is lo + (hi - lo) * u for the stream's next double u, numpy's
     own uniform; the two agree bit for bit as long as numpy's C code does
     not fuse that multiply-add (it does not on x86-64), which the tests
     check over many seeded draws."""
     build = draw_builder(cfg.scenario, cfg.q)
-    (f_lo, f_hi), (d_lo, d_hi) = cfg.f_loc_range, cfg.d_range
+    (f_lo, f_hi), (d_lo, d_hi) = cfg.q.f_loc_range, cfg.q.d_range
     f_span, d_span = f_hi - f_lo, d_hi - d_lo
     size = 2 * cfg.scenario.n_users
 
@@ -338,9 +334,11 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
 
     Training takes its draws from training_sampler and its rewards from
     training_reward, with no Scenario per episode.  The evaluation draws
-    are Scenarios from sample_scenario and depend only on (template, seed, trials),
-    never on the method, so reports from different methods compare like
-    for like.  Identical configs produce identical reports.
+    are Scenarios from sample_scenario over cfg.q.f_loc_range and
+    cfg.q.d_range, the ranges training draws over, and depend only on
+    (template, seed, trials, those ranges), never on the method, so
+    reports from different methods compare like for like.  Identical
+    configs produce identical reports.
     """
     template = cfg.scenario
     spec = method_spec(cfg)
@@ -349,7 +347,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
 
     eval_ss, train_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     eval_rng = np.random.Generator(np.random.PCG64(eval_ss))
-    draws = [sample_scenario(template, eval_rng, cfg.f_loc_range, cfg.d_range)
+    draws = [sample_scenario(template, eval_rng, cfg.q.f_loc_range, cfg.q.d_range)
              for _ in range(cfg.trials)]
 
     if spec.learned:

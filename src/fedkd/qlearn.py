@@ -13,11 +13,15 @@ users: each user's CPU frequency and the spectral efficiency of the one
 channel gain per user that also gives the state key.  `draw_builder`,
 made once per template and QConfig, turns the users' drawn f_loc and d
 into (state key, Draw); it is the one state quantizer, and
-`encode_state` keys a Scenario through it.  `digit_reward` scores a
-Draw: it builds the user-independent factors of every (x, m) digit once
-per template, and an action's reward adds, for each user's picked digit,
-the terms those factors give at the user's f_loc and efficiency; the
-experiment's q-only scorer reads the same Draw.  On one fixed scenario, `action_values`
+`encode_state` keys a Scenario through it.  QConfig's f_loc_range and
+d_range say both where the experiment draws its users and what the
+quantizer bins: f_loc over f_loc_range, and the log10 gain over the
+gains of the template's channel at the two ends of d_range.
+`digit_reward` scores a Draw: it builds the user-independent factors of
+every (x, m) digit once per template, and an action's reward adds, for
+each user's picked digit, the terms those factors give at the user's
+f_loc and efficiency; the experiment's q-only scorer reads the same
+Draw.  On one fixed scenario, `action_values`
 tabulates every user's terms of every digit once and scores every action
 in one broadcast; `exhaustive_optimum` is its argmax, and
 `train_fixed_scenario` (train-q's agent) trains on lookups into it, or
@@ -41,6 +45,7 @@ import functools
 import itertools
 import logging
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -65,6 +70,16 @@ StateKey = tuple[tuple[int, int], ...]
 
 @dataclass(frozen=True)
 class QConfig:
+    """The agent's learning schedule and its state.
+
+    A user's state is its (f_loc bin, gain bin).  f_loc_range and d_range
+    are where the experiment draws each user's CPU frequency (GHz) and
+    distance (m), and what draw_builder bins: f_loc in f_bins equal parts
+    of f_loc_range, the log10 channel gain in h_bins equal parts of the
+    gains at the two ends of d_range, so the state ranges follow the
+    template's channel.  A zero-width range takes one bin.
+    """
+
     lr: float = 0.2                 # update step size in (0, 1]
     epsilon0: float = 1.0
     epsilon_decay: float = 0.999
@@ -72,8 +87,8 @@ class QConfig:
     episodes: int = 5000
     f_bins: int = 4                 # quantization of each user's local CPU
     h_bins: int = 4                 # quantization of each user's log10 gain
-    f_range: tuple[float, float] = (0.5, 2.0)
-    h_log_range: tuple[float, float] = (-9.6, -6.8)  # log10 gain for d in [10, 100] m
+    f_loc_range: tuple[float, float] = (0.5, 2.0)
+    d_range: tuple[float, float] = (10.0, 100.0)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.lr <= 1.0:
@@ -82,10 +97,19 @@ class QConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if self.f_bins < 1 or self.h_bins < 1:
-            raise ValueError("state bins must be >= 1")
-        if self.episodes < 0:
-            raise ValueError(f"episodes must be >= 0, got {self.episodes}")
+        for name, least in (("episodes", 0), ("f_bins", 1), ("h_bins", 1)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+            if v < least:
+                raise ValueError(f"{name} must be >= {least}, got {v}")
+        for name, bins in (("f_loc_range", "f_bins"), ("d_range", "h_bins")):
+            lo, hi = getattr(self, name)
+            if not 0 < lo <= hi < math.inf:
+                raise ValueError(f"{name} must satisfy 0 < lo <= hi < inf, got {(lo, hi)}")
+            if lo == hi and getattr(self, bins) > 1:
+                raise ValueError(f"{name} {(lo, hi)} has zero width, so {bins} must be 1, "
+                                 f"got {getattr(self, bins)}")
 
     def epsilon_at(self, episode: int) -> float:
         return max(self.epsilon_floor, self.epsilon0 * self.epsilon_decay ** episode)
@@ -235,18 +259,27 @@ def draw_builder(template: Scenario, cfg: QConfig
 
     Each user's channel gain is computed once and gives both its
     spectral efficiency and its key component, the (f_loc bin, gain bin)
-    of f_loc over cfg.f_range and of log10 of the gain over
-    cfg.h_log_range.  The bin of value in [lo, hi] is
-    floor((value - lo) / (hi - lo) * bins), clamped to [0, bins - 1], so
-    hi itself maps to the top bin; with one bin it is 0.  A value strictly
-    outside its range is clamped and logged, since it points to a
-    sampler/config mismatch.  The ranges, their widths (hi - lo, the same
-    double on every call) and the users' powers are read once, here.
+    of f_loc over cfg.f_loc_range and of log10 of the gain over the gain
+    range: log10(channel_gain(d, template.channel)) at the far and the
+    near end of cfg.d_range, derived once, here.  The bin of value in
+    [lo, hi] is floor((value - lo) / (hi - lo) * bins), clamped to
+    [0, bins - 1], so hi itself maps to the top bin; with one bin it is 0.
+    A value strictly outside its range is clamped and logged: a user
+    outside the ranges the experiment draws from, such as a train-q
+    scenario's.  The ranges, their widths (hi - lo, the same double on
+    every call) and the users' powers are read once, here.  A channel
+    whose gain rounds to one value over d_range has a zero-width gain
+    range, refused with more than one gain bin.
     """
     ch = template.channel
     powers = [u.p for u in template.users]
-    f_lo, f_hi = cfg.f_range
-    h_lo, h_hi = cfg.h_log_range
+    f_lo, f_hi = cfg.f_loc_range
+    d_lo, d_hi = cfg.d_range
+    # The gain falls with distance: the far end gives the low end.
+    h_lo, h_hi = (math.log10(channel_gain(d, ch)) for d in (d_hi, d_lo))
+    if h_lo == h_hi and cfg.h_bins > 1:
+        raise ValueError(f"d_range {cfg.d_range} gives one log10 gain, {h_lo}, on this "
+                         f"channel, so h_bins must be 1, got {cfg.h_bins}")
     f_span, h_span = f_hi - f_lo, h_hi - h_lo
     f_bins, h_bins = cfg.f_bins, cfg.h_bins
     f_top, h_top = f_bins - 1, h_bins - 1

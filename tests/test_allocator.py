@@ -104,6 +104,13 @@ class TestLeftToRightSums:
         total = left_to_right(roots)
         assert allocate_compute(c, 5.0) == [max(RESOURCE_FLOOR, 5.0 * r / total) for r in roots]
 
+    def test_fb_objective(self):
+        """Unit shares and a zero price make each sum's terms TERMS."""
+        prob = allocator.AllocProblem(c=TERMS, d=TERMS, delta_b=0.0, f_ser=3.0, b_max=3.0,
+                                      constant=0.0)
+        ones = [1.0] * len(TERMS)
+        assert fb_objective(prob, ones, ones) == left_to_right(TERMS) + left_to_right(TERMS)
+
     def test_allocate_bandwidth_takes_the_branch_of_cost_from_sums(self):
         """The left-to-right sum of the roots is below the budget threshold
         b_max * sqrt(delta_b), the correctly rounded one is at or above it:

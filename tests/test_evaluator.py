@@ -250,7 +250,7 @@ def test_exhaustive_method_refuses_a_stranded_evaluation_draw(monkeypatch):
     monkeypatch.setattr(experiment, "allocate",
                         lambda *a: pytest.fail("the policy picked an action"))
     cfg = ExperimentConfig(scenario=make_scenario(n_users=2), method="exhaustive", trials=1,
-                           d_range=(1e10, 1e10))
+                           q=QConfig(h_bins=1, d_range=(1e10, 1e10)))
     with pytest.raises(InfeasibleError, match="user 0 has zero spectral efficiency"):
         run_experiment(cfg)
 
@@ -356,7 +356,7 @@ def test_training_rewards_equal_action_reward_bit_for_bit_on_seeded_draws(inst, 
         rng, ref_rng, pick = (np.random.Generator(np.random.PCG64(draw_seed)) for _ in range(3))
         for _ in range(2):
             _, draw = sampler(rng)
-            ref = sample_scenario(sc, ref_rng, cfg.f_loc_range, cfg.d_range)
+            ref = sample_scenario(sc, ref_rng, cfg.q.f_loc_range, cfg.q.d_range)
             actions = (list(range(spec.n_actions)) if spec.n_actions <= 64
                        else pick.integers(spec.n_actions, size=64).tolist())
             if method == "q-only":

@@ -18,7 +18,7 @@ from fedkd.experiment import (
     training_reward,
 )
 from fedkd.model import ServerSpec, default_scenario
-from fedkd.qlearn import INFEASIBLE_REWARD, scenario_draw
+from fedkd.qlearn import INFEASIBLE_REWARD, QConfig, scenario_draw
 from conftest import make_scenario
 
 
@@ -46,16 +46,35 @@ class TestSampling:
 
 
 class TestRanges:
+    """QConfig's draw ranges, which the sampler and the state quantizer
+    share, and the counts that go with them."""
+
     @pytest.mark.parametrize("field", ["f_loc_range", "d_range"])
     @pytest.mark.parametrize("bad", [(-1.0, 2.0), (math.nan, 2.0), (2.0, 1.0), (0.5, math.inf)])
     def test_bad_range_rejected_naming_the_field(self, field, bad):
         with pytest.raises(ValueError, match=field):
-            ExperimentConfig(scenario=default_scenario(), **{field: bad})
+            QConfig(**{field: bad})
 
     @pytest.mark.parametrize("field", ["f_loc_range", "d_range"])
     def test_degenerate_range_accepted(self, field):
-        cfg = ExperimentConfig(scenario=default_scenario(), **{field: (1.5, 1.5)})
+        cfg = QConfig(f_bins=1, h_bins=1, **{field: (1.5, 1.5)})
         assert getattr(cfg, field) == (1.5, 1.5)
+
+    @pytest.mark.parametrize("field, bins", [("f_loc_range", "f_bins"), ("d_range", "h_bins")])
+    def test_degenerate_range_with_more_bins_rejected(self, field, bins):
+        with pytest.raises(ValueError, match=f"{field} .* zero width, so {bins} must be 1"):
+            QConfig(**{"f_bins": 1, "h_bins": 1, bins: 2, field: (1.5, 1.5)})
+
+    @pytest.mark.parametrize("field", ["episodes", "f_bins", "h_bins"])
+    @pytest.mark.parametrize("bad", [2.5, True, "3"])
+    def test_non_integer_count_rejected_naming_the_field(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            QConfig(**{field: bad})
+
+    @pytest.mark.parametrize("field", ["f_bins", "h_bins"])
+    def test_no_bins_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1, got 0"):
+            QConfig(**{field: 0})
 
 
 def qonly_spec(sc, levels=8):
@@ -180,9 +199,9 @@ class TestRunExperiment:
         sc = make_scenario(n_users=2, n_models=2, seed=19)
         cfg = ExperimentConfig(
             scenario=sc, method="proposed", seed=3, trials=2,
-            q=dataclasses.replace(EXPERIMENT_QCONFIG, episodes=5000),
-            f_loc_range=(sc.users[0].f_loc, sc.users[0].f_loc),
-            d_range=(sc.users[0].d, sc.users[0].d))
+            q=dataclasses.replace(EXPERIMENT_QCONFIG, episodes=5000, f_bins=1, h_bins=1,
+                                  f_loc_range=(sc.users[0].f_loc, sc.users[0].f_loc),
+                                  d_range=(sc.users[0].d, sc.users[0].d)))
         # collapse the sampler so training and evaluation see one scenario
         users = tuple(dataclasses.replace(u, f_loc=sc.users[0].f_loc, d=sc.users[0].d)
                       for u in sc.users)

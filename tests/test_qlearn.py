@@ -21,6 +21,7 @@ from fedkd.experiment import (
 )
 from fedkd.model import (
     DEFAULT_CATALOG,
+    ChannelSpec,
     Decision,
     ObjectiveWeights,
     Scenario,
@@ -149,14 +150,19 @@ def _quantize(value, lo, hi, bins):
     return min(max(idx, 0), bins - 1)
 
 
-def _user_state(f_loc, h, cfg):
-    return (_quantize(f_loc, cfg.f_range[0], cfg.f_range[1], cfg.f_bins),
-            _quantize(math.log10(h), cfg.h_log_range[0], cfg.h_log_range[1], cfg.h_bins))
+def _user_state(f_loc, h, ch, cfg):
+    """Reference (f_loc bin, gain bin) of a user with gain h on channel ch:
+    the gain range is log10 of g0 / d^gamma at the far and the near end of
+    cfg.d_range."""
+    (f_lo, f_hi), (d_lo, d_hi) = cfg.f_loc_range, cfg.d_range
+    h_lo, h_hi = (math.log10(ch.g0 / d ** ch.gamma) for d in (d_hi, d_lo))
+    return (_quantize(f_loc, f_lo, f_hi, cfg.f_bins),
+            _quantize(math.log10(h), h_lo, h_hi, cfg.h_bins))
 
 
 def oracle_key(f_loc, d, ch, cfg):
     """The reference state key of users at f_loc and d on channel ch."""
-    return tuple(_user_state(f, channel_gain(dist, ch), cfg) for f, dist in zip(f_loc, d))
+    return tuple(_user_state(f, channel_gain(dist, ch), ch, cfg) for f, dist in zip(f_loc, d))
 
 
 def scenario_key(sc, cfg):
@@ -185,7 +191,7 @@ class TestEncodeState:
         assert a == b
 
     def test_midpoint_maps_to_upper_bin(self):
-        cfg = QConfig(f_bins=2, h_bins=2, f_range=(0.5, 2.0))
+        cfg = QConfig(f_bins=2, h_bins=2, f_loc_range=(0.5, 2.0))
         sc = make_scenario(n_users=1)
         user = sc.users[0].__class__(id=0, f_loc=1.25, d=sc.users[0].d)
         sc = sc.__class__(users=(user,), server=sc.server, channel=sc.channel,
@@ -203,7 +209,7 @@ class TestEncodeState:
         assert encode_state(sc1, cfg) == encode_state(sc2, cfg)
 
     def test_out_of_range_clamps_and_logs(self, caplog):
-        cfg = QConfig(f_bins=4, h_bins=4, f_range=(0.5, 2.0))
+        cfg = QConfig(f_bins=4, h_bins=4, f_loc_range=(0.5, 2.0))
         sc = make_scenario(n_users=1)
         u = sc.users[0]
         sc = sc.__class__(users=(u.__class__(id=0, f_loc=99.0, d=u.d),),
@@ -219,47 +225,66 @@ class TestEncodeState:
         assert len(set(key)) > 1
 
 
+#: The stock channel, whose gain range over the stock d_range is
+#: (-9.6, -6.8), and two others.
+CHANNELS = (ChannelSpec(), ChannelSpec(g0=1e-3), ChannelSpec(g0=3e-5, gamma=3.5))
+
+
 class TestDrawBuilder:
     """draw_builder's keys equal the per-component oracle's bit for bit,
     and it logs a clamp exactly when the oracle does."""
 
     @pytest.mark.parametrize("f_bins, h_bins", [(4, 4), (2, 2), (3, 5), (1, 1), (1, 4), (4, 1)])
     def test_random_values(self, caplog, f_bins, h_bins):
-        sc = default_scenario()
         cfg = QConfig(f_bins=f_bins, h_bins=h_bins)
         rng = np.random.Generator(np.random.PCG64(f_bins * 10 + h_bins))
-        clamped = 0
-        for _ in range(500):
-            # wider than the state ranges, so some components clamp
-            f_loc = rng.uniform(0.2, 2.4, sc.n_users).tolist()
-            d = rng.uniform(5.0, 160.0, sc.n_users).tolist()
-            got, ref = builder_and_oracle(caplog, sc, cfg, f_loc, d)
-            assert got == ref
-            clamped += bool(ref[1])
-        assert clamped > 0 or (f_bins == 1 and h_bins == 1)
+        for ch in CHANNELS:
+            sc = dataclasses.replace(default_scenario(), channel=ch)
+            clamped = 0
+            for _ in range(500):
+                # wider than the state ranges, so some components clamp
+                f_loc = rng.uniform(0.2, 2.4, sc.n_users).tolist()
+                d = rng.uniform(5.0, 160.0, sc.n_users).tolist()
+                got, ref = builder_and_oracle(caplog, sc, cfg, f_loc, d)
+                assert got == ref
+                clamped += bool(ref[1])
+            assert clamped > 0 or (f_bins == 1 and h_bins == 1)
 
     @pytest.mark.parametrize("bins", [1, 4])
     @pytest.mark.parametrize("end", ["lo", "hi", "below lo", "above hi"])
     @pytest.mark.parametrize("component", ["f_loc", "gain"])
     def test_range_ends(self, caplog, component, end, bins):
-        """value == lo, value == hi and one ulp outside each end, with the
-        range placed around the value; one bin never logs."""
-        sc = make_scenario(n_users=1)
-        f, dist = 1.3, 37.0
-        value = f if component == "f_loc" else math.log10(channel_gain(dist, sc.channel))
-        lo, hi = {"lo": (value, value + 1.0), "hi": (value - 1.0, value),
-                  "below lo": (math.nextafter(value, math.inf), value + 1.0),
-                  "above hi": (value - 1.0, math.nextafter(value, -math.inf))}[end]
+        """f_loc at the ends of f_loc_range and one ulp beyond them, or d at
+        the ends of d_range and a millionth beyond them, on each channel;
+        the far end of d_range is the low end of the gain range.  One bin
+        never logs."""
+        cfg = QConfig(f_bins=bins, h_bins=bins, f_loc_range=(0.7, 1.9), d_range=(15.0, 80.0))
+        lo, hi = cfg.f_loc_range if component == "f_loc" else cfg.d_range
         if component == "f_loc":
-            cfg = QConfig(f_bins=bins, h_bins=bins, f_range=(lo, hi), h_log_range=(-12.0, -5.0))
+            beyond_lo, beyond_hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
         else:
-            cfg = QConfig(f_bins=bins, h_bins=bins, f_range=(0.5, 2.0), h_log_range=(lo, hi))
-        got, ref = builder_and_oracle(caplog, sc, cfg, [f], [dist])
-        assert got == ref
-        pair = ref[0][0]
-        bin_ = pair[0] if component == "f_loc" else pair[1]
-        assert bin_ == (0 if end in ("lo", "below lo") else bins - 1)
-        assert len(ref[1]) == (bins > 1 and end in ("below lo", "above hi"))
+            beyond_lo, beyond_hi = lo * (1 - 1e-6), hi * (1 + 1e-6)
+        value = {"lo": lo, "hi": hi, "below lo": beyond_lo, "above hi": beyond_hi}[end]
+        f, dist = (value, 37.0) if component == "f_loc" else (1.3, value)
+        for ch in CHANNELS:
+            sc = dataclasses.replace(make_scenario(n_users=1), channel=ch)
+            got, ref = builder_and_oracle(caplog, sc, cfg, [f], [dist])
+            assert got == ref
+            f_bin, h_bin = ref[0][0]
+            low_end = end in ("lo", "below lo")
+            if component == "f_loc":
+                assert f_bin == (0 if low_end else bins - 1)
+            else:
+                assert h_bin == (bins - 1 if low_end else 0)
+            assert len(ref[1]) == (bins > 1 and end in ("below lo", "above hi"))
+
+    def test_gain_range_of_one_value_takes_one_bin(self):
+        """A path-loss exponent so small that the gain rounds to one value
+        over d_range leaves no width to bin."""
+        sc = dataclasses.replace(make_scenario(n_users=1), channel=ChannelSpec(gamma=1e-20))
+        with pytest.raises(ValueError, match="d_range .* gives one log10 gain.*h_bins must be 1"):
+            draw_builder(sc, QConfig(h_bins=2))
+        assert draw_builder(sc, QConfig(h_bins=1))([1.0], [50.0])[0] == ((1, 0),)
 
 
 class TestActionCoding:
@@ -595,7 +620,7 @@ class TestTrainingDraws:
         accs = [acc_pair(DEFAULT_TABLE, m.name, spec.accuracy, cfg.distribution)
                 for m in sc.catalog]
         ref, _ = train_encoding_every_episode(
-            lambda r: sample_scenario(sc, r, cfg.f_loc_range, cfg.d_range), cfg.q,
+            lambda r: sample_scenario(sc, r, cfg.q.f_loc_range, cfg.q.d_range), cfg.q,
             np.random.Generator(np.random.PCG64(9)), spec.n_actions,
             lambda draw, a: action_reward(draw, spec, a, accs))
         q = train_loop(training_sampler(cfg), cfg.q, np.random.Generator(np.random.PCG64(9)),
@@ -606,9 +631,7 @@ class TestTrainingDraws:
     def test_every_draw_gets_its_own_key_from_one_gain_per_user(self, monkeypatch):
         """20000 sampler draws equal sample_scenario's from the same seed bit
         for bit, with the oracle's key, at the stock ranges and at wider
-        ones, which clamp."""
-        monkeypatch.setattr(ORACLE_LOG, "disabled", True)
-        monkeypatch.setattr(qlearn.logger, "disabled", True)
+        ones."""
         gains = []
 
         def counting_gain(d, ch):
@@ -618,14 +641,15 @@ class TestTrainingDraws:
         monkeypatch.setattr(qlearn, "channel_gain", counting_gain)
         sc = custom_template()
         for f_loc_range, d_range in [((0.5, 2.0), (10.0, 100.0)), ((0.3, 2.6), (6.0, 140.0))]:
-            cfg = ExperimentConfig(scenario=sc, q=QConfig(f_bins=3, h_bins=3),
-                                   f_loc_range=f_loc_range, d_range=d_range)
+            cfg = ExperimentConfig(scenario=sc, q=QConfig(f_bins=3, h_bins=3,
+                                                          f_loc_range=f_loc_range,
+                                                          d_range=d_range))
             ref_rng = np.random.Generator(np.random.PCG64(11))
-            refs = [sample_scenario(sc, ref_rng, cfg.f_loc_range, cfg.d_range)
+            refs = [sample_scenario(sc, ref_rng, cfg.q.f_loc_range, cfg.q.d_range)
                     for _ in range(20000)]
             ref_keys = [scenario_key(ref, cfg.q) for ref in refs]
-            gains.clear()
             sampler = training_sampler(cfg)
+            gains.clear()
             rng = np.random.Generator(np.random.PCG64(11))
             for k, (ref, ref_key) in enumerate(zip(refs, ref_keys)):
                 key, draw = sampler(rng)
@@ -637,13 +661,20 @@ class TestTrainingDraws:
                 assert gains[k * sc.n_users:] == [u.d for u in ref.users]
             assert len(set(ref_keys)) > 1
 
-    def test_draw_outside_the_state_range_logs_the_clamp(self, caplog):
-        cfg = ExperimentConfig(scenario=default_scenario(), f_loc_range=(2.5, 3.0),
-                               q=QConfig(f_range=(0.5, 2.0)))
+    @pytest.mark.parametrize("ch", CHANNELS[1:])
+    def test_experiment_on_another_channel_bins_without_clamping(self, caplog, ch):
+        """The gain range follows the template's channel: neither training
+        nor evaluation clamps a state component, and the gain bins of the
+        training draws spread over every bin."""
+        sc = dataclasses.replace(default_scenario(), channel=ch)
+        cfg = ExperimentConfig(scenario=sc, seed=2, trials=20,
+                               q=QConfig(f_bins=2, h_bins=2, episodes=800))
         with caplog.at_level(logging.WARNING, logger="fedkd.qlearn"):
-            key, _ = training_sampler(cfg)(np.random.Generator(np.random.PCG64(0)))
-        assert [f_bin for f_bin, _ in key] == [cfg.q.f_bins - 1] * 4
-        assert any("clamped" in rec.message for rec in caplog.records)
+            run_experiment(cfg)
+        assert not caplog.records
+        sampler, rng = training_sampler(cfg), np.random.Generator(np.random.PCG64(4))
+        h_bins = {h_bin for _ in range(200) for _, h_bin in sampler(rng)[0]}
+        assert h_bins == {0, 1}
 
     @pytest.mark.parametrize("method", ["proposed", "fl-min", "fl-max"])
     def test_zero_delay_weight_still_raises_for_the_convex_methods(self, method):
