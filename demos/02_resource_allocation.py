@@ -13,7 +13,7 @@ forms.
 import numpy as np
 
 from fedkd import allocate, build_problem, default_scenario, grid_oracle
-from fedkd.allocator import fb_objective, fb_objective_via_delays
+from fedkd.allocator import fb_objective, fb_objective_via_delays, kkt_residual
 from fedkd.model import Decision
 
 sc = default_scenario()
@@ -30,7 +30,7 @@ print("\nclosed-form optimum:")
 print("  f =", [f"{v:.3f}" for v in res.allocation.f], f"(sum {sum(res.allocation.f):.3f} / {sc.server.f_ser})")
 print("  b =", [f"{v:.3f}" for v in res.allocation.b], f"(sum {sum(res.allocation.b):.3f} / {sc.server.b_max})")
 print(f"  objective (f/b part) = {res.objective_fb:.6f}")
-print(f"  KKT residual         = {res.kkt_residual:.2e}")
+print(f"  KKT residual         = {kkt_residual(prob, res.allocation.f, res.allocation.b):.2e}")
 
 print("\ncross-checks:")
 direct = fb_objective_via_delays(sc, dec, res.allocation)

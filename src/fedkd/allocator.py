@@ -16,8 +16,9 @@ function of three per-user sums (cost_from_sums):
 
     sum_i const_i + (sum_i sqrt c_i)^2 / f_ser + bw(sum_i sqrt d_i)
 
-decision_cost evaluates it for one decision; the decision layer scores
-actions with it and never computes a split.
+The decision layer scores actions from those sums and never computes a
+split.  The scalar route for one decision, cost_from_sums over
+build_problem's terms, is a test oracle in tests/oracles.py.
 
 grid_oracle is the independent check: an exact search over the discretized
 budget simplex, organized as a dynamic program so it stays tractable.
@@ -78,15 +79,14 @@ class AllocProblem:
 class AllocResult:
     allocation: Allocation
     objective_fb: float     # f/b-dependent objective at the returned point
-    kkt_residual: float     # max relative stationarity/complementarity violation
 
 
 def digit_factors(sc: Scenario, x: int, m: int) -> tuple[float, float, float, float]:
     """The user-independent factors (alpha_d x mu, beta_c server_mu,
     alpha_d server_mu, alpha_d (x theta_l + theta_s)) of picking (x, m).
 
-    user_terms divides the first by the user's f_loc and the last by its
-    spectral efficiency; they depend on the template alone, so the
+    build_problem divides the first by the user's f_loc and the last by
+    its spectral efficiency; they depend on the template alone, so the
     decision layer builds them once per template.
     """
     w = sc.weights
@@ -100,25 +100,11 @@ def digit_factors(sc: Scenario, x: int, m: int) -> tuple[float, float, float, fl
             w.alpha_d * (x * sc.teacher.theta_l + model.theta_s))
 
 
-def user_terms(sc: Scenario, i: int, x: int, m: int) -> tuple[float, float, float]:
-    """User i's coefficients (const_i, c_i, d_i) when it picks (x, m).
-
-    c_i and d_i are the AllocProblem weights; const_i is the user's share
-    of AllocProblem.constant.  A user whose spectral efficiency rounds to
-    zero cannot transmit at any bandwidth: InfeasibleError.
-    """
-    a, b, c, num = digit_factors(sc, x, m)
-    u = sc.users[i]
-    eff = spectral_efficiency(u.p, channel_gain(u.d, sc.channel), sc.channel)
-    if eff <= 0:
-        raise InfeasibleError(f"user {u.id} has zero spectral efficiency")
-    return a / u.f_loc + b, c, num / eff
-
-
 def _left_to_right(values) -> float:
-    """values added one by one from 0.0, decision_cost's order.  The
-    builtin sum of floats is compensated from Python 3.12 on, so it can
-    differ from decision_cost and cost_from_sums in the last bits."""
+    """values added one by one from 0.0, the order in which the decision
+    layer's scorers and the cost oracle in tests/oracles.py add the
+    users' terms.  The builtin sum of floats is compensated from
+    Python 3.12 on, so it can differ from them in the last bits."""
     total = 0.0
     for v in values:
         total += v
@@ -126,12 +112,27 @@ def _left_to_right(values) -> float:
 
 
 def build_problem(sc: Scenario, dec: Decision) -> AllocProblem:
-    """Reduce a scenario plus decision to the two separable subproblems."""
+    """Reduce a scenario plus decision to the two separable subproblems.
+
+    User i's (const_i, c_i, d_i) for its pick (x, m) are digit_factors'
+    a / f_loc + b, c and num / eff, with eff its spectral efficiency;
+    const_i is its share of AllocProblem.constant.  A user whose spectral
+    efficiency rounds to zero cannot transmit at any bandwidth:
+    InfeasibleError."""
     dec.validate(sc)
-    terms = [user_terms(sc, i, x, m) for i, (x, m) in enumerate(zip(dec.x, dec.m))]
-    return AllocProblem(c=tuple(t[1] for t in terms), d=tuple(t[2] for t in terms),
-                        delta_b=sc.weights.delta_b, f_ser=sc.server.f_ser,
-                        b_max=sc.server.b_max, constant=_left_to_right(t[0] for t in terms))
+    ch = sc.channel
+    consts, c, d = [], [], []
+    for u, x, m in zip(sc.users, dec.x, dec.m):
+        a, b, c_i, num = digit_factors(sc, x, m)
+        eff = spectral_efficiency(u.p, channel_gain(u.d, ch), ch)
+        if eff <= 0:
+            raise InfeasibleError(f"user {u.id} has zero spectral efficiency")
+        consts.append(a / u.f_loc + b)
+        c.append(c_i)
+        d.append(num / eff)
+    return AllocProblem(c=tuple(c), d=tuple(d), delta_b=sc.weights.delta_b,
+                        f_ser=sc.server.f_ser, b_max=sc.server.b_max,
+                        constant=_left_to_right(consts))
 
 
 def cost_from_sums(sc: Scenario, s_const, s_root_c, s_root_d):
@@ -151,19 +152,6 @@ def cost_from_sums(sc: Scenario, s_const, s_root_c, s_root_d):
     bandwidth = (binds * (s_root_d * s_root_d / b_max + delta_b * b_max)
                  + (1 - binds) * (2.0 * root_price * s_root_d))
     return s_const + s_root_c * s_root_c / f_ser + bandwidth
-
-
-def decision_cost(sc: Scenario, dec: Decision) -> float:
-    """constant + fb_objective at the optimal split, without computing the
-    split: the closed-form value of the fixed-decision objective."""
-    dec.validate(sc)
-    s_const = s_root_c = s_root_d = 0.0
-    for i, (x, m) in enumerate(zip(dec.x, dec.m)):
-        const, c, d = user_terms(sc, i, x, m)
-        s_const += const
-        s_root_c += math.sqrt(c)
-        s_root_d += math.sqrt(d)
-    return cost_from_sums(sc, s_const, s_root_c, s_root_d)
 
 
 def allocate_compute(c, f_ser: float) -> list[float]:
@@ -227,7 +215,8 @@ def kkt_residual(prob: AllocProblem, f, b) -> float:
     Stationarity requires c_i / f_i^2 to share one multiplier nu across
     users, and d_i / b_i^2 to share delta_b + lambda.  Complementarity
     requires the CPU budget to bind (nu > 0 always) and the bandwidth
-    budget to bind whenever lambda > 0.
+    budget to bind whenever lambda > 0.  `fedkd allocate` reports it;
+    allocate itself does not compute it.
     """
     f = np.asarray(f, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -255,7 +244,6 @@ def allocate(sc: Scenario, dec: Decision) -> AllocResult:
     return AllocResult(
         allocation=Allocation(f=tuple(f), b=tuple(b)),
         objective_fb=fb_objective(prob, f, b),
-        kkt_residual=kkt_residual(prob, f, b),
     )
 
 
@@ -343,5 +331,4 @@ def grid_oracle(sc: Scenario, dec: Decision, steps: int) -> AllocResult:
     return AllocResult(
         allocation=Allocation(f=tuple(f), b=tuple(b)),
         objective_fb=f_val + b_val,
-        kkt_residual=kkt_residual(prob, f, b),
     )

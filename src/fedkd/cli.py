@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import accuracy, config, kd, qlearn
-from .allocator import allocate, build_problem
+from .allocator import allocate, build_problem, kkt_residual
 from .experiment import (
     EXPERIMENT_QCONFIG,
     METHODS,
@@ -56,14 +56,15 @@ def cmd_allocate(args) -> int:
     dec = config.decision_from_dict(doc, sc)
     prob = build_problem(sc, dec)
     res = allocate(sc, dec)
+    f, b = res.allocation.f, res.allocation.b
     payload = {
         "x": list(dec.x),
         "m": list(dec.m),
-        "f": list(res.allocation.f),
-        "b": list(res.allocation.b),
+        "f": list(f),
+        "b": list(b),
         "objective_fb": res.objective_fb,
         "objective_fixed_decision": res.objective_fb + prob.constant,
-        "kkt_residual": res.kkt_residual,
+        "kkt_residual": kkt_residual(prob, f, b),
     }
     text = _json_text(payload)
     if args.out:

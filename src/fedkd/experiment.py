@@ -18,15 +18,16 @@ One pipeline runs them all: train the agent (exhaustive enumerates
 instead), decode the chosen action on each draw, let the convex allocator
 fill in the split where the action leaves it open, and evaluate.
 
-Training redraws every user's CPU frequency and distance each episode
-from one rng.random call, the values sample_scenario's uniform calls
-give, and builds no Scenario, Decision or Allocation for it: the agent
-sees a qlearn.Draw with its state key (`training_sampler`).  Training
-and evaluation draw over the agent's QConfig.f_loc_range and d_range,
-the ranges its state quantizer bins, so no draw leaves the state ranges.
-qlearn.digit_reward scores the (x, m) digits of proposed, fl-min and
-fl-max; q-only's scorer adds user_cost at its digits' grid levels.  The
-evaluation draws are full Scenarios from `sample_scenario`.
+Training and evaluation draw the users alike: one rng.random call per
+draw gives every user's CPU frequency and distance (`_user_draws`).
+Training builds no Scenario, Decision or Allocation for a draw: the
+agent sees a qlearn.Draw with its state key (`training_sampler`).  The
+evaluation draws are full Scenarios from `sample_scenario`, keyed by the
+same qlearn.draw_builder.  Both draw over the agent's QConfig.f_loc_range
+and d_range, the ranges its state quantizer bins, so no draw leaves the
+state ranges.  qlearn.digit_reward scores the (x, m) digits of proposed,
+fl-min and fl-max; q-only's scorer adds user_cost at its digits' grid
+levels.
 
 Per trial the report records the realized objective, the mean per-epoch
 delay across users, accuracy means, model-selection frequencies, and the
@@ -63,10 +64,8 @@ from .qlearn import (
     QConfig,
     StateKey,
     _enumerated,
-    decision_reward,
     digit_reward,
     draw_builder,
-    encode_state,
     joint_digits,
     train_loop,
 )
@@ -81,6 +80,10 @@ ACTION_SPACE_CAP = 10 ** 12
 #: default so the training budget covers the state space reasonably.
 EXPERIMENT_QCONFIG = QConfig(f_bins=2, h_bins=2, episodes=5000)
 
+#: q-only's grid levels per resource: a user's share of the server CPU
+#: and of the bandwidth is a whole number of 1/RESOURCE_LEVELS of it.
+RESOURCE_LEVELS = 8
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -90,7 +93,6 @@ class ExperimentConfig:
     trials: int = 200
     distribution: str = "noniid"
     q: QConfig = EXPERIMENT_QCONFIG
-    resource_levels: int = 8            # q-only grid levels per resource
     table: AccuracyTable = DEFAULT_TABLE
 
     def __post_init__(self) -> None:
@@ -98,8 +100,6 @@ class ExperimentConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.trials < 0:
             raise ValueError(f"trials must be >= 0, got {self.trials}")
-        if self.resource_levels < 1:
-            raise ValueError("resource_levels must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -136,39 +136,47 @@ class Report:
         return float(np.mean([getattr(t, attr) for t in self.trials]))
 
 
+def _user_draws(n_users: int, f_loc_range, d_range
+                ) -> Callable[[np.random.Generator], tuple[list[float], list[float]]]:
+    """draw(rng) -> (f_loc, d) of n_users users, each uniform over its
+    range: one rng.random(2 * n_users) call, user i taking the values 2i
+    (f_loc) and 2i + 1 (d), each lo + (hi - lo) * u.  Those are the values
+    of per-user rng.uniform(lo, hi) calls in the same order, f_loc first,
+    wherever numpy forms uniform without a fused multiply-add; training
+    and evaluation agree by construction either way."""
+    (f_lo, f_hi), (d_lo, d_hi) = f_loc_range, d_range
+    f_span, d_span = f_hi - f_lo, d_hi - d_lo
+    size = 2 * n_users
+
+    def draw(rng: np.random.Generator) -> tuple[list[float], list[float]]:
+        u = rng.random(size).tolist()
+        return [f_lo + f_span * v for v in u[0::2]], [d_lo + d_span * v for v in u[1::2]]
+
+    return draw
+
+
 def sample_scenario(template: Scenario, rng: np.random.Generator,
                     f_loc_range=QConfig.f_loc_range, d_range=QConfig.d_range) -> Scenario:
     """Redraw each user's CPU frequency and distance uniformly over the
-    ranges, by default QConfig's; all else fixed."""
-    users = tuple(
-        dataclasses.replace(u,
-                            f_loc=float(rng.uniform(*f_loc_range)),
-                            d=float(rng.uniform(*d_range)))
-        for u in template.users)
+    ranges, by default QConfig's, as training does; all else fixed."""
+    f_loc, d = _user_draws(template.n_users, f_loc_range, d_range)(rng)
+    users = tuple(dataclasses.replace(u, f_loc=f, d=dist)
+                  for u, f, dist in zip(template.users, f_loc, d))
     return dataclasses.replace(template, users=users)
 
 
 def training_sampler(cfg: ExperimentConfig
                      ) -> Callable[[np.random.Generator], tuple[StateKey, Draw]]:
-    """train_loop's sampler for cfg: one rng.random call redraws every
-    user's (f_loc, d) pair over cfg.q.f_loc_range and cfg.q.d_range, the
-    same stream and values as sample_scenario's per-user rng.uniform calls
-    over those ranges, and qlearn.draw_builder gives the state key and
-    Draw.  The quantizer bins over the same ranges, so no draw clamps.
-
-    A value is lo + (hi - lo) * u for the stream's next double u, numpy's
-    own uniform; the two agree bit for bit as long as numpy's C code does
-    not fuse that multiply-add (it does not on x86-64), which the tests
-    check over many seeded draws."""
+    """train_loop's sampler for cfg: _user_draws redraws every user's
+    (f_loc, d) pair over cfg.q.f_loc_range and cfg.q.d_range, the same
+    stream and values as sample_scenario's over those ranges, and
+    qlearn.draw_builder gives the state key and Draw.  The quantizer bins
+    over the same ranges, so no draw clamps."""
     build = draw_builder(cfg.scenario, cfg.q)
-    (f_lo, f_hi), (d_lo, d_hi) = cfg.q.f_loc_range, cfg.q.d_range
-    f_span, d_span = f_hi - f_lo, d_hi - d_lo
-    size = 2 * cfg.scenario.n_users
+    draw = _user_draws(cfg.scenario.n_users, cfg.q.f_loc_range, cfg.q.d_range)
 
     def sample(rng: np.random.Generator) -> tuple[StateKey, Draw]:
-        u = rng.random(size).tolist()
-        return build([f_lo + f_span * v for v in u[0::2]],
-                     [d_lo + d_span * v for v in u[1::2]])
+        return build(*draw(rng))
 
     return sample
 
@@ -243,11 +251,11 @@ def method_spec(cfg: ExperimentConfig) -> MethodSpec:
         digits = joint_digits(n_models)
         return MethodSpec(digits, len(digits) ** n, "KD", learned=cfg.method == "proposed")
     if cfg.method == "q-only":
-        levels = cfg.resource_levels
+        levels = RESOURCE_LEVELS
         if n > levels:
             raise ValueError(
                 f"q-only needs at least one grid level per user: "
-                f"{n} users but {levels} levels; raise resource_levels")
+                f"{n} users but {levels} levels; use at most {levels} users")
         grid = range(1, levels + 1)
         digits = tuple((x, m, kf, kb) for kb in grid for kf in grid
                        for m in range(n_models) for x in (0, 1))
@@ -255,42 +263,22 @@ def method_spec(cfg: ExperimentConfig) -> MethodSpec:
         if n_actions > ACTION_SPACE_CAP:
             raise ValueError(
                 f"q-only action space {n_actions} exceeds {ACTION_SPACE_CAP}; "
-                "reduce resource_levels, users, or catalog size")
+                "reduce users or catalog size")
         return MethodSpec(digits, n_actions, "KD")
     mus = [m.mu for m in template.catalog]
     m_fixed = mus.index(min(mus) if cfg.method == "fl-min" else max(mus))
     return MethodSpec(((0, m_fixed), (1, m_fixed)), 2 ** n, "FL")
 
 
-def action_reward(sc: Scenario, spec: MethodSpec, a: int, accs) -> float:
-    """Reward of action a on a full scenario under a method's decoder: the
-    reference that the training rewards (training_reward) equal bit for bit.
-
-    Minus the cost at the optimal split (from its closed form) when the
-    decoder leaves it open, else minus the scalar objective at the decoded
-    split.  An action over a budget, or one whose decision is infeasible,
-    earns INFEASIBLE_REWARD; any other error propagates.
-    """
-    dec, al, feasible = spec.decode(sc, a)
-    if not feasible:
-        return INFEASIBLE_REWARD
-    if al is None:
-        return decision_reward(sc, dec, accs)
-    try:
-        return -objective(sc, dec, al, [accs[mi][0] for mi in dec.m],
-                          [accs[mi][1] for mi in dec.m])
-    except InfeasibleError:
-        return INFEASIBLE_REWARD
-
-
 def _grid_reward(template: Scenario, spec: MethodSpec, accs
                  ) -> Callable[[Draw, int], float]:
-    """q-only's reward_fn(draw, a), equal to action_reward on the draw's
-    Scenario bit for bit.  Each digit's model, shares and accuracies are
-    looked up once.  An action earns INFEASIBLE_REWARD as soon as its level
-    counts exceed a budget; within budget, it is minus the sum of user_cost
-    at each user's shares and rate b * eff, as in objective.  Accuracies
-    outside [0, 1] are refused here, at construction."""
+    """q-only's reward_fn(draw, a), equal bit for bit to the scalar
+    oracle in tests/oracles.py on the draw's Scenario.  Each digit's
+    model, shares and accuracies are looked up once.  An action earns
+    INFEASIBLE_REWARD as soon as its level counts exceed a budget; within
+    budget, it is minus the sum of user_cost at each user's shares and
+    rate b * eff, as in objective.  Accuracies outside [0, 1] are refused
+    here, at construction."""
     for col, name in enumerate(("acc_own", "acc_avg")):    # objective's check, per model
         if not all(0.0 <= acc[col] <= 1.0 for acc in accs):
             raise ValueError(f"{name} entries must be in [0, 1]")
@@ -321,9 +309,10 @@ def _grid_reward(template: Scenario, spec: MethodSpec, accs
 
 def training_reward(cfg: ExperimentConfig, spec: MethodSpec, accs
                     ) -> Callable[[Draw, int], float]:
-    """reward_fn(draw, a) of a training Draw, equal to action_reward on
-    the draw's Scenario, built once per template: qlearn.digit_reward for
-    (x, m) digits, _grid_reward for q-only's."""
+    """reward_fn(draw, a) of a training Draw, equal bit for bit to the
+    scalar oracle in tests/oracles.py on the draw's Scenario, built
+    once per template: qlearn.digit_reward for (x, m) digits, _grid_reward
+    for q-only's."""
     if len(spec.digits[0]) == 2:
         return digit_reward(cfg.scenario, accs, spec.digits)
     return _grid_reward(cfg.scenario, spec, accs)
@@ -337,8 +326,9 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     are Scenarios from sample_scenario over cfg.q.f_loc_range and
     cfg.q.d_range, the ranges training draws over, and depend only on
     (template, seed, trials, those ranges), never on the method, so
-    reports from different methods compare like for like.  Identical
-    configs produce identical reports.
+    reports from different methods compare like for like.  A learned
+    policy keys them with one qlearn.draw_builder made for the run.
+    Identical configs produce identical reports.
     """
     template = cfg.scenario
     spec = method_spec(cfg)
@@ -354,9 +344,11 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
         q = train_loop(training_sampler(cfg), cfg.q,
                        np.random.Generator(np.random.PCG64(train_ss)),
                        spec.n_actions, training_reward(cfg, spec, accs))
+        build = draw_builder(template, cfg.q)
 
         def policy(draw: Scenario) -> int:
-            return q.greedy_action(encode_state(draw, cfg.q), spec.n_actions)
+            key, _ = build([u.f_loc for u in draw.users], [u.d for u in draw.users])
+            return q.greedy_action(key, spec.n_actions)
     else:
         def policy(draw: Scenario) -> int:
             return int(np.argmax(_enumerated(draw, accs)))

@@ -205,10 +205,14 @@ class DelayBreakdown:
 
 
 def channel_gain(d: float, ch: ChannelSpec) -> float:
-    """Linear channel gain g0 / d^gamma at distance d meters."""
+    """Linear channel gain g0 / d^gamma at distance d meters.  A distance
+    whose d^gamma overflows a float is refused with a ValueError."""
     if d <= 0:
         raise ValueError(f"distance must be > 0, got {d}")
-    return ch.g0 / d ** ch.gamma
+    try:
+        return ch.g0 / d ** ch.gamma
+    except OverflowError:
+        raise ValueError(f"distance {d} m overflows d ** gamma at gamma = {ch.gamma}") from None
 
 
 def spectral_efficiency(p: float, h: float, ch: ChannelSpec) -> float:

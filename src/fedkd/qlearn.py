@@ -27,7 +27,8 @@ in one broadcast; `exhaustive_optimum` is its argmax, and
 `train_fixed_scenario` (train-q's agent) trains on lookups into it, or
 on digit_reward when there are more actions than episodes.  Every route
 adds the users' terms left to right, so all of them agree bit for bit,
-and an infeasible action earns INFEASIBLE_REWARD on every route.
+with each other and with the scalar oracles in tests/oracles.py, and an
+infeasible action earns INFEASIBLE_REWARD on every route.
 
 The table is a hash map and missing entries read as 0, which doubles as
 optimistic initialization when rewards are negative.  The greedy argmax
@@ -52,7 +53,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .allocator import cost_from_sums, decision_cost, digit_factors
+from .allocator import cost_from_sums, digit_factors
 from .model import Decision, InfeasibleError, Scenario, channel_gain, spectral_efficiency
 
 logger = logging.getLogger(__name__)
@@ -111,15 +112,14 @@ class QConfig:
                 raise ValueError(f"{name} {(lo, hi)} has zero width, so {bins} must be 1, "
                                  f"got {getattr(self, bins)}")
 
-    def epsilon_at(self, episode: int) -> float:
-        return max(self.epsilon_floor, self.epsilon0 * self.epsilon_decay ** episode)
-
     def epsilons(self) -> Iterator[float]:
-        """epsilon_at(ep) of every episode, ep = 0 .. episodes - 1, bit for
-        bit and without a call per episode: the decaying values while they
-        exceed the floor, then the floor.  decay ** ep does not grow with
-        ep for a decay in [0, 1], so once a value is at or below the floor
-        every later one is too."""
+        """max(epsilon_floor, epsilon0 * epsilon_decay ** ep) of every
+        episode, ep = 0 .. episodes - 1, without a call per episode: the
+        decaying values while they exceed the floor, then the floor.
+        decay ** ep does not grow with ep for a decay in [0, 1], so once a
+        value is at or below the floor every later one is too.  The
+        per-episode formula is a test oracle in tests/oracles.py, which
+        this equals bit for bit."""
         floor, eps0, decay = self.epsilon_floor, self.epsilon0, self.epsilon_decay
         above = itertools.takewhile(functools.partial(operator.lt, floor),
                                     (eps0 * decay ** ep for ep in itertools.count()))
@@ -148,14 +148,6 @@ class QTable:
     @property
     def states(self) -> int:
         return len(self._rows)
-
-    def value(self, s: StateKey, a: int) -> float:
-        entry = self._rows.get(s, {}).get(a)
-        return entry[0] if entry is not None else 0.0
-
-    def visits(self, s: StateKey, a: int) -> int:
-        entry = self._rows.get(s, {}).get(a)
-        return entry[1] if entry is not None else 0
 
     def set(self, s: StateKey, a: int, value: float, visits: int) -> None:
         """Store an entry; a non-finite value is refused, since it would
@@ -322,15 +314,6 @@ def action_count(sc: Scenario) -> int:
     return (2 * len(sc.catalog)) ** sc.n_users
 
 
-def encode_decision(dec: Decision, n_models: int) -> int:
-    """Pack per-user (x_i, m_i) digits into one base-(2 |M|) integer."""
-    radix = 2 * n_models
-    a = 0
-    for xi, mi in zip(reversed(dec.x), reversed(dec.m)):
-        a = a * radix + (xi * n_models + mi)
-    return a
-
-
 def decode_action(a: int, n_users: int, n_models: int) -> Decision:
     radix = 2 * n_models
     x, m = [], []
@@ -356,31 +339,6 @@ def _model_gains(sc: Scenario, acc_by_model: Sequence[tuple[float, float]]) -> l
     return [w.eta_o * own + w.eta_a * avg for own, avg in acc_by_model]
 
 
-def decision_reward(sc: Scenario, dec: Decision,
-                    acc_by_model: Sequence[tuple[float, float]]) -> float:
-    """Negated total cost of a decision under the optimal resource split.
-
-    acc_by_model[m] = (acc_own, acc_avg) fractions for catalog entry m,
-    typically from the published-accuracy table.  Infeasible decisions
-    earn INFEASIBLE_REWARD so the agent learns to avoid them; any other
-    error propagates.
-    """
-    try:
-        cost = decision_cost(sc, dec)
-    except InfeasibleError:
-        return INFEASIBLE_REWARD
-    gains = _model_gains(sc, acc_by_model)
-    s_gain = 0.0
-    for mi in dec.m:
-        s_gain += gains[mi]
-    return -(cost - s_gain)
-
-
-def reward(sc: Scenario, a: int, acc_by_model: Sequence[tuple[float, float]]) -> float:
-    """decision_reward of joint action a (infeasible: INFEASIBLE_REWARD)."""
-    return decision_reward(sc, decode_action(a, sc.n_users, len(sc.catalog)), acc_by_model)
-
-
 def joint_digits(n_models: int) -> tuple[tuple[int, int], ...]:
     """(x, m) of each digit k = x * |M| + m of the joint action."""
     return tuple(divmod(k, n_models) for k in range(2 * n_models))
@@ -402,7 +360,7 @@ def _digit_factors(sc: Scenario, acc_by_model: Sequence[tuple[float, float]],
 def _digit_terms(sc: Scenario, acc_by_model: Sequence[tuple[float, float]]
                  ) -> list[list[tuple[float, float, float, float]]]:
     """terms[i][k] = (const_i, sqrt(c_i), sqrt(d_i), accuracy reward) of
-    user i picking joint digit k, equal to user_terms bit for bit.  Raises
+    user i picking joint digit k, equal to build_problem's bit for bit.  Raises
     InfeasibleError for a user with zero spectral efficiency, whatever it
     picks."""
     factors = _digit_factors(sc, acc_by_model, joint_digits(len(sc.catalog)))
@@ -419,9 +377,9 @@ def _digit_terms(sc: Scenario, acc_by_model: Sequence[tuple[float, float]]
 
 def digit_reward(template: Scenario, acc_by_model: Sequence[tuple[float, float]],
                  digits: Sequence[tuple[int, int]]) -> Callable[[Draw, int], float]:
-    """decision_reward as a reward_fn(draw, a) for train_loop: the base
-    len(digits) digits of action a, lowest first, pick each user's (x, m)
-    from digits.
+    """Minus the cost at the optimal split, plus the accuracy reward, as a
+    reward_fn(draw, a) for train_loop: the base len(digits) digits of
+    action a, lowest first, pick each user's (x, m) from digits.
 
     The user-independent factors of every digit are built once.  For a
     Draw of template's users, the reward adds each user's terms of its
@@ -429,8 +387,8 @@ def digit_reward(template: Scenario, acc_by_model: Sequence[tuple[float, float]]
     sqrt(alpha_d server_mu) and sqrt(alpha_d (x theta_l + theta_s) / eff).
 
     The terms and the picked gains are added user by user, left to right,
-    in decision_cost's order and with user_terms' operations, so every
-    reward equals decision_reward bit for bit.  A user with zero spectral
+    with build_problem's operations, so every reward equals the scalar
+    oracle in tests/oracles.py bit for bit.  A user with zero spectral
     efficiency makes every action earn INFEASIBLE_REWARD; any other error
     (alpha_d = 0 included) propagates, here at construction.
     """
@@ -496,7 +454,7 @@ def train_fixed_scenario(sc: Scenario, acc_by_model: Sequence[tuple[float, float
     actions than episodes (and at most EXHAUSTIVE_CAP), every action is
     scored once, by action_values, and an episode's reward is one list
     lookup.  Otherwise digit_reward scores the Draw of sc's users each
-    episode.  Both equal reward(sc, a, acc_by_model) bit for bit.
+    episode.  Both give every action the same reward bit for bit.
 
     Scoring one action in the vector costs about 0.1 us and one
     digit_reward call about 5 us at 6 users, so the vector pays off up to
@@ -541,8 +499,9 @@ def _enumerated(sc: Scenario, acc_by_model: Sequence[tuple[float, float]]) -> np
 
 
 def action_values(sc: Scenario, acc_by_model: Sequence[tuple[float, float]]) -> np.ndarray:
-    """reward(sc, a, acc_by_model) of every joint action a, as one array
-    indexed by a and equal to reward bit for bit.
+    """digit_reward of every joint action a on sc's own users, as one
+    array indexed by a and equal to it, and to the oracle reward in
+    tests/oracles.py, bit for bit.
 
     User i's digit k = x * |M| + m indexes the per-user tables of
     _digit_terms, so the sums over users for every action come from one

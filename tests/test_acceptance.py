@@ -15,7 +15,7 @@ import pytest
 
 from fedkd import kd
 from fedkd.accuracy import DEFAULT_TABLE, acc_pair, lookup_acc
-from fedkd.allocator import allocate, allocate_compute, grid_oracle
+from fedkd.allocator import allocate, allocate_compute, build_problem, grid_oracle, kkt_residual
 from fedkd.experiment import EXPERIMENT_QCONFIG, ExperimentConfig, run_experiment
 from fedkd.kd import (
     BlobSpec,
@@ -42,10 +42,8 @@ from fedkd.qlearn import (
     QConfig,
     action_count,
     decode_action,
-    encode_state,
     exhaustive_optimum,
-    reward,
-    train_loop,
+    train_fixed_scenario,
 )
 
 from conftest import finite_difference, make_scenario, rel_err
@@ -74,7 +72,8 @@ def test_criterion_1_allocator_beats_grid_oracle_within_budget():
         grid = grid_oracle(sc, dec, steps=200)
         gap = (res.objective_fb - grid.objective_fb) / abs(grid.objective_fb)
         worst_gap = max(worst_gap, gap)
-        worst_kkt = max(worst_kkt, res.kkt_residual)
+        worst_kkt = max(worst_kkt, kkt_residual(build_problem(sc, dec), res.allocation.f,
+                                                res.allocation.b))
     elapsed = time.perf_counter() - start
     ok = worst_gap <= 1e-3 and worst_kkt < 1e-8 and elapsed < 5.0
     _report("criterion 1 (allocator vs grid oracle)", ok,
@@ -100,9 +99,7 @@ def test_criterion_3_agent_reaches_enumerated_optimum():
         accs = [acc_pair(DEFAULT_TABLE, m.name, "KD", "noniid") for m in sc.catalog]
         best_dec, _ = exhaustive_optimum(sc, accs)
         rng = np.random.Generator(np.random.PCG64(seed))
-        key = encode_state(sc, cfg)
-        q = train_loop(lambda _r: (key, sc), cfg, rng, action_count(sc),
-                       lambda draw, a: reward(draw, a, accs))
+        q, key = train_fixed_scenario(sc, accs, cfg, rng)
         a = q.greedy_action(key, action_count(sc))
         matches += decode_action(a, 2, 2) == best_dec
     elapsed = time.perf_counter() - start

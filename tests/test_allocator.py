@@ -14,10 +14,12 @@ from fedkd.allocator import (
     fb_objective,
     fb_objective_via_delays,
     grid_oracle,
+    kkt_residual,
 )
 from fedkd.model import Decision, ObjectiveWeights
 
 from conftest import make_scenario
+from oracles import decision_cost, left_to_right
 
 
 def random_instance(seed, n_users=4):
@@ -68,16 +70,9 @@ class TestBuildProblem:
 TERMS = (1.0, 1e-16, 1e-16)
 
 
-def left_to_right(values):
-    total = 0.0
-    for v in values:
-        total += v
-    return total
-
-
 class TestLeftToRightSums:
-    """The allocator adds per-user terms left to right, in decision_cost's
-    order, so it agrees with decision_cost and cost_from_sums on every
+    """The allocator adds per-user terms left to right, in the oracle
+    decision_cost's order, so it agrees with it and cost_from_sums on every
     Python version.  A compensated sum stands in for the builtin here, as
     on Python 3.12+."""
 
@@ -91,12 +86,16 @@ class TestLeftToRightSums:
         assert left_to_right(roots) != math.fsum(roots)
 
     def test_build_problem_constant(self, monkeypatch):
+        """Model m's factors make a user's const_i TERMS[m] and its c_i 1."""
         sc = make_scenario(n_users=3)
-        monkeypatch.setattr(allocator, "user_terms", lambda sc, i, x, m: (TERMS[i], 1.0, 1.0))
-        prob = build_problem(sc, Decision(x=(0, 0, 0), m=(0, 0, 0)))
+        monkeypatch.setattr(allocator, "digit_factors",
+                            lambda sc, x, m: (0.0, TERMS[m], 1.0, 1.0))
+        dec = Decision(x=(0, 0, 0), m=(0, 1, 2))
+        prob = build_problem(sc, dec)
         assert prob.constant == left_to_right(TERMS)
-        assert allocator.decision_cost(sc, Decision(x=(0, 0, 0), m=(0, 0, 0))) == (
-            cost_from_sums(sc, prob.constant, 3.0, 3.0))
+        assert prob.c == (1.0, 1.0, 1.0)
+        assert decision_cost(sc, dec) == (
+            cost_from_sums(sc, prob.constant, 3.0, left_to_right(math.sqrt(d) for d in prob.d)))
 
     def test_allocate_compute(self):
         c = [t * t for t in TERMS]
@@ -223,7 +222,7 @@ class TestAllocate:
             assert np.abs(nu - nu.mean()).max() / nu.mean() < 1e-8
             assert sum(res.allocation.f) <= sc.server.f_ser * (1 + 1e-9)
             assert sum(res.allocation.b) <= sc.server.b_max * (1 + 1e-9)
-            assert res.kkt_residual < 1e-8
+            assert kkt_residual(prob, res.allocation.f, res.allocation.b) < 1e-8
 
     def test_dominates_grid_oracle(self):
         for seed in range(30):

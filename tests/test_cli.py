@@ -45,6 +45,17 @@ class TestAllocate:
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["allocate", "train-q"])
+def test_overflowing_channel_gain_is_an_error_line_and_exit_1(tmp_path, capsys, command):
+    """A user so far away that d ** gamma overflows a float."""
+    cfg = write_config(tmp_path, {"users": [{"f_loc": 1.0, "d": 1e300}],
+                                  "decision": {"x": [0], "m": [0]}})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: distance 1e+300 m overflows d ** gamma")
+    assert err.count("\n") == 1
+
+
 class TestTrainQ:
     def test_writes_table_and_summary(self, tmp_path):
         out = tmp_path / "q"

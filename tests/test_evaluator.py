@@ -1,13 +1,14 @@
 """The closed-form decision evaluator against its scalar oracles.
 
-decision_cost and exhaustive_optimum score decisions from per-user sums
-without computing a split; allocate + objective is the independent route
-they must agree with, on random instances that reach both bandwidth
-branches and a zero bandwidth price.  action_values, which train-q trains
-on, must equal reward() bit for bit on every action, and the rewards the
-experiment methods train on must equal action_reward on the same seeded
-draws.  The allocator's symmetries and monotonicities and
-the config round-trip are checked on the same random instances.
+exhaustive_optimum and the oracle decision_cost (tests/oracles.py) score
+decisions from per-user sums without computing a split; allocate +
+objective is the independent route they must agree with, on random
+instances that reach both bandwidth branches and a zero bandwidth price.
+action_values, which train-q trains on, must equal the oracle reward bit
+for bit on every action, and the rewards the experiment methods train on
+must equal the oracle action_reward on the same seeded draws.  The
+allocator's symmetries and monotonicities and the config round-trip are
+checked on the same random instances.
 """
 
 import collections
@@ -19,12 +20,11 @@ import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
 from fedkd.accuracy import DEFAULT_TABLE, acc_pair
-from fedkd.allocator import allocate, build_problem, decision_cost
+from fedkd.allocator import allocate, build_problem, kkt_residual
 from fedkd import experiment
 from fedkd.config import dump_scenario, load_scenario
 from fedkd.experiment import (
     ExperimentConfig,
-    action_reward,
     method_spec,
     run_experiment,
     sample_scenario,
@@ -50,38 +50,25 @@ from fedkd.qlearn import (
     QTable,
     action_count,
     action_values,
-    decision_reward,
-    decode_action,
     digit_reward,
-    encode_decision,
     exhaustive_optimum,
     joint_digits,
-    reward,
     scenario_draw,
     train_loop,
 )
 
 from conftest import make_scenario
+from oracles import (
+    action_reward,
+    brute_force_optimum,
+    decision_cost,
+    decision_reward,
+    encode_decision,
+    reward,
+    score_at_allocate,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, database=None)
-
-
-def _score(sc, dec, accs):
-    """The scalar route: optimal split from allocate, then objective."""
-    al = allocate(sc, dec).allocation
-    return objective(sc, dec, al, [accs[m][0] for m in dec.m], [accs[m][1] for m in dec.m])
-
-
-def brute_force_optimum(sc, accs):
-    """Allocate and score every action in turn; strict < keeps the lowest
-    action index among ties, as exhaustive_optimum does."""
-    best_dec, best_val = None, math.inf
-    for a in range(action_count(sc)):
-        dec = decode_action(a, sc.n_users, len(sc.catalog))
-        val = _score(sc, dec, accs)
-        if val < best_val:
-            best_dec, best_val = dec, val
-    return best_dec, best_val
 
 
 def _floats(lo, hi):
@@ -135,11 +122,11 @@ def test_evaluator_equals_objective_at_allocate(inst):
         assert budget_used < 1.0
     else:
         assert budget_used == pytest.approx(1.0, rel=1e-12)
-    assert res.kkt_residual < 1e-8
+    assert kkt_residual(build_problem(sc, dec), res.allocation.f, res.allocation.b) < 1e-8
     zeros = [0.0] * sc.n_users
     assert decision_cost(sc, dec) == pytest.approx(
         objective(sc, dec, res.allocation, zeros, zeros), rel=1e-9)
-    assert decision_reward(sc, dec, accs) == pytest.approx(-_score(sc, dec, accs),
+    assert decision_reward(sc, dec, accs) == pytest.approx(-score_at_allocate(sc, dec, accs),
                                                            rel=1e-9, abs=1e-12)
 
 
@@ -154,7 +141,7 @@ def test_enumeration_matches_brute_force(inst):
     assert val == -reward(sc, encode_decision(dec, len(sc.catalog)), accs)
     if dec != ref_dec:
         # Only a tie (identical users, say) may split the two routes.
-        assert _score(sc, dec, accs) == pytest.approx(ref_val, rel=1e-12, abs=1e-12)
+        assert score_at_allocate(sc, dec, accs) == pytest.approx(ref_val, rel=1e-12, abs=1e-12)
 
 
 def _assert_action_values_equal_reward(sc, accs):

@@ -1,14 +1,15 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
+from fedkd import experiment
 from fedkd.experiment import (
     EXPERIMENT_QCONFIG,
     ExperimentConfig,
     Report,
     TrialResult,
-    action_reward,
     emit_report,
     method_spec,
     report_rows,
@@ -20,6 +21,7 @@ from fedkd.experiment import (
 from fedkd.model import ServerSpec, default_scenario
 from fedkd.qlearn import INFEASIBLE_REWARD, QConfig, scenario_draw
 from conftest import make_scenario
+from oracles import action_reward
 
 
 def quick_cfg(method, trials=12, episodes=600, seed=5, **kw):
@@ -43,6 +45,19 @@ class TestSampling:
         a = sample_scenario(template, rng, (1.0, 1.0), (50.0, 50.0))
         b = sample_scenario(template, rng, (1.0, 1.0), (50.0, 50.0))
         assert a == b
+
+    @pytest.mark.parametrize("f_loc_range, d_range", [((0.5, 2.0), (10.0, 100.0)),
+                                                      ((0.3, 2.6), (6.0, 140.0))])
+    def test_draws_equal_per_user_uniform_calls(self, f_loc_range, d_range):
+        """2000 draws equal rng.uniform calls from the same seed bit for
+        bit, f_loc then d for each user in turn."""
+        template = default_scenario()
+        rng, ref_rng = (np.random.Generator(np.random.PCG64(13)) for _ in range(2))
+        for _ in range(2000):
+            draw = sample_scenario(template, rng, f_loc_range, d_range)
+            for u in draw.users:
+                assert u.f_loc == float(ref_rng.uniform(*f_loc_range))
+                assert u.d == float(ref_rng.uniform(*d_range))
 
 
 class TestRanges:
@@ -77,8 +92,11 @@ class TestRanges:
             QConfig(**{field: 0})
 
 
-def qonly_spec(sc, levels=8):
-    return method_spec(ExperimentConfig(scenario=sc, method="q-only", resource_levels=levels))
+def qonly_spec(sc, levels=experiment.RESOURCE_LEVELS):
+    """q-only's method table with levels grid levels per resource."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiment, "RESOURCE_LEVELS", levels)
+        return method_spec(ExperimentConfig(scenario=sc, method="q-only"))
 
 
 class TestQOnlyCoding:
@@ -133,7 +151,7 @@ class TestQOnlyCoding:
         over = self._action(units[:-1] + (units[-1] + 1,), levels, len(sc.catalog))
         assert not spec.decode(sc, over)[2]
         assert action_reward(sc, spec, over, [(0.5, 0.5)] * 4) == INFEASIBLE_REWARD
-        cfg = ExperimentConfig(scenario=sc, method="q-only", resource_levels=levels)
+        cfg = ExperimentConfig(scenario=sc, method="q-only")
         reward_fn = training_reward(cfg, spec, [(0.5, 0.5)] * 4)
         _, draw = scenario_draw(sc, cfg.q)
         assert reward_fn(draw, a) == action_reward(sc, spec, a, [(0.5, 0.5)] * 4)
@@ -221,11 +239,13 @@ class TestRunExperiment:
                 assert opt.objective <= got.objective + 1e-9 * abs(got.objective), \
                     (method, got.trial)
 
-    def test_qonly_level_guards(self):
-        with pytest.raises(ValueError, match="grid level"):
-            run_experiment(quick_cfg("q-only", trials=1, episodes=10, resource_levels=2))
-        with pytest.raises(ValueError, match="exceeds"):
-            run_experiment(quick_cfg("q-only", trials=1, episodes=10, resource_levels=12))
+    def test_qonly_level_guards(self, monkeypatch):
+        monkeypatch.setattr(experiment, "RESOURCE_LEVELS", 2)
+        with pytest.raises(ValueError, match="grid level.*use at most 2 users"):
+            run_experiment(quick_cfg("q-only", trials=1, episodes=10))
+        monkeypatch.setattr(experiment, "RESOURCE_LEVELS", 12)
+        with pytest.raises(ValueError, match="exceeds.*reduce users or catalog size"):
+            run_experiment(quick_cfg("q-only", trials=1, episodes=10))
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="method"):

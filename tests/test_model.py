@@ -50,6 +50,11 @@ class TestChannelGain:
         with pytest.raises(ValueError):
             channel_gain(-3.0, CH)
 
+    def test_overflowing_distance_refused_naming_distance_and_gamma(self):
+        # 1e300 ** 2.8 overflows a float
+        with pytest.raises(ValueError, match=r"distance 1e\+300 m .*gamma = 2\.8"):
+            channel_gain(1e300, CH)
+
 
 class TestTxRate:
     def test_unit_snr(self):

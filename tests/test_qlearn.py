@@ -12,7 +12,6 @@ from fedkd.cli import main
 from fedkd.config import scenario_from_dict
 from fedkd.experiment import (
     ExperimentConfig,
-    action_reward,
     method_spec,
     run_experiment,
     sample_scenario,
@@ -39,10 +38,8 @@ from fedkd.qlearn import (
     action_values,
     decode_action,
     draw_builder,
-    encode_decision,
     encode_state,
     exhaustive_optimum,
-    reward,
     select_action,
     train_fixed_scenario,
     train_loop,
@@ -50,6 +47,7 @@ from fedkd.qlearn import (
 )
 
 from conftest import make_scenario
+from oracles import action_reward, encode_decision, epsilon_at, reward, value, visits
 
 
 def kd_accs(sc):
@@ -94,10 +92,10 @@ def scan_greedy(q, s, n):
 
 
 def step_by_lookups(q, s, a, target, lr):
-    """The Q-update through value, visits and set, three row lookups."""
-    old = q.value(s, a)
+    """The Q-update through value, visits and set, three lookups."""
+    old = value(q, s, a)
     new = old + lr * (target - old)
-    q.set(s, a, new, q.visits(s, a) + 1)
+    q.set(s, a, new, visits(q, s, a) + 1)
     return new
 
 
@@ -402,7 +400,7 @@ class TestUpdate:
         cfg = QConfig()
         update(q, ((0, 0),), 4, 1.0, cfg)
         update(q, ((0, 0),), 4, 1.0, cfg)
-        assert q.visits(((0, 0),), 4) == 2
+        assert visits(q, ((0, 0),), 4) == 2
 
     def test_geometric_contraction_to_reward(self):
         q = QTable()
@@ -410,7 +408,7 @@ class TestUpdate:
         s, r = ((0, 0),), 0.7
         for _ in range(1000):
             update(q, s, 0, r, cfg)
-        assert abs(q.value(s, 0) - r) < 1e-9
+        assert abs(value(q, s, 0) - r) < 1e-9
 
     def test_step_equals_value_visits_set_over_random_updates(self):
         """step reads its row once; the table it leaves, the values it
@@ -476,9 +474,9 @@ class TestTrain:
 
     def test_epsilon_schedule(self):
         cfg = QConfig(epsilon0=1.0, epsilon_decay=0.9, epsilon_floor=0.05)
-        assert cfg.epsilon_at(0) == 1.0
-        assert cfg.epsilon_at(1) == pytest.approx(0.9)
-        assert cfg.epsilon_at(1000) == 0.05
+        assert epsilon_at(cfg, 0) == 1.0
+        assert epsilon_at(cfg, 1) == pytest.approx(0.9)
+        assert epsilon_at(cfg, 1000) == 0.05
 
     @pytest.mark.parametrize("fields", [
         {}, {"episodes": 0}, {"episodes": 1}, {"epsilon_decay": 0.0}, {"epsilon_decay": 1.0},
@@ -492,7 +490,7 @@ class TestTrain:
         cfg = QConfig(**{"episodes": 8000, **fields})
         got = list(cfg.epsilons())
         assert [(type(e), e.hex()) for e in got] == [
-            (type(e), e.hex()) for e in map(cfg.epsilon_at, range(cfg.episodes))]
+            (type(e), e.hex()) for e in (epsilon_at(cfg, ep) for ep in range(cfg.episodes))]
 
 
 class TestExhaustive:
@@ -544,7 +542,7 @@ def train_encoding_every_episode(sampler, cfg, rng, n_actions, reward_fn):
         sc = sampler(rng)
         draws.append(sc)
         s = scenario_key(sc, cfg)
-        a = select_action(q, s, cfg.epsilon_at(ep), rng, n_actions)
+        a = select_action(q, s, epsilon_at(cfg, ep), rng, n_actions)
         update(q, s, a, reward_fn(sc, a), cfg)
     return q, draws
 
@@ -629,9 +627,9 @@ class TestTrainingDraws:
         assert q.states > 1
 
     def test_every_draw_gets_its_own_key_from_one_gain_per_user(self, monkeypatch):
-        """20000 sampler draws equal sample_scenario's from the same seed bit
-        for bit, with the oracle's key, at the stock ranges and at wider
-        ones."""
+        """20000 sampler draws equal per-user rng.uniform calls from the same
+        seed bit for bit, f_loc then d for each user in turn, with the
+        oracle's key, at the stock ranges and at wider ones."""
         gains = []
 
         def counting_gain(d, ch):
@@ -645,20 +643,21 @@ class TestTrainingDraws:
                                                           f_loc_range=f_loc_range,
                                                           d_range=d_range))
             ref_rng = np.random.Generator(np.random.PCG64(11))
-            refs = [sample_scenario(sc, ref_rng, cfg.q.f_loc_range, cfg.q.d_range)
+            refs = [tuple(zip(*((float(ref_rng.uniform(*f_loc_range)),
+                                 float(ref_rng.uniform(*d_range))) for _ in sc.users)))
                     for _ in range(20000)]
-            ref_keys = [scenario_key(ref, cfg.q) for ref in refs]
+            ref_keys = [oracle_key(f_loc, d, sc.channel, cfg.q) for f_loc, d in refs]
             sampler = training_sampler(cfg)
             gains.clear()
             rng = np.random.Generator(np.random.PCG64(11))
-            for k, (ref, ref_key) in enumerate(zip(refs, ref_keys)):
+            for k, ((f_loc, d), ref_key) in enumerate(zip(refs, ref_keys)):
                 key, draw = sampler(rng)
                 assert key == ref_key
-                assert draw.f_loc == tuple(u.f_loc for u in ref.users)
+                assert draw.f_loc == f_loc
                 assert draw.eff == tuple(
-                    spectral_efficiency(u.p, channel_gain(u.d, sc.channel), sc.channel)
-                    for u in ref.users)
-                assert gains[k * sc.n_users:] == [u.d for u in ref.users]
+                    spectral_efficiency(u.p, channel_gain(dist, sc.channel), sc.channel)
+                    for u, dist in zip(sc.users, d))
+                assert gains[k * sc.n_users:] == list(d)
             assert len(set(ref_keys)) > 1
 
     @pytest.mark.parametrize("ch", CHANNELS[1:])
