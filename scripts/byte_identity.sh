@@ -29,6 +29,11 @@
 # [0.5, 2.0], d in [10, 100] m): its train-q run takes the quantizer's
 # clamping route, which logs a warning to stderr.
 #
+# OUT_DIR/negative.json is the stock template with both accuracy weights
+# at 0, so every reward is negative and an unexplored action, which reads
+# 0, beats every stored one: its 20000-episode train-q run stores new
+# actions on greedy steps until all 4096 are stored.
+#
 # OUT_DIR/channel.json is the stock template with g0 = 1e-3, ten times the
 # stock reference gain, with one train-q run (channel-trainq) and one
 # proposed experiment (channel-proposed) on it.  The state quantizer bins
@@ -114,6 +119,11 @@ cat > "$out/clamped.json" <<'JSON'
 }
 JSON
 fedkd train-q --config "$out/clamped.json" --seed 19 --episodes 3000 --out "$out/clamped-trainq"
+cat > "$out/negative.json" <<'JSON'
+{"weights": {"eta_o": 0, "eta_a": 0}}
+JSON
+fedkd train-q --config "$out/negative.json" --seed 37 --episodes 20000 \
+    --out "$out/negative-trainq"
 cat > "$out/channel.json" <<'JSON'
 {"channel": {"g0": 1e-3}}
 JSON

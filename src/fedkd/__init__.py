@@ -59,7 +59,7 @@ from .model import (
     objective,
     tx_rate,
 )
-from .qlearn import QConfig, QTable, encode_state, exhaustive_optimum, select_action, train_loop
+from .qlearn import QConfig, QTable, encode_state, exhaustive_optimum, train_loop
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

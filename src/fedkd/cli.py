@@ -231,6 +231,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # numpy's own refusal of a negative seed names no option.
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (ValueError, KeyError, OSError, kd.DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

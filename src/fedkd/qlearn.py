@@ -37,7 +37,17 @@ large action encodings (q-only's resource grid) remain usable.  Each row
 caches its best stored entry and its first unstored action, both kept up
 to date on write, so a greedy step costs O(1) amortized; only a write
 that lowers the cached best makes the next greedy step rescan that row's
-stored entries once.  A Q-update looks its row up once (`QTable.step`).
+stored entries once.  A Q-update looks its row up once (`QTable.step`)
+and says whether it changed the stored value.
+
+On one fixed scenario the values converge to a fixed point, where a
+greedy step's update leaves its entry with the same bits.  Such a step
+changes only the entry's visit count, so until another step runs, each
+greedy step on the same state key and draw would repeat it exactly;
+`train_loop` counts their visits (`QTable.add_visits`) instead of
+picking, scoring and updating again.  Every episode still draws its
+exploration, so the rng stream, the table and its saved bytes are those
+of a loop that updates every episode, the test oracle in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -154,17 +164,28 @@ class QTable:
         break the ordering the cached argmax relies on."""
         self._store(self._rows.get(s), s, a, value, visits)
 
-    def step(self, s: StateKey, a: int, target: float, lr: float) -> float:
+    def step(self, s: StateKey, a: int, target: float, lr: float) -> bool:
         """Move entry (s, a) a step lr toward target and count the visit:
         value <- value + lr * (target - value), visits <- visits + 1, with
-        a missing entry read as (0, 0).  Returns the new value.  The row is
+        a missing entry read as (0, 0).  Returns whether the stored value
+        changed: False only for an entry that was stored before and keeps
+        its bits, whose write then only counts the visit.  The row is
         looked up once; a non-finite result is refused as in set."""
         row = self._rows.get(s)
         entry = row.get(a) if row is not None else None
         old, visits = entry if entry is not None else (0.0, 0)
         value = old + lr * (target - old)
+        # == alone would take -0.0 for 0.0.
+        if entry is not None and value == old and (
+                value or math.copysign(1.0, value) == math.copysign(1.0, old)):
+            entry[1] = visits + 1
+            return False
         self._store(row, s, a, value, visits + 1)
-        return value
+        return True
+
+    def add_visits(self, s: StateKey, a: int, n: int) -> None:
+        """Count n more visits of the stored entry (s, a); its value stays."""
+        self._rows[s][a][1] += n
 
     def _store(self, row: _Row | None, s: StateKey, a: int, value: float, visits: int) -> None:
         """Write entry (s, a) into row, state s's row or None when s has
@@ -212,11 +233,13 @@ class QTable:
         return row.best_a
 
     def save(self, path) -> None:
-        """Flat record file: one tab-separated row per stored entry."""
+        """Flat record file: one tab-separated row per stored entry, by
+        state, then by action."""
         lines = ["state\taction\tvalue\tvisits\n"]
-        for s, a, v, n in sorted(self.entries()):
+        for s in sorted(self._rows):
             flat = ",".join(str(i) for pair in s for i in pair)
-            lines.append(f"{flat}\t{a}\t{v!r}\t{n}\n")
+            lines.extend(f"{flat}\t{a}\t{v!r}\t{n}\n"
+                         for a, (v, n) in sorted(self._rows[s].items()))
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(lines)
 
@@ -325,14 +348,6 @@ def decode_action(a: int, n_users: int, n_models: int) -> Decision:
     return Decision(x=tuple(x), m=tuple(m))
 
 
-def select_action(q: QTable, s: StateKey, epsilon: float,
-                  rng: np.random.Generator, n_actions: int) -> int:
-    """Epsilon-greedy: uniform with probability epsilon, else table argmax."""
-    if epsilon > 0 and rng.random() < epsilon:
-        return int(rng.integers(n_actions))
-    return q.greedy_action(s, n_actions)
-
-
 def _model_gains(sc: Scenario, acc_by_model: Sequence[tuple[float, float]]) -> list[float]:
     """Accuracy reward eta_o * acc_own + eta_a * acc_avg of each catalog entry."""
     w = sc.weights
@@ -411,10 +426,13 @@ def digit_reward(template: Scenario, acc_by_model: Sequence[tuple[float, float]]
     return reward_fn
 
 
-def update(q: QTable, s: StateKey, a: int, r: float, cfg: QConfig) -> float:
-    """One tabular update toward the reward of a one-shot episode.
+def update(q: QTable, s: StateKey, a: int, r: float, cfg: QConfig) -> bool:
+    """One tabular update toward the reward of a one-shot episode, which
+    also counts the visit:
 
         Q(s, a) <- Q(s, a) + lr * (r - Q(s, a))
+
+    Returns whether the stored value changed (QTable.step).
     """
     if not math.isfinite(r):
         raise ValueError(f"reward must be finite, got {r}")
@@ -428,19 +446,46 @@ def train_loop(sampler: Callable[[np.random.Generator], tuple[StateKey, object]]
     of draws; every agent in the package trains here.
 
     Each episode takes a (state key, draw) pair from sampler(rng), picks
-    an action epsilon-greedily for that key and moves its entry toward
-    reward_fn(draw, action), with epsilon from cfg.epsilons().  The
-    sampler owns the key: draw_builder computes it from the same channel
-    gains as the draw's efficiencies, and
-    train_fixed_scenario's sampler returns one pair every episode.  A draw
-    is whatever reward_fn scores, a Draw for digit_reward and the
-    experiment's scorers.  Fully deterministic for a fixed rng seed.
+    an action epsilon-greedily for that key (with probability epsilon,
+    from cfg.epsilons(), a uniform rng.integers draw, else the table's
+    greedy action) and moves its entry toward reward_fn(draw, action).
+    The sampler owns the key: draw_builder computes it from the same
+    channel gains as the draw's efficiencies, and train_fixed_scenario's
+    sampler returns one pair every episode.  A draw is whatever reward_fn
+    scores, a Draw for digit_reward and the experiment's scorers; the
+    reward must depend on the draw and the action alone.
+
+    A greedy step whose update leaves a stored value with its bits
+    changes only that entry's visit count.  Until another step runs, a
+    greedy step on the same key and draw objects (`is`) would pick the
+    same action, earn the same reward and again change nothing, so those
+    steps only count their visits: the loop still draws each episode's
+    exploration, and the first exploring step, or a step on another pair,
+    ends the run.  A sampler that redraws every episode never repeats a
+    pair.  Fully deterministic for a fixed rng seed.
     """
     q = QTable()
+    unarmed = object()
+    idle_s = idle_draw = unarmed    # the last greedy step that changed no value
+    idle_a = repeats = 0            # its action, and the greedy steps skipped since
     for epsilon in cfg.epsilons():
         s, draw = sampler(rng)
-        a = select_action(q, s, epsilon, rng, n_actions)
-        update(q, s, a, reward_fn(draw, a), cfg)
+        if epsilon > 0 and rng.random() < epsilon:
+            a, greedy = int(rng.integers(n_actions)), False
+        elif draw is idle_draw and s is idle_s:
+            repeats += 1
+            continue
+        else:
+            a, greedy = q.greedy_action(s, n_actions), True
+        if repeats:
+            q.add_visits(idle_s, idle_a, repeats)
+            repeats = 0
+        if update(q, s, a, reward_fn(draw, a), cfg) or not greedy:
+            idle_s = idle_draw = unarmed
+        else:
+            idle_s, idle_draw, idle_a = s, draw, a
+    if repeats:
+        q.add_visits(idle_s, idle_a, repeats)
     return q
 
 
@@ -456,11 +501,11 @@ def train_fixed_scenario(sc: Scenario, acc_by_model: Sequence[tuple[float, float
     lookup.  Otherwise digit_reward scores the Draw of sc's users each
     episode.  Both give every action the same reward bit for bit.
 
-    Scoring one action in the vector costs about 0.1 us and one
-    digit_reward call about 5 us at 6 users, so the vector pays off up to
-    some 40 actions per episode.  Capping it at one action per episode
-    keeps its one-time cost a small fraction of the loop it shortens and
-    its memory (a float per action) in proportion to the run.  A
+    Scoring one action in the vector is far cheaper than a digit_reward
+    call; capping the vector at one action per episode keeps its one-time
+    cost a small fraction of the loop it shortens and its memory (a float
+    per action) in proportion to the run.  Once the values settle, most
+    greedy episodes are counted without a reward (see train_loop).  A
     configuration error (alpha_d = 0, say) raises before the first
     episode.
     """

@@ -13,6 +13,8 @@ them is called by the package.
     score_at_allocate    the scalar route: allocate's split, then objective
     brute_force_optimum  score_at_allocate over every action
     epsilon_at           one episode's exploration rate
+    select_action        one epsilon-greedy pick
+    train_every_episode  train_loop without its skip of idle greedy steps
     value, visits        one Q-table entry, read through its public entries
 """
 
@@ -20,7 +22,7 @@ import math
 
 from fedkd.allocator import allocate, build_problem, cost_from_sums
 from fedkd.model import InfeasibleError, objective
-from fedkd.qlearn import INFEASIBLE_REWARD, action_count, decode_action
+from fedkd.qlearn import INFEASIBLE_REWARD, QTable, action_count, decode_action, update
 
 
 def left_to_right(values):
@@ -111,6 +113,25 @@ def brute_force_optimum(sc, accs):
 def epsilon_at(cfg, episode):
     """The exploration rate of one episode under QConfig cfg."""
     return max(cfg.epsilon_floor, cfg.epsilon0 * cfg.epsilon_decay ** episode)
+
+
+def select_action(q, s, epsilon, rng, n_actions):
+    """Epsilon-greedy: uniform with probability epsilon, else table argmax."""
+    if epsilon > 0 and rng.random() < epsilon:
+        return int(rng.integers(n_actions))
+    return q.greedy_action(s, n_actions)
+
+
+def train_every_episode(sampler, cfg, rng, n_actions, reward_fn):
+    """train_loop's table the long way: every episode draws its pair,
+    picks with select_action at epsilon_at and updates, so every greedy
+    step calls greedy_action, reward_fn and update."""
+    q = QTable()
+    for ep in range(cfg.episodes):
+        s, draw = sampler(rng)
+        a = select_action(q, s, epsilon_at(cfg, ep), rng, n_actions)
+        update(q, s, a, reward_fn(draw, a), cfg)
+    return q
 
 
 def _entry(q, s, a):

@@ -56,6 +56,14 @@ def test_overflowing_channel_gain_is_an_error_line_and_exit_1(tmp_path, capsys, 
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["train-q", "experiment", "kd-demo"])
+def test_negative_seed_is_an_error_line_naming_the_option(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main([command, "--seed", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 class TestTrainQ:
     def test_writes_table_and_summary(self, tmp_path):
         out = tmp_path / "q"

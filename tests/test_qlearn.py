@@ -40,14 +40,22 @@ from fedkd.qlearn import (
     draw_builder,
     encode_state,
     exhaustive_optimum,
-    select_action,
     train_fixed_scenario,
     train_loop,
     update,
 )
 
 from conftest import make_scenario
-from oracles import action_reward, encode_decision, epsilon_at, reward, value, visits
+from oracles import (
+    action_reward,
+    encode_decision,
+    epsilon_at,
+    reward,
+    select_action,
+    train_every_episode,
+    value,
+    visits,
+)
 
 
 def kd_accs(sc):
@@ -92,11 +100,13 @@ def scan_greedy(q, s, n):
 
 
 def step_by_lookups(q, s, a, target, lr):
-    """The Q-update through value, visits and set, three lookups."""
+    """The Q-update through value, visits and set, three lookups; returns
+    whether the stored value changed, compared by its hex digits."""
+    stored = a in stored_row(q, s)
     old = value(q, s, a)
     new = old + lr * (target - old)
     q.set(s, a, new, visits(q, s, a) + 1)
-    return new
+    return not stored or new.hex() != old.hex()
 
 
 class ScanTable(QTable):
@@ -388,12 +398,45 @@ class TestUpdate:
         q = QTable()
         cfg = QConfig(lr=1.0)
         q.set(((0, 0),), 0, 123.0, 1)
-        assert update(q, ((0, 0),), 0, 7.0, cfg) == 7.0
+        assert update(q, ((0, 0),), 0, 7.0, cfg) is True
+        assert value(q, ((0, 0),), 0) == 7.0
 
     def test_half_step_toward_terminal_reward(self):
         q = QTable()
         cfg = QConfig(lr=0.5)
-        assert update(q, ((0, 0),), 0, 1.0, cfg) == 0.5
+        assert update(q, ((0, 0),), 0, 1.0, cfg) is True
+        assert value(q, ((0, 0),), 0) == 0.5
+
+    @pytest.mark.parametrize("lr", [0.2, 1.0])
+    def test_a_stored_value_that_keeps_its_bits_only_counts_the_visit(self, lr):
+        q = QTable()
+        s = ((0, 0),)
+        q.set(s, 2, -0.75, 3)
+        assert update(q, s, 2, -0.75, QConfig(lr=lr)) is False
+        assert list(q.entries()) == [(s, 2, -0.75, 4)]
+
+    def test_a_new_entry_changes_the_table_even_at_its_old_reading(self):
+        q = QTable()
+        assert update(q, ((0, 0),), 1, 0.0, QConfig()) is True
+        assert list(q.entries()) == [(((0, 0),), 1, 0.0, 1)]
+
+    def test_a_signed_zero_that_flips_is_a_change(self):
+        """-0.0 + lr * (-0.0 - -0.0) is +0.0: equal as a float, other bits."""
+        q = QTable()
+        s = ((0, 0),)
+        q.set(s, 0, -0.0, 1)
+        assert update(q, s, 0, -0.0, QConfig(lr=1.0)) is True
+        (stored,) = [v for *_, v, _ in q.entries()]
+        assert stored.hex() == "0x0.0p+0"
+        assert update(q, s, 0, -0.0, QConfig(lr=1.0)) is False
+
+    def test_add_visits_keeps_the_value(self):
+        q = QTable()
+        s = ((1, 0),)
+        q.set(s, 5, 0.25, 2)
+        q.add_visits(s, 5, 40)
+        assert list(q.entries()) == [(s, 5, 0.25, 42)]
+        assert q.greedy_action(s, 8) == 5
 
     def test_visits_increment(self):
         q = QTable()
@@ -411,8 +454,9 @@ class TestUpdate:
         assert abs(value(q, s, 0) - r) < 1e-9
 
     def test_step_equals_value_visits_set_over_random_updates(self):
-        """step reads its row once; the table it leaves, the values it
-        returns and every greedy action equal the three-lookup route's."""
+        """step reads its row once; the table it leaves, whether it says
+        the value changed and every greedy action equal the three-lookup
+        route's."""
         n = 6
         for seed in range(20):
             rng = np.random.Generator(np.random.PCG64(seed))
@@ -423,7 +467,7 @@ class TestUpdate:
                 target = float(rng.choice([0.0, -0.0, -1.0, rng.normal(scale=2.0)]))
                 lr = float(rng.choice([1.0, 0.5, 0.2]))
                 got, want = fast.step(s, a, target, lr), step_by_lookups(slow, s, a, target, lr)
-                assert got.hex() == want.hex()
+                assert got is want
                 assert ([(key, b, v.hex(), k) for key, b, v, k in fast.entries()]
                         == [(key, b, v.hex(), k) for key, b, v, k in slow.entries()])
                 for state in FUZZ_STATES:
@@ -524,6 +568,22 @@ class TestQTableIO:
         loaded = QTable.load(path)
         assert sorted(loaded.entries()) == sorted(q.entries())
 
+    def test_save_writes_entries_sorted_by_state_then_action(self, tmp_path):
+        """Each state's key is formatted once, with the same bytes as one
+        record per sorted entry."""
+        q = QTable()
+        rng = np.random.Generator(np.random.PCG64(6))
+        for _ in range(300):
+            s = tuple((int(rng.integers(3)), int(rng.integers(12))) for _ in range(2))
+            q.set(s, int(rng.integers(40)), float(rng.choice([-0.0, 0.1, rng.normal()])),
+                  int(rng.integers(1, 9)))
+        q.save(tmp_path / "table.tsv")
+        want = "state\taction\tvalue\tvisits\n" + "".join(
+            f"{','.join(str(i) for pair in s for i in pair)}\t{a}\t{v!r}\t{n}\n"
+            for s, a, v, n in sorted(q.entries()))
+        assert (tmp_path / "table.tsv").read_bytes() == want.encode("utf-8")
+        assert q.states > 10
+
     def test_save_is_deterministic(self, tmp_path):
         q = QTable()
         q.set(((0, 0),), 2, 1.0, 1)
@@ -537,14 +597,14 @@ def train_encoding_every_episode(sampler, cfg, rng, n_actions, reward_fn):
     """Reference training loop over a Scenario sampler that computes the
     state key afresh every episode; also returns the scenarios the sampler
     drew."""
-    q, draws = QTable(), []
-    for ep in range(cfg.episodes):
-        sc = sampler(rng)
+    draws = []
+
+    def keyed(r):
+        sc = sampler(r)
         draws.append(sc)
-        s = scenario_key(sc, cfg)
-        a = select_action(q, s, epsilon_at(cfg, ep), rng, n_actions)
-        update(q, s, a, reward_fn(sc, a), cfg)
-    return q, draws
+        return scenario_key(sc, cfg), sc
+
+    return train_every_episode(keyed, cfg, rng, n_actions, reward_fn), draws
 
 
 def wide_scenario():
@@ -595,6 +655,139 @@ class TestFixedScenarioTraining:
         assert sum(n for *_, n in table.entries()) == 25
         summary = json.loads((out / "train_summary.json").read_text(encoding="utf-8"))
         assert len(summary["greedy_x"]) == 7
+
+
+def hex_entries(q):
+    return [(s, a, v.hex(), n) for s, a, v, n in q.entries()]
+
+
+def saved_bytes(q, path):
+    q.save(path)
+    return path.read_bytes()
+
+
+class TestSkippedGreedySteps:
+    """train_loop counts the visits of greedy steps that cannot change a
+    value; its tables equal train_every_episode's, which picks, scores and
+    updates every episode: every value and visit count, in the same
+    order, and the same saved bytes."""
+
+    def assert_trains_like_every_episode(self, tmp_path, sampler, cfg, seed, n, reward_fn):
+        got = train_loop(sampler, cfg, np.random.Generator(np.random.PCG64(seed)), n,
+                         reward_fn)
+        want = train_every_episode(sampler, cfg, np.random.Generator(np.random.PCG64(seed)),
+                                   n, reward_fn)
+        assert hex_entries(got) == hex_entries(want)
+        assert saved_bytes(got, tmp_path / "got.tsv") == saved_bytes(want, tmp_path / "want.tsv")
+        assert sum(n for *_, n in got.entries()) == cfg.episodes
+
+    def fixed(self, tmp_path, sc, cfg, seed):
+        """train_fixed_scenario against the reference loop on the scorer
+        it picks: the reward vector, or digit_reward per episode."""
+        accs = kd_accs(sc)
+        key, draw = qlearn.scenario_draw(sc, cfg)
+        n = action_count(sc)
+        if n <= cfg.episodes:
+            values = action_values(sc, accs).tolist()
+
+            def reward_fn(_draw, a):
+                return values[a]
+        else:
+            reward_fn = qlearn.digit_reward(sc, accs, qlearn.joint_digits(len(sc.catalog)))
+        got, _ = train_fixed_scenario(sc, accs, cfg, np.random.Generator(np.random.PCG64(seed)))
+        want = train_every_episode(lambda _r: (key, draw), cfg,
+                                   np.random.Generator(np.random.PCG64(seed)), n, reward_fn)
+        assert hex_entries(got) == hex_entries(want)
+        assert saved_bytes(got, tmp_path / "got.tsv") == saved_bytes(want, tmp_path / "want.tsv")
+
+    @pytest.mark.parametrize("lr", [0.2, 1.0])
+    @pytest.mark.parametrize("schedule", [{}, {"epsilon0": 0.0}, {"epsilon_floor": 0.0},
+                                          {"epsilon_decay": 0.99, "epsilon_floor": 0.0}])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_fixed_scenarios(self, tmp_path, lr, schedule, seed):
+        sc = make_scenario(n_users=2 + seed % 3, n_models=2 + seed % 2, seed=100 + seed)
+        self.fixed(tmp_path, sc, QConfig(lr=lr, episodes=2500, **schedule), seed)
+
+    @pytest.mark.parametrize("lr", [0.2, 1.0])
+    def test_digit_reward_route(self, tmp_path, lr):
+        """4096 actions and 2000 episodes: digit_reward scores each step."""
+        sc = make_scenario(seed=12)
+        cfg = QConfig(lr=lr, episodes=2000, epsilon_decay=0.99)
+        assert action_count(sc) > cfg.episodes
+        self.fixed(tmp_path, sc, cfg, 3)
+
+    @pytest.mark.parametrize("lr", [0.2, 1.0])
+    def test_negative_rewards_store_new_actions_on_greedy_steps(self, tmp_path, lr):
+        """Every reward is negative, so an unexplored action (read as 0)
+        beats every stored one and greedy steps keep storing new entries."""
+        sc = make_scenario(n_users=3, n_models=2,
+                           weights=ObjectiveWeights(eta_o=0.0, eta_a=0.0), seed=8)
+        cfg = QConfig(lr=lr, episodes=3000)
+        self.fixed(tmp_path, sc, cfg, 5)
+        q, _ = train_fixed_scenario(sc, kd_accs(sc), cfg, np.random.Generator(np.random.PCG64(5)))
+        assert len(q) == action_count(sc)
+
+    @pytest.mark.parametrize("method", ["proposed", "q-only"])
+    def test_redrawing_sampler(self, tmp_path, method):
+        cfg = ExperimentConfig(scenario=default_scenario(), method=method, seed=4,
+                               q=QConfig(f_bins=2, h_bins=2, episodes=1500, lr=1.0))
+        spec = method_spec(cfg)
+        accs = [acc_pair(DEFAULT_TABLE, m.name, spec.accuracy, cfg.distribution)
+                for m in cfg.scenario.catalog]
+        self.assert_trains_like_every_episode(
+            tmp_path, training_sampler(cfg), cfg.q, 6, spec.n_actions,
+            training_reward(cfg, spec, accs))
+
+    def test_samplers_that_mix_keys_and_draws(self, tmp_path):
+        """A skip armed on one (key, draw) pair serves neither another draw
+        under the same key nor the same draw under another key, and equal
+        keys that are new objects never arm it.  The two draws differ in
+        sign, so a wrongly skipped step changes which action is greedy."""
+        sc = make_scenario(n_users=2, n_models=2, seed=3)
+        other = make_scenario(n_users=2, n_models=2, seed=3,
+                              weights=ObjectiveWeights(eta_o=0.0, eta_a=0.0))
+        cfg = QConfig(episodes=3000, lr=1.0)
+        key, key2 = encode_state(sc, cfg), ((0, 0), (0, 0))
+        assert key != key2
+        accs, n = kd_accs(sc), action_count(sc)
+        values = {id(d): action_values(d, accs).tolist() for d in (sc, other)}
+        assert max(values[id(other)]) < 0.0 < min(values[id(sc)])
+
+        def reward_fn(draw, a):
+            return values[id(draw)][a]
+
+        for sampler in (lambda r: (key, sc if r.random() < 0.5 else other),
+                        lambda r: (key if r.random() < 0.5 else key2, sc),
+                        lambda r: (tuple(list(key)), sc if r.random() < 0.9 else other),
+                        lambda _r: (tuple(list(key)), sc)):
+            self.assert_trains_like_every_episode(tmp_path, sampler, cfg, 2, n, reward_fn)
+
+    def test_stock_train_q_scores_few_episodes(self, monkeypatch):
+        """A stock 20000-episode train-q calls its reward for fewer than one
+        episode in five, and greedy_action for fewer still."""
+        calls = {"reward": 0, "greedy": 0}
+        train = qlearn.train_loop
+
+        def counting_train_loop(sampler, cfg, rng, n_actions, reward_fn):
+            def counted(draw, a):
+                calls["reward"] += 1
+                return reward_fn(draw, a)
+            return train(sampler, cfg, rng, n_actions, counted)
+
+        greedy = QTable.greedy_action
+
+        def counting_greedy(self, s, n):
+            calls["greedy"] += 1
+            return greedy(self, s, n)
+
+        monkeypatch.setattr(qlearn, "train_loop", counting_train_loop)
+        monkeypatch.setattr(QTable, "greedy_action", counting_greedy)
+        sc = default_scenario()
+        cfg = QConfig(episodes=20000)
+        q, _ = train_fixed_scenario(sc, kd_accs(sc), cfg, np.random.Generator(np.random.PCG64(7)))
+        assert sum(n for *_, n in q.entries()) == cfg.episodes
+        assert 0 < calls["reward"] < 0.2 * cfg.episodes
+        assert 0 < calls["greedy"] < calls["reward"]
 
 
 def custom_template():
