@@ -43,6 +43,14 @@
 # bin and logs a clamp warning, so these two directories are expected to
 # differ from its output; every other directory matches it.
 #
+# OUT_DIR/three.json is the stock users with a three-model subset of the
+# stock catalog: 6^4 = 1296 joint actions.  Every other action count here
+# is a power of two, for which numpy's bounded integer draw (Lemire's
+# method) has rejection threshold 0; at 1296 it is
+# (2^32 - 1296) % 1296 = 1264, so about one draw in 3.4 million is
+# redrawn (tests/test_qlearn.py covers redraws).  It has one 20000-episode
+# train-q run (three-trainq) and one proposed experiment (three-proposed).
+#
 # kd runs twice at the stock 600 epochs and once at 50, where the teacher
 # still trains for 400 epochs and the students for 50.  Two demos beside
 # SRC_DIR write their stdout into OUT_DIR: demos/03_model_selection_agent.py
@@ -130,6 +138,18 @@ JSON
 fedkd train-q --config "$out/channel.json" --seed 31 --episodes 3000 --out "$out/channel-trainq"
 fedkd experiment --config "$out/channel.json" --method proposed --seed 31 --trials 40 \
     --episodes 1500 --out "$out/channel-proposed"
+cat > "$out/three.json" <<'JSON'
+{
+  "catalog": [
+    {"name": "VGG-8", "mu": 6.83, "theta_s": 150.0},
+    {"name": "ResNet-14x4", "mu": 12.27, "theta_s": 88.0},
+    {"name": "ResNet-26x4", "mu": 18.96, "theta_s": 186.0}
+  ]
+}
+JSON
+fedkd train-q --config "$out/three.json" --seed 41 --episodes 20000 --out "$out/three-trainq"
+fedkd experiment --config "$out/three.json" --method proposed --seed 41 --trials 40 \
+    --episodes 1500 --out "$out/three-proposed"
 fedkd experiment --method proposed --distribution iid --seed 29 --trials 40 \
     --episodes 1500 --out "$out/iid-proposed"
 for s in 0 7; do

@@ -38,7 +38,6 @@ from .kd import (
     measure_accuracy,
     net_eval,
     simkd_loss,
-    softened_probs,
     train_teacher,
 )
 from .model import (

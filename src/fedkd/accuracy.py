@@ -91,15 +91,6 @@ def acc_pair(table: AccuracyTable, model: str, method: str, distribution: str,
     return own, avg
 
 
-def check_complete(table: AccuracyTable, models, methods=METHODS) -> None:
-    """Raise if any configuration the runner may request is missing."""
-    for model in models:
-        for method in methods:
-            for dist in DISTRIBUTIONS:
-                lookup_acc(table, model, method, dist, "full", 1)
-            lookup_acc(table, model, method, "noniid", "private", 1)
-
-
 def dump_table(table: AccuracyTable, fh) -> None:
     """Write the delimited interchange format (sorted, deterministic)."""
     writer = csv.writer(fh, lineterminator="\n")
@@ -112,25 +103,6 @@ def dumps_table(table: AccuracyTable) -> str:
     buf = io.StringIO()
     dump_table(table, buf)
     return buf.getvalue()
-
-
-def load_table(fh) -> AccuracyTable:
-    """Read the delimited format: model,method,distribution,testset,topk,percent."""
-    reader = csv.reader(fh)
-    header = next(reader, None)
-    if header != ["model", "method", "distribution", "testset", "topk", "percent"]:
-        raise ValueError(f"unexpected accuracy-table header: {header}")
-    records = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 6:
-            raise ValueError(f"accuracy-table line {lineno}: expected 6 fields, got {len(row)}")
-        key = _canon(row[0], row[1], row[2], row[3], int(row[4]))
-        if key in records:
-            raise ValueError(f"accuracy-table line {lineno}: duplicate key {key}")
-        records[key] = float(row[5])
-    return AccuracyTable(records=records)
 
 
 def _build_default() -> AccuracyTable:

@@ -89,9 +89,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if "users" in doc:
         if not isinstance(doc["users"], list) or not doc["users"]:
             raise ValueError("users: expected a non-empty array")
-        users = tuple(
-            _build(UserSpec, {"id": i, **entry}, f"users[{i}]", required=("f_loc", "d"))
-            for i, entry in enumerate(doc["users"]))
+        users = []
+        for i, entry in enumerate(doc["users"]):
+            # Checked before the spread below, which needs a mapping.
+            _check_type(entry, "dict", f"users[{i}]")
+            users.append(_build(UserSpec, {"id": i, **entry}, f"users[{i}]",
+                                required=("f_loc", "d")))
+        users = tuple(users)
     else:
         users = DEFAULT_USERS
 

@@ -18,16 +18,17 @@ One pipeline runs them all: train the agent (exhaustive enumerates
 instead), decode the chosen action on each draw, let the convex allocator
 fill in the split where the action leaves it open, and evaluate.
 
-Training and evaluation draw the users alike: one rng.random call per
-draw gives every user's CPU frequency and distance (`_user_draws`).
-Training builds no Scenario, Decision or Allocation for a draw: the
-agent sees a qlearn.Draw with its state key (`training_sampler`).  The
-evaluation draws are full Scenarios from `sample_scenario`, keyed by the
-same qlearn.draw_builder.  Both draw over the agent's QConfig.f_loc_range
-and d_range, the ranges its state quantizer bins, so no draw leaves the
-state ranges.  qlearn.digit_reward scores the (x, m) digits of proposed,
-fl-min and fl-max; q-only's scorer adds user_cost at its digits' grid
-levels.
+Training and evaluation draw the users alike: 2 N uniforms give every
+user's CPU frequency and distance (`_user_draws`), one rng.random call
+for an evaluation draw, one read of train_loop's qlearn.StreamReader for
+a training draw.  Training builds no Scenario, Decision or Allocation
+for a draw: the agent sees a qlearn.Draw with its state key
+(`training_sampler`).  The evaluation draws are full Scenarios from
+`sample_scenario`, keyed by the same qlearn.draw_builder.  Both draw over
+the agent's QConfig.f_loc_range and d_range, the ranges its state
+quantizer bins, so no draw leaves the state ranges.  qlearn.digit_reward
+scores the (x, m) digits of proposed, fl-min and fl-max; q-only's scorer
+adds user_cost at its digits' grid levels.
 
 Per trial the report records the realized objective, the mean per-epoch
 delay across users, accuracy means, model-selection frequencies, and the
@@ -63,6 +64,7 @@ from .qlearn import (
     Draw,
     QConfig,
     StateKey,
+    StreamReader,
     _enumerated,
     digit_reward,
     draw_builder,
@@ -136,20 +138,18 @@ class Report:
         return float(np.mean([getattr(t, attr) for t in self.trials]))
 
 
-def _user_draws(n_users: int, f_loc_range, d_range
-                ) -> Callable[[np.random.Generator], tuple[list[float], list[float]]]:
-    """draw(rng) -> (f_loc, d) of n_users users, each uniform over its
-    range: one rng.random(2 * n_users) call, user i taking the values 2i
-    (f_loc) and 2i + 1 (d), each lo + (hi - lo) * u.  Those are the values
-    of per-user rng.uniform(lo, hi) calls in the same order, f_loc first,
-    wherever numpy forms uniform without a fused multiply-add; training
-    and evaluation agree by construction either way."""
+def _user_draws(f_loc_range, d_range
+                ) -> Callable[[list[float]], tuple[list[float], list[float]]]:
+    """draw(u) -> (f_loc, d) of N users from 2 N uniforms u, each uniform
+    over its range: user i takes the values 2i (f_loc) and 2i + 1 (d),
+    each lo + (hi - lo) * u.  Those are the values of per-user
+    rng.uniform(lo, hi) calls in the same order, f_loc first, wherever
+    numpy forms uniform without a fused multiply-add; training and
+    evaluation agree by construction either way."""
     (f_lo, f_hi), (d_lo, d_hi) = f_loc_range, d_range
     f_span, d_span = f_hi - f_lo, d_hi - d_lo
-    size = 2 * n_users
 
-    def draw(rng: np.random.Generator) -> tuple[list[float], list[float]]:
-        u = rng.random(size).tolist()
+    def draw(u: list[float]) -> tuple[list[float], list[float]]:
         return [f_lo + f_span * v for v in u[0::2]], [d_lo + d_span * v for v in u[1::2]]
 
     return draw
@@ -158,25 +158,29 @@ def _user_draws(n_users: int, f_loc_range, d_range
 def sample_scenario(template: Scenario, rng: np.random.Generator,
                     f_loc_range=QConfig.f_loc_range, d_range=QConfig.d_range) -> Scenario:
     """Redraw each user's CPU frequency and distance uniformly over the
-    ranges, by default QConfig's, as training does; all else fixed."""
-    f_loc, d = _user_draws(template.n_users, f_loc_range, d_range)(rng)
+    ranges, by default QConfig's, as training does, from one
+    rng.random(2 * N) call; all else fixed."""
+    uniforms = rng.random(2 * template.n_users).tolist()
+    f_loc, d = _user_draws(f_loc_range, d_range)(uniforms)
     users = tuple(dataclasses.replace(u, f_loc=f, d=dist)
                   for u, f, dist in zip(template.users, f_loc, d))
     return dataclasses.replace(template, users=users)
 
 
 def training_sampler(cfg: ExperimentConfig
-                     ) -> Callable[[np.random.Generator], tuple[StateKey, Draw]]:
+                     ) -> Callable[[StreamReader], tuple[StateKey, Draw]]:
     """train_loop's sampler for cfg: _user_draws redraws every user's
-    (f_loc, d) pair over cfg.q.f_loc_range and cfg.q.d_range, the same
-    stream and values as sample_scenario's over those ranges, and
-    qlearn.draw_builder gives the state key and Draw.  The quantizer bins
-    over the same ranges, so no draw clamps."""
+    (f_loc, d) pair over cfg.q.f_loc_range and cfg.q.d_range from one
+    draws.uniforms(2 * N) read, the same stream and values as
+    sample_scenario's over those ranges, and qlearn.draw_builder gives
+    the state key and Draw.  The quantizer bins over the same ranges, so
+    no draw clamps."""
     build = draw_builder(cfg.scenario, cfg.q)
-    draw = _user_draws(cfg.scenario.n_users, cfg.q.f_loc_range, cfg.q.d_range)
+    draw = _user_draws(cfg.q.f_loc_range, cfg.q.d_range)
+    size = 2 * cfg.scenario.n_users
 
-    def sample(rng: np.random.Generator) -> tuple[StateKey, Draw]:
-        return build(*draw(rng))
+    def sample(draws: StreamReader) -> tuple[StateKey, Draw]:
+        return build(*draw(draws.uniforms(size)))
 
     return sample
 

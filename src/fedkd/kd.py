@@ -122,13 +122,6 @@ def make_train_test(spec: BlobSpec, train_per_class: int,
     return draw(train_per_class), draw(test_per_class)
 
 
-def split_iid(ds: ToyDataset, n_parts: int, rng: np.random.Generator) -> list[ToyDataset]:
-    """Random equal-size shards of the same distribution."""
-    perm = rng.permutation(len(ds))
-    return [ToyDataset(ds.inputs[idx], ds.labels[idx], ds.num_classes)
-            for idx in np.array_split(perm, n_parts)]
-
-
 def split_by_label(ds: ToyDataset, label_groups) -> list[ToyDataset]:
     """Disjoint-label (Non-IID) shards; each keeps the global class count."""
     return [ds.restrict_labels(group) for group in label_groups]
@@ -261,10 +254,6 @@ class Projector:
         if not np.isfinite(self.w).all():
             raise ValueError("Projector.w must be finite")
 
-    @classmethod
-    def identity(cls, dim: int) -> "Projector":
-        return cls(np.eye(dim))
-
     def __call__(self, f_s: np.ndarray) -> np.ndarray:
         return np.asarray(f_s, dtype=float) @ self.w
 
@@ -342,17 +331,6 @@ def _backprop(p: NetParams, hs, g: NetParams | None, dlogits=None,
 # losses
 
 
-def softened_probs(logits, temperature: float) -> np.ndarray:
-    """Softmax of logits / T, log-sum-exp stabilized."""
-    if not 0 < temperature < math.inf:
-        raise ValueError(f"temperature must be finite and > 0, got {temperature}")
-    z = np.atleast_2d(np.asarray(logits, dtype=float)) / temperature
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    probs = e / e.sum(axis=1, keepdims=True)
-    return probs if np.ndim(logits) == 2 else probs[0]
-
-
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=1, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
@@ -381,15 +359,6 @@ def _cross_entropy(logits: np.ndarray, labels: _Labels) -> tuple[float, np.ndarr
     log_p = _log_softmax(logits)
     loss = -log_p.take(labels.idx).mean()
     return float(loss), (np.exp(log_p) - labels.onehot) / len(logits)
-
-
-def kl_divergence(p, q) -> np.ndarray | float:
-    """KL(p || q) in nats over the last axis, with 0 * log 0 = 0."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    terms = np.where(p > 0, p * (np.log(np.where(p > 0, p, 1.0))
-                                 - np.log(np.where(p > 0, q, 1.0))), 0.0)
-    return terms.sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -549,13 +518,6 @@ class _Federation:
             loss_sum += w * loss
             agg = w * g.flat if agg is None else agg + w * g.flat
         return loss_sum, agg
-
-
-def _aggregate_hard(p: NetParams, parts) -> tuple[float, NetParams]:
-    """Size-weighted mean of per-client full-batch gradients, as a NetParams
-    (for tests)."""
-    loss, agg = _Federation(p, _nonempty(parts)).aggregate(p)
-    return loss, p._with_flat(agg)
 
 
 def fedsgd_round(global_params: NetParams, parts, lr: float) -> NetParams:

@@ -1,8 +1,10 @@
-"""Test-only reference routes of the decision layer.
+"""Test-only reference routes.
 
 Each function here is a second, independent or scalar, route to a value
 the package computes one way only; the tests compare the two.  None of
 them is called by the package.
+
+The decision layer:
 
     left_to_right        a float sum in the order the package adds terms
     decision_cost        closed-form cost of one decision, over build_problem
@@ -14,13 +16,28 @@ them is called by the package.
     brute_force_optimum  score_at_allocate over every action
     epsilon_at           one episode's exploration rate
     select_action        one epsilon-greedy pick
-    train_every_episode  train_loop without its skip of idle greedy steps
+    GeneratorDraws       a numpy Generator behind qlearn.StreamReader's reads
+    train_every_episode  train_loop without its skip of idle greedy steps,
+                         drawing from the Generator itself
     value, visits        one Q-table entry, read through its public entries
+
+The distillation math and the accuracy table:
+
+    softened_probs       softmax of logits / T
+    kl_divergence        KL(p || q) over the last axis
+    fedsgd_gradient      the aggregate gradient one fedsgd_round steps by
+    load_table           the reader of dump-oracle's format, for round trips
+    check_complete       every accuracy record a run may look up exists
 """
 
+import csv
 import math
 
+import numpy as np
+
+from fedkd.accuracy import DISTRIBUTIONS, METHODS, AccuracyTable, lookup_acc
 from fedkd.allocator import allocate, build_problem, cost_from_sums
+from fedkd.kd import fedsgd_round
 from fedkd.model import InfeasibleError, objective
 from fedkd.qlearn import INFEASIBLE_REWARD, QTable, action_count, decode_action, update
 
@@ -122,13 +139,32 @@ def select_action(q, s, epsilon, rng, n_actions):
     return q.greedy_action(s, n_actions)
 
 
+class GeneratorDraws:
+    """The reads a sampler makes of qlearn.StreamReader, each one call of
+    the numpy Generator rng, so numpy itself gives every value."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def random(self):
+        return self.rng.random()
+
+    def uniforms(self, k):
+        return self.rng.random(k).tolist()
+
+    def integers(self, n):
+        return int(self.rng.integers(n))
+
+
 def train_every_episode(sampler, cfg, rng, n_actions, reward_fn):
-    """train_loop's table the long way: every episode draws its pair,
-    picks with select_action at epsilon_at and updates, so every greedy
-    step calls greedy_action, reward_fn and update."""
+    """train_loop's table the long way: every episode draws its pair from
+    sampler(GeneratorDraws(rng)), picks with select_action at epsilon_at
+    and updates, so every greedy step calls greedy_action, reward_fn and
+    update, and every draw is one call of rng."""
     q = QTable()
+    draws = GeneratorDraws(rng)
     for ep in range(cfg.episodes):
-        s, draw = sampler(rng)
+        s, draw = sampler(draws)
         a = select_action(q, s, epsilon_at(cfg, ep), rng, n_actions)
         update(q, s, a, reward_fn(draw, a), cfg)
     return q
@@ -149,3 +185,59 @@ def value(q, s, a):
 def visits(q, s, a):
     """Visits of entry (s, a) of table q; a missing entry reads 0."""
     return _entry(q, s, a)[1]
+
+
+def softened_probs(logits, temperature):
+    """Softmax of logits / T, log-sum-exp stabilized."""
+    if not 0 < temperature < math.inf:
+        raise ValueError(f"temperature must be finite and > 0, got {temperature}")
+    z = np.atleast_2d(np.asarray(logits, dtype=float)) / temperature
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    probs = e / e.sum(axis=1, keepdims=True)
+    return probs if np.ndim(logits) == 2 else probs[0]
+
+
+def kl_divergence(p, q):
+    """KL(p || q) in nats over the last axis, with 0 * log 0 = 0."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    terms = np.where(p > 0, p * (np.log(np.where(p > 0, p, 1.0))
+                                 - np.log(np.where(p > 0, q, 1.0))), 0.0)
+    return terms.sum(axis=-1)
+
+
+def fedsgd_gradient(p, parts):
+    """Per parameter array, p minus one fedsgd_round of it at lr = 1: the
+    size-weighted mean of the clients' gradients, up to one rounding of p."""
+    stepped = fedsgd_round(p, parts, lr=1.0)
+    return [before - after for before, after in zip(p.arrays(), stepped.arrays())]
+
+
+def load_table(fh):
+    """Read the format dump-oracle writes:
+    model,method,distribution,testset,topk,percent."""
+    reader = csv.reader(fh)
+    header = next(reader, None)
+    if header != ["model", "method", "distribution", "testset", "topk", "percent"]:
+        raise ValueError(f"unexpected accuracy-table header: {header}")
+    records = {}
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 6:
+            raise ValueError(f"accuracy-table line {lineno}: expected 6 fields, got {len(row)}")
+        key = (row[0], row[1], row[2], row[3], int(row[4]))
+        if key in records:
+            raise ValueError(f"accuracy-table line {lineno}: duplicate key {key}")
+        records[key] = float(row[5])
+    return AccuracyTable(records=records)
+
+
+def check_complete(table, models, methods=METHODS):
+    """Raise if any configuration the runner may request is missing."""
+    for model in models:
+        for method in methods:
+            for dist in DISTRIBUTIONS:
+                lookup_acc(table, model, method, dist, "full", 1)
+            lookup_acc(table, model, method, "noniid", "private", 1)

@@ -6,11 +6,11 @@ from fedkd.accuracy import (
     DEFAULT_TABLE,
     AccuracyTable,
     acc_pair,
-    check_complete,
     dumps_table,
-    load_table,
     lookup_acc,
 )
+
+from oracles import check_complete, load_table
 
 # Published top-1/top-5 percentages, transcribed directly from the source
 # tables so any typo in the embedded defaults fails loudly here.

@@ -82,6 +82,14 @@ class TestTrainQ:
         assert err.startswith(f"error: scenario config {cfg} is not valid JSON: ")
         assert err.count("\n") == 1
 
+    def test_a_user_that_is_not_an_object_is_an_error_line_and_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "users.json"
+        cfg.write_text('{"users": [5]}', encoding="utf-8")
+        out = tmp_path / "q"
+        assert main(["train-q", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: users[0]: expected an object, got int\n"
+        assert not out.exists()
+
     def test_negative_episodes_is_an_error_line_and_exit_1(self, tmp_path, capsys):
         out = tmp_path / "q"
         assert main(["train-q", "--episodes", "-5", "--out", str(out)]) == 1
@@ -194,7 +202,8 @@ class TestDumpOracle:
     def test_dump_matches_builtin(self, tmp_path, capsys):
         import io
 
-        from fedkd.accuracy import DEFAULT_TABLE, load_table
+        from fedkd.accuracy import DEFAULT_TABLE
+        from oracles import load_table
         assert main(["dump-oracle", "--out", str(tmp_path)]) == 0
         text = (tmp_path / "accuracy_table.csv").read_text()
         assert load_table(io.StringIO(text)).records == DEFAULT_TABLE.records

@@ -56,6 +56,13 @@ def test_bad_values_name_the_field(text, message):
         load_scenario(text)
 
 
+@pytest.mark.parametrize("entry, got", [(5, "int"), ([1.0, 50.0], "list"), (None, "NoneType"),
+                                        ("user", "str")])
+def test_a_user_entry_that_is_not_an_object_is_named(entry, got):
+    with pytest.raises(ValueError, match=rf"^users\[1\]: expected an object, got {got}$"):
+        scenario_from_dict({"users": [{"f_loc": 1.0, "d": 50.0}, entry]})
+
+
 def test_unknown_keys_are_named():
     with pytest.raises(ValueError, match="bogus"):
         load_scenario('{"bogus": 1}')

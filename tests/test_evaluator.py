@@ -53,6 +53,7 @@ from fedkd.qlearn import (
     digit_reward,
     exhaustive_optimum,
     joint_digits,
+    StreamReader,
     scenario_draw,
     train_loop,
 )
@@ -341,8 +342,9 @@ def test_training_rewards_equal_action_reward_bit_for_bit_on_seeded_draws(inst, 
         spec = method_spec(cfg)
         reward_fn, sampler = training_reward(cfg, spec, accs), training_sampler(cfg)
         rng, ref_rng, pick = (np.random.Generator(np.random.PCG64(draw_seed)) for _ in range(3))
+        draws = StreamReader(rng)
         for _ in range(2):
-            _, draw = sampler(rng)
+            _, draw = sampler(draws)
             ref = sample_scenario(sc, ref_rng, cfg.q.f_loc_range, cfg.q.d_range)
             actions = (list(range(spec.n_actions)) if spec.n_actions <= 64
                        else pick.integers(spec.n_actions, size=64).tolist())

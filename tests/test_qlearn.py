@@ -2,6 +2,7 @@ import dataclasses
 import json
 import logging
 import math
+import random
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from fedkd.qlearn import (
     EXHAUSTIVE_CAP,
     QConfig,
     QTable,
+    StreamReader,
     action_count,
     action_values,
     decode_action,
@@ -47,6 +49,7 @@ from fedkd.qlearn import (
 
 from conftest import make_scenario
 from oracles import (
+    GeneratorDraws,
     action_reward,
     encode_decision,
     epsilon_at,
@@ -670,16 +673,18 @@ class TestSkippedGreedySteps:
     """train_loop counts the visits of greedy steps that cannot change a
     value; its tables equal train_every_episode's, which picks, scores and
     updates every episode: every value and visit count, in the same
-    order, and the same saved bytes."""
+    order, and the same saved bytes.  Its generator, read through a
+    StreamReader, ends in the state the oracle's does, drawing from numpy
+    itself."""
 
     def assert_trains_like_every_episode(self, tmp_path, sampler, cfg, seed, n, reward_fn):
-        got = train_loop(sampler, cfg, np.random.Generator(np.random.PCG64(seed)), n,
-                         reward_fn)
-        want = train_every_episode(sampler, cfg, np.random.Generator(np.random.PCG64(seed)),
-                                   n, reward_fn)
+        rng, ref_rng = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+        got = train_loop(sampler, cfg, rng, n, reward_fn)
+        want = train_every_episode(sampler, cfg, ref_rng, n, reward_fn)
         assert hex_entries(got) == hex_entries(want)
         assert saved_bytes(got, tmp_path / "got.tsv") == saved_bytes(want, tmp_path / "want.tsv")
         assert sum(n for *_, n in got.entries()) == cfg.episodes
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def fixed(self, tmp_path, sc, cfg, seed):
         """train_fixed_scenario against the reference loop on the scorer
@@ -694,11 +699,12 @@ class TestSkippedGreedySteps:
                 return values[a]
         else:
             reward_fn = qlearn.digit_reward(sc, accs, qlearn.joint_digits(len(sc.catalog)))
-        got, _ = train_fixed_scenario(sc, accs, cfg, np.random.Generator(np.random.PCG64(seed)))
-        want = train_every_episode(lambda _r: (key, draw), cfg,
-                                   np.random.Generator(np.random.PCG64(seed)), n, reward_fn)
+        rng, ref_rng = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+        got, _ = train_fixed_scenario(sc, accs, cfg, rng)
+        want = train_every_episode(lambda _r: (key, draw), cfg, ref_rng, n, reward_fn)
         assert hex_entries(got) == hex_entries(want)
         assert saved_bytes(got, tmp_path / "got.tsv") == saved_bytes(want, tmp_path / "want.tsv")
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("lr", [0.2, 1.0])
     @pytest.mark.parametrize("schedule", [{}, {"epsilon0": 0.0}, {"epsilon_floor": 0.0},
@@ -790,6 +796,136 @@ class TestSkippedGreedySteps:
         assert 0 < calls["greedy"] < calls["reward"]
 
 
+def pcg64(seed, buffered=None):
+    """A PCG64 Generator; buffered, a 32-bit value, starts it with that
+    half waiting in the bit generator's one-value buffer."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    if buffered is not None:
+        state = rng.bit_generator.state
+        state["has_uint32"], state["uinteger"] = 1, buffered
+        rng.bit_generator.state = state
+    return rng
+
+
+#: Bounds n of integers(n): n == 1 draws nothing, n <= 2**32 reads 32-bit
+#: halves (n == 2**32 without Lemire's product), above that whole
+#: outputs.  2**31 + 1 and 2**62 + 1 reject about half and a quarter of
+#: their first products; 1296 = 6**4 and 4096 = 8**4 are action counts.
+BOUNDS = (1, 2, 3, 7, 1296, 4096, 2 ** 31 + 1, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1,
+          2 ** 36, 2 ** 62 + 1, 2 ** 63 - 1)
+
+
+class TestStreamReader:
+    """StreamReader against numpy's own Generator calls on the same seed:
+    every value, and the generator state after close()."""
+
+    @pytest.mark.parametrize("buffered", [None, 0xDEADBEEF])
+    @pytest.mark.parametrize("n", BOUNDS)
+    def test_integers(self, n, buffered):
+        for seed in range(5):
+            rng, ref = pcg64(seed, buffered), pcg64(seed, buffered)
+            with StreamReader(rng) as draws:
+                got = [draws.integers(n) for _ in range(600)]
+            assert got == [int(ref.integers(n)) for _ in range(600)]
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_rejections_happen(self):
+        """1000 draws below 2**31 + 1 read more than 1000 halves."""
+        rng, halves = pcg64(1), pcg64(1)
+        with StreamReader(rng) as draws:
+            for _ in range(1000):
+                draws.integers(2 ** 31 + 1)
+        halves.bit_generator.advance(500)
+        assert rng.bit_generator.state["state"] != halves.bit_generator.state["state"]
+
+    @pytest.mark.parametrize("buffered", [None, 7])
+    def test_uniforms(self, buffered):
+        for seed in range(5):
+            rng, ref = pcg64(seed, buffered), pcg64(seed, buffered)
+            with StreamReader(rng) as draws:
+                got = [draws.random() for _ in range(300)]
+                got += draws.uniforms(0) + draws.uniforms(5) + draws.uniforms(1000)
+            want = [ref.random() for _ in range(300)] + ref.random(1005).tolist()
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("buffered", [None, 0xFFFFFFFF])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_interleaved_reads_across_blocks(self, seed, buffered):
+        """A random mix of every read, many blocks long; the integer
+        draws leave a half in the buffer across uniforms, which skip it."""
+        ops = random.Random(seed)
+        rng, ref = pcg64(seed, buffered), pcg64(seed, buffered)
+        draws, oracle = StreamReader(rng), GeneratorDraws(ref)
+        for _ in range(400):
+            op = ops.choice(("random", "uniforms", "integers"))
+            arg = (() if op == "random" else (ops.randrange(0, 3 * qlearn.STREAM_BLOCK),)
+                   if op == "uniforms" else (ops.choice(BOUNDS),))
+            assert getattr(draws, op)(*arg) == getattr(oracle, op)(*arg)
+        draws.close()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_close_after_an_error_keeps_the_position(self):
+        rng, ref = pcg64(3), pcg64(3)
+        with pytest.raises(RuntimeError):
+            with StreamReader(rng) as draws:
+                draws.uniforms(300)
+                draws.integers(7)
+                raise RuntimeError("mid-run")
+        ref.random(300)
+        ref.integers(7)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.random() == ref.random()
+
+    def test_nothing_read_leaves_the_state(self):
+        rng = pcg64(4, buffered=12)
+        start = rng.bit_generator.state
+        with StreamReader(rng) as draws:
+            assert draws.integers(1) == 0
+        assert rng.bit_generator.state == start
+
+    @pytest.mark.parametrize("n", [0, -3, 2 ** 63])
+    def test_integers_out_of_range_are_refused(self, n):
+        with pytest.raises(ValueError, match=str(n)):
+            StreamReader(pcg64(0)).integers(n)
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox,
+                                               np.random.SFC64, np.random.PCG64DXSM])
+    def test_other_bit_generators_are_refused(self, bit_generator):
+        rng = np.random.Generator(bit_generator(0))
+        with pytest.raises(ValueError, match=bit_generator.__name__):
+            StreamReader(rng)
+        with pytest.raises(ValueError, match=bit_generator.__name__):
+            train_loop(lambda _r: (((0, 0),), None), QConfig(episodes=3), rng, 4,
+                       lambda draw, a: 0.0)
+
+    @pytest.mark.parametrize("method", ["proposed", "q-only"])
+    def test_train_loop_error_mid_run_leaves_the_oracle_state(self, method):
+        """A reward that raises at its 700th call: train_loop and the
+        every-episode loop raise there, with their generators in one state."""
+        cfg = ExperimentConfig(scenario=default_scenario(), method=method,
+                               q=QConfig(f_bins=2, h_bins=2, episodes=1500))
+        spec = method_spec(cfg)
+        accs = [acc_pair(DEFAULT_TABLE, m.name, spec.accuracy, cfg.distribution)
+                for m in cfg.scenario.catalog]
+        reward_fn = training_reward(cfg, spec, accs)
+        states = []
+        for train in (train_loop, train_every_episode):
+            calls = []
+
+            def failing(draw, a):
+                calls.append(a)
+                if len(calls) == 700:
+                    raise RuntimeError("reward")
+                return reward_fn(draw, a)
+
+            rng = pcg64(21)
+            with pytest.raises(RuntimeError, match="reward"):
+                train(training_sampler(cfg), cfg.q, rng, spec.n_actions, failing)
+            states.append((calls, rng.bit_generator.state))
+        assert states[0] == states[1]
+
+
 def custom_template():
     """Three users with unequal p, a two-model subset of the stock catalog
     and a zero bandwidth price, so the bandwidth budget always binds."""
@@ -811,8 +947,8 @@ class TestTrainingDraws:
         accs = [acc_pair(DEFAULT_TABLE, m.name, spec.accuracy, cfg.distribution)
                 for m in sc.catalog]
         ref, _ = train_encoding_every_episode(
-            lambda r: sample_scenario(sc, r, cfg.q.f_loc_range, cfg.q.d_range), cfg.q,
-            np.random.Generator(np.random.PCG64(9)), spec.n_actions,
+            lambda draws: sample_scenario(sc, draws.rng, cfg.q.f_loc_range, cfg.q.d_range),
+            cfg.q, np.random.Generator(np.random.PCG64(9)), spec.n_actions,
             lambda draw, a: action_reward(draw, spec, a, accs))
         q = train_loop(training_sampler(cfg), cfg.q, np.random.Generator(np.random.PCG64(9)),
                        spec.n_actions, training_reward(cfg, spec, accs))
@@ -842,9 +978,9 @@ class TestTrainingDraws:
             ref_keys = [oracle_key(f_loc, d, sc.channel, cfg.q) for f_loc, d in refs]
             sampler = training_sampler(cfg)
             gains.clear()
-            rng = np.random.Generator(np.random.PCG64(11))
+            draws = StreamReader(np.random.Generator(np.random.PCG64(11)))
             for k, ((f_loc, d), ref_key) in enumerate(zip(refs, ref_keys)):
-                key, draw = sampler(rng)
+                key, draw = sampler(draws)
                 assert key == ref_key
                 assert draw.f_loc == f_loc
                 assert draw.eff == tuple(
@@ -864,8 +1000,9 @@ class TestTrainingDraws:
         with caplog.at_level(logging.WARNING, logger="fedkd.qlearn"):
             run_experiment(cfg)
         assert not caplog.records
-        sampler, rng = training_sampler(cfg), np.random.Generator(np.random.PCG64(4))
-        h_bins = {h_bin for _ in range(200) for _, h_bin in sampler(rng)[0]}
+        sampler = training_sampler(cfg)
+        draws = StreamReader(np.random.Generator(np.random.PCG64(4)))
+        h_bins = {h_bin for _ in range(200) for _, h_bin in sampler(draws)[0]}
         assert h_bins == {0, 1}
 
     @pytest.mark.parametrize("method", ["proposed", "fl-min", "fl-max"])
@@ -969,8 +1106,11 @@ class TestCachedArgmax:
         n = action_count(sc)
         cfg = QConfig(episodes=600)
 
-        def sampler(rng):
-            draw = sample_scenario(sc, rng)
+        def sampler(draws):
+            u = draws.uniforms(2 * sc.n_users)
+            draw = dataclasses.replace(sc, users=tuple(
+                dataclasses.replace(user, f_loc=0.5 + 1.5 * f, d=10.0 + 90.0 * d)
+                for user, f, d in zip(sc.users, u[0::2], u[1::2])))
             return encode_state(draw, cfg), draw
 
         q = train_loop(sampler, cfg, np.random.Generator(np.random.PCG64(2)), n,
