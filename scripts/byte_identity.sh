@@ -52,11 +52,14 @@
 # train-q run (three-trainq) and one proposed experiment (three-proposed).
 #
 # kd runs twice at the stock 600 epochs and once at 50, where the teacher
-# still trains for 400 epochs and the students for 50.  Two demos beside
-# SRC_DIR write their stdout into OUT_DIR: demos/03_model_selection_agent.py
-# (train_loop and exhaustive_optimum on a 2x2 instance) to
-# demo-03-model-selection-agent.txt, and demos/04_toy_distillation.py
-# (fedsgd_round) to demo-04-toy-distillation.txt.
+# still trains for 400 epochs and the students for 50.  Four demos beside
+# SRC_DIR write their stdout into OUT_DIR, each to demo-NN-<name>.txt:
+# demos/01_channel_and_delays.py (channel_gain, tx_rate, delays and
+# objective on the stock template), demos/02_resource_allocation.py
+# (allocate, its cross-checks and grid_oracle), demos/03_model_selection_agent.py
+# (train_loop and exhaustive_optimum on a 2x2 instance) and
+# demos/04_toy_distillation.py (fedsgd_round).  Demo 05 is left out: it
+# prints wall times and writes its reports into the working directory.
 set -euo pipefail
 
 if [ "$#" -ne 2 ]; then
@@ -160,5 +163,7 @@ demo() {
     PYTHONPATH="$src" OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 python3 "$src/../demos/$1.py"
 }
 
+demo 01_channel_and_delays > "$out/demo-01-channel-and-delays.txt"
+demo 02_resource_allocation > "$out/demo-02-resource-allocation.txt"
 demo 03_model_selection_agent > "$out/demo-03-model-selection-agent.txt"
 demo 04_toy_distillation > "$out/demo-04-toy-distillation.txt"

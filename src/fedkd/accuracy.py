@@ -74,20 +74,20 @@ def lookup_acc(table: AccuracyTable, model: str, method: str, distribution: str,
     return pct / 100.0
 
 
-def acc_pair(table: AccuracyTable, model: str, method: str, distribution: str,
-             topk: int = 1) -> tuple[float, float]:
-    """(own-dataset accuracy, all-datasets average accuracy) as fractions.
+def acc_pair(table: AccuracyTable, model: str, method: str, distribution: str
+             ) -> tuple[float, float]:
+    """(own-dataset accuracy, all-datasets average accuracy), top-1, as fractions.
 
     The average enters the objective as the arithmetic mean of per-user
     full-set accuracies, which for a shared table equals the full-set
     value itself.  Under IID the private slice is distributed like the
     full set, so both entries come from the full-set record.
     """
-    dist = _canon(model, method, distribution, "full", topk)[2]
-    avg = lookup_acc(table, model, method, dist, "full", topk)
+    dist = _canon(model, method, distribution, "full", 1)[2]
+    avg = lookup_acc(table, model, method, dist, "full")
     if dist == "iid":
         return avg, avg
-    own = lookup_acc(table, model, method, dist, "private", topk)
+    own = lookup_acc(table, model, method, dist, "private")
     return own, avg
 
 

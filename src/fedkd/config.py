@@ -21,9 +21,10 @@ omitted section or field falls back to the stock defaults (the 4-user,
 
 The optional "decision" block is consumed by the one-shot allocation
 entry point.  Schema violations, wrong JSON types (true for a number,
-say) and non-finite numbers included (JSON parsing turns NaN, Infinity
-and 1e400 into floats), raise ValueError naming the offending key;
-invariant violations surface the underlying message.
+say), non-finite numbers (JSON parsing turns NaN, Infinity and 1e400
+into floats) and a repeated user id (an id defaults to the user's
+position) raise ValueError naming the offending key; invariant
+violations surface the underlying message.
 """
 
 from __future__ import annotations
@@ -93,8 +94,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
         for i, entry in enumerate(doc["users"]):
             # Checked before the spread below, which needs a mapping.
             _check_type(entry, "dict", f"users[{i}]")
-            users.append(_build(UserSpec, {"id": i, **entry}, f"users[{i}]",
-                                required=("f_loc", "d")))
+            user = _build(UserSpec, {"id": i, **entry}, f"users[{i}]", required=("f_loc", "d"))
+            if any(u.id == user.id for u in users):
+                raise ValueError(f"users[{i}].id: duplicate id {user.id}")
+            users.append(user)
         users = tuple(users)
     else:
         users = DEFAULT_USERS

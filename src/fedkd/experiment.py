@@ -23,12 +23,14 @@ user's CPU frequency and distance (`_user_draws`), one rng.random call
 for an evaluation draw, one read of train_loop's qlearn.StreamReader for
 a training draw.  Training builds no Scenario, Decision or Allocation
 for a draw: the agent sees a qlearn.Draw with its state key
-(`training_sampler`).  The evaluation draws are full Scenarios from
-`sample_scenario`, keyed by the same qlearn.draw_builder.  Both draw over
-the agent's QConfig.f_loc_range and d_range, the ranges its state
+(`training_sampler`).  The evaluation draws are Scenarios from
+`sample_scenario`, for the decoder, the allocator and exhaustive, and the
+same qlearn.draw_builder gives each its state key and Draw.  Both draw
+over the agent's QConfig.f_loc_range and d_range, the ranges its state
 quantizer bins, so no draw leaves the state ranges.  qlearn.digit_reward
-scores the (x, m) digits of proposed, fl-min and fl-max; q-only's scorer
-adds user_cost at its digits' grid levels.
+scores the (x, m) digits of proposed, fl-min and fl-max.  One per-user
+pass, `_price`, prices a Draw as objective does: q-only's training reward
+and every trial's objective and mean delay come from it.
 
 Per trial the report records the realized objective, the mean per-epoch
 delay across users, accuracy means, model-selection frequencies, and the
@@ -46,17 +48,15 @@ from typing import Callable
 
 import numpy as np
 
-from .accuracy import DEFAULT_TABLE, AccuracyTable, acc_pair
+from .accuracy import DEFAULT_TABLE, acc_pair
 from .allocator import allocate
 from .model import (
     Allocation,
     Decision,
+    DelayBreakdown,
     InfeasibleError,
     Scenario,
-    channel_gain,
     delays,
-    objective,
-    tx_rate,
     user_cost,
 )
 from .qlearn import (
@@ -95,7 +95,6 @@ class ExperimentConfig:
     trials: int = 200
     distribution: str = "noniid"
     q: QConfig = EXPERIMENT_QCONFIG
-    table: AccuracyTable = DEFAULT_TABLE
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
@@ -185,23 +184,30 @@ def training_sampler(cfg: ExperimentConfig
     return sample
 
 
-def _evaluate(sc: Scenario, dec: Decision, al: Allocation, accs,
+def _price(template: Scenario, draw: Draw, picks, accs) -> tuple[float, list[DelayBreakdown]]:
+    """(cost, delays) of draw's users at picks, each user's (x, m, f, b):
+    delays at rate b * eff, tx_rate's value, priced by user_cost and added
+    left to right from 0.0, as objective adds them; a zero rate raises."""
+    catalog, teacher = template.catalog, template.teacher
+    total, dls = 0.0, []
+    for (x, m, f, b), f_loc, eff in zip(picks, draw.f_loc, draw.eff):
+        dl = delays(f_loc, catalog[m], teacher, x, f, b * eff)
+        total += user_cost(template, x, f, b, dl, *accs[m])
+        dls.append(dl)
+    return total, dls
+
+
+def _evaluate(template: Scenario, draw: Draw, dec: Decision, al: Allocation, accs,
               trial: int, penalized: bool) -> TrialResult:
-    n, n_models = sc.n_users, len(sc.catalog)
-    acc_own = [accs[mi][0] for mi in dec.m]
-    acc_avg = [accs[mi][1] for mi in dec.m]
-    obj = -INFEASIBLE_REWARD if penalized else objective(sc, dec, al, acc_own, acc_avg)
-    totals = [delays(u.f_loc, sc.catalog[mi], sc.teacher, xi, fi,
-                     tx_rate(bi, u.p, channel_gain(u.d, sc.channel), sc.channel)).total()
-              for u, xi, mi, fi, bi in zip(sc.users, dec.x, dec.m, al.f, al.b)]
-    counts = np.bincount(dec.m, minlength=n_models)
+    cost, dls = _price(template, draw, zip(dec.x, dec.m, al.f, al.b), accs)
+    counts = np.bincount(dec.m, minlength=len(template.catalog))
     return TrialResult(
         trial=trial,
-        objective=float(obj),
-        avg_delay_s=float(np.mean(totals)),
-        acc_own=float(np.mean(acc_own)),
-        acc_avg=float(np.mean(acc_avg)),
-        freq=tuple(float(c) / n for c in counts),
+        objective=-INFEASIBLE_REWARD if penalized else cost,
+        avg_delay_s=float(np.mean([dl.total() for dl in dls])),
+        acc_own=float(np.mean([accs[mi][0] for mi in dec.m])),
+        acc_avg=float(np.mean([accs[mi][1] for mi in dec.m])),
+        freq=tuple(float(c) / template.n_users for c in counts),
         x=dec.x, m=dec.m, f=al.f, b=al.b,
     )
 
@@ -278,17 +284,16 @@ def _grid_reward(template: Scenario, spec: MethodSpec, accs
                  ) -> Callable[[Draw, int], float]:
     """q-only's reward_fn(draw, a), equal bit for bit to the scalar
     oracle in tests/oracles.py on the draw's Scenario.  Each digit's
-    model, shares and accuracies are looked up once.  An action earns
-    INFEASIBLE_REWARD as soon as its level counts exceed a budget; within
-    budget, it is minus the sum of user_cost at each user's shares and
-    rate b * eff, as in objective.  Accuracies outside [0, 1] are refused
-    here, at construction."""
+    shares are computed once.  An action earns INFEASIBLE_REWARD as soon
+    as its level counts exceed a budget; within budget, it is minus
+    _price's cost of the users' (x, m, f, b), as in objective.
+    Accuracies outside [0, 1] are refused here, at construction."""
     for col, name in enumerate(("acc_own", "acc_avg")):    # objective's check, per model
         if not all(0.0 <= acc[col] <= 1.0 for acc in accs):
             raise ValueError(f"{name} entries must be in [0, 1]")
     levels, radix, server = spec.levels, len(spec.digits), template.server
-    rows = [(kf, kb, (x, template.catalog[m], kf * server.f_ser / levels,
-                      kb * server.b_max / levels, *accs[m])) for x, m, kf, kb in spec.digits]
+    rows = [(kf, kb, (x, m, kf * server.f_ser / levels, kb * server.b_max / levels))
+            for x, m, kf, kb in spec.digits]
 
     def reward_fn(draw: Draw, a: int) -> float:
         picks, f_used, b_used = [], 0, 0
@@ -300,13 +305,10 @@ def _grid_reward(template: Scenario, spec: MethodSpec, accs
             if f_used > levels or b_used > levels:
                 return INFEASIBLE_REWARD
             picks.append(pick)
-        total = 0.0
         try:
-            for (x, model, f, b, own, avg), f_loc, eff in zip(picks, draw.f_loc, draw.eff):
-                total += user_cost(template, x, model, f_loc, f, b, b * eff, own, avg)
+            return -_price(template, draw, picks, accs)[0]
         except InfeasibleError:
             return INFEASIBLE_REWARD
-        return -total
 
     return reward_fn
 
@@ -330,40 +332,34 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     are Scenarios from sample_scenario over cfg.q.f_loc_range and
     cfg.q.d_range, the ranges training draws over, and depend only on
     (template, seed, trials, those ranges), never on the method, so
-    reports from different methods compare like for like.  A learned
-    policy keys them with one qlearn.draw_builder made for the run.
-    Identical configs produce identical reports.
+    reports from different methods compare like for like.  The run's one
+    qlearn.draw_builder keys each for the policy and gives _evaluate its
+    Draw.  Identical configs produce identical reports.
     """
     template = cfg.scenario
     spec = method_spec(cfg)
-    accs = [acc_pair(cfg.table, m.name, spec.accuracy, cfg.distribution)
+    accs = [acc_pair(DEFAULT_TABLE, m.name, spec.accuracy, cfg.distribution)
             for m in template.catalog]
 
     eval_ss, train_ss = np.random.SeedSequence(cfg.seed).spawn(2)
-    eval_rng = np.random.Generator(np.random.PCG64(eval_ss))
-    draws = [sample_scenario(template, eval_rng, cfg.q.f_loc_range, cfg.q.d_range)
-             for _ in range(cfg.trials)]
-
     if spec.learned:
         q = train_loop(training_sampler(cfg), cfg.q,
                        np.random.Generator(np.random.PCG64(train_ss)),
                        spec.n_actions, training_reward(cfg, spec, accs))
-        build = draw_builder(template, cfg.q)
 
-        def policy(draw: Scenario) -> int:
-            key, _ = build([u.f_loc for u in draw.users], [u.d for u in draw.users])
-            return q.greedy_action(key, spec.n_actions)
-    else:
-        def policy(draw: Scenario) -> int:
-            return int(np.argmax(_enumerated(draw, accs)))
-
+    eval_rng = np.random.Generator(np.random.PCG64(eval_ss))
+    build = draw_builder(template, cfg.q)
     report = Report(method=cfg.method, seed=cfg.seed, n_users=template.n_users,
                     model_names=tuple(m.name for m in template.catalog))
-    for t, draw in enumerate(draws):
-        dec, al, feasible = spec.decode(draw, policy(draw))
+    for t in range(cfg.trials):
+        sc = sample_scenario(template, eval_rng, cfg.q.f_loc_range, cfg.q.d_range)
+        key, draw = build([u.f_loc for u in sc.users], [u.d for u in sc.users])
+        a = (q.greedy_action(key, spec.n_actions) if spec.learned
+             else int(np.argmax(_enumerated(sc, accs))))
+        dec, al, feasible = spec.decode(sc, a)
         if al is None:
-            al = allocate(draw, dec).allocation
-        report.trials.append(_evaluate(draw, dec, al, accs, t, not feasible))
+            al = allocate(sc, dec).allocation
+        report.trials.append(_evaluate(template, draw, dec, al, accs, t, not feasible))
     return report
 
 

@@ -258,11 +258,11 @@ def delays(f_loc: float, mi: ModelSpec, teacher: TeacherSpec, xi: int,
     return DelayBreakdown(t_tea=t_tea, t_stu=t_stu, t_label=t_label, t_model=t_model)
 
 
-def user_cost(sc: Scenario, xi: int, mi: ModelSpec, f_loc: float, fi: float, bi: float,
-              rate_i: float, acc_own: float, acc_avg: float) -> float:
-    """One user's term of the objective under sc's teacher and prices, for
-    training mi (xi = 1: locally at f_loc) with server share fi, bandwidth
-    bi at transmit rate rate_i, and accuracies (fractions) acc_own, acc_avg:
+def user_cost(sc: Scenario, xi: int, fi: float, bi: float, dl: DelayBreakdown,
+              acc_own: float, acc_avg: float) -> float:
+    """One user's term of the objective under sc's prices, for delays dl
+    (from delays, at server share fi and bandwidth bi), offload flag xi and
+    accuracies (fractions) acc_own, acc_avg:
 
         alpha_d * (t_tea + t_stu + t_model + x_i * t_label)
       + beta_c  * (t_tea * f_i + (1 - x_i) * t_stu * f_i)
@@ -271,10 +271,8 @@ def user_cost(sc: Scenario, xi: int, mi: ModelSpec, f_loc: float, fi: float, bi:
 
     The beta term is allocation-independent by the identity
     t_tea * f_i = mu_t and (1 - x_i) * t_stu * f_i = (1 - x_i) * mu_{m_i}.
-    A zero rate raises InfeasibleError, as in delays.
     """
     w = sc.weights
-    dl = delays(f_loc, mi, sc.teacher, xi, fi, rate_i)
     delay = dl.t_tea + dl.t_stu + dl.t_model + xi * dl.t_label
     compute_cost = dl.t_tea * fi + (1 - xi) * dl.t_stu * fi
     return (w.alpha_d * delay + w.beta_c * compute_cost + w.delta_b * bi
@@ -284,8 +282,9 @@ def user_cost(sc: Scenario, xi: int, mi: ModelSpec, f_loc: float, fi: float, bi:
 def objective(sc: Scenario, dec: Decision, al: Allocation,
               acc_own: list[float] | tuple[float, ...],
               acc_avg: list[float] | tuple[float, ...]) -> float:
-    """Total per-round cost for the given decision and allocation: the sum
-    of user_cost over users.  Accuracies are fractions in [0, 1]."""
+    """Total per-round cost for the given decision and allocation: each
+    user's delays priced by user_cost, added left to right.  Accuracies
+    are fractions in [0, 1]; a zero rate raises InfeasibleError."""
     dec.validate(sc)
     n = sc.n_users
     if len(al.f) != n:
@@ -297,8 +296,8 @@ def objective(sc: Scenario, dec: Decision, al: Allocation,
     total = 0.0
     for i, u in enumerate(sc.users):
         rate = tx_rate(al.b[i], u.p, channel_gain(u.d, sc.channel), sc.channel)
-        total += user_cost(sc, dec.x[i], sc.catalog[dec.m[i]], u.f_loc, al.f[i], al.b[i],
-                           rate, acc_own[i], acc_avg[i])
+        dl = delays(u.f_loc, sc.catalog[dec.m[i]], sc.teacher, dec.x[i], al.f[i], rate)
+        total += user_cost(sc, dec.x[i], al.f[i], al.b[i], dl, acc_own[i], acc_avg[i])
     return total
 
 

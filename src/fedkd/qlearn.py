@@ -290,16 +290,18 @@ def draw_builder(template: Scenario, cfg: QConfig
     A value strictly outside its range is clamped and logged: a user
     outside the ranges the experiment draws from, such as a train-q
     scenario's.  The ranges, their widths (hi - lo, the same double on
-    every call) and the users' powers are read once, here.  A channel
-    whose gain rounds to one value over d_range has a zero-width gain
-    range, refused with more than one gain bin.
+    every call) and the users' powers are read once, here.  Refused: a
+    gain that rounds to 0 over d_range, and one that rounds to one value
+    there (a zero-width gain range) with more than one gain bin.
     """
     ch = template.channel
     powers = [u.p for u in template.users]
     f_lo, f_hi = cfg.f_loc_range
     d_lo, d_hi = cfg.d_range
-    # The gain falls with distance: the far end gives the low end.
-    h_lo, h_hi = (math.log10(channel_gain(d, ch)) for d in (d_hi, d_lo))
+    gains = [channel_gain(d, ch) for d in (d_hi, d_lo)]     # the far end gives the low end
+    if not gains[0] > 0:
+        raise ValueError(f"channel gain at d = {d_hi} m, the far end of d_range, rounds to 0")
+    h_lo, h_hi = map(math.log10, gains)
     if h_lo == h_hi and cfg.h_bins > 1:
         raise ValueError(f"d_range {cfg.d_range} gives one log10 gain, {h_lo}, on this "
                          f"channel, so h_bins must be 1, got {cfg.h_bins}")

@@ -90,6 +90,14 @@ class TestTrainQ:
         assert capsys.readouterr().err == "error: users[0]: expected an object, got int\n"
         assert not out.exists()
 
+    def test_a_repeated_user_id_is_an_error_line_and_exit_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"users": [{"id": 0, "f_loc": 1.0, "d": 50.0},
+                                                {"id": 0, "f_loc": 1.0, "d": 50.0}]})
+        out = tmp_path / "q"
+        assert main(["train-q", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: users[1].id: duplicate id 0\n"
+        assert not out.exists()
+
     def test_negative_episodes_is_an_error_line_and_exit_1(self, tmp_path, capsys):
         out = tmp_path / "q"
         assert main(["train-q", "--episodes", "-5", "--out", str(out)]) == 1

@@ -70,6 +70,22 @@ def test_unknown_keys_are_named():
         load_scenario('{"server": {"cores": 4}}')
 
 
+@pytest.mark.parametrize("users, message", [
+    ([{"id": 0}, {"id": 0}], r"^users\[1\]\.id: duplicate id 0$"),
+    ([{"id": 1}, {}], r"^users\[1\]\.id: duplicate id 1$"),     # the second id is its position
+    ([{}, {}, {"id": 0}], r"^users\[2\]\.id: duplicate id 0$"),
+])
+def test_a_repeated_user_id_is_refused_naming_the_entry(users, message):
+    with pytest.raises(ValueError, match=message):
+        scenario_from_dict({"users": [{"f_loc": 1.0, "d": 50.0, **u} for u in users]})
+
+
+def test_user_ids_default_to_positions_and_may_be_set_apart():
+    sc = scenario_from_dict({"users": [{"id": 7, "f_loc": 1.0, "d": 50.0},
+                                       {"f_loc": 1.0, "d": 50.0}]})
+    assert [u.id for u in sc.users] == [7, 1]
+
+
 def test_missing_required_user_fields():
     with pytest.raises(ValueError, match=r"users\[0\]\.d"):
         scenario_from_dict({"users": [{"f_loc": 1.0}]})

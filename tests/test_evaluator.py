@@ -6,9 +6,11 @@ objective is the independent route they must agree with, on random
 instances that reach both bandwidth branches and a zero bandwidth price.
 action_values, which train-q trains on, must equal the oracle reward bit
 for bit on every action, and the rewards the experiment methods train on
-must equal the oracle action_reward on the same seeded draws.  The
-allocator's symmetries and monotonicities and the config round-trip are
-checked on the same random instances.
+must equal the oracle action_reward on the same seeded draws.  Every
+trial row of every method equals objective and the delay formulas on the
+Scenario its seed draws, bit for bit.  The allocator's symmetries and
+monotonicities and the config round-trip are checked on the same random
+instances.
 """
 
 import collections
@@ -32,6 +34,7 @@ from fedkd.experiment import (
     training_sampler,
 )
 from fedkd.model import (
+    DEFAULT_CATALOG,
     Allocation,
     Decision,
     InfeasibleError,
@@ -41,8 +44,11 @@ from fedkd.model import (
     ServerSpec,
     TeacherSpec,
     UserSpec,
+    channel_gain,
     default_scenario,
+    delays,
     objective,
+    tx_rate,
 )
 from fedkd.qlearn import (
     INFEASIBLE_REWARD,
@@ -388,6 +394,61 @@ def test_qonly_training_builds_no_scenario_decision_or_allocation(monkeypatch):
     assert sum(r != INFEASIBLE_REWARD for r in scored) > 1000
     spec.decode(cfg.scenario, 0)    # the counters do see the evaluation decoder
     assert built == {"Decision": 1, "Allocation": 1}
+
+
+# ---------------------------------------------------------------------------
+# the trial rows against the scalar oracle
+
+
+def _over_budget(spec, sc, al):
+    """Whether q-only's grid levels of al exceed a budget, counted in
+    whole levels as its decoder counts them."""
+    return any(sum(round(v * spec.levels / budget) for v in shares) > spec.levels
+               for shares, budget in ((al.f, sc.server.f_ser), (al.b, sc.server.b_max)))
+
+
+@seed(20231112)
+@settings(max_examples=40, deadline=None, database=None)
+@given(instances(), st.integers(0, 2 ** 32 - 1), st.sampled_from(["noniid", "iid"]))
+def test_trial_rows_equal_the_scalar_oracle_bit_for_bit(inst, run_seed, distribution):
+    """Every method's report on a random template: each row's objective
+    equals objective at the row's (x, m, f, b) on the Scenario that
+    sample_scenario draws from the run's seed (1e6 for a q-only row over a
+    budget), and its avg_delay_s the mean of the users' delays at
+    tx_rate.  A trained q-only agent seldom picks an action over a
+    budget, so q-only runs once more with uniform random greedy picks."""
+    sc = inst[0]
+    # The accuracy table knows the stock model names only.
+    sc = dataclasses.replace(sc, catalog=tuple(
+        dataclasses.replace(m, name=stock.name) for m, stock in zip(sc.catalog, DEFAULT_CATALOG)))
+    q = dataclasses.replace(experiment.EXPERIMENT_QCONFIG, episodes=150)
+    pick = np.random.Generator(np.random.PCG64(run_seed))
+    for method, at_random in [(m, False) for m in experiment.METHODS] + [("q-only", True)]:
+        cfg = ExperimentConfig(scenario=sc, method=method, seed=run_seed, trials=3,
+                               distribution=distribution, q=q)
+        spec = method_spec(cfg)
+        accs = [acc_pair(DEFAULT_TABLE, m.name, spec.accuracy, distribution)
+                for m in sc.catalog]
+        eval_ss = np.random.SeedSequence(run_seed).spawn(2)[0]
+        eval_rng = np.random.Generator(np.random.PCG64(eval_ss))
+        with pytest.MonkeyPatch.context() as mp:
+            if at_random:
+                mp.setattr(QTable, "greedy_action", lambda _, key, n: int(pick.integers(n)))
+            rows = run_experiment(cfg).trials
+        assert len(rows) == cfg.trials
+        for row in rows:
+            draw = sample_scenario(sc, eval_rng, q.f_loc_range, q.d_range)
+            dec, al = Decision(x=row.x, m=row.m), Allocation(f=row.f, b=row.b)
+            if method == "q-only" and _over_budget(spec, draw, al):
+                assert row.objective == -INFEASIBLE_REWARD
+            else:
+                assert row.objective == objective(draw, dec, al, [accs[m][0] for m in dec.m],
+                                                  [accs[m][1] for m in dec.m])
+            ch = draw.channel
+            assert row.avg_delay_s == float(np.mean([
+                delays(u.f_loc, draw.catalog[mi], draw.teacher, xi, fi,
+                       tx_rate(bi, u.p, channel_gain(u.d, ch), ch)).total()
+                for u, xi, mi, fi, bi in zip(draw.users, dec.x, dec.m, al.f, al.b)]))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fedkd import experiment
+from fedkd import experiment, model
 from fedkd.experiment import (
     EXPERIMENT_QCONFIG,
     ExperimentConfig,
@@ -29,6 +29,25 @@ def quick_cfg(method, trials=12, episodes=600, seed=5, **kw):
                             trials=trials,
                             q=dataclasses.replace(EXPERIMENT_QCONFIG, episodes=episodes),
                             **kw)
+
+
+@pytest.mark.parametrize("method", ["exhaustive", "proposed"])
+def test_evaluation_computes_each_users_delays_once(method, monkeypatch):
+    """One pricing pass per trial gives both the objective and the mean
+    delay: model.delays runs once per user of each trial, under either
+    module's name for it.  proposed trains on digit_reward, which calls no
+    delays."""
+    calls, real = [], model.delays
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (model, experiment):
+        monkeypatch.setattr(module, "delays", counting)
+    cfg = quick_cfg(method, trials=7, episodes=300)
+    run_experiment(cfg)
+    assert len(calls) == cfg.trials * cfg.scenario.n_users
 
 
 class TestSampling:

@@ -297,6 +297,15 @@ class TestDrawBuilder:
             draw_builder(sc, QConfig(h_bins=2))
         assert draw_builder(sc, QConfig(h_bins=1))([1.0], [50.0])[0] == ((1, 0),)
 
+    @pytest.mark.parametrize("h_bins", [1, 2])
+    def test_a_gain_that_rounds_to_zero_over_d_range_is_refused(self, h_bins):
+        """g0 = 1e-320 leaves no gain at 100 m; log10 would fail with an
+        error that names nothing."""
+        sc = dataclasses.replace(make_scenario(n_users=1), channel=ChannelSpec(g0=1e-320))
+        with pytest.raises(ValueError, match="gain at d = 100.0 m, the far end of d_range, "
+                                             "rounds to 0"):
+            draw_builder(sc, QConfig(h_bins=h_bins))
+
 
 class TestActionCoding:
     def test_roundtrip_bijection(self):
