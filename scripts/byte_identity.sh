@@ -51,6 +51,15 @@
 # redrawn (tests/test_qlearn.py covers redraws).  It has one 20000-episode
 # train-q run (three-trainq) and one proposed experiment (three-proposed).
 #
+# OUT_DIR/nine.json is the four stock users repeated, the ninth again the
+# first: 9 users, where numpy's mean over a trial's users adds pairwise
+# instead of left to right (it does from 8 values on).  proposed, fl-min
+# and fl-max experiments run on it (20 trials, 500 episodes each), so the
+# trial rows' avg_delay_s, acc_own and acc_avg means and the optimal
+# splits of 9 users are compared too.  exhaustive and q-only are left
+# out: 8^9 joint actions exceed qlearn.EXHAUSTIVE_CAP, and q-only's grid
+# has fewer levels than users.
+#
 # kd runs twice at the stock 600 epochs and once at 50, where the teacher
 # still trains for 400 epochs and the students for 50.  Four demos beside
 # SRC_DIR write their stdout into OUT_DIR, each to demo-NN-<name>.txt:
@@ -155,6 +164,19 @@ fedkd experiment --config "$out/three.json" --method proposed --seed 41 --trials
     --episodes 1500 --out "$out/three-proposed"
 fedkd experiment --method proposed --distribution iid --seed 29 --trials 40 \
     --episodes 1500 --out "$out/iid-proposed"
+cat > "$out/nine.json" <<'JSON'
+{
+  "users": [
+    {"f_loc": 0.5, "d": 10.0}, {"f_loc": 1.0, "d": 40.0}, {"f_loc": 1.5, "d": 70.0},
+    {"f_loc": 2.0, "d": 100.0}, {"f_loc": 0.5, "d": 10.0}, {"f_loc": 1.0, "d": 40.0},
+    {"f_loc": 1.5, "d": 70.0}, {"f_loc": 2.0, "d": 100.0}, {"f_loc": 0.5, "d": 10.0}
+  ]
+}
+JSON
+for m in proposed fl-min fl-max; do
+    fedkd experiment --config "$out/nine.json" --method "$m" --seed 43 --trials 20 \
+        --episodes 500 --out "$out/nine-$m"
+done
 for s in 0 7; do
     fedkd kd-demo --seed "$s" --epochs 600 --out "$out/kd-$s"
 done

@@ -18,19 +18,22 @@ One pipeline runs them all: train the agent (exhaustive enumerates
 instead), decode the chosen action on each draw, let the convex allocator
 fill in the split where the action leaves it open, and evaluate.
 
-Training and evaluation draw the users alike: 2 N uniforms give every
-user's CPU frequency and distance (`_user_draws`), one rng.random call
-for an evaluation draw, one read of train_loop's qlearn.StreamReader for
-a training draw.  Training builds no Scenario, Decision or Allocation
-for a draw: the agent sees a qlearn.Draw with its state key
-(`training_sampler`).  The evaluation draws are Scenarios from
-`sample_scenario`, for the decoder, the allocator and exhaustive, and the
-same qlearn.draw_builder gives each its state key and Draw.  Both draw
-over the agent's QConfig.f_loc_range and d_range, the ranges its state
-quantizer bins, so no draw leaves the state ranges.  qlearn.digit_reward
-scores the (x, m) digits of proposed, fl-min and fl-max.  One per-user
-pass, `_price`, prices a Draw as objective does: q-only's training reward
-and every trial's objective and mean delay come from it.
+Training and evaluation draw the users alike: 2 N uniforms, one read of
+train_loop's qlearn.StreamReader for a training draw and one
+rng.random(2 * N) call for an evaluation draw, which a
+qlearn.draw_builder of the template maps straight to the state key and a
+qlearn.Draw, every user's CPU frequency and spectral efficiency.
+Neither builds a Scenario for a draw (`training_sampler`,
+`run_experiment`); `sample_scenario` draws the same users as a Scenario
+for the checks.
+Both draw over the agent's QConfig.f_loc_range and d_range, the ranges
+its state quantizer bins, so no draw leaves the state ranges.
+qlearn.digit_reward scores the (x, m) digits of proposed, fl-min and
+fl-max.  A trial reads only its Draw: exhaustive enumerates the Draw's
+per-user terms, allocator.optimal_split gives the split where an action
+leaves it open, and one per-user pass, `_price`, prices a Draw as
+objective does: q-only's training reward and every trial's objective
+and delays come from it.
 
 Per trial the report records the realized objective, the mean per-epoch
 delay across users, accuracy means, model-selection frequencies, and the
@@ -49,7 +52,7 @@ from typing import Callable
 import numpy as np
 
 from .accuracy import DEFAULT_TABLE, acc_pair
-from .allocator import allocate
+from .allocator import optimal_split
 from .model import (
     Allocation,
     Decision,
@@ -137,49 +140,33 @@ class Report:
         return float(np.mean([getattr(t, attr) for t in self.trials]))
 
 
-def _user_draws(f_loc_range, d_range
-                ) -> Callable[[list[float]], tuple[list[float], list[float]]]:
-    """draw(u) -> (f_loc, d) of N users from 2 N uniforms u, each uniform
-    over its range: user i takes the values 2i (f_loc) and 2i + 1 (d),
-    each lo + (hi - lo) * u.  Those are the values of per-user
-    rng.uniform(lo, hi) calls in the same order, f_loc first, wherever
-    numpy forms uniform without a fused multiply-add; training and
-    evaluation agree by construction either way."""
-    (f_lo, f_hi), (d_lo, d_hi) = f_loc_range, d_range
-    f_span, d_span = f_hi - f_lo, d_hi - d_lo
-
-    def draw(u: list[float]) -> tuple[list[float], list[float]]:
-        return [f_lo + f_span * v for v in u[0::2]], [d_lo + d_span * v for v in u[1::2]]
-
-    return draw
-
-
 def sample_scenario(template: Scenario, rng: np.random.Generator,
                     f_loc_range=QConfig.f_loc_range, d_range=QConfig.d_range) -> Scenario:
     """Redraw each user's CPU frequency and distance uniformly over the
-    ranges, by default QConfig's, as training does, from one
-    rng.random(2 * N) call; all else fixed."""
-    uniforms = rng.random(2 * template.n_users).tolist()
-    f_loc, d = _user_draws(f_loc_range, d_range)(uniforms)
-    users = tuple(dataclasses.replace(u, f_loc=f, d=dist)
-                  for u, f, dist in zip(template.users, f_loc, d))
+    ranges, by default QConfig's, from one rng.random(2 * N) call; all
+    else fixed.  User i takes uniforms 2i (f_loc) and 2i + 1 (d), each
+    lo + (hi - lo) * u: the values of a draw_builder built on the ranges.
+    The experiment builds no Scenario per draw; this is the Scenario route
+    its trials are checked against."""
+    (f_lo, f_hi), (d_lo, d_hi) = f_loc_range, d_range
+    u = rng.random(2 * template.n_users).tolist()
+    users = tuple(dataclasses.replace(user, f_loc=f_lo + (f_hi - f_lo) * uf,
+                                      d=d_lo + (d_hi - d_lo) * ud)
+                  for user, uf, ud in zip(template.users, u[0::2], u[1::2]))
     return dataclasses.replace(template, users=users)
 
 
 def training_sampler(cfg: ExperimentConfig
                      ) -> Callable[[StreamReader], tuple[StateKey, Draw]]:
-    """train_loop's sampler for cfg: _user_draws redraws every user's
-    (f_loc, d) pair over cfg.q.f_loc_range and cfg.q.d_range from one
-    draws.uniforms(2 * N) read, the same stream and values as
-    sample_scenario's over those ranges, and qlearn.draw_builder gives
-    the state key and Draw.  The quantizer bins over the same ranges, so
-    no draw clamps."""
-    build = draw_builder(cfg.scenario, cfg.q)
-    draw = _user_draws(cfg.q.f_loc_range, cfg.q.d_range)
-    size = 2 * cfg.scenario.n_users
+    """train_loop's sampler for cfg: one draws.uniforms(2 * N) read per
+    episode, the same stream and values as sample_scenario's, which
+    qlearn.draw_builder maps straight to the state key and Draw.  The
+    users are drawn over the ranges the quantizer bins, so no draw
+    clamps."""
+    build, size = draw_builder(cfg.scenario, cfg.q), 2 * cfg.scenario.n_users
 
     def sample(draws: StreamReader) -> tuple[StateKey, Draw]:
-        return build(*draw(draws.uniforms(size)))
+        return build(draws.uniforms(size))
 
     return sample
 
@@ -197,19 +184,29 @@ def _price(template: Scenario, draw: Draw, picks, accs) -> tuple[float, list[Del
     return total, dls
 
 
-def _evaluate(template: Scenario, draw: Draw, dec: Decision, al: Allocation, accs,
-              trial: int, penalized: bool) -> TrialResult:
-    cost, dls = _price(template, draw, zip(dec.x, dec.m, al.f, al.b), accs)
-    counts = np.bincount(dec.m, minlength=len(template.catalog))
-    return TrialResult(
-        trial=trial,
-        objective=-INFEASIBLE_REWARD if penalized else cost,
-        avg_delay_s=float(np.mean([dl.total() for dl in dls])),
-        acc_own=float(np.mean([accs[mi][0] for mi in dec.m])),
-        acc_avg=float(np.mean([accs[mi][1] for mi in dec.m])),
-        freq=tuple(float(c) / template.n_users for c in counts),
-        x=dec.x, m=dec.m, f=al.f, b=al.b,
-    )
+def _trial_results(template: Scenario, accs, evaluated) -> list[TrialResult]:
+    """One TrialResult per evaluated trial (dec, al, objective, delays):
+    the row means of every trial come from one np.mean(axis=1) call over
+    a C-contiguous array, whose rows numpy adds as it adds each row's own
+    list (left to right below 8 values, pairwise from 8), so each equals
+    np.mean of the row bit for bit; tests/test_evaluator.py checks that
+    at every user count up to 40 and beyond."""
+    if not evaluated:
+        return []
+    n, n_models = template.n_users, len(template.catalog)
+    stats = np.array([row for dec, _, _, dls in evaluated
+                      for row in ([dl.total() for dl in dls], [accs[m][0] for m in dec.m],
+                                  [accs[m][1] for m in dec.m])]).mean(axis=1).tolist()
+    results = []
+    for t, (dec, al, objective, _) in enumerate(evaluated):
+        counts = [0] * n_models
+        for m in dec.m:
+            counts[m] += 1
+        results.append(TrialResult(
+            trial=t, objective=objective, avg_delay_s=stats[3 * t],
+            acc_own=stats[3 * t + 1], acc_avg=stats[3 * t + 2],
+            freq=tuple(c / n for c in counts), x=dec.x, m=dec.m, f=al.f, b=al.b))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -328,13 +325,17 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     """Train the configured method and evaluate it on seeded draws.
 
     Training takes its draws from training_sampler and its rewards from
-    training_reward, with no Scenario per episode.  The evaluation draws
-    are Scenarios from sample_scenario over cfg.q.f_loc_range and
-    cfg.q.d_range, the ranges training draws over, and depend only on
+    training_reward.  Each trial reads eval_rng.random(2 * N), the draw
+    sample_scenario would make over cfg.q.f_loc_range and cfg.q.d_range,
+    and the run's one qlearn.draw_builder maps it to the state key, which
+    the policy reads, and the Draw, which the rest of the trial reads:
+    exhaustive enumerates _digit_terms built on it, allocator.optimal_split
+    gives the split where the action leaves it open, and _price the
+    objective and delays.  No Scenario, allocate call or channel gain
+    beyond the builder's is made per trial.  The draws depend only on
     (template, seed, trials, those ranges), never on the method, so
-    reports from different methods compare like for like.  The run's one
-    qlearn.draw_builder keys each for the policy and gives _evaluate its
-    Draw.  Identical configs produce identical reports.
+    reports from different methods compare like for like.  Identical
+    configs produce identical reports.
     """
     template = cfg.scenario
     spec = method_spec(cfg)
@@ -348,19 +349,20 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
                        spec.n_actions, training_reward(cfg, spec, accs))
 
     eval_rng = np.random.Generator(np.random.PCG64(eval_ss))
-    build = draw_builder(template, cfg.q)
-    report = Report(method=cfg.method, seed=cfg.seed, n_users=template.n_users,
-                    model_names=tuple(m.name for m in template.catalog))
-    for t in range(cfg.trials):
-        sc = sample_scenario(template, eval_rng, cfg.q.f_loc_range, cfg.q.d_range)
-        key, draw = build([u.f_loc for u in sc.users], [u.d for u in sc.users])
+    build, size = draw_builder(template, cfg.q), 2 * template.n_users
+    evaluated = []
+    for _ in range(cfg.trials):
+        key, draw = build(eval_rng.random(size).tolist())
         a = (q.greedy_action(key, spec.n_actions) if spec.learned
-             else int(np.argmax(_enumerated(sc, accs))))
-        dec, al, feasible = spec.decode(sc, a)
+             else int(np.argmax(_enumerated(template, draw, accs))))
+        dec, al, feasible = spec.decode(template, a)
         if al is None:
-            al = allocate(sc, dec).allocation
-        report.trials.append(_evaluate(template, draw, dec, al, accs, t, not feasible))
-    return report
+            al = optimal_split(template, dec, draw.f_loc, draw.eff)
+        cost, dls = _price(template, draw, zip(dec.x, dec.m, al.f, al.b), accs)
+        evaluated.append((dec, al, cost if feasible else -INFEASIBLE_REWARD, dls))
+    return Report(method=cfg.method, seed=cfg.seed, n_users=template.n_users,
+                  model_names=tuple(m.name for m in template.catalog),
+                  trials=_trial_results(template, accs, evaluated))
 
 
 # ---------------------------------------------------------------------------

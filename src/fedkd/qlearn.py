@@ -11,9 +11,11 @@ and no discount.
 A training draw (`Draw`) holds what the rewards read of an episode's
 users: each user's CPU frequency and the spectral efficiency of the one
 channel gain per user that also gives the state key.  `draw_builder`,
-made once per template and QConfig, turns the users' drawn f_loc and d
-into (state key, Draw); it is the one state quantizer, and
-`encode_state` keys a Scenario through it.  QConfig's f_loc_range and
+made once per template and QConfig, maps the 2 N uniforms of a draw
+straight to its users' f_loc and d and on to (state key, Draw), for the
+experiment's training and evaluation alike; `scenario_draw` maps a
+Scenario's own users, and `encode_state` keys a Scenario, through the
+same state quantizer.  QConfig's f_loc_range and
 d_range say both where the experiment draws its users and what the
 quantizer bins: f_loc over f_loc_range, and the log10 gain over the
 gains of the template's channel at the two ends of d_range.
@@ -21,9 +23,11 @@ gains of the template's channel at the two ends of d_range.
 every (x, m) digit once per template, and an action's reward adds, for
 each user's picked digit, the terms those factors give at the user's
 f_loc and efficiency; the experiment's q-only scorer reads the same
-Draw.  On one fixed scenario, `action_values`
-tabulates every user's terms of every digit once and scores every action
-in one broadcast; `exhaustive_optimum` is its argmax, and
+Draw.  On one Draw, `_enumerated` tabulates every user's terms of every
+digit once and scores every action in one broadcast: the experiment's
+exhaustive policy is its argmax.  On one fixed scenario `action_values`
+is that vector for the scenario's own users, `exhaustive_optimum` its
+argmax, and
 `train_fixed_scenario` (train-q's agent) trains on lookups into it, or
 on digit_reward when there are more actions than episodes.  Every route
 adds the users' terms left to right, so all of them agree bit for bit,
@@ -71,7 +75,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .allocator import cost_from_sums, digit_factors
+from .allocator import cost_from_sums, digit_factors, efficiencies
 from .model import Decision, InfeasibleError, Scenario, channel_gain, spectral_efficiency
 
 logger = logging.getLogger(__name__)
@@ -275,10 +279,14 @@ class Draw(NamedTuple):
     eff: tuple[float, ...]
 
 
-def draw_builder(template: Scenario, cfg: QConfig
-                 ) -> Callable[[Sequence[float], Sequence[float]], tuple[StateKey, Draw]]:
-    """build(f_loc, d) -> (state key, Draw) of template's users at CPU
-    frequencies f_loc and distances d: the one state quantizer.
+def _quantizer(template: Scenario, cfg: QConfig, f_map: tuple[float, float],
+               d_map: tuple[float, float]
+               ) -> Callable[[Sequence[float]], tuple[StateKey, Draw]]:
+    """build(v) -> (state key, Draw) of template's users from 2 N values v:
+    user i's CPU frequency is f_at + f_scale * v[2i] and its distance
+    d_at + d_scale * v[2i + 1], for (f_at, f_scale) = f_map and
+    (d_at, d_scale) = d_map.  The one state quantizer, behind draw_builder
+    and scenario_draw.
 
     Each user's channel gain is computed once and gives both its
     spectral efficiency and its key component, the (f_loc bin, gain bin)
@@ -308,36 +316,63 @@ def draw_builder(template: Scenario, cfg: QConfig
     f_span, h_span = f_hi - f_lo, h_hi - h_lo
     f_bins, h_bins = cfg.f_bins, cfg.h_bins
     f_top, h_top = f_bins - 1, h_bins - 1
+    (f_at, f_scale), (d_at, d_scale) = f_map, d_map
     # Draw's generated __new__ only forwards to this; calling it directly
-    # saves a Python frame per draw.
-    new = tuple.__new__
+    # saves a Python frame per draw.  The math functions are bound once.
+    new, floor, log10 = tuple.__new__, math.floor, math.log10
 
-    def build(f_loc: Sequence[float], d: Sequence[float]) -> tuple[StateKey, Draw]:
-        key, eff = [], []
-        for p, f, dist in zip(powers, f_loc, d):
-            h = channel_gain(dist, ch)
-            g = math.log10(h)
+    def build(v: Sequence[float]) -> tuple[StateKey, Draw]:
+        key, f_loc, eff = [], [], []
+        values = iter(v)
+        for p, vf, vd in zip(powers, values, values):
+            f = f_at + f_scale * vf
+            h = channel_gain(d_at + d_scale * vd, ch)
             f_bin = h_bin = 0
             if f_top:
                 if f < f_lo or f > f_hi:
                     logger.warning(_CLAMPED, f, f_lo, f_hi)
-                f_bin = math.floor((f - f_lo) / f_span * f_bins)
+                f_bin = floor((f - f_lo) / f_span * f_bins)
                 f_bin = 0 if f_bin < 0 else f_top if f_bin > f_top else f_bin
             if h_top:
+                g = log10(h)
                 if g < h_lo or g > h_hi:
                     logger.warning(_CLAMPED, g, h_lo, h_hi)
-                h_bin = math.floor((g - h_lo) / h_span * h_bins)
+                h_bin = floor((g - h_lo) / h_span * h_bins)
                 h_bin = 0 if h_bin < 0 else h_top if h_bin > h_top else h_bin
             key.append((f_bin, h_bin))
+            f_loc.append(f)
             eff.append(spectral_efficiency(p, h, ch))
         return tuple(key), new(Draw, (tuple(f_loc), tuple(eff)))
 
     return build
 
 
+def draw_builder(template: Scenario, cfg: QConfig
+                 ) -> Callable[[Sequence[float]], tuple[StateKey, Draw]]:
+    """build(u) -> (state key, Draw) of template's users drawn from 2 N
+    uniforms u in [0, 1): user i's CPU frequency is lo + (hi - lo) * u[2i]
+    over cfg.f_loc_range and its distance lo + (hi - lo) * u[2i + 1] over
+    cfg.d_range, each binned by the one state quantizer (_quantizer).
+    Those are the values of per-user rng.uniform(lo, hi) calls in the same
+    order, f_loc first, wherever numpy forms uniform without a fused
+    multiply-add.  Made once per template and QConfig: the experiment's
+    training and evaluation draws both come from it."""
+    (f_lo, f_hi), (d_lo, d_hi) = cfg.f_loc_range, cfg.d_range
+    return _quantizer(template, cfg, (f_lo, f_hi - f_lo), (d_lo, d_hi - d_lo))
+
+
 def scenario_draw(sc: Scenario, cfg: QConfig) -> tuple[StateKey, Draw]:
-    """draw_builder's (state key, Draw) of sc's own users."""
-    return draw_builder(sc, cfg)([u.f_loc for u in sc.users], [u.d for u in sc.users])
+    """The (state key, Draw) of sc's own users, through the quantizer of
+    draw_builder: each value v enters as 0.0 + 1.0 * v, which is v itself
+    for every positive float.  A user whose own channel gain rounds to 0
+    has no log10 gain to bin and is refused, naming its distance; draws
+    over d_range cannot meet it, since draw_builder checks the far end."""
+    ch = sc.channel
+    for u in sc.users:
+        if not channel_gain(u.d, ch) > 0:
+            raise ValueError(f"user {u.id}: channel gain at d = {u.d} m rounds to 0")
+    values = [v for u in sc.users for v in (u.f_loc, u.d)]
+    return _quantizer(sc, cfg, (0.0, 1.0), (0.0, 1.0))(values)
 
 
 def encode_state(sc: Scenario, cfg: QConfig) -> StateKey:
@@ -385,20 +420,18 @@ def _digit_factors(sc: Scenario, acc_by_model: Sequence[tuple[float, float]],
     return factors
 
 
-def _digit_terms(sc: Scenario, acc_by_model: Sequence[tuple[float, float]]
+def _digit_terms(sc: Scenario, draw: Draw, acc_by_model: Sequence[tuple[float, float]]
                  ) -> list[list[tuple[float, float, float, float]]]:
     """terms[i][k] = (const_i, sqrt(c_i), sqrt(d_i), accuracy reward) of
-    user i picking joint digit k, equal to build_problem's bit for bit.  Raises
-    InfeasibleError for a user with zero spectral efficiency, whatever it
-    picks."""
+    user i of draw, a Draw of sc's users, picking joint digit k, equal to
+    build_problem's bit for bit.  Raises InfeasibleError for a user with
+    zero spectral efficiency, whatever it picks."""
     factors = _digit_factors(sc, acc_by_model, joint_digits(len(sc.catalog)))
-    ch = sc.channel
     terms = []
-    for u in sc.users:
-        eff = spectral_efficiency(u.p, channel_gain(u.d, ch), ch)
+    for u, f_loc, eff in zip(sc.users, draw.f_loc, draw.eff):
         if eff <= 0:
             raise InfeasibleError(f"user {u.id} has zero spectral efficiency")
-        terms.append([(a / u.f_loc + b, root_c, math.sqrt(num / eff), g)
+        terms.append([(a / f_loc + b, root_c, math.sqrt(num / eff), g)
                       for a, b, root_c, num, g in factors])
     return terms
 
@@ -666,18 +699,24 @@ def train_fixed_scenario(sc: Scenario, acc_by_model: Sequence[tuple[float, float
     return train_loop(lambda _rng: (key, draw), cfg, rng, n_actions, reward_fn), key
 
 
-def _enumerated(sc: Scenario, acc_by_model: Sequence[tuple[float, float]]) -> np.ndarray:
-    """Every joint action's reward, indexed by action, from _digit_terms'
-    tables; raises InfeasibleError for a user with zero spectral
-    efficiency and ValueError above EXHAUSTIVE_CAP actions.  The exhaustive
-    method's policy is its argmax."""
+def _own_draw(sc: Scenario) -> Draw:
+    """The Draw of sc's own users, unquantized."""
+    return Draw(tuple(u.f_loc for u in sc.users), tuple(efficiencies(sc)))
+
+
+def _enumerated(sc: Scenario, draw: Draw, acc_by_model: Sequence[tuple[float, float]]
+                ) -> np.ndarray:
+    """Every joint action's reward on draw, a Draw of sc's users, indexed
+    by action, from _digit_terms' tables; raises InfeasibleError for a
+    user with zero spectral efficiency and ValueError above EXHAUSTIVE_CAP
+    actions.  The exhaustive method's policy is its argmax."""
     n = action_count(sc)
     if n > EXHAUSTIVE_CAP:
         raise ValueError(
             f"action space {n} exceeds the enumeration cap {EXHAUSTIVE_CAP}; "
             "reduce users or catalog size")
     # (4, N, 2|M|): const, sqrt c, sqrt d, gain
-    tables = np.array(_digit_terms(sc, acc_by_model))
+    tables = np.array(_digit_terms(sc, draw, acc_by_model))
     tables = tables.transpose(2, 0, 1)
     # Action a = sum_i k_i * (2|M|)^i: user i enters as the leading digit,
     # so every sum adds the users' terms left to right, as the scalar
@@ -700,7 +739,7 @@ def action_values(sc: Scenario, acc_by_model: Sequence[tuple[float, float]]) -> 
     EXHAUSTIVE_CAP.
     """
     try:
-        return _enumerated(sc, acc_by_model)
+        return _enumerated(sc, _own_draw(sc), acc_by_model)
     except InfeasibleError:
         return np.full(action_count(sc), INFEASIBLE_REWARD)
 
@@ -710,6 +749,6 @@ def exhaustive_optimum(sc: Scenario, acc_by_model: Sequence[tuple[float, float]]
     """The minimizer of the cost and its value: the lowest-index argmax of
     action_values, the reference the trained agent is compared against.
     A user with zero spectral efficiency raises InfeasibleError."""
-    values = _enumerated(sc, acc_by_model)
+    values = _enumerated(sc, _own_draw(sc), acc_by_model)
     best = int(np.argmax(values))
     return decode_action(best, sc.n_users, len(sc.catalog)), -float(values[best])

@@ -107,20 +107,33 @@ class TestTrainQ:
     @pytest.mark.parametrize("episodes", ["0", "3000"])
     def test_state_is_encoded_once(self, tmp_path, monkeypatch, episodes):
         """Each of the four stock users' state components is computed once:
-        one draw_builder call quantizes the stock users' f_loc values."""
-        draw_builder, encoded = qlearn.draw_builder, []
+        one call of the state quantizer bins the stock users' f_loc values,
+        which scenario_draw hands it as they are."""
+        quantizer, encoded = qlearn._quantizer, []
 
-        def counting(template, cfg):
-            build = draw_builder(template, cfg)
+        def counting(*args):
+            build = quantizer(*args)
 
-            def counted(f_loc, d):
-                encoded.extend(f_loc)
-                return build(f_loc, d)
+            def counted(values):
+                encoded.extend(values[0::2])
+                return build(values)
             return counted
 
-        monkeypatch.setattr(qlearn, "draw_builder", counting)
+        monkeypatch.setattr(qlearn, "_quantizer", counting)
         assert main(["train-q", "--episodes", episodes, "--out", str(tmp_path / "q")]) == 0
         assert encoded == [u.f_loc for u in default_scenario().users]
+
+    def test_a_user_whose_gain_rounds_to_zero_is_an_error_line_and_exit_1(self, tmp_path,
+                                                                        capsys):
+        """The gain at the far end of d_range is positive, so only the
+        user's own gain is left to check; it has no log10 to bin."""
+        cfg = write_config(tmp_path, {"channel": {"g0": 1e-300},
+                                      "users": [{"f_loc": 1.0, "d": 1e9}]})
+        out = tmp_path / "q"
+        assert main(["train-q", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: user 0: channel gain at d = 1000000000.0 m rounds to 0\n")
+        assert not out.exists()
 
     def test_zero_delay_weight_fails_even_without_episodes(self, tmp_path, capsys):
         # the per-user terms are built before training starts

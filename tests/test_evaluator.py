@@ -16,14 +16,16 @@ instances.
 import collections
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
+import fedkd
 from fedkd.accuracy import DEFAULT_TABLE, acc_pair
 from fedkd.allocator import allocate, build_problem, kkt_residual
-from fedkd import experiment
+from fedkd import allocator, experiment
 from fedkd.config import dump_scenario, load_scenario
 from fedkd.experiment import (
     ExperimentConfig,
@@ -37,6 +39,7 @@ from fedkd.model import (
     DEFAULT_CATALOG,
     Allocation,
     Decision,
+    DelayBreakdown,
     InfeasibleError,
     ModelSpec,
     ObjectiveWeights,
@@ -51,6 +54,7 @@ from fedkd.model import (
     tx_rate,
 )
 from fedkd.qlearn import (
+    EXHAUSTIVE_CAP,
     INFEASIBLE_REWARD,
     QConfig,
     QTable,
@@ -241,10 +245,19 @@ def test_infeasible_decision_earns_the_penalty(route):
 def test_exhaustive_method_refuses_a_stranded_evaluation_draw(monkeypatch):
     """The policy's enumeration refuses the draw, as exhaustive_optimum
     does, before any split is computed."""
-    monkeypatch.setattr(experiment, "allocate",
+    monkeypatch.setattr(experiment, "optimal_split",
                         lambda *a: pytest.fail("the policy picked an action"))
     cfg = ExperimentConfig(scenario=make_scenario(n_users=2), method="exhaustive", trials=1,
                            q=QConfig(h_bins=1, d_range=(1e10, 1e10)))
+    with pytest.raises(InfeasibleError, match="user 0 has zero spectral efficiency"):
+        run_experiment(cfg)
+
+
+def test_proposed_method_refuses_a_stranded_evaluation_draw():
+    """Every training reward is the penalty, and the greedy action's split
+    on the evaluation Draw names the stranded user."""
+    cfg = ExperimentConfig(scenario=make_scenario(n_users=2), method="proposed", trials=1,
+                           q=QConfig(h_bins=1, d_range=(1e10, 1e10), episodes=20))
     with pytest.raises(InfeasibleError, match="user 0 has zero spectral efficiency"):
         run_experiment(cfg)
 
@@ -449,6 +462,110 @@ def test_trial_rows_equal_the_scalar_oracle_bit_for_bit(inst, run_seed, distribu
                 delays(u.f_loc, draw.catalog[mi], draw.teacher, xi, fi,
                        tx_rate(bi, u.p, channel_gain(u.d, ch), ch)).total()
                 for u, xi, mi, fi, bi in zip(draw.users, dec.x, dec.m, al.f, al.b)]))
+
+
+def _stock_named(sc):
+    """sc with its catalog renamed to the stock models, the only names the
+    accuracy table knows."""
+    return dataclasses.replace(sc, catalog=tuple(
+        dataclasses.replace(m, name=stock.name) for m, stock in zip(sc.catalog, DEFAULT_CATALOG)))
+
+
+@pytest.mark.parametrize("users", [(1, 4), (9, 12)])
+@seed(20231113)
+@settings(max_examples=10, deadline=None, database=None)
+@given(data=st.data())
+def test_trial_splits_equal_allocate_on_the_sampled_scenario(users, data):
+    """The split of every trial row of proposed, exhaustive, fl-min and
+    fl-max is allocate's on the Scenario that sample_scenario draws from
+    the run's seed, bit for bit, and exhaustive's decision is
+    exhaustive_optimum's there.  From 9 users on, numpy's mean adds a
+    row's values pairwise: the row means still equal np.mean's.
+    exhaustive keeps one model when the joint actions exceed the cap."""
+    sc = _stock_named(data.draw(instances(n_users=st.integers(*users)))[0])
+    run_seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    q = dataclasses.replace(experiment.EXPERIMENT_QCONFIG, episodes=100)
+    for method in ("proposed", "exhaustive", "fl-min", "fl-max"):
+        template = sc
+        if method == "exhaustive" and action_count(sc) > EXHAUSTIVE_CAP:
+            template = dataclasses.replace(sc, catalog=sc.catalog[:1])
+        cfg = ExperimentConfig(scenario=template, method=method, seed=run_seed, trials=3, q=q)
+        accs = [acc_pair(DEFAULT_TABLE, m.name, method_spec(cfg).accuracy, cfg.distribution)
+                for m in template.catalog]
+        eval_ss = np.random.SeedSequence(run_seed).spawn(2)[0]
+        eval_rng = np.random.Generator(np.random.PCG64(eval_ss))
+        for row in run_experiment(cfg).trials:
+            draw = sample_scenario(template, eval_rng, q.f_loc_range, q.d_range)
+            dec = Decision(x=row.x, m=row.m)
+            if method == "exhaustive":
+                assert dec == exhaustive_optimum(draw, accs)[0]
+            al = allocate(draw, dec).allocation
+            assert [v.hex() for v in row.f + row.b] == [v.hex() for v in al.f + al.b]
+            assert row.objective == objective(draw, dec, al, [accs[m][0] for m in dec.m],
+                                              [accs[m][1] for m in dec.m])
+            ch = draw.channel
+            assert row.avg_delay_s == float(np.mean([
+                delays(u.f_loc, draw.catalog[mi], draw.teacher, xi, fi,
+                       tx_rate(bi, u.p, channel_gain(u.d, ch), ch)).total()
+                for u, xi, mi, fi, bi in zip(draw.users, dec.x, dec.m, al.f, al.b)]))
+            assert (row.acc_own, row.acc_avg) == tuple(
+                float(np.mean([accs[m][k] for m in dec.m])) for k in (0, 1))
+
+
+@pytest.mark.parametrize("method", experiment.METHODS)
+def test_evaluation_builds_no_scenario_and_calls_no_allocate(method, monkeypatch):
+    """Every trial is evaluated from the builder's Draw: run_experiment
+    calls neither sample_scenario nor allocate, under any module's name
+    for them, and constructs no Scenario."""
+    cfg = ExperimentConfig(scenario=default_scenario(), method=method, seed=4, trials=20,
+                           q=dataclasses.replace(experiment.EXPERIMENT_QCONFIG, episodes=200))
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for module in (experiment, allocator, fedkd):
+        for name in ("sample_scenario", "allocate"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    monkeypatch.setattr(Scenario, "__init__", counting("Scenario", Scenario.__init__))
+    assert len(run_experiment(cfg).trials) == cfg.trials
+    assert not calls
+
+
+@pytest.mark.parametrize("n", list(range(1, 41)) + [64, 129, 300])
+def test_row_means_equal_numpy_mean_of_each_row(n):
+    """The trial rows' means over n users, computed for all trials at once,
+    equal np.mean of each row's list bit for bit: left to right below 8
+    users, pairwise from 8.  freq counts each model's users."""
+    rnd = random.Random(n)
+    template = dataclasses.replace(default_scenario(), users=tuple(
+        UserSpec(id=i, f_loc=1.0, d=50.0) for i in range(n)))
+    n_models = len(template.catalog)
+    accs = [(rnd.random(), rnd.random()) for _ in range(n_models)]
+
+    def positive():
+        return rnd.random() * 10 ** rnd.uniform(-3, 3)
+
+    evaluated = []
+    for _ in range(7):
+        dec = Decision(x=[rnd.randrange(2) for _ in range(n)],
+                       m=[rnd.randrange(n_models) for _ in range(n)])
+        al = Allocation(f=[positive() for _ in range(n)], b=[positive() for _ in range(n)])
+        dls = [DelayBreakdown(*(positive() for _ in range(4))) for _ in range(n)]
+        evaluated.append((dec, al, positive(), dls))
+    rows = experiment._trial_results(template, accs, evaluated)
+    assert len(rows) == len(evaluated)
+    for t, (row, (dec, al, cost, dls)) in enumerate(zip(rows, evaluated)):
+        assert (row.trial, row.objective, row.x, row.m, row.f, row.b) == (
+            t, cost, dec.x, dec.m, al.f, al.b)
+        assert row.avg_delay_s == float(np.mean([dl.total() for dl in dls]))
+        assert row.acc_own == float(np.mean([accs[m][0] for m in dec.m]))
+        assert row.acc_avg == float(np.mean([accs[m][1] for m in dec.m]))
+        assert row.freq == tuple(float(c) / n for c in np.bincount(dec.m, minlength=n_models))
 
 
 # ---------------------------------------------------------------------------

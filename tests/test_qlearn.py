@@ -42,6 +42,7 @@ from fedkd.qlearn import (
     draw_builder,
     encode_state,
     exhaustive_optimum,
+    scenario_draw,
     train_fixed_scenario,
     train_loop,
     update,
@@ -180,12 +181,18 @@ def scenario_key(sc, cfg):
     return oracle_key([u.f_loc for u in sc.users], [u.d for u in sc.users], sc.channel, cfg)
 
 
+def at(sc, f_loc, d):
+    """sc with its users at CPU frequencies f_loc and distances d."""
+    return dataclasses.replace(sc, users=tuple(
+        dataclasses.replace(u, f_loc=f, d=dist) for u, f, dist in zip(sc.users, f_loc, d)))
+
+
 def builder_and_oracle(caplog, sc, cfg, f_loc, d):
-    """(key, clamp messages) of draw_builder and of the oracle for sc's
-    users at f_loc and d."""
+    """(key, clamp messages) of the state quantizer, reached through
+    scenario_draw, and of the oracle for sc's users at f_loc and d."""
     caplog.clear()
     with caplog.at_level(logging.WARNING):
-        key, _ = draw_builder(sc, cfg)(f_loc, d)
+        key, _ = scenario_draw(at(sc, f_loc, d), cfg)
         ref = oracle_key(f_loc, d, sc.channel, cfg)
 
     def messages(name):
@@ -242,8 +249,27 @@ CHANNELS = (ChannelSpec(), ChannelSpec(g0=1e-3), ChannelSpec(g0=3e-5, gamma=3.5)
 
 
 class TestDrawBuilder:
-    """draw_builder's keys equal the per-component oracle's bit for bit,
-    and it logs a clamp exactly when the oracle does."""
+    """The state quantizer's keys equal the per-component oracle's bit for
+    bit, and it logs a clamp exactly when the oracle does; draw_builder
+    maps uniforms through it as scenario_draw maps a sampled Scenario."""
+
+    @pytest.mark.parametrize("ch", CHANNELS)
+    def test_uniforms_map_as_the_sampled_scenario(self, ch):
+        """draw_builder's (key, Draw) of 2 N uniforms equals scenario_draw's
+        of the Scenario sample_scenario draws from the same generator state,
+        at the stock ranges and at wider ones."""
+        sc = dataclasses.replace(custom_template(), channel=ch)
+        for cfg in (QConfig(f_bins=3, h_bins=3),
+                    QConfig(f_loc_range=(0.3, 2.6), d_range=(6.0, 140.0))):
+            build = draw_builder(sc, cfg)
+            rng, ref_rng = (np.random.Generator(np.random.PCG64(17)) for _ in range(2))
+            for _ in range(2000):
+                key, draw = build(rng.random(2 * sc.n_users).tolist())
+                ref_key, ref = scenario_draw(
+                    sample_scenario(sc, ref_rng, cfg.f_loc_range, cfg.d_range), cfg)
+                assert key == ref_key
+                assert [v.hex() for v in draw.f_loc + draw.eff] == [
+                    v.hex() for v in ref.f_loc + ref.eff]
 
     @pytest.mark.parametrize("f_bins, h_bins", [(4, 4), (2, 2), (3, 5), (1, 1), (1, 4), (4, 1)])
     def test_random_values(self, caplog, f_bins, h_bins):
@@ -295,7 +321,8 @@ class TestDrawBuilder:
         sc = dataclasses.replace(make_scenario(n_users=1), channel=ChannelSpec(gamma=1e-20))
         with pytest.raises(ValueError, match="d_range .* gives one log10 gain.*h_bins must be 1"):
             draw_builder(sc, QConfig(h_bins=2))
-        assert draw_builder(sc, QConfig(h_bins=1))([1.0], [50.0])[0] == ((1, 0),)
+        assert draw_builder(sc, QConfig(h_bins=1))([1 / 3, 0.5])[0] == ((1, 0),)
+        assert scenario_draw(at(sc, [1.0], [50.0]), QConfig(h_bins=1))[0] == ((1, 0),)
 
     @pytest.mark.parametrize("h_bins", [1, 2])
     def test_a_gain_that_rounds_to_zero_over_d_range_is_refused(self, h_bins):
@@ -305,6 +332,16 @@ class TestDrawBuilder:
         with pytest.raises(ValueError, match="gain at d = 100.0 m, the far end of d_range, "
                                              "rounds to 0"):
             draw_builder(sc, QConfig(h_bins=h_bins))
+
+    @pytest.mark.parametrize("h_bins", [1, 2])
+    def test_a_user_whose_own_gain_rounds_to_zero_is_refused(self, h_bins):
+        """g0 = 1e-300 leaves a gain at the far end of d_range, 100 m, but
+        none at a train-q user's 1e9 m; scenario_draw names the user."""
+        sc = dataclasses.replace(at(make_scenario(n_users=2), [1.0, 1.0], [50.0, 1e9]),
+                                 channel=ChannelSpec(g0=1e-300))
+        with pytest.raises(ValueError, match=r"^user 1: channel gain at d = 1000000000.0 m "
+                                             r"rounds to 0$"):
+            scenario_draw(sc, QConfig(h_bins=h_bins))
 
 
 class TestActionCoding:
