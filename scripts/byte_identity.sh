@@ -6,14 +6,18 @@
 # SRC_DIR is the directory that holds the fedkd package (a tree's src/).
 # Run it once on each of two trees; `diff -r OUT_A OUT_B` is then the
 # whole byte-identity check: empty output means every qtable.tsv,
-# train_summary.json, trials.csv, summary.json, kd-demo metric and
-# parameter file is the same byte for byte.
+# train_summary.json, trials.csv, summary.json, allocation.json, kd-demo
+# metric and parameter file is the same byte for byte.
 #
 # Besides the stock template, the script writes OUT_DIR/custom.json: three
 # users with unequal transmit powers, a two-model subset of the stock
 # catalog, and a zero bandwidth price (delta_b = 0), so the bandwidth
 # budget binds on every decision.  train-q, the four learning methods and
 # exhaustive run on it too, and one experiment uses the iid accuracies.
+# Its decision block (users 0 and 2 train locally) is the decision of one
+# `fedkd allocate` run (custom-allocate); OUT_DIR/decision.json gives the
+# stock template one (every model once, users 1 and 3 local) for another
+# (stock-allocate), at the stock bandwidth price delta_b = 0.001.
 # One q-only run on it trains for 8000 episodes: its greedy phase then
 # mostly picks actions within both budgets, which the other runs, at 1500
 # episodes, seldom reach.
@@ -49,7 +53,9 @@
 # method) has rejection threshold 0; at 1296 it is
 # (2^32 - 1296) % 1296 = 1264, so about one draw in 3.4 million is
 # redrawn (tests/test_qlearn.py covers redraws).  It has one 20000-episode
-# train-q run (three-trainq) and one proposed experiment (three-proposed).
+# train-q run (three-trainq) and proposed, q-only, fl-min and exhaustive
+# experiments (three-<method>).  q-only's radix there is 6 * 8 * 8 = 384
+# per user, where every other q-only run's is 512 or 256.
 #
 # OUT_DIR/nine.json is the four stock users repeated, the ninth again the
 # first: 9 users, where numpy's mean over a trial's users adds pairwise
@@ -107,10 +113,16 @@ cat > "$out/custom.json" <<'JSON'
     {"name": "ResNet-26x4", "mu": 18.96, "theta_s": 186.0}
   ],
   "weights": {"alpha_d": 0.01, "beta_c": 0.001, "delta_b": 0.0,
-              "eta_o": 1.0, "eta_a": 0.25}
+              "eta_o": 1.0, "eta_a": 0.25},
+  "decision": {"x": [1, 0, 1], "m": [0, 1, 1]}
 }
 JSON
 custom=(--config "$out/custom.json")
+fedkd allocate "${custom[@]}" --out "$out/custom-allocate"
+cat > "$out/decision.json" <<'JSON'
+{"decision": {"x": [0, 1, 0, 1], "m": [0, 1, 2, 3]}}
+JSON
+fedkd allocate --config "$out/decision.json" --out "$out/stock-allocate"
 fedkd train-q "${custom[@]}" --seed 5 --episodes 4000 --out "$out/custom-trainq"
 for m in proposed q-only fl-min fl-max; do
     fedkd experiment "${custom[@]}" --method "$m" --seed 17 --trials 40 --episodes 1500 \
@@ -160,8 +172,12 @@ cat > "$out/three.json" <<'JSON'
 }
 JSON
 fedkd train-q --config "$out/three.json" --seed 41 --episodes 20000 --out "$out/three-trainq"
-fedkd experiment --config "$out/three.json" --method proposed --seed 41 --trials 40 \
-    --episodes 1500 --out "$out/three-proposed"
+for m in proposed q-only fl-min; do
+    fedkd experiment --config "$out/three.json" --method "$m" --seed 41 --trials 40 \
+        --episodes 1500 --out "$out/three-$m"
+done
+fedkd experiment --config "$out/three.json" --method exhaustive --seed 41 --trials 10 \
+    --out "$out/three-exhaustive"
 fedkd experiment --method proposed --distribution iid --seed 29 --trials 40 \
     --episodes 1500 --out "$out/iid-proposed"
 cat > "$out/nine.json" <<'JSON'

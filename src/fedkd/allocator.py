@@ -17,12 +17,13 @@ function of three per-user sums (cost_from_sums):
     sum_i const_i + (sum_i sqrt c_i)^2 / f_ser + bw(sum_i sqrt d_i)
 
 The decision layer scores actions from those sums and never computes a
-split.  The split of a chosen decision comes from one set of terms
-(_terms) and the two closed forms: allocate reads the users of a
-Scenario, optimal_split the CPU frequencies and spectral efficiencies
-of a draw of a template's users, with no Scenario built for it.  The
-scalar route for one decision, cost_from_sums over build_problem's
-terms, is a test oracle in tests/oracles.py.
+split.  The split of a chosen decision comes from the two closed forms,
+allocate_compute and allocate_bandwidth: allocate applies them to
+build_problem's terms of a Scenario, and an experiment trial to the same
+terms formed from its method's digit table (qlearn.digit_table, which
+holds digit_factors) and its draw.  The scalar route for one decision,
+cost_from_sums over build_problem's terms, is a test oracle in
+tests/oracles.py.
 
 grid_oracle is the independent check: an exact search over the discretized
 budget simplex, organized as a dynamic program so it stays tractable.
@@ -91,7 +92,7 @@ def digit_factors(sc: Scenario, x: int, m: int) -> tuple[float, float, float, fl
 
     build_problem divides the first by the user's f_loc and the last by
     its spectral efficiency; they depend on the template alone, so the
-    decision layer builds them once per template.
+    decision layer builds them once per run (qlearn.digit_table).
     """
     w = sc.weights
     if w.alpha_d <= 0:
@@ -121,30 +122,22 @@ def efficiencies(sc: Scenario) -> list[float]:
     return [spectral_efficiency(u.p, channel_gain(u.d, ch), ch) for u in sc.users]
 
 
-def _terms(sc: Scenario, dec: Decision, f_loc, eff
-           ) -> tuple[list[float], list[float], list[float]]:
-    """(const_i, c_i, d_i) of each user i of sc's template, at CPU frequency
-    f_loc[i] and spectral efficiency eff[i], for its pick (x, m) in dec:
-    digit_factors' a / f_loc + b, c and num / eff.  A user whose spectral
-    efficiency rounds to zero cannot transmit at any bandwidth:
-    InfeasibleError naming its id."""
+def build_problem(sc: Scenario, dec: Decision) -> AllocProblem:
+    """Reduce a scenario plus decision to the two separable subproblems.
+    User i's pick (x, m) has digit_factors (a, b, c_i, num); at its own
+    f_loc and spectral efficiency eff its terms are const_i = a / f_loc + b,
+    its share of AllocProblem.constant, c_i and d_i = num / eff.  A user
+    whose spectral efficiency rounds to zero cannot transmit at any
+    bandwidth: InfeasibleError naming its id."""
+    dec.validate(sc)
     consts, c, d = [], [], []
-    for u, x, m, f, e in zip(sc.users, dec.x, dec.m, f_loc, eff):
+    for u, x, m, e in zip(sc.users, dec.x, dec.m, efficiencies(sc)):
         a, b, c_i, num = digit_factors(sc, x, m)
         if e <= 0:
             raise InfeasibleError(f"user {u.id} has zero spectral efficiency")
-        consts.append(a / f + b)
+        consts.append(a / u.f_loc + b)
         c.append(c_i)
         d.append(num / e)
-    return consts, c, d
-
-
-def build_problem(sc: Scenario, dec: Decision) -> AllocProblem:
-    """Reduce a scenario plus decision to the two separable subproblems:
-    user i's (const_i, c_i, d_i) at its own f_loc and spectral efficiency
-    (_terms); const_i is its share of AllocProblem.constant."""
-    dec.validate(sc)
-    consts, c, d = _terms(sc, dec, [u.f_loc for u in sc.users], efficiencies(sc))
     return AllocProblem(c=tuple(c), d=tuple(d), delta_b=sc.weights.delta_b,
                         f_ser=sc.server.f_ser, b_max=sc.server.b_max,
                         constant=_left_to_right(consts))
@@ -260,16 +253,6 @@ def allocate(sc: Scenario, dec: Decision) -> AllocResult:
         allocation=Allocation(f=tuple(f), b=tuple(b)),
         objective_fb=fb_objective(prob, f, b),
     )
-
-
-def optimal_split(sc: Scenario, dec: Decision, f_loc, eff) -> Allocation:
-    """allocate's split of the valid decision dec for the users of sc's
-    template at CPU frequencies f_loc and spectral efficiencies eff, such
-    as a qlearn.Draw's, with no Scenario of those users: the same terms
-    and closed forms, so the same bits as allocate on that Scenario."""
-    _, c, d = _terms(sc, dec, f_loc, eff)
-    return Allocation(f=tuple(allocate_compute(c, sc.server.f_ser)),
-                      b=tuple(allocate_bandwidth(d, sc.weights.delta_b, sc.server.b_max)))
 
 
 def fb_objective_via_delays(sc: Scenario, dec: Decision, al: Allocation) -> float:

@@ -14,26 +14,11 @@ on identical draws when given the same seed and template:
 
 Each method is an entry of one table (`method_spec`): the per-user
 digits an action is made of, and which published accuracies score it.
-One pipeline runs them all: train the agent (exhaustive enumerates
-instead), decode the chosen action on each draw, let the convex allocator
-fill in the split where the action leaves it open, and evaluate.
-
-Training and evaluation draw the users alike: 2 N uniforms, one read of
-train_loop's qlearn.StreamReader for a training draw and one
-rng.random(2 * N) call for an evaluation draw, which a
-qlearn.draw_builder of the template maps straight to the state key and a
-qlearn.Draw, every user's CPU frequency and spectral efficiency.
-Neither builds a Scenario for a draw (`training_sampler`,
-`run_experiment`); `sample_scenario` draws the same users as a Scenario
-for the checks.
-Both draw over the agent's QConfig.f_loc_range and d_range, the ranges
-its state quantizer bins, so no draw leaves the state ranges.
-qlearn.digit_reward scores the (x, m) digits of proposed, fl-min and
-fl-max.  A trial reads only its Draw: exhaustive enumerates the Draw's
-per-user terms, allocator.optimal_split gives the split where an action
-leaves it open, and one per-user pass, `_price`, prices a Draw as
-objective does: q-only's training reward and every trial's objective
-and delays come from it.
+One pipeline runs them all (`run_experiment`).  The method's
+qlearn.digit_table, built once per run, is the one form of a pick from
+the training reward to the trial row.  Training and evaluation draw the
+users alike, as qlearn.Draws of 2 N uniforms over the agent's state
+ranges; no Scenario, Decision or Allocation is built for a draw.
 
 Per trial the report records the realized objective, the mean per-epoch
 delay across users, accuracy means, model-selection frequencies, and the
@@ -43,7 +28,6 @@ raw per-user decision and resources.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -52,10 +36,8 @@ from typing import Callable
 import numpy as np
 
 from .accuracy import DEFAULT_TABLE, acc_pair
-from .allocator import optimal_split
+from .allocator import allocate_bandwidth, allocate_compute
 from .model import (
-    Allocation,
-    Decision,
     DelayBreakdown,
     InfeasibleError,
     Scenario,
@@ -63,13 +45,19 @@ from .model import (
     user_cost,
 )
 from .qlearn import (
+    EXHAUSTIVE_CAP,
     INFEASIBLE_REWARD,
+    SAMPLE_CAP,
+    Digit,
     Draw,
     QConfig,
     StateKey,
     StreamReader,
     _enumerated,
+    action_space,
+    decode,
     digit_reward,
+    digit_table,
     draw_builder,
     joint_digits,
     train_loop,
@@ -77,8 +65,8 @@ from .qlearn import (
 
 METHODS = ("proposed", "q-only", "fl-min", "fl-max", "exhaustive")
 
-#: Guard against action encodings too large to sample from; the sparse
-#: table itself never enumerates the space.
+#: q-only's cap on its action space, below qlearn.SAMPLE_CAP; the sparse
+#: Q-table itself never enumerates the space.
 ACTION_SPACE_CAP = 10 ** 12
 
 #: Experiment-time agent defaults: coarser state bins than the module
@@ -184,8 +172,33 @@ def _price(template: Scenario, draw: Draw, picks, accs) -> tuple[float, list[Del
     return total, dls
 
 
+def _split(template: Scenario, rows: list[Digit], draw: Draw, levels: int
+           ) -> tuple[tuple[float, ...], tuple[float, ...], bool]:
+    """(f, b, within budget) of draw's users at their picked rows.
+
+    q-only's rows, of a table with levels > 0 grid levels, fix the shares;
+    the budgets are checked on the integer unit counts, because summing
+    the float shares can overshoot a budget they exactly meet by one ulp.
+    Other rows leave the split open: allocate's, with no Scenario of those
+    users, from allocate_compute over the rows' c and allocate_bandwidth
+    over num / eff, build_problem's c_i and d_i, so the same bits.  A user
+    whose spectral efficiency rounds to zero cannot transmit at any
+    bandwidth: InfeasibleError naming its id."""
+    if levels:
+        return (tuple(r.f for r in rows), tuple(r.b for r in rows),
+                sum(r.kf for r in rows) <= levels and sum(r.kb for r in rows) <= levels)
+    d = []
+    for u, row, eff in zip(template.users, rows, draw.eff):
+        if eff <= 0:
+            raise InfeasibleError(f"user {u.id} has zero spectral efficiency")
+        d.append(row.num / eff)
+    server = template.server
+    return (tuple(allocate_compute([row.c for row in rows], server.f_ser)),
+            tuple(allocate_bandwidth(d, template.weights.delta_b, server.b_max)), True)
+
+
 def _trial_results(template: Scenario, accs, evaluated) -> list[TrialResult]:
-    """One TrialResult per evaluated trial (dec, al, objective, delays):
+    """One TrialResult per evaluated trial (x, m, f, b, objective, delays):
     the row means of every trial come from one np.mean(axis=1) call over
     a C-contiguous array, whose rows numpy adds as it adds each row's own
     list (left to right below 8 values, pairwise from 8), so each equals
@@ -194,18 +207,15 @@ def _trial_results(template: Scenario, accs, evaluated) -> list[TrialResult]:
     if not evaluated:
         return []
     n, n_models = template.n_users, len(template.catalog)
-    stats = np.array([row for dec, _, _, dls in evaluated
-                      for row in ([dl.total() for dl in dls], [accs[m][0] for m in dec.m],
-                                  [accs[m][1] for m in dec.m])]).mean(axis=1).tolist()
+    stats = np.array([row for _, ms, _, _, _, dls in evaluated
+                      for row in ([dl.total() for dl in dls], [accs[m][0] for m in ms],
+                                  [accs[m][1] for m in ms])]).mean(axis=1).tolist()
     results = []
-    for t, (dec, al, objective, _) in enumerate(evaluated):
-        counts = [0] * n_models
-        for m in dec.m:
-            counts[m] += 1
+    for t, (x, ms, f, b, objective, _) in enumerate(evaluated):
         results.append(TrialResult(
             trial=t, objective=objective, avg_delay_s=stats[3 * t],
             acc_own=stats[3 * t + 1], acc_avg=stats[3 * t + 2],
-            freq=tuple(c / n for c in counts), x=dec.x, m=dec.m, f=al.f, b=al.b))
+            freq=tuple(ms.count(k) / n for k in range(n_models)), x=x, m=ms, f=f, b=b))
     return results
 
 
@@ -218,45 +228,29 @@ class MethodSpec:
     """What an action means to one method.  Digit i of an action in base
     len(digits), lowest first, gives user i its entry of digits: (x, m),
     whose split is the optimal one, or, for q-only, (x, m, f_units,
-    b_units): that many 1/levels of the server CPU and of the bandwidth."""
+    b_units): that many 1/levels of the server CPU and of the bandwidth,
+    levels being the largest unit count.  qlearn.digit_table gives each
+    entry its row."""
 
     digits: tuple[tuple[int, ...], ...]
     n_actions: int          # len(digits) ** users
     accuracy: str           # "KD" or "FL": the published accuracies that score it
     learned: bool = True    # False: enumerate every action instead of training
 
-    @functools.cached_property
-    def levels(self) -> int:    # q-only's grid levels: its largest unit count
-        return max(d[2] for d in self.digits)
-
-    def decode(self, sc: Scenario, a: int) -> tuple[Decision, Allocation | None, bool]:
-        """(decision, split, within budget) of action a on sc; a None split
-        stands for the optimal one.  The budgets are checked on the integer
-        level counts: summing the float shares can overshoot a budget they
-        exactly meet by one ulp."""
-        radix, picks = len(self.digits), []
-        for _ in range(sc.n_users):
-            picks.append(self.digits[a % radix])
-            a //= radix
-        x, m, *units = zip(*picks)
-        if not units:
-            return Decision(x=x, m=m), None, True
-        levels, server = self.levels, sc.server
-        al = Allocation(f=tuple(k * server.f_ser / levels for k in units[0]),
-                        b=tuple(k * server.b_max / levels for k in units[1]))
-        return Decision(x=x, m=m), al, sum(units[0]) <= levels and sum(units[1]) <= levels
-
 
 def method_spec(cfg: ExperimentConfig) -> MethodSpec:
     """The table entry of cfg.method.  proposed and exhaustive share the
     joint offload/model digits; q-only adds a resource grid level per user,
     in its encoding order (x fastest, then m, f_units, b_units); fl-min and
-    fl-max pin the smallest or largest model, leaving offload bits."""
+    fl-max pin the smallest or largest model, leaving offload bits.  An
+    action space too large to sample (learned methods) or to enumerate
+    (exhaustive) is refused here, by qlearn.action_space."""
     template = cfg.scenario
     n, n_models = template.n_users, len(template.catalog)
     if cfg.method in ("proposed", "exhaustive"):
-        digits = joint_digits(n_models)
-        return MethodSpec(digits, len(digits) ** n, "KD", learned=cfg.method == "proposed")
+        digits, learned = joint_digits(n_models), cfg.method == "proposed"
+        cap = SAMPLE_CAP if learned else EXHAUSTIVE_CAP
+        return MethodSpec(digits, action_space(template, digits, cap), "KD", learned)
     if cfg.method == "q-only":
         levels = RESOURCE_LEVELS
         if n > levels:
@@ -266,36 +260,31 @@ def method_spec(cfg: ExperimentConfig) -> MethodSpec:
         grid = range(1, levels + 1)
         digits = tuple((x, m, kf, kb) for kb in grid for kf in grid
                        for m in range(n_models) for x in (0, 1))
-        n_actions = len(digits) ** n
-        if n_actions > ACTION_SPACE_CAP:
-            raise ValueError(
-                f"q-only action space {n_actions} exceeds {ACTION_SPACE_CAP}; "
-                "reduce users or catalog size")
-        return MethodSpec(digits, n_actions, "KD")
+        return MethodSpec(digits, action_space(template, digits, ACTION_SPACE_CAP), "KD")
     mus = [m.mu for m in template.catalog]
     m_fixed = mus.index(min(mus) if cfg.method == "fl-min" else max(mus))
-    return MethodSpec(((0, m_fixed), (1, m_fixed)), 2 ** n, "FL")
+    digits = ((0, m_fixed), (1, m_fixed))
+    return MethodSpec(digits, action_space(template, digits, SAMPLE_CAP), "FL")
 
 
-def _grid_reward(template: Scenario, spec: MethodSpec, accs
+def _grid_reward(template: Scenario, table: tuple[Digit, ...], accs
                  ) -> Callable[[Draw, int], float]:
     """q-only's reward_fn(draw, a), equal bit for bit to the scalar
-    oracle in tests/oracles.py on the draw's Scenario.  Each digit's
-    shares are computed once.  An action earns INFEASIBLE_REWARD as soon
-    as its level counts exceed a budget; within budget, it is minus
-    _price's cost of the users' (x, m, f, b), as in objective.
-    Accuracies outside [0, 1] are refused here, at construction."""
+    oracle in tests/oracles.py on the draw's Scenario.  An action earns
+    INFEASIBLE_REWARD as soon as its rows' unit counts exceed a budget;
+    within budget, it is minus _price's cost of the rows' (x, m, f, b),
+    as in objective.  Accuracies outside [0, 1] are refused here, at
+    construction."""
     for col, name in enumerate(("acc_own", "acc_avg")):    # objective's check, per model
         if not all(0.0 <= acc[col] <= 1.0 for acc in accs):
             raise ValueError(f"{name} entries must be in [0, 1]")
-    levels, radix, server = spec.levels, len(spec.digits), template.server
-    rows = [(kf, kb, (x, m, kf * server.f_ser / levels, kb * server.b_max / levels))
-            for x, m, kf, kb in spec.digits]
+    levels, radix = max(r.kf for r in table), len(table)
+    units = [(r.kf, r.kb, (r.x, r.m, r.f, r.b)) for r in table]
 
     def reward_fn(draw: Draw, a: int) -> float:
         picks, f_used, b_used = [], 0, 0
         for _ in draw.eff:
-            kf, kb, pick = rows[a % radix]
+            kf, kb, pick = units[a % radix]
             a //= radix
             f_used += kf
             b_used += kb
@@ -310,29 +299,31 @@ def _grid_reward(template: Scenario, spec: MethodSpec, accs
     return reward_fn
 
 
-def training_reward(cfg: ExperimentConfig, spec: MethodSpec, accs
+def training_reward(template: Scenario, table: tuple[Digit, ...], accs
                     ) -> Callable[[Draw, int], float]:
     """reward_fn(draw, a) of a training Draw, equal bit for bit to the
-    scalar oracle in tests/oracles.py on the draw's Scenario, built
-    once per template: qlearn.digit_reward for (x, m) digits, _grid_reward
-    for q-only's."""
-    if len(spec.digits[0]) == 2:
-        return digit_reward(cfg.scenario, accs, spec.digits)
-    return _grid_reward(cfg.scenario, spec, accs)
+    scalar oracle in tests/oracles.py on the draw's Scenario, for a
+    method's digit table: qlearn.digit_reward where the rows leave the
+    split open, _grid_reward for q-only's."""
+    if table[0].kf:
+        return _grid_reward(template, table, accs)
+    return digit_reward(template, table)
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
     """Train the configured method and evaluate it on seeded draws.
 
-    Training takes its draws from training_sampler and its rewards from
-    training_reward.  Each trial reads eval_rng.random(2 * N), the draw
+    The method's digit table is built once.  Training takes its draws
+    from training_sampler and its rewards from training_reward on that
+    table.  Each trial reads eval_rng.random(2 * N), the draw
     sample_scenario would make over cfg.q.f_loc_range and cfg.q.d_range,
     and the run's one qlearn.draw_builder maps it to the state key, which
     the policy reads, and the Draw, which the rest of the trial reads:
-    exhaustive enumerates _digit_terms built on it, allocator.optimal_split
-    gives the split where the action leaves it open, and _price the
-    objective and delays.  No Scenario, allocate call or channel gain
-    beyond the builder's is made per trial.  The draws depend only on
+    exhaustive enumerates the table's terms on it, the chosen action
+    decodes into its users' rows, _split gives the split they fix or
+    leave open, and _price the objective and delays.  No Scenario,
+    Decision, Allocation, allocate call or channel gain beyond the
+    builder's is made per trial.  The draws depend only on
     (template, seed, trials, those ranges), never on the method, so
     reports from different methods compare like for like.  Identical
     configs produce identical reports.
@@ -341,12 +332,14 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     spec = method_spec(cfg)
     accs = [acc_pair(DEFAULT_TABLE, m.name, spec.accuracy, cfg.distribution)
             for m in template.catalog]
+    table = digit_table(template, accs, spec.digits)
+    levels = max(r.kf for r in table)   # q-only's grid levels; 0: the split is open
 
     eval_ss, train_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     if spec.learned:
         q = train_loop(training_sampler(cfg), cfg.q,
                        np.random.Generator(np.random.PCG64(train_ss)),
-                       spec.n_actions, training_reward(cfg, spec, accs))
+                       spec.n_actions, training_reward(template, table, accs))
 
     eval_rng = np.random.Generator(np.random.PCG64(eval_ss))
     build, size = draw_builder(template, cfg.q), 2 * template.n_users
@@ -354,12 +347,12 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     for _ in range(cfg.trials):
         key, draw = build(eval_rng.random(size).tolist())
         a = (q.greedy_action(key, spec.n_actions) if spec.learned
-             else int(np.argmax(_enumerated(template, draw, accs))))
-        dec, al, feasible = spec.decode(template, a)
-        if al is None:
-            al = optimal_split(template, dec, draw.f_loc, draw.eff)
-        cost, dls = _price(template, draw, zip(dec.x, dec.m, al.f, al.b), accs)
-        evaluated.append((dec, al, cost if feasible else -INFEASIBLE_REWARD, dls))
+             else int(np.argmax(_enumerated(template, draw, table))))
+        rows = decode(table, a, template.n_users)
+        f, b, within = _split(template, rows, draw, levels)
+        x, m = tuple(r.x for r in rows), tuple(r.m for r in rows)
+        cost, dls = _price(template, draw, zip(x, m, f, b), accs)
+        evaluated.append((x, m, f, b, cost if within else -INFEASIBLE_REWARD, dls))
     return Report(method=cfg.method, seed=cfg.seed, n_users=template.n_users,
                   model_names=tuple(m.name for m in template.catalog),
                   trials=_trial_results(template, accs, evaluated))

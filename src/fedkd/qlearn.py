@@ -9,32 +9,22 @@ update moves Q(s, a) toward the reward alone: there is no bootstrap term
 and no discount.
 
 A training draw (`Draw`) holds what the rewards read of an episode's
-users: each user's CPU frequency and the spectral efficiency of the one
-channel gain per user that also gives the state key.  `draw_builder`,
-made once per template and QConfig, maps the 2 N uniforms of a draw
-straight to its users' f_loc and d and on to (state key, Draw), for the
-experiment's training and evaluation alike; `scenario_draw` maps a
-Scenario's own users, and `encode_state` keys a Scenario, through the
-same state quantizer.  QConfig's f_loc_range and
-d_range say both where the experiment draws its users and what the
-quantizer bins: f_loc over f_loc_range, and the log10 gain over the
-gains of the template's channel at the two ends of d_range.
-`digit_reward` scores a Draw: it builds the user-independent factors of
-every (x, m) digit once per template, and an action's reward adds, for
-each user's picked digit, the terms those factors give at the user's
-f_loc and efficiency; the experiment's q-only scorer reads the same
-Draw.  On one Draw, `_enumerated` tabulates every user's terms of every
-digit once and scores every action in one broadcast: the experiment's
-exhaustive policy is its argmax.  On one fixed scenario `action_values`
-is that vector for the scenario's own users, `exhaustive_optimum` its
-argmax, and
-`train_fixed_scenario` (train-q's agent) trains on lookups into it, or
-on digit_reward when there are more actions than episodes.  Every route
-adds the users' terms left to right, so all of them agree bit for bit,
-with each other and with the scalar oracles in tests/oracles.py, and an
-infeasible action earns INFEASIBLE_REWARD on every route.
+users: each user's CPU frequency and spectral efficiency.  One state
+quantizer maps the uniforms of a draw (`draw_builder`) or a Scenario's
+own users (`scenario_draw`, `encode_state`) to the state key and Draw.
 
-The table is a hash map and missing entries read as 0, which doubles as
+A method's actions give each user one digit.  `digit_table`, built once
+per run, gives every digit its row (`Digit`), and `decode` is the one
+radix decoder from an action to its users' rows.  `digit_reward` scores
+a Draw from the picked rows; `_enumerated` scores every action on one
+Draw in one broadcast.  On a fixed scenario `action_values` is that
+vector, `exhaustive_optimum` its argmax, and `train_fixed_scenario`
+(train-q's agent) trains on it or on digit_reward.  Every route adds the
+users' terms left to right, so all of them agree bit for bit, with each
+other and with the scalar oracles in tests/oracles.py, and an infeasible
+action earns INFEASIBLE_REWARD on every route.
+
+The Q-table is a hash map and missing entries read as 0, which doubles as
 optimistic initialization when rewards are negative.  The greedy argmax
 honors that convention without enumerating the action space, so very
 large action encodings (q-only's resource grid) remain usable.  Each row
@@ -85,8 +75,13 @@ _CLAMPED = "state component %g outside configured range [%g, %g]; clamped"
 #: Reward assigned to actions whose induced subproblem is infeasible.
 INFEASIBLE_REWARD = -1e6
 
-#: action_values and exhaustive_optimum refuse action spaces larger than this.
+#: action_values, exhaustive_optimum and the exhaustive method refuse
+#: action spaces larger than this.
 EXHAUSTIVE_CAP = 10 ** 6
+
+#: Learned methods refuse action spaces larger than this: training samples
+#: an action with StreamReader.integers(n), which takes n < 2**63.
+SAMPLE_CAP = 2 ** 63 - 1
 
 StateKey = tuple[tuple[int, int], ...]
 
@@ -385,21 +380,33 @@ def action_count(sc: Scenario) -> int:
     return (2 * len(sc.catalog)) ** sc.n_users
 
 
-def decode_action(a: int, n_users: int, n_models: int) -> Decision:
-    radix = 2 * n_models
-    x, m = [], []
+def action_space(sc: Scenario, digits: Sequence, cap: int) -> int:
+    """len(digits) ** N, the action count of a method whose actions give
+    each of sc's N users one of digits.  A count above cap (SAMPLE_CAP for
+    a learned method, EXHAUSTIVE_CAP for an enumeration) is refused with
+    a ValueError naming the users and the catalog size."""
+    n = len(digits) ** sc.n_users
+    if n > cap:
+        raise ValueError(f"action space {n} of {sc.n_users} users and a "
+                         f"{len(sc.catalog)}-model catalog exceeds the cap {cap}; "
+                         "reduce users or catalog size")
+    return n
+
+
+def decode(table: Sequence, a: int, n_users: int) -> list:
+    """The entries of table that action a gives n_users users: its digits
+    in base len(table), lowest first, user 0's first."""
+    radix, rows = len(table), []
     for _ in range(n_users):
-        digit = a % radix
-        a //= radix
-        x.append(digit // n_models)
-        m.append(digit % n_models)
-    return Decision(x=tuple(x), m=tuple(m))
+        a, k = divmod(a, radix)
+        rows.append(table[k])
+    return rows
 
 
-def _model_gains(sc: Scenario, acc_by_model: Sequence[tuple[float, float]]) -> list[float]:
-    """Accuracy reward eta_o * acc_own + eta_a * acc_avg of each catalog entry."""
-    w = sc.weights
-    return [w.eta_o * own + w.eta_a * avg for own, avg in acc_by_model]
+def decode_action(a: int, n_users: int, n_models: int) -> Decision:
+    """The Decision of joint action a, whose digits are joint_digits'."""
+    picks = decode(joint_digits(n_models), a, n_users)
+    return Decision(x=tuple(x for x, _ in picks), m=tuple(m for _, m in picks))
 
 
 def joint_digits(n_models: int) -> tuple[tuple[int, int], ...]:
@@ -407,54 +414,60 @@ def joint_digits(n_models: int) -> tuple[tuple[int, int], ...]:
     return tuple(divmod(k, n_models) for k in range(2 * n_models))
 
 
-def _digit_factors(sc: Scenario, acc_by_model: Sequence[tuple[float, float]],
-                   digits: Sequence[tuple[int, int]]
-                   ) -> list[tuple[float, float, float, float, float]]:
-    """Per digit (x, m): (alpha_d x mu, beta_c server_mu,
-    sqrt(alpha_d server_mu), alpha_d (x theta_l + theta_s), accuracy reward)."""
-    gains = _model_gains(sc, acc_by_model)
-    factors = []
-    for x, m in digits:
-        a, b, c, num = digit_factors(sc, x, m)
-        factors.append((a, b, math.sqrt(c), num, gains[m]))
-    return factors
+class Digit(NamedTuple):
+    """One row of a method's digit table: a user whose digit picks it
+    trains model m, on its own CPU when x = 1, for accuracy reward gain.
+
+    A row whose split the allocator leaves open holds digit_factors'
+    user-independent factors of its cost: const_i = fa / f_loc + fb, the
+    CPU weight c_i = c and the bandwidth weight d_i = num / eff.  A q-only
+    row fixes the split instead: kf and kb grid units of the server CPU
+    and of the bandwidth, shares f and b."""
+
+    x: int
+    m: int
+    gain: float
+    fa: float | None = None
+    fb: float | None = None
+    c: float | None = None
+    num: float | None = None
+    kf: int = 0
+    kb: int = 0
+    f: float | None = None
+    b: float | None = None
 
 
-def _digit_terms(sc: Scenario, draw: Draw, acc_by_model: Sequence[tuple[float, float]]
-                 ) -> list[list[tuple[float, float, float, float]]]:
-    """terms[i][k] = (const_i, sqrt(c_i), sqrt(d_i), accuracy reward) of
-    user i of draw, a Draw of sc's users, picking joint digit k, equal to
-    build_problem's bit for bit.  Raises InfeasibleError for a user with
-    zero spectral efficiency, whatever it picks."""
-    factors = _digit_factors(sc, acc_by_model, joint_digits(len(sc.catalog)))
-    terms = []
-    for u, f_loc, eff in zip(sc.users, draw.f_loc, draw.eff):
-        if eff <= 0:
-            raise InfeasibleError(f"user {u.id} has zero spectral efficiency")
-        terms.append([(a / f_loc + b, root_c, math.sqrt(num / eff), g)
-                      for a, b, root_c, num, g in factors])
-    return terms
+def digit_table(template: Scenario, acc_by_model: Sequence[tuple[float, float]],
+                digits: Sequence[tuple[int, ...]]) -> tuple[Digit, ...]:
+    """The row of each digit on template, built once per run.  An (x, m)
+    digit's row holds its digit_factors (alpha_d = 0 raises here); q-only's
+    (x, m, kf, kb) the shares kf * f_ser / levels and kb * b_max / levels,
+    levels being the largest unit count.  gain is
+    eta_o acc_own + eta_a acc_avg of acc_by_model[m]."""
+    w = template.weights
+    gains = [w.eta_o * own + w.eta_a * avg for own, avg in acc_by_model]
+    if len(digits[0]) == 2:
+        return tuple(Digit(x, m, gains[m], *digit_factors(template, x, m)) for x, m in digits)
+    levels, server = max(d[2] for d in digits), template.server
+    return tuple(Digit(x, m, gains[m], kf=kf, kb=kb, f=kf * server.f_ser / levels,
+                       b=kb * server.b_max / levels) for x, m, kf, kb in digits)
 
 
-def digit_reward(template: Scenario, acc_by_model: Sequence[tuple[float, float]],
-                 digits: Sequence[tuple[int, int]]) -> Callable[[Draw, int], float]:
+def digit_reward(template: Scenario, table: Sequence[Digit]) -> Callable[[Draw, int], float]:
     """Minus the cost at the optimal split, plus the accuracy reward, as a
-    reward_fn(draw, a) for train_loop: the base len(digits) digits of
-    action a, lowest first, pick each user's (x, m) from digits.
+    reward_fn(draw, a) for train_loop: the base len(table) digits of
+    action a, lowest first, pick each user's row of table, a digit_table
+    of (x, m) digits.
 
-    The user-independent factors of every digit are built once.  For a
-    Draw of template's users, the reward adds each user's terms of its
-    picked digit: alpha_d x mu / f_loc + beta_c server_mu,
-    sqrt(alpha_d server_mu) and sqrt(alpha_d (x theta_l + theta_s) / eff).
-
-    The terms and the picked gains are added user by user, left to right,
+    For a Draw of template's users, the reward adds each user's terms of
+    its picked row: fa / f_loc + fb, sqrt(c) and sqrt(num / eff).  The
+    terms and the picked gains are added user by user, left to right,
     with build_problem's operations, so every reward equals the scalar
     oracle in tests/oracles.py bit for bit.  A user with zero spectral
-    efficiency makes every action earn INFEASIBLE_REWARD; any other error
-    (alpha_d = 0 included) propagates, here at construction.
+    efficiency makes every action earn INFEASIBLE_REWARD.
     """
-    radix = len(digits)
-    factors = _digit_factors(template, acc_by_model, digits)
+    radix = len(table)
+    factors = [(r.fa, r.fb, math.sqrt(r.c), r.num, r.gain) for r in table]
 
     def reward_fn(draw: Draw, a: int) -> float:
         s_const = s_root_c = s_root_d = s_gain = 0.0
@@ -684,18 +697,19 @@ def train_fixed_scenario(sc: Scenario, acc_by_model: Sequence[tuple[float, float
     cost a small fraction of the loop it shortens and its memory (a float
     per action) in proportion to the run.  Once the values settle, most
     greedy episodes are counted without a reward (see train_loop).  A
-    configuration error (alpha_d = 0, say) raises before the first
-    episode.
+    configuration error (alpha_d = 0, say) or more actions than SAMPLE_CAP
+    raises before the first episode.
     """
     key, draw = scenario_draw(sc, cfg)
-    n_actions = action_count(sc)
+    digits = joint_digits(len(sc.catalog))
+    n_actions = action_space(sc, digits, SAMPLE_CAP)
     if n_actions <= min(cfg.episodes, EXHAUSTIVE_CAP):
         values = action_values(sc, acc_by_model).tolist()
 
         def reward_fn(_draw: Draw, a: int) -> float:
             return values[a]
     else:
-        reward_fn = digit_reward(sc, acc_by_model, joint_digits(len(sc.catalog)))
+        reward_fn = digit_reward(sc, digit_table(sc, acc_by_model, digits))
     return train_loop(lambda _rng: (key, draw), cfg, rng, n_actions, reward_fn), key
 
 
@@ -704,25 +718,28 @@ def _own_draw(sc: Scenario) -> Draw:
     return Draw(tuple(u.f_loc for u in sc.users), tuple(efficiencies(sc)))
 
 
-def _enumerated(sc: Scenario, draw: Draw, acc_by_model: Sequence[tuple[float, float]]
-                ) -> np.ndarray:
-    """Every joint action's reward on draw, a Draw of sc's users, indexed
-    by action, from _digit_terms' tables; raises InfeasibleError for a
-    user with zero spectral efficiency and ValueError above EXHAUSTIVE_CAP
-    actions.  The exhaustive method's policy is its argmax."""
-    n = action_count(sc)
-    if n > EXHAUSTIVE_CAP:
-        raise ValueError(
-            f"action space {n} exceeds the enumeration cap {EXHAUSTIVE_CAP}; "
-            "reduce users or catalog size")
-    # (4, N, 2|M|): const, sqrt c, sqrt d, gain
-    tables = np.array(_digit_terms(sc, draw, acc_by_model))
-    tables = tables.transpose(2, 0, 1)
-    # Action a = sum_i k_i * (2|M|)^i: user i enters as the leading digit,
-    # so every sum adds the users' terms left to right, as the scalar
-    # routes do.
+def _enumerated(sc: Scenario, draw: Draw, table: Sequence[Digit]) -> np.ndarray:
+    """Every action's reward on draw, a Draw of sc's users, indexed by
+    action, for table, a digit_table of (x, m) digits: each user's terms
+    of every row, with build_problem's operations, then one broadcast add
+    per user.  Raises InfeasibleError for a user with zero spectral
+    efficiency and ValueError above EXHAUSTIVE_CAP actions.  The
+    exhaustive method's policy is its argmax."""
+    action_space(sc, table, EXHAUSTIVE_CAP)
+    n, consts, root_d = sc.n_users, [], []
+    for u, f_loc, eff in zip(sc.users, draw.f_loc, draw.eff):
+        if eff <= 0:
+            raise InfeasibleError(f"user {u.id} has zero spectral efficiency")
+        consts.append([r.fa / f_loc + r.fb for r in table])
+        root_d.append([math.sqrt(r.num / eff) for r in table])
+    # (4, N, K): const, sqrt c, sqrt d, gain
+    tables = np.array([consts, [[math.sqrt(r.c) for r in table]] * n, root_d,
+                       [[r.gain for r in table]] * n])
+    # Action a = sum_i k_i * K^i: user i enters as the leading digit, so
+    # every sum adds the users' terms left to right, as the scalar routes
+    # do.
     sums = tables[:, 0, :]
-    for i in range(1, sc.n_users):
+    for i in range(1, n):
         sums = (tables[:, i, :, None] + sums[:, None, :]).reshape(4, -1)
     return -(cost_from_sums(sc, sums[0], sums[1], sums[2]) - sums[3])
 
@@ -730,16 +747,13 @@ def _enumerated(sc: Scenario, draw: Draw, acc_by_model: Sequence[tuple[float, fl
 def action_values(sc: Scenario, acc_by_model: Sequence[tuple[float, float]]) -> np.ndarray:
     """digit_reward of every joint action a on sc's own users, as one
     array indexed by a and equal to it, and to the oracle reward in
-    tests/oracles.py, bit for bit.
-
-    User i's digit k = x * |M| + m indexes the per-user tables of
-    _digit_terms, so the sums over users for every action come from one
-    broadcast add per user.  A user with zero spectral efficiency makes
-    every action INFEASIBLE_REWARD.  Refuses action spaces larger than
-    EXHAUSTIVE_CAP.
+    tests/oracles.py, bit for bit (_enumerated).  A user with zero
+    spectral efficiency makes every action INFEASIBLE_REWARD.  Refuses
+    action spaces larger than EXHAUSTIVE_CAP.
     """
+    table = digit_table(sc, acc_by_model, joint_digits(len(sc.catalog)))
     try:
-        return _enumerated(sc, _own_draw(sc), acc_by_model)
+        return _enumerated(sc, _own_draw(sc), table)
     except InfeasibleError:
         return np.full(action_count(sc), INFEASIBLE_REWARD)
 
@@ -749,6 +763,7 @@ def exhaustive_optimum(sc: Scenario, acc_by_model: Sequence[tuple[float, float]]
     """The minimizer of the cost and its value: the lowest-index argmax of
     action_values, the reference the trained agent is compared against.
     A user with zero spectral efficiency raises InfeasibleError."""
-    values = _enumerated(sc, _own_draw(sc), acc_by_model)
+    table = digit_table(sc, acc_by_model, joint_digits(len(sc.catalog)))
+    values = _enumerated(sc, _own_draw(sc), table)
     best = int(np.argmax(values))
     return decode_action(best, sc.n_users, len(sc.catalog)), -float(values[best])

@@ -11,6 +11,9 @@ The decision layer:
     decision_reward      minus that cost plus the decision's accuracy reward
     reward               decision_reward of one joint action
     encode_decision      the inverse of qlearn.decode_action
+    grid_levels          q-only's grid levels, from its method's digits
+    decode_spec          an experiment action's validated Decision and
+                         Allocation, from its method's digits
     action_reward        one action's reward under an experiment method
     score_at_allocate    the scalar route: allocate's split, then objective
     brute_force_optimum  score_at_allocate over every action
@@ -38,7 +41,7 @@ import numpy as np
 from fedkd.accuracy import DISTRIBUTIONS, METHODS, AccuracyTable, lookup_acc
 from fedkd.allocator import allocate, build_problem, cost_from_sums
 from fedkd.kd import fedsgd_round
-from fedkd.model import InfeasibleError, objective
+from fedkd.model import Allocation, Decision, InfeasibleError, objective
 from fedkd.qlearn import INFEASIBLE_REWARD, QTable, action_count, decode_action, update
 
 
@@ -89,15 +92,42 @@ def encode_decision(dec, n_models):
     return a
 
 
+def grid_levels(spec):
+    """q-only's grid levels per resource: the largest unit count of its
+    method's digits (x, m, f_units, b_units)."""
+    return max(d[2] for d in spec.digits)
+
+
+def decode_spec(sc, spec, a):
+    """(decision, split, within budget) of action a on sc under a method's
+    digits (experiment.MethodSpec), decoded one user at a time; a None
+    split stands for the optimal one.  q-only's digits give each user
+    f_units / levels of the server CPU and b_units / levels of the
+    bandwidth.  The budgets are checked on the integer unit counts:
+    summing the float shares can overshoot a budget they exactly meet by
+    one ulp."""
+    radix, picks = len(spec.digits), []
+    for _ in range(sc.n_users):
+        picks.append(spec.digits[a % radix])
+        a //= radix
+    x, m, *units = zip(*picks)
+    if not units:
+        return Decision(x=x, m=m), None, True
+    levels, server = grid_levels(spec), sc.server
+    al = Allocation(f=tuple(k * server.f_ser / levels for k in units[0]),
+                    b=tuple(k * server.b_max / levels for k in units[1]))
+    return Decision(x=x, m=m), al, sum(units[0]) <= levels and sum(units[1]) <= levels
+
+
 def action_reward(sc, spec, a, accs):
-    """Reward of action a on a full scenario under a method's decoder
-    (experiment.MethodSpec), which the training rewards equal bit for bit.
+    """Reward of action a on a full scenario under a method's digits
+    (decode_spec), which the training rewards equal bit for bit.
 
     Minus the cost at the optimal split (from its closed form) when the
-    decoder leaves it open, else minus the scalar objective at the decoded
+    digits leave it open, else minus the scalar objective at the decoded
     split.  An action over a budget, or one whose decision is infeasible,
     earns INFEASIBLE_REWARD; any other error propagates."""
-    dec, al, feasible = spec.decode(sc, a)
+    dec, al, feasible = decode_spec(sc, spec, a)
     if not feasible:
         return INFEASIBLE_REWARD
     if al is None:

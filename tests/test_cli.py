@@ -56,6 +56,30 @@ def test_overflowing_channel_gain_is_an_error_line_and_exit_1(tmp_path, capsys, 
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, n_users, actions", [
+    (["experiment", "--method", "proposed"], 21, 8 ** 21),
+    (["train-q"], 21, 8 ** 21),
+    (["experiment", "--method", "fl-min"], 63, 2 ** 63),
+    (["experiment", "--method", "exhaustive"], 7, 8 ** 7),
+], ids=["proposed", "train-q", "fl-min", "exhaustive"])
+def test_an_action_space_too_large_is_refused_before_any_work(tmp_path, capsys, argv, n_users,
+                                                              actions):
+    """2^63 or more actions cannot be sampled in training, and exhaustive
+    enumerates at most EXHAUSTIVE_CAP: each is one error line naming the
+    users and the catalog size, before any training or trial."""
+    cfg = write_config(tmp_path, {"users": [{"f_loc": 1.0, "d": 50.0}] * n_users})
+    out = tmp_path / "out"
+    argv = argv + ["--config", cfg, "--episodes", "5", "--out", str(out)]
+    if argv[0] == "experiment":
+        argv += ["--trials", "0"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: action space {actions} of {n_users} users and a "
+                          "4-model catalog exceeds the cap ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train-q", "experiment", "kd-demo"])
 def test_negative_seed_is_an_error_line_naming_the_option(tmp_path, capsys, command):
     out = tmp_path / "out"

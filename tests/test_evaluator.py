@@ -61,6 +61,7 @@ from fedkd.qlearn import (
     action_count,
     action_values,
     digit_reward,
+    digit_table,
     exhaustive_optimum,
     joint_digits,
     StreamReader,
@@ -74,7 +75,9 @@ from oracles import (
     brute_force_optimum,
     decision_cost,
     decision_reward,
+    decode_spec,
     encode_decision,
+    grid_levels,
     reward,
     score_at_allocate,
 )
@@ -193,7 +196,7 @@ def test_gains_add_left_to_right_on_every_route():
     _, draw = scenario_draw(sc, QConfig())
     assert decision_reward(sc, dec, accs) == left_to_right
     assert reward(sc, a, accs) == left_to_right
-    assert digit_reward(sc, accs, joint_digits(3))(draw, a) == left_to_right
+    assert digit_reward(sc, digit_table(sc, accs, joint_digits(3)))(draw, a) == left_to_right
     assert action_values(sc, accs)[a] == left_to_right
 
 
@@ -245,7 +248,7 @@ def test_infeasible_decision_earns_the_penalty(route):
 def test_exhaustive_method_refuses_a_stranded_evaluation_draw(monkeypatch):
     """The policy's enumeration refuses the draw, as exhaustive_optimum
     does, before any split is computed."""
-    monkeypatch.setattr(experiment, "optimal_split",
+    monkeypatch.setattr(experiment, "_split",
                         lambda *a: pytest.fail("the policy picked an action"))
     cfg = ExperimentConfig(scenario=make_scenario(n_users=2), method="exhaustive", trials=1,
                            q=QConfig(h_bins=1, d_range=(1e10, 1e10)))
@@ -314,8 +317,9 @@ def test_qonly_scoring_errors_other_than_infeasibility_propagate():
 def test_qonly_scorer_refuses_accuracies_outside_the_unit_interval_when_built(accs, name):
     sc = make_scenario(n_users=2)
     cfg = ExperimentConfig(scenario=sc, method="q-only")
+    accs = [accs] * len(sc.catalog)
     with pytest.raises(ValueError, match=name) as info:
-        training_reward(cfg, method_spec(cfg), [accs] * len(sc.catalog))
+        training_reward(sc, digit_table(sc, accs, method_spec(cfg).digits), accs)
     assert not isinstance(info.value, InfeasibleError)
 
 
@@ -326,11 +330,11 @@ def test_qonly_scorer_refuses_accuracies_outside_the_unit_interval_when_built(ac
 def _qonly_within_budget(spec, n_users, n_models, pick):
     """A q-only action within both budgets: each resource's level counts
     are drawn until they fit, and x and m uniformly."""
-    units = []
+    units, levels = [], grid_levels(spec)
     for _ in range(2):
-        k = pick.integers(1, spec.levels + 1, size=n_users)
-        while k.sum() > spec.levels:
-            k = pick.integers(1, spec.levels + 1, size=n_users)
+        k = pick.integers(1, levels + 1, size=n_users)
+        while k.sum() > levels:
+            k = pick.integers(1, levels + 1, size=n_users)
         units.append(k.tolist())
     a = 0
     for kf, kb in reversed(list(zip(*units))):
@@ -359,7 +363,8 @@ def test_training_rewards_equal_action_reward_bit_for_bit_on_seeded_draws(inst, 
     for method in ("proposed", "fl-min", "fl-max", "q-only"):
         cfg = ExperimentConfig(scenario=sc, method=method)
         spec = method_spec(cfg)
-        reward_fn, sampler = training_reward(cfg, spec, accs), training_sampler(cfg)
+        reward_fn = training_reward(sc, digit_table(sc, accs, spec.digits), accs)
+        sampler = training_sampler(cfg)
         rng, ref_rng, pick = (np.random.Generator(np.random.PCG64(draw_seed)) for _ in range(3))
         draws = StreamReader(rng)
         for _ in range(2):
@@ -370,7 +375,7 @@ def test_training_rewards_equal_action_reward_bit_for_bit_on_seeded_draws(inst, 
             if method == "q-only":
                 within = [_qonly_within_budget(spec, sc.n_users, len(sc.catalog), pick)
                           for _ in range(64)]
-                assert all(spec.decode(ref, a)[2] for a in within)
+                assert all(decode_spec(ref, spec, a)[2] for a in within)
                 actions += within
             got = [reward_fn(draw, a) for a in actions]
             assert [r.hex() for r in got] == [
@@ -381,6 +386,18 @@ def test_training_rewards_equal_action_reward_bit_for_bit_on_seeded_draws(inst, 
                 assert (INFEASIBLE_REWARD in got[-64:]) == stranded
 
 
+def _count_constructions(monkeypatch):
+    """A Counter of the Scenario, Decision and Allocation objects built
+    from now on, by class name."""
+    built = collections.Counter()
+    for cls in (Scenario, Decision, Allocation):
+        def counting(self, *args, _init=cls.__init__, **kwargs):
+            built[type(self).__name__] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    return built
+
+
 def test_qonly_training_builds_no_scenario_decision_or_allocation(monkeypatch):
     """Counts the constructor calls while train_loop runs with q-only's
     reward on the stock template, long enough that the greedy phase scores
@@ -389,13 +406,9 @@ def test_qonly_training_builds_no_scenario_decision_or_allocation(monkeypatch):
     q = dataclasses.replace(cfg.q, episodes=4000)
     spec = method_spec(cfg)
     accs = [acc_pair(DEFAULT_TABLE, m.name, "KD", "noniid") for m in cfg.scenario.catalog]
-    reward_fn, sampler = training_reward(cfg, spec, accs), training_sampler(cfg)
-    built = collections.Counter()
-    for cls in (Scenario, Decision, Allocation):
-        def counting(self, *args, _init=cls.__init__, **kwargs):
-            built[type(self).__name__] += 1
-            _init(self, *args, **kwargs)
-        monkeypatch.setattr(cls, "__init__", counting)
+    reward_fn = training_reward(cfg.scenario, digit_table(cfg.scenario, accs, spec.digits), accs)
+    sampler = training_sampler(cfg)
+    built = _count_constructions(monkeypatch)
     scored = []
 
     def scoring(draw, a):
@@ -405,8 +418,20 @@ def test_qonly_training_builds_no_scenario_decision_or_allocation(monkeypatch):
     train_loop(sampler, q, np.random.Generator(np.random.PCG64(3)), spec.n_actions, scoring)
     assert not built
     assert sum(r != INFEASIBLE_REWARD for r in scored) > 1000
-    spec.decode(cfg.scenario, 0)    # the counters do see the evaluation decoder
+    decode_spec(cfg.scenario, spec, 0)    # the counters do see the oracle decoder
     assert built == {"Decision": 1, "Allocation": 1}
+
+
+@pytest.mark.parametrize("method", experiment.METHODS)
+def test_experiment_builds_no_scenario_decision_or_allocation(method, monkeypatch):
+    """Counts the constructor calls of a whole run_experiment, training
+    and trials: every pick stays rows of the method's digit table from the
+    reward to the trial row."""
+    cfg = ExperimentConfig(scenario=default_scenario(), method=method, seed=6, trials=25,
+                           q=dataclasses.replace(experiment.EXPERIMENT_QCONFIG, episodes=300))
+    built = _count_constructions(monkeypatch)
+    assert len(run_experiment(cfg).trials) == cfg.trials
+    assert not built
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +441,8 @@ def test_qonly_training_builds_no_scenario_decision_or_allocation(monkeypatch):
 def _over_budget(spec, sc, al):
     """Whether q-only's grid levels of al exceed a budget, counted in
     whole levels as its decoder counts them."""
-    return any(sum(round(v * spec.levels / budget) for v in shares) > spec.levels
+    levels = grid_levels(spec)
+    return any(sum(round(v * levels / budget) for v in shares) > levels
                for shares, budget in ((al.f, sc.server.f_ser), (al.b, sc.server.b_max)))
 
 
@@ -556,12 +582,12 @@ def test_row_means_equal_numpy_mean_of_each_row(n):
                        m=[rnd.randrange(n_models) for _ in range(n)])
         al = Allocation(f=[positive() for _ in range(n)], b=[positive() for _ in range(n)])
         dls = [DelayBreakdown(*(positive() for _ in range(4))) for _ in range(n)]
-        evaluated.append((dec, al, positive(), dls))
+        evaluated.append((dec.x, dec.m, al.f, al.b, positive(), dls))
     rows = experiment._trial_results(template, accs, evaluated)
     assert len(rows) == len(evaluated)
-    for t, (row, (dec, al, cost, dls)) in enumerate(zip(rows, evaluated)):
-        assert (row.trial, row.objective, row.x, row.m, row.f, row.b) == (
-            t, cost, dec.x, dec.m, al.f, al.b)
+    for t, (row, (x, m, f, b, cost, dls)) in enumerate(zip(rows, evaluated)):
+        dec = Decision(x=x, m=m)
+        assert (row.trial, row.objective, row.x, row.m, row.f, row.b) == (t, cost, x, m, f, b)
         assert row.avg_delay_s == float(np.mean([dl.total() for dl in dls]))
         assert row.acc_own == float(np.mean([accs[m][0] for m in dec.m]))
         assert row.acc_avg == float(np.mean([accs[m][1] for m in dec.m]))

@@ -19,9 +19,9 @@ from fedkd.experiment import (
     training_reward,
 )
 from fedkd.model import ServerSpec, default_scenario
-from fedkd.qlearn import INFEASIBLE_REWARD, QConfig, scenario_draw
+from fedkd.qlearn import INFEASIBLE_REWARD, QConfig, decode, digit_table, scenario_draw
 from conftest import make_scenario
-from oracles import action_reward
+from oracles import action_reward, decode_spec
 
 
 def quick_cfg(method, trials=12, episodes=600, seed=5, **kw):
@@ -120,13 +120,19 @@ def qonly_spec(sc, levels=experiment.RESOURCE_LEVELS):
 
 class TestQOnlyCoding:
     def test_decode_covers_levels(self):
+        """Every action's rows of q-only's digit table, as qlearn.decode
+        gives them, hold the decision and the shares of the oracle
+        decoder."""
         sc = make_scenario(n_users=2, n_models=2)
         levels = 4
         spec = qonly_spec(sc, levels)
         assert spec.n_actions == (2 * 2 * levels * levels) ** 2
+        table = digit_table(sc, [(0.5, 0.5)] * 2, spec.digits)
         seen_f = set()
         for a in range(spec.n_actions):
-            dec, al, _ = spec.decode(sc, a)
+            dec, al, _ = decode_spec(sc, spec, a)
+            rows = decode(table, a, 2)
+            assert [(r.x, r.m, r.f, r.b) for r in rows] == list(zip(dec.x, dec.m, al.f, al.b))
             assert len(al.f) == len(al.b) == 2
             seen_f.update(al.f)
         expected = {(k + 1) * sc.server.f_ser / levels for k in range(levels)}
@@ -152,7 +158,8 @@ class TestQOnlyCoding:
             x, rest = k % 2, k // 2
             m, rest = rest % 3, rest // 3
             assert digit == (x, m, rest % levels + 1, rest // levels + 1)
-        assert spec.decode(sc, self._action((3,), levels, 3))[1].f == (3 * sc.server.f_ser / 4,)
+        assert decode_spec(sc, spec, self._action((3,), levels, 3))[1].f == (
+            3 * sc.server.f_ser / 4,)
 
     @pytest.mark.parametrize("budget, levels, units", [
         (7.0, 6, (1, 1, 3, 1)),     # float shares sum to 7.000000000000001
@@ -163,22 +170,23 @@ class TestQOnlyCoding:
         sc = dataclasses.replace(sc, server=ServerSpec(f_ser=budget, b_max=budget))
         spec = qonly_spec(sc, levels)
         a = self._action(units, levels, len(sc.catalog))
-        dec, al, within_budget = spec.decode(sc, a)
+        dec, al, within_budget = decode_spec(sc, spec, a)
         assert sum(al.f) > budget and sum(al.b) > budget   # the float sums overshoot
         assert within_budget
-        assert action_reward(sc, spec, a, [(0.5, 0.5)] * 4) != INFEASIBLE_REWARD
+        accs = [(0.5, 0.5)] * 4
+        assert action_reward(sc, spec, a, accs) != INFEASIBLE_REWARD
         over = self._action(units[:-1] + (units[-1] + 1,), levels, len(sc.catalog))
-        assert not spec.decode(sc, over)[2]
-        assert action_reward(sc, spec, over, [(0.5, 0.5)] * 4) == INFEASIBLE_REWARD
+        assert not decode_spec(sc, spec, over)[2]
+        assert action_reward(sc, spec, over, accs) == INFEASIBLE_REWARD
         cfg = ExperimentConfig(scenario=sc, method="q-only")
-        reward_fn = training_reward(cfg, spec, [(0.5, 0.5)] * 4)
+        reward_fn = training_reward(sc, digit_table(sc, accs, spec.digits), accs)
         _, draw = scenario_draw(sc, cfg.q)
-        assert reward_fn(draw, a) == action_reward(sc, spec, a, [(0.5, 0.5)] * 4)
+        assert reward_fn(draw, a) == action_reward(sc, spec, a, accs)
         assert reward_fn(draw, over) == INFEASIBLE_REWARD
 
     def test_action_zero_is_minimal_and_feasible(self):
         sc = default_scenario()
-        dec, al, _ = qonly_spec(sc).decode(sc, 0)
+        dec, al, _ = decode_spec(sc, qonly_spec(sc), 0)
         assert dec.x == (0,) * 4 and dec.m == (0,) * 4
         assert sum(al.f) <= sc.server.f_ser and sum(al.b) <= sc.server.b_max
 

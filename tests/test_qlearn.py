@@ -39,6 +39,7 @@ from fedkd.qlearn import (
     action_count,
     action_values,
     decode_action,
+    digit_table,
     draw_builder,
     encode_state,
     exhaustive_optimum,
@@ -64,6 +65,11 @@ from oracles import (
 
 def kd_accs(sc):
     return [acc_pair(DEFAULT_TABLE, m.name, "KD", "noniid") for m in sc.catalog]
+
+
+def method_reward(cfg, spec, accs):
+    """cfg's training reward, on the digit table of its method spec."""
+    return training_reward(cfg.scenario, digit_table(cfg.scenario, accs, spec.digits), accs)
 
 
 def train_static(sc, cfg, rng, accs):
@@ -744,7 +750,8 @@ class TestSkippedGreedySteps:
             def reward_fn(_draw, a):
                 return values[a]
         else:
-            reward_fn = qlearn.digit_reward(sc, accs, qlearn.joint_digits(len(sc.catalog)))
+            reward_fn = qlearn.digit_reward(
+                sc, digit_table(sc, accs, qlearn.joint_digits(len(sc.catalog))))
         rng, ref_rng = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
         got, _ = train_fixed_scenario(sc, accs, cfg, rng)
         want = train_every_episode(lambda _r: (key, draw), cfg, ref_rng, n, reward_fn)
@@ -788,7 +795,7 @@ class TestSkippedGreedySteps:
                 for m in cfg.scenario.catalog]
         self.assert_trains_like_every_episode(
             tmp_path, training_sampler(cfg), cfg.q, 6, spec.n_actions,
-            training_reward(cfg, spec, accs))
+            method_reward(cfg, spec, accs))
 
     def test_samplers_that_mix_keys_and_draws(self, tmp_path):
         """A skip armed on one (key, draw) pair serves neither another draw
@@ -954,7 +961,7 @@ class TestStreamReader:
         spec = method_spec(cfg)
         accs = [acc_pair(DEFAULT_TABLE, m.name, spec.accuracy, cfg.distribution)
                 for m in cfg.scenario.catalog]
-        reward_fn = training_reward(cfg, spec, accs)
+        reward_fn = method_reward(cfg, spec, accs)
         states = []
         for train in (train_loop, train_every_episode):
             calls = []
@@ -997,7 +1004,7 @@ class TestTrainingDraws:
             cfg.q, np.random.Generator(np.random.PCG64(9)), spec.n_actions,
             lambda draw, a: action_reward(draw, spec, a, accs))
         q = train_loop(training_sampler(cfg), cfg.q, np.random.Generator(np.random.PCG64(9)),
-                       spec.n_actions, training_reward(cfg, spec, accs))
+                       spec.n_actions, method_reward(cfg, spec, accs))
         assert list(q.entries()) == list(ref.entries())
         assert q.states > 1
 
@@ -1140,7 +1147,7 @@ class TestCachedArgmax:
         def run():
             return train_loop(training_sampler(cfg), qcfg,
                               np.random.Generator(np.random.PCG64(7)), spec.n_actions,
-                              training_reward(cfg, spec, accs))
+                              method_reward(cfg, spec, accs))
 
         fast, slow = train_both(monkeypatch, run)
         assert list(fast.entries()) == list(slow.entries())
