@@ -84,6 +84,7 @@ class AllocProblem:
 class AllocResult:
     allocation: Allocation
     objective_fb: float     # f/b-dependent objective at the returned point
+    problem: AllocProblem   # the decision's problem that the split solves
 
 
 def digit_factors(sc: Scenario, x: int, m: int) -> tuple[float, float, float, float]:
@@ -252,6 +253,7 @@ def allocate(sc: Scenario, dec: Decision) -> AllocResult:
     return AllocResult(
         allocation=Allocation(f=tuple(f), b=tuple(b)),
         objective_fb=fb_objective(prob, f, b),
+        problem=prob,
     )
 
 
@@ -339,4 +341,5 @@ def grid_oracle(sc: Scenario, dec: Decision, steps: int) -> AllocResult:
     return AllocResult(
         allocation=Allocation(f=tuple(f), b=tuple(b)),
         objective_fb=f_val + b_val,
+        problem=prob,
     )

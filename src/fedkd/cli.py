@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import accuracy, config, kd, qlearn
-from .allocator import allocate, build_problem, kkt_residual
+from .allocator import allocate, kkt_residual
 from .experiment import (
     EXPERIMENT_QCONFIG,
     METHODS,
@@ -54,9 +54,8 @@ def _json_text(payload) -> str:
 def cmd_allocate(args) -> int:
     sc, doc = _load_scenario(args.config)
     dec = config.decision_from_dict(doc, sc)
-    prob = build_problem(sc, dec)
     res = allocate(sc, dec)
-    f, b = res.allocation.f, res.allocation.b
+    prob, f, b = res.problem, res.allocation.f, res.allocation.b
     payload = {
         "x": list(dec.x),
         "m": list(dec.m),

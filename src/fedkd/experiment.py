@@ -1,8 +1,8 @@
 """Experiment orchestration: the optimizing methods and the baselines.
 
 One experiment trains a single method and evaluates it greedily on a
-fixed, seed-determined set of scenario draws, so different methods run
-on identical draws when given the same seed and template:
+fixed, seed-determined set of draws, so different methods run on
+identical draws when given the same seed and template:
 
     proposed    joint offload/model agent + convex resource allocation
     q-only      one agent over offload, model, and a quantized resource
@@ -12,17 +12,10 @@ on identical draws when given the same seed and template:
     fl-max      as fl-min with the largest model
     exhaustive  full enumeration reference (no learning)
 
-Each method is an entry of one table (`method_spec`): the per-user
-digits an action is made of, and which published accuracies score it.
-One pipeline runs them all (`run_experiment`).  The method's
-qlearn.digit_table, built once per run, is the one form of a pick from
-the training reward to the trial row.  Training and evaluation draw the
-users alike, as qlearn.Draws of 2 N uniforms over the agent's state
-ranges; no Scenario, Decision or Allocation is built for a draw.
-
-Per trial the report records the realized objective, the mean per-epoch
-delay across users, accuracy means, model-selection frequencies, and the
-raw per-user decision and resources.
+Each method is one entry of `method_spec`, and one pipeline runs them
+all (`run_experiment`).  Per trial the report records the realized
+objective, the mean per-epoch delay across users, accuracy means,
+model-selection frequencies, and the raw per-user decision and resources.
 """
 
 from __future__ import annotations
@@ -48,13 +41,13 @@ from .qlearn import (
     EXHAUSTIVE_CAP,
     INFEASIBLE_REWARD,
     SAMPLE_CAP,
-    Digit,
     Draw,
     QConfig,
     StateKey,
     StreamReader,
     _enumerated,
     action_space,
+    check_counts,
     decode,
     digit_reward,
     digit_table,
@@ -90,8 +83,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.trials < 0:
-            raise ValueError(f"trials must be >= 0, got {self.trials}")
+        check_counts(self, {"seed": 0, "trials": 0})
 
 
 @dataclass(frozen=True)
@@ -172,27 +164,31 @@ def _price(template: Scenario, draw: Draw, picks, accs) -> tuple[float, list[Del
     return total, dls
 
 
-def _split(template: Scenario, rows: list[Digit], draw: Draw, levels: int
+def _split(template: Scenario, rows: list, draw: Draw, levels: int
            ) -> tuple[tuple[float, ...], tuple[float, ...], bool]:
     """(f, b, within budget) of draw's users at their picked rows.
 
-    q-only's rows, of a table with levels > 0 grid levels, fix the shares;
-    the budgets are checked on the integer unit counts, because summing
-    the float shares can overshoot a budget they exactly meet by one ulp.
-    Other rows leave the split open: allocate's, with no Scenario of those
-    users, from allocate_compute over the rows' c and allocate_bandwidth
-    over num / eff, build_problem's c_i and d_i, so the same bits.  A user
+    With levels > 0 grid levels, the rows are q-only's digits
+    (x, m, kf, kb), which fix the shares kf * f_ser / levels and
+    kb * b_max / levels; the budgets are checked on the integer unit
+    counts, because summing the float shares can overshoot a budget they
+    exactly meet by one ulp.  Otherwise the rows are qlearn.Digits, which
+    leave the split open: allocate's, with no Scenario of those users,
+    from allocate_compute over the rows' c and allocate_bandwidth over
+    num / eff, build_problem's c_i and d_i, so the same bits.  A user
     whose spectral efficiency rounds to zero cannot transmit at any
     bandwidth: InfeasibleError naming its id."""
+    server = template.server
     if levels:
-        return (tuple(r.f for r in rows), tuple(r.b for r in rows),
-                sum(r.kf for r in rows) <= levels and sum(r.kb for r in rows) <= levels)
+        _, _, kf, kb = zip(*rows)
+        return (tuple(k * server.f_ser / levels for k in kf),
+                tuple(k * server.b_max / levels for k in kb),
+                sum(kf) <= levels and sum(kb) <= levels)
     d = []
     for u, row, eff in zip(template.users, rows, draw.eff):
         if eff <= 0:
             raise InfeasibleError(f"user {u.id} has zero spectral efficiency")
         d.append(row.num / eff)
-    server = template.server
     return (tuple(allocate_compute([row.c for row in rows], server.f_ser)),
             tuple(allocate_bandwidth(d, template.weights.delta_b, server.b_max)), True)
 
@@ -228,14 +224,13 @@ class MethodSpec:
     """What an action means to one method.  Digit i of an action in base
     len(digits), lowest first, gives user i its entry of digits: (x, m),
     whose split is the optimal one, or, for q-only, (x, m, f_units,
-    b_units): that many 1/levels of the server CPU and of the bandwidth,
-    levels being the largest unit count.  qlearn.digit_table gives each
-    entry its row."""
+    b_units): that many 1/levels of the server CPU and of the bandwidth."""
 
     digits: tuple[tuple[int, ...], ...]
     n_actions: int          # len(digits) ** users
     accuracy: str           # "KD" or "FL": the published accuracies that score it
     learned: bool = True    # False: enumerate every action instead of training
+    levels: int = 0         # q-only's grid levels per resource; 0: the split is open
 
 
 def method_spec(cfg: ExperimentConfig) -> MethodSpec:
@@ -260,26 +255,34 @@ def method_spec(cfg: ExperimentConfig) -> MethodSpec:
         grid = range(1, levels + 1)
         digits = tuple((x, m, kf, kb) for kb in grid for kf in grid
                        for m in range(n_models) for x in (0, 1))
-        return MethodSpec(digits, action_space(template, digits, ACTION_SPACE_CAP), "KD")
+        return MethodSpec(digits, action_space(template, digits, ACTION_SPACE_CAP), "KD",
+                          levels=levels)
     mus = [m.mu for m in template.catalog]
     m_fixed = mus.index(min(mus) if cfg.method == "fl-min" else max(mus))
     digits = ((0, m_fixed), (1, m_fixed))
     return MethodSpec(digits, action_space(template, digits, SAMPLE_CAP), "FL")
 
 
-def _grid_reward(template: Scenario, table: tuple[Digit, ...], accs
+def method_rows(template: Scenario, spec: MethodSpec, accs) -> tuple:
+    """The rows an action's digits pick, built once per run: q-only's
+    digits themselves, else their qlearn.digit_table on template."""
+    return spec.digits if spec.levels else digit_table(template, accs, spec.digits)
+
+
+def _grid_reward(template: Scenario, digits, levels: int, accs
                  ) -> Callable[[Draw, int], float]:
     """q-only's reward_fn(draw, a), equal bit for bit to the scalar
     oracle in tests/oracles.py on the draw's Scenario.  An action earns
-    INFEASIBLE_REWARD as soon as its rows' unit counts exceed a budget;
-    within budget, it is minus _price's cost of the rows' (x, m, f, b),
-    as in objective.  Accuracies outside [0, 1] are refused here, at
-    construction."""
+    INFEASIBLE_REWARD as soon as its digits' unit counts exceed a budget;
+    within budget, it is minus _price's cost of the digits' (x, m) at the
+    shares _split gives them, as in objective.  Accuracies outside [0, 1]
+    are refused here, at construction."""
     for col, name in enumerate(("acc_own", "acc_avg")):    # objective's check, per model
         if not all(0.0 <= acc[col] <= 1.0 for acc in accs):
             raise ValueError(f"{name} entries must be in [0, 1]")
-    levels, radix = max(r.kf for r in table), len(table)
-    units = [(r.kf, r.kb, (r.x, r.m, r.f, r.b)) for r in table]
+    f_ser, b_max, radix = template.server.f_ser, template.server.b_max, len(digits)
+    units = [(kf, kb, (x, m, kf * f_ser / levels, kb * b_max / levels))
+             for x, m, kf, kb in digits]
 
     def reward_fn(draw: Draw, a: int) -> float:
         picks, f_used, b_used = [], 0, 0
@@ -299,27 +302,27 @@ def _grid_reward(template: Scenario, table: tuple[Digit, ...], accs
     return reward_fn
 
 
-def training_reward(template: Scenario, table: tuple[Digit, ...], accs
+def training_reward(template: Scenario, spec: MethodSpec, rows, accs
                     ) -> Callable[[Draw, int], float]:
     """reward_fn(draw, a) of a training Draw, equal bit for bit to the
-    scalar oracle in tests/oracles.py on the draw's Scenario, for a
-    method's digit table: qlearn.digit_reward where the rows leave the
-    split open, _grid_reward for q-only's."""
-    if table[0].kf:
-        return _grid_reward(template, table, accs)
-    return digit_reward(template, table)
+    scalar oracle in tests/oracles.py on the draw's Scenario, for spec's
+    method_rows: _grid_reward for q-only's grid, qlearn.digit_reward
+    where the split is open."""
+    if spec.levels:
+        return _grid_reward(template, rows, spec.levels, accs)
+    return digit_reward(template, rows)
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
     """Train the configured method and evaluate it on seeded draws.
 
-    The method's digit table is built once.  Training takes its draws
-    from training_sampler and its rewards from training_reward on that
-    table.  Each trial reads eval_rng.random(2 * N), the draw
+    The method's rows (method_rows) are built once.  Training takes its
+    draws from training_sampler and its rewards from training_reward on
+    those rows.  Each trial reads eval_rng.random(2 * N), the draw
     sample_scenario would make over cfg.q.f_loc_range and cfg.q.d_range,
     and the run's one qlearn.draw_builder maps it to the state key, which
     the policy reads, and the Draw, which the rest of the trial reads:
-    exhaustive enumerates the table's terms on it, the chosen action
+    exhaustive enumerates the rows' terms on it, the chosen action
     decodes into its users' rows, _split gives the split they fix or
     leave open, and _price the objective and delays.  No Scenario,
     Decision, Allocation, allocate call or channel gain beyond the
@@ -332,14 +335,13 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     spec = method_spec(cfg)
     accs = [acc_pair(DEFAULT_TABLE, m.name, spec.accuracy, cfg.distribution)
             for m in template.catalog]
-    table = digit_table(template, accs, spec.digits)
-    levels = max(r.kf for r in table)   # q-only's grid levels; 0: the split is open
+    table = method_rows(template, spec, accs)
 
     eval_ss, train_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     if spec.learned:
         q = train_loop(training_sampler(cfg), cfg.q,
                        np.random.Generator(np.random.PCG64(train_ss)),
-                       spec.n_actions, training_reward(template, table, accs))
+                       spec.n_actions, training_reward(template, spec, table, accs))
 
     eval_rng = np.random.Generator(np.random.PCG64(eval_ss))
     build, size = draw_builder(template, cfg.q), 2 * template.n_users
@@ -349,8 +351,8 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
         a = (q.greedy_action(key, spec.n_actions) if spec.learned
              else int(np.argmax(_enumerated(template, draw, table))))
         rows = decode(table, a, template.n_users)
-        f, b, within = _split(template, rows, draw, levels)
-        x, m = tuple(r.x for r in rows), tuple(r.m for r in rows)
+        f, b, within = _split(template, rows, draw, spec.levels)
+        x, m = tuple(r[0] for r in rows), tuple(r[1] for r in rows)    # every row starts (x, m)
         cost, dls = _price(template, draw, zip(x, m, f, b), accs)
         evaluated.append((x, m, f, b, cost if within else -INFEASIBLE_REWARD, dls))
     return Report(method=cfg.method, seed=cfg.seed, n_users=template.n_users,
@@ -370,19 +372,14 @@ def report_rows(report: Report) -> list[list[str]]:
     """Header plus one row per trial, all cells pre-formatted."""
     header = ["trial", "method", "objective", "avg_delay_s", "acc_own", "acc_avg"]
     header += [f"freq_{name}" for name in report.model_names]
-    header += [f"x{i}" for i in range(report.n_users)]
-    header += [f"m{i}" for i in range(report.n_users)]
-    header += [f"f{i}" for i in range(report.n_users)]
-    header += [f"b{i}" for i in range(report.n_users)]
+    header += [f"{col}{i}" for col in "xmfb" for i in range(report.n_users)]
     rows = [header]
     for t in report.trials:
         row = [str(t.trial), report.method, _fmt(t.objective), _fmt(t.avg_delay_s),
                _fmt(t.acc_own), _fmt(t.acc_avg)]
         row += [_fmt(v) for v in t.freq]
-        row += [str(v) for v in t.x]
-        row += [str(v) for v in t.m]
-        row += [_fmt(v) for v in t.f]
-        row += [_fmt(v) for v in t.b]
+        row += [str(v) for v in t.x + t.m]
+        row += [_fmt(v) for v in t.f + t.b]
         rows.append(row)
     return rows
 

@@ -1,55 +1,28 @@
-"""Tabular Q-learning over the joint discrete action (x, m) for all users.
+"""Tabular Q-learning over joint actions that give each user one digit,
+such as its offload flag x and model m.
 
 Each episode is one-shot: a draw of the users' parameters arrives with
-its state key, the agent picks a joint offload/model action for every
-user, and the reward is the negated total cost with the continuous
-resources split optimally, which the allocator's closed form gives
-without computing the split.  The successor state is terminal, so the
-update moves Q(s, a) toward the reward alone: there is no bootstrap term
-and no discount.
+its state key, the agent picks one action for all users, and the reward
+is the negated total cost at the optimal resource split, which the
+allocator's closed form gives without computing the split, plus the
+accuracy reward.  The successor state is terminal, so the update moves
+Q(s, a) toward the reward alone: there is no bootstrap term and no
+discount.
 
-A training draw (`Draw`) holds what the rewards read of an episode's
-users: each user's CPU frequency and spectral efficiency.  One state
-quantizer maps the uniforms of a draw (`draw_builder`) or a Scenario's
-own users (`scenario_draw`, `encode_state`) to the state key and Draw.
+    draw_builder, scenario_draw   uniforms or a Scenario's users to
+                                  (state key, Draw), one quantizer
+    digit_table                   the rows (Digit) of (x, m) digits
+    decode                        the one radix decoder, action to rows
+    digit_reward, _enumerated     one action's, or every action's,
+                                  reward on a Draw
+    QTable, StreamReader          the sparse table; the rng's draws
+    train_loop                    the one training loop
+    train_fixed_scenario,         train-q's agent and its reference on
+    exhaustive_optimum            one scenario
 
-A method's actions give each user one digit.  `digit_table`, built once
-per run, gives every digit its row (`Digit`), and `decode` is the one
-radix decoder from an action to its users' rows.  `digit_reward` scores
-a Draw from the picked rows; `_enumerated` scores every action on one
-Draw in one broadcast.  On a fixed scenario `action_values` is that
-vector, `exhaustive_optimum` its argmax, and `train_fixed_scenario`
-(train-q's agent) trains on it or on digit_reward.  Every route adds the
-users' terms left to right, so all of them agree bit for bit, with each
-other and with the scalar oracles in tests/oracles.py, and an infeasible
-action earns INFEASIBLE_REWARD on every route.
-
-The Q-table is a hash map and missing entries read as 0, which doubles as
-optimistic initialization when rewards are negative.  The greedy argmax
-honors that convention without enumerating the action space, so very
-large action encodings (q-only's resource grid) remain usable.  Each row
-caches its best stored entry and its first unstored action, both kept up
-to date on write, so a greedy step costs O(1) amortized; only a write
-that lowers the cached best makes the next greedy step rescan that row's
-stored entries once.  A Q-update looks its row up once (`QTable.step`)
-and says whether it changed the stored value.
-
-On one fixed scenario the values converge to a fixed point, where a
-greedy step's update leaves its entry with the same bits.  Such a step
-changes only the entry's visit count, so until another step runs, each
-greedy step on the same state key and draw would repeat it exactly;
-`train_loop` counts their visits (`QTable.add_visits`) instead of
-picking, scoring and updating again.  Every episode still draws its
-exploration, so the rng stream, the table and its saved bytes are those
-of a loop that updates every episode, the test oracle in tests/oracles.py.
-
-`train_loop` reads its Generator through a `StreamReader`: the reader
-pulls the PCG64 bit generator's raw 64-bit outputs a block at a time and
-converts them as numpy's Generator does, a uniform as (u >> 11) * 2**-53
-and a bounded integer by Lemire's multiply-and-reject method on 32-bit
-halves or whole outputs.  Every value, and the state it leaves the
-Generator in when training ends, equals what calling the Generator
-itself would give, at a fraction of the cost of a numpy call per draw.
+Every route adds the users' terms left to right, so all of them agree bit
+for bit, with each other and with the scalar oracles in tests/oracles.py,
+and an infeasible action earns INFEASIBLE_REWARD on every route.
 """
 
 from __future__ import annotations
@@ -86,6 +59,17 @@ SAMPLE_CAP = 2 ** 63 - 1
 StateKey = tuple[tuple[int, int], ...]
 
 
+def check_counts(config, least: dict[str, int]) -> None:
+    """Refuse each named field of config that is not an integer (a bool is
+    not one) or is below its least value, naming the field."""
+    for name, lo in least.items():
+        v = getattr(config, name)
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
+        if v < lo:
+            raise ValueError(f"{name} must be >= {lo}, got {v}")
+
+
 @dataclass(frozen=True)
 class QConfig:
     """The agent's learning schedule and its state.
@@ -115,12 +99,7 @@ class QConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-        for name, least in (("episodes", 0), ("f_bins", 1), ("h_bins", 1)):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-            if v < least:
-                raise ValueError(f"{name} must be >= {least}, got {v}")
+        check_counts(self, {"episodes": 0, "f_bins": 1, "h_bins": 1})
         for name, bins in (("f_loc_range", "f_bins"), ("d_range", "h_bins")):
             lo, hi = getattr(self, name)
             if not 0 < lo <= hi < math.inf:
@@ -154,7 +133,10 @@ class _Row(dict):
 
 
 class QTable:
-    """Hash-table from (state, action) to (value, visits); missing reads 0."""
+    """Hash-table from (state, action) to (value, visits).  A missing
+    entry reads 0, which doubles as optimistic initialization when rewards
+    are negative; greedy_action honors that without enumerating the
+    action space, so very large action spaces stay usable."""
 
     def __init__(self) -> None:
         self._rows: dict[StateKey, _Row] = {}
@@ -416,48 +398,34 @@ def joint_digits(n_models: int) -> tuple[tuple[int, int], ...]:
 
 class Digit(NamedTuple):
     """One row of a method's digit table: a user whose digit picks it
-    trains model m, on its own CPU when x = 1, for accuracy reward gain.
-
-    A row whose split the allocator leaves open holds digit_factors'
-    user-independent factors of its cost: const_i = fa / f_loc + fb, the
-    CPU weight c_i = c and the bandwidth weight d_i = num / eff.  A q-only
-    row fixes the split instead: kf and kb grid units of the server CPU
-    and of the bandwidth, shares f and b."""
+    trains model m, on its own CPU when x = 1, for accuracy reward gain,
+    at digit_factors' user-independent factors of its cost:
+    const_i = fa / f_loc + fb, the CPU weight c_i = c and the bandwidth
+    weight d_i = num / eff."""
 
     x: int
     m: int
     gain: float
-    fa: float | None = None
-    fb: float | None = None
-    c: float | None = None
-    num: float | None = None
-    kf: int = 0
-    kb: int = 0
-    f: float | None = None
-    b: float | None = None
+    fa: float
+    fb: float
+    c: float
+    num: float
 
 
 def digit_table(template: Scenario, acc_by_model: Sequence[tuple[float, float]],
-                digits: Sequence[tuple[int, ...]]) -> tuple[Digit, ...]:
-    """The row of each digit on template, built once per run.  An (x, m)
-    digit's row holds its digit_factors (alpha_d = 0 raises here); q-only's
-    (x, m, kf, kb) the shares kf * f_ser / levels and kb * b_max / levels,
-    levels being the largest unit count.  gain is
+                digits: Sequence[tuple[int, int]]) -> tuple[Digit, ...]:
+    """The row of each (x, m) digit on template, built once per run;
+    alpha_d = 0 raises here (digit_factors).  gain is
     eta_o acc_own + eta_a acc_avg of acc_by_model[m]."""
     w = template.weights
     gains = [w.eta_o * own + w.eta_a * avg for own, avg in acc_by_model]
-    if len(digits[0]) == 2:
-        return tuple(Digit(x, m, gains[m], *digit_factors(template, x, m)) for x, m in digits)
-    levels, server = max(d[2] for d in digits), template.server
-    return tuple(Digit(x, m, gains[m], kf=kf, kb=kb, f=kf * server.f_ser / levels,
-                       b=kb * server.b_max / levels) for x, m, kf, kb in digits)
+    return tuple(Digit(x, m, gains[m], *digit_factors(template, x, m)) for x, m in digits)
 
 
 def digit_reward(template: Scenario, table: Sequence[Digit]) -> Callable[[Draw, int], float]:
     """Minus the cost at the optimal split, plus the accuracy reward, as a
     reward_fn(draw, a) for train_loop: the base len(table) digits of
-    action a, lowest first, pick each user's row of table, a digit_table
-    of (x, m) digits.
+    action a, lowest first, pick each user's row of table.
 
     For a Draw of template's users, the reward adds each user's terms of
     its picked row: fa / f_loc + fb, sqrt(c) and sqrt(num / eff).  The
@@ -686,11 +654,12 @@ def train_fixed_scenario(sc: Scenario, acc_by_model: Sequence[tuple[float, float
     """train_loop on the one scenario sc, the agent of `fedkd train-q`;
     returns the table and sc's state key.
 
-    Every episode sees sc's key and scores the action on sc.  With no more
-    actions than episodes (and at most EXHAUSTIVE_CAP), every action is
-    scored once, by action_values, and an episode's reward is one list
-    lookup.  Otherwise digit_reward scores the Draw of sc's users each
-    episode.  Both give every action the same reward bit for bit.
+    Every episode sees sc's key and scores the action on the Draw of sc's
+    users (scenario_draw).  With no more actions than episodes (and at
+    most EXHAUSTIVE_CAP), every action is scored once, as action_values
+    scores it, and an episode's reward is one list lookup.  Otherwise
+    digit_reward scores the Draw each episode.  Both give every action
+    the same reward bit for bit.
 
     Scoring one action in the vector is far cheaper than a digit_reward
     call; capping the vector at one action per episode keeps its one-time
@@ -703,13 +672,14 @@ def train_fixed_scenario(sc: Scenario, acc_by_model: Sequence[tuple[float, float
     key, draw = scenario_draw(sc, cfg)
     digits = joint_digits(len(sc.catalog))
     n_actions = action_space(sc, digits, SAMPLE_CAP)
+    table = digit_table(sc, acc_by_model, digits)
     if n_actions <= min(cfg.episodes, EXHAUSTIVE_CAP):
-        values = action_values(sc, acc_by_model).tolist()
+        values = _enumerated(sc, draw, table, penalize=True).tolist()
 
         def reward_fn(_draw: Draw, a: int) -> float:
             return values[a]
     else:
-        reward_fn = digit_reward(sc, digit_table(sc, acc_by_model, digits))
+        reward_fn = digit_reward(sc, table)
     return train_loop(lambda _rng: (key, draw), cfg, rng, n_actions, reward_fn), key
 
 
@@ -718,16 +688,21 @@ def _own_draw(sc: Scenario) -> Draw:
     return Draw(tuple(u.f_loc for u in sc.users), tuple(efficiencies(sc)))
 
 
-def _enumerated(sc: Scenario, draw: Draw, table: Sequence[Digit]) -> np.ndarray:
+def _enumerated(sc: Scenario, draw: Draw, table: Sequence[Digit], penalize: bool = False
+                ) -> np.ndarray:
     """Every action's reward on draw, a Draw of sc's users, indexed by
-    action, for table, a digit_table of (x, m) digits: each user's terms
-    of every row, with build_problem's operations, then one broadcast add
-    per user.  Raises InfeasibleError for a user with zero spectral
-    efficiency and ValueError above EXHAUSTIVE_CAP actions.  The
-    exhaustive method's policy is its argmax."""
-    action_space(sc, table, EXHAUSTIVE_CAP)
+    action, for digit table table: each user's terms of every row, with
+    build_problem's operations, then one broadcast add per user.  The one
+    enumeration: the exhaustive method's policy and exhaustive_optimum
+    are its argmax, action_values and train_fixed_scenario's reward
+    vector its values.  A user with zero spectral efficiency raises
+    InfeasibleError or, with penalize, makes every action earn
+    INFEASIBLE_REWARD.  Refuses more than EXHAUSTIVE_CAP actions."""
+    n_actions = action_space(sc, table, EXHAUSTIVE_CAP)
     n, consts, root_d = sc.n_users, [], []
     for u, f_loc, eff in zip(sc.users, draw.f_loc, draw.eff):
+        if eff <= 0 and penalize:
+            return np.full(n_actions, INFEASIBLE_REWARD)
         if eff <= 0:
             raise InfeasibleError(f"user {u.id} has zero spectral efficiency")
         consts.append([r.fa / f_loc + r.fb for r in table])
@@ -747,15 +722,11 @@ def _enumerated(sc: Scenario, draw: Draw, table: Sequence[Digit]) -> np.ndarray:
 def action_values(sc: Scenario, acc_by_model: Sequence[tuple[float, float]]) -> np.ndarray:
     """digit_reward of every joint action a on sc's own users, as one
     array indexed by a and equal to it, and to the oracle reward in
-    tests/oracles.py, bit for bit (_enumerated).  A user with zero
-    spectral efficiency makes every action INFEASIBLE_REWARD.  Refuses
-    action spaces larger than EXHAUSTIVE_CAP.
+    tests/oracles.py, bit for bit.  A user with zero spectral efficiency
+    makes every action INFEASIBLE_REWARD.
     """
     table = digit_table(sc, acc_by_model, joint_digits(len(sc.catalog)))
-    try:
-        return _enumerated(sc, _own_draw(sc), table)
-    except InfeasibleError:
-        return np.full(action_count(sc), INFEASIBLE_REWARD)
+    return _enumerated(sc, _own_draw(sc), table, penalize=True)
 
 
 def exhaustive_optimum(sc: Scenario, acc_by_model: Sequence[tuple[float, float]]

@@ -11,7 +11,6 @@ The decision layer:
     decision_reward      minus that cost plus the decision's accuracy reward
     reward               decision_reward of one joint action
     encode_decision      the inverse of qlearn.decode_action
-    grid_levels          q-only's grid levels, from its method's digits
     decode_spec          an experiment action's validated Decision and
                          Allocation, from its method's digits
     action_reward        one action's reward under an experiment method
@@ -92,18 +91,12 @@ def encode_decision(dec, n_models):
     return a
 
 
-def grid_levels(spec):
-    """q-only's grid levels per resource: the largest unit count of its
-    method's digits (x, m, f_units, b_units)."""
-    return max(d[2] for d in spec.digits)
-
-
 def decode_spec(sc, spec, a):
     """(decision, split, within budget) of action a on sc under a method's
     digits (experiment.MethodSpec), decoded one user at a time; a None
     split stands for the optimal one.  q-only's digits give each user
-    f_units / levels of the server CPU and b_units / levels of the
-    bandwidth.  The budgets are checked on the integer unit counts:
+    f_units / spec.levels of the server CPU and b_units / spec.levels of
+    the bandwidth.  The budgets are checked on the integer unit counts:
     summing the float shares can overshoot a budget they exactly meet by
     one ulp."""
     radix, picks = len(spec.digits), []
@@ -113,7 +106,7 @@ def decode_spec(sc, spec, a):
     x, m, *units = zip(*picks)
     if not units:
         return Decision(x=x, m=m), None, True
-    levels, server = grid_levels(spec), sc.server
+    levels, server = spec.levels, sc.server
     al = Allocation(f=tuple(k * server.f_ser / levels for k in units[0]),
                     b=tuple(k * server.b_max / levels for k in units[1]))
     return Decision(x=x, m=m), al, sum(units[0]) <= levels and sum(units[1]) <= levels

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from fedkd import cli, kd, qlearn
+from fedkd import allocator, cli, kd, qlearn
 from fedkd.cli import build_parser, kd_demo, main
 from fedkd.kd import DivergenceError
 from fedkd.model import default_scenario
@@ -25,6 +25,24 @@ class TestAllocate:
         assert sum(payload["f"]) <= 10.0 * (1 + 1e-9)
         assert payload["kkt_residual"] < 1e-8
         assert json.loads(capsys.readouterr().out) == payload
+
+    def test_derives_the_problem_once(self, tmp_path, monkeypatch, capsys):
+        """allocation.json's split, objectives and KKT residual all come
+        from one build_problem call, under either module's name for it."""
+        calls, real = [], allocator.build_problem
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(allocator, "build_problem", counting)
+        monkeypatch.setattr(cli, "build_problem", counting, raising=False)
+        cfg = write_config(tmp_path, {"decision": {"x": [0, 1, 0, 1], "m": [0, 1, 2, 3]}})
+        assert main(["allocate", "--config", cfg]) == 0
+        assert len(calls) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["objective_fixed_decision"] == (
+            payload["objective_fb"] + real(*calls[0]).constant)
 
     def test_missing_decision_fails_with_diagnostic(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {})

@@ -25,10 +25,11 @@ from hypothesis import assume, given, seed, settings, strategies as st
 import fedkd
 from fedkd.accuracy import DEFAULT_TABLE, acc_pair
 from fedkd.allocator import allocate, build_problem, kkt_residual
-from fedkd import allocator, experiment
+from fedkd import allocator, experiment, qlearn
 from fedkd.config import dump_scenario, load_scenario
 from fedkd.experiment import (
     ExperimentConfig,
+    method_rows,
     method_spec,
     run_experiment,
     sample_scenario,
@@ -77,7 +78,6 @@ from oracles import (
     decision_reward,
     decode_spec,
     encode_decision,
-    grid_levels,
     reward,
     score_at_allocate,
 )
@@ -319,7 +319,8 @@ def test_qonly_scorer_refuses_accuracies_outside_the_unit_interval_when_built(ac
     cfg = ExperimentConfig(scenario=sc, method="q-only")
     accs = [accs] * len(sc.catalog)
     with pytest.raises(ValueError, match=name) as info:
-        training_reward(sc, digit_table(sc, accs, method_spec(cfg).digits), accs)
+        spec = method_spec(cfg)
+        training_reward(sc, spec, method_rows(sc, spec, accs), accs)
     assert not isinstance(info.value, InfeasibleError)
 
 
@@ -330,7 +331,7 @@ def test_qonly_scorer_refuses_accuracies_outside_the_unit_interval_when_built(ac
 def _qonly_within_budget(spec, n_users, n_models, pick):
     """A q-only action within both budgets: each resource's level counts
     are drawn until they fit, and x and m uniformly."""
-    units, levels = [], grid_levels(spec)
+    units, levels = [], spec.levels
     for _ in range(2):
         k = pick.integers(1, levels + 1, size=n_users)
         while k.sum() > levels:
@@ -363,7 +364,7 @@ def test_training_rewards_equal_action_reward_bit_for_bit_on_seeded_draws(inst, 
     for method in ("proposed", "fl-min", "fl-max", "q-only"):
         cfg = ExperimentConfig(scenario=sc, method=method)
         spec = method_spec(cfg)
-        reward_fn = training_reward(sc, digit_table(sc, accs, spec.digits), accs)
+        reward_fn = training_reward(sc, spec, method_rows(sc, spec, accs), accs)
         sampler = training_sampler(cfg)
         rng, ref_rng, pick = (np.random.Generator(np.random.PCG64(draw_seed)) for _ in range(3))
         draws = StreamReader(rng)
@@ -406,7 +407,7 @@ def test_qonly_training_builds_no_scenario_decision_or_allocation(monkeypatch):
     q = dataclasses.replace(cfg.q, episodes=4000)
     spec = method_spec(cfg)
     accs = [acc_pair(DEFAULT_TABLE, m.name, "KD", "noniid") for m in cfg.scenario.catalog]
-    reward_fn = training_reward(cfg.scenario, digit_table(cfg.scenario, accs, spec.digits), accs)
+    reward_fn = training_reward(cfg.scenario, spec, spec.digits, accs)
     sampler = training_sampler(cfg)
     built = _count_constructions(monkeypatch)
     scored = []
@@ -434,6 +435,21 @@ def test_experiment_builds_no_scenario_decision_or_allocation(method, monkeypatc
     assert not built
 
 
+@pytest.mark.parametrize("method", experiment.METHODS)
+def test_each_run_builds_its_rows_once(method, monkeypatch):
+    """A method whose split is left open builds one qlearn.Digit per digit
+    in a whole run, training and trials together; q-only's digits are
+    its rows, so it builds none."""
+    built, real = [], qlearn.Digit
+    monkeypatch.setattr(qlearn, "Digit", lambda *a, **kw: built.append(a) or real(*a, **kw))
+    cfg = ExperimentConfig(scenario=default_scenario(), method=method, seed=6, trials=25,
+                           q=dataclasses.replace(experiment.EXPERIMENT_QCONFIG, episodes=300))
+    assert len(run_experiment(cfg).trials) == cfg.trials
+    spec = method_spec(cfg)
+    assert len(built) == (0 if spec.levels else len(spec.digits))
+    assert (method == "q-only") == (spec.levels == experiment.RESOURCE_LEVELS > 0)
+
+
 # ---------------------------------------------------------------------------
 # the trial rows against the scalar oracle
 
@@ -441,7 +457,7 @@ def test_experiment_builds_no_scenario_decision_or_allocation(method, monkeypatc
 def _over_budget(spec, sc, al):
     """Whether q-only's grid levels of al exceed a budget, counted in
     whole levels as its decoder counts them."""
-    levels = grid_levels(spec)
+    levels = spec.levels
     return any(sum(round(v * levels / budget) for v in shares) > levels
                for shares, budget in ((al.f, sc.server.f_ser), (al.b, sc.server.b_max)))
 

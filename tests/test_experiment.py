@@ -19,7 +19,7 @@ from fedkd.experiment import (
     training_reward,
 )
 from fedkd.model import ServerSpec, default_scenario
-from fedkd.qlearn import INFEASIBLE_REWARD, QConfig, decode, digit_table, scenario_draw
+from fedkd.qlearn import INFEASIBLE_REWARD, QConfig, decode, scenario_draw
 from conftest import make_scenario
 from oracles import action_reward, decode_spec
 
@@ -120,19 +120,19 @@ def qonly_spec(sc, levels=experiment.RESOURCE_LEVELS):
 
 class TestQOnlyCoding:
     def test_decode_covers_levels(self):
-        """Every action's rows of q-only's digit table, as qlearn.decode
-        gives them, hold the decision and the shares of the oracle
-        decoder."""
+        """Every action's rows, q-only's digits as qlearn.decode gives
+        them, and the split the trials take from them hold the decision,
+        the shares and the budget check of the oracle decoder."""
         sc = make_scenario(n_users=2, n_models=2)
         levels = 4
         spec = qonly_spec(sc, levels)
         assert spec.n_actions == (2 * 2 * levels * levels) ** 2
-        table = digit_table(sc, [(0.5, 0.5)] * 2, spec.digits)
         seen_f = set()
         for a in range(spec.n_actions):
-            dec, al, _ = decode_spec(sc, spec, a)
-            rows = decode(table, a, 2)
-            assert [(r.x, r.m, r.f, r.b) for r in rows] == list(zip(dec.x, dec.m, al.f, al.b))
+            dec, al, within = decode_spec(sc, spec, a)
+            rows = decode(spec.digits, a, 2)
+            assert [r[:2] for r in rows] == list(zip(dec.x, dec.m))
+            assert experiment._split(sc, rows, None, spec.levels) == (al.f, al.b, within)
             assert len(al.f) == len(al.b) == 2
             seen_f.update(al.f)
         expected = {(k + 1) * sc.server.f_ser / levels for k in range(levels)}
@@ -154,6 +154,7 @@ class TestQOnlyCoding:
         sc = make_scenario(n_users=1, n_models=3)
         levels = 4
         spec = qonly_spec(sc, levels)
+        assert spec.levels == levels == max(d[2] for d in spec.digits)
         for k, digit in enumerate(spec.digits):
             x, rest = k % 2, k // 2
             m, rest = rest % 3, rest // 3
@@ -179,7 +180,7 @@ class TestQOnlyCoding:
         assert not decode_spec(sc, spec, over)[2]
         assert action_reward(sc, spec, over, accs) == INFEASIBLE_REWARD
         cfg = ExperimentConfig(scenario=sc, method="q-only")
-        reward_fn = training_reward(sc, digit_table(sc, accs, spec.digits), accs)
+        reward_fn = training_reward(sc, spec, spec.digits, accs)
         _, draw = scenario_draw(sc, cfg.q)
         assert reward_fn(draw, a) == action_reward(sc, spec, a, accs)
         assert reward_fn(draw, over) == INFEASIBLE_REWARD
@@ -277,6 +278,24 @@ class TestRunExperiment:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="method"):
             quick_cfg("genetic")
+
+    @pytest.mark.parametrize("field", ["seed", "trials"])
+    @pytest.mark.parametrize("bad", [True, 2.5, "3", None])
+    def test_non_integer_seed_or_trials_rejected_naming_the_field(self, field, bad):
+        """Refused at the config, before it can run one trial
+        (trials=True), reach summary.json ("seed": true) or fail inside
+        the run (trials=2.5)."""
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got "):
+            ExperimentConfig(scenario=default_scenario(), **{field: bad})
+
+    @pytest.mark.parametrize("field", ["seed", "trials"])
+    def test_negative_seed_or_trials_rejected_naming_the_field(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 0, got -1"):
+            ExperimentConfig(scenario=default_scenario(), **{field: -1})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = ExperimentConfig(scenario=default_scenario(), seed=np.int64(3), trials=np.int32(2))
+        assert (cfg.seed, cfg.trials) == (3, 2)
 
 
 class TestEmission:

@@ -13,6 +13,7 @@ from fedkd.cli import main
 from fedkd.config import scenario_from_dict
 from fedkd.experiment import (
     ExperimentConfig,
+    method_rows,
     method_spec,
     run_experiment,
     sample_scenario,
@@ -68,8 +69,8 @@ def kd_accs(sc):
 
 
 def method_reward(cfg, spec, accs):
-    """cfg's training reward, on the digit table of its method spec."""
-    return training_reward(cfg.scenario, digit_table(cfg.scenario, accs, spec.digits), accs)
+    """cfg's training reward, on the rows of its method spec."""
+    return training_reward(cfg.scenario, spec, method_rows(cfg.scenario, spec, accs), accs)
 
 
 def train_static(sc, cfg, rng, accs):
@@ -676,14 +677,15 @@ class TestFixedScenarioTraining:
                              ids=["enumerated", "more-actions-than-episodes", "above-cap"])
     def test_trains_like_reward(self, sc, episodes, monkeypatch):
         """With no more actions than episodes the rewards are lookups into
-        action_values, otherwise digit_reward's; either way the table
-        equals reward's."""
+        one enumeration on scenario_draw's Draw, which is not built again,
+        otherwise digit_reward's; either way the table equals reward's."""
         accs = kd_accs(sc)
         cfg = QConfig(episodes=episodes)
         key = encode_state(sc, cfg)
-        enumerated = []
-        monkeypatch.setattr(qlearn, "action_values",
-                            lambda *a: enumerated.append(1) or action_values(*a))
+        enumerated, enumerate_ = [], qlearn._enumerated
+        monkeypatch.setattr(qlearn, "_enumerated",
+                            lambda *a, **kw: enumerated.append(1) or enumerate_(*a, **kw))
+        monkeypatch.setattr(qlearn, "_own_draw", lambda sc: pytest.fail("Draw rebuilt"))
         q, got_key = train_fixed_scenario(sc, accs, cfg, np.random.Generator(np.random.PCG64(4)))
         assert enumerated == ([1] if action_count(sc) <= episodes else [])
         ref = train_loop(lambda _r: (key, sc), cfg, np.random.Generator(np.random.PCG64(4)),
