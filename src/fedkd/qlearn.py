@@ -619,7 +619,9 @@ def train_loop(sampler: Callable[[StreamReader], tuple[StateKey, object]],
     steps only count their visits: the loop still draws each episode's
     exploration, and the first exploring step, or a step on another pair,
     ends the run.  A sampler that redraws every episode never repeats a
-    pair.  Fully deterministic for a fixed rng seed.
+    pair.  The table, its saved bytes and the rng stream are those of a
+    loop that updates every episode, the test oracle in tests/oracles.py.
+    Fully deterministic for a fixed rng seed.
     """
     q = QTable()
     unarmed = object()
