@@ -26,9 +26,14 @@ TESTSETS = ("full", "private")
 Key = tuple[str, str, str, str, int]  # model, method, distribution, testset, topk
 
 
+def canon_distribution(distribution: str) -> str:
+    """distribution as the lookups read it: "Non-IID" reads "noniid"."""
+    return distribution.replace("-", "").lower()
+
+
 def _canon(model: str, method: str, distribution: str, testset: str, topk: int) -> Key:
     method = method.upper()
-    distribution = distribution.replace("-", "").lower()
+    distribution = canon_distribution(distribution)
     testset = testset.lower()
     if method not in METHODS:
         raise KeyError(f"unknown training method {method!r}; expected one of {METHODS}")

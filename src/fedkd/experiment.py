@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .accuracy import DEFAULT_TABLE, acc_pair
+from .accuracy import DEFAULT_TABLE, DISTRIBUTIONS, acc_pair, canon_distribution
 from .allocator import allocate_bandwidth, allocate_compute
 from .model import (
     DelayBreakdown,
@@ -58,10 +58,6 @@ from .qlearn import (
 
 METHODS = ("proposed", "q-only", "fl-min", "fl-max", "exhaustive")
 
-#: q-only's cap on its action space, below qlearn.SAMPLE_CAP; the sparse
-#: Q-table itself never enumerates the space.
-ACTION_SPACE_CAP = 10 ** 12
-
 #: Experiment-time agent defaults: coarser state bins than the module
 #: default so the training budget covers the state space reasonably.
 EXPERIMENT_QCONFIG = QConfig(f_bins=2, h_bins=2, episodes=5000)
@@ -84,6 +80,9 @@ class ExperimentConfig:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         check_counts(self, {"seed": 0, "trials": 0})
+        d = self.distribution
+        if not (isinstance(d, str) and canon_distribution(d) in DISTRIBUTIONS):
+            raise ValueError(f"distribution must be one of {DISTRIBUTIONS}, got {d!r}")
 
 
 @dataclass(frozen=True)
@@ -255,7 +254,7 @@ def method_spec(cfg: ExperimentConfig) -> MethodSpec:
         grid = range(1, levels + 1)
         digits = tuple((x, m, kf, kb) for kb in grid for kf in grid
                        for m in range(n_models) for x in (0, 1))
-        return MethodSpec(digits, action_space(template, digits, ACTION_SPACE_CAP), "KD",
+        return MethodSpec(digits, action_space(template, digits, SAMPLE_CAP), "KD",
                           levels=levels)
     mus = [m.mu for m in template.catalog]
     m_fixed = mus.index(min(mus) if cfg.method == "fl-min" else max(mus))

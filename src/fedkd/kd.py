@@ -16,19 +16,13 @@ Data is synthetic Gaussian class blobs; Non-IID clients get disjoint
 label subsets.  Networks are a 1-2 layer tanh encoder plus one linear
 classifier layer.
 
-The parameters of a network are named views into one contiguous float64
-buffer, NetParams.flat, in arrays() order; a gradient is a NetParams of
-the same layout.  A training run owns the parameters it initializes and
-one gradient buffer: backprop writes into that buffer, a step is one
-in-place vector update of the parameter buffer, and the FedSGD
-aggregate is one weighted vector sum per client.  What stays fixed for
-the run is built once before its epoch loop: each dataset's label
-indices and one-hot matrix, the teacher's softened log-probabilities
-and probabilities, and the input validation of kd_loss.  Element
-for element these are the same floating-point operations, in the same
-order, as a per-array step that allocates new arrays.  Parameters are
-checked where they enter (the constructor, from_json) and once where a
-training run returns them; the steps in between are unchecked.
+Every training run (train_teacher, fedsgd_round and both
+distill_student variants) steps through one loop, _descend, with one
+divergence rule: a non-finite loss at an epoch, or non-finite
+parameters after the last one, raises DivergenceError naming the run,
+the epoch and the step size.  A network's parameters are views into one
+float64 buffer (NetParams.flat), which a run steps in place; what stays
+fixed for the run is built once, before the loop.
 """
 
 from __future__ import annotations
@@ -433,8 +427,7 @@ def simkd_loss(f_t, f_s, proj: Projector) -> tuple[float, np.ndarray, np.ndarray
 
 # The kernels take an optional gradient buffer `out` to write into, and
 # hard_grads and kd_grads the constants of their loss, built once per
-# training run from the arguments before them; without these they build
-# both themselves on every call.
+# training run; without these they build both on every call.
 
 
 def hard_grads(p: NetParams, ds: ToyDataset, out: NetParams | None = None,
@@ -472,52 +465,57 @@ def _check_lr(lr: float) -> None:
         raise ValueError(f"lr must be finite and >= 0, got {lr}")
 
 
-def _check_trained(arrays, what: str, lr: float) -> None:
-    # the per-epoch loss check misses an infinite weight that tanh saturates
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise DivergenceError(f"{what} diverged: the trained parameters are not finite"
-                              f" (lr={lr})")
+def _descend(what: str, params: list, step, epochs: int, lr: float) -> None:
+    """Full-batch gradient descent of the arrays params, in place: each
+    epoch step() gives the loss and one gradient g per array at their
+    current values, and each array steps by -lr * g.  A non-finite loss
+    raises DivergenceError naming the epoch; so do arrays that are not
+    finite after the last epoch, which the loss misses when tanh
+    saturates an infinite weight."""
+    for epoch in range(epochs):
+        loss, grads = step()
+        if not math.isfinite(loss):
+            raise DivergenceError(f"{what} diverged at epoch {epoch}: loss={loss} (lr={lr})")
+        for a, g in zip(params, grads):
+            a -= lr * g
+    if not all(np.isfinite(a).all() for a in params):
+        raise DivergenceError(f"{what} diverged at epoch {epochs - 1}: the trained "
+                              f"parameters are not finite (lr={lr})")
 
 
 # ---------------------------------------------------------------------------
 # federated teacher training
 
 
-def _nonempty(parts) -> list:
-    """The partitions that hold samples; warns about the others."""
-    used = [part for part in parts if len(part) > 0]
+def _fedsgd(parts, net):
+    """(p, step) of FedSGD over the partitions that hold samples (warning
+    about the others), refusing by index one that does not fit p =
+    net(in_dim, num_classes) of the first: step() gives _descend their
+    size-weighted mean loss and flat gradient at p, those of their union."""
+    used = [(i, part) for i, part in enumerate(parts) if len(part) > 0]
     if len(used) < len(parts):
-        logger.warning("excluding %d empty partitions from the round",
-                       len(parts) - len(used))
+        logger.warning("excluding %d empty partitions from the round", len(parts) - len(used))
     if not used:
         raise ValueError("all partitions are empty")
-    return used
+    p = net(used[0][1].inputs.shape[1], used[0][1].num_classes)
+    for i, part in used:
+        if (part.inputs.shape[1], part.num_classes) != (p.in_dim, p.num_classes):
+            raise ValueError(f"partition {i} has {part.inputs.shape[1]} features and "
+                             f"{part.num_classes} classes, not {p.in_dim} and {p.num_classes}")
+    total = sum(len(part) for _, part in used)
+    clients = [(part, len(part) / total, _labels(part.labels, p.num_classes))
+               for _, part in used]
+    g = p._zeros_like()
 
-
-class _Federation:
-    """The non-empty partitions of a FedSGD run with their constants (size
-    weights and labels) and one gradient buffer that every client's
-    backprop writes into in turn.
-
-    Weighting by partition size makes the aggregate exactly equal the
-    gradient of the mean loss on the concatenated dataset.
-    """
-
-    def __init__(self, p: NetParams, used) -> None:
-        total = sum(len(part) for part in used)
-        self.parts = [(part, len(part) / total, _labels(part.labels, p.num_classes))
-                      for part in used]
-        self.g = p._zeros_like()
-
-    def aggregate(self, p: NetParams) -> tuple[float, np.ndarray]:
-        """Size-weighted mean loss and flat gradient of the clients at p."""
-        agg = None
-        loss_sum = 0.0
-        for part, w, labels in self.parts:
-            loss, g = hard_grads(p, part, self.g, labels)
+    def step() -> tuple[float, list]:
+        agg, loss_sum = None, 0.0
+        for part, w, labels in clients:
+            loss, _ = hard_grads(p, part, g, labels)
             loss_sum += w * loss
             agg = w * g.flat if agg is None else agg + w * g.flat
-        return loss_sum, agg
+        return loss_sum, [agg]
+
+    return p, step
 
 
 def fedsgd_round(global_params: NetParams, parts, lr: float) -> NetParams:
@@ -528,32 +526,21 @@ def fedsgd_round(global_params: NetParams, parts, lr: float) -> NetParams:
     trains.)
     """
     _check_lr(lr)
-    _, agg = _Federation(global_params, _nonempty(parts)).aggregate(global_params)
-    p = global_params.copy()
-    p.flat -= lr * agg
-    _check_trained([p.flat], "fedsgd_round", lr)
+    p, step = _fedsgd(parts, lambda *dims: global_params.copy())
+    _descend("fedsgd_round", [p.flat], step, 1, lr)
     return p
 
 
 def train_teacher(parts, epochs: int, lr: float, arch: NetArch = NetArch((32,), 16),
                   seed: int = 0) -> NetParams:
-    """Federated full-batch training of the shared teacher network."""
+    """Federated full-batch training of the shared teacher network, sized
+    to the first partition that holds samples."""
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     _check_lr(lr)
-    used = _nonempty(parts)
-    in_dim = used[0].inputs.shape[1]
-    num_classes = used[0].num_classes
     rng = np.random.Generator(np.random.PCG64(seed))
-    p = init_net(arch, in_dim, num_classes, rng)
-    fed = _Federation(p, used)
-    for epoch in range(epochs):
-        loss, agg = fed.aggregate(p)
-        if not np.isfinite(loss):
-            raise DivergenceError(f"teacher training diverged at epoch {epoch}: loss={loss}"
-                                  f" (lr={lr}, arch={arch})")
-        p.flat -= lr * agg
-    _check_trained([p.flat], "teacher training", lr)
+    p, step = _fedsgd(parts, lambda *dims: init_net(arch, *dims, rng))
+    _descend("teacher training", [p.flat], step, epochs, lr)
     return p
 
 
@@ -581,25 +568,22 @@ def distill_student(teacher: NetParams, student_arch: NetArch, data: ToyDataset,
     g = student._zeros_like()
 
     if loss.variant == "kd":
+        proj, params = None, [student.flat]
         targets = _kd_targets((len(data), student.num_classes), t_logits, data.labels,
                               loss.temperature)
-        for epoch in range(epochs):
-            val, _ = kd_grads(student, t_logits, data, loss.temperature, g, targets)
-            if not np.isfinite(val):
-                raise DivergenceError(f"kd distillation diverged at epoch {epoch}: loss={val}")
-            student.flat -= lr * g.flat
-        _check_trained([student.flat], "kd distillation", lr)
-        return student, None
 
-    proj = Projector(rng.normal(size=(student_arch.feature_dim, teacher.feature_dim))
-                     / np.sqrt(student_arch.feature_dim))
-    for epoch in range(epochs):
-        val, _, d_proj = simkd_grads(student, proj, t_features, data, g)
-        if not np.isfinite(val):
-            raise DivergenceError(f"simkd distillation diverged at epoch {epoch}: loss={val}")
-        student.flat -= lr * g.flat
-        proj.w -= lr * d_proj
-    _check_trained([student.flat, proj.w], "simkd distillation", lr)
+        def step() -> tuple[float, list]:
+            return kd_grads(student, t_logits, data, loss.temperature, g, targets)[0], [g.flat]
+    else:
+        proj = Projector(rng.normal(size=(student_arch.feature_dim, teacher.feature_dim))
+                         / np.sqrt(student_arch.feature_dim))
+        params = [student.flat, proj.w]
+
+        def step() -> tuple[float, list]:
+            val, _, d_proj = simkd_grads(student, proj, t_features, data, g)
+            return val, [g.flat, d_proj]
+
+    _descend(f"{loss.variant} distillation", params, step, epochs, lr)
     return student, proj
 
 

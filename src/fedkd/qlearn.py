@@ -61,13 +61,15 @@ StateKey = tuple[tuple[int, int], ...]
 
 def check_counts(config, least: dict[str, int]) -> None:
     """Refuse each named field of config that is not an integer (a bool is
-    not one) or is below its least value, naming the field."""
+    not one) or is below its least value, naming the field; store each
+    accepted one as a Python int, which json writes (a numpy integer it does not)."""
     for name, lo in least.items():
         v = getattr(config, name)
         if isinstance(v, bool) or not isinstance(v, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {v!r}")
         if v < lo:
             raise ValueError(f"{name} must be >= {lo}, got {v}")
+        object.__setattr__(config, name, int(v))
 
 
 @dataclass(frozen=True)
@@ -137,6 +139,8 @@ class QTable:
     entry reads 0, which doubles as optimistic initialization when rewards
     are negative; greedy_action honors that without enumerating the
     action space, so very large action spaces stay usable."""
+
+    _HEADER = "state\taction\tvalue\tvisits\n"     # save's first line
 
     def __init__(self) -> None:
         self._rows: dict[StateKey, _Row] = {}
@@ -224,7 +228,7 @@ class QTable:
     def save(self, path) -> None:
         """Flat record file: one tab-separated row per stored entry, by
         state, then by action."""
-        lines = ["state\taction\tvalue\tvisits\n"]
+        lines = [self._HEADER]
         for s in sorted(self._rows):
             flat = ",".join(str(i) for pair in s for i in pair)
             lines.extend(f"{flat}\t{a}\t{v!r}\t{n}\n"
@@ -234,15 +238,21 @@ class QTable:
 
     @classmethod
     def load(cls, path) -> "QTable":
+        """The table save wrote.  A missing header, or a row other than bin
+        pairs, an action, a finite value and visits, none negative, is
+        refused with a ValueError naming the file and line."""
         table = cls()
         with open(path, encoding="utf-8") as fh:
-            next(fh)  # header
+            header = fh.readline()
+            if header != cls._HEADER:
+                raise ValueError(f"{path}, line 1: not save's header: {header!r}")
             for lineno, line in enumerate(fh, start=2):
                 try:
                     flat, a, v, n = line.rstrip("\n").split("\t")
                     ints = [int(tok) for tok in flat.split(",")]
-                    s = tuple(zip(ints[0::2], ints[1::2]))
-                    table.set(s, int(a), float(v), int(n))
+                    if len(ints) % 2 or min(*ints, int(a), int(n)) < 0:
+                        raise ValueError(f"not bin pairs, action, value, visits >= 0: {line!r}")
+                    table.set(tuple(zip(ints[0::2], ints[1::2])), int(a), float(v), int(n))
                 except ValueError as exc:
                     raise ValueError(f"{path}, line {lineno}: {exc}") from None
         return table

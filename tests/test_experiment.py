@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fedkd import experiment, model
+from fedkd.accuracy import DEFAULT_TABLE, acc_pair
 from fedkd.experiment import (
     EXPERIMENT_QCONFIG,
     ExperimentConfig,
@@ -271,9 +272,21 @@ class TestRunExperiment:
         monkeypatch.setattr(experiment, "RESOURCE_LEVELS", 2)
         with pytest.raises(ValueError, match="grid level.*use at most 2 users"):
             run_experiment(quick_cfg("q-only", trials=1, episodes=10))
-        monkeypatch.setattr(experiment, "RESOURCE_LEVELS", 12)
+        # 2 * 4 * 90 * 90 = 64800 digits per user: 64800^4 > 2^63 actions
+        monkeypatch.setattr(experiment, "RESOURCE_LEVELS", 90)
         with pytest.raises(ValueError, match="exceeds.*reduce users or catalog size"):
             run_experiment(quick_cfg("q-only", trials=1, episodes=10))
+
+    def test_qonly_takes_as_many_users_as_the_other_learned_methods(self):
+        """q-only samples its actions as they do, so it is capped at
+        qlearn.SAMPLE_CAP too: 512^6 = 2^54 actions on the stock catalog."""
+        def spec(n_users):
+            return method_spec(ExperimentConfig(scenario=make_scenario(n_users, seed=0),
+                                                method="q-only"))
+
+        assert spec(6).n_actions == 2 ** 54
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            spec(7)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="method"):
@@ -296,6 +309,25 @@ class TestRunExperiment:
     def test_numpy_integer_counts_accepted(self):
         cfg = ExperimentConfig(scenario=default_scenario(), seed=np.int64(3), trials=np.int32(2))
         assert (cfg.seed, cfg.trials) == (3, 2)
+        assert type(cfg.seed) is type(cfg.trials) is int
+
+    def test_numpy_integer_seed_writes_the_same_report(self, tmp_path):
+        for name, seed, trials in (("int", 3, 2), ("numpy", np.int64(3), np.int32(2))):
+            cfg = quick_cfg("fl-min", seed=seed, trials=trials, episodes=50)
+            emit_report(run_experiment(cfg), tmp_path / name)
+        for name in ("trials.csv", "summary.json"):
+            assert ((tmp_path / "int" / name).read_bytes()
+                    == (tmp_path / "numpy" / name).read_bytes())
+
+    @pytest.mark.parametrize("bad", ["nope", "non_iid", "", None, 3])
+    def test_unknown_distribution_rejected_naming_the_field(self, bad):
+        with pytest.raises(ValueError, match="^distribution must be one of"):
+            ExperimentConfig(scenario=default_scenario(), distribution=bad)
+
+    @pytest.mark.parametrize("spelling", ["iid", "IID", "noniid", "non-iid", "Non-IID"])
+    def test_distribution_accepted_as_acc_pair_accepts_it(self, spelling):
+        cfg = ExperimentConfig(scenario=default_scenario(), distribution=spelling)
+        acc_pair(DEFAULT_TABLE, "VGG-8", "KD", cfg.distribution)
 
 
 class TestEmission:

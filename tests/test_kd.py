@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import pickle
+import re
 from pathlib import Path
 
 import numpy as np
@@ -311,6 +312,66 @@ class TestFedSGD:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match="^fedsgd_round diverged"):
                 fedsgd_round(p, [ds], lr=1e308)
+
+    @pytest.mark.parametrize("misfit, why", [
+        (lambda rng: random_dataset(rng, features=4), "4 features and 4 classes"),
+        (lambda rng: ToyDataset(np.zeros((2, 3)), [0, 5], 6), "3 features and 6 classes"),
+        (lambda rng: ToyDataset(np.zeros((2, 3)), [0, 3], 6), "3 features and 6 classes"),
+    ], ids=["features", "classes-labels-reach-4", "classes-labels-below-4"])
+    @pytest.mark.parametrize("run", [
+        lambda parts, rng: fedsgd_round(init_net(NetArch((5,), 4), 3, 4, rng), parts, 0.1),
+        lambda parts, rng: train_teacher(parts, epochs=2, lr=0.1, arch=NetArch((5,), 4)),
+    ], ids=["fedsgd_round", "train_teacher"])
+    def test_partition_that_does_not_fit_the_network_refused_by_index(self, rng, misfit,
+                                                                      why, run):
+        parts = [random_dataset(rng), _Empty(), misfit(rng)]
+        with pytest.raises(ValueError, match=f"^partition 2 has {why}, not 3 and 4$"):
+            run(parts, rng)
+
+
+DIVERGED = (r" diverged at epoch \d+: (loss=nan|loss=inf|the trained parameters are not "
+            r"finite) \(lr=[^ ]+\)$")
+
+
+class TestOneDivergenceRule:
+    """Every training run refuses divergence in one format, on a
+    non-finite loss and on a last step to non-finite parameters."""
+
+    INF = ToyDataset(np.array([[np.inf, -np.inf, 0.0], [-np.inf, np.inf, 0.0]]),
+                     np.array([0, 1]), 4)
+
+    @staticmethod
+    def runs(rng, data, lr, scale=1.0):
+        """(message prefix, run) of each training entry point on data."""
+        teacher = train_teacher([random_dataset(rng, n=20)], epochs=5, lr=0.5, seed=0)
+        p = init_net(NetArch((8,), 4), 3, 4, rng)
+        p = NetParams(p.weights, p.biases, scale * p.w_out, p.b_out)
+        yield "fedsgd_round", lambda: fedsgd_round(p, [data], lr)
+        yield "teacher training", lambda: train_teacher([data], epochs=1, lr=lr)
+        for variant in VARIANTS:
+            yield (f"{variant} distillation",
+                   lambda v=variant: distill_student(teacher, NetArch((8,), 4), data,
+                                                     LossSpec(v), epochs=1, lr=lr))
+
+    def check(self, prefix, run, reason):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as err:
+                run()
+        message = str(err.value)
+        assert re.match("^" + prefix + DIVERGED, message), message
+        assert reason in message
+
+    def test_non_finite_loss(self, rng):
+        for prefix, run in self.runs(rng, self.INF, 0.1):
+            self.check(prefix, run, "at epoch 0: loss=nan (lr=0.1)")
+
+    def test_last_step_to_non_finite_parameters(self, rng):
+        # inputs and classifier large enough that the one step overflows
+        # while the loss before it is finite
+        big = random_dataset(rng, n=20)
+        big = ToyDataset(1e3 * big.inputs, big.labels, 4)
+        for prefix, run in self.runs(rng, big, np.finfo(float).max, scale=1e3):
+            self.check(prefix, run, "at epoch 0: the trained parameters are not finite")
 
 
 class TestTrainTeacher:

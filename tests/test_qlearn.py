@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -623,6 +624,20 @@ class TestQTableIO:
         q.save(path)
         loaded = QTable.load(path)
         assert sorted(loaded.entries()) == sorted(q.entries())
+
+    @pytest.mark.parametrize("text, where", [
+        ("", r"line 1: not save's header"),
+        ("state\tvalue\n0,0\t1\t-0.5\t2\n", r"line 1: not save's header"),
+        ("state\taction\tvalue\tvisits\n0,0\t1\t-0.5\t2\n1,2,3\t0\t-1.0\t1\n",
+         r"line 3: not bin pairs"),
+        ("state\taction\tvalue\tvisits\n0,0\t-1\t-0.5\t2\n", r"line 2: not bin pairs"),
+        ("state\taction\tvalue\tvisits\n0,0\t1\t-0.5\t-2\n", r"line 2: not bin pairs"),
+    ], ids=["empty", "header", "odd-state", "negative-action", "negative-visits"])
+    def test_load_refuses_a_malformed_file_naming_the_file_line(self, tmp_path, text, where):
+        path = tmp_path / "table.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, {where}"):
+            QTable.load(path)
 
     def test_save_writes_entries_sorted_by_state_then_action(self, tmp_path):
         """Each state's key is formatted once, with the same bytes as one
