@@ -66,6 +66,17 @@
 # out: 8^9 joint actions exceed qlearn.EXHAUSTIVE_CAP, and q-only's grid
 # has fewer levels than users.
 #
+# OUT_DIR/weak.json is two users, the second with p = 1e-21 W: its
+# spectral efficiency rounds to 0 beyond about 26 m, at its own 50 m and
+# over most of QConfig.d_range.  It has one train-q run (weak-trainq) and
+# proposed experiments at 1 and 2 trials (weak-proposed-1, weak-proposed-2).
+# Each of these directories also holds the run's exit code (exit.txt) and
+# stderr (stderr.txt): a tree that refuses such a user writes only those
+# two files, exit code 1 and a message naming user 1.  A tree that
+# penalizes the user instead trains on it, exits 0 at train-q and at one
+# trial, and fails at two trials with another message, so like
+# channel.json's these directories are expected to differ from its output.
+#
 # kd runs twice at the stock 600 epochs and once at 50, where the teacher
 # still trains for 400 epochs and the students for 50.  Four demos beside
 # SRC_DIR write their stdout into OUT_DIR, each to demo-NN-<name>.txt:
@@ -192,6 +203,23 @@ JSON
 for m in proposed fl-min fl-max; do
     fedkd experiment --config "$out/nine.json" --method "$m" --seed 43 --trials 20 \
         --episodes 500 --out "$out/nine-$m"
+done
+cat > "$out/weak.json" <<'JSON'
+{"users": [{"f_loc": 1.0, "d": 20.0}, {"f_loc": 1.0, "d": 50.0, "p": 1e-21}]}
+JSON
+# A run that may fail: its exit code and stderr go into its --out directory.
+fedkd_status() {
+    local dir=$1 status=0
+    shift
+    fedkd "$@" --out "$dir" 2> "$out/stderr.tmp" || status=$?
+    mkdir -p "$dir"
+    mv "$out/stderr.tmp" "$dir/stderr.txt"
+    echo "$status" > "$dir/exit.txt"
+}
+weak=(--config "$out/weak.json" --episodes 200)
+fedkd_status "$out/weak-trainq" train-q "${weak[@]}"
+for t in 1 2; do
+    fedkd_status "$out/weak-proposed-$t" experiment "${weak[@]}" --method proposed --trials "$t"
 done
 for s in 0 7; do
     fedkd kd-demo --seed "$s" --epochs 600 --out "$out/kd-$s"

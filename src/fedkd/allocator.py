@@ -39,12 +39,11 @@ import numpy as np
 from .model import (
     Allocation,
     Decision,
-    InfeasibleError,
     Scenario,
     channel_gain,
     delays,
-    spectral_efficiency,
     tx_rate,
+    user_efficiency,
 )
 
 #: Lower bound applied to every resource share so downstream delay
@@ -118,9 +117,10 @@ def _left_to_right(values) -> float:
 
 
 def efficiencies(sc: Scenario) -> list[float]:
-    """spectral_efficiency of each of sc's users at its own distance."""
-    ch = sc.channel
-    return [spectral_efficiency(u.p, channel_gain(u.d, ch), ch) for u in sc.users]
+    """user_efficiency of each of sc's users at its own distance: the one
+    check that a scenario's own users can transmit, made before any of its
+    decisions is scored."""
+    return [user_efficiency(u, u.d, sc.channel) for u in sc.users]
 
 
 def build_problem(sc: Scenario, dec: Decision) -> AllocProblem:
@@ -128,14 +128,11 @@ def build_problem(sc: Scenario, dec: Decision) -> AllocProblem:
     User i's pick (x, m) has digit_factors (a, b, c_i, num); at its own
     f_loc and spectral efficiency eff its terms are const_i = a / f_loc + b,
     its share of AllocProblem.constant, c_i and d_i = num / eff.  A user
-    whose spectral efficiency rounds to zero cannot transmit at any
-    bandwidth: InfeasibleError naming its id."""
+    that cannot transmit is refused by efficiencies."""
     dec.validate(sc)
     consts, c, d = [], [], []
     for u, x, m, e in zip(sc.users, dec.x, dec.m, efficiencies(sc)):
         a, b, c_i, num = digit_factors(sc, x, m)
-        if e <= 0:
-            raise InfeasibleError(f"user {u.id} has zero spectral efficiency")
         consts.append(a / u.f_loc + b)
         c.append(c_i)
         d.append(num / e)

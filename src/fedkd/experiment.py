@@ -6,7 +6,8 @@ identical draws when given the same seed and template:
 
     proposed    joint offload/model agent + convex resource allocation
     q-only      one agent over offload, model, and a quantized resource
-                grid per user; no convex step, budget violations penalized
+                grid per user; no convex step, an action over a budget
+                earns the infeasibility penalty
     fl-min      smallest model for everyone (conventional federated
                 accuracies), agent picks offloading only, convex resources
     fl-max      as fl-min with the largest model
@@ -174,20 +175,15 @@ def _split(template: Scenario, rows: list, draw: Draw, levels: int
     exactly meet by one ulp.  Otherwise the rows are qlearn.Digits, which
     leave the split open: allocate's, with no Scenario of those users,
     from allocate_compute over the rows' c and allocate_bandwidth over
-    num / eff, build_problem's c_i and d_i, so the same bits.  A user
-    whose spectral efficiency rounds to zero cannot transmit at any
-    bandwidth: InfeasibleError naming its id."""
+    num / eff, build_problem's c_i and d_i, so the same bits.  Every eff is
+    positive: draw_builder refuses a template user that cannot transmit."""
     server = template.server
     if levels:
         _, _, kf, kb = zip(*rows)
         return (tuple(k * server.f_ser / levels for k in kf),
                 tuple(k * server.b_max / levels for k in kb),
                 sum(kf) <= levels and sum(kb) <= levels)
-    d = []
-    for u, row, eff in zip(template.users, rows, draw.eff):
-        if eff <= 0:
-            raise InfeasibleError(f"user {u.id} has zero spectral efficiency")
-        d.append(row.num / eff)
+    d = [row.num / eff for row, eff in zip(rows, draw.eff)]
     return (tuple(allocate_compute([row.c for row in rows], server.f_ser)),
             tuple(allocate_bandwidth(d, template.weights.delta_b, server.b_max)), True)
 
@@ -274,8 +270,9 @@ def _grid_reward(template: Scenario, digits, levels: int, accs
     oracle in tests/oracles.py on the draw's Scenario.  An action earns
     INFEASIBLE_REWARD as soon as its digits' unit counts exceed a budget;
     within budget, it is minus _price's cost of the digits' (x, m) at the
-    shares _split gives them, as in objective.  Accuracies outside [0, 1]
-    are refused here, at construction."""
+    shares _split gives them, as in objective, or INFEASIBLE_REWARD where
+    a rate b * eff underflows to 0 (a tiny b_max).  Accuracies outside
+    [0, 1] are refused here, at construction."""
     for col, name in enumerate(("acc_own", "acc_avg")):    # objective's check, per model
         if not all(0.0 <= acc[col] <= 1.0 for acc in accs):
             raise ValueError(f"{name} entries must be in [0, 1]")
@@ -328,7 +325,8 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     builder's is made per trial.  The draws depend only on
     (template, seed, trials, those ranges), never on the method, so
     reports from different methods compare like for like.  Identical
-    configs produce identical reports.
+    configs produce identical reports.  A template user that cannot
+    transmit is refused when a draw_builder is made, before any training.
     """
     template = cfg.scenario
     spec = method_spec(cfg)

@@ -220,6 +220,16 @@ def spectral_efficiency(p: float, h: float, ch: ChannelSpec) -> float:
     return math.log2(1.0 + p * h / ch.n0)
 
 
+def user_efficiency(u: UserSpec, d: float, ch: ChannelSpec) -> float:
+    """spectral_efficiency of user u at distance d.  One that rounds to 0
+    leaves u no rate at any bandwidth, so no decision is feasible: it is
+    refused with an InfeasibleError naming u and d."""
+    e = spectral_efficiency(u.p, channel_gain(d, ch), ch)
+    if not e > 0:
+        raise InfeasibleError(f"user {u.id} has zero spectral efficiency at d = {d} m")
+    return e
+
+
 def tx_rate(b: float, p: float, h: float, ch: ChannelSpec) -> float:
     """Transmission rate b * spectral_efficiency(p, h, ch) in Mbit/s for
     bandwidth b MHz.

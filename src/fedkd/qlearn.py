@@ -21,8 +21,10 @@ discount.
     exhaustive_optimum            one scenario
 
 Every route adds the users' terms left to right, so all of them agree bit
-for bit, with each other and with the scalar oracles in tests/oracles.py,
-and an infeasible action earns INFEASIBLE_REWARD on every route.
+for bit, with each other and with the scalar oracles in tests/oracles.py.
+A user that cannot transmit makes every action infeasible; it is refused
+where its draws are built (draw_builder, scenario_draw, _own_draw), so
+every Draw scored here can transmit.
 """
 
 from __future__ import annotations
@@ -39,13 +41,14 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .allocator import cost_from_sums, digit_factors, efficiencies
-from .model import Decision, InfeasibleError, Scenario, channel_gain, spectral_efficiency
+from .model import Decision, Scenario, channel_gain, spectral_efficiency, user_efficiency
 
 logger = logging.getLogger(__name__)
 
 _CLAMPED = "state component %g outside configured range [%g, %g]; clamped"
 
-#: Reward assigned to actions whose induced subproblem is infeasible.
+#: Reward of an action whose induced subproblem is infeasible: q-only's
+#: actions that overrun a budget, or whose rate underflows to 0.
 INFEASIBLE_REWARD = -1e6
 
 #: action_values, exhaustive_optimum and the exhaustive method refuse
@@ -72,6 +75,11 @@ def check_counts(config, least: dict[str, int]) -> None:
         object.__setattr__(config, name, int(v))
 
 
+def _is_real(v) -> bool:
+    """Whether v is a real number; a bool is not one."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class QConfig:
     """The agent's learning schedule and its state.
@@ -95,17 +103,20 @@ class QConfig:
     d_range: tuple[float, float] = (10.0, 100.0)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.lr <= 1.0:
-            raise ValueError(f"lr must be in (0, 1], got {self.lr}")
+        if not (_is_real(self.lr) and 0.0 < self.lr <= 1.0):
+            raise ValueError(f"lr must be a number in (0, 1], got {self.lr!r}")
         for name in ("epsilon0", "epsilon_decay", "epsilon_floor"):
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
+            if not (_is_real(v) and 0.0 <= v <= 1.0):
+                raise ValueError(f"{name} must be a number in [0, 1], got {v!r}")
         check_counts(self, {"episodes": 0, "f_bins": 1, "h_bins": 1})
         for name, bins in (("f_loc_range", "f_bins"), ("d_range", "h_bins")):
-            lo, hi = getattr(self, name)
-            if not 0 < lo <= hi < math.inf:
-                raise ValueError(f"{name} must satisfy 0 < lo <= hi < inf, got {(lo, hi)}")
+            pair = getattr(self, name)
+            ok = isinstance(pair, (tuple, list)) and len(pair) == 2 and all(map(_is_real, pair))
+            if not (ok and 0 < pair[0] <= pair[1] < math.inf):
+                raise ValueError(f"{name} must be numbers (lo, hi) with 0 < lo <= hi < inf, "
+                                 f"got {pair!r}")
+            lo, hi = pair
             if lo == hi and getattr(self, bins) > 1:
                 raise ValueError(f"{name} {(lo, hi)} has zero width, so {bins} must be 1, "
                                  f"got {getattr(self, bins)}")
@@ -238,9 +249,10 @@ class QTable:
 
     @classmethod
     def load(cls, path) -> "QTable":
-        """The table save wrote.  A missing header, or a row other than bin
-        pairs, an action, a finite value and visits, none negative, is
-        refused with a ValueError naming the file and line."""
+        """The table save wrote.  A missing header, a row other than bin
+        pairs, an action, a finite value and visits, none negative, or a
+        second row of one (state, action) is refused with a ValueError
+        naming the file and line."""
         table = cls()
         with open(path, encoding="utf-8") as fh:
             header = fh.readline()
@@ -252,7 +264,10 @@ class QTable:
                     ints = [int(tok) for tok in flat.split(",")]
                     if len(ints) % 2 or min(*ints, int(a), int(n)) < 0:
                         raise ValueError(f"not bin pairs, action, value, visits >= 0: {line!r}")
-                    table.set(tuple(zip(ints[0::2], ints[1::2])), int(a), float(v), int(n))
+                    s, a = tuple(zip(ints[0::2], ints[1::2])), int(a)
+                    if a in table._rows.get(s, ()):
+                        raise ValueError(f"a second record of state {s}, action {a}")
+                    table.set(s, a, float(v), int(n))
                 except ValueError as exc:
                     raise ValueError(f"{path}, line {lineno}: {exc}") from None
         return table
@@ -343,21 +358,26 @@ def draw_builder(template: Scenario, cfg: QConfig
     Those are the values of per-user rng.uniform(lo, hi) calls in the same
     order, f_loc first, wherever numpy forms uniform without a fused
     multiply-add.  Made once per template and QConfig: the experiment's
-    training and evaluation draws both come from it."""
+    training and evaluation draws both come from it.
+
+    A template user whose spectral efficiency rounds to 0 at the largest
+    distance the map gives, d_lo + (d_hi - d_lo), is refused here, by
+    model.user_efficiency: the gain falls with distance and rounding is
+    monotone, so every draw of an accepted template can transmit."""
     (f_lo, f_hi), (d_lo, d_hi) = cfg.f_loc_range, cfg.d_range
-    return _quantizer(template, cfg, (f_lo, f_hi - f_lo), (d_lo, d_hi - d_lo))
+    build = _quantizer(template, cfg, (f_lo, f_hi - f_lo), (d_lo, d_hi - d_lo))
+    for u in template.users:
+        user_efficiency(u, d_lo + (d_hi - d_lo), template.channel)
+    return build
 
 
 def scenario_draw(sc: Scenario, cfg: QConfig) -> tuple[StateKey, Draw]:
     """The (state key, Draw) of sc's own users, through the quantizer of
     draw_builder: each value v enters as 0.0 + 1.0 * v, which is v itself
-    for every positive float.  A user whose own channel gain rounds to 0
-    has no log10 gain to bin and is refused, naming its distance; draws
-    over d_range cannot meet it, since draw_builder checks the far end."""
-    ch = sc.channel
-    for u in sc.users:
-        if not channel_gain(u.d, ch) > 0:
-            raise ValueError(f"user {u.id}: channel gain at d = {u.d} m rounds to 0")
+    for every positive float.  A user that cannot transmit at its own
+    distance is refused first, by allocator.efficiencies; its gain is then
+    positive, so it has a log10 gain to bin."""
+    efficiencies(sc)
     values = [v for u in sc.users for v in (u.f_loc, u.d)]
     return _quantizer(sc, cfg, (0.0, 1.0), (0.0, 1.0))(values)
 
@@ -441,8 +461,8 @@ def digit_reward(template: Scenario, table: Sequence[Digit]) -> Callable[[Draw, 
     its picked row: fa / f_loc + fb, sqrt(c) and sqrt(num / eff).  The
     terms and the picked gains are added user by user, left to right,
     with build_problem's operations, so every reward equals the scalar
-    oracle in tests/oracles.py bit for bit.  A user with zero spectral
-    efficiency makes every action earn INFEASIBLE_REWARD.
+    oracle in tests/oracles.py bit for bit.  Every Draw can transmit
+    (draw_builder), so every action has a finite reward.
     """
     radix = len(table)
     factors = [(r.fa, r.fb, math.sqrt(r.c), r.num, r.gain) for r in table]
@@ -450,8 +470,6 @@ def digit_reward(template: Scenario, table: Sequence[Digit]) -> Callable[[Draw, 
     def reward_fn(draw: Draw, a: int) -> float:
         s_const = s_root_c = s_root_d = s_gain = 0.0
         for f_loc, eff in zip(draw.f_loc, draw.eff):
-            if eff <= 0:
-                return INFEASIBLE_REWARD
             fa, fb, root_c, num, g = factors[a % radix]
             a //= radix
             s_const += fa / f_loc + fb
@@ -678,15 +696,16 @@ def train_fixed_scenario(sc: Scenario, acc_by_model: Sequence[tuple[float, float
     cost a small fraction of the loop it shortens and its memory (a float
     per action) in proportion to the run.  Once the values settle, most
     greedy episodes are counted without a reward (see train_loop).  A
-    configuration error (alpha_d = 0, say) or more actions than SAMPLE_CAP
-    raises before the first episode.
+    configuration error (alpha_d = 0, say), a user that cannot transmit
+    (scenario_draw) or more actions than SAMPLE_CAP raises before the
+    first episode.
     """
     key, draw = scenario_draw(sc, cfg)
     digits = joint_digits(len(sc.catalog))
     n_actions = action_space(sc, digits, SAMPLE_CAP)
     table = digit_table(sc, acc_by_model, digits)
     if n_actions <= min(cfg.episodes, EXHAUSTIVE_CAP):
-        values = _enumerated(sc, draw, table, penalize=True).tolist()
+        values = _enumerated(sc, draw, table).tolist()
 
         def reward_fn(_draw: Draw, a: int) -> float:
             return values[a]
@@ -696,29 +715,22 @@ def train_fixed_scenario(sc: Scenario, acc_by_model: Sequence[tuple[float, float
 
 
 def _own_draw(sc: Scenario) -> Draw:
-    """The Draw of sc's own users, unquantized."""
+    """The Draw of sc's own users, unquantized; a user that cannot
+    transmit is refused (allocator.efficiencies)."""
     return Draw(tuple(u.f_loc for u in sc.users), tuple(efficiencies(sc)))
 
 
-def _enumerated(sc: Scenario, draw: Draw, table: Sequence[Digit], penalize: bool = False
-                ) -> np.ndarray:
+def _enumerated(sc: Scenario, draw: Draw, table: Sequence[Digit]) -> np.ndarray:
     """Every action's reward on draw, a Draw of sc's users, indexed by
     action, for digit table table: each user's terms of every row, with
     build_problem's operations, then one broadcast add per user.  The one
     enumeration: the exhaustive method's policy and exhaustive_optimum
     are its argmax, action_values and train_fixed_scenario's reward
-    vector its values.  A user with zero spectral efficiency raises
-    InfeasibleError or, with penalize, makes every action earn
-    INFEASIBLE_REWARD.  Refuses more than EXHAUSTIVE_CAP actions."""
-    n_actions = action_space(sc, table, EXHAUSTIVE_CAP)
-    n, consts, root_d = sc.n_users, [], []
-    for u, f_loc, eff in zip(sc.users, draw.f_loc, draw.eff):
-        if eff <= 0 and penalize:
-            return np.full(n_actions, INFEASIBLE_REWARD)
-        if eff <= 0:
-            raise InfeasibleError(f"user {u.id} has zero spectral efficiency")
-        consts.append([r.fa / f_loc + r.fb for r in table])
-        root_d.append([math.sqrt(r.num / eff) for r in table])
+    vector its values.  Refuses more than EXHAUSTIVE_CAP actions."""
+    action_space(sc, table, EXHAUSTIVE_CAP)
+    n = sc.n_users
+    consts = [[r.fa / f_loc + r.fb for r in table] for f_loc in draw.f_loc]
+    root_d = [[math.sqrt(r.num / eff) for r in table] for eff in draw.eff]
     # (4, N, K): const, sqrt c, sqrt d, gain
     tables = np.array([consts, [[math.sqrt(r.c) for r in table]] * n, root_d,
                        [[r.gain for r in table]] * n])
@@ -734,18 +746,19 @@ def _enumerated(sc: Scenario, draw: Draw, table: Sequence[Digit], penalize: bool
 def action_values(sc: Scenario, acc_by_model: Sequence[tuple[float, float]]) -> np.ndarray:
     """digit_reward of every joint action a on sc's own users, as one
     array indexed by a and equal to it, and to the oracle reward in
-    tests/oracles.py, bit for bit.  A user with zero spectral efficiency
-    makes every action INFEASIBLE_REWARD.
+    tests/oracles.py, bit for bit.  A user that cannot transmit, which the
+    oracle scores INFEASIBLE_REWARD on every action, is refused with an
+    InfeasibleError naming it (_own_draw).
     """
     table = digit_table(sc, acc_by_model, joint_digits(len(sc.catalog)))
-    return _enumerated(sc, _own_draw(sc), table, penalize=True)
+    return _enumerated(sc, _own_draw(sc), table)
 
 
 def exhaustive_optimum(sc: Scenario, acc_by_model: Sequence[tuple[float, float]]
                        ) -> tuple[Decision, float]:
     """The minimizer of the cost and its value: the lowest-index argmax of
     action_values, the reference the trained agent is compared against.
-    A user with zero spectral efficiency raises InfeasibleError."""
+    A user that cannot transmit is refused as there."""
     table = digit_table(sc, acc_by_model, joint_digits(len(sc.catalog)))
     values = _enumerated(sc, _own_draw(sc), table)
     best = int(np.argmax(values))

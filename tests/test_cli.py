@@ -4,10 +4,10 @@ import sys
 
 import pytest
 
-from fedkd import allocator, cli, kd, qlearn
+from fedkd import accuracy, allocator, cli, config, experiment, kd, qlearn
 from fedkd.cli import build_parser, kd_demo, main
 from fedkd.kd import DivergenceError
-from fedkd.model import default_scenario
+from fedkd.model import InfeasibleError, default_scenario
 
 
 def write_config(tmp_path, doc):
@@ -98,6 +98,51 @@ def test_an_action_space_too_large_is_refused_before_any_work(tmp_path, capsys, 
     assert not out.exists()
 
 
+#: User 1's spectral efficiency rounds to 0 beyond about 26 m: at its own
+#: 50 m and at 100 m, the far end of the experiment's d_range.
+WEAK = {"users": [{"f_loc": 1.0, "d": 20.0}, {"f_loc": 1.0, "d": 50.0, "p": 1e-21}]}
+
+
+@pytest.mark.parametrize("argv, d", [
+    *(pytest.param(["experiment", "--method", m, "--trials", t], "100.0", id=f"{m}-{t}")
+      for m in experiment.METHODS for t in ("1", "2")),
+    pytest.param(["train-q"], "50.0", id="train-q"),
+])
+def test_a_user_that_cannot_transmit_is_refused_before_any_training(tmp_path, capsys,
+                                                                    monkeypatch, argv, d):
+    """Whatever the trials happen to draw, every method and train-q refuse
+    the weak user by name, as one error line and exit 1, before any
+    training or trial; the scorers refuse the scenario the same way."""
+    for module in (qlearn, experiment):
+        monkeypatch.setattr(module, "train_loop", lambda *a: pytest.fail("trained"))
+    monkeypatch.setattr(experiment, "_split", lambda *a: pytest.fail("a trial ran"))
+    cfg = write_config(tmp_path, WEAK)
+    out = tmp_path / "out"
+    assert main(argv + ["--config", cfg, "--episodes", "200", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: user 1 has zero spectral efficiency at d = {d} m\n"
+    assert not out.exists()
+    sc = config.scenario_from_dict(WEAK)
+    accs = [accuracy.acc_pair(accuracy.DEFAULT_TABLE, m.name, "KD", "noniid")
+            for m in sc.catalog]
+    for scorer in (qlearn.action_values, qlearn.exhaustive_optimum):
+        with pytest.raises(InfeasibleError, match="^user 1 has zero spectral efficiency "
+                                                  "at d = 50.0 m$"):
+            scorer(sc, accs)
+
+
+@pytest.mark.parametrize("command", ["train-q", "experiment"])
+def test_a_model_without_an_accuracy_record_is_its_message_and_exit_1(tmp_path, capsys,
+                                                                     command):
+    """The lookup raises a KeyError, whose str() would quote the message."""
+    cfg = write_config(tmp_path, {"catalog": [{"name": "LeNet", "mu": 5.0, "theta_s": 50.0}]})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--episodes", "5", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: no accuracy record for model='LeNet' method=KD distribution=noniid "
+        "testset=full topk=1\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train-q", "experiment", "kd-demo"])
 def test_negative_seed_is_an_error_line_naming_the_option(tmp_path, capsys, command):
     out = tmp_path / "out"
@@ -167,14 +212,15 @@ class TestTrainQ:
 
     def test_a_user_whose_gain_rounds_to_zero_is_an_error_line_and_exit_1(self, tmp_path,
                                                                         capsys):
-        """The gain at the far end of d_range is positive, so only the
-        user's own gain is left to check; it has no log10 to bin."""
+        """The gain at the far end of d_range is positive, but the user's
+        own gain rounds to 0, so it cannot transmit, and it would have no
+        log10 gain to bin."""
         cfg = write_config(tmp_path, {"channel": {"g0": 1e-300},
                                       "users": [{"f_loc": 1.0, "d": 1e9}]})
         out = tmp_path / "q"
         assert main(["train-q", "--config", cfg, "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
-            "error: user 0: channel gain at d = 1000000000.0 m rounds to 0\n")
+            "error: user 0 has zero spectral efficiency at d = 1000000000.0 m\n")
         assert not out.exists()
 
     def test_zero_delay_weight_fails_even_without_episodes(self, tmp_path, capsys):

@@ -236,61 +236,68 @@ def _rewards(sc, accs):
             "xonly": lambda: action_reward(sc, fl_min, 0, accs)}
 
 
+_STRANDED = r"^user 1 has zero spectral efficiency at d = 10000000000.0 m$"
+
+
 @pytest.mark.parametrize("route", ["reward", "vector", "xonly"])
 def test_infeasible_decision_earns_the_penalty(route):
+    """The scalar oracles score a decision of a stranded user as the
+    penalty; action_values refuses the scenario, as exhaustive_optimum
+    does, naming the user and its distance."""
     sc = _stranded_user_scenario()
     accs = [acc_pair(DEFAULT_TABLE, m.name, "KD", "noniid") for m in sc.catalog]
-    assert _rewards(sc, accs)[route]() == INFEASIBLE_REWARD
-    with pytest.raises(InfeasibleError):
+    if route == "vector":
+        with pytest.raises(InfeasibleError, match=_STRANDED):
+            _rewards(sc, accs)[route]()
+    else:
+        assert _rewards(sc, accs)[route]() == INFEASIBLE_REWARD
+    with pytest.raises(InfeasibleError, match=_STRANDED):
         exhaustive_optimum(sc, accs)
 
 
-def test_exhaustive_method_refuses_a_stranded_evaluation_draw(monkeypatch):
-    """The policy's enumeration refuses the draw, as exhaustive_optimum
-    does, before any split is computed."""
-    monkeypatch.setattr(experiment, "_split",
-                        lambda *a: pytest.fail("the policy picked an action"))
-    cfg = ExperimentConfig(scenario=make_scenario(n_users=2), method="exhaustive", trials=1,
-                           q=QConfig(h_bins=1, d_range=(1e10, 1e10)))
-    with pytest.raises(InfeasibleError, match="user 0 has zero spectral efficiency"):
-        run_experiment(cfg)
-
-
-def test_proposed_method_refuses_a_stranded_evaluation_draw():
-    """Every training reward is the penalty, and the greedy action's split
-    on the evaluation Draw names the stranded user."""
-    cfg = ExperimentConfig(scenario=make_scenario(n_users=2), method="proposed", trials=1,
+def _refused_before_any_trial(monkeypatch, method):
+    """run_experiment of method with d_range (1e10, 1e10), where the users
+    have no efficiency at any draw: the draw builder refuses the template
+    before any training or trial."""
+    monkeypatch.setattr(experiment, "train_loop", lambda *a: pytest.fail("trained"))
+    monkeypatch.setattr(experiment, "_split", lambda *a: pytest.fail("a trial ran"))
+    cfg = ExperimentConfig(scenario=make_scenario(n_users=2), method=method, trials=1,
                            q=QConfig(h_bins=1, d_range=(1e10, 1e10), episodes=20))
-    with pytest.raises(InfeasibleError, match="user 0 has zero spectral efficiency"):
+    with pytest.raises(InfeasibleError, match="^user 0 has zero spectral efficiency at "
+                                              "d = 10000000000.0 m$"):
         run_experiment(cfg)
 
 
-def test_action_values_of_a_stranded_user_are_the_penalty_for_every_action():
+def test_exhaustive_method_refuses_a_stranded_evaluation_draw(monkeypatch):
+    _refused_before_any_trial(monkeypatch, "exhaustive")
+
+
+def test_proposed_method_refuses_a_stranded_evaluation_draw(monkeypatch):
+    _refused_before_any_trial(monkeypatch, "proposed")
+
+
+def test_action_values_refuse_a_stranded_user():
+    """The oracle scores every action of a stranded user as the penalty,
+    so no action is feasible: action_values refuses the scenario instead
+    of returning a vector of penalties."""
     sc = _stranded_user_scenario()
     accs = [acc_pair(DEFAULT_TABLE, m.name, "KD", "noniid") for m in sc.catalog]
-    values = action_values(sc, accs)
-    assert values.shape == (action_count(sc),)
-    assert set(values.tolist()) == {INFEASIBLE_REWARD}
+    assert {reward(sc, a, accs) for a in range(action_count(sc))} == {INFEASIBLE_REWARD}
+    with pytest.raises(InfeasibleError, match=_STRANDED):
+        action_values(sc, accs)
 
 
 @pytest.mark.parametrize("method", ["proposed", "q-only", "fl-min", "fl-max"])
-def test_training_reward_of_an_infeasible_action_is_the_penalty(method, monkeypatch):
-    """The reward each learning method trains on, taken from the train_loop
-    call of run_experiment; action 0 leaves the stranded user a share of
-    every budget, so only its zero spectral efficiency makes it infeasible."""
-    sc = _stranded_user_scenario()
-    calls = []
-
-    def record(sampler, cfg, rng, n_actions, reward_fn):
-        calls.append(reward_fn)
-        return QTable()
-
-    monkeypatch.setattr(experiment, "train_loop", record)
-    cfg = ExperimentConfig(scenario=sc, method=method, trials=0)
-    run_experiment(cfg)
-    assert len(calls) == 1
-    _, draw = scenario_draw(sc, cfg.q)
-    assert calls[0](draw, 0) == INFEASIBLE_REWARD
+def test_a_stranded_template_is_refused_before_training(method, monkeypatch):
+    """A template user with p = 1e-21 W has no efficiency beyond about
+    26 m, so none at 100 m, the far end of d_range: run_experiment refuses
+    it before train_loop is called."""
+    sc = make_scenario(n_users=2)
+    sc = dataclasses.replace(sc, users=(sc.users[0], dataclasses.replace(sc.users[1], p=1e-21)))
+    monkeypatch.setattr(experiment, "train_loop", lambda *a: pytest.fail("trained"))
+    with pytest.raises(InfeasibleError, match=r"^user 1 has zero spectral efficiency "
+                                              r"at d = 100.0 m$"):
+        run_experiment(ExperimentConfig(scenario=sc, method=method, trials=0))
 
 
 @pytest.mark.parametrize("route", ["reward", "vector", "xonly"])
@@ -353,10 +360,10 @@ def test_training_rewards_equal_action_reward_bit_for_bit_on_seeded_draws(inst, 
     """Each learning method's training reward of a Draw equals action_reward
     on the Scenario that sample_scenario draws from the same seed, for
     random templates: unequal p, zero and positive bandwidth prices, a
-    one-model catalog, and (stranded) a user whose spectral efficiency
-    rounds to zero, which makes every action earn the penalty.  q-only
-    also scores 64 actions within both budgets, which uniform actions
-    seldom are."""
+    one-model catalog.  q-only also scores 64 actions within both
+    budgets, which uniform actions seldom are.  A template with a user
+    whose spectral efficiency rounds to zero (stranded) has no feasible
+    action on any draw, by the oracle, and its sampler is refused."""
     sc, _, accs, _ = inst
     if stranded:
         weak = dataclasses.replace(sc.users[0], p=1e-300)
@@ -365,8 +372,16 @@ def test_training_rewards_equal_action_reward_bit_for_bit_on_seeded_draws(inst, 
         cfg = ExperimentConfig(scenario=sc, method=method)
         spec = method_spec(cfg)
         reward_fn = training_reward(sc, spec, method_rows(sc, spec, accs), accs)
-        sampler = training_sampler(cfg)
         rng, ref_rng, pick = (np.random.Generator(np.random.PCG64(draw_seed)) for _ in range(3))
+        if stranded:
+            with pytest.raises(InfeasibleError, match="^user 0 has zero spectral efficiency "
+                                                      "at d = 100.0 m$"):
+                training_sampler(cfg)
+            ref = sample_scenario(sc, ref_rng, cfg.q.f_loc_range, cfg.q.d_range)
+            assert {action_reward(ref, spec, a, accs) for a in
+                    pick.integers(spec.n_actions, size=64).tolist()} == {INFEASIBLE_REWARD}
+            continue
+        sampler = training_sampler(cfg)
         draws = StreamReader(rng)
         for _ in range(2):
             _, draw = sampler(draws)
@@ -381,10 +396,8 @@ def test_training_rewards_equal_action_reward_bit_for_bit_on_seeded_draws(inst, 
             got = [reward_fn(draw, a) for a in actions]
             assert [r.hex() for r in got] == [
                 action_reward(ref, spec, a, accs).hex() for a in actions]
-            if stranded and method != "q-only":
-                assert set(got) == {INFEASIBLE_REWARD}
             if method == "q-only":
-                assert (INFEASIBLE_REWARD in got[-64:]) == stranded
+                assert INFEASIBLE_REWARD not in got[-64:]
 
 
 def _count_constructions(monkeypatch):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -85,9 +86,14 @@ class TestRanges:
     share, and the counts that go with them."""
 
     @pytest.mark.parametrize("field", ["f_loc_range", "d_range"])
-    @pytest.mark.parametrize("bad", [(-1.0, 2.0), (math.nan, 2.0), (2.0, 1.0), (0.5, math.inf)])
+    @pytest.mark.parametrize("bad", [(-1.0, 2.0), (math.nan, 2.0), (2.0, 1.0), (0.5, math.inf),
+                                     "ab", (0.5,), (0.5, 1.0, 2.0), (True, 2.0), ("1", "2"),
+                                     5.0])
     def test_bad_range_rejected_naming_the_field(self, field, bad):
-        with pytest.raises(ValueError, match=field):
+        """Also a range that is not a pair of numbers, which would fail
+        with an unpacking or comparison error that names nothing."""
+        with pytest.raises(ValueError, match=f"^{field} must be numbers \\(lo, hi\\) with "
+                                             f"0 < lo <= hi < inf, got {re.escape(repr(bad))}$"):
             QConfig(**{field: bad})
 
     @pytest.mark.parametrize("field", ["f_loc_range", "d_range"])
@@ -104,6 +110,17 @@ class TestRanges:
     @pytest.mark.parametrize("bad", [2.5, True, "3"])
     def test_non_integer_count_rejected_naming_the_field(self, field, bad):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            QConfig(**{field: bad})
+
+    @pytest.mark.parametrize("field, interval", [
+        ("lr", "(0, 1]"), ("epsilon0", "[0, 1]"), ("epsilon_decay", "[0, 1]"),
+        ("epsilon_floor", "[0, 1]")])
+    @pytest.mark.parametrize("bad", [True, "0.5", None, 1.5])
+    def test_bad_rate_rejected_naming_the_field(self, field, interval, bad):
+        """lr = True would train as lr = 1; a string or None would fail
+        with a TypeError that names nothing."""
+        with pytest.raises(ValueError, match=f"^{field} must be a number in "
+                                             f"{re.escape(interval)}, got {re.escape(repr(bad))}$"):
             QConfig(**{field: bad})
 
     @pytest.mark.parametrize("field", ["f_bins", "h_bins"])

@@ -7,6 +7,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from fedkd import qlearn
 from fedkd.accuracy import DEFAULT_TABLE, acc_pair
@@ -25,6 +27,7 @@ from fedkd.model import (
     DEFAULT_CATALOG,
     ChannelSpec,
     Decision,
+    InfeasibleError,
     ObjectiveWeights,
     Scenario,
     TeacherSpec,
@@ -344,12 +347,37 @@ class TestDrawBuilder:
     @pytest.mark.parametrize("h_bins", [1, 2])
     def test_a_user_whose_own_gain_rounds_to_zero_is_refused(self, h_bins):
         """g0 = 1e-300 leaves a gain at the far end of d_range, 100 m, but
-        none at a train-q user's 1e9 m; scenario_draw names the user."""
+        none at a train-q user's 1e9 m, so it cannot transmit there;
+        scenario_draw names the user and its distance.  n0 = 1e-300 leaves
+        user 0 a positive efficiency at 50 m."""
         sc = dataclasses.replace(at(make_scenario(n_users=2), [1.0, 1.0], [50.0, 1e9]),
-                                 channel=ChannelSpec(g0=1e-300))
-        with pytest.raises(ValueError, match=r"^user 1: channel gain at d = 1000000000.0 m "
-                                             r"rounds to 0$"):
+                                 channel=ChannelSpec(g0=1e-300, n0=1e-300))
+        with pytest.raises(InfeasibleError, match=r"^user 1 has zero spectral efficiency "
+                                                  r"at d = 1000000000.0 m$"):
             scenario_draw(sc, QConfig(h_bins=h_bins))
+
+    @seed(20240301)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(st.floats(3e-20, 6e-20), st.floats(80.0, 125.0),
+           st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=2, max_size=2))
+    def test_an_accepted_template_can_transmit_on_every_draw(self, p, d_hi, u):
+        """Powers near the point where the efficiency at the far end of
+        d_range rounds to 0 on the stock channel (about 4.4e-20 W at
+        100 m): an accepted template's draws, the farthest one included,
+        all have a positive efficiency, and a refused one has none at the
+        far end of the map."""
+        sc = make_scenario(n_users=1)
+        sc = dataclasses.replace(sc, users=(dataclasses.replace(sc.users[0], p=p),))
+        cfg = QConfig(d_range=(10.0, d_hi))
+        far = 10.0 + (d_hi - 10.0)
+        try:
+            build = draw_builder(sc, cfg)
+        except InfeasibleError as exc:
+            assert str(exc) == f"user 0 has zero spectral efficiency at d = {far} m"
+            assert spectral_efficiency(p, channel_gain(far, sc.channel), sc.channel) == 0
+            return
+        for v in (u, [u[0], 1.0 - 2.0 ** -53]):
+            assert build(v)[1].eff[0] > 0
 
 
 class TestActionCoding:
@@ -632,7 +660,10 @@ class TestQTableIO:
          r"line 3: not bin pairs"),
         ("state\taction\tvalue\tvisits\n0,0\t-1\t-0.5\t2\n", r"line 2: not bin pairs"),
         ("state\taction\tvalue\tvisits\n0,0\t1\t-0.5\t-2\n", r"line 2: not bin pairs"),
-    ], ids=["empty", "header", "odd-state", "negative-action", "negative-visits"])
+        ("state\taction\tvalue\tvisits\n0,0\t1\t-0.5\t2\n0,0\t1\t-9.0\t7\n",
+         r"line 3: a second record of state \(\(0, 0\),\), action 1$"),
+    ], ids=["empty", "header", "odd-state", "negative-action", "negative-visits",
+            "repeated-entry"])
     def test_load_refuses_a_malformed_file_naming_the_file_line(self, tmp_path, text, where):
         path = tmp_path / "table.tsv"
         path.write_text(text, encoding="utf-8")
