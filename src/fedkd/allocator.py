@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    RESOURCE_FLOOR,
     Allocation,
     Decision,
     Scenario,
@@ -45,12 +46,6 @@ from .model import (
     tx_rate,
     user_efficiency,
 )
-
-#: Lower bound applied to every resource share so downstream delay
-#: evaluations never divide by zero.  The true optimum is interior
-#: (the objective diverges as f_i, b_i -> 0), so the floor is inactive
-#: for any sane instance.
-RESOURCE_FLOOR = 1e-6
 
 #: kkt_residual treats the bandwidth multiplier lambda as active (so the
 #: budget must bind) when it exceeds this fraction of delta_b + lambda;

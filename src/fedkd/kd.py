@@ -20,9 +20,13 @@ Every training run (train_teacher, fedsgd_round and both
 distill_student variants) steps through one loop, _descend, with one
 divergence rule: a non-finite loss at an epoch, or non-finite
 parameters after the last one, raises DivergenceError naming the run,
-the epoch and the step size.  A network's parameters are views into one
-float64 buffer (NetParams.flat), which a run steps in place; what stays
-fixed for the run is built once, before the loop.
+the epoch and the step size; the loss is computed every epoch.  A
+network's parameters are views into one float64 buffer
+(NetParams.flat), which a run steps in place.  Each run builds one
+_Pass before its loop, which owns every array a step writes; the
+FedSGD clients share one pass over their concatenated rows.  The public
+kernels build a pass and call it once, so each gradient has one
+implementation.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -262,8 +267,9 @@ class LossSpec:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if not 0 < self.temperature < math.inf:
-            raise ValueError(f"temperature must be finite and > 0, got {self.temperature}")
+        t = self.temperature
+        if isinstance(t, bool) or not isinstance(t, numbers.Real) or not 0 < t < math.inf:
+            raise ValueError(f"temperature must be finite and > 0, got {t!r}")
 
 
 def init_net(arch: NetArch, in_dim: int, num_classes: int,
@@ -278,118 +284,122 @@ def init_net(arch: NetArch, in_dim: int, num_classes: int,
     return NetParams(tuple(weights), tuple(biases), w_out, np.zeros(num_classes))
 
 
-def _forward(p: NetParams, x: np.ndarray):
-    """Layer outputs for backprop; hs[0] is the input batch."""
-    hs = [x]
-    for w, b in zip(p.weights, p.biases):
-        hs.append(np.tanh(hs[-1] @ w + b))
-    logits = hs[-1] @ p.w_out + p.b_out
-    return hs, logits
-
-
-def net_eval(p: NetParams, x) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic forward pass; returns (features, logits)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] != p.in_dim:
-        raise ValueError(f"input width {x.shape[1]} does not match network input {p.in_dim}")
-    hs, logits = _forward(p, x)
-    return hs[-1], logits
-
-
-def _backprop(p: NetParams, hs, g: NetParams | None, dlogits=None,
-              dfeatures=None) -> NetParams:
-    """Gradients for a batch given the upstream gradient at the logits
-    (classifier path) or directly at the features (encoder-only path),
-    written into g (a new zero buffer when g is None).  The encoder-only
-    path gives a zero classifier gradient."""
-    if g is None:
-        g = p._zeros_like()
-    if dlogits is not None:
-        np.matmul(hs[-1].T, dlogits, out=g.w_out)
-        np.add.reduce(dlogits, axis=0, out=g.b_out)
-        dh = dlogits @ p.w_out.T
-    else:
-        g.w_out.fill(0.0)
-        g.b_out.fill(0.0)
-        dh = dfeatures
-    for layer in reversed(range(len(p.weights))):
-        dz = dh * (1.0 - hs[layer + 1] ** 2)   # tanh'
-        np.matmul(hs[layer].T, dz, out=g.weights[layer])
-        np.add.reduce(dz, axis=0, out=g.biases[layer])
-        if layer:   # the input layer needs no gradient below it
-            dh = dz @ p.weights[layer].T
-    return g
-
-
 # ---------------------------------------------------------------------------
 # losses
+#
+# A loss head takes the (n, classes) logits, or the (n, features) features
+# if its on_features is set, and gives the loss and the delta there, in
+# arrays it owns.  Its rows belong to consecutive clients (bounds); grads
+# holds its gradients of parameters outside the network (the projector).
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+def _row_max(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """z.max(axis=1) into out, as a chain of np.maximum over the columns:
+    the same bits, nan and signed zeros included, and faster on rows of a
+    few classes."""
+    np.maximum(z[:, 0], z[:, min(1, z.shape[1] - 1)], out=out)
+    for j in range(2, z.shape[1]):
+        np.maximum(out, z[:, j], out=out)
+    return out
 
 
-@dataclass(frozen=True)
-class _Labels:
-    """Class labels as positions in the flattened (n, classes) logits and
-    as a one-hot matrix: the constants of the cross-entropy."""
+class _LogSoftmax:
+    """Row-wise log-softmax of (n, c) arrays, on work arrays it owns."""
 
-    idx: np.ndarray
-    onehot: np.ndarray
+    def __init__(self, n: int, c: int):
+        self.m, self.e, self.s = np.empty(n), np.empty((n, c)), np.empty((n, 1))
+        self.m_col = self.m[:, None]
 
-
-def _labels(labels: np.ndarray, num_classes: int) -> _Labels:
-    n = len(labels)
-    if n and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ValueError(f"labels must lie in [0, {num_classes})")
-    onehot = np.zeros((n, num_classes))
-    onehot[np.arange(n), labels] = 1.0
-    return _Labels(np.arange(n) * num_classes + labels, onehot)
+    def __call__(self, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """log_softmax(z) into out, which may be z."""
+        _row_max(z, self.m)
+        np.subtract(z, self.m_col, out=out)
+        np.add.reduce(np.exp(out, out=self.e), axis=1, keepdims=True, out=self.s)
+        return np.subtract(out, np.log(self.s, out=self.s), out=out)
 
 
-def _cross_entropy(logits: np.ndarray, labels: _Labels) -> tuple[float, np.ndarray]:
-    """Batch-mean cross-entropy of (n, classes) logits and its gradient."""
-    log_p = _log_softmax(logits)
-    loss = -log_p.take(labels.idx).mean()
-    return float(loss), (np.exp(log_p) - labels.onehot) / len(logits)
+class _Hard:
+    """Cross-entropy of (n, c) logits against labels, for consecutive
+    clients of the given sizes: each client's mean loss, and the delta,
+    each row divided by its client's size."""
+
+    on_features, grads = False, ()
+
+    def __init__(self, labels: np.ndarray, c: int, sizes: list):
+        n = len(labels)
+        if n and (labels.min() < 0 or labels.max() >= c):
+            raise ValueError(f"labels must lie in [0, {c})")
+        starts = np.cumsum([0, *sizes]).tolist()
+        self.bounds = list(zip(starts, starts[1:]))
+        self.idx = np.arange(n) * c + labels
+        self.onehot = np.eye(c)[labels]
+        self.per_row = np.repeat(np.array(sizes, dtype=float), sizes)[:, None]
+        self.log_softmax = _LogSoftmax(n, c)
+        self.log_p, self.d, self.picked = np.empty((n, c)), np.empty((n, c)), np.empty(n)
+
+    def __call__(self, z: np.ndarray) -> tuple[list, np.ndarray]:
+        log_p = self.log_softmax(z, self.log_p)
+        log_p.take(self.idx, out=self.picked, mode="clip")   # "raise" would buffer
+        # np.add.reduce(v) / n is v.mean() bit for bit, in half the time
+        losses = [-float(np.add.reduce(self.picked[a:b]) / (b - a)) for a, b in self.bounds]
+        np.subtract(np.exp(log_p, out=self.d), self.onehot, out=self.d)
+        return losses, np.divide(self.d, self.per_row, out=self.d)
 
 
-@dataclass(frozen=True)
-class _KDTargets:
-    """The constants of kd_loss for one teacher and one temperature: the
-    labels and the teacher's softened log-probabilities and probabilities."""
+class _KD(_Hard):
+    """kd_loss of (n, c) student logits against one teacher's logits,
+    labels and temperature, whose softened targets it computes once."""
 
-    labels: _Labels
-    log_p_tt: np.ndarray
-    p_tt: np.ndarray
-    temperature: float
+    def __init__(self, shape: tuple, teacher_logits, labels, temperature: float):
+        z_t = np.atleast_2d(np.asarray(teacher_logits, dtype=float))
+        y = np.atleast_1d(np.asarray(labels, dtype=int))
+        if shape != z_t.shape:
+            raise ValueError(f"student/teacher logit shapes differ: {shape} vs {z_t.shape}")
+        if y.shape != (shape[0],):
+            raise ValueError("labels must have one entry per logit row")
+        super().__init__(y, shape[1], [shape[0]])
+        self.t = temperature
+        self.log_p_tt = self.log_softmax(z_t / temperature, np.empty(shape))
+        self.p_tt = np.exp(self.log_p_tt)
+        self.q, self.e, self.row = np.empty(shape), np.empty(shape), np.empty(shape[0])
+
+    def __call__(self, z: np.ndarray) -> tuple[float, np.ndarray]:
+        (hard,), d = super().__call__(z)
+        t, n, e = self.t, len(z), self.e
+        log_p_st = self.log_softmax(np.divide(z, t, out=self.q), self.q)
+        np.multiply(self.p_tt, np.subtract(self.log_p_tt, log_p_st, out=e), out=e)
+        soft = np.add.reduce(np.add.reduce(e, axis=1, out=self.row)) / n
+        np.subtract(np.exp(log_p_st, out=e), self.p_tt, out=e)
+        d += np.divide(np.multiply(e, t, out=e), n, out=e)
+        return float(hard + t * t * soft), d
 
 
-def _kd_targets(shape: tuple, teacher_logits, labels, temperature: float) -> _KDTargets:
-    """Validated against student logits of the given (n, classes) shape."""
-    z_t = np.atleast_2d(np.asarray(teacher_logits, dtype=float))
-    y = np.atleast_1d(np.asarray(labels, dtype=int))
-    if shape != z_t.shape:
-        raise ValueError(f"student/teacher logit shapes differ: {shape} vs {z_t.shape}")
-    if y.shape != (shape[0],):
-        raise ValueError("labels must have one entry per logit row")
-    log_p_tt = _log_softmax(z_t / temperature)
-    return _KDTargets(_labels(y, shape[1]), log_p_tt, np.exp(log_p_tt), temperature)
+class _Match:
+    """simkd_loss of student features of the given (n, s) shape against
+    the teacher's features through proj: the loss, the delta at the
+    features, and the projector's gradient in grads."""
 
+    on_features = True
 
-def _kd_loss(z_s: np.ndarray, targets: _KDTargets) -> tuple[float, np.ndarray]:
-    n = z_s.shape[0]
-    t = targets.temperature
-    p_tt = targets.p_tt
+    def __init__(self, f_t, proj: Projector, shape: tuple):
+        f_t = np.atleast_2d(np.asarray(f_t, dtype=float))
+        if shape[1] != proj.w.shape[0]:
+            raise ValueError(f"student features of width {shape[1]} do not match "
+                             f"projector input {proj.w.shape[0]}")
+        if f_t.shape[1] != proj.w.shape[1]:
+            raise ValueError(f"teacher features of width {f_t.shape[1]} do not match "
+                             f"projector output {proj.w.shape[1]}")
+        self.f_t, self.w, self.bounds = f_t, proj.w, [(0, shape[0])]
+        self.diff, self.sq = np.empty((2, shape[0], f_t.shape[1]))
+        self.delta, self.grads = np.empty(shape), [np.empty_like(proj.w)]
 
-    hard, d_hard = _cross_entropy(z_s, targets.labels)
-    log_p_st = _log_softmax(z_s / t)
-    soft = (p_tt * (targets.log_p_tt - log_p_st)).sum(axis=1).mean()
-
-    loss = hard + t * t * soft
-    grad = d_hard + t * (np.exp(log_p_st) - p_tt) / n
-    return float(loss), grad
+    def __call__(self, f_s: np.ndarray) -> tuple[float, np.ndarray]:
+        n, diff = len(f_s), self.diff
+        np.subtract(np.matmul(f_s, self.w, out=diff), self.f_t, out=diff)
+        loss = float(np.add.reduce(np.square(diff, out=self.sq), axis=None) / n)
+        np.divide(np.multiply(diff, 2.0, out=diff), n, out=diff)
+        np.matmul(f_s.T, diff, out=self.grads[0])
+        return loss, np.matmul(diff, self.w.T, out=self.delta)
 
 
 def kd_loss(student_logits, teacher_logits, labels,
@@ -403,81 +413,134 @@ def kd_loss(student_logits, teacher_logits, labels,
     pointing from teacher to student.  Batch-mean reduction throughout.
     """
     z_s = np.atleast_2d(np.asarray(student_logits, dtype=float))
-    loss, grad = _kd_loss(z_s, _kd_targets(z_s.shape, teacher_logits, labels, temperature))
+    loss, grad = _KD(z_s.shape, teacher_logits, labels, temperature)(z_s)
     return loss, (grad if np.ndim(student_logits) == 2 else grad[0])
 
 
 def simkd_loss(f_t, f_s, proj: Projector) -> tuple[float, np.ndarray, np.ndarray]:
     """Feature-matching loss ||f_t - P(f_s)||^2 (batch mean) and its exact
     gradients w.r.t. the student features and the projector matrix."""
-    f_t = np.atleast_2d(np.asarray(f_t, dtype=float))
     f_s = np.atleast_2d(np.asarray(f_s, dtype=float))
-    if f_s.shape[1] != proj.w.shape[0]:
-        raise ValueError(f"student features of width {f_s.shape[1]} do not match "
-                         f"projector input {proj.w.shape[0]}")
-    if f_t.shape[1] != proj.w.shape[1]:
-        raise ValueError(f"teacher features of width {f_t.shape[1]} do not match "
-                         f"projector output {proj.w.shape[1]}")
-    n = f_s.shape[0]
-    diff = f_s @ proj.w - f_t
-    loss = float((diff ** 2).sum() / n)
-    dpred = 2.0 * diff / n
-    return loss, dpred @ proj.w.T, f_s.T @ dpred
+    head = _Match(f_t, proj, f_s.shape)
+    return (*head(f_s), head.grads[0])
 
 
-# The kernels take an optional gradient buffer `out` to write into, and
-# hard_grads and kd_grads the constants of their loss, built once per
-# training run; without these they build both on every call.
+# ---------------------------------------------------------------------------
+# passes
 
 
-def hard_grads(p: NetParams, ds: ToyDataset, out: NetParams | None = None,
-               labels: _Labels | None = None) -> tuple[float, NetParams]:
+class _Pass:
+    """Network p over the rows of x, with a loss head (None: the forward
+    pass only).  It owns every array a step writes: the activations hs
+    (hs[0] is x), the logits (None when the head reads the features), one
+    buffer that each layer's delta dh takes in turn, and the gradient of
+    each client of the head's bounds, gs; a head on the features leaves
+    the classifier's gradient at zero.  clients holds, per client,
+    its gradient, its row slice, and views of its rows of every
+    activation and of their transposes, built once."""
+
+    def __init__(self, p: NetParams, x: np.ndarray, head=None):
+        n, widths = len(x), [w.shape[1] for w in p.weights]
+        self.p, self.head = p, head
+        self.hs = [x, *(np.empty((n, k)) for k in widths)]
+        self.logits = None if head and head.on_features else np.empty((n, p.num_classes))
+        if head is None:
+            return
+        dh = np.empty(n * max(widths))
+        self.dhs = [dh[:n * k].reshape(n, k) for k in widths]
+        self.gs = [p._zeros_like() for _ in head.bounds]
+        self.clients = [(g, slice(a, b), [h[a:b] for h in self.hs], [h[a:b].T for h in self.hs])
+                        for g, (a, b) in zip(self.gs, head.bounds)]
+
+    def forward(self) -> tuple[np.ndarray, np.ndarray | None]:
+        p, hs = self.p, self.hs
+        for w, b, h_in, h in zip(p.weights, p.biases, hs, hs[1:]):
+            np.tanh(np.add(np.matmul(h_in, w, out=h), b, out=h), out=h)
+        if self.logits is not None:
+            np.add(np.matmul(hs[-1], p.w_out, out=self.logits), p.b_out, out=self.logits)
+        return hs[-1], self.logits
+
+    def __call__(self):
+        """The head's loss at p, with p's gradient for each client in gs.
+        Every op but the gradient sums is row-wise, so it runs once over
+        all clients' rows.  Each activation, once used, is overwritten by
+        tanh' and then by the delta dz."""
+        p, hs, head = self.p, self.hs, self.head
+        self.forward()
+        if head.on_features:
+            loss, dh = head(hs[-1])
+        else:
+            loss, d = head(self.logits)
+            for g, own, _, rows_t in self.clients:
+                np.matmul(rows_t[-1], d[own], out=g.w_out)
+                np.add.reduce(d[own], axis=0, out=g.b_out)
+            dh = np.matmul(d, p.w_out.T, out=self.dhs[-1])
+        for layer in reversed(range(len(p.weights))):
+            h = hs[layer + 1]   # h becomes tanh' = 1 - h^2, then dz = dh * tanh'
+            dz = np.multiply(np.subtract(1.0, np.square(h, out=h), out=h), dh, out=h)
+            for g, _, rows, rows_t in self.clients:   # rows[layer + 1] now holds dz
+                np.matmul(rows_t[layer], rows[layer + 1], out=g.weights[layer])
+                np.add.reduce(rows[layer + 1], axis=0, out=g.biases[layer])
+            if layer:   # the input layer needs no delta below it
+                dh = np.matmul(dz, p.weights[layer].T, out=self.dhs[layer - 1])
+        return loss
+
+
+def net_eval(p: NetParams, x) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic forward pass; returns (features, logits)."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.shape[1] != p.in_dim:
+        raise ValueError(f"input width {x.shape[1]} does not match network input {p.in_dim}")
+    return _Pass(p, x).forward()
+
+
+def hard_grads(p: NetParams, ds: ToyDataset) -> tuple[float, NetParams]:
     """Full-batch cross-entropy loss and parameter gradients."""
-    hs, logits = _forward(p, ds.inputs)
-    if labels is None:
-        labels = _labels(ds.labels, p.num_classes)
-    loss, dlogits = _cross_entropy(logits, labels)
-    return loss, _backprop(p, hs, out, dlogits=dlogits)
+    run = _Pass(p, ds.inputs, _Hard(ds.labels, p.num_classes, [len(ds)]))
+    return run()[0], run.gs[0]
 
 
 def kd_grads(p: NetParams, teacher_logits: np.ndarray, ds: ToyDataset,
-             temperature: float, out: NetParams | None = None,
-             targets: _KDTargets | None = None) -> tuple[float, NetParams]:
-    hs, logits = _forward(p, ds.inputs)
-    if targets is None:
-        targets = _kd_targets(logits.shape, teacher_logits, ds.labels, temperature)
-    loss, dlogits = _kd_loss(logits, targets)
-    return loss, _backprop(p, hs, out, dlogits=dlogits)
+             temperature: float) -> tuple[float, NetParams]:
+    run = _Pass(p, ds.inputs, _KD((len(ds), p.num_classes), teacher_logits, ds.labels,
+                                  temperature))
+    return run(), run.gs[0]
 
 
 def simkd_grads(p: NetParams, proj: Projector, teacher_features: np.ndarray,
-                ds: ToyDataset, out: NetParams | None = None
-                ) -> tuple[float, NetParams, np.ndarray]:
+                ds: ToyDataset) -> tuple[float, NetParams, np.ndarray]:
     """Loss plus encoder gradients (classifier gradient zero) and projector
     grad."""
-    hs, _ = _forward(p, ds.inputs)
-    loss, d_fs, d_proj = simkd_loss(teacher_features, hs[-1], proj)
-    return loss, _backprop(p, hs, out, dfeatures=d_fs), d_proj
+    head = _Match(teacher_features, proj, (len(ds), p.feature_dim))
+    run = _Pass(p, ds.inputs, head)
+    return run(), run.gs[0], head.grads[0]
 
 
-def _check_lr(lr: float) -> None:
-    if not 0.0 <= lr < np.inf:
-        raise ValueError(f"lr must be finite and >= 0, got {lr}")
+def _check_run(lr: float, epochs: int = 1, least: int = 1) -> None:
+    """Refuse, by name, an epoch count that is not an integer (a bool is
+    not one) or is below least, and a step size that is not a finite
+    number >= 0."""
+    if isinstance(epochs, bool) or not isinstance(epochs, numbers.Integral):
+        raise ValueError(f"epochs must be an integer, got {epochs!r}")
+    if epochs < least:
+        raise ValueError(f"epochs must be >= {least}, got {epochs}")
+    if isinstance(lr, bool) or not isinstance(lr, numbers.Real) or not 0.0 <= lr < math.inf:
+        raise ValueError(f"lr must be finite and >= 0, got {lr!r}")
 
 
 def _descend(what: str, params: list, step, epochs: int, lr: float) -> None:
     """Full-batch gradient descent of the arrays params, in place: each
     epoch step() gives the loss and one gradient g per array at their
-    current values, and each array steps by -lr * g.  A non-finite loss
-    raises DivergenceError naming the epoch; so do arrays that are not
-    finite after the last epoch, which the loss misses when tanh
-    saturates an infinite weight."""
+    current values, and each array steps by -lr * g, written over g.  A
+    non-finite loss raises DivergenceError naming the epoch; so do arrays
+    that are not finite after the last epoch, which the loss misses when
+    tanh saturates an infinite weight."""
     for epoch in range(epochs):
         loss, grads = step()
         if not math.isfinite(loss):
             raise DivergenceError(f"{what} diverged at epoch {epoch}: loss={loss} (lr={lr})")
         for a, g in zip(params, grads):
-            a -= lr * g
+            a -= np.multiply(g, lr, out=g)
     if not all(np.isfinite(a).all() for a in params):
         raise DivergenceError(f"{what} diverged at epoch {epochs - 1}: the trained "
                               f"parameters are not finite (lr={lr})")
@@ -491,7 +554,8 @@ def _fedsgd(parts, net):
     """(p, step) of FedSGD over the partitions that hold samples (warning
     about the others), refusing by index one that does not fit p =
     net(in_dim, num_classes) of the first: step() gives _descend their
-    size-weighted mean loss and flat gradient at p, those of their union."""
+    size-weighted mean loss and flat gradient at p, those of their union.
+    The clients share one pass over their concatenated rows."""
     used = [(i, part) for i, part in enumerate(parts) if len(part) > 0]
     if len(used) < len(parts):
         logger.warning("excluding %d empty partitions from the round", len(parts) - len(used))
@@ -502,18 +566,19 @@ def _fedsgd(parts, net):
         if (part.inputs.shape[1], part.num_classes) != (p.in_dim, p.num_classes):
             raise ValueError(f"partition {i} has {part.inputs.shape[1]} features and "
                              f"{part.num_classes} classes, not {p.in_dim} and {p.num_classes}")
-    total = sum(len(part) for _, part in used)
-    clients = [(part, len(part) / total, _labels(part.labels, p.num_classes))
-               for _, part in used]
-    g = p._zeros_like()
+    sizes = [len(part) for _, part in used]
+    run = _Pass(p, np.concatenate([part.inputs for _, part in used]),
+                _Hard(np.concatenate([part.labels for _, part in used]), p.num_classes, sizes))
+    weights = [size / sum(sizes) for size in sizes]
 
     def step() -> tuple[float, list]:
-        agg, loss_sum = None, 0.0
-        for part, w, labels in clients:
-            loss, _ = hard_grads(p, part, g, labels)
-            loss_sum += w * loss
-            agg = w * g.flat if agg is None else agg + w * g.flat
-        return loss_sum, [agg]
+        loss = 0.0
+        for w, client_loss, g in zip(weights, run(), run.gs):
+            loss += w * client_loss
+            g.flat *= w
+            if g is not run.gs[0]:
+                run.gs[0].flat += g.flat
+        return loss, [run.gs[0].flat]
 
     return p, step
 
@@ -525,7 +590,7 @@ def fedsgd_round(global_params: NetParams, parts, lr: float) -> NetParams:
     global parameters.  (Distillation needs the teacher that this round
     trains.)
     """
-    _check_lr(lr)
+    _check_run(lr)
     p, step = _fedsgd(parts, lambda *dims: global_params.copy())
     _descend("fedsgd_round", [p.flat], step, 1, lr)
     return p
@@ -535,9 +600,7 @@ def train_teacher(parts, epochs: int, lr: float, arch: NetArch = NetArch((32,), 
                   seed: int = 0) -> NetParams:
     """Federated full-batch training of the shared teacher network, sized
     to the first partition that holds samples."""
-    if epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
-    _check_lr(lr)
+    _check_run(lr, epochs)
     rng = np.random.Generator(np.random.PCG64(seed))
     p, step = _fedsgd(parts, lambda *dims: init_net(arch, *dims, rng))
     _descend("teacher training", [p.flat], step, epochs, lr)
@@ -559,31 +622,21 @@ def distill_student(teacher: NetParams, student_arch: NetArch, data: ToyDataset,
     the teacher's features; the student's own classifier is left at its
     initialization and inference reuses the teacher's classifier.
     """
-    if epochs < 0:
-        raise ValueError(f"epochs must be >= 0, got {epochs}")
-    _check_lr(lr)
+    _check_run(lr, epochs, least=0)
     rng = np.random.Generator(np.random.PCG64(seed))
     student = init_net(student_arch, data.inputs.shape[1], data.num_classes, rng)
     t_features, t_logits = net_eval(teacher, data.inputs)
-    g = student._zeros_like()
-
     if loss.variant == "kd":
         proj, params = None, [student.flat]
-        targets = _kd_targets((len(data), student.num_classes), t_logits, data.labels,
-                              loss.temperature)
-
-        def step() -> tuple[float, list]:
-            return kd_grads(student, t_logits, data, loss.temperature, g, targets)[0], [g.flat]
+        head = _KD((len(data), student.num_classes), t_logits, data.labels, loss.temperature)
     else:
         proj = Projector(rng.normal(size=(student_arch.feature_dim, teacher.feature_dim))
                          / np.sqrt(student_arch.feature_dim))
         params = [student.flat, proj.w]
-
-        def step() -> tuple[float, list]:
-            val, _, d_proj = simkd_grads(student, proj, t_features, data, g)
-            return val, [g.flat, d_proj]
-
-    _descend(f"{loss.variant} distillation", params, step, epochs, lr)
+        head = _Match(t_features, proj, (len(data), student.feature_dim))
+    run = _Pass(student, data.inputs, head)
+    _descend(f"{loss.variant} distillation", params,
+             lambda: (run(), [run.gs[0].flat, *head.grads]), epochs, lr)
     return student, proj
 
 

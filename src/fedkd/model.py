@@ -87,6 +87,14 @@ class TeacherSpec:
         _require(self.theta_l > 0, "TeacherSpec.theta_l must be > 0")
 
 
+#: Lower bound applied to every resource share so downstream delay
+#: evaluations never divide by zero.  The true optimum is interior
+#: (the objective diverges as f_i, b_i -> 0), so the floor is inactive
+#: for any sane instance; a Scenario refuses a server budget below
+#: len(users) floors, which the floored shares would overrun.
+RESOURCE_FLOOR = 1e-6
+
+
 @dataclass(frozen=True)
 class ServerSpec:
     f_ser: float = 10.0     # total divisible server CPU, GHz
@@ -131,6 +139,12 @@ class Scenario:
         object.__setattr__(self, "catalog", tuple(self.catalog))
         _require(len(self.users) > 0, "Scenario.users must be non-empty")
         _require(len(self.catalog) > 0, "Scenario.catalog must be non-empty")
+        floor = len(self.users) * RESOURCE_FLOOR
+        for name in ("f_ser", "b_max"):
+            v = getattr(self.server, name)
+            if not v >= floor:
+                raise ValueError(f"server.{name} must be at least {len(self.users)} users x "
+                                 f"RESOURCE_FLOOR ({RESOURCE_FLOOR:g}) = {floor:g}, got {v!r}")
 
     @property
     def n_users(self) -> int:

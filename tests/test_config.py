@@ -9,7 +9,8 @@ from fedkd.config import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from fedkd.model import default_scenario
+from fedkd.cli import main
+from fedkd.model import RESOURCE_FLOOR, default_scenario
 
 
 def test_empty_document_yields_stock_scenario():
@@ -141,3 +142,37 @@ def test_json_integers_are_numbers():
 def test_bad_decision_entries_name_the_key(block, message):
     with pytest.raises(ValueError, match=message):
         decision_from_dict({"decision": block}, default_scenario())
+
+
+@pytest.mark.parametrize("server, field, value, bound", [
+    ({"b_max": 1e-7}, "b_max", "1e-07", "4e-06"),
+    ({"b_max": 1e-309}, "b_max", "1e-309", "4e-06"),
+    ({"b_max": 5e-324}, "b_max", "5e-324", "4e-06"),
+    ({"f_ser": 3.9e-6}, "f_ser", "3.9e-06", "4e-06"),
+])
+@pytest.mark.parametrize("argv", [
+    ["experiment", "--method", "proposed", "--trials", "2", "--episodes", "100"],
+    ["experiment", "--method", "q-only", "--trials", "2", "--episodes", "100"],
+    ["train-q", "--episodes", "100"],
+], ids=["proposed", "q-only", "train-q"])
+def test_a_budget_below_the_users_resource_floors_is_refused_by_the_cli(
+        tmp_path, capsys, server, field, value, bound, argv):
+    # Below len(users) * RESOURCE_FLOOR the floored shares overrun the
+    # budget; far below it the open split's cost overflows to -inf.
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps({"server": server}))
+    assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: server.{field} must be at least 4 users x "
+                            f"RESOURCE_FLOOR (1e-06) = {bound}, got {value}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_budget_at_the_users_resource_floors_is_accepted():
+    floor = 2 * RESOURCE_FLOOR
+    users = [{"f_loc": 1.0, "d": 20.0}, {"f_loc": 1.0, "d": 30.0}]
+    sc = scenario_from_dict({"users": users, "server": {"f_ser": floor, "b_max": floor}})
+    assert (sc.server.f_ser, sc.server.b_max) == (floor, floor)
+    with pytest.raises(ValueError, match=r"^server\.f_ser must be at least 3 users x"):
+        scenario_from_dict({"users": [*users, users[0]],
+                            "server": {"f_ser": floor, "b_max": 1.0}})

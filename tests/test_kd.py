@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import math
 import pickle
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedkd import cli
+from fedkd import cli, kd
 from fedkd.kd import (
     VARIANTS,
     BlobSpec,
@@ -617,10 +618,11 @@ class TestDatasets:
 # ---------------------------------------------------------------------------
 # a per-array reference for the flat-buffer training runs
 #
-# Every gradient and step below allocates new arrays, the FedSGD aggregate
-# sums per client and per array, and kd recomputes the teacher's softened
-# targets every epoch.  Parameters are lists in NetParams.arrays() order
-# with k encoder layers.
+# Every gradient and step below allocates new arrays, each FedSGD client
+# runs its own forward pass, the aggregate sums per client and per array,
+# and kd recomputes the teacher's softened targets every epoch.
+# Parameters are lists in NetParams.arrays() order with k encoder layers.
+# Given a list `losses`, a run appends each epoch's loss to it.
 
 
 def _ref_forward(arrays, k, x):
@@ -666,16 +668,19 @@ def _ref_step(arrays, grads, lr):
     return [a - lr * ga for a, ga in zip(arrays, grads)]
 
 
-def _ref_aggregate(arrays, k, parts):
+def _ref_aggregate(arrays, k, parts, losses=None):
     used = [part for part in parts if len(part) > 0]
     total = sum(len(part) for part in used)
-    agg = None
+    agg, loss_sum = None, 0.0
     for part in used:
         w = len(part) / total
         hs, logits = _ref_forward(arrays, k, part.inputs)
-        _, dlogits = _ref_cross_entropy(logits, part.labels)
+        loss, dlogits = _ref_cross_entropy(logits, part.labels)
+        loss_sum += w * loss
         terms = [w * a for a in _ref_backprop(arrays, k, hs, dlogits=dlogits)]
         agg = terms if agg is None else [x + t for x, t in zip(agg, terms)]
+    if losses is not None:
+        losses.append(loss_sum)
     return agg
 
 
@@ -685,24 +690,28 @@ def _ref_init(arch, data, seed):
     return [a.copy() for a in p.arrays()], len(p.weights), rng
 
 
-def _ref_train_teacher(parts, epochs, lr, arch, seed):
+def _ref_train_teacher(parts, epochs, lr, arch, seed, losses=None):
     used = [part for part in parts if len(part) > 0]
     arrays, k, _ = _ref_init(arch, used[0], seed)
     for _ in range(epochs):
-        arrays = _ref_step(arrays, _ref_aggregate(arrays, k, used), lr)
+        arrays = _ref_step(arrays, _ref_aggregate(arrays, k, used, losses), lr)
     return arrays
 
 
-def _ref_distill(teacher, arch, data, variant, temperature, epochs, lr, seed):
+def _ref_distill(teacher, arch, data, variant, temperature, epochs, lr, seed, losses=None):
+    losses = [] if losses is None else losses
     student, k, rng = _ref_init(arch, data, seed)
     t_hs, t_logits = _ref_forward(teacher.arrays(), len(teacher.weights), data.inputs)
     if variant == "kd":
         t = temperature
         for _ in range(epochs):
             hs, z_s = _ref_forward(student, k, data.inputs)
-            _, d_hard = _ref_cross_entropy(z_s, data.labels)
+            hard, d_hard = _ref_cross_entropy(z_s, data.labels)
             log_p_st = _ref_log_softmax(z_s / t)
-            p_tt = np.exp(_ref_log_softmax(t_logits / t))
+            log_p_tt = _ref_log_softmax(t_logits / t)
+            p_tt = np.exp(log_p_tt)
+            soft = (p_tt * (log_p_tt - log_p_st)).sum(axis=1).mean()
+            losses.append(float(hard + t * t * soft))
             dlogits = d_hard + t * (np.exp(log_p_st) - p_tt) / len(z_s)
             student = _ref_step(student, _ref_backprop(student, k, hs, dlogits=dlogits), lr)
         return student, None
@@ -710,7 +719,9 @@ def _ref_distill(teacher, arch, data, variant, temperature, epochs, lr, seed):
     for _ in range(epochs):
         hs, _ = _ref_forward(student, k, data.inputs)
         f_s = hs[-1]
-        dpred = 2.0 * (f_s @ w - t_hs[-1]) / len(f_s)
+        diff = f_s @ w - t_hs[-1]
+        losses.append(float((diff ** 2).sum() / len(f_s)))
+        dpred = 2.0 * diff / len(f_s)
         grads = _ref_backprop(student, k, hs, dfeatures=dpred @ w.T)
         student = _ref_step(student, grads, lr)
         w = w - lr * (f_s.T @ dpred)
@@ -778,6 +789,172 @@ class TestPerArrayOracle:
             assert proj is None
         else:
             assert proj.w.tobytes() == ref_w.tobytes()
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+class TestEpochLosses:
+    """Each run's per-epoch losses, which the divergence rule reads, equal
+    the per-array reference's bit for bit."""
+
+    @staticmethod
+    def recorded(monkeypatch):
+        """The losses that every _descend epoch gets from its step."""
+        losses, descend = [], kd._descend
+
+        def recording(what, params, step, epochs, lr):
+            def record():
+                loss, grads = step()
+                losses.append(loss)
+                return loss, grads
+            return descend(what, params, record, epochs, lr)
+
+        monkeypatch.setattr(kd, "_descend", recording)
+        return losses
+
+    # the teacher on unequal and empty partitions; the hard student on one
+    @pytest.mark.parametrize("run", ["teacher", "hard"])
+    @pytest.mark.parametrize("arch", ORACLE_ARCHS, ids=["1-hidden", "2-hidden"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_hard_label_runs(self, monkeypatch, run, arch, seed):
+        parts = _oracle_parts(seed) if run == "teacher" else _oracle_parts(seed)[1:2]
+        got = self.recorded(monkeypatch)
+        train_teacher(parts, epochs=25, lr=0.3, arch=arch, seed=seed)
+        want = []
+        _ref_train_teacher(parts, 25, 0.3, arch, seed, want)
+        assert len(got) == 25
+        assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("arch", ORACLE_ARCHS, ids=["1-hidden", "2-hidden"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_students(self, monkeypatch, variant, arch, seed):
+        parts = _oracle_parts(seed)
+        teacher = train_teacher(parts, epochs=10, lr=0.3, arch=NetArch((7,), 5), seed=seed)
+        lr = 0.5 if variant == "kd" else 0.1
+        got = self.recorded(monkeypatch)
+        distill_student(teacher, arch, parts[1], LossSpec(variant, 3.0), epochs=25, lr=lr,
+                        seed=seed + 1)
+        want = []
+        _ref_distill(teacher, arch, parts[1], variant, 3.0, 25, lr, seed + 1, want)
+        assert len(got) == 25
+        assert _bits(got) == _bits(want)
+
+
+class TestOnePassPerRun:
+    def test_a_run_builds_one_pass_and_its_clients_share_each_forward(self, rng,
+                                                                      monkeypatch):
+        built, forwards = [], []
+        init, forward = kd._Pass.__init__, kd._Pass.forward
+        monkeypatch.setattr(kd._Pass, "__init__",
+                            lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+        monkeypatch.setattr(kd._Pass, "forward",
+                            lambda self: forwards.append(len(self.hs[0])) or forward(self))
+        parts = [random_dataset(rng, n=7), random_dataset(rng, n=1), _Empty(),
+                 random_dataset(rng, n=5)]
+        teacher = train_teacher(parts, epochs=6, lr=0.3, arch=NetArch((5,), 4))
+        assert (len(built), forwards) == (1, [13] * 6)
+        built.clear()
+        forwards.clear()
+        distill_student(teacher, NetArch((5,), 4), parts[0], LossSpec("simkd"), 4, 0.1)
+        # the teacher's features, then the student's steps
+        assert (len(built), forwards) == (2, [7] * 5)
+
+    def test_a_one_sample_client_matches_the_reference_to_rounding(self, rng):
+        # numpy computes a one-row product as a vector product, whose
+        # rounding can differ from the same row inside the shared pass
+        parts = [random_dataset(rng, n=7), random_dataset(rng, n=1), random_dataset(rng, n=5)]
+        p = train_teacher(parts, epochs=30, lr=0.3, arch=NetArch((6,), 4), seed=1)
+        ref = _ref_train_teacher(parts, 30, 0.3, NetArch((6,), 4), 1)
+        for a, b in zip(p.arrays(), ref):
+            assert rel_err(a, b) < 1e-12
+
+    def test_simkd_steps_compute_no_logits(self, rng):
+        ds = random_dataset(rng, n=6)
+        p = init_net(NetArch((5,), 4), 3, 4, rng)
+        head = kd._Match(rng.normal(size=(6, 2)), Projector(rng.normal(size=(4, 2))),
+                         (6, 4))
+        assert kd._Pass(p, ds.inputs, head).logits is None
+
+
+SPECIALS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0, 5e-324, 1e308]
+
+
+class TestStepShortcuts:
+    """The two reductions the step computes its own way give numpy's bits."""
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_row_max_chain_equals_max_over_rows_on_every_special_row(self, width):
+        # every row of specials: nan, +-inf, ties and +-0 in every position
+        z = np.array(list(itertools.product(SPECIALS, repeat=width)))
+        assert kd._row_max(z, np.empty(len(z))).tobytes() == z.max(axis=1).tobytes()
+
+    @pytest.mark.parametrize("width", [5, 8, 16])
+    def test_row_max_chain_equals_max_over_rows_on_random_rows(self, rng, width):
+        z = rng.choice(np.array(SPECIALS + [2.0, -2.0]), size=(5000, width))
+        z[::3] = rng.normal(size=(len(z[::3]), width))
+        assert kd._row_max(z, np.empty(len(z))).tobytes() == z.max(axis=1).tobytes()
+
+    def test_add_reduce_over_n_is_the_mean(self, rng):
+        for n in [*range(1, 300), 511, 1024, 4097]:
+            v = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8, size=n)
+            assert (np.add.reduce(v) / n).tobytes() == v.mean().tobytes()
+
+
+class TestRunArguments:
+    """Epoch counts, step sizes and temperatures are refused by name."""
+
+    @staticmethod
+    def run(entry, rng, **kwargs):
+        ds = random_dataset(rng, n=10)
+        args = {"epochs": 3, "lr": 0.1, **kwargs}
+        if entry == "train_teacher":
+            return train_teacher([ds], arch=NetArch((5,), 4), **args)
+        teacher = init_net(NetArch((5,), 4), 3, 4, rng)
+        return distill_student(teacher, NetArch((5,), 4), ds, LossSpec("kd"), **args)
+
+    @pytest.mark.parametrize("epochs, shown", [(2.5, "2.5"), (True, "True"), (False, "False"),
+                                               ("3", "'3'"), (None, "None"),
+                                               (np.float64(3.0), repr(np.float64(3.0)))])
+    @pytest.mark.parametrize("entry", ["train_teacher", "distill_student"])
+    def test_an_epoch_count_that_is_not_an_integer_is_refused(self, rng, entry, epochs,
+                                                              shown):
+        message = re.escape(f"epochs must be an integer, got {shown}")
+        with pytest.raises(ValueError, match=message):
+            self.run(entry, rng, epochs=epochs)
+
+    @pytest.mark.parametrize("entry, least", [("train_teacher", 1), ("distill_student", 0)])
+    def test_an_epoch_count_below_the_least_is_refused(self, rng, entry, least):
+        with pytest.raises(ValueError, match=f"^epochs must be >= {least}, got {least - 1}$"):
+            self.run(entry, rng, epochs=least - 1)
+
+    @pytest.mark.parametrize("entry", ["train_teacher", "distill_student"])
+    def test_numpy_integer_epochs_step_as_many_epochs(self, entry):
+        def flat(run):
+            return (run[0] if isinstance(run, tuple) else run).flat
+
+        a = self.run(entry, np.random.default_rng(5), epochs=np.int64(3))
+        b = self.run(entry, np.random.default_rng(5), epochs=3)
+        assert flat(a).tobytes() == flat(b).tobytes()
+
+    @pytest.mark.parametrize("lr", [True, "0.1", None])
+    @pytest.mark.parametrize("entry", ["train_teacher", "distill_student"])
+    def test_a_step_size_that_is_not_a_number_is_refused(self, rng, entry, lr):
+        message = f"^lr must be finite and >= 0, got {re.escape(repr(lr))}$"
+        with pytest.raises(ValueError, match=message):
+            self.run(entry, rng, lr=lr)
+
+    @pytest.mark.parametrize("temperature", [True, False, "2.0", None])
+    def test_a_temperature_that_is_not_a_number_is_refused(self, temperature):
+        with pytest.raises(ValueError, match=f"^temperature must be finite and > 0, got "
+                                             f"{re.escape(repr(temperature))}$"):
+            LossSpec("kd", temperature=temperature)
+
+    @pytest.mark.parametrize("temperature", [2, 0.5, np.float64(4.0)])
+    def test_a_real_temperature_is_accepted(self, temperature):
+        assert LossSpec("kd", temperature=temperature).temperature == temperature
 
 
 class TestBufferOwnership:
@@ -848,17 +1025,13 @@ class TestBufferOwnership:
             q.flat[:] = 0.0
             assert all(np.all(a == 0.0) for a in q.arrays())
 
-    def test_simkd_gradient_of_the_classifier_is_zero_in_a_reused_buffer(self, rng):
+    def test_simkd_gradient_of_the_classifier_is_zero(self, rng):
         p = init_net(NetArch((5,), 3), 3, 4, rng)
         ds = random_dataset(rng, n=8)
-        _, out = hard_grads(p, ds)
-        assert np.any(out.w_out != 0.0) and np.any(out.b_out != 0.0)
         proj = Projector(rng.normal(size=(3, 2)))
-        _, g, _ = simkd_grads(p, proj, rng.normal(size=(8, 2)), ds, out)
-        assert g is out
+        _, g, _ = simkd_grads(p, proj, rng.normal(size=(8, 2)), ds)
         assert np.all(g.w_out == 0.0) and np.all(g.b_out == 0.0)
-        _, fresh, _ = simkd_grads(p, proj, rng.normal(size=(8, 2)), ds)
-        assert np.all(fresh.w_out == 0.0) and np.all(fresh.b_out == 0.0)
+        assert np.any(g.weights[0] != 0.0)
 
     def test_train_teacher_warns_about_empty_partitions_and_refuses_only_empty(
             self, rng, caplog):

@@ -42,3 +42,13 @@ def test_code_lines_prints_every_module_and_the_total(tmp_path, capsys):
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert rows == [["module", "wc", "-l", "code"], ["a.py", "3", "1"], ["b.py", "3", "2"],
                     ["total", "6", "3"]]
+
+
+def test_kd_steps_prints_a_step_time_for_each_kd_run(capsys):
+    assert load("kd_steps").main(["kd_steps.py", "--epochs", "1,3", "--repeat", "1"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows[0] == ["run", "us/step"]
+    assert [row[:-1] for row in rows[1:]] == [["teacher", "FedSGD"], ["hard", "student"],
+                                              ["kd", "student"], ["simkd", "student"]]
+    for row in rows[1:]:
+        float(row[-1])
