@@ -2,17 +2,17 @@
 """Microseconds per training step of each kd run, on kd-demo's shapes.
 
 Usage:
-    python3 scripts/kd_steps.py [SRC_DIR] [--seed S] [--epochs LOW,HIGH] [--repeat R]
+    python3 scripts/kd_steps.py [SRC_DIR]
 
 SRC_DIR is the directory that holds the fedkd package; it defaults to
 src/ beside this script's directory, so one copy of the script can time
-two trees.  The runs are kd-demo's at its seed S (default 0): the
-federated teacher, one FedSGD step over both 120-sample clients per
-epoch; then the hard, kd and simkd students, on client 0's 120 samples.
+two trees.  The runs are kd-demo's at seed 0: the federated teacher, one
+FedSGD step over both 120-sample clients per epoch; then the hard, kd and
+simkd students, on client 0's 120 samples.
 
 Each run is timed through its public entry point (kd.train_teacher or
-kd.distill_student) at LOW and at HIGH epochs (default 100,600), best of
-R timings each (default 5).  The difference divided by HIGH - LOW is the
+kd.distill_student) at EPOCHS[0] and at EPOCHS[1] epochs, best of REPEAT
+timings each.  The difference divided by the difference in epochs is the
 time of one step, without the run's fixed setup.  The figures are wall
 times of this process on this host: compare two trees on one host, one
 right after the other.
@@ -20,13 +20,15 @@ right after the other.
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 from pathlib import Path
 
+EPOCHS = (100, 600)
+REPEAT = 5
 
-def kd_runs(kd, seed: int) -> dict:
+
+def kd_runs(kd, seed: int = 0) -> dict:
     """name -> run(epochs) of each training run of kd-demo at seed."""
     spec = kd.BlobSpec(seed=seed)
     train_set, _ = kd.make_train_test(spec, train_per_class=60, test_per_class=60)
@@ -60,24 +62,20 @@ def best_time(run, epochs: int, repeat: int) -> float:
     return min(times)
 
 
+def step_time(run, epochs: tuple, repeat: int) -> float:
+    """Seconds per epoch of run, from its best times at two epoch counts."""
+    low, high = epochs
+    return (best_time(run, high, repeat) - best_time(run, low, repeat)) / (high - low)
+
+
 def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(prog=Path(argv[0]).name, description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("src", nargs="?", default=Path(__file__).resolve().parents[1] / "src")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--epochs", default="100,600")
-    parser.add_argument("--repeat", type=int, default=5)
-    args = parser.parse_args(argv[1:])
-    low, high = (int(e) for e in args.epochs.split(","))
-    if not 0 <= low < high or args.repeat < 1:
-        parser.error("need 0 <= LOW < HIGH and R >= 1")
-    sys.path.insert(0, str(args.src))
+    src = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1] / "src"
+    sys.path.insert(0, str(src))
     from fedkd import kd
 
     print(f"{'run':<16}{'us/step':>10}")
-    for name, run in kd_runs(kd, args.seed).items():
-        step = best_time(run, high, args.repeat) - best_time(run, low, args.repeat)
-        print(f"{name:<16}{step / (high - low) * 1e6:>10.1f}")
+    for name, run in kd_runs(kd).items():
+        print(f"{name:<16}{step_time(run, EPOCHS, REPEAT) * 1e6:>10.1f}")
     return 0
 
 

@@ -297,8 +297,8 @@ def _row_max(z: np.ndarray, out: np.ndarray) -> np.ndarray:
     """z.max(axis=1) into out, as a chain of np.maximum over the columns:
     the same bits, nan and signed zeros included, and faster on rows of a
     few classes."""
-    np.maximum(z[:, 0], z[:, min(1, z.shape[1] - 1)], out=out)
-    for j in range(2, z.shape[1]):
+    np.copyto(out, z[:, 0])
+    for j in range(1, z.shape[1]):
         np.maximum(out, z[:, j], out=out)
     return out
 
@@ -308,12 +308,10 @@ class _LogSoftmax:
 
     def __init__(self, n: int, c: int):
         self.m, self.e, self.s = np.empty(n), np.empty((n, c)), np.empty((n, 1))
-        self.m_col = self.m[:, None]
 
     def __call__(self, z: np.ndarray, out: np.ndarray) -> np.ndarray:
         """log_softmax(z) into out, which may be z."""
-        _row_max(z, self.m)
-        np.subtract(z, self.m_col, out=out)
+        np.subtract(z, _row_max(z, self.m)[:, None], out=out)
         np.add.reduce(np.exp(out, out=self.e), axis=1, keepdims=True, out=self.s)
         return np.subtract(out, np.log(self.s, out=self.s), out=out)
 
@@ -435,9 +433,7 @@ class _Pass:
     (hs[0] is x), the logits (None when the head reads the features), one
     buffer that each layer's delta dh takes in turn, and the gradient of
     each client of the head's bounds, gs; a head on the features leaves
-    the classifier's gradient at zero.  clients holds, per client,
-    its gradient, its row slice, and views of its rows of every
-    activation and of their transposes, built once."""
+    the classifier's gradient at zero."""
 
     def __init__(self, p: NetParams, x: np.ndarray, head=None):
         n, widths = len(x), [w.shape[1] for w in p.weights]
@@ -449,8 +445,6 @@ class _Pass:
         dh = np.empty(n * max(widths))
         self.dhs = [dh[:n * k].reshape(n, k) for k in widths]
         self.gs = [p._zeros_like() for _ in head.bounds]
-        self.clients = [(g, slice(a, b), [h[a:b] for h in self.hs], [h[a:b].T for h in self.hs])
-                        for g, (a, b) in zip(self.gs, head.bounds)]
 
     def forward(self) -> tuple[np.ndarray, np.ndarray | None]:
         p, hs = self.p, self.hs
@@ -471,16 +465,16 @@ class _Pass:
             loss, dh = head(hs[-1])
         else:
             loss, d = head(self.logits)
-            for g, own, _, rows_t in self.clients:
-                np.matmul(rows_t[-1], d[own], out=g.w_out)
-                np.add.reduce(d[own], axis=0, out=g.b_out)
+            for g, (a, b) in zip(self.gs, head.bounds):
+                np.matmul(hs[-1][a:b].T, d[a:b], out=g.w_out)
+                np.add.reduce(d[a:b], axis=0, out=g.b_out)
             dh = np.matmul(d, p.w_out.T, out=self.dhs[-1])
         for layer in reversed(range(len(p.weights))):
             h = hs[layer + 1]   # h becomes tanh' = 1 - h^2, then dz = dh * tanh'
             dz = np.multiply(np.subtract(1.0, np.square(h, out=h), out=h), dh, out=h)
-            for g, _, rows, rows_t in self.clients:   # rows[layer + 1] now holds dz
-                np.matmul(rows_t[layer], rows[layer + 1], out=g.weights[layer])
-                np.add.reduce(rows[layer + 1], axis=0, out=g.biases[layer])
+            for g, (a, b) in zip(self.gs, head.bounds):
+                np.matmul(hs[layer][a:b].T, dz[a:b], out=g.weights[layer])
+                np.add.reduce(dz[a:b], axis=0, out=g.biases[layer])
             if layer:   # the input layer needs no delta below it
                 dh = np.matmul(dz, p.weights[layer].T, out=self.dhs[layer - 1])
         return loss

@@ -1,6 +1,10 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from fedkd import kd
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -44,11 +48,9 @@ def test_code_lines_prints_every_module_and_the_total(tmp_path, capsys):
                     ["total", "6", "3"]]
 
 
-def test_kd_steps_prints_a_step_time_for_each_kd_run(capsys):
-    assert load("kd_steps").main(["kd_steps.py", "--epochs", "1,3", "--repeat", "1"]) == 0
-    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
-    assert rows[0] == ["run", "us/step"]
-    assert [row[:-1] for row in rows[1:]] == [["teacher", "FedSGD"], ["hard", "student"],
-                                              ["kd", "student"], ["simkd", "student"]]
-    for row in rows[1:]:
-        float(row[-1])
+def test_kd_steps_times_one_step_of_each_kd_run():
+    kd_steps = load("kd_steps")
+    runs = kd_steps.kd_runs(kd)
+    assert list(runs) == ["teacher FedSGD", "hard student", "kd student", "simkd student"]
+    for run in runs.values():
+        assert np.isfinite(kd_steps.step_time(run, (1, 3), 1))
