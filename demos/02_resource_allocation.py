@@ -48,7 +48,7 @@ print(f"  equal split objective = {equal:.6f}  "
 
 print("\nscale invariance: doubling every compute weight leaves the split unchanged")
 doubled = np.array(build_problem(sc, dec).c) * 2
-from fedkd.allocator import allocate_compute
+from fedkd.allocator import allocate_share
 
-print("  f (original) =", [f"{v:.4f}" for v in allocate_compute(list(prob.c), sc.server.f_ser)])
-print("  f (doubled)  =", [f"{v:.4f}" for v in allocate_compute(list(doubled), sc.server.f_ser)])
+print("  f (original) =", [f"{v:.4f}" for v in allocate_share(list(prob.c), 0.0, sc.server.f_ser)])
+print("  f (doubled)  =", [f"{v:.4f}" for v in allocate_share(list(doubled), 0.0, sc.server.f_ser)])

@@ -77,6 +77,15 @@
 # trial, and fails at two trials with another message, so like
 # channel.json's these directories are expected to differ from its output.
 #
+# OUT_DIR/floor-allocate is one `fedkd allocate` run on the stock users
+# with b_max = 4e-6 MHz, the least a Scenario of four users accepts
+# (4 x model.RESOURCE_FLOOR), and every user training locally with every
+# model once; its config is floor-allocate/scenario.json.  A tree that
+# lifts each share to RESOURCE_FLOOR after the closed form splits that
+# budget as about [1e-6, 1e-6, 1e-6, 1.467e-6], over the budget, where
+# the closed form's shares sum to 4e-6, so like channel.json's this
+# directory is expected to differ from its output.
+#
 # kd runs twice at the stock 600 epochs and once at 50, where the teacher
 # still trains for 400 epochs and the students for 50.  Four demos beside
 # SRC_DIR write their stdout into OUT_DIR, each to demo-NN-<name>.txt:
@@ -134,6 +143,11 @@ cat > "$out/decision.json" <<'JSON'
 {"decision": {"x": [0, 1, 0, 1], "m": [0, 1, 2, 3]}}
 JSON
 fedkd allocate --config "$out/decision.json" --out "$out/stock-allocate"
+mkdir -p "$out/floor-allocate"
+cat > "$out/floor-allocate/scenario.json" <<'JSON'
+{"server": {"b_max": 4e-6}, "decision": {"x": [1, 1, 1, 1], "m": [0, 1, 2, 3]}}
+JSON
+fedkd allocate --config "$out/floor-allocate/scenario.json" --out "$out/floor-allocate"
 fedkd train-q "${custom[@]}" --seed 5 --episodes 4000 --out "$out/custom-trainq"
 for m in proposed q-only fl-min fl-max; do
     fedkd experiment "${custom[@]}" --method "$m" --seed 17 --trials 40 --episodes 1500 \

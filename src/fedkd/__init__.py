@@ -17,8 +17,7 @@ from .allocator import (
     AllocProblem,
     AllocResult,
     allocate,
-    allocate_bandwidth,
-    allocate_compute,
+    allocate_share,
     build_problem,
     grid_oracle,
 )

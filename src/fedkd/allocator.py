@@ -6,10 +6,11 @@ separates into a CPU part and a bandwidth part:
     sum_i c_i / f_i                     subject to  sum f_i <= f_ser
     sum_i (d_i / b_i + delta_b * b_i)   subject to  sum b_i <= b_max
 
-Both are convex and both have closed forms.  The CPU part always exhausts
-its budget (it is strictly decreasing in every f_i), so f_i ~ sqrt(c_i).
-The bandwidth part has per-user interior optima sqrt(d_i / delta_b); when
-those overshoot the budget, it binds and b_i ~ sqrt(d_i) as well.
+Both are one convex problem, sum_i w_i / s_i + price * s_i subject to
+sum_i s_i <= budget, and allocate_share is its one closed form: every
+share is proportional to sqrt(w_i), and the budget binds unless the
+per-user interior optima sqrt(w_i / price) fit inside it.  The CPU part
+is the zero-price case, so its budget always binds.
 
 Substituting the optima back gives the optimal cost of a decision as a
 function of three per-user sums (cost_from_sums):
@@ -17,13 +18,13 @@ function of three per-user sums (cost_from_sums):
     sum_i const_i + (sum_i sqrt c_i)^2 / f_ser + bw(sum_i sqrt d_i)
 
 The decision layer scores actions from those sums and never computes a
-split.  The split of a chosen decision comes from the two closed forms,
-allocate_compute and allocate_bandwidth: allocate applies them to
-build_problem's terms of a Scenario, and an experiment trial to the same
-terms formed from its method's digit table (qlearn.digit_table, which
-holds digit_factors) and its draw.  The scalar route for one decision,
-cost_from_sums over build_problem's terms, is a test oracle in
-tests/oracles.py.
+split.  The split of a chosen decision is allocate_share, once per
+resource, with no floor on a share, so it is the split that
+cost_from_sums priced: allocate applies it to build_problem's terms of a
+Scenario, and an experiment trial to the same terms formed from its
+method's digit table (qlearn.digit_table, which holds digit_factors) and
+its draw.  The scalar route for one decision, cost_from_sums over
+build_problem's terms, is a test oracle in tests/oracles.py.
 
 grid_oracle is the independent check: an exact search over the discretized
 budget simplex, organized as a dynamic program so it stays tractable.
@@ -37,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    RESOURCE_FLOOR,
     Allocation,
     Decision,
     Scenario,
@@ -155,52 +155,33 @@ def cost_from_sums(sc: Scenario, s_const, s_root_c, s_root_d):
     return s_const + s_root_c * s_root_c / f_ser + bandwidth
 
 
-def allocate_compute(c, f_ser: float) -> list[float]:
-    """Minimize sum c_i / f_i over sum f_i <= f_ser.
+def allocate_share(weights, price: float, budget: float) -> list[float]:
+    """Minimize sum w_i / s_i + price * s_i over sum s_i <= budget.
 
-    The budget binds, and stationarity c_i / f_i^2 = const gives
-    f_i = f_ser * sqrt(c_i) / sum_j sqrt(c_j).
+    Stationarity gives s_i(lambda) = sqrt(w_i / (price + lambda)), so
+    every share is proportional to sqrt(w_i).  With S = sum_j sqrt(w_j),
+    the unconstrained point s_i = sqrt(w_i / price) fits the budget when
+    S < budget * sqrt(price), the branch test of cost_from_sums; otherwise
+    the budget binds and s_i = budget * sqrt(w_i) / S.  price = 0, the
+    server CPU, always binds, because the unconstrained optimum is
+    infinite.
     """
-    c = list(c)
-    if not c:
-        raise ValueError("allocate_compute needs at least one user")
-    if any(ci <= 0 for ci in c):
-        raise ValueError("all compute weights must be > 0")
-    if f_ser <= 0:
-        raise ValueError(f"f_ser must be > 0, got {f_ser}")
-    roots = [math.sqrt(ci) for ci in c]
+    w = list(weights)
+    if not w:
+        raise ValueError("allocate_share needs at least one weight")
+    for i, wi in enumerate(w):
+        if not 0 < wi < math.inf:
+            raise ValueError(f"weights[{i}] must be finite and > 0, got {wi!r}")
+    if not 0 <= price < math.inf:
+        raise ValueError(f"price must be finite and >= 0, got {price!r}")
+    if not 0 < budget < math.inf:
+        raise ValueError(f"budget must be finite and > 0, got {budget!r}")
+    roots = [math.sqrt(wi) for wi in w]
     total = _left_to_right(roots)
-    return [max(RESOURCE_FLOOR, f_ser * r / total) for r in roots]
-
-
-def allocate_bandwidth(d, delta_b: float, b_max: float) -> list[float]:
-    """Minimize sum (d_i / b_i + delta_b * b_i) over sum b_i <= b_max.
-
-    Stationarity gives b_i(lambda) = sqrt(d_i / (delta_b + lambda)), so
-    every share is proportional to sqrt(d_i).  With S = sum_j sqrt(d_j),
-    the unconstrained point b_i = sqrt(d_i / delta_b) fits the budget when
-    S < b_max * sqrt(delta_b); otherwise the budget binds and
-    b_i = b_max * sqrt(d_i) / S.  delta_b = 0 always binds, because the
-    unconstrained optimum is infinite.
-    """
-    d = list(d)
-    if not d:
-        raise ValueError("allocate_bandwidth needs at least one user")
-    if any(di <= 0 for di in d):
-        raise ValueError("all bandwidth weights must be > 0")
-    if delta_b < 0:
-        raise ValueError(f"delta_b must be >= 0, got {delta_b}")
-    if b_max <= 0:
-        raise ValueError(f"b_max must be > 0, got {b_max}")
-
-    roots = [math.sqrt(di) for di in d]
-    total = _left_to_right(roots)
-    root_price = math.sqrt(delta_b)
-    if total >= b_max * root_price:  # the branch test of cost_from_sums
-        b = [b_max * r / total for r in roots]
-    else:
-        b = [r / root_price for r in roots]
-    return [max(RESOURCE_FLOOR, v) for v in b]
+    root_price = math.sqrt(price)
+    if total >= budget * root_price:
+        return [budget * r / total for r in roots]
+    return [r / root_price for r in roots]
 
 
 def fb_objective(prob: AllocProblem, f, b) -> float:
@@ -240,8 +221,8 @@ def kkt_residual(prob: AllocProblem, f, b) -> float:
 def allocate(sc: Scenario, dec: Decision) -> AllocResult:
     """Closed-form optimal allocation for a fixed decision."""
     prob = build_problem(sc, dec)
-    f = allocate_compute(prob.c, prob.f_ser)
-    b = allocate_bandwidth(prob.d, prob.delta_b, prob.b_max)
+    f = allocate_share(prob.c, 0.0, prob.f_ser)
+    b = allocate_share(prob.d, prob.delta_b, prob.b_max)
     return AllocResult(
         allocation=Allocation(f=tuple(f), b=tuple(b)),
         objective_fb=fb_objective(prob, f, b),

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .accuracy import DEFAULT_TABLE, DISTRIBUTIONS, acc_pair, canon_distribution
-from .allocator import allocate_bandwidth, allocate_compute
+from .allocator import allocate_share
 from .model import (
     DelayBreakdown,
     InfeasibleError,
@@ -174,9 +174,10 @@ def _split(template: Scenario, rows: list, draw: Draw, levels: int
     counts, because summing the float shares can overshoot a budget they
     exactly meet by one ulp.  Otherwise the rows are qlearn.Digits, which
     leave the split open: allocate's, with no Scenario of those users,
-    from allocate_compute over the rows' c and allocate_bandwidth over
-    num / eff, build_problem's c_i and d_i, so the same bits.  Every eff is
-    positive: draw_builder refuses a template user that cannot transmit."""
+    from allocate_share over the rows' c at price 0 and over num / eff at
+    delta_b, build_problem's c_i and d_i, so the same bits and the split
+    that cost_from_sums priced.  Every eff is positive: draw_builder
+    refuses a template user that cannot transmit."""
     server = template.server
     if levels:
         _, _, kf, kb = zip(*rows)
@@ -184,8 +185,8 @@ def _split(template: Scenario, rows: list, draw: Draw, levels: int
                 tuple(k * server.b_max / levels for k in kb),
                 sum(kf) <= levels and sum(kb) <= levels)
     d = [row.num / eff for row, eff in zip(rows, draw.eff)]
-    return (tuple(allocate_compute([row.c for row in rows], server.f_ser)),
-            tuple(allocate_bandwidth(d, template.weights.delta_b, server.b_max)), True)
+    return (tuple(allocate_share([row.c for row in rows], 0.0, server.f_ser)),
+            tuple(allocate_share(d, template.weights.delta_b, server.b_max)), True)
 
 
 def _trial_results(template: Scenario, accs, evaluated) -> list[TrialResult]:

@@ -87,11 +87,11 @@ class TeacherSpec:
         _require(self.theta_l > 0, "TeacherSpec.theta_l must be > 0")
 
 
-#: Lower bound applied to every resource share so downstream delay
-#: evaluations never divide by zero.  The true optimum is interior
-#: (the objective diverges as f_i, b_i -> 0), so the floor is inactive
-#: for any sane instance; a Scenario refuses a server budget below
-#: len(users) floors, which the floored shares would overrun.
+#: The least server budget per user that a Scenario accepts: f_ser and
+#: b_max must each be at least len(users) * RESOURCE_FLOOR.  No share is
+#: clamped to it; the bound keeps budgets far above those at which the
+#: open split's cost overflows (b_max near 1e-308) or a grid share's
+#: rate rounds to 0.
 RESOURCE_FLOOR = 1e-6
 
 

@@ -724,9 +724,10 @@ def _enumerated(sc: Scenario, draw: Draw, table: Sequence[Digit]) -> np.ndarray:
     """Every action's reward on draw, a Draw of sc's users, indexed by
     action, for digit table table: each user's terms of every row, with
     build_problem's operations, then one broadcast add per user.  The one
-    enumeration: the exhaustive method's policy and exhaustive_optimum
-    are its argmax, action_values and train_fixed_scenario's reward
-    vector its values.  Refuses more than EXHAUSTIVE_CAP actions."""
+    enumeration: the exhaustive method's policy is its argmax,
+    action_values (whose argmax exhaustive_optimum takes) and
+    train_fixed_scenario's reward vector its values.  Refuses more than
+    EXHAUSTIVE_CAP actions."""
     action_space(sc, table, EXHAUSTIVE_CAP)
     n = sc.n_users
     consts = [[r.fa / f_loc + r.fb for r in table] for f_loc in draw.f_loc]
@@ -759,7 +760,6 @@ def exhaustive_optimum(sc: Scenario, acc_by_model: Sequence[tuple[float, float]]
     """The minimizer of the cost and its value: the lowest-index argmax of
     action_values, the reference the trained agent is compared against.
     A user that cannot transmit is refused as there."""
-    table = digit_table(sc, acc_by_model, joint_digits(len(sc.catalog)))
-    values = _enumerated(sc, _own_draw(sc), table)
+    values = action_values(sc, acc_by_model)
     best = int(np.argmax(values))
     return decode_action(best, sc.n_users, len(sc.catalog)), -float(values[best])

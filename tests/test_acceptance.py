@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from fedkd.accuracy import DEFAULT_TABLE, acc_pair, lookup_acc
-from fedkd.allocator import allocate, allocate_compute, build_problem, grid_oracle, kkt_residual
+from fedkd.allocator import allocate, allocate_share, build_problem, grid_oracle, kkt_residual
 from fedkd.experiment import EXPERIMENT_QCONFIG, ExperimentConfig, run_experiment
 from fedkd.kd import (
     BlobSpec,
@@ -80,9 +80,9 @@ def test_criterion_1_allocator_beats_grid_oracle_within_budget():
 
 
 def test_criterion_2_closed_form_compute_split():
-    f = allocate_compute([1.0, 4.0], 3.0)
+    f = allocate_share([1.0, 4.0], 0.0, 3.0)
     asym_ok = abs(f[0] - 1.0) <= 1e-9 and abs(f[1] - 2.0) <= 1e-9
-    sym = allocate_compute([2.2, 2.2, 2.2, 2.2], 10.0)
+    sym = allocate_share([2.2, 2.2, 2.2, 2.2], 0.0, 10.0)
     sym_ok = sym == [2.5, 2.5, 2.5, 2.5]
     _report("criterion 2 (closed-form splits)", asym_ok and sym_ok,
             f"c=(1,4),F=3 -> {tuple(round(v, 12) for v in f)}; symmetric split exact={sym_ok}")

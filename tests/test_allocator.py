@@ -1,14 +1,14 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from fedkd import allocator
 from fedkd.allocator import (
-    RESOURCE_FLOOR,
     allocate,
-    allocate_bandwidth,
-    allocate_compute,
+    allocate_share,
     build_problem,
     cost_from_sums,
     fb_objective,
@@ -16,7 +16,7 @@ from fedkd.allocator import (
     grid_oracle,
     kkt_residual,
 )
-from fedkd.model import Decision, ObjectiveWeights
+from fedkd.model import BUDGET_RTOL, RESOURCE_FLOOR, Decision, ObjectiveWeights, ServerSpec
 
 from conftest import make_scenario
 from oracles import decision_cost, left_to_right
@@ -101,7 +101,7 @@ class TestLeftToRightSums:
         c = [t * t for t in TERMS]
         roots = [math.sqrt(ci) for ci in c]
         total = left_to_right(roots)
-        assert allocate_compute(c, 5.0) == [max(RESOURCE_FLOOR, 5.0 * r / total) for r in roots]
+        assert allocate_share(c, 0.0, 5.0) == [5.0 * r / total for r in roots]
 
     def test_fb_objective(self):
         """Unit shares and a zero price make each sum's terms TERMS."""
@@ -120,71 +120,111 @@ class TestLeftToRightSums:
         delta_b, b_max = float.fromhex("0x1.c71c71c71c721p-4"), 3.0
         root_price = math.sqrt(delta_b)
         assert left_to_right(roots) < b_max * root_price <= math.fsum(roots)
-        interior = [max(RESOURCE_FLOOR, r / root_price) for r in roots]
-        assert interior != [max(RESOURCE_FLOOR, b_max * r / math.fsum(roots)) for r in roots]
-        assert allocate_bandwidth(d, delta_b, b_max) == interior
+        interior = [r / root_price for r in roots]
+        assert interior != [b_max * r / math.fsum(roots) for r in roots]
+        assert allocate_share(d, delta_b, b_max) == interior
 
 
 class TestAllocateCompute:
+    """allocate_share at price 0, the server CPU split."""
+
     def test_symmetric_equal_split(self):
-        assert allocate_compute([3.7] * 4, 10.0) == pytest.approx([2.5] * 4)
+        assert allocate_share([3.7] * 4, 0.0, 10.0) == pytest.approx([2.5] * 4)
 
     def test_one_to_four_ratio(self):
-        f = allocate_compute([1.0, 4.0], 3.0)
+        f = allocate_share([1.0, 4.0], 0.0, 3.0)
         assert f[0] == pytest.approx(1.0, abs=1e-9)
         assert f[1] == pytest.approx(2.0, abs=1e-9)
 
     def test_single_user_takes_everything(self):
-        assert allocate_compute([0.42], 7.5) == pytest.approx([7.5])
+        assert allocate_share([0.42], 0.0, 7.5) == pytest.approx([7.5])
 
     def test_budget_binds(self, rng):
         for _ in range(20):
             c = rng.uniform(0.1, 5.0, size=5)
-            f = allocate_compute(list(c), 10.0)
+            f = allocate_share(list(c), 0.0, 10.0)
             assert sum(f) == pytest.approx(10.0, rel=1e-12)
 
     def test_scale_covariance(self, rng):
         c = list(rng.uniform(0.1, 5.0, size=4))
-        base = allocate_compute(c, 10.0)
-        scaled = allocate_compute([37.5 * ci for ci in c], 10.0)
+        base = allocate_share(c, 0.0, 10.0)
+        scaled = allocate_share([37.5 * ci for ci in c], 0.0, 10.0)
         assert scaled == pytest.approx(base, rel=1e-9)
 
     def test_contract_errors(self):
         with pytest.raises(ValueError):
-            allocate_compute([], 10.0)
+            allocate_share([], 0.0, 10.0)
         with pytest.raises(ValueError):
-            allocate_compute([1.0, -2.0], 10.0)
+            allocate_share([1.0, -2.0], 0.0, 10.0)
         with pytest.raises(ValueError):
-            allocate_compute([1.0], 0.0)
+            allocate_share([1.0], 0.0, 0.0)
 
 
 class TestAllocateBandwidth:
+    """allocate_share at a bandwidth price delta_b >= 0."""
+
     def test_symmetric_binding_split(self):
-        b = allocate_bandwidth([9.0, 9.0], 1e-9, 10.0)
+        b = allocate_share([9.0, 9.0], 1e-9, 10.0)
         assert b == pytest.approx([5.0, 5.0], rel=1e-6)
 
     def test_interior_optimum(self):
         # sqrt(1/1) = 1 fits well inside the budget
-        assert allocate_bandwidth([1.0], 1.0, 10.0) == pytest.approx([1.0], rel=1e-12)
+        assert allocate_share([1.0], 1.0, 10.0) == pytest.approx([1.0], rel=1e-12)
 
     def test_one_to_four_with_negligible_price(self):
-        b = allocate_bandwidth([1.0, 4.0], 1e-6, 3.0)
+        b = allocate_share([1.0, 4.0], 1e-6, 3.0)
         assert b[0] == pytest.approx(1.0, rel=1e-4)
         assert b[1] == pytest.approx(2.0, rel=1e-4)
 
     def test_zero_price_budget_binds(self, rng):
         for _ in range(20):
             d = list(rng.uniform(0.1, 5.0, size=4))
-            b = allocate_bandwidth(d, 0.0, 10.0)
+            b = allocate_share(d, 0.0, 10.0)
             assert sum(b) == pytest.approx(10.0, rel=1e-8)
 
     def test_contract_errors(self):
         with pytest.raises(ValueError):
-            allocate_bandwidth([], 1.0, 10.0)
+            allocate_share([], 1.0, 10.0)
         with pytest.raises(ValueError):
-            allocate_bandwidth([1.0, 0.0], 1.0, 10.0)
+            allocate_share([1.0, 0.0], 1.0, 10.0)
         with pytest.raises(ValueError):
-            allocate_bandwidth([1.0], -0.5, 10.0)
+            allocate_share([1.0], -0.5, 10.0)
+
+
+@pytest.mark.parametrize("weights, price, budget, name", [
+    ([1.0], 0.0, math.inf, "budget"),
+    ([1.0], math.nan, 10.0, "price"),
+    ([1.0], 0.0, math.nan, "budget"),
+    ([1.0], math.inf, 10.0, "price"),
+    ([math.nan, 1.0], 0.0, 10.0, "weights[0]"),
+    ([1.0, math.inf], 1e-3, 10.0, "weights[1]"),
+])
+def test_non_finite_inputs_are_refused_by_name(weights, price, budget, name):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be finite"):
+        allocate_share(weights, price, budget)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_the_split_fits_its_budgets_from_the_scenario_bound_up(seed):
+    """allocate's split is the one cost_from_sums prices, with no share
+    lifted to a floor: on every budget from the least a Scenario accepts,
+    len(users) * RESOURCE_FLOOR, up to 1e3, the CPU shares sum to f_ser,
+    the bandwidth shares to b_max where its budget binds (and below it
+    elsewhere), and the KKT residual is at rounding level."""
+    sc, dec = random_instance(seed)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    bound = sc.n_users * RESOURCE_FLOOR
+    budgets = [bound, 1e3, *(bound * (1e3 / bound) ** rng.random(6))]
+    for f_ser, b_max in zip(budgets, rng.permutation(budgets)):
+        res = allocate(dataclasses.replace(sc, server=ServerSpec(f_ser, b_max)), dec)
+        f, b, prob = res.allocation.f, res.allocation.b, res.problem
+        assert abs(math.fsum(f) - f_ser) <= BUDGET_RTOL * f_ser
+        root_d = left_to_right(math.sqrt(d) for d in prob.d)
+        if root_d >= b_max * math.sqrt(prob.delta_b):
+            assert abs(math.fsum(b) - b_max) <= BUDGET_RTOL * b_max
+        else:
+            assert math.fsum(b) < b_max
+        assert kkt_residual(prob, f, b) <= 1e-12
 
 
 class TestAllocate:
@@ -244,7 +284,7 @@ class TestGridOracle:
         # pick a decision, then check the oracle lands next to the closed form
         dec = Decision(x=(0, 0), m=(0, 3))
         steps = 80
-        exact = allocate_compute(list(build_problem(sc, dec).c), sc.server.f_ser)
+        exact = allocate_share(list(build_problem(sc, dec).c), 0.0, sc.server.f_ser)
         grid = grid_oracle(sc, dec, steps=steps)
         step = sc.server.f_ser / steps
         assert abs(grid.allocation.f[0] - exact[0]) <= step + 1e-12

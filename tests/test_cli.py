@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import pytest
 from fedkd import accuracy, allocator, cli, config, experiment, kd, qlearn
 from fedkd.cli import build_parser, kd_demo, main
 from fedkd.kd import DivergenceError
-from fedkd.model import InfeasibleError, default_scenario
+from fedkd.model import BUDGET_RTOL, InfeasibleError, default_scenario
 
 
 def write_config(tmp_path, doc):
@@ -43,6 +44,18 @@ class TestAllocate:
         payload = json.loads(capsys.readouterr().out)
         assert payload["objective_fixed_decision"] == (
             payload["objective_fb"] + real(*calls[0]).constant)
+
+    @pytest.mark.parametrize("b_max", [4e-6, 5e-6])
+    def test_a_budget_at_the_bound_is_split_exactly(self, tmp_path, capsys, b_max):
+        """At and just above the least b_max a Scenario of the stock users
+        accepts, 4e-6, the bandwidth shares sum to the budget and the KKT
+        residual is at rounding level: no share is lifted to a floor."""
+        cfg = write_config(tmp_path, {"server": {"b_max": b_max},
+                                      "decision": {"x": [1, 1, 1, 1], "m": [0, 1, 2, 3]}})
+        assert main(["allocate", "--config", cfg]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert abs(math.fsum(payload["b"]) - b_max) <= BUDGET_RTOL * b_max
+        assert payload["kkt_residual"] <= 1e-12
 
     def test_missing_decision_fails_with_diagnostic(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {})

@@ -157,8 +157,8 @@ def test_bad_decision_entries_name_the_key(block, message):
 ], ids=["proposed", "q-only", "train-q"])
 def test_a_budget_below_the_users_resource_floors_is_refused_by_the_cli(
         tmp_path, capsys, server, field, value, bound, argv):
-    # Below len(users) * RESOURCE_FLOOR the floored shares overrun the
-    # budget; far below it the open split's cost overflows to -inf.
+    # len(users) * RESOURCE_FLOOR is the least budget a Scenario accepts;
+    # far below it the open split's cost overflows to -inf.
     cfg = tmp_path / "scenario.json"
     cfg.write_text(json.dumps({"server": server}))
     assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
