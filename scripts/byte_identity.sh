@@ -77,6 +77,15 @@
 # trial, and fails at two trials with another message, so like
 # channel.json's these directories are expected to differ from its output.
 #
+# OUT_DIR/dupcatalog is one proposed experiment (5 trials) on a config
+# whose catalog names VGG-8 twice, dupcatalog/scenario.json, with the
+# run's exit.txt and stderr.txt as for weak.json.  A tree that refuses a
+# repeated model name writes only those two files beside the config, exit
+# code 1 and a message naming catalog[1].name.  A tree that accepts it
+# exits 0, and its summary.json keeps one of the two VGG-8 frequencies,
+# so like weak.json's this directory is expected to differ from its
+# output.
+#
 # OUT_DIR/floor-allocate is one `fedkd allocate` run on the stock users
 # with b_max = 4e-6 MHz, the least a Scenario of four users accepts
 # (4 x model.RESOURCE_FLOOR), and every user training locally with every
@@ -235,6 +244,17 @@ fedkd_status "$out/weak-trainq" train-q "${weak[@]}"
 for t in 1 2; do
     fedkd_status "$out/weak-proposed-$t" experiment "${weak[@]}" --method proposed --trials "$t"
 done
+mkdir -p "$out/dupcatalog"
+cat > "$out/dupcatalog/scenario.json" <<'JSON'
+{
+  "catalog": [
+    {"name": "VGG-8", "mu": 6.83, "theta_s": 150.0},
+    {"name": "VGG-8", "mu": 18.96, "theta_s": 186.0}
+  ]
+}
+JSON
+fedkd_status "$out/dupcatalog" experiment --config "$out/dupcatalog/scenario.json" \
+    --method proposed --seed 47 --trials 5 --episodes 200
 for s in 0 7; do
     fedkd kd-demo --seed "$s" --epochs 600 --out "$out/kd-$s"
 done

@@ -7,24 +7,18 @@ separates into a CPU part and a bandwidth part:
     sum_i (d_i / b_i + delta_b * b_i)   subject to  sum b_i <= b_max
 
 Both are one convex problem, sum_i w_i / s_i + price * s_i subject to
-sum_i s_i <= budget, and allocate_share is its one closed form: every
-share is proportional to sqrt(w_i), and the budget binds unless the
-per-user interior optima sqrt(w_i / price) fit inside it.  The CPU part
-is the zero-price case, so its budget always binds.
-
-Substituting the optima back gives the optimal cost of a decision as a
-function of three per-user sums (cost_from_sums):
+sum_i s_i <= budget, whose closed form is allocate_share; the CPU part
+is its zero-price case.  Substituting the optima back gives the optimal
+cost of a decision as a function of three per-user sums
+(cost_from_sums):
 
     sum_i const_i + (sum_i sqrt c_i)^2 / f_ser + bw(sum_i sqrt d_i)
 
 The decision layer scores actions from those sums and never computes a
 split.  The split of a chosen decision is allocate_share, once per
-resource, with no floor on a share, so it is the split that
-cost_from_sums priced: allocate applies it to build_problem's terms of a
-Scenario, and an experiment trial to the same terms formed from its
-method's digit table (qlearn.digit_table, which holds digit_factors) and
-its draw.  The scalar route for one decision, cost_from_sums over
-build_problem's terms, is a test oracle in tests/oracles.py.
+resource, so it is the split that cost_from_sums priced.  The scalar
+route for one decision, cost_from_sums over build_problem's terms, is a
+test oracle in tests/oracles.py.
 
 grid_oracle is the independent check: an exact search over the discretized
 budget simplex, organized as a dynamic program so it stays tractable.

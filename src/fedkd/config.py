@@ -22,9 +22,9 @@ omitted section or field falls back to the stock defaults (the 4-user,
 The optional "decision" block is consumed by the one-shot allocation
 entry point.  Schema violations, wrong JSON types (true for a number,
 say), non-finite numbers (JSON parsing turns NaN, Infinity and 1e400
-into floats) and a repeated user id (an id defaults to the user's
-position) raise ValueError naming the offending key; invariant
-violations surface the underlying message.
+into floats), a repeated user id (an id defaults to the user's
+position) and a repeated catalog model name raise ValueError naming the
+offending key; invariant violations surface the underlying message.
 """
 
 from __future__ import annotations
@@ -105,9 +105,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if "catalog" in doc:
         if not isinstance(doc["catalog"], list) or not doc["catalog"]:
             raise ValueError("catalog: expected a non-empty array")
-        catalog = tuple(
-            _build(ModelSpec, entry, f"catalog[{i}]", required=("name", "mu", "theta_s"))
-            for i, entry in enumerate(doc["catalog"]))
+        catalog = []
+        for i, entry in enumerate(doc["catalog"]):
+            model = _build(ModelSpec, entry, f"catalog[{i}]", required=("name", "mu", "theta_s"))
+            if any(m.name == model.name for m in catalog):
+                raise ValueError(f"catalog[{i}].name: duplicate name {model.name!r}")
+            catalog.append(model)
+        catalog = tuple(catalog)
     else:
         catalog = DEFAULT_CATALOG
 

@@ -33,7 +33,6 @@ from .accuracy import DEFAULT_TABLE, DISTRIBUTIONS, acc_pair, canon_distribution
 from .allocator import allocate_share
 from .model import (
     DelayBreakdown,
-    InfeasibleError,
     Scenario,
     delays,
     user_cost,
@@ -271,9 +270,11 @@ def _grid_reward(template: Scenario, digits, levels: int, accs
     oracle in tests/oracles.py on the draw's Scenario.  An action earns
     INFEASIBLE_REWARD as soon as its digits' unit counts exceed a budget;
     within budget, it is minus _price's cost of the digits' (x, m) at the
-    shares _split gives them, as in objective, or INFEASIBLE_REWARD where
-    a rate b * eff underflows to 0 (a tiny b_max).  Accuracies outside
-    [0, 1] are refused here, at construction."""
+    shares _split gives them, as in objective.  No rate b * eff is 0
+    there: a share is at least b_max / levels, which Scenario keeps at
+    least RESOURCE_FLOOR / levels, and draw_builder refuses a user whose
+    efficiency is 0.  Accuracies outside [0, 1] are refused here, at
+    construction."""
     for col, name in enumerate(("acc_own", "acc_avg")):    # objective's check, per model
         if not all(0.0 <= acc[col] <= 1.0 for acc in accs):
             raise ValueError(f"{name} entries must be in [0, 1]")
@@ -291,10 +292,7 @@ def _grid_reward(template: Scenario, digits, levels: int, accs
             if f_used > levels or b_used > levels:
                 return INFEASIBLE_REWARD
             picks.append(pick)
-        try:
-            return -_price(template, draw, picks, accs)[0]
-        except InfeasibleError:
-            return INFEASIBLE_REWARD
+        return -_price(template, draw, picks, accs)[0]
 
     return reward_fn
 

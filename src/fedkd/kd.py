@@ -23,9 +23,11 @@ parameters after the last one, raises DivergenceError naming the run,
 the epoch and the step size; the loss is computed every epoch.  A
 network's parameters are views into one float64 buffer
 (NetParams.flat), which a run steps in place.  Each run builds one
-_Pass before its loop, which owns every array a step writes; the
-FedSGD clients share one pass over their concatenated rows.  The public
-kernels build a pass and call it once, so each gradient has one
+_Pass before its loop, which owns the activations, deltas and gradients
+a step writes through the network; the FedSGD clients share one pass
+over their concatenated rows.  A loss head holds only its run's
+constants and gives its loss and delta as plain expressions.  The
+public kernels build a pass and call it once, so each gradient has one
 implementation.
 """
 
@@ -288,32 +290,26 @@ def init_net(arch: NetArch, in_dim: int, num_classes: int,
 # losses
 #
 # A loss head takes the (n, classes) logits, or the (n, features) features
-# if its on_features is set, and gives the loss and the delta there, in
-# arrays it owns.  Its rows belong to consecutive clients (bounds); grads
-# holds its gradients of parameters outside the network (the projector).
+# if its on_features is set, and gives the loss and the delta there.  It
+# holds only what stays fixed for a run; its rows belong to consecutive
+# clients (bounds), and grads holds its gradients of parameters outside
+# the network (the projector), which _descend steps in place.
 
 
-def _row_max(z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """z.max(axis=1) into out, as a chain of np.maximum over the columns:
-    the same bits, nan and signed zeros included, and faster on rows of a
-    few classes."""
-    np.copyto(out, z[:, 0])
+def _row_max(z: np.ndarray) -> np.ndarray:
+    """z.max(axis=1), as a chain of np.maximum over the columns: the same
+    bits, nan and signed zeros included, and faster on rows of a few
+    classes."""
+    m = z[:, 0].copy()
     for j in range(1, z.shape[1]):
-        np.maximum(out, z[:, j], out=out)
-    return out
+        np.maximum(m, z[:, j], out=m)
+    return m
 
 
-class _LogSoftmax:
-    """Row-wise log-softmax of (n, c) arrays, on work arrays it owns."""
-
-    def __init__(self, n: int, c: int):
-        self.m, self.e, self.s = np.empty(n), np.empty((n, c)), np.empty((n, 1))
-
-    def __call__(self, z: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """log_softmax(z) into out, which may be z."""
-        np.subtract(z, _row_max(z, self.m)[:, None], out=out)
-        np.add.reduce(np.exp(out, out=self.e), axis=1, keepdims=True, out=self.s)
-        return np.subtract(out, np.log(self.s, out=self.s), out=out)
+def _log_softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax of an (n, c) array."""
+    y = z - _row_max(z)[:, None]
+    return y - np.log(np.add.reduce(np.exp(y), axis=1, keepdims=True))
 
 
 class _Hard:
@@ -332,16 +328,13 @@ class _Hard:
         self.idx = np.arange(n) * c + labels
         self.onehot = np.eye(c)[labels]
         self.per_row = np.repeat(np.array(sizes, dtype=float), sizes)[:, None]
-        self.log_softmax = _LogSoftmax(n, c)
-        self.log_p, self.d, self.picked = np.empty((n, c)), np.empty((n, c)), np.empty(n)
 
     def __call__(self, z: np.ndarray) -> tuple[list, np.ndarray]:
-        log_p = self.log_softmax(z, self.log_p)
-        log_p.take(self.idx, out=self.picked, mode="clip")   # "raise" would buffer
+        log_p = _log_softmax(z)
+        picked = log_p.take(self.idx)
         # np.add.reduce(v) / n is v.mean() bit for bit, in half the time
-        losses = [-float(np.add.reduce(self.picked[a:b]) / (b - a)) for a, b in self.bounds]
-        np.subtract(np.exp(log_p, out=self.d), self.onehot, out=self.d)
-        return losses, np.divide(self.d, self.per_row, out=self.d)
+        losses = [-float(np.add.reduce(picked[a:b]) / (b - a)) for a, b in self.bounds]
+        return losses, (np.exp(log_p) - self.onehot) / self.per_row
 
 
 class _KD(_Hard):
@@ -357,18 +350,15 @@ class _KD(_Hard):
             raise ValueError("labels must have one entry per logit row")
         super().__init__(y, shape[1], [shape[0]])
         self.t = temperature
-        self.log_p_tt = self.log_softmax(z_t / temperature, np.empty(shape))
+        self.log_p_tt = _log_softmax(z_t / temperature)
         self.p_tt = np.exp(self.log_p_tt)
-        self.q, self.e, self.row = np.empty(shape), np.empty(shape), np.empty(shape[0])
 
     def __call__(self, z: np.ndarray) -> tuple[float, np.ndarray]:
         (hard,), d = super().__call__(z)
-        t, n, e = self.t, len(z), self.e
-        log_p_st = self.log_softmax(np.divide(z, t, out=self.q), self.q)
-        np.multiply(self.p_tt, np.subtract(self.log_p_tt, log_p_st, out=e), out=e)
-        soft = np.add.reduce(np.add.reduce(e, axis=1, out=self.row)) / n
-        np.subtract(np.exp(log_p_st, out=e), self.p_tt, out=e)
-        d += np.divide(np.multiply(e, t, out=e), n, out=e)
+        t, n = self.t, len(z)
+        log_p_st = _log_softmax(z / t)
+        soft = np.add.reduce(np.add.reduce(self.p_tt * (self.log_p_tt - log_p_st), axis=1)) / n
+        d += (np.exp(log_p_st) - self.p_tt) * t / n
         return float(hard + t * t * soft), d
 
 
@@ -388,16 +378,15 @@ class _Match:
             raise ValueError(f"teacher features of width {f_t.shape[1]} do not match "
                              f"projector output {proj.w.shape[1]}")
         self.f_t, self.w, self.bounds = f_t, proj.w, [(0, shape[0])]
-        self.diff, self.sq = np.empty((2, shape[0], f_t.shape[1]))
-        self.delta, self.grads = np.empty(shape), [np.empty_like(proj.w)]
+        self.grads = [np.empty_like(proj.w)]
 
     def __call__(self, f_s: np.ndarray) -> tuple[float, np.ndarray]:
-        n, diff = len(f_s), self.diff
-        np.subtract(np.matmul(f_s, self.w, out=diff), self.f_t, out=diff)
-        loss = float(np.add.reduce(np.square(diff, out=self.sq), axis=None) / n)
-        np.divide(np.multiply(diff, 2.0, out=diff), n, out=diff)
+        n = len(f_s)
+        diff = f_s @ self.w - self.f_t
+        loss = float(np.add.reduce(np.square(diff), axis=None) / n)
+        diff = diff * 2.0 / n
         np.matmul(f_s.T, diff, out=self.grads[0])
-        return loss, np.matmul(diff, self.w.T, out=self.delta)
+        return loss, diff @ self.w.T
 
 
 def kd_loss(student_logits, teacher_logits, labels,
@@ -429,11 +418,11 @@ def simkd_loss(f_t, f_s, proj: Projector) -> tuple[float, np.ndarray, np.ndarray
 
 class _Pass:
     """Network p over the rows of x, with a loss head (None: the forward
-    pass only).  It owns every array a step writes: the activations hs
-    (hs[0] is x), the logits (None when the head reads the features), one
-    buffer that each layer's delta dh takes in turn, and the gradient of
-    each client of the head's bounds, gs; a head on the features leaves
-    the classifier's gradient at zero."""
+    pass only).  It owns the arrays a step writes through the network:
+    the activations hs (hs[0] is x), the logits (None when the head reads
+    the features), one buffer that each layer's delta dh takes in turn,
+    and the gradient of each client of the head's bounds, gs; a head on
+    the features leaves the classifier's gradient at zero."""
 
     def __init__(self, p: NetParams, x: np.ndarray, head=None):
         n, widths = len(x), [w.shape[1] for w in p.weights]

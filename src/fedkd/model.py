@@ -60,12 +60,8 @@ class UserSpec:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """One candidate student network.
-
-    mu is the per-epoch update cost in giga-cycles, numerically the seconds
-    needed to train one epoch at 1 GHz.  theta_s is the parameter payload
-    synchronized between device and server each epoch.
-    """
+    """One candidate student network: its update cost mu and the payload
+    theta_s synchronized between device and server, both per epoch."""
 
     name: str
     mu: float               # giga-cycles per epoch
@@ -214,7 +210,7 @@ class DelayBreakdown:
     t_model: float  # student-parameter synchronization transfer
 
     def total(self) -> float:
-        """Sum of all components; t_label is already zero when x_i = 0."""
+        """Sum of all four components."""
         return self.t_tea + self.t_stu + self.t_label + self.t_model
 
 

@@ -48,7 +48,7 @@ logger = logging.getLogger(__name__)
 _CLAMPED = "state component %g outside configured range [%g, %g]; clamped"
 
 #: Reward of an action whose induced subproblem is infeasible: q-only's
-#: actions that overrun a budget, or whose rate underflows to 0.
+#: actions that overrun a budget.
 INFEASIBLE_REWARD = -1e6
 
 #: action_values, exhaustive_optimum and the exhaustive method refuse

@@ -260,6 +260,15 @@ class TestExperiment:
         assert capsys.readouterr().err == "error: episodes must be >= 0, got -3\n"
         assert not out.exists()
 
+    def test_a_repeated_catalog_name_is_an_error_line_and_exit_1(self, tmp_path, capsys):
+        model = {"name": "VGG-8", "mu": 6.83, "theta_s": 150.0}
+        cfg = write_config(tmp_path, {"catalog": [model, {**model, "mu": 18.96}]})
+        out = tmp_path / "exp"
+        assert main(["experiment", "--config", cfg, "--trials", "5", "--episodes", "50",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: catalog[1].name: duplicate name 'VGG-8'\n"
+        assert not out.exists()
+
     def test_unknown_method_is_a_usage_error(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["experiment", "--method", "annealing", "--out", str(tmp_path)])

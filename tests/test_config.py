@@ -81,6 +81,20 @@ def test_a_repeated_user_id_is_refused_naming_the_entry(users, message):
         scenario_from_dict({"users": [{"f_loc": 1.0, "d": 50.0, **u} for u in users]})
 
 
+VGG8 = {"name": "VGG-8", "mu": 6.83, "theta_s": 150.0}
+RESNET = {"name": "ResNet-26x4", "mu": 18.96, "theta_s": 186.0}
+
+
+@pytest.mark.parametrize("catalog, message", [
+    ([VGG8, {**VGG8, "mu": 12.27}], r"^catalog\[1\]\.name: duplicate name 'VGG-8'$"),
+    ([VGG8, RESNET, VGG8], r"^catalog\[2\]\.name: duplicate name 'VGG-8'$"),
+    ([RESNET, VGG8, RESNET], r"^catalog\[2\]\.name: duplicate name 'ResNet-26x4'$"),
+])
+def test_a_repeated_catalog_name_is_refused_naming_the_entry(catalog, message):
+    with pytest.raises(ValueError, match=message):
+        scenario_from_dict({"catalog": catalog})
+
+
 def test_user_ids_default_to_positions_and_may_be_set_apart():
     sc = scenario_from_dict({"users": [{"id": 7, "f_loc": 1.0, "d": 50.0},
                                        {"f_loc": 1.0, "d": 50.0}]})
