@@ -96,7 +96,12 @@
 # directory is expected to differ from its output.
 #
 # kd runs twice at the stock 600 epochs and once at 50, where the teacher
-# still trains for 400 epochs and the students for 50.  Four demos beside
+# still trains for 400 epochs and the students for 50.  kd-demo trains the
+# hard and simkd students in forked children; their parameter files are
+# compared like the others.  OUT_DIR/kd-epochs0 is one kd-demo run at
+# --epochs 0, with its exit.txt and stderr.txt as for weak.json: exit code
+# 1 and a single stderr line naming epochs, written once, by the parent
+# process, before any training or fork.  Four demos beside
 # SRC_DIR write their stdout into OUT_DIR, each to demo-NN-<name>.txt:
 # demos/01_channel_and_delays.py (channel_gain, tx_rate, delays and
 # objective on the stock template), demos/02_resource_allocation.py
@@ -259,6 +264,7 @@ for s in 0 7; do
     fedkd kd-demo --seed "$s" --epochs 600 --out "$out/kd-$s"
 done
 fedkd kd-demo --seed 3 --epochs 50 --out "$out/kd-3-epochs50"
+fedkd_status "$out/kd-epochs0" kd-demo --epochs 0
 demo() {
     PYTHONPATH="$src" OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 python3 "$src/../demos/$1.py"
 }

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Microseconds per training step of each kd run, on kd-demo's shapes.
+"""Microseconds per training step of each kd run, on kd-demo's shapes,
+and the wall time of kd-demo itself.
 
 Usage:
     python3 scripts/kd_steps.py [SRC_DIR]
@@ -13,9 +14,17 @@ simkd students, on client 0's 120 samples.
 Each run is timed through its public entry point (kd.train_teacher or
 kd.distill_student) at EPOCHS[0] and at EPOCHS[1] epochs, best of REPEAT
 timings each.  The difference divided by the difference in epochs is the
-time of one step, without the run's fixed setup.  The figures are wall
-times of this process on this host: compare two trees on one host, one
-right after the other.
+time of one step, without the run's fixed setup.
+
+The kd-demo row is the best of REPEAT wall times of
+cli.kd_demo(seed=0, epochs=DEMO_EPOCHS), beside the sum of the best of
+REPEAT times of its four runs called one after another at the epochs
+kd-demo gives them (the teacher at least 400).  kd-demo overlaps the runs
+on two processes, so on a host with two free CPUs it takes less than
+that sum.
+
+The figures are wall times of this process on this host: compare two
+trees on one host, one right after the other.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ import time
 from pathlib import Path
 
 EPOCHS = (100, 600)
+DEMO_EPOCHS = 600
 REPEAT = 5
 
 
@@ -68,14 +78,28 @@ def step_time(run, epochs: tuple, repeat: int) -> float:
     return (best_time(run, high, repeat) - best_time(run, low, repeat)) / (high - low)
 
 
+def demo_times(cli, runs: dict, epochs: int, repeat: int) -> tuple[float, float]:
+    """Best seconds of cli.kd_demo(seed=0, epochs), and the sum of the best
+    seconds of each of its four runs at the epochs kd-demo gives them."""
+    demo = best_time(lambda e: cli.kd_demo(seed=0, epochs=e), epochs, repeat)
+    series = sum(best_time(run, max(epochs, 400) if name == "teacher FedSGD" else epochs,
+                           repeat)
+                 for name, run in runs.items())
+    return demo, series
+
+
 def main(argv: list[str]) -> int:
     src = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1] / "src"
     sys.path.insert(0, str(src))
-    from fedkd import kd
+    from fedkd import cli, kd
 
+    runs = kd_runs(kd)
     print(f"{'run':<16}{'us/step':>10}")
-    for name, run in kd_runs(kd).items():
+    for name, run in runs.items():
         print(f"{name:<16}{step_time(run, EPOCHS, REPEAT) * 1e6:>10.1f}")
+    demo, series = demo_times(cli, runs, DEMO_EPOCHS, REPEAT)
+    print(f"{'kd-demo':<16}{demo * 1e3:>10.1f} ms at {DEMO_EPOCHS} epochs; "
+          f"its four runs in series {series * 1e3:.1f} ms")
     return 0
 
 

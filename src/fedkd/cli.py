@@ -15,8 +15,12 @@ stderr for any error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
+import numbers
+import os
+import pickle
 import sys
 from pathlib import Path
 
@@ -127,35 +131,110 @@ def cmd_kd_demo(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _in_child(fn, *args, **kwargs):
+    """Run fn(*args, **kwargs) in a forked child while the caller goes on.
+
+    Yields join(): it waits for the child and returns fn's result, or
+    raises fn's exception.  A child that ends without sending a result
+    raises RuntimeError naming its pid and wait status.  A child not yet
+    joined when the block exits, by an error or an interrupt, is killed
+    and reaped.  POSIX only (os.fork).
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            try:
+                data = pickle.dumps((True, fn(*args, **kwargs)))
+            except BaseException as exc:
+                data = pickle.dumps((False, exc))
+            with open(w, "wb") as fh:
+                fh.write(data)
+            status = 0
+        finally:
+            os._exit(status)    # never back into the caller's frames
+    os.close(w)
+    reader = open(r, "rb")
+    reaped = False
+
+    def join():
+        nonlocal reaped
+        data = reader.read()
+        _, status = os.waitpid(pid, 0)
+        reaped = True
+        if not data:
+            raise RuntimeError(f"child {pid} ended without a result (wait status {status})")
+        ok, value = pickle.loads(data)
+        if ok:
+            return value
+        raise value
+
+    try:
+        yield join
+    finally:
+        reader.close()
+        if not reaped:
+            import signal    # only on this path: `import fedkd.cli` does not load it
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _check_count(name: str, value, least: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 def kd_demo(seed: int = 0, epochs: int = 600) -> dict:
     """Toy Non-IID pipeline: federated teacher, then one client's students.
 
     Client 0 holds only the first half of the classes.  Three students are
     trained on that private shard: plain hard-label training, softened
     distillation, and feature-matching distillation with classifier reuse.
+
+    The runs overlap on two processes.  The hard student, which needs no
+    teacher, trains in a forked child while this process trains the
+    teacher; then the simkd student trains in a second child while this
+    process trains the kd student.  Each run calls the same kd function
+    with the same arguments as in series, so every output keeps its bits.
+    seed and epochs are checked before any run starts.  A failing run
+    raises its own error, in the order teacher, hard, kd, simkd: the
+    first that fails in that order is raised, and a child still running
+    then is killed.
     """
-    if epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
+    epochs = _check_count("epochs", epochs, 1)
+    seed = _check_count("seed", seed, 0)
     spec = kd.BlobSpec(seed=seed)
     train_set, test_set = kd.make_train_test(spec, train_per_class=60, test_per_class=60)
     half = spec.num_classes // 2
     groups = [tuple(range(half)), tuple(range(half, spec.num_classes))]
     parts = kd.split_by_label(train_set, groups)
-
-    teacher = kd.train_teacher(parts, epochs=max(epochs, 400), lr=0.5,
-                               arch=kd.NetArch((32,), 16), seed=seed)
     private = parts[0]
     own_test = test_set.restrict_labels(groups[0])
     student_arch = kd.NetArch((32,), 8)
 
-    student_hard = kd.train_teacher([private], epochs=epochs, lr=0.5,
-                                    arch=student_arch, seed=seed + 1)
-    student_kd, _ = kd.distill_student(teacher, student_arch, private,
-                                       kd.LossSpec("kd", temperature=4.0),
-                                       epochs=epochs, lr=0.5, seed=seed + 1)
-    student_simkd, proj = kd.distill_student(teacher, student_arch, private,
-                                             kd.LossSpec("simkd"),
-                                             epochs=epochs, lr=0.1, seed=seed + 1)
+    with _in_child(kd.train_teacher, [private], epochs=epochs, lr=0.5,
+                   arch=student_arch, seed=seed + 1) as hard:
+        teacher = kd.train_teacher(parts, epochs=max(epochs, 400), lr=0.5,
+                                   arch=kd.NetArch((32,), 16), seed=seed)
+        with _in_child(kd.distill_student, teacher, student_arch, private,
+                       kd.LossSpec("simkd"), epochs=epochs, lr=0.1, seed=seed + 1) as simkd:
+            student_hard = hard()
+            student_kd, _ = kd.distill_student(teacher, student_arch, private,
+                                               kd.LossSpec("kd", temperature=4.0),
+                                               epochs=epochs, lr=0.5, seed=seed + 1)
+            student_simkd, proj = simkd()
 
     def accs(p, override=None):
         return {

@@ -135,6 +135,10 @@ class Scenario:
         object.__setattr__(self, "catalog", tuple(self.catalog))
         _require(len(self.users) > 0, "Scenario.users must be non-empty")
         _require(len(self.catalog) > 0, "Scenario.catalog must be non-empty")
+        names = [m.name for m in self.catalog]
+        for i, name in enumerate(names):
+            if name in names[:i]:    # a report keys the model frequencies by name
+                raise ValueError(f"Scenario.catalog: duplicate name {name!r}")
         floor = len(self.users) * RESOURCE_FLOOR
         for name in ("f_ser", "b_max"):
             v = getattr(self.server, name)

@@ -1,8 +1,12 @@
+import inspect
 import json
 import math
+import os
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from fedkd import accuracy, allocator, cli, config, experiment, kd, qlearn
@@ -327,6 +331,140 @@ class TestKdDemo:
         m = res["metrics"]
         assert m["student_simkd"]["full_test"] > m["student_hard"]["full_test"]
         assert m["student_simkd"]["own_test"] >= m["student_simkd"]["full_test"]
+
+
+def serial_kd_runs(seed, epochs):
+    """kd-demo's four runs, called one after another in this process."""
+    spec = kd.BlobSpec(seed=seed)
+    train_set, _ = kd.make_train_test(spec, train_per_class=60, test_per_class=60)
+    parts = kd.split_by_label(train_set, [(0, 1), (2, 3)])
+    student_arch = kd.NetArch((32,), 8)
+    teacher = kd.train_teacher(parts, epochs=max(epochs, 400), lr=0.5,
+                               arch=kd.NetArch((32,), 16), seed=seed)
+    hard = kd.train_teacher([parts[0]], epochs=epochs, lr=0.5, arch=student_arch,
+                            seed=seed + 1)
+    student_kd, _ = kd.distill_student(teacher, student_arch, parts[0],
+                                       kd.LossSpec("kd", temperature=4.0),
+                                       epochs=epochs, lr=0.5, seed=seed + 1)
+    simkd, proj = kd.distill_student(teacher, student_arch, parts[0], kd.LossSpec("simkd"),
+                                     epochs=epochs, lr=0.1, seed=seed + 1)
+    return {"teacher": teacher, "student_hard": hard, "student_kd": student_kd,
+            "student_simkd": simkd}, proj
+
+
+def failing(monkeypatch, fail):
+    """Patch kd so that each of kd-demo's runs named in fail (name ->
+    exception type) raises it at its start, naming the run and the process
+    it ran in."""
+    for fn in ("train_teacher", "distill_student"):
+        original = getattr(kd, fn)
+
+        def patched(*args, _fn=fn, _original=original, **kwargs):
+            bound = inspect.signature(_original).bind(*args, **kwargs).arguments
+            if _fn == "train_teacher":
+                name = "teacher" if bound["arch"].feature_dim == 16 else "hard"
+            else:
+                name = bound["loss"].variant
+            if name in fail:
+                raise fail[name](f"{name} failed in process {os.getpid()}")
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(kd, fn, patched)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestKdDemoForked:
+    @pytest.mark.parametrize("seed, epochs", [(0, 1), (5, 12), (11, 30)])
+    def test_outputs_equal_the_runs_called_in_series(self, seed, epochs):
+        res = kd_demo(seed=seed, epochs=epochs)
+        want, proj = serial_kd_runs(seed, epochs)
+        for role, params in want.items():
+            assert res[role].flat.tobytes() == params.flat.tobytes(), role
+        assert res["projector"].w.tobytes() == proj.w.tobytes()
+        assert_no_child_left()
+
+    def test_a_divergence_in_the_hard_student_child_is_an_error_line(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        failing(monkeypatch, {"hard": DivergenceError})
+        out = tmp_path / "kd"
+        assert main(["kd-demo", "--epochs", "5", "--out", str(out)]) == 1
+        line = re.fullmatch(r"error: hard failed in process (\d+)\n", capsys.readouterr().err)
+        assert line and int(line[1]) != os.getpid()
+        assert not out.exists()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("fail, raised", [
+        ({"teacher", "hard", "kd", "simkd"}, "teacher"),
+        ({"hard", "kd", "simkd"}, "hard"),
+        ({"hard"}, "hard"),
+        ({"kd", "simkd"}, "kd"),
+        ({"simkd"}, "simkd"),
+    ])
+    def test_the_first_failing_run_in_serial_order_raises(self, monkeypatch, fail, raised):
+        failing(monkeypatch, dict.fromkeys(fail, DivergenceError))
+        with pytest.raises(DivergenceError, match=rf"^{raised} failed in process \d+$"):
+            kd_demo(seed=2, epochs=5)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("exc", [DivergenceError, KeyboardInterrupt])
+    def test_a_teacher_failure_leaves_no_child_behind(self, monkeypatch, exc):
+        failing(monkeypatch, {"teacher": exc})
+        with pytest.raises(exc):
+            kd_demo(seed=0, epochs=600)    # the hard student is still training
+        assert_no_child_left()
+
+    def test_a_child_that_dies_without_a_result_raises_and_does_not_hang(self, monkeypatch):
+        parent = os.getpid()
+        original = kd.train_teacher
+
+        def dying(parts, *args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(3)
+            return original(parts, *args, **kwargs)
+
+        monkeypatch.setattr(kd, "train_teacher", dying)
+        with pytest.raises(RuntimeError,
+                           match=r"^child \d+ ended without a result \(wait status 768\)$"):
+            kd_demo(seed=0, epochs=5)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"epochs": True}, "epochs must be an integer, got True"),
+        ({"epochs": 2.5}, "epochs must be an integer, got 2.5"),
+        ({"epochs": 0}, "epochs must be >= 1, got 0"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"seed": "3"}, "seed must be an integer, got '3'"),
+    ])
+    def test_bad_arguments_are_refused_by_name_before_any_run_or_fork(self, monkeypatch,
+                                                                      kwargs, message):
+        def refused(*args, **kw):
+            raise AssertionError("a run or a fork started")
+
+        for fn in ("train_teacher", "distill_student", "make_train_test"):
+            monkeypatch.setattr(kd, fn, refused)
+        monkeypatch.setattr(os, "fork", refused)
+        with pytest.raises(ValueError) as err:
+            kd_demo(**{"seed": 0, "epochs": 5, **kwargs})
+        assert str(err.value) == message
+
+    def test_numpy_integer_arguments_give_the_int_results(self):
+        res = kd_demo(seed=np.int64(3), epochs=np.int32(2))
+        assert res["metrics"] == kd_demo(seed=3, epochs=2)["metrics"]
+        assert type(res["metrics"]["seed"]) is int and type(res["metrics"]["epochs"]) is int
+
+    def test_importing_the_cli_loads_no_process_pool_and_no_signal_module(self):
+        code = ("import sys, fedkd.cli; "
+                "print(sorted(m for m in ('multiprocessing', 'concurrent.futures', 'signal') "
+                "if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True)
+        assert proc.stdout == "[]\n"
 
 
 class TestDumpOracle:

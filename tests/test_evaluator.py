@@ -211,9 +211,11 @@ def test_stock_sized_enumeration_matches_brute_force(draw):
 
 
 def test_ties_go_to_the_lowest_action_index():
-    # Two copies of one model tie exactly; m = 0 has the lower indices.
+    # Two copies of one model, under two names, tie exactly; m = 0 has the
+    # lower indices.
     sc = make_scenario(n_users=2, n_models=1)
-    sc = dataclasses.replace(sc, catalog=sc.catalog * 2)
+    twin = dataclasses.replace(sc.catalog[0], name=sc.catalog[0].name + " twin")
+    sc = dataclasses.replace(sc, catalog=(sc.catalog[0], twin))
     accs = [acc_pair(DEFAULT_TABLE, sc.catalog[0].name, "KD", "noniid")] * 2
     dec, _ = exhaustive_optimum(sc, accs)
     assert dec.m == (0, 0)

@@ -216,6 +216,14 @@ class TestRunExperiment:
                 for _ in range(2)]
         assert report_rows(reps[0]) == report_rows(reps[1])
 
+    def test_a_catalog_that_names_a_model_twice_never_reaches_a_report(self):
+        # Keyed by name, the report would keep one VGG-8 frequency and drop the other.
+        catalog = (model.ModelSpec("VGG-8", 6.83, 150.0), model.ModelSpec("VGG-8", 18.96, 186.0))
+        with pytest.raises(ValueError, match=r"^Scenario\.catalog: duplicate name 'VGG-8'$"):
+            run_experiment(dataclasses.replace(
+                quick_cfg("proposed", trials=5, episodes=200, seed=47),
+                scenario=dataclasses.replace(default_scenario(), catalog=catalog)))
+
     def test_methods_share_eval_draws(self):
         a = run_experiment(quick_cfg("fl-min", trials=5, episodes=200))
         b = run_experiment(quick_cfg("fl-max", trials=5, episodes=200))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -308,6 +310,17 @@ class TestTypeInvariants:
         with pytest.raises(ValueError):
             Scenario(users=sc.users, server=sc.server, channel=sc.channel,
                      catalog=(), teacher=sc.teacher, weights=sc.weights)
+
+    @pytest.mark.parametrize("names, repeated", [
+        (("VGG-8", "VGG-8"), "VGG-8"),
+        (("VGG-8", "ResNet-26x4", "VGG-8"), "VGG-8"),
+        (("ResNet-26x4", "VGG-8", "ResNet-26x4", "VGG-8"), "ResNet-26x4"),
+    ])
+    def test_scenario_refuses_a_catalog_that_names_a_model_twice(self, names, repeated):
+        catalog = tuple(ModelSpec(name=n, mu=6.83 + k, theta_s=150.0) for k, n in enumerate(names))
+        with pytest.raises(ValueError) as err:
+            dataclasses.replace(default_scenario(), catalog=catalog)
+        assert str(err.value) == f"Scenario.catalog: duplicate name {repeated!r}"
 
     def test_scenario_hashable_for_reward_caching(self):
         assert hash(default_scenario()) == hash(default_scenario())

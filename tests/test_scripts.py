@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fedkd import kd
+from fedkd import cli, kd
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -54,3 +54,9 @@ def test_kd_steps_times_one_step_of_each_kd_run():
     assert list(runs) == ["teacher FedSGD", "hard student", "kd student", "simkd student"]
     for run in runs.values():
         assert np.isfinite(kd_steps.step_time(run, (1, 3), 1))
+
+
+def test_kd_steps_times_kd_demo_beside_its_runs_in_series():
+    kd_steps = load("kd_steps")
+    demo, series = kd_steps.demo_times(cli, kd_steps.kd_runs(kd), 2, 1)
+    assert 0 < demo < float("inf") and 0 < series < float("inf")
