@@ -9,7 +9,11 @@ Usage:
 TREE is the root of a checkout (it holds perfbench/ and src/).  Pair k
 runs `python3 perfbench/run.py --workload W --seed SEEDS[k] --seconds S
 --trace 0` in both trees, the parent first on even k and the change first
-on odd k.  Use seeds that were not used while the change was written.
+on odd k, with PYTHONDONTWRITEBYTECODE=1.  Use seeds that were not used
+while the change was written.  A tree that holds a __pycache__ under
+src/ is refused before any run: its imports would read compiled bytecode
+and favour its setup_s and peak_rss_mb, so use fresh `git archive`
+copies.
 
 The record holds, per workload, every pair's wall_s, setup_s, peak_rss_mb,
 correct and failed of both sides; each metric's median and quartiles per
@@ -25,6 +29,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -45,7 +50,8 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True, check=False)
+        cwd=tree, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{tree} {workload} seed {seed}: exit {proc.returncode}\n"
@@ -93,6 +99,11 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    cached = [str(d) for t in trees.values() for d in sorted((t / "src").rglob("__pycache__"))]
+    if cached:
+        print(f"error: compiled bytecode under src/ favours its tree; use fresh copies "
+              f"without {', '.join(cached)}", file=sys.stderr)
+        return 1
 
     record = {"protocol": {"command": "python3 perfbench/run.py --workload W --seed SEED "
                                       f"--seconds {args.seconds:g} --trace 0",

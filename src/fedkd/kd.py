@@ -36,10 +36,11 @@ from __future__ import annotations
 import json
 import logging
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .model import check_count, is_real
 
 logger = logging.getLogger(__name__)
 
@@ -270,7 +271,7 @@ class LossSpec:
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         t = self.temperature
-        if isinstance(t, bool) or not isinstance(t, numbers.Real) or not 0 < t < math.inf:
+        if not (is_real(t) and 0 < t < math.inf):
             raise ValueError(f"temperature must be finite and > 0, got {t!r}")
 
 
@@ -503,11 +504,8 @@ def _check_run(lr: float, epochs: int = 1, least: int = 1) -> None:
     """Refuse, by name, an epoch count that is not an integer (a bool is
     not one) or is below least, and a step size that is not a finite
     number >= 0."""
-    if isinstance(epochs, bool) or not isinstance(epochs, numbers.Integral):
-        raise ValueError(f"epochs must be an integer, got {epochs!r}")
-    if epochs < least:
-        raise ValueError(f"epochs must be >= {least}, got {epochs}")
-    if isinstance(lr, bool) or not isinstance(lr, numbers.Real) or not 0.0 <= lr < math.inf:
+    check_count("epochs", epochs, least)
+    if not (is_real(lr) and 0.0 <= lr < math.inf):
         raise ValueError(f"lr must be finite and >= 0, got {lr!r}")
 
 

@@ -33,7 +33,6 @@ import functools
 import itertools
 import logging
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -41,7 +40,15 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .allocator import cost_from_sums, digit_factors, efficiencies
-from .model import Decision, Scenario, channel_gain, spectral_efficiency, user_efficiency
+from .model import (
+    Decision,
+    Scenario,
+    channel_gain,
+    check_count,
+    is_real,
+    spectral_efficiency,
+    user_efficiency,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -63,21 +70,11 @@ StateKey = tuple[tuple[int, int], ...]
 
 
 def check_counts(config, least: dict[str, int]) -> None:
-    """Refuse each named field of config that is not an integer (a bool is
-    not one) or is below its least value, naming the field; store each
-    accepted one as a Python int, which json writes (a numpy integer it does not)."""
+    """Refuse each named field of config that is not an integer or is below
+    its least value, naming the field (model.check_count); store each
+    accepted one as a Python int."""
     for name, lo in least.items():
-        v = getattr(config, name)
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {v!r}")
-        if v < lo:
-            raise ValueError(f"{name} must be >= {lo}, got {v}")
-        object.__setattr__(config, name, int(v))
-
-
-def _is_real(v) -> bool:
-    """Whether v is a real number; a bool is not one."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+        object.__setattr__(config, name, check_count(name, getattr(config, name), lo))
 
 
 @dataclass(frozen=True)
@@ -103,16 +100,16 @@ class QConfig:
     d_range: tuple[float, float] = (10.0, 100.0)
 
     def __post_init__(self) -> None:
-        if not (_is_real(self.lr) and 0.0 < self.lr <= 1.0):
+        if not (is_real(self.lr) and 0.0 < self.lr <= 1.0):
             raise ValueError(f"lr must be a number in (0, 1], got {self.lr!r}")
         for name in ("epsilon0", "epsilon_decay", "epsilon_floor"):
             v = getattr(self, name)
-            if not (_is_real(v) and 0.0 <= v <= 1.0):
+            if not (is_real(v) and 0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must be a number in [0, 1], got {v!r}")
         check_counts(self, {"episodes": 0, "f_bins": 1, "h_bins": 1})
         for name, bins in (("f_loc_range", "f_bins"), ("d_range", "h_bins")):
             pair = getattr(self, name)
-            ok = isinstance(pair, (tuple, list)) and len(pair) == 2 and all(map(_is_real, pair))
+            ok = isinstance(pair, (tuple, list)) and len(pair) == 2 and all(map(is_real, pair))
             if not (ok and 0 < pair[0] <= pair[1] < math.inf):
                 raise ValueError(f"{name} must be numbers (lo, hi) with 0 < lo <= hi < inf, "
                                  f"got {pair!r}")

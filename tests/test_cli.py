@@ -411,10 +411,11 @@ class TestKdDemoForked:
         assert_no_child_left()
 
     @pytest.mark.parametrize("exc", [DivergenceError, KeyboardInterrupt])
-    def test_a_teacher_failure_leaves_no_child_behind(self, monkeypatch, exc):
-        failing(monkeypatch, {"teacher": exc})
-        with pytest.raises(exc):
-            kd_demo(seed=0, epochs=600)    # the hard student is still training
+    @pytest.mark.parametrize("run", ["teacher", "kd"])    # beside the hard, the simkd child
+    def test_a_failure_in_this_process_leaves_no_child_behind(self, monkeypatch, run, exc):
+        failing(monkeypatch, {run: exc})
+        with pytest.raises(exc, match=rf"^{run} failed in process {os.getpid()}$"):
+            kd_demo(seed=0, epochs=600)    # the child's run is still training
         assert_no_child_left()
 
     def test_a_child_that_dies_without_a_result_raises_and_does_not_hang(self, monkeypatch):
