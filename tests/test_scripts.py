@@ -99,8 +99,9 @@ def test_a_failed_operation_on_either_side_makes_the_record_not_all_correct(side
     assert summarize(pairs)["all_correct"] is False
 
 
+@pytest.mark.parametrize("cached", ["parent", "change"])
 def test_bench_pairs_refuses_a_tree_with_compiled_bytecode_before_any_run(tmp_path, capsys,
-                                                                          monkeypatch):
+                                                                          monkeypatch, cached):
     bench_pairs = load("bench_pairs")
 
     def started(*args, **kwargs):
@@ -110,7 +111,7 @@ def test_bench_pairs_refuses_a_tree_with_compiled_bytecode_before_any_run(tmp_pa
     trees = {side: tmp_path / side for side in ("parent", "change")}
     for tree in trees.values():
         (tree / "src" / "fedkd").mkdir(parents=True)
-    cache = trees["change"] / "src" / "fedkd" / "__pycache__"
+    cache = trees[cached] / "src" / "fedkd" / "__pycache__"
     cache.mkdir()
     out = tmp_path / "BENCH.json"
     argv = ["--parent", str(trees["parent"]), "--change", str(trees["change"]),
