@@ -8,8 +8,6 @@ optimally for the chosen action.  On a small instance the greedy policy
 provably lands on the enumerated optimum; this script shows the route.
 """
 
-import numpy as np
-
 from fedkd import DEFAULT_TABLE, QConfig, acc_pair, default_scenario
 from fedkd.model import Scenario
 from fedkd.qlearn import (
@@ -43,8 +41,7 @@ print(f"\nenumeration says: x={best_dec.x}, "
       f"models={[sc.catalog[m].name for m in best_dec.m]}, objective {best_val:.4f}")
 
 cfg = QConfig(episodes=5000)
-rng = np.random.Generator(np.random.PCG64(0))
-q, state = train_fixed_scenario(sc, accs, cfg, rng)
+q, state = train_fixed_scenario(sc, accs, cfg, 0)
 greedy = q.greedy_action(state, n_actions)
 print(f"\nafter {cfg.episodes} one-shot episodes (epsilon {cfg.epsilon0} -> "
       f"{cfg.epsilon_floor}):")

@@ -22,8 +22,6 @@ import pickle
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import accuracy, config, kd, qlearn
 from .allocator import allocate, kkt_residual
 from .experiment import (
@@ -79,8 +77,7 @@ def cmd_train_q(args) -> int:
     cfg = dataclasses.replace(qlearn.QConfig(), episodes=args.episodes)
     accs = [accuracy.acc_pair(accuracy.DEFAULT_TABLE, m.name, "KD", args.distribution)
             for m in sc.catalog]
-    rng = np.random.Generator(np.random.PCG64(args.seed))
-    table, key = qlearn.train_fixed_scenario(sc, accs, cfg, rng)
+    table, key = qlearn.train_fixed_scenario(sc, accs, cfg, args.seed)
     greedy = table.greedy_action(key, qlearn.action_count(sc))
     dec = qlearn.decode_action(greedy, sc.n_users, len(sc.catalog))
     summary = {
@@ -169,7 +166,7 @@ def _beside(child, parent):
     return value, mine
 
 
-def kd_demo(seed: int = 0, epochs: int = 600) -> dict:
+def kd_demo(*, seed: int, epochs: int) -> dict:
     """Toy Non-IID pipeline: federated teacher, then one client's students.
 
     Client 0 holds only the first half of the classes.  Three students are

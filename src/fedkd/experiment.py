@@ -311,10 +311,12 @@ def training_reward(template: Scenario, spec: MethodSpec, rows, accs
 def run_experiment(cfg: ExperimentConfig) -> Report:
     """Train the configured method and evaluate it on seeded draws.
 
-    The method's rows (method_rows) are built once.  Training takes its
-    draws from training_sampler and its rewards from training_reward on
-    those rows.  Each trial reads eval_rng.random(2 * N), the draw
-    sample_scenario would make over cfg.q.f_loc_range and cfg.q.d_range,
+    The method's rows (method_rows) are built once.  SeedSequence(cfg.seed)
+    spawns eval_ss and train_ss.  Training reads StreamReader(train_ss)
+    through training_sampler and takes its rewards from training_reward
+    on those rows.  Each trial reads uniforms(2 * N) of one
+    StreamReader(eval_ss), the draw sample_scenario would make with
+    Generator(PCG64(eval_ss)) over cfg.q.f_loc_range and cfg.q.d_range,
     and the run's one qlearn.draw_builder maps it to the state key, which
     the policy reads, and the Draw, which the rest of the trial reads:
     exhaustive enumerates the rows' terms on it, the chosen action
@@ -335,15 +337,14 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
 
     eval_ss, train_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     if spec.learned:
-        q = train_loop(training_sampler(cfg), cfg.q,
-                       np.random.Generator(np.random.PCG64(train_ss)),
-                       spec.n_actions, training_reward(template, spec, table, accs))
+        q = train_loop(training_sampler(cfg), cfg.q, train_ss, spec.n_actions,
+                       training_reward(template, spec, table, accs))
 
-    eval_rng = np.random.Generator(np.random.PCG64(eval_ss))
+    evals = StreamReader(eval_ss)
     build, size = draw_builder(template, cfg.q), 2 * template.n_users
     evaluated = []
     for _ in range(cfg.trials):
-        key, draw = build(eval_rng.random(size).tolist())
+        key, draw = build(evals.uniforms(size))
         a = (q.greedy_action(key, spec.n_actions) if spec.learned
              else int(np.argmax(_enumerated(template, draw, table))))
         rows = decode(table, a, template.n_users)

@@ -15,7 +15,7 @@ discount.
     decode                        the one radix decoder, action to rows
     digit_reward, _enumerated     one action's, or every action's,
                                   reward on a Draw
-    QTable, StreamReader          the sparse table; the rng's draws
+    QTable, StreamReader          the sparse table; the seeded draws
     train_loop                    the one training loop
     train_fixed_scenario,         train-q's agent and its reference on
     exhaustive_optimum            one scenario
@@ -499,51 +499,38 @@ _MASK64 = (1 << 64) - 1
 
 
 class StreamReader:
-    """The draws of a PCG64 Generator, read from its raw outputs in blocks.
+    """The draws of numpy's Generator(PCG64(seed)), read from the bit
+    generator's raw outputs in blocks; seed is an int or a SeedSequence.
 
     random(), uniforms(k) and integers(n) return what rng.random(),
-    rng.random(k).tolist() and int(rng.integers(n)) would, in the same
-    order, from the same stream.  A uniform is (u >> 11) * 2**-53 of one
-    raw output u; the uniforms of a block are converted at once.  An
-    integer below n is numpy's Lemire draw: for n <= 2**32 it reads 32-bit
-    halves, low half first, and the high half waits in the same one-value
-    buffer PCG64 keeps (has_uint32 / uinteger), which uniforms skip; above
-    that it reads whole outputs.  n == 1 reads nothing.
-
-    The reader pulls STREAM_BLOCK raw outputs at a time, so the Generator
-    runs ahead of what was read.  close(), which leaving a `with` block
-    calls, error or not, puts the Generator where the reads end: its
-    starting state advanced by the outputs read, with the buffered half.
-    Only PCG64 is read; another bit generator is refused.
+    rng.random(k).tolist() and int(rng.integers(n)) of that Generator
+    would, in the same order.  A uniform is (u >> 11) * 2**-53 of one raw
+    output u; the uniforms of a block are converted at once.  An integer
+    below n is numpy's Lemire draw: for n <= 2**32 it reads 32-bit halves,
+    low half first, and the high half waits in a one-value buffer, as in
+    PCG64's own, which uniforms skip; above that it reads whole outputs.
+    n == 1 reads nothing.  A None seed, which numpy would take from OS
+    entropy, is refused.
     """
 
-    __slots__ = ("_bg", "_start", "_raw", "_u", "_i", "_pulled", "_has32", "_half")
+    __slots__ = ("_raw_block", "_raw", "_u", "_i", "_has32", "_half")
 
-    def __init__(self, rng: np.random.Generator) -> None:
-        bg = rng.bit_generator
-        if type(bg) is not np.random.PCG64:
-            raise ValueError(f"StreamReader reads a PCG64 stream, got {type(bg).__name__}")
-        self._bg, self._start = bg, bg.state
-        self._has32, self._half = bool(self._start["has_uint32"]), self._start["uinteger"]
+    def __init__(self, seed: int | np.random.SeedSequence) -> None:
+        if seed is None:
+            raise ValueError("StreamReader seed must be an int or a SeedSequence, got None")
+        self._raw_block = np.random.PCG64(seed).random_raw
         self._raw = np.empty(0, np.uint64)
         self._u: list[float] = []
         self._i = STREAM_BLOCK      # the next unread index of the block
-        self._pulled = 0
-
-    def __enter__(self) -> "StreamReader":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        self._has32, self._half = False, 0
 
     def _refill(self) -> None:
-        raw = self._raw = self._bg.random_raw(STREAM_BLOCK)
+        raw = self._raw = self._raw_block(STREAM_BLOCK)
         # The raw outputs stay an array: a list of a block's Python ints,
         # refilled through a training run, raised the fleet workload's
         # peak RSS by about 0.17 MB; integer draws are the rare reads.
         self._u = ((raw >> 11) * 2.0 ** -53).tolist()
         self._i = 0
-        self._pulled += STREAM_BLOCK
 
     def random(self) -> float:
         i = self._i
@@ -608,29 +595,20 @@ class StreamReader:
                 m = self._next64() * n
         return m >> 64
 
-    def close(self) -> None:
-        """Set the Generator's state to the position of the reads."""
-        bg = self._bg
-        bg.state = self._start
-        bg.advance(self._pulled - STREAM_BLOCK + self._i)
-        state = bg.state
-        state["has_uint32"], state["uinteger"] = int(self._has32), self._half
-        bg.state = state
-
 
 def train_loop(sampler: Callable[[StreamReader], tuple[StateKey, object]],
-               cfg: QConfig, rng: np.random.Generator, n_actions: int,
+               cfg: QConfig, seed: int | np.random.SeedSequence, n_actions: int,
                reward_fn: Callable[[object, int], float]) -> QTable:
     """Train a table agent over actions 0..n_actions-1 on a distribution
     of draws; every agent in the package trains here.
 
-    The training reads rng's stream through one StreamReader, which
-    leaves rng where a loop calling rng itself would.  Each episode takes
-    a (state key, draw) pair from sampler(draws), which reads its
-    uniforms from the reader (draws.random(), draws.uniforms(k)), picks
-    an action epsilon-greedily for that key (with probability epsilon,
-    from cfg.epsilons(), a uniform draws.integers draw, else the table's
-    greedy action) and moves its entry toward reward_fn(draw, action).
+    The training reads every draw from one StreamReader(seed).  Each
+    episode takes a (state key, draw) pair from sampler(draws), which
+    reads its uniforms from the reader (draws.random(),
+    draws.uniforms(k)), picks an action epsilon-greedily for that key
+    (with probability epsilon, from cfg.epsilons(), a uniform
+    draws.integers draw, else the table's greedy action) and moves its
+    entry toward reward_fn(draw, action).
     The sampler owns the key: draw_builder computes it from the same
     channel gains as the draw's efficiencies, and train_fixed_scenario's
     sampler returns one pair every episode.  A draw is whatever reward_fn
@@ -644,42 +622,43 @@ def train_loop(sampler: Callable[[StreamReader], tuple[StateKey, object]],
     steps only count their visits: the loop still draws each episode's
     exploration, and the first exploring step, or a step on another pair,
     ends the run.  A sampler that redraws every episode never repeats a
-    pair.  The table, its saved bytes and the rng stream are those of a
-    loop that updates every episode, the test oracle in tests/oracles.py.
-    Fully deterministic for a fixed rng seed.
+    pair.  The table and its saved bytes are those of a loop that updates
+    every episode drawing from Generator(PCG64(seed)), the test oracle in
+    tests/oracles.py.  Fully deterministic for a fixed seed.
     """
     q = QTable()
     unarmed = object()
     idle_s = idle_draw = unarmed    # the last greedy step that changed no value
     idle_a = repeats = 0            # its action, and the greedy steps skipped since
-    with StreamReader(rng) as draws:
-        random, integers = draws.random, draws.integers
-        for epsilon in cfg.epsilons():
-            s, draw = sampler(draws)
-            if epsilon > 0 and random() < epsilon:
-                a, greedy = integers(n_actions), False
-            elif draw is idle_draw and s is idle_s:
-                repeats += 1
-                continue
-            else:
-                a, greedy = q.greedy_action(s, n_actions), True
-            if repeats:
-                q.add_visits(idle_s, idle_a, repeats)
-                repeats = 0
-            if update(q, s, a, reward_fn(draw, a), cfg) or not greedy:
-                idle_s = idle_draw = unarmed
-            else:
-                idle_s, idle_draw, idle_a = s, draw, a
+    draws = StreamReader(seed)
+    random, integers = draws.random, draws.integers
+    for epsilon in cfg.epsilons():
+        s, draw = sampler(draws)
+        if epsilon > 0 and random() < epsilon:
+            a, greedy = integers(n_actions), False
+        elif draw is idle_draw and s is idle_s:
+            repeats += 1
+            continue
+        else:
+            a, greedy = q.greedy_action(s, n_actions), True
+        if repeats:
+            q.add_visits(idle_s, idle_a, repeats)
+            repeats = 0
+        if update(q, s, a, reward_fn(draw, a), cfg) or not greedy:
+            idle_s = idle_draw = unarmed
+        else:
+            idle_s, idle_draw, idle_a = s, draw, a
     if repeats:
         q.add_visits(idle_s, idle_a, repeats)
     return q
 
 
 def train_fixed_scenario(sc: Scenario, acc_by_model: Sequence[tuple[float, float]],
-                         cfg: QConfig, rng: np.random.Generator
+                         cfg: QConfig, seed: int | np.random.SeedSequence
                          ) -> tuple[QTable, StateKey]:
-    """train_loop on the one scenario sc, the agent of `fedkd train-q`;
-    returns the table and sc's state key.
+    """train_loop on the one scenario sc, the agent of `fedkd train-q`,
+    with its draws from StreamReader(seed); returns the table and sc's
+    state key.
 
     Every episode sees sc's key and scores the action on the Draw of sc's
     users (scenario_draw).  With no more actions than episodes (and at
@@ -708,7 +687,7 @@ def train_fixed_scenario(sc: Scenario, acc_by_model: Sequence[tuple[float, float
             return values[a]
     else:
         reward_fn = digit_reward(sc, table)
-    return train_loop(lambda _rng: (key, draw), cfg, rng, n_actions, reward_fn), key
+    return train_loop(lambda _draws: (key, draw), cfg, seed, n_actions, reward_fn), key
 
 
 def _own_draw(sc: Scenario) -> Draw:

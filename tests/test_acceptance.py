@@ -96,8 +96,7 @@ def test_criterion_3_agent_reaches_enumerated_optimum():
         sc = make_scenario(n_users=2, n_models=2, seed=1000 + seed)
         accs = [acc_pair(DEFAULT_TABLE, m.name, "KD", "noniid") for m in sc.catalog]
         best_dec, _ = exhaustive_optimum(sc, accs)
-        rng = np.random.Generator(np.random.PCG64(seed))
-        q, key = train_fixed_scenario(sc, accs, cfg, rng)
+        q, key = train_fixed_scenario(sc, accs, cfg, seed)
         a = q.greedy_action(key, action_count(sc))
         matches += decode_action(a, 2, 2) == best_dec
     elapsed = time.perf_counter() - start

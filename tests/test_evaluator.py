@@ -374,7 +374,7 @@ def test_training_rewards_equal_action_reward_bit_for_bit_on_seeded_draws(inst, 
         cfg = ExperimentConfig(scenario=sc, method=method)
         spec = method_spec(cfg)
         reward_fn = training_reward(sc, spec, method_rows(sc, spec, accs), accs)
-        rng, ref_rng, pick = (np.random.Generator(np.random.PCG64(draw_seed)) for _ in range(3))
+        ref_rng, pick = (np.random.Generator(np.random.PCG64(draw_seed)) for _ in range(2))
         if stranded:
             with pytest.raises(InfeasibleError, match="^user 0 has zero spectral efficiency "
                                                       "at d = 100.0 m$"):
@@ -384,7 +384,7 @@ def test_training_rewards_equal_action_reward_bit_for_bit_on_seeded_draws(inst, 
                     pick.integers(spec.n_actions, size=64).tolist()} == {INFEASIBLE_REWARD}
             continue
         sampler = training_sampler(cfg)
-        draws = StreamReader(rng)
+        draws = StreamReader(draw_seed)
         for _ in range(2):
             _, draw = sampler(draws)
             ref = sample_scenario(sc, ref_rng, cfg.q.f_loc_range, cfg.q.d_range)
@@ -431,7 +431,7 @@ def test_qonly_training_builds_no_scenario_decision_or_allocation(monkeypatch):
         scored.append(reward_fn(draw, a))
         return scored[-1]
 
-    train_loop(sampler, q, np.random.Generator(np.random.PCG64(3)), spec.n_actions, scoring)
+    train_loop(sampler, q, 3, spec.n_actions, scoring)
     assert not built
     assert sum(r != INFEASIBLE_REWARD for r in scored) > 1000
     decode_spec(cfg.scenario, spec, 0)    # the counters do see the oracle decoder

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from fedkd import qlearn
+from fedkd import experiment, qlearn
 from fedkd.accuracy import DEFAULT_TABLE, acc_pair
 from fedkd.cli import main
 from fedkd.config import scenario_from_dict
@@ -58,6 +58,7 @@ from conftest import make_scenario
 from oracles import (
     GeneratorDraws,
     action_reward,
+    decode_spec,
     encode_decision,
     epsilon_at,
     reward,
@@ -77,10 +78,10 @@ def method_reward(cfg, spec, accs):
     return training_reward(cfg.scenario, spec, method_rows(cfg.scenario, spec, accs), accs)
 
 
-def train_static(sc, cfg, rng, accs):
+def train_static(sc, cfg, seed, accs):
     """The joint offload/model agent trained on one fixed scenario."""
     key = encode_state(sc, cfg)
-    return train_loop(lambda _r: (key, sc), cfg, rng, action_count(sc),
+    return train_loop(lambda _draws: (key, sc), cfg, seed, action_count(sc),
                       lambda draw, a: reward(draw, a, accs))
 
 
@@ -565,9 +566,9 @@ class TestUpdate:
 
 
 class TestTrain:
-    def test_zero_episodes_gives_empty_table(self, rng):
+    def test_zero_episodes_gives_empty_table(self):
         sc = make_scenario(n_users=2, n_models=2)
-        q = train_static(sc, QConfig(episodes=0), rng, kd_accs(sc))
+        q = train_static(sc, QConfig(episodes=0), 0, kd_accs(sc))
         assert len(q) == 0
 
     def test_same_seed_is_bitwise_identical(self):
@@ -575,8 +576,7 @@ class TestTrain:
         cfg = QConfig(episodes=400)
         runs = []
         for _ in range(2):
-            rng = np.random.Generator(np.random.PCG64(31))
-            runs.append(sorted(train_static(sc, cfg, rng, kd_accs(sc)).entries()))
+            runs.append(sorted(train_static(sc, cfg, 31, kd_accs(sc)).entries()))
         assert runs[0] == runs[1]
 
     def test_static_scenario_greedy_matches_exhaustive(self):
@@ -584,16 +584,14 @@ class TestTrain:
         accs = kd_accs(sc)
         best_dec, _ = exhaustive_optimum(sc, accs)
         cfg = QConfig(episodes=5000)
-        rng = np.random.Generator(np.random.PCG64(5))
-        q = train_static(sc, cfg, rng, accs)
+        q = train_static(sc, cfg, 5, accs)
         a = q.greedy_action(encode_state(sc, cfg), action_count(sc))
         assert decode_action(a, 2, 2) == best_dec
 
     def test_table_growth_bound(self):
         sc = make_scenario(n_users=2, n_models=2)
         cfg = QConfig(episodes=1000)
-        rng = np.random.Generator(np.random.PCG64(8))
-        q = train_static(sc, cfg, rng, kd_accs(sc))
+        q = train_static(sc, cfg, 8, kd_accs(sc))
         assert len(q) <= q.states * action_count(sc)
 
     @pytest.mark.parametrize("episodes", [-1, -5])
@@ -732,10 +730,10 @@ class TestFixedScenarioTraining:
         monkeypatch.setattr(qlearn, "_enumerated",
                             lambda *a, **kw: enumerated.append(1) or enumerate_(*a, **kw))
         monkeypatch.setattr(qlearn, "_own_draw", lambda sc: pytest.fail("Draw rebuilt"))
-        q, got_key = train_fixed_scenario(sc, accs, cfg, np.random.Generator(np.random.PCG64(4)))
+        q, got_key = train_fixed_scenario(sc, accs, cfg, 4)
         assert enumerated == ([1] if action_count(sc) <= episodes else [])
-        ref = train_loop(lambda _r: (key, sc), cfg, np.random.Generator(np.random.PCG64(4)),
-                         action_count(sc), lambda draw, a: reward(draw, a, accs))
+        ref = train_loop(lambda _draws: (key, sc), cfg, 4, action_count(sc),
+                         lambda draw, a: reward(draw, a, accs))
         assert got_key == key
         assert list(q.entries()) == list(ref.entries())
         assert len(q) > 100
@@ -773,18 +771,15 @@ class TestSkippedGreedySteps:
     """train_loop counts the visits of greedy steps that cannot change a
     value; its tables equal train_every_episode's, which picks, scores and
     updates every episode: every value and visit count, in the same
-    order, and the same saved bytes.  Its generator, read through a
-    StreamReader, ends in the state the oracle's does, drawing from numpy
-    itself."""
+    order, and the same saved bytes.  train_loop reads its seed through a
+    StreamReader; the oracle draws from Generator(PCG64(seed)) itself."""
 
     def assert_trains_like_every_episode(self, tmp_path, sampler, cfg, seed, n, reward_fn):
-        rng, ref_rng = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
-        got = train_loop(sampler, cfg, rng, n, reward_fn)
-        want = train_every_episode(sampler, cfg, ref_rng, n, reward_fn)
+        got = train_loop(sampler, cfg, seed, n, reward_fn)
+        want = train_every_episode(sampler, cfg, pcg64(seed), n, reward_fn)
         assert hex_entries(got) == hex_entries(want)
         assert saved_bytes(got, tmp_path / "got.tsv") == saved_bytes(want, tmp_path / "want.tsv")
         assert sum(n for *_, n in got.entries()) == cfg.episodes
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def fixed(self, tmp_path, sc, cfg, seed):
         """train_fixed_scenario against the reference loop on the scorer
@@ -800,12 +795,10 @@ class TestSkippedGreedySteps:
         else:
             reward_fn = qlearn.digit_reward(
                 sc, digit_table(sc, accs, qlearn.joint_digits(len(sc.catalog))))
-        rng, ref_rng = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
-        got, _ = train_fixed_scenario(sc, accs, cfg, rng)
-        want = train_every_episode(lambda _r: (key, draw), cfg, ref_rng, n, reward_fn)
+        got, _ = train_fixed_scenario(sc, accs, cfg, seed)
+        want = train_every_episode(lambda _draws: (key, draw), cfg, pcg64(seed), n, reward_fn)
         assert hex_entries(got) == hex_entries(want)
         assert saved_bytes(got, tmp_path / "got.tsv") == saved_bytes(want, tmp_path / "want.tsv")
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("lr", [0.2, 1.0])
     @pytest.mark.parametrize("schedule", [{}, {"epsilon0": 0.0}, {"epsilon_floor": 0.0},
@@ -831,7 +824,7 @@ class TestSkippedGreedySteps:
                            weights=ObjectiveWeights(eta_o=0.0, eta_a=0.0), seed=8)
         cfg = QConfig(lr=lr, episodes=3000)
         self.fixed(tmp_path, sc, cfg, 5)
-        q, _ = train_fixed_scenario(sc, kd_accs(sc), cfg, np.random.Generator(np.random.PCG64(5)))
+        q, _ = train_fixed_scenario(sc, kd_accs(sc), cfg, 5)
         assert len(q) == action_count(sc)
 
     @pytest.mark.parametrize("method", ["proposed", "q-only"])
@@ -875,11 +868,11 @@ class TestSkippedGreedySteps:
         calls = {"reward": 0, "greedy": 0}
         train = qlearn.train_loop
 
-        def counting_train_loop(sampler, cfg, rng, n_actions, reward_fn):
+        def counting_train_loop(sampler, cfg, seed, n_actions, reward_fn):
             def counted(draw, a):
                 calls["reward"] += 1
                 return reward_fn(draw, a)
-            return train(sampler, cfg, rng, n_actions, counted)
+            return train(sampler, cfg, seed, n_actions, counted)
 
         greedy = QTable.greedy_action
 
@@ -891,22 +884,24 @@ class TestSkippedGreedySteps:
         monkeypatch.setattr(QTable, "greedy_action", counting_greedy)
         sc = default_scenario()
         cfg = QConfig(episodes=20000)
-        q, _ = train_fixed_scenario(sc, kd_accs(sc), cfg, np.random.Generator(np.random.PCG64(7)))
+        q, _ = train_fixed_scenario(sc, kd_accs(sc), cfg, 7)
         assert sum(n for *_, n in q.entries()) == cfg.episodes
         assert 0 < calls["reward"] < 0.2 * cfg.episodes
         assert 0 < calls["greedy"] < calls["reward"]
 
 
-def pcg64(seed, buffered=None):
-    """A PCG64 Generator; buffered, a 32-bit value, starts it with that
-    half waiting in the bit generator's one-value buffer."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    if buffered is not None:
-        state = rng.bit_generator.state
-        state["has_uint32"], state["uinteger"] = 1, buffered
-        rng.bit_generator.state = state
-    return rng
+def pcg64(seed):
+    """numpy's Generator on PCG64(seed), the oracle of StreamReader(seed)."""
+    return np.random.Generator(np.random.PCG64(seed))
 
+
+def seeded(kind, seed):
+    """A seed of either kind StreamReader takes: seed itself, or the
+    training child of SeedSequence(seed), as run_experiment spawns it."""
+    return seed if kind == "int" else np.random.SeedSequence(seed).spawn(2)[1]
+
+
+SEED_KINDS = ("int", "SeedSequence")
 
 #: Bounds n of integers(n): n == 1 draws nothing, n <= 2**32 reads 32-bit
 #: halves (n == 2**32 without Lemire's product), above that whole
@@ -917,114 +912,112 @@ BOUNDS = (1, 2, 3, 7, 1296, 4096, 2 ** 31 + 1, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1
 
 
 class TestStreamReader:
-    """StreamReader against numpy's own Generator calls on the same seed:
-    every value, and the generator state after close()."""
+    """StreamReader(seed) against the same calls of numpy's own
+    Generator(PCG64(seed)), for int and SeedSequence seeds: every value."""
 
-    @pytest.mark.parametrize("buffered", [None, 0xDEADBEEF])
+    @pytest.mark.parametrize("kind", SEED_KINDS)
     @pytest.mark.parametrize("n", BOUNDS)
-    def test_integers(self, n, buffered):
+    def test_integers(self, n, kind):
         for seed in range(5):
-            rng, ref = pcg64(seed, buffered), pcg64(seed, buffered)
-            with StreamReader(rng) as draws:
-                got = [draws.integers(n) for _ in range(600)]
+            draws, ref = StreamReader(seeded(kind, seed)), pcg64(seeded(kind, seed))
+            got = [draws.integers(n) for _ in range(600)]
             assert got == [int(ref.integers(n)) for _ in range(600)]
-            assert rng.bit_generator.state == ref.bit_generator.state
+            assert draws.random() == ref.random()
 
     def test_rejections_happen(self):
-        """1000 draws below 2**31 + 1 read more than 1000 halves."""
-        rng, halves = pcg64(1), pcg64(1)
-        with StreamReader(rng) as draws:
-            for _ in range(1000):
-                draws.integers(2 ** 31 + 1)
+        """1000 draws below 2**31 + 1 read more than 1000 halves: the next
+        uniform is not the one of raw output 500."""
+        draws, halves = StreamReader(1), pcg64(1)
+        for _ in range(1000):
+            draws.integers(2 ** 31 + 1)
         halves.bit_generator.advance(500)
-        assert rng.bit_generator.state["state"] != halves.bit_generator.state["state"]
+        assert draws.random() != halves.random()
 
-    @pytest.mark.parametrize("buffered", [None, 7])
-    def test_uniforms(self, buffered):
+    @pytest.mark.parametrize("kind", SEED_KINDS)
+    def test_uniforms(self, kind):
         for seed in range(5):
-            rng, ref = pcg64(seed, buffered), pcg64(seed, buffered)
-            with StreamReader(rng) as draws:
-                got = [draws.random() for _ in range(300)]
-                got += draws.uniforms(0) + draws.uniforms(5) + draws.uniforms(1000)
+            draws, ref = StreamReader(seeded(kind, seed)), pcg64(seeded(kind, seed))
+            got = [draws.random() for _ in range(300)]
+            got += draws.uniforms(0) + draws.uniforms(5) + draws.uniforms(1000)
             want = [ref.random() for _ in range(300)] + ref.random(1005).tolist()
             assert [v.hex() for v in got] == [v.hex() for v in want]
-            assert rng.bit_generator.state == ref.bit_generator.state
 
-    @pytest.mark.parametrize("buffered", [None, 0xFFFFFFFF])
+    @pytest.mark.parametrize("kind", SEED_KINDS)
     @pytest.mark.parametrize("seed", range(8))
-    def test_interleaved_reads_across_blocks(self, seed, buffered):
+    def test_interleaved_reads_across_blocks(self, seed, kind):
         """A random mix of every read, many blocks long; the integer
-        draws leave a half in the buffer across uniforms, which skip it."""
+        draws leave a 32-bit half in the buffer across uniforms, which
+        skip it, and a later 32-bit draw reads it."""
         ops = random.Random(seed)
-        rng, ref = pcg64(seed, buffered), pcg64(seed, buffered)
-        draws, oracle = StreamReader(rng), GeneratorDraws(ref)
+        draws = StreamReader(seeded(kind, seed))
+        oracle = GeneratorDraws(pcg64(seeded(kind, seed)))
         for _ in range(400):
             op = ops.choice(("random", "uniforms", "integers"))
             arg = (() if op == "random" else (ops.randrange(0, 3 * qlearn.STREAM_BLOCK),)
                    if op == "uniforms" else (ops.choice(BOUNDS),))
             assert getattr(draws, op)(*arg) == getattr(oracle, op)(*arg)
-        draws.close()
-        assert rng.bit_generator.state == ref.bit_generator.state
-
-    def test_close_after_an_error_keeps_the_position(self):
-        rng, ref = pcg64(3), pcg64(3)
-        with pytest.raises(RuntimeError):
-            with StreamReader(rng) as draws:
-                draws.uniforms(300)
-                draws.integers(7)
-                raise RuntimeError("mid-run")
-        ref.random(300)
-        ref.integers(7)
-        assert rng.bit_generator.state == ref.bit_generator.state
-        assert rng.random() == ref.random()
-
-    def test_nothing_read_leaves_the_state(self):
-        rng = pcg64(4, buffered=12)
-        start = rng.bit_generator.state
-        with StreamReader(rng) as draws:
-            assert draws.integers(1) == 0
-        assert rng.bit_generator.state == start
 
     @pytest.mark.parametrize("n", [0, -3, 2 ** 63])
     def test_integers_out_of_range_are_refused(self, n):
         with pytest.raises(ValueError, match=str(n)):
-            StreamReader(pcg64(0)).integers(n)
+            StreamReader(0).integers(n)
 
-    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox,
-                                               np.random.SFC64, np.random.PCG64DXSM])
-    def test_other_bit_generators_are_refused(self, bit_generator):
-        rng = np.random.Generator(bit_generator(0))
-        with pytest.raises(ValueError, match=bit_generator.__name__):
-            StreamReader(rng)
-        with pytest.raises(ValueError, match=bit_generator.__name__):
-            train_loop(lambda _r: (((0, 0),), None), QConfig(episodes=3), rng, 4,
+    def test_a_none_seed_is_refused(self):
+        """numpy would seed from OS entropy; the run would not repeat."""
+        with pytest.raises(ValueError, match="seed .*got None"):
+            StreamReader(None)
+        with pytest.raises(ValueError, match="seed .*got None"):
+            train_loop(lambda _draws: (((0, 0),), None), QConfig(episodes=3), None, 4,
                        lambda draw, a: 0.0)
 
+
+class TestSeeds:
+    """A seed crosses the training API, and the runs equal the oracles in
+    tests/oracles.py drawing from Generator(PCG64(seed)) themselves."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 40 + 3, np.random.SeedSequence(5)])
+    def test_train_fixed_scenario(self, seed):
+        sc = make_scenario(n_users=3, n_models=2, seed=21)
+        accs, cfg = kd_accs(sc), QConfig(episodes=1500)
+        key = encode_state(sc, cfg)
+        got, got_key = train_fixed_scenario(sc, accs, cfg, seed)
+        want = train_every_episode(lambda _draws: (key, sc), cfg, pcg64(seed), action_count(sc),
+                                   lambda draw, a: reward(draw, a, accs))
+        assert got_key == key
+        assert hex_entries(got) == hex_entries(want)
+
     @pytest.mark.parametrize("method", ["proposed", "q-only"])
-    def test_train_loop_error_mid_run_leaves_the_oracle_state(self, method):
-        """A reward that raises at its 700th call: train_loop and the
-        every-episode loop raise there, with their generators in one state."""
-        cfg = ExperimentConfig(scenario=default_scenario(), method=method,
-                               q=QConfig(f_bins=2, h_bins=2, episodes=1500))
+    @pytest.mark.parametrize("seed", [0, 2 ** 40 + 3])
+    def test_run_experiment(self, monkeypatch, method, seed):
+        """SeedSequence(seed) spawns eval_ss and train_ss.  The run's table
+        equals the every-episode oracle's on the Scenarios sample_scenario
+        draws from Generator(PCG64(train_ss)), and each trial picks that
+        table's greedy action on the Scenario it draws from
+        Generator(PCG64(eval_ss))."""
+        sc = default_scenario()
+        cfg = ExperimentConfig(scenario=sc, method=method, seed=seed, trials=30,
+                               q=QConfig(f_bins=2, h_bins=2, episodes=500))
         spec = method_spec(cfg)
         accs = [acc_pair(DEFAULT_TABLE, m.name, spec.accuracy, cfg.distribution)
-                for m in cfg.scenario.catalog]
-        reward_fn = method_reward(cfg, spec, accs)
-        states = []
-        for train in (train_loop, train_every_episode):
-            calls = []
-
-            def failing(draw, a):
-                calls.append(a)
-                if len(calls) == 700:
-                    raise RuntimeError("reward")
-                return reward_fn(draw, a)
-
-            rng = pcg64(21)
-            with pytest.raises(RuntimeError, match="reward"):
-                train(training_sampler(cfg), cfg.q, rng, spec.n_actions, failing)
-            states.append((calls, rng.bit_generator.state))
-        assert states[0] == states[1]
+                for m in sc.catalog]
+        trained = []
+        monkeypatch.setattr(experiment, "train_loop",
+                            lambda *args: trained.append(train_loop(*args)) or trained[-1])
+        rows = run_experiment(cfg).trials
+        eval_ss, train_ss = np.random.SeedSequence(seed).spawn(2)
+        want, _ = train_encoding_every_episode(
+            lambda draws: sample_scenario(sc, draws.rng, cfg.q.f_loc_range, cfg.q.d_range),
+            cfg.q, pcg64(train_ss), spec.n_actions,
+            lambda draw, a: action_reward(draw, spec, a, accs))
+        assert hex_entries(trained[0]) == hex_entries(want)
+        eval_rng, keys = pcg64(eval_ss), set()
+        for row in rows:
+            draw = sample_scenario(sc, eval_rng, cfg.q.f_loc_range, cfg.q.d_range)
+            key = scenario_key(draw, cfg.q)
+            keys.add(key)
+            dec = decode_spec(draw, spec, want.greedy_action(key, spec.n_actions))[0]
+            assert (row.x, row.m) == (dec.x, dec.m)
+        assert len(keys) > 1
 
 
 def custom_template():
@@ -1051,8 +1044,8 @@ class TestTrainingDraws:
             lambda draws: sample_scenario(sc, draws.rng, cfg.q.f_loc_range, cfg.q.d_range),
             cfg.q, np.random.Generator(np.random.PCG64(9)), spec.n_actions,
             lambda draw, a: action_reward(draw, spec, a, accs))
-        q = train_loop(training_sampler(cfg), cfg.q, np.random.Generator(np.random.PCG64(9)),
-                       spec.n_actions, method_reward(cfg, spec, accs))
+        q = train_loop(training_sampler(cfg), cfg.q, 9, spec.n_actions,
+                       method_reward(cfg, spec, accs))
         assert list(q.entries()) == list(ref.entries())
         assert q.states > 1
 
@@ -1079,7 +1072,7 @@ class TestTrainingDraws:
             ref_keys = [oracle_key(f_loc, d, sc.channel, cfg.q) for f_loc, d in refs]
             sampler = training_sampler(cfg)
             gains.clear()
-            draws = StreamReader(np.random.Generator(np.random.PCG64(11)))
+            draws = StreamReader(11)
             for k, ((f_loc, d), ref_key) in enumerate(zip(refs, ref_keys)):
                 key, draw = sampler(draws)
                 assert key == ref_key
@@ -1102,7 +1095,7 @@ class TestTrainingDraws:
             run_experiment(cfg)
         assert not caplog.records
         sampler = training_sampler(cfg)
-        draws = StreamReader(np.random.Generator(np.random.PCG64(4)))
+        draws = StreamReader(4)
         h_bins = {h_bin for _ in range(200) for _, h_bin in sampler(draws)[0]}
         assert h_bins == {0, 1}
 
@@ -1166,8 +1159,7 @@ class TestCachedArgmax:
         sc = default_scenario()
         accs = kd_accs(sc)
         cfg = QConfig(episodes=1500)
-        fast, slow = train_both(monkeypatch, lambda: train_static(
-            sc, cfg, np.random.Generator(np.random.PCG64(3)), accs))
+        fast, slow = train_both(monkeypatch, lambda: train_static(sc, cfg, 3, accs))
         assert list(fast.entries()) == list(slow.entries())
 
     def test_filled_row_with_lowered_best_trains_identically(self, monkeypatch):
@@ -1177,8 +1169,7 @@ class TestCachedArgmax:
         sc = make_scenario(n_users=2, n_models=2, weights=weights, seed=4)
         accs = kd_accs(sc)
         cfg = QConfig(episodes=3000)
-        fast, slow = train_both(monkeypatch, lambda: train_static(
-            sc, cfg, np.random.Generator(np.random.PCG64(5)), accs))
+        fast, slow = train_both(monkeypatch, lambda: train_static(sc, cfg, 5, accs))
         assert list(fast.entries()) == list(slow.entries())
         assert len(fast) == action_count(sc)
         assert slow.lowered_best > 100
@@ -1193,8 +1184,7 @@ class TestCachedArgmax:
         cfg = dataclasses.replace(cfg, q=qcfg)
 
         def run():
-            return train_loop(training_sampler(cfg), qcfg,
-                              np.random.Generator(np.random.PCG64(7)), spec.n_actions,
+            return train_loop(training_sampler(cfg), qcfg, 7, spec.n_actions,
                               method_reward(cfg, spec, accs))
 
         fast, slow = train_both(monkeypatch, run)
@@ -1214,8 +1204,7 @@ class TestCachedArgmax:
                 for user, f, d in zip(sc.users, u[0::2], u[1::2])))
             return encode_state(draw, cfg), draw
 
-        q = train_loop(sampler, cfg, np.random.Generator(np.random.PCG64(2)), n,
-                       lambda draw, a: reward(draw, a, accs))
+        q = train_loop(sampler, cfg, 2, n, lambda draw, a: reward(draw, a, accs))
         q.save(tmp_path / "table.tsv")
         loaded = QTable.load(tmp_path / "table.tsv")
         states = {s for s, _, _, _ in q.entries()}
