@@ -5,15 +5,13 @@ Once every user has picked a student model and a training location, the
 remaining problem is convex and separates per resource.  The CPU budget
 always binds and splits proportionally to the square root of each user's
 compute-delay weight; bandwidth has per-user interior optima that get
-squeezed by a common multiplier when the budget is tight.  A dynamic
-program over the discretized budget simplex double-checks the closed
-forms.
+squeezed by a common multiplier when the budget is tight.
 """
 
 import numpy as np
 
-from fedkd import allocate, build_problem, default_scenario, grid_oracle
-from fedkd.allocator import fb_objective, fb_objective_via_delays, kkt_residual
+from fedkd import allocate, build_problem, default_scenario, objective
+from fedkd.allocator import fb_objective, kkt_residual
 from fedkd.model import Decision
 
 sc = default_scenario()
@@ -33,12 +31,9 @@ print(f"  objective (f/b part) = {res.objective_fb:.6f}")
 print(f"  KKT residual         = {kkt_residual(prob, res.allocation.f, res.allocation.b):.2e}")
 
 print("\ncross-checks:")
-direct = fb_objective_via_delays(sc, dec, res.allocation)
+zeros = [0.0] * sc.n_users
+direct = objective(sc, dec, res.allocation, zeros, zeros) - prob.constant
 print(f"  re-evaluated through the delay formulas: {direct:.6f}")
-for steps in (20, 50, 200):
-    grid = grid_oracle(sc, dec, steps=steps)
-    print(f"  grid search, {steps:>3} steps per budget: {grid.objective_fb:.6f}"
-          f"  (gap {grid.objective_fb - res.objective_fb:+.2e})")
 
 print("\nequal-split comparison:")
 n = sc.n_users

@@ -105,10 +105,14 @@
 # SRC_DIR write their stdout into OUT_DIR, each to demo-NN-<name>.txt:
 # demos/01_channel_and_delays.py (channel_gain, tx_rate, delays and
 # objective on the stock template), demos/02_resource_allocation.py
-# (allocate, its cross-checks and grid_oracle), demos/03_model_selection_agent.py
-# (train_loop and exhaustive_optimum on a 2x2 instance) and
-# demos/04_toy_distillation.py (fedsgd_round).  Demo 05 is left out: it
-# prints wall times and writes its reports into the working directory.
+# (allocate, its KKT residual, objective at zero accuracies and the
+# equal split), demos/03_model_selection_agent.py (train_loop and
+# exhaustive_optimum on a 2x2 instance) and demos/04_toy_distillation.py
+# (fedsgd_round).  Demo 05 is left out: it prints wall times and writes
+# its reports into the working directory.  A tree whose allocator still
+# holds the grid search prints three grid-search lines more in demo 02,
+# so like channel.json's, demo-02-resource-allocation.txt is expected to
+# differ from its output.
 set -euo pipefail
 
 if [ "$#" -ne 2 ]; then

@@ -3,7 +3,7 @@ heterogeneous federated learning.
 
 Submodules:
     model       domain types, channel/rate/delay physics, total objective
-    allocator   KKT closed-form resource allocation plus the grid oracle
+    allocator   KKT closed-form resource allocation
     qlearn      tabular agent over the joint offload/model action
     kd          toy-network distillation math with exact gradients
     accuracy    published test-accuracy lookups
@@ -19,7 +19,6 @@ from .allocator import (
     allocate,
     allocate_share,
     build_problem,
-    grid_oracle,
 )
 from .config import dump_scenario, load_scenario
 from .experiment import ExperimentConfig, Report, emit_report, run_experiment

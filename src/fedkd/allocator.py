@@ -17,11 +17,9 @@ cost of a decision as a function of three per-user sums
 The decision layer scores actions from those sums and never computes a
 split.  The split of a chosen decision is allocate_share, once per
 resource, so it is the split that cost_from_sums priced.  The scalar
-route for one decision, cost_from_sums over build_problem's terms, is a
-test oracle in tests/oracles.py.
-
-grid_oracle is the independent check: an exact search over the discretized
-budget simplex, organized as a dynamic program so it stays tractable.
+route for one decision, cost_from_sums over build_problem's terms, and
+an exact grid search over the discretized budget simplex are test
+oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -31,15 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    Allocation,
-    Decision,
-    Scenario,
-    channel_gain,
-    delays,
-    tx_rate,
-    user_efficiency,
-)
+from .model import Allocation, Decision, Scenario, user_efficiency
 
 #: kkt_residual treats the bandwidth multiplier lambda as active (so the
 #: budget must bind) when it exceeds this fraction of delta_b + lambda;
@@ -220,93 +210,5 @@ def allocate(sc: Scenario, dec: Decision) -> AllocResult:
     return AllocResult(
         allocation=Allocation(f=tuple(f), b=tuple(b)),
         objective_fb=fb_objective(prob, f, b),
-        problem=prob,
-    )
-
-
-def fb_objective_via_delays(sc: Scenario, dec: Decision, al: Allocation) -> float:
-    """Independent route to the f/b-dependent objective through the delay
-    formulas, for cross-checking allocate()'s algebra."""
-    w = sc.weights
-    total = 0.0
-    for i, u in enumerate(sc.users):
-        xi, mi = dec.x[i], sc.catalog[dec.m[i]]
-        rate = tx_rate(al.b[i], u.p, channel_gain(u.d, sc.channel), sc.channel)
-        dl = delays(u.f_loc, mi, sc.teacher, xi, al.f[i], rate)
-        fb_delay = dl.t_tea + dl.t_model + xi * dl.t_label + (1 - xi) * dl.t_stu
-        total += w.alpha_d * fb_delay + w.delta_b * al.b[i]
-    return total
-
-
-def _grid_min(costs: np.ndarray, exact_total: bool) -> tuple[float, list[int]]:
-    """Exact minimum of sum_i costs[i][k_i] over unit counts k_i >= 1 with
-    sum k_i <= steps (or == steps), via a min-plus dynamic program.
-
-    costs[i][k] is user i's cost at k+1 units.  Returns (value, units).
-    """
-    n, steps = costs.shape
-    inf = float("inf")
-    # best[k] = minimal cost of splitting exactly k units among users 0..i
-    best = np.full(steps + 1, inf)
-    best[1:] = costs[0]
-    choice = []
-    for i in range(1, n):
-        cur = np.full(steps + 1, inf)
-        pick = np.zeros(steps + 1, dtype=int)
-        for k in range(i + 1, steps + 1):
-            # user i takes j units (1..k-i), previous users take k-j
-            j = np.arange(1, k - i + 1)
-            vals = costs[i][j - 1] + best[k - j]
-            a = int(np.argmin(vals))
-            cur[k] = vals[a]
-            pick[k] = a + 1
-        best = cur
-        choice.append(pick)
-
-    if exact_total:
-        k_star = steps
-    else:
-        k_star = int(np.argmin(best))
-    value = float(best[k_star])
-
-    units = [0] * n
-    k = k_star
-    for i in range(n - 1, 0, -1):
-        units[i] = int(choice[i - 1][k])
-        k -= units[i]
-    units[0] = k
-    return value, units
-
-
-def grid_oracle(sc: Scenario, dec: Decision, steps: int) -> AllocResult:
-    """Exhaustive search over the discretized budget simplex.
-
-    Each resource is split into `steps` equal units; every feasible integer
-    split (at least one unit per user) is covered exactly by the dynamic
-    program.  Used in tests to bound allocate() from above.
-    """
-    if steps < 10:
-        raise ValueError(f"steps must be >= 10, got {steps}")
-    prob = build_problem(sc, dec)
-    n = sc.n_users
-    if n > steps:
-        raise ValueError(f"{n} users cannot share {steps} grid units")
-
-    df = prob.f_ser / steps
-    db = prob.b_max / steps
-    k = np.arange(1, steps + 1, dtype=float)
-    f_costs = np.asarray(prob.c)[:, None] / (k * df)[None, :]
-    b_costs = (np.asarray(prob.d)[:, None] / (k * db)[None, :]
-               + prob.delta_b * (k * db)[None, :])
-
-    # CPU objective is strictly decreasing in every share: budget binds.
-    f_val, f_units = _grid_min(f_costs, exact_total=True)
-    b_val, b_units = _grid_min(b_costs, exact_total=False)
-
-    f = [u * df for u in f_units]
-    b = [u * db for u in b_units]
-    return AllocResult(
-        allocation=Allocation(f=tuple(f), b=tuple(b)),
-        objective_fb=f_val + b_val,
         problem=prob,
     )

@@ -241,13 +241,17 @@ class DelayBreakdown:
 
 def channel_gain(d: float, ch: ChannelSpec) -> float:
     """Linear channel gain g0 / d^gamma at distance d meters.  A distance
-    whose d^gamma overflows a float is refused with a ValueError."""
+    whose d^gamma overflows a float, or underflows it to 0, is refused
+    with a ValueError."""
     if d <= 0:
         raise ValueError(f"distance must be > 0, got {d}")
     try:
         return ch.g0 / d ** ch.gamma
     except OverflowError:
         raise ValueError(f"distance {d} m overflows d ** gamma at gamma = {ch.gamma}") from None
+    except ZeroDivisionError:
+        raise ValueError(f"distance {d} m underflows d ** gamma to 0 at gamma = {ch.gamma}"
+                         ) from None
 
 
 def spectral_efficiency(p: float, h: float, ch: ChannelSpec) -> float:
@@ -258,10 +262,13 @@ def spectral_efficiency(p: float, h: float, ch: ChannelSpec) -> float:
 def user_efficiency(u: UserSpec, d: float, ch: ChannelSpec) -> float:
     """spectral_efficiency of user u at distance d.  One that rounds to 0
     leaves u no rate at any bandwidth, so no decision is feasible: it is
-    refused with an InfeasibleError naming u and d."""
+    refused with an InfeasibleError naming u and d; an infinite one, of a
+    u so close that p * h / n0 overflows, with a ValueError naming both."""
     e = spectral_efficiency(u.p, channel_gain(d, ch), ch)
     if not e > 0:
         raise InfeasibleError(f"user {u.id} has zero spectral efficiency at d = {d} m")
+    if not e < math.inf:
+        raise ValueError(f"user {u.id} has an infinite spectral efficiency at d = {d} m")
     return e
 
 

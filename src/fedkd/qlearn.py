@@ -144,9 +144,11 @@ class _Row(dict):
 
 class QTable:
     """Hash-table from (state, action) to (value, visits).  A missing
-    entry reads 0, which doubles as optimistic initialization when rewards
-    are negative; greedy_action honors that without enumerating the
-    action space, so very large action spaces stay usable."""
+    entry reads 0: a first visit stores lr times its target, and a greedy
+    step prefers an unexplored action only to a stored best below 0, so
+    on the stock prices' positive rewards an action explored once sits at
+    lr times its reward.  greedy_action honors the zero read without
+    enumerating the action space, so very large action spaces stay usable."""
 
     _HEADER = "state\taction\tvalue\tvisits\n"     # save's first line
 
@@ -292,14 +294,14 @@ def _quantizer(template: Scenario, cfg: QConfig, f_map: tuple[float, float],
     of f_loc over cfg.f_loc_range and of log10 of the gain over the gain
     range: log10(channel_gain(d, template.channel)) at the far and the
     near end of cfg.d_range, derived once, here.  The bin of value in
-    [lo, hi] is floor((value - lo) / (hi - lo) * bins), clamped to
-    [0, bins - 1], so hi itself maps to the top bin; with one bin it is 0.
-    A value strictly outside its range is clamped and logged: a user
-    outside the ranges the experiment draws from, such as a train-q
-    scenario's.  The ranges, their widths (hi - lo, the same double on
-    every call) and the users' powers are read once, here.  Refused: a
-    gain that rounds to 0 over d_range, and one that rounds to one value
-    there (a zero-width gain range) with more than one gain bin.
+    [lo, hi] is floor((value - lo) / (hi - lo) * bins), hi itself in the
+    top bin; with one bin it is 0.  A value strictly outside its range
+    takes the nearer end's bin, by no division that could overflow, and
+    is logged: a user outside the ranges the experiment draws from, such
+    as a train-q scenario's.  The ranges, their widths (hi - lo, the same
+    double on every call) and the users' powers are read once, here.
+    Refused: a gain that rounds to 0 over d_range, and one that rounds to
+    one value there (a zero-width gain range) with more than one gain bin.
     """
     ch = template.channel
     powers = [u.p for u in template.users]
@@ -328,16 +330,20 @@ def _quantizer(template: Scenario, cfg: QConfig, f_map: tuple[float, float],
             h = channel_gain(d_at + d_scale * vd, ch)
             f_bin = h_bin = 0
             if f_top:
-                if f < f_lo or f > f_hi:
+                if f_lo <= f <= f_hi:
+                    f_bin = floor((f - f_lo) / f_span * f_bins)
+                    f_bin = f_top if f_bin > f_top else f_bin
+                else:
                     logger.warning(_CLAMPED, f, f_lo, f_hi)
-                f_bin = floor((f - f_lo) / f_span * f_bins)
-                f_bin = 0 if f_bin < 0 else f_top if f_bin > f_top else f_bin
+                    f_bin = 0 if f < f_lo else f_top
             if h_top:
                 g = log10(h)
-                if g < h_lo or g > h_hi:
+                if h_lo <= g <= h_hi:
+                    h_bin = floor((g - h_lo) / h_span * h_bins)
+                    h_bin = h_top if h_bin > h_top else h_bin
+                else:
                     logger.warning(_CLAMPED, g, h_lo, h_hi)
-                h_bin = floor((g - h_lo) / h_span * h_bins)
-                h_bin = 0 if h_bin < 0 else h_top if h_bin > h_top else h_bin
+                    h_bin = 0 if g < h_lo else h_top
             key.append((f_bin, h_bin))
             f_loc.append(f)
             eff.append(spectral_efficiency(p, h, ch))
@@ -358,13 +364,15 @@ def draw_builder(template: Scenario, cfg: QConfig
     training and evaluation draws both come from it.
 
     A template user whose spectral efficiency rounds to 0 at the largest
-    distance the map gives, d_lo + (d_hi - d_lo), is refused here, by
-    model.user_efficiency: the gain falls with distance and rounding is
-    monotone, so every draw of an accepted template can transmit."""
+    distance the map gives, d_lo + (d_hi - d_lo), or is infinite at d_lo,
+    is refused here, by model.user_efficiency: the gain falls with
+    distance and rounding is monotone, so every draw of an accepted
+    template has a finite, positive efficiency."""
     (f_lo, f_hi), (d_lo, d_hi) = cfg.f_loc_range, cfg.d_range
     build = _quantizer(template, cfg, (f_lo, f_hi - f_lo), (d_lo, d_hi - d_lo))
     for u in template.users:
-        user_efficiency(u, d_lo + (d_hi - d_lo), template.channel)
+        for d in (d_lo + (d_hi - d_lo), d_lo):
+            user_efficiency(u, d, template.channel)
     return build
 
 
@@ -509,15 +517,15 @@ class StreamReader:
     below n is numpy's Lemire draw: for n <= 2**32 it reads 32-bit halves,
     low half first, and the high half waits in a one-value buffer, as in
     PCG64's own, which uniforms skip; above that it reads whole outputs.
-    n == 1 reads nothing.  A None seed, which numpy would take from OS
-    entropy, is refused.
+    n == 1 reads nothing.  A seed other than a SeedSequence must be an
+    int >= 0 (model.check_count); None, numpy's OS-entropy seed, is refused.
     """
 
     __slots__ = ("_raw_block", "_raw", "_u", "_i", "_has32", "_half")
 
     def __init__(self, seed: int | np.random.SeedSequence) -> None:
-        if seed is None:
-            raise ValueError("StreamReader seed must be an int or a SeedSequence, got None")
+        if not isinstance(seed, np.random.SeedSequence):
+            seed = check_count("seed", seed, 0)
         self._raw_block = np.random.PCG64(seed).random_raw
         self._raw = np.empty(0, np.uint64)
         self._u: list[float] = []

@@ -7,6 +7,8 @@ them is called by the package.
 The decision layer:
 
     left_to_right        a float sum in the order the package adds terms
+    grid_oracle          allocate's split by exact search over a grid of
+                         each budget, a min-plus dynamic program (_grid_min)
     decision_cost        closed-form cost of one decision, over build_problem
     decision_reward      minus that cost plus the decision's accuracy reward
     reward               decision_reward of one joint action
@@ -38,7 +40,7 @@ import math
 import numpy as np
 
 from fedkd.accuracy import DISTRIBUTIONS, METHODS, AccuracyTable, lookup_acc
-from fedkd.allocator import allocate, build_problem, cost_from_sums
+from fedkd.allocator import AllocResult, allocate, build_problem, cost_from_sums
 from fedkd.kd import fedsgd_round
 from fedkd.model import Allocation, Decision, InfeasibleError, objective
 from fedkd.qlearn import INFEASIBLE_REWARD, QTable, action_count, decode_action, update
@@ -51,6 +53,80 @@ def left_to_right(values):
     for v in values:
         total += v
     return total
+
+
+def _grid_min(costs, exact_total):
+    """Exact minimum of sum_i costs[i][k_i] over unit counts k_i >= 1 with
+    sum k_i <= steps (or == steps), via a min-plus dynamic program.
+
+    costs[i][k] is user i's cost at k+1 units.  Returns (value, units).
+    """
+    n, steps = costs.shape
+    inf = float("inf")
+    # best[k] = minimal cost of splitting exactly k units among users 0..i
+    best = np.full(steps + 1, inf)
+    best[1:] = costs[0]
+    choice = []
+    for i in range(1, n):
+        cur = np.full(steps + 1, inf)
+        pick = np.zeros(steps + 1, dtype=int)
+        for k in range(i + 1, steps + 1):
+            # user i takes j units (1..k-i), previous users take k-j
+            j = np.arange(1, k - i + 1)
+            vals = costs[i][j - 1] + best[k - j]
+            a = int(np.argmin(vals))
+            cur[k] = vals[a]
+            pick[k] = a + 1
+        best = cur
+        choice.append(pick)
+
+    if exact_total:
+        k_star = steps
+    else:
+        k_star = int(np.argmin(best))
+    value = float(best[k_star])
+
+    units = [0] * n
+    k = k_star
+    for i in range(n - 1, 0, -1):
+        units[i] = int(choice[i - 1][k])
+        k -= units[i]
+    units[0] = k
+    return value, units
+
+
+def grid_oracle(sc, dec, steps):
+    """Exhaustive search over the discretized budget simplex.
+
+    Each resource is split into `steps` equal units; every feasible integer
+    split (at least one unit per user) is covered exactly by the dynamic
+    program.  Used in tests to bound allocate() from above.
+    """
+    if steps < 10:
+        raise ValueError(f"steps must be >= 10, got {steps}")
+    prob = build_problem(sc, dec)
+    n = sc.n_users
+    if n > steps:
+        raise ValueError(f"{n} users cannot share {steps} grid units")
+
+    df = prob.f_ser / steps
+    db = prob.b_max / steps
+    k = np.arange(1, steps + 1, dtype=float)
+    f_costs = np.asarray(prob.c)[:, None] / (k * df)[None, :]
+    b_costs = (np.asarray(prob.d)[:, None] / (k * db)[None, :]
+               + prob.delta_b * (k * db)[None, :])
+
+    # CPU objective is strictly decreasing in every share: budget binds.
+    f_val, f_units = _grid_min(f_costs, exact_total=True)
+    b_val, b_units = _grid_min(b_costs, exact_total=False)
+
+    f = [u * df for u in f_units]
+    b = [u * db for u in b_units]
+    return AllocResult(
+        allocation=Allocation(f=tuple(f), b=tuple(b)),
+        objective_fb=f_val + b_val,
+        problem=prob,
+    )
 
 
 def decision_cost(sc, dec):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from fedkd.accuracy import DEFAULT_TABLE, acc_pair, lookup_acc
-from fedkd.allocator import allocate, allocate_share, build_problem, grid_oracle, kkt_residual
+from fedkd.allocator import allocate, allocate_share, build_problem, kkt_residual
 from fedkd.experiment import EXPERIMENT_QCONFIG, ExperimentConfig, run_experiment
 from fedkd.kd import (
     BlobSpec,
@@ -44,7 +44,7 @@ from fedkd.qlearn import (
 )
 
 from conftest import finite_difference, make_scenario, rel_err
-from oracles import fedsgd_gradient, kl_divergence, softened_probs
+from oracles import fedsgd_gradient, grid_oracle, kl_divergence, softened_probs
 from test_accuracy import FULL_SET, PRIVATE_SET
 
 

@@ -12,14 +12,19 @@ from fedkd.allocator import (
     build_problem,
     cost_from_sums,
     fb_objective,
-    fb_objective_via_delays,
-    grid_oracle,
     kkt_residual,
 )
-from fedkd.model import BUDGET_RTOL, RESOURCE_FLOOR, Decision, ObjectiveWeights, ServerSpec
+from fedkd.model import (
+    BUDGET_RTOL,
+    RESOURCE_FLOOR,
+    Decision,
+    ObjectiveWeights,
+    ServerSpec,
+    objective,
+)
 
 from conftest import make_scenario
-from oracles import decision_cost, left_to_right
+from oracles import decision_cost, grid_oracle, left_to_right
 
 
 def random_instance(seed, n_users=4):
@@ -246,11 +251,14 @@ class TestAllocate:
         assert res.objective_fb <= equal + 1e-12
 
     def test_objective_matches_delay_route(self):
+        """objective at zero accuracies prices the split through the delay
+        formulas: constant plus the f/b part of the closed form."""
         for seed in range(20):
             sc, dec = random_instance(seed)
             res = allocate(sc, dec)
-            direct = fb_objective_via_delays(sc, dec, res.allocation)
-            assert res.objective_fb == pytest.approx(direct, rel=1e-9)
+            zeros = [0.0] * sc.n_users
+            direct = objective(sc, dec, res.allocation, zeros, zeros)
+            assert res.objective_fb + res.problem.constant == pytest.approx(direct, rel=1e-9)
 
     def test_kkt_stationarity_and_budgets(self):
         for seed in range(20):

@@ -1,13 +1,18 @@
+import contextlib
 import inspect
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from fedkd import accuracy, allocator, cli, config, experiment, kd, qlearn
 from fedkd.cli import build_parser, kd_demo, main
@@ -91,6 +96,28 @@ def test_overflowing_channel_gain_is_an_error_line_and_exit_1(tmp_path, capsys, 
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["allocate", "train-q"])
+@pytest.mark.parametrize("d, message", [
+    (1e-110, "user 0 has an infinite spectral efficiency at d = 1e-110 m"),
+    (1e-112, "user 0 has an infinite spectral efficiency at d = 1e-112 m"),
+    (1e-150, "distance 1e-150 m underflows d ** gamma to 0 at gamma = 2.8"),
+    (1e-200, "distance 1e-200 m underflows d ** gamma to 0 at gamma = 2.8"),
+    (5e-324, "distance 5e-324 m underflows d ** gamma to 0 at gamma = 2.8"),
+])
+def test_a_user_too_close_to_the_server_is_an_error_line_and_exit_1(tmp_path, capsys, command,
+                                                                    d, message):
+    """d ** gamma underflows to 0, or the gain or p h / n0 overflows:
+    unchecked, each ends in a traceback, a refusal naming an allocator
+    weight, or training on an infinite efficiency."""
+    cfg = write_config(tmp_path, {"users": [{"f_loc": 1.0, "d": d}, {"f_loc": 1.0, "d": 50.0}],
+                                  "decision": {"x": [0, 1], "m": [0, 1]}})
+    out = tmp_path / "out"
+    episodes = ["--episodes", "50"] if command == "train-q" else []
+    assert main([command, "--config", cfg, "--out", str(out), *episodes]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, n_users, actions", [
     (["experiment", "--method", "proposed"], 21, 8 ** 21),
     (["train-q"], 21, 8 ** 21),
@@ -166,6 +193,81 @@ def test_negative_seed_is_an_error_line_naming_the_option(tmp_path, capsys, comm
     assert main([command, "--seed", "-1", "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
     assert not out.exists()
+
+
+def scalar_paths(node, path=()):
+    """The path of every scalar in a JSON document, keys and indices."""
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from scalar_paths(child, path + (key,))
+    else:
+        yield path
+
+
+#: The stock scenario document, with a decision block for allocate.
+STOCK_DOC = {**config.scenario_to_dict(default_scenario()),
+             "decision": {"x": [0, 1, 0, 1], "m": [0, 1, 2, 3]}}
+FIELDS = tuple(scalar_paths(STOCK_DOC))
+BAD_VALUES = (0, -1, math.nan, math.inf, 1e308, 5e-324, 1e-200, "x", True, None, [], {},
+              2 ** 80)
+COMMANDS = (("allocate",), ("train-q", "--episodes", "20"),
+            *(("experiment", "--method", m, "--trials", "1", "--episodes", "20")
+              for m in experiment.METHODS))
+
+
+def run_main(argv):
+    """(exit code, stderr) of main(argv), run in this process: an
+    exception that main lets through fails the test that calls it."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_exit_0_or_one_error_line(code, err):
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert code in (0, 1)
+    assert len(errors) == code
+    if code:
+        assert err.endswith(errors[0] + "\n")
+
+
+@seed(20261021)
+@settings(max_examples=600, deadline=None, database=None)
+@given(st.sampled_from(FIELDS), st.sampled_from(BAD_VALUES), st.sampled_from(COMMANDS))
+@example(("users", 0, "d"), 1e-200, ("allocate",))
+@example(("users", 3, "d"), 5e-324, ("train-q", "--episodes", "20"))
+@example(("users", 0, "f_loc"), 1e308, ("train-q", "--episodes", "20"))
+def test_a_bad_config_scalar_exits_0_or_with_one_error_line(field, value, command):
+    """One scalar of the stock document set to a bad value: the command
+    runs, or exits 1 with one error line; nothing escapes main."""
+    doc = json.loads(json.dumps(STOCK_DOC))
+    node = doc
+    for key in field[:-1]:
+        node = node[key]
+    node[field[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        code, err = run_main([*command, "--config", path, "--out", os.path.join(tmp, "out")])
+    assert_exit_0_or_one_error_line(code, err)
+
+
+@seed(20261021)
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.one_of(st.tuples(st.integers(), st.integers(max_value=0)),
+                 st.tuples(st.integers(max_value=-1), st.integers(min_value=1))))
+def test_bad_kd_demo_arguments_exit_with_one_error_line(seed_and_epochs):
+    """A negative --seed or an --epochs below 1, at any magnitude, is
+    refused before any training or fork."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        code, err = run_main(["kd-demo", "--seed", str(seed_and_epochs[0]),
+                              "--epochs", str(seed_and_epochs[1]), "--out", out])
+        assert not os.path.exists(out)
+    assert code == 1
+    assert_exit_0_or_one_error_line(code, err)
 
 
 class TestTrainQ:

@@ -19,6 +19,7 @@ from fedkd.model import (
     delays,
     objective,
     tx_rate,
+    user_efficiency,
 )
 
 from conftest import make_scenario
@@ -56,6 +57,24 @@ class TestChannelGain:
         # 1e300 ** 2.8 overflows a float
         with pytest.raises(ValueError, match=r"distance 1e\+300 m .*gamma = 2\.8"):
             channel_gain(1e300, CH)
+
+    @pytest.mark.parametrize("d", [1e-150, 1e-200, 5e-324])
+    def test_underflowing_distance_refused_naming_distance_and_gamma(self, d):
+        """d ** 2.8 rounds to 0 here, so the division alone would fail with
+        a ZeroDivisionError that names nothing."""
+        with pytest.raises(ValueError, match=f"^distance {d!r} m underflows d \\*\\* gamma to 0 "
+                                             r"at gamma = 2\.8$"):
+            channel_gain(d, CH)
+
+    @pytest.mark.parametrize("d", [1e-110, 1e-112])
+    def test_an_infinite_efficiency_is_refused_naming_user_and_distance(self, d):
+        """At 1e-110 m the gain is finite but p h / n0 overflows; at
+        1e-112 m the gain itself is inf.  Either efficiency would price
+        the user's transfers at no delay."""
+        u = UserSpec(id=3, f_loc=1.0, d=d)
+        with pytest.raises(ValueError, match=f"^user 3 has an infinite spectral efficiency "
+                                             f"at d = {d!r} m$"):
+            user_efficiency(u, d, CH)
 
 
 class TestTxRate:

@@ -327,6 +327,16 @@ class TestDrawBuilder:
                 assert h_bin == (bins - 1 if low_end else 0)
             assert len(ref[1]) == (bins > 1 and end in ("below lo", "above hi"))
 
+    @pytest.mark.parametrize("f_loc, f_bin", [(1e308, 3), (5e-324, 0)])
+    def test_a_far_out_of_range_value_takes_its_end_bin(self, caplog, f_loc, f_bin):
+        """(1e308 - lo) / (hi - lo) * bins overflows a float, so the bin of
+        a value outside its range is the nearer end's, with no division."""
+        caplog.set_level(logging.WARNING)
+        key, _ = scenario_draw(at(make_scenario(n_users=1), [f_loc], [37.0]), QConfig())
+        assert key[0][0] == f_bin
+        assert [rec.getMessage() for rec in caplog.records] == [
+            f"state component {f_loc:g} outside configured range [0.5, 2]; clamped"]
+
     def test_gain_range_of_one_value_takes_one_bin(self):
         """A path-loss exponent so small that the gain rounds to one value
         over d_range leaves no width to bin."""
@@ -356,6 +366,15 @@ class TestDrawBuilder:
         with pytest.raises(InfeasibleError, match=r"^user 1 has zero spectral efficiency "
                                                   r"at d = 1000000000.0 m$"):
             scenario_draw(sc, QConfig(h_bins=h_bins))
+
+    def test_a_user_with_an_infinite_efficiency_at_the_near_end_is_refused(self):
+        """g0 = 1e300 leaves a finite efficiency at 100 m, the far end of
+        d_range, and an infinite one at 10 m, the near end, which every
+        draw is at least as close as."""
+        sc = dataclasses.replace(make_scenario(n_users=1), channel=ChannelSpec(g0=1e300))
+        with pytest.raises(ValueError, match=r"^user 0 has an infinite spectral efficiency "
+                                             r"at d = 10.0 m$"):
+            draw_builder(sc, QConfig())
 
     @seed(20240301)
     @settings(max_examples=150, deadline=None, database=None)
@@ -969,6 +988,23 @@ class TestStreamReader:
         with pytest.raises(ValueError, match="seed .*got None"):
             train_loop(lambda _draws: (((0, 0),), None), QConfig(episodes=3), None, 4,
                        lambda draw, a: 0.0)
+
+    @pytest.mark.parametrize("seed, message", [
+        (True, "seed must be an integer, got True"),
+        (1.5, "seed must be an integer, got 1.5"),
+        (-1, "seed must be >= 0, got -1"),
+    ])
+    def test_a_seed_that_is_not_a_count_is_refused_by_name(self, seed, message):
+        """numpy would take True as seed 1, and refuse -1 and 1.5 with
+        messages that name no argument."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            StreamReader(seed)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            train_loop(lambda _draws: (((0, 0),), None), QConfig(episodes=3), seed, 4,
+                       lambda draw, a: 0.0)
+
+    def test_a_numpy_integer_seed_reads_as_its_int(self):
+        assert StreamReader(np.uint8(7)).uniforms(9) == StreamReader(7).uniforms(9)
 
 
 class TestSeeds:
