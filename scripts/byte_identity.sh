@@ -95,6 +95,18 @@
 # the closed form's shares sum to 4e-6, so like channel.json's this
 # directory is expected to differ from its output.
 #
+# Three refusals write only exit.txt and stderr.txt, as for weak.json:
+# OUT_DIR/kd-seed-x is kd-demo --seed x, OUT_DIR/method-bogus is
+# experiment --method bogus, and OUT_DIR/near-allocate is one
+# `fedkd allocate` run on near-allocate/scenario.json, whose user 0 sits
+# at d = 1e-200 m, where d ** gamma underflows to 0.  Each exits 1 with
+# one stderr line: the first two name their option, the third names
+# user 0 and the distance.  A tree whose parser exits on a bad value
+# prints argparse's usage block and exits 2 in the first two, and a tree
+# whose refusal names only the distance lacks "user 0: " in the third,
+# so like channel.json's these three directories are expected to differ
+# from its output.
+#
 # kd runs twice at the stock 600 epochs and once at 50, where the teacher
 # still trains for 400 epochs and the students for 50.  kd-demo trains the
 # hard and simkd students in forked children; their parameter files are
@@ -269,6 +281,14 @@ for s in 0 7; do
 done
 fedkd kd-demo --seed 3 --epochs 50 --out "$out/kd-3-epochs50"
 fedkd_status "$out/kd-epochs0" kd-demo --epochs 0
+fedkd_status "$out/kd-seed-x" kd-demo --seed x
+fedkd_status "$out/method-bogus" experiment --method bogus
+mkdir -p "$out/near-allocate"
+cat > "$out/near-allocate/scenario.json" <<'JSON'
+{"users": [{"f_loc": 1.0, "d": 1e-200}, {"f_loc": 1.0, "d": 50.0}],
+ "decision": {"x": [0, 1], "m": [0, 1]}}
+JSON
+fedkd_status "$out/near-allocate" allocate --config "$out/near-allocate/scenario.json"
 demo() {
     PYTHONPATH="$src" OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 python3 "$src/../demos/$1.py"
 }

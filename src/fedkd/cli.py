@@ -8,14 +8,16 @@ Subcommands:
     dump-oracle  write the built-in accuracy table in the interchange format
 
 Every subcommand is deterministic for a fixed --seed: rerunning writes
-byte-identical files.  Exit code 0 on success, 1 with a diagnostic on
-stderr for any error.
+byte-identical files.  Exit code 0 on success, 1 with one `error:` line
+on stderr for any error, a bad option value or choice included; a
+missing or unknown option is argparse's usage error, exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import pickle
@@ -235,16 +237,17 @@ def cmd_dump_oracle(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="fedkd", description=__doc__,
+    parser = argparse.ArgumentParser(prog="fedkd", description=__doc__, exit_on_error=False,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    add = functools.partial(sub.add_parser, exit_on_error=False)
 
-    p = sub.add_parser("allocate", help="optimal f/b split for a configured decision")
+    p = add("allocate", help="optimal f/b split for a configured decision")
     p.add_argument("--config", required=True, help="scenario JSON with a decision block")
     p.add_argument("--out", default=None, help="directory for allocation.json")
     p.set_defaults(func=cmd_allocate)
 
-    p = sub.add_parser("train-q", help="train the offload/model agent")
+    p = add("train-q", help="train the offload/model agent")
     p.add_argument("--config", default=None, help="scenario JSON (default: stock scenario)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--episodes", type=int, default=5000)
@@ -252,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="directory for qtable.tsv")
     p.set_defaults(func=cmd_train_q)
 
-    p = sub.add_parser("experiment", help="run one method over seeded trials")
+    p = add("experiment", help="run one method over seeded trials")
     p.add_argument("--config", default=None, help="scenario JSON (default: stock scenario)")
     p.add_argument("--method", default="proposed", choices=list(METHODS))
     p.add_argument("--seed", type=int, default=0)
@@ -262,13 +265,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="directory for trials.csv / summary.json")
     p.set_defaults(func=cmd_experiment)
 
-    p = sub.add_parser("kd-demo", help="toy distillation pipeline")
+    p = add("kd-demo", help="toy distillation pipeline")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epochs", type=int, default=400)
     p.add_argument("--out", required=True, help="directory for metrics and parameters")
     p.set_defaults(func=cmd_kd_demo)
 
-    p = sub.add_parser("dump-oracle", help="write the built-in accuracy table")
+    p = add("dump-oracle", help="write the built-in accuracy table")
     p.add_argument("--out", default=None, help="directory for accuracy_table.csv")
     p.set_defaults(func=cmd_dump_oracle)
 
@@ -276,13 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # A bad value or choice is an ArgumentError (exit_on_error=False);
+        # a missing or unknown option still exits 2 with argparse's usage.
+        args = build_parser().parse_args(argv)
         # numpy's own refusal of a negative seed names no option.
         check_count("--seed", getattr(args, "seed", 0), 0)
         return args.func(args)
-    except (ValueError, KeyError, OSError, kd.DivergenceError) as exc:
+    except (argparse.ArgumentError, ValueError, KeyError, OSError, kd.DivergenceError) as exc:
         # str() of a KeyError is the repr of its message, quotes and all.
         msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {msg}", file=sys.stderr)

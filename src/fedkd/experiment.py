@@ -43,7 +43,6 @@ from .qlearn import (
     SAMPLE_CAP,
     Draw,
     QConfig,
-    StateKey,
     StreamReader,
     _enumerated,
     action_space,
@@ -135,21 +134,6 @@ def sample_scenario(template: Scenario, rng: np.random.Generator,
     return dataclasses.replace(template, users=users)
 
 
-def training_sampler(cfg: ExperimentConfig
-                     ) -> Callable[[StreamReader], tuple[StateKey, Draw]]:
-    """train_loop's sampler for cfg: one draws.uniforms(2 * N) read per
-    episode, the same stream and values as sample_scenario's, which
-    qlearn.draw_builder maps straight to the state key and Draw.  The
-    users are drawn over the ranges the quantizer bins, so no draw
-    clamps."""
-    build, size = draw_builder(cfg.scenario, cfg.q), 2 * cfg.scenario.n_users
-
-    def sample(draws: StreamReader) -> tuple[StateKey, Draw]:
-        return build(draws.uniforms(size))
-
-    return sample
-
-
 def _price(template: Scenario, draw: Draw, picks, accs) -> tuple[float, list[DelayBreakdown]]:
     """(cost, delays) of draw's users at picks, each user's (x, m, f, b):
     delays at rate b * eff, tx_rate's value, priced by user_cost and added
@@ -219,28 +203,33 @@ class MethodSpec:
     """What an action means to one method.  Digit i of an action in base
     len(digits), lowest first, gives user i its entry of digits: (x, m),
     whose split is the optimal one, or, for q-only, (x, m, f_units,
-    b_units): that many 1/levels of the server CPU and of the bandwidth."""
+    b_units): that many 1/levels of the server CPU and of the bandwidth.
+    rows[k] is what digit k picks, the row _split and _price read."""
 
     digits: tuple[tuple[int, ...], ...]
     n_actions: int          # len(digits) ** users
-    accuracy: str           # "KD" or "FL": the published accuracies that score it
-    learned: bool = True    # False: enumerate every action instead of training
+    accs: tuple             # per model (acc_own, acc_avg), the published KD or FL ones
+    rows: tuple             # q-only's digits themselves, else their qlearn.digit_table
+    reward_fn: Callable[[Draw, int], float] | None   # training reward; None: enumerate
     levels: int = 0         # q-only's grid levels per resource; 0: the split is open
 
 
 def method_spec(cfg: ExperimentConfig) -> MethodSpec:
-    """The table entry of cfg.method.  proposed and exhaustive share the
-    joint offload/model digits; q-only adds a resource grid level per user,
-    in its encoding order (x fastest, then m, f_units, b_units); fl-min and
-    fl-max pin the smallest or largest model, leaving offload bits.  An
+    """The table entry of cfg.method, the one place that decides what a
+    method is.  proposed and exhaustive share the joint offload/model
+    digits and the KD accuracies; exhaustive trains nothing and
+    enumerates every action instead.  q-only adds a resource grid level
+    per user, in its encoding order (x fastest, then m, f_units,
+    b_units), and trains on _grid_reward.  fl-min and fl-max pin the
+    smallest or largest model, leaving offload bits, with the FL
+    accuracies.  Where the split is open, training scores with
+    qlearn.digit_reward on the rows.  Each reward equals the scalar
+    oracle in tests/oracles.py on the draw's Scenario bit for bit.  An
     action space too large to sample (learned methods) or to enumerate
     (exhaustive) is refused here, by qlearn.action_space."""
     template = cfg.scenario
     n, n_models = template.n_users, len(template.catalog)
-    if cfg.method in ("proposed", "exhaustive"):
-        digits, learned = joint_digits(n_models), cfg.method == "proposed"
-        cap = SAMPLE_CAP if learned else EXHAUSTIVE_CAP
-        return MethodSpec(digits, action_space(template, digits, cap), "KD", learned)
+    levels, kind = 0, "KD"
     if cfg.method == "q-only":
         levels = RESOURCE_LEVELS
         if n > levels:
@@ -250,18 +239,22 @@ def method_spec(cfg: ExperimentConfig) -> MethodSpec:
         grid = range(1, levels + 1)
         digits = tuple((x, m, kf, kb) for kb in grid for kf in grid
                        for m in range(n_models) for x in (0, 1))
-        return MethodSpec(digits, action_space(template, digits, SAMPLE_CAP), "KD",
-                          levels=levels)
-    mus = [m.mu for m in template.catalog]
-    m_fixed = mus.index(min(mus) if cfg.method == "fl-min" else max(mus))
-    digits = ((0, m_fixed), (1, m_fixed))
-    return MethodSpec(digits, action_space(template, digits, SAMPLE_CAP), "FL")
-
-
-def method_rows(template: Scenario, spec: MethodSpec, accs) -> tuple:
-    """The rows an action's digits pick, built once per run: q-only's
-    digits themselves, else their qlearn.digit_table on template."""
-    return spec.digits if spec.levels else digit_table(template, accs, spec.digits)
+    elif cfg.method in ("fl-min", "fl-max"):
+        mus = [m.mu for m in template.catalog]
+        m_fixed = mus.index(min(mus) if cfg.method == "fl-min" else max(mus))
+        digits, kind = ((0, m_fixed), (1, m_fixed)), "FL"
+    else:
+        digits = joint_digits(n_models)
+    learned = cfg.method != "exhaustive"
+    n_actions = action_space(template, digits, SAMPLE_CAP if learned else EXHAUSTIVE_CAP)
+    accs = tuple(acc_pair(DEFAULT_TABLE, m.name, kind, cfg.distribution)
+                 for m in template.catalog)
+    if levels:
+        return MethodSpec(digits, n_actions, accs, digits,
+                          _grid_reward(template, digits, levels, accs), levels)
+    rows = digit_table(template, accs, digits)
+    return MethodSpec(digits, n_actions, accs, rows,
+                      digit_reward(template, rows) if learned else None)
 
 
 def _grid_reward(template: Scenario, digits, levels: int, accs
@@ -297,64 +290,50 @@ def _grid_reward(template: Scenario, digits, levels: int, accs
     return reward_fn
 
 
-def training_reward(template: Scenario, spec: MethodSpec, rows, accs
-                    ) -> Callable[[Draw, int], float]:
-    """reward_fn(draw, a) of a training Draw, equal bit for bit to the
-    scalar oracle in tests/oracles.py on the draw's Scenario, for spec's
-    method_rows: _grid_reward for q-only's grid, qlearn.digit_reward
-    where the split is open."""
-    if spec.levels:
-        return _grid_reward(template, rows, spec.levels, accs)
-    return digit_reward(template, rows)
-
-
 def run_experiment(cfg: ExperimentConfig) -> Report:
     """Train the configured method and evaluate it on seeded draws.
 
-    The method's rows (method_rows) are built once.  SeedSequence(cfg.seed)
-    spawns eval_ss and train_ss.  Training reads StreamReader(train_ss)
-    through training_sampler and takes its rewards from training_reward
-    on those rows.  Each trial reads uniforms(2 * N) of one
+    The method's table entry (method_spec) is built once, and so is the
+    run's one qlearn.draw_builder, which serves training and evaluation.
+    SeedSequence(cfg.seed) spawns eval_ss and train_ss.  Each training
+    episode reads uniforms(2 * N) of StreamReader(train_ss) and scores
+    with the entry's reward_fn.  Each trial reads uniforms(2 * N) of one
     StreamReader(eval_ss), the draw sample_scenario would make with
-    Generator(PCG64(eval_ss)) over cfg.q.f_loc_range and cfg.q.d_range,
-    and the run's one qlearn.draw_builder maps it to the state key, which
-    the policy reads, and the Draw, which the rest of the trial reads:
-    exhaustive enumerates the rows' terms on it, the chosen action
-    decodes into its users' rows, _split gives the split they fix or
-    leave open, and _price the objective and delays.  No Scenario,
-    Decision, Allocation, allocate call or channel gain beyond the
-    builder's is made per trial.  The draws depend only on
-    (template, seed, trials, those ranges), never on the method, so
-    reports from different methods compare like for like.  Identical
-    configs produce identical reports.  A template user that cannot
-    transmit is refused when a draw_builder is made, before any training.
+    Generator(PCG64(eval_ss)) over cfg.q.f_loc_range and cfg.q.d_range;
+    the builder maps it to the state key, which the policy reads, and the
+    Draw, which the rest of the trial reads: exhaustive enumerates the
+    rows' terms on it, the chosen action decodes into its users' rows,
+    _split gives the split they fix or leave open, and _price the
+    objective and delays.  No Scenario, Decision, Allocation, allocate
+    call or channel gain beyond the builder's is made per trial.  The
+    draws depend only on (template, seed, trials, those ranges), never
+    on the method, so reports from different methods compare like for
+    like.  Identical configs produce identical reports.  A template user
+    that cannot transmit is refused when the builder is made, before any
+    training.
     """
     template = cfg.scenario
     spec = method_spec(cfg)
-    accs = [acc_pair(DEFAULT_TABLE, m.name, spec.accuracy, cfg.distribution)
-            for m in template.catalog]
-    table = method_rows(template, spec, accs)
-
+    build, size = draw_builder(template, cfg.q), 2 * template.n_users
     eval_ss, train_ss = np.random.SeedSequence(cfg.seed).spawn(2)
-    if spec.learned:
-        q = train_loop(training_sampler(cfg), cfg.q, train_ss, spec.n_actions,
-                       training_reward(template, spec, table, accs))
+    if spec.reward_fn is not None:
+        q = train_loop(lambda draws: build(draws.uniforms(size)), cfg.q, train_ss,
+                       spec.n_actions, spec.reward_fn)
 
     evals = StreamReader(eval_ss)
-    build, size = draw_builder(template, cfg.q), 2 * template.n_users
     evaluated = []
     for _ in range(cfg.trials):
         key, draw = build(evals.uniforms(size))
-        a = (q.greedy_action(key, spec.n_actions) if spec.learned
-             else int(np.argmax(_enumerated(template, draw, table))))
-        rows = decode(table, a, template.n_users)
+        a = (q.greedy_action(key, spec.n_actions) if spec.reward_fn is not None
+             else int(np.argmax(_enumerated(template, draw, spec.rows))))
+        rows = decode(spec.rows, a, template.n_users)
         f, b, within = _split(template, rows, draw, spec.levels)
         x, m = tuple(r[0] for r in rows), tuple(r[1] for r in rows)    # every row starts (x, m)
-        cost, dls = _price(template, draw, zip(x, m, f, b), accs)
+        cost, dls = _price(template, draw, zip(x, m, f, b), spec.accs)
         evaluated.append((x, m, f, b, cost if within else -INFEASIBLE_REWARD, dls))
     return Report(method=cfg.method, seed=cfg.seed, n_users=template.n_users,
                   model_names=tuple(m.name for m in template.catalog),
-                  trials=_trial_results(template, accs, evaluated))
+                  trials=_trial_results(template, spec.accs, evaluated))
 
 
 # ---------------------------------------------------------------------------

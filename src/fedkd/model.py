@@ -263,8 +263,13 @@ def user_efficiency(u: UserSpec, d: float, ch: ChannelSpec) -> float:
     """spectral_efficiency of user u at distance d.  One that rounds to 0
     leaves u no rate at any bandwidth, so no decision is feasible: it is
     refused with an InfeasibleError naming u and d; an infinite one, of a
-    u so close that p * h / n0 overflows, with a ValueError naming both."""
-    e = spectral_efficiency(u.p, channel_gain(d, ch), ch)
+    u so close that p * h / n0 overflows, with a ValueError naming both.
+    channel_gain's refusal of d is raised again with u named first."""
+    try:
+        h = channel_gain(d, ch)
+    except ValueError as exc:
+        raise ValueError(f"user {u.id}: {exc}") from None
+    e = spectral_efficiency(u.p, h, ch)
     if not e > 0:
         raise InfeasibleError(f"user {u.id} has zero spectral efficiency at d = {d} m")
     if not e < math.inf:

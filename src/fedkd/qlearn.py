@@ -5,9 +5,9 @@ Each episode is one-shot: a draw of the users' parameters arrives with
 its state key, the agent picks one action for all users, and the reward
 is the negated total cost at the optimal resource split, which the
 allocator's closed form gives without computing the split, plus the
-accuracy reward.  The successor state is terminal, so the update moves
-Q(s, a) toward the reward alone: there is no bootstrap term and no
-discount.
+accuracy reward.  The successor state is terminal, so the update
+(QTable.step) moves Q(s, a) toward the reward r alone, with no bootstrap
+term and no discount: Q(s, a) <- Q(s, a) + lr * (r - Q(s, a)).
 
     draw_builder, scenario_draw   uniforms or a Scenario's users to
                                   (state key, Draw), one quantizer
@@ -486,19 +486,6 @@ def digit_reward(template: Scenario, table: Sequence[Digit]) -> Callable[[Draw, 
     return reward_fn
 
 
-def update(q: QTable, s: StateKey, a: int, r: float, cfg: QConfig) -> bool:
-    """One tabular update toward the reward of a one-shot episode, which
-    also counts the visit:
-
-        Q(s, a) <- Q(s, a) + lr * (r - Q(s, a))
-
-    Returns whether the stored value changed (QTable.step).
-    """
-    if not math.isfinite(r):
-        raise ValueError(f"reward must be finite, got {r}")
-    return q.step(s, a, r, cfg.lr)
-
-
 #: Raw outputs a StreamReader pulls from its bit generator at a time.
 STREAM_BLOCK = 256
 
@@ -616,7 +603,8 @@ def train_loop(sampler: Callable[[StreamReader], tuple[StateKey, object]],
     draws.uniforms(k)), picks an action epsilon-greedily for that key
     (with probability epsilon, from cfg.epsilons(), a uniform
     draws.integers draw, else the table's greedy action) and moves its
-    entry toward reward_fn(draw, action).
+    entry toward reward_fn(draw, action) with QTable.step at cfg.lr.  A
+    non-finite reward is refused there, before anything is written.
     The sampler owns the key: draw_builder computes it from the same
     channel gains as the draw's efficiencies, and train_fixed_scenario's
     sampler returns one pair every episode.  A draw is whatever reward_fn
@@ -639,7 +627,7 @@ def train_loop(sampler: Callable[[StreamReader], tuple[StateKey, object]],
     idle_s = idle_draw = unarmed    # the last greedy step that changed no value
     idle_a = repeats = 0            # its action, and the greedy steps skipped since
     draws = StreamReader(seed)
-    random, integers = draws.random, draws.integers
+    random, integers, lr = draws.random, draws.integers, cfg.lr
     for epsilon in cfg.epsilons():
         s, draw = sampler(draws)
         if epsilon > 0 and random() < epsilon:
@@ -652,7 +640,7 @@ def train_loop(sampler: Callable[[StreamReader], tuple[StateKey, object]],
         if repeats:
             q.add_visits(idle_s, idle_a, repeats)
             repeats = 0
-        if update(q, s, a, reward_fn(draw, a), cfg) or not greedy:
+        if q.step(s, a, reward_fn(draw, a), lr) or not greedy:
             idle_s = idle_draw = unarmed
         else:
             idle_s, idle_draw, idle_a = s, draw, a

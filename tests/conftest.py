@@ -11,6 +11,7 @@ from fedkd.model import (
     UserSpec,
     default_scenario,
 )
+from fedkd.qlearn import draw_builder
 
 
 def finite_difference(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -38,6 +39,13 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=float)
     denom = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0), 1e-12)
     return float(np.abs(a - b).max(initial=0.0) / denom)
+
+
+def experiment_sampler(cfg):
+    """run_experiment's training sampler for cfg: each episode reads
+    draws.uniforms(2 * N) and maps it through one qlearn.draw_builder."""
+    build, size = draw_builder(cfg.scenario, cfg.q), 2 * cfg.scenario.n_users
+    return lambda draws: build(draws.uniforms(size))
 
 
 def make_scenario(n_users=4, n_models=4, weights=None, seed=None) -> Scenario:

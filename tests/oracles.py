@@ -22,7 +22,8 @@ The decision layer:
     select_action        one epsilon-greedy pick
     GeneratorDraws       a numpy Generator behind qlearn.StreamReader's reads
     train_every_episode  train_loop without its skip of idle greedy steps,
-                         drawing from the Generator itself
+                         drawing from the Generator itself; it steps
+                         the table with QTable.step, as train_loop does
     value, visits        one Q-table entry, read through its public entries
 
 The distillation math and the accuracy table:
@@ -43,7 +44,7 @@ from fedkd.accuracy import DISTRIBUTIONS, METHODS, AccuracyTable, lookup_acc
 from fedkd.allocator import AllocResult, allocate, build_problem, cost_from_sums
 from fedkd.kd import fedsgd_round
 from fedkd.model import Allocation, Decision, InfeasibleError, objective
-from fedkd.qlearn import INFEASIBLE_REWARD, QTable, action_count, decode_action, update
+from fedkd.qlearn import INFEASIBLE_REWARD, QTable, action_count, decode_action
 
 
 def left_to_right(values):
@@ -258,14 +259,15 @@ class GeneratorDraws:
 def train_every_episode(sampler, cfg, rng, n_actions, reward_fn):
     """train_loop's table the long way: every episode draws its pair from
     sampler(GeneratorDraws(rng)), picks with select_action at epsilon_at
-    and updates, so every greedy step calls greedy_action, reward_fn and
-    update, and every draw is one call of rng."""
+    and steps the table toward the reward at cfg.lr, so every greedy step
+    calls greedy_action, reward_fn and QTable.step, and every draw is one
+    call of rng."""
     q = QTable()
     draws = GeneratorDraws(rng)
     for ep in range(cfg.episodes):
         s, draw = sampler(draws)
         a = select_action(q, s, epsilon_at(cfg, ep), rng, n_actions)
-        update(q, s, a, reward_fn(draw, a), cfg)
+        q.step(s, a, reward_fn(draw, a), cfg.lr)
     return q
 
 

@@ -92,7 +92,7 @@ def test_overflowing_channel_gain_is_an_error_line_and_exit_1(tmp_path, capsys, 
                                   "decision": {"x": [0], "m": [0]}})
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: distance 1e+300 m overflows d ** gamma")
+    assert err.startswith("error: user 0: distance 1e+300 m overflows d ** gamma")
     assert err.count("\n") == 1
 
 
@@ -100,9 +100,9 @@ def test_overflowing_channel_gain_is_an_error_line_and_exit_1(tmp_path, capsys, 
 @pytest.mark.parametrize("d, message", [
     (1e-110, "user 0 has an infinite spectral efficiency at d = 1e-110 m"),
     (1e-112, "user 0 has an infinite spectral efficiency at d = 1e-112 m"),
-    (1e-150, "distance 1e-150 m underflows d ** gamma to 0 at gamma = 2.8"),
-    (1e-200, "distance 1e-200 m underflows d ** gamma to 0 at gamma = 2.8"),
-    (5e-324, "distance 5e-324 m underflows d ** gamma to 0 at gamma = 2.8"),
+    (1e-150, "user 0: distance 1e-150 m underflows d ** gamma to 0 at gamma = 2.8"),
+    (1e-200, "user 0: distance 1e-200 m underflows d ** gamma to 0 at gamma = 2.8"),
+    (5e-324, "user 0: distance 5e-324 m underflows d ** gamma to 0 at gamma = 2.8"),
 ])
 def test_a_user_too_close_to_the_server_is_an_error_line_and_exit_1(tmp_path, capsys, command,
                                                                     d, message):
@@ -254,20 +254,45 @@ def test_a_bad_config_scalar_exits_0_or_with_one_error_line(field, value, comman
     assert_exit_0_or_one_error_line(code, err)
 
 
+def kd_demo_integers(seed_and_epochs):
+    """kd-demo's arguments for (seed, epochs), with the option refused
+    first: --seed when it is negative, else --epochs."""
+    s, e = seed_and_epochs
+    return ["kd-demo", "--seed", str(s), "--epochs", str(e)], "--seed" if s < 0 else "--epochs"
+
+
+#: (arguments, option): a value that is no integer, or no choice, given
+#: to option.
+BAD_OPTION_VALUES = tuple(
+    ([command, option, value], option)
+    for command, options in [("kd-demo", ("--seed", "--epochs")),
+                             ("train-q", ("--seed", "--episodes", "--distribution")),
+                             ("experiment", ("--seed", "--episodes", "--trials", "--method",
+                                             "--distribution"))]
+    for option in options
+    for value in (("bogus", "") if option in ("--method", "--distribution")
+                  else ("x", "1.5", "")))
+
+
 @seed(20261021)
-@settings(max_examples=40, deadline=None, database=None)
-@given(st.one_of(st.tuples(st.integers(), st.integers(max_value=0)),
-                 st.tuples(st.integers(max_value=-1), st.integers(min_value=1))))
-def test_bad_kd_demo_arguments_exit_with_one_error_line(seed_and_epochs):
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.one_of(st.tuples(st.integers(), st.integers(max_value=0)).map(kd_demo_integers),
+                 st.tuples(st.integers(max_value=-1), st.integers(min_value=1))
+                 .map(kd_demo_integers),
+                 st.sampled_from(BAD_OPTION_VALUES)))
+def test_bad_kd_demo_arguments_exit_with_one_error_line(argv_and_option):
     """A negative --seed or an --epochs below 1, at any magnitude, is
-    refused before any training or fork."""
+    refused before any training or fork; a value that is no integer, or
+    no choice, of any command is refused while the arguments are read.
+    Each exits 1 with one error line that names the option."""
+    argv, option = argv_and_option
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
-        code, err = run_main(["kd-demo", "--seed", str(seed_and_epochs[0]),
-                              "--epochs", str(seed_and_epochs[1]), "--out", out])
+        code, err = run_main([*argv, "--out", out])
         assert not os.path.exists(out)
     assert code == 1
     assert_exit_0_or_one_error_line(code, err)
+    assert option.lstrip("-") in err
 
 
 class TestTrainQ:
@@ -375,9 +400,10 @@ class TestExperiment:
         assert capsys.readouterr().err == "error: catalog[1].name: duplicate name 'VGG-8'\n"
         assert not out.exists()
 
-    def test_unknown_method_is_a_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["experiment", "--method", "annealing", "--out", str(tmp_path)])
+    def test_unknown_method_is_an_error_line_and_exit_1(self, tmp_path, capsys):
+        assert main(["experiment", "--method", "annealing", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: argument --method: invalid choice: 'annealing'")
 
 
 class TestKdDemo:

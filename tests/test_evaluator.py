@@ -29,12 +29,9 @@ from fedkd import allocator, experiment, qlearn
 from fedkd.config import dump_scenario, load_scenario
 from fedkd.experiment import (
     ExperimentConfig,
-    method_rows,
     method_spec,
     run_experiment,
     sample_scenario,
-    training_reward,
-    training_sampler,
 )
 from fedkd.model import (
     DEFAULT_CATALOG,
@@ -70,7 +67,7 @@ from fedkd.qlearn import (
     train_loop,
 )
 
-from conftest import make_scenario
+from conftest import experiment_sampler, make_scenario
 from oracles import (
     action_reward,
     brute_force_optimum,
@@ -329,7 +326,7 @@ def test_qonly_scorer_refuses_accuracies_outside_the_unit_interval_when_built(ac
     accs = [accs] * len(sc.catalog)
     with pytest.raises(ValueError, match=name) as info:
         spec = method_spec(cfg)
-        training_reward(sc, spec, method_rows(sc, spec, accs), accs)
+        experiment._grid_reward(sc, spec.rows, spec.levels, accs)
     assert not isinstance(info.value, InfeasibleError)
 
 
@@ -366,24 +363,24 @@ def test_training_rewards_equal_action_reward_bit_for_bit_on_seeded_draws(inst, 
     budgets, which uniform actions seldom are.  A template with a user
     whose spectral efficiency rounds to zero (stranded) has no feasible
     action on any draw, by the oracle, and its sampler is refused."""
-    sc, _, accs, _ = inst
+    sc = _stock_named(inst[0])
     if stranded:
         weak = dataclasses.replace(sc.users[0], p=1e-300)
         sc = dataclasses.replace(sc, users=(weak,) + sc.users[1:])
     for method in ("proposed", "fl-min", "fl-max", "q-only"):
         cfg = ExperimentConfig(scenario=sc, method=method)
         spec = method_spec(cfg)
-        reward_fn = training_reward(sc, spec, method_rows(sc, spec, accs), accs)
+        reward_fn, accs = spec.reward_fn, spec.accs
         ref_rng, pick = (np.random.Generator(np.random.PCG64(draw_seed)) for _ in range(2))
         if stranded:
             with pytest.raises(InfeasibleError, match="^user 0 has zero spectral efficiency "
                                                       "at d = 100.0 m$"):
-                training_sampler(cfg)
+                experiment_sampler(cfg)
             ref = sample_scenario(sc, ref_rng, cfg.q.f_loc_range, cfg.q.d_range)
             assert {action_reward(ref, spec, a, accs) for a in
                     pick.integers(spec.n_actions, size=64).tolist()} == {INFEASIBLE_REWARD}
             continue
-        sampler = training_sampler(cfg)
+        sampler = experiment_sampler(cfg)
         draws = StreamReader(draw_seed)
         for _ in range(2):
             _, draw = sampler(draws)
@@ -421,9 +418,8 @@ def test_qonly_training_builds_no_scenario_decision_or_allocation(monkeypatch):
     cfg = ExperimentConfig(scenario=default_scenario(), method="q-only")
     q = dataclasses.replace(cfg.q, episodes=4000)
     spec = method_spec(cfg)
-    accs = [acc_pair(DEFAULT_TABLE, m.name, "KD", "noniid") for m in cfg.scenario.catalog]
-    reward_fn = training_reward(cfg.scenario, spec, spec.digits, accs)
-    sampler = training_sampler(cfg)
+    reward_fn = spec.reward_fn
+    sampler = experiment_sampler(cfg)
     built = _count_constructions(monkeypatch)
     scored = []
 
@@ -455,14 +451,27 @@ def test_each_run_builds_its_rows_once(method, monkeypatch):
     """A method whose split is left open builds one qlearn.Digit per digit
     in a whole run, training and trials together; q-only's digits are
     its rows, so it builds none."""
-    built, real = [], qlearn.Digit
-    monkeypatch.setattr(qlearn, "Digit", lambda *a, **kw: built.append(a) or real(*a, **kw))
     cfg = ExperimentConfig(scenario=default_scenario(), method=method, seed=6, trials=25,
                            q=dataclasses.replace(experiment.EXPERIMENT_QCONFIG, episodes=300))
-    assert len(run_experiment(cfg).trials) == cfg.trials
     spec = method_spec(cfg)
+    built, real = [], qlearn.Digit
+    monkeypatch.setattr(qlearn, "Digit", lambda *a, **kw: built.append(a) or real(*a, **kw))
+    assert len(run_experiment(cfg).trials) == cfg.trials
     assert len(built) == (0 if spec.levels else len(spec.digits))
     assert (method == "q-only") == (spec.levels == experiment.RESOURCE_LEVELS > 0)
+
+
+@pytest.mark.parametrize("method", experiment.METHODS)
+def test_each_run_makes_one_draw_builder(method, monkeypatch):
+    """Training and the trials read their draws through the run's one
+    qlearn.draw_builder."""
+    made, real = [], experiment.draw_builder
+    monkeypatch.setattr(experiment, "draw_builder",
+                        lambda *a: made.append(a) or real(*a))
+    cfg = ExperimentConfig(scenario=default_scenario(), method=method, seed=6, trials=5,
+                           q=dataclasses.replace(experiment.EXPERIMENT_QCONFIG, episodes=200))
+    assert len(run_experiment(cfg).trials) == cfg.trials
+    assert made == [(cfg.scenario, cfg.q)]
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +506,7 @@ def test_trial_rows_equal_the_scalar_oracle_bit_for_bit(inst, run_seed, distribu
         cfg = ExperimentConfig(scenario=sc, method=method, seed=run_seed, trials=3,
                                distribution=distribution, q=q)
         spec = method_spec(cfg)
-        accs = [acc_pair(DEFAULT_TABLE, m.name, spec.accuracy, distribution)
-                for m in sc.catalog]
+        accs = spec.accs
         eval_ss = np.random.SeedSequence(run_seed).spawn(2)[0]
         eval_rng = np.random.Generator(np.random.PCG64(eval_ss))
         with pytest.MonkeyPatch.context() as mp:
@@ -547,8 +555,7 @@ def test_trial_splits_equal_allocate_on_the_sampled_scenario(users, data):
         if method == "exhaustive" and action_count(sc) > EXHAUSTIVE_CAP:
             template = dataclasses.replace(sc, catalog=sc.catalog[:1])
         cfg = ExperimentConfig(scenario=template, method=method, seed=run_seed, trials=3, q=q)
-        accs = [acc_pair(DEFAULT_TABLE, m.name, method_spec(cfg).accuracy, cfg.distribution)
-                for m in template.catalog]
+        accs = method_spec(cfg).accs
         eval_ss = np.random.SeedSequence(run_seed).spawn(2)[0]
         eval_rng = np.random.Generator(np.random.PCG64(eval_ss))
         for row in run_experiment(cfg).trials:

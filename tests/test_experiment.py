@@ -18,7 +18,6 @@ from fedkd.experiment import (
     run_experiment,
     sample_scenario,
     summary_dict,
-    training_reward,
 )
 from fedkd.model import ServerSpec, default_scenario
 from fedkd.qlearn import INFEASIBLE_REWARD, QConfig, decode, scenario_draw
@@ -192,13 +191,13 @@ class TestQOnlyCoding:
         dec, al, within_budget = decode_spec(sc, spec, a)
         assert sum(al.f) > budget and sum(al.b) > budget   # the float sums overshoot
         assert within_budget
-        accs = [(0.5, 0.5)] * 4
+        accs = spec.accs
         assert action_reward(sc, spec, a, accs) != INFEASIBLE_REWARD
         over = self._action(units[:-1] + (units[-1] + 1,), levels, len(sc.catalog))
         assert not decode_spec(sc, spec, over)[2]
         assert action_reward(sc, spec, over, accs) == INFEASIBLE_REWARD
         cfg = ExperimentConfig(scenario=sc, method="q-only")
-        reward_fn = training_reward(sc, spec, spec.digits, accs)
+        reward_fn = spec.reward_fn
         _, draw = scenario_draw(sc, cfg.q)
         assert reward_fn(draw, a) == action_reward(sc, spec, a, accs)
         assert reward_fn(draw, over) == INFEASIBLE_REWARD

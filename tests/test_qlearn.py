@@ -16,12 +16,9 @@ from fedkd.cli import main
 from fedkd.config import scenario_from_dict
 from fedkd.experiment import (
     ExperimentConfig,
-    method_rows,
     method_spec,
     run_experiment,
     sample_scenario,
-    training_reward,
-    training_sampler,
 )
 from fedkd.model import (
     DEFAULT_CATALOG,
@@ -51,10 +48,9 @@ from fedkd.qlearn import (
     scenario_draw,
     train_fixed_scenario,
     train_loop,
-    update,
 )
 
-from conftest import make_scenario
+from conftest import experiment_sampler, make_scenario
 from oracles import (
     GeneratorDraws,
     action_reward,
@@ -71,11 +67,6 @@ from oracles import (
 
 def kd_accs(sc):
     return [acc_pair(DEFAULT_TABLE, m.name, "KD", "noniid") for m in sc.catalog]
-
-
-def method_reward(cfg, spec, accs):
-    """cfg's training reward, on the rows of its method spec."""
-    return training_reward(cfg.scenario, spec, method_rows(cfg.scenario, spec, accs), accs)
 
 
 def train_static(sc, cfg, seed, accs):
@@ -503,13 +494,13 @@ class TestUpdate:
         q = QTable()
         cfg = QConfig(lr=1.0)
         q.set(((0, 0),), 0, 123.0, 1)
-        assert update(q, ((0, 0),), 0, 7.0, cfg) is True
+        assert q.step(((0, 0),), 0, 7.0, cfg.lr) is True
         assert value(q, ((0, 0),), 0) == 7.0
 
     def test_half_step_toward_terminal_reward(self):
         q = QTable()
         cfg = QConfig(lr=0.5)
-        assert update(q, ((0, 0),), 0, 1.0, cfg) is True
+        assert q.step(((0, 0),), 0, 1.0, cfg.lr) is True
         assert value(q, ((0, 0),), 0) == 0.5
 
     @pytest.mark.parametrize("lr", [0.2, 1.0])
@@ -517,12 +508,12 @@ class TestUpdate:
         q = QTable()
         s = ((0, 0),)
         q.set(s, 2, -0.75, 3)
-        assert update(q, s, 2, -0.75, QConfig(lr=lr)) is False
+        assert q.step(s, 2, -0.75, lr) is False
         assert list(q.entries()) == [(s, 2, -0.75, 4)]
 
     def test_a_new_entry_changes_the_table_even_at_its_old_reading(self):
         q = QTable()
-        assert update(q, ((0, 0),), 1, 0.0, QConfig()) is True
+        assert q.step(((0, 0),), 1, 0.0, QConfig().lr) is True
         assert list(q.entries()) == [(((0, 0),), 1, 0.0, 1)]
 
     def test_a_signed_zero_that_flips_is_a_change(self):
@@ -530,10 +521,10 @@ class TestUpdate:
         q = QTable()
         s = ((0, 0),)
         q.set(s, 0, -0.0, 1)
-        assert update(q, s, 0, -0.0, QConfig(lr=1.0)) is True
+        assert q.step(s, 0, -0.0, 1.0) is True
         (stored,) = [v for *_, v, _ in q.entries()]
         assert stored.hex() == "0x0.0p+0"
-        assert update(q, s, 0, -0.0, QConfig(lr=1.0)) is False
+        assert q.step(s, 0, -0.0, 1.0) is False
 
     def test_add_visits_keeps_the_value(self):
         q = QTable()
@@ -546,8 +537,8 @@ class TestUpdate:
     def test_visits_increment(self):
         q = QTable()
         cfg = QConfig()
-        update(q, ((0, 0),), 4, 1.0, cfg)
-        update(q, ((0, 0),), 4, 1.0, cfg)
+        q.step(((0, 0),), 4, 1.0, cfg.lr)
+        q.step(((0, 0),), 4, 1.0, cfg.lr)
         assert visits(q, ((0, 0),), 4) == 2
 
     def test_geometric_contraction_to_reward(self):
@@ -555,7 +546,7 @@ class TestUpdate:
         cfg = QConfig(lr=0.2)
         s, r = ((0, 0),), 0.7
         for _ in range(1000):
-            update(q, s, 0, r, cfg)
+            q.step(s, 0, r, cfg.lr)
         assert abs(value(q, s, 0) - r) < 1e-9
 
     def test_step_equals_value_visits_set_over_random_updates(self):
@@ -580,8 +571,15 @@ class TestUpdate:
                             == scan_greedy(slow, state, n))
 
     def test_nonfinite_reward_rejected(self):
-        with pytest.raises(ValueError):
-            update(QTable(), ((0, 0),), 0, float("nan"), QConfig())
+        """Refused before anything is written, for a new entry and a
+        stored one."""
+        q = QTable()
+        q.set(((0, 0),), 1, 0.5, 3)
+        for r in (float("nan"), float("inf"), -float("inf")):
+            for a in (0, 1):
+                with pytest.raises(ValueError, match="Q-value must be finite"):
+                    q.step(((0, 0),), a, r, QConfig().lr)
+        assert list(q.entries()) == [(((0, 0),), 1, 0.5, 3)]
 
 
 class TestTrain:
@@ -851,11 +849,8 @@ class TestSkippedGreedySteps:
         cfg = ExperimentConfig(scenario=default_scenario(), method=method, seed=4,
                                q=QConfig(f_bins=2, h_bins=2, episodes=1500, lr=1.0))
         spec = method_spec(cfg)
-        accs = [acc_pair(DEFAULT_TABLE, m.name, spec.accuracy, cfg.distribution)
-                for m in cfg.scenario.catalog]
         self.assert_trains_like_every_episode(
-            tmp_path, training_sampler(cfg), cfg.q, 6, spec.n_actions,
-            method_reward(cfg, spec, accs))
+            tmp_path, experiment_sampler(cfg), cfg.q, 6, spec.n_actions, spec.reward_fn)
 
     def test_samplers_that_mix_keys_and_draws(self, tmp_path):
         """A skip armed on one (key, draw) pair serves neither another draw
@@ -1034,8 +1029,7 @@ class TestSeeds:
         cfg = ExperimentConfig(scenario=sc, method=method, seed=seed, trials=30,
                                q=QConfig(f_bins=2, h_bins=2, episodes=500))
         spec = method_spec(cfg)
-        accs = [acc_pair(DEFAULT_TABLE, m.name, spec.accuracy, cfg.distribution)
-                for m in sc.catalog]
+        accs = spec.accs
         trained = []
         monkeypatch.setattr(experiment, "train_loop",
                             lambda *args: trained.append(train_loop(*args)) or trained[-1])
@@ -1074,14 +1068,12 @@ class TestTrainingDraws:
         cfg = ExperimentConfig(scenario=sc, method=method, seed=3,
                                q=QConfig(f_bins=2, h_bins=2, episodes=500))
         spec = method_spec(cfg)
-        accs = [acc_pair(DEFAULT_TABLE, m.name, spec.accuracy, cfg.distribution)
-                for m in sc.catalog]
+        accs = spec.accs
         ref, _ = train_encoding_every_episode(
             lambda draws: sample_scenario(sc, draws.rng, cfg.q.f_loc_range, cfg.q.d_range),
             cfg.q, np.random.Generator(np.random.PCG64(9)), spec.n_actions,
             lambda draw, a: action_reward(draw, spec, a, accs))
-        q = train_loop(training_sampler(cfg), cfg.q, 9, spec.n_actions,
-                       method_reward(cfg, spec, accs))
+        q = train_loop(experiment_sampler(cfg), cfg.q, 9, spec.n_actions, spec.reward_fn)
         assert list(q.entries()) == list(ref.entries())
         assert q.states > 1
 
@@ -1106,7 +1098,7 @@ class TestTrainingDraws:
                                  float(ref_rng.uniform(*d_range))) for _ in sc.users)))
                     for _ in range(20000)]
             ref_keys = [oracle_key(f_loc, d, sc.channel, cfg.q) for f_loc, d in refs]
-            sampler = training_sampler(cfg)
+            sampler = experiment_sampler(cfg)
             gains.clear()
             draws = StreamReader(11)
             for k, ((f_loc, d), ref_key) in enumerate(zip(refs, ref_keys)):
@@ -1130,7 +1122,7 @@ class TestTrainingDraws:
         with caplog.at_level(logging.WARNING, logger="fedkd.qlearn"):
             run_experiment(cfg)
         assert not caplog.records
-        sampler = training_sampler(cfg)
+        sampler = experiment_sampler(cfg)
         draws = StreamReader(4)
         h_bins = {h_bin for _ in range(200) for _, h_bin in sampler(draws)[0]}
         assert h_bins == {0, 1}
@@ -1213,15 +1205,12 @@ class TestCachedArgmax:
     def test_redrawn_scenarios_train_identically(self, monkeypatch):
         cfg = ExperimentConfig(scenario=default_scenario(), seed=7)
         spec = method_spec(cfg)
-        accs = [acc_pair(DEFAULT_TABLE, m.name, "KD", cfg.distribution)
-                for m in cfg.scenario.catalog]
         qcfg = QConfig(f_bins=2, h_bins=2, episodes=1500)
 
         cfg = dataclasses.replace(cfg, q=qcfg)
 
         def run():
-            return train_loop(training_sampler(cfg), qcfg, 7, spec.n_actions,
-                              method_reward(cfg, spec, accs))
+            return train_loop(experiment_sampler(cfg), qcfg, 7, spec.n_actions, spec.reward_fn)
 
         fast, slow = train_both(monkeypatch, run)
         assert list(fast.entries()) == list(slow.entries())
