@@ -9,8 +9,9 @@ Subcommands:
 
 Every subcommand is deterministic for a fixed --seed: rerunning writes
 byte-identical files.  Exit code 0 on success, 1 with one `error:` line
-on stderr for any error, a bad option value or choice included; a
-missing or unknown option is argparse's usage error, exit 2.
+on stderr for any error, a bad option value or choice included.  A
+missing or unknown option exits 2 with argparse's usage block on
+Python before 3.13.
 """
 
 from __future__ import annotations
@@ -281,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         # A bad value or choice is an ArgumentError (exit_on_error=False);
-        # a missing or unknown option still exits 2 with argparse's usage.
+        # a missing or unknown option exits 2 before Python 3.13.
         args = build_parser().parse_args(argv)
         # numpy's own refusal of a negative seed names no option.
         check_count("--seed", getattr(args, "seed", 0), 0)

@@ -204,7 +204,8 @@ class MethodSpec:
     len(digits), lowest first, gives user i its entry of digits: (x, m),
     whose split is the optimal one, or, for q-only, (x, m, f_units,
     b_units): that many 1/levels of the server CPU and of the bandwidth.
-    rows[k] is what digit k picks, the row _split and _price read."""
+    rows[k] is what digit k picks, the row _split and _price read; the
+    run reads rows only, digits is the encoding tests/oracles.py decodes."""
 
     digits: tuple[tuple[int, ...], ...]
     n_actions: int          # len(digits) ** users

@@ -16,6 +16,8 @@ The decision layer:
     decode_spec          an experiment action's validated Decision and
                          Allocation, from its method's digits
     action_reward        one action's reward under an experiment method
+    method_accs          an experiment method's published accuracies, by
+                         acc_pair, not through experiment.method_spec
     score_at_allocate    the scalar route: allocate's split, then objective
     brute_force_optimum  score_at_allocate over every action
     epsilon_at           one episode's exploration rate
@@ -40,7 +42,14 @@ import math
 
 import numpy as np
 
-from fedkd.accuracy import DISTRIBUTIONS, METHODS, AccuracyTable, lookup_acc
+from fedkd.accuracy import (
+    DEFAULT_TABLE,
+    DISTRIBUTIONS,
+    METHODS,
+    AccuracyTable,
+    acc_pair,
+    lookup_acc,
+)
 from fedkd.allocator import AllocResult, allocate, build_problem, cost_from_sums
 from fedkd.kd import fedsgd_round
 from fedkd.model import Allocation, Decision, InfeasibleError, objective
@@ -207,6 +216,16 @@ def action_reward(sc, spec, a, accs):
                           [accs[mi][1] for mi in dec.m])
     except InfeasibleError:
         return INFEASIBLE_REWARD
+
+
+def method_accs(cfg):
+    """Per model of cfg.scenario's catalog, the (acc_own, acc_avg) that
+    cfg.method scores with: the FL records for fl-min and fl-max, which
+    train without distillation, the KD records for the other methods,
+    at cfg.distribution."""
+    kind = "FL" if cfg.method in ("fl-min", "fl-max") else "KD"
+    return [acc_pair(DEFAULT_TABLE, m.name, kind, cfg.distribution)
+            for m in cfg.scenario.catalog]
 
 
 def score_at_allocate(sc, dec, accs):

@@ -261,31 +261,15 @@ def kd_demo_integers(seed_and_epochs):
     return ["kd-demo", "--seed", str(s), "--epochs", str(e)], "--seed" if s < 0 else "--epochs"
 
 
-#: (arguments, option): a value that is no integer, or no choice, given
-#: to option.
-BAD_OPTION_VALUES = tuple(
-    ([command, option, value], option)
-    for command, options in [("kd-demo", ("--seed", "--epochs")),
-                             ("train-q", ("--seed", "--episodes", "--distribution")),
-                             ("experiment", ("--seed", "--episodes", "--trials", "--method",
-                                             "--distribution"))]
-    for option in options
-    for value in (("bogus", "") if option in ("--method", "--distribution")
-                  else ("x", "1.5", "")))
-
-
 @seed(20261021)
-@settings(max_examples=150, deadline=None, database=None)
-@given(st.one_of(st.tuples(st.integers(), st.integers(max_value=0)).map(kd_demo_integers),
-                 st.tuples(st.integers(max_value=-1), st.integers(min_value=1))
-                 .map(kd_demo_integers),
-                 st.sampled_from(BAD_OPTION_VALUES)))
-def test_bad_kd_demo_arguments_exit_with_one_error_line(argv_and_option):
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.one_of(st.tuples(st.integers(), st.integers(max_value=0)),
+                 st.tuples(st.integers(max_value=-1), st.integers(min_value=1))))
+def test_bad_kd_demo_arguments_exit_with_one_error_line(seed_and_epochs):
     """A negative --seed or an --epochs below 1, at any magnitude, is
-    refused before any training or fork; a value that is no integer, or
-    no choice, of any command is refused while the arguments are read.
-    Each exits 1 with one error line that names the option."""
-    argv, option = argv_and_option
+    refused before any training or fork, with one error line that names
+    the option refused."""
+    argv, option = kd_demo_integers(seed_and_epochs)
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
         code, err = run_main([*argv, "--out", out])
@@ -293,6 +277,27 @@ def test_bad_kd_demo_arguments_exit_with_one_error_line(argv_and_option):
     assert code == 1
     assert_exit_0_or_one_error_line(code, err)
     assert option.lstrip("-") in err
+
+
+@pytest.mark.parametrize("command, option, value", [
+    (command, option, value)
+    for command, options in [("kd-demo", ("--seed", "--epochs")),
+                             ("train-q", ("--seed", "--episodes", "--distribution")),
+                             ("experiment", ("--seed", "--episodes", "--trials", "--method",
+                                             "--distribution"))]
+    for option in options
+    for value in (("bogus", "") if option in ("--method", "--distribution")
+                  else ("x", "1.5", ""))])
+def test_bad_option_value_is_one_error_line_naming_it(tmp_path, command, option, value):
+    """A value that is no integer, or no choice, is refused while the
+    arguments are read: exit 1 with one error line naming the option, and
+    nothing written."""
+    out = tmp_path / "out"
+    code, err = run_main([command, option, value, "--out", str(out)])
+    assert not out.exists()
+    assert_exit_0_or_one_error_line(code, err)
+    assert code == 1
+    assert err.startswith(f"error: argument {option}: ")
 
 
 class TestTrainQ:

@@ -75,6 +75,7 @@ from oracles import (
     decision_reward,
     decode_spec,
     encode_decision,
+    method_accs,
     reward,
     score_at_allocate,
 )
@@ -350,6 +351,14 @@ def _qonly_within_budget(spec, n_users, n_models, pick):
     return a
 
 
+def _reward_at(sc, spec, accs):
+    """spec's training reward, built from the pieces method_spec builds
+    it from, at accuracies accs of the caller's choice."""
+    if spec.levels:
+        return experiment._grid_reward(sc, spec.digits, spec.levels, accs)
+    return qlearn.digit_reward(sc, qlearn.digit_table(sc, accs, spec.digits))
+
+
 @seed(20231106)
 @settings(max_examples=60, deadline=None, database=None)
 @given(instances(n_users=st.integers(1, 3), n_models=st.integers(1, 3)),
@@ -359,18 +368,21 @@ def test_training_rewards_equal_action_reward_bit_for_bit_on_seeded_draws(inst, 
     """Each learning method's training reward of a Draw equals action_reward
     on the Scenario that sample_scenario draws from the same seed, for
     random templates: unequal p, zero and positive bandwidth prices, a
-    one-model catalog.  q-only also scores 64 actions within both
+    one-model catalog.  Both the run's reward, at its published
+    accuracies, and the same construction at the drawn accuracies in
+    [0, 1] are checked.  q-only also scores 64 actions within both
     budgets, which uniform actions seldom are.  A template with a user
     whose spectral efficiency rounds to zero (stranded) has no feasible
     action on any draw, by the oracle, and its sampler is refused."""
-    sc = _stock_named(inst[0])
+    sc, _, accs, _ = inst
+    sc = _stock_named(sc)
     if stranded:
         weak = dataclasses.replace(sc.users[0], p=1e-300)
         sc = dataclasses.replace(sc, users=(weak,) + sc.users[1:])
     for method in ("proposed", "fl-min", "fl-max", "q-only"):
         cfg = ExperimentConfig(scenario=sc, method=method)
         spec = method_spec(cfg)
-        reward_fn, accs = spec.reward_fn, spec.accs
+        rewards = [(spec.reward_fn, spec.accs), (_reward_at(sc, spec, accs), accs)]
         ref_rng, pick = (np.random.Generator(np.random.PCG64(draw_seed)) for _ in range(2))
         if stranded:
             with pytest.raises(InfeasibleError, match="^user 0 has zero spectral efficiency "
@@ -392,11 +404,12 @@ def test_training_rewards_equal_action_reward_bit_for_bit_on_seeded_draws(inst, 
                           for _ in range(64)]
                 assert all(decode_spec(ref, spec, a)[2] for a in within)
                 actions += within
-            got = [reward_fn(draw, a) for a in actions]
-            assert [r.hex() for r in got] == [
-                action_reward(ref, spec, a, accs).hex() for a in actions]
-            if method == "q-only":
-                assert INFEASIBLE_REWARD not in got[-64:]
+            for reward_fn, reward_accs in rewards:
+                got = [reward_fn(draw, a) for a in actions]
+                assert [r.hex() for r in got] == [
+                    action_reward(ref, spec, a, reward_accs).hex() for a in actions]
+                if method == "q-only":
+                    assert INFEASIBLE_REWARD not in got[-64:]
 
 
 def _count_constructions(monkeypatch):
@@ -506,7 +519,7 @@ def test_trial_rows_equal_the_scalar_oracle_bit_for_bit(inst, run_seed, distribu
         cfg = ExperimentConfig(scenario=sc, method=method, seed=run_seed, trials=3,
                                distribution=distribution, q=q)
         spec = method_spec(cfg)
-        accs = spec.accs
+        accs = method_accs(cfg)
         eval_ss = np.random.SeedSequence(run_seed).spawn(2)[0]
         eval_rng = np.random.Generator(np.random.PCG64(eval_ss))
         with pytest.MonkeyPatch.context() as mp:
@@ -527,6 +540,16 @@ def test_trial_rows_equal_the_scalar_oracle_bit_for_bit(inst, run_seed, distribu
                 delays(u.f_loc, draw.catalog[mi], draw.teacher, xi, fi,
                        tx_rate(bi, u.p, channel_gain(u.d, ch), ch)).total()
                 for u, xi, mi, fi, bi in zip(draw.users, dec.x, dec.m, al.f, al.b)]))
+
+
+@pytest.mark.parametrize("distribution", ["noniid", "iid"])
+@pytest.mark.parametrize("method", experiment.METHODS)
+def test_each_method_scores_with_its_published_accuracies(method, distribution):
+    """fl-min and fl-max score with the FL records, the other methods
+    with the KD ones, at the run's distribution."""
+    cfg = ExperimentConfig(scenario=default_scenario(), method=method,
+                           distribution=distribution)
+    assert method_spec(cfg).accs == tuple(method_accs(cfg))
 
 
 def _stock_named(sc):
@@ -555,7 +578,7 @@ def test_trial_splits_equal_allocate_on_the_sampled_scenario(users, data):
         if method == "exhaustive" and action_count(sc) > EXHAUSTIVE_CAP:
             template = dataclasses.replace(sc, catalog=sc.catalog[:1])
         cfg = ExperimentConfig(scenario=template, method=method, seed=run_seed, trials=3, q=q)
-        accs = method_spec(cfg).accs
+        accs = method_accs(cfg)
         eval_ss = np.random.SeedSequence(run_seed).spawn(2)[0]
         eval_rng = np.random.Generator(np.random.PCG64(eval_ss))
         for row in run_experiment(cfg).trials:

@@ -191,16 +191,17 @@ class TestQOnlyCoding:
         dec, al, within_budget = decode_spec(sc, spec, a)
         assert sum(al.f) > budget and sum(al.b) > budget   # the float sums overshoot
         assert within_budget
-        accs = spec.accs
+        accs = [(0.5, 0.5)] * 4
         assert action_reward(sc, spec, a, accs) != INFEASIBLE_REWARD
         over = self._action(units[:-1] + (units[-1] + 1,), levels, len(sc.catalog))
         assert not decode_spec(sc, spec, over)[2]
         assert action_reward(sc, spec, over, accs) == INFEASIBLE_REWARD
         cfg = ExperimentConfig(scenario=sc, method="q-only")
-        reward_fn = spec.reward_fn
         _, draw = scenario_draw(sc, cfg.q)
-        assert reward_fn(draw, a) == action_reward(sc, spec, a, accs)
-        assert reward_fn(draw, over) == INFEASIBLE_REWARD
+        for reward_fn, reward_accs in [(experiment._grid_reward(sc, spec.digits, levels, accs),
+                                        accs), (spec.reward_fn, spec.accs)]:
+            assert reward_fn(draw, a) == action_reward(sc, spec, a, reward_accs)
+            assert reward_fn(draw, over) == INFEASIBLE_REWARD
 
     def test_action_zero_is_minimal_and_feasible(self):
         sc = default_scenario()

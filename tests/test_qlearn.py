@@ -57,6 +57,7 @@ from oracles import (
     decode_spec,
     encode_decision,
     epsilon_at,
+    method_accs,
     reward,
     select_action,
     train_every_episode,
@@ -1029,7 +1030,7 @@ class TestSeeds:
         cfg = ExperimentConfig(scenario=sc, method=method, seed=seed, trials=30,
                                q=QConfig(f_bins=2, h_bins=2, episodes=500))
         spec = method_spec(cfg)
-        accs = spec.accs
+        accs = method_accs(cfg)
         trained = []
         monkeypatch.setattr(experiment, "train_loop",
                             lambda *args: trained.append(train_loop(*args)) or trained[-1])
@@ -1068,7 +1069,7 @@ class TestTrainingDraws:
         cfg = ExperimentConfig(scenario=sc, method=method, seed=3,
                                q=QConfig(f_bins=2, h_bins=2, episodes=500))
         spec = method_spec(cfg)
-        accs = spec.accs
+        accs = method_accs(cfg)
         ref, _ = train_encoding_every_episode(
             lambda draws: sample_scenario(sc, draws.rng, cfg.q.f_loc_range, cfg.q.d_range),
             cfg.q, np.random.Generator(np.random.PCG64(9)), spec.n_actions,
